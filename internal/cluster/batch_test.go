@@ -11,6 +11,7 @@ import (
 	"github.com/unifdist/unifdist/internal/obs"
 	"github.com/unifdist/unifdist/internal/obs/trace"
 	"github.com/unifdist/unifdist/internal/wire"
+	"github.com/unifdist/unifdist/internal/zeroround"
 )
 
 // sansStats strips the transport accounting, which legitimately differs
@@ -117,6 +118,80 @@ func TestBatchedFaultPlanMatchesUnbatched(t *testing.T) {
 	if got.Stats.DuplicateVotes != want.Stats.DuplicateVotes {
 		t.Fatalf("batched run deduplicated %d votes, unbatched %d",
 			got.Stats.DuplicateVotes, want.Stats.DuplicateVotes)
+	}
+}
+
+// TestBatchedFoldMatchesPerVoteFold feeds the same votes into two
+// referees with telemetry on, once as VoteBatch frames and once as single
+// Vote (or Sketch) frames. The batches hold a duplicate inside one batch,
+// a duplicate across two batches and a trial past Trials. Stats,
+// per-trial outcomes and the final votes, votes_dup, bad_frames and
+// dedup_occupancy metrics must agree.
+func TestBatchedFoldMatchesPerVoteFold(t *testing.T) {
+	const k, trials = 3, 6
+	batches := [][]uint32{{0, 1, 1, 2}, {2, 3, 9}, {4, 5}}
+	for _, sketch := range []bool{false, true} {
+		run := func(batched bool) (*Report, *obs.Registry) {
+			reg := obs.NewRegistry()
+			rf := NewReferee(k, zeroround.ThresholdRule{T: 2}, Config{Trials: trials, Sketch: sketch, Obs: reg})
+			for node := uint32(0); node < k; node++ {
+				peer, err := rf.Handshake(&wire.Hello{Node: node, K: k, Trials: trials})
+				if err != nil {
+					t.Fatal(err)
+				}
+				apply := func(f wire.Frame) {
+					if _, err := peer.Apply(f, wire.TraceContext{}, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, trs := range batches {
+					vb := &wire.VoteBatch{Sketch: sketch}
+					for _, tr := range trs {
+						reject := (tr+node)%3 == 0
+						v := wire.BatchVote{Trial: tr, Node: node, Reject: reject && !sketch}
+						if sketch && reject {
+							v.Samples, v.Collisions = 8, 1
+						}
+						vb.Votes = append(vb.Votes, v)
+						switch {
+						case batched:
+						case sketch:
+							apply(&wire.Sketch{Trial: v.Trial, Node: node, Samples: v.Samples, Collisions: v.Collisions})
+						default:
+							apply(&wire.Vote{Trial: v.Trial, Node: node, Reject: v.Reject})
+						}
+					}
+					if batched {
+						apply(vb)
+					}
+				}
+				apply(&wire.Done{Node: node})
+			}
+			rep, _, _ := rf.Finalize()
+			return rep, reg
+		}
+		batched, breg := run(true)
+		single, sreg := run(false)
+		if batched.Stats.Votes != k*trials || batched.Stats.DuplicateVotes != 2*k || batched.Stats.BadFrames != k {
+			t.Fatalf("sketch=%v: batched stats %+v, want %d votes, %d duplicates, %d bad", sketch, batched.Stats, k*trials, 2*k, k)
+		}
+		if batched.Stats.Votes != single.Stats.Votes || batched.Stats.DuplicateVotes != single.Stats.DuplicateVotes ||
+			batched.Stats.BadFrames != single.Stats.BadFrames {
+			t.Errorf("sketch=%v: batched stats %+v, per-vote %+v", sketch, batched.Stats, single.Stats)
+		}
+		if !reflect.DeepEqual(batched.Verdicts, single.Verdicts) || !reflect.DeepEqual(batched.Rejects, single.Rejects) ||
+			!reflect.DeepEqual(batched.Votes, single.Votes) {
+			t.Errorf("sketch=%v: batched trials %v/%v/%v, per-vote %v/%v/%v", sketch,
+				batched.Verdicts, batched.Rejects, batched.Votes, single.Verdicts, single.Rejects, single.Votes)
+		}
+		for _, name := range []string{"cluster.votes", "cluster.votes_dup", "cluster.bad_frames"} {
+			if b, s := breg.Counter(name).Value(), sreg.Counter(name).Value(); b != s || b == 0 {
+				t.Errorf("sketch=%v: %s batched %d, per-vote %d", sketch, name, b, s)
+			}
+		}
+		if b, s := breg.Gauge("cluster.dedup_occupancy").Value(), sreg.Gauge("cluster.dedup_occupancy").Value(); b != s || b != 1 {
+			t.Errorf("sketch=%v: dedup_occupancy batched %v, per-vote %v, want 1", sketch, b, s)
+		}
 	}
 }
 

@@ -180,12 +180,15 @@ func (s *scheduler) worker() {
 	}
 }
 
-// apply decodes and folds one frame. A decode or protocol error
-// terminates the offending connection, exactly as the solo referee's
-// handler does; the session itself keeps running on its other peers.
+// apply decodes and folds one frame. A decode or protocol error counts a
+// bad frame, fails the peer — so the frames its reader already queued
+// behind the bad one never fold — and closes the connection: the solo
+// referee's handler counts, closes and stops reading at the same frame.
+// The session itself keeps running on its other peers.
 func (s *scheduler) apply(sess *session, it *frameItem, sc *wire.DecodeScratch) {
 	f, tc, _, err := wire.DecodeBodySession(it.body, sc)
 	if err != nil {
+		it.peer.Fail()
 		it.conn.Close()
 		return
 	}

@@ -447,3 +447,79 @@ func BenchmarkServiceConcurrentSessions(b *testing.B) {
 		})
 	}
 }
+
+// TestViolationEndsPeerOnBothPaths pins one violation policy on both
+// frame-dispatch paths. One node stream — Hello, two good votes, a bad
+// frame, two more good votes, Done — goes to a solo Referee.Serve and to a
+// service session. Both must fold only the first two votes and close the
+// connection, whether the bad frame is a vote stamped with another node ID
+// or a frame that does not decode.
+func TestViolationEndsPeerOnBothPaths(t *testing.T) {
+	const k, trials = 4, 8
+	stream := func(session uint32, undecodable bool) []byte {
+		var buf []byte
+		add := func(f wire.Frame) { buf = wire.AppendSession(buf, f, session, wire.TraceContext{}) }
+		add(&wire.Hello{Node: 0, K: k, Trials: trials})
+		add(&wire.Vote{Trial: 0, Node: 0, Reject: true})
+		add(&wire.Vote{Trial: 1, Node: 0})
+		if undecodable {
+			add(&wire.Vote{Trial: 2, Node: 0})
+			flag := len(buf) - 1 // the vote's reject flag, before any session suffix
+			if session != 0 {
+				flag -= 4
+			}
+			buf[flag] = 2
+		} else {
+			add(&wire.Vote{Trial: 2, Node: 1})
+		}
+		add(&wire.Vote{Trial: 3, Node: 0})
+		add(&wire.Vote{Trial: 4, Node: 0})
+		add(&wire.Done{Node: 0})
+		return buf
+	}
+	// send writes the stream and reports whether the far end closed the
+	// connection instead of answering with a verdict at the session end.
+	send := func(dial func() (net.Conn, error), session uint32, undecodable bool) bool {
+		conn, err := dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		_, _ = conn.Write(stream(session, undecodable)) // fails once the far end hangs up
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err = wire.NewReader(conn).ReadFrame()
+		return err != nil
+	}
+	want := []int{1, 1, 0, 0, 0, 0, 0, 0}
+	for _, undecodable := range []bool{false, true} {
+		name := map[bool]string{false: "wrong node", true: "undecodable"}[undecodable]
+
+		rf := cluster.NewReferee(k, zeroround.ANDRule{}, cluster.Config{Trials: trials, Deadline: 300 * time.Millisecond})
+		l := cluster.NewPipeListener()
+		solo := make(chan *cluster.Report, 1)
+		go func() {
+			rep, _ := rf.Serve(l)
+			solo <- rep
+		}()
+		if !send(l.Dial, 0, undecodable) {
+			t.Errorf("%s: solo referee kept the connection open", name)
+		}
+		if rep := <-solo; !reflect.DeepEqual(rep.Votes, want) || rep.Stats.BadFrames != 1 {
+			t.Errorf("%s: solo referee folded votes %v with %d bad frames, want %v and 1",
+				name, rep.Votes, rep.Stats.BadFrames, want)
+		}
+
+		_, dial := startService(t, service.Config{Deadline: 300 * time.Millisecond, ReapInterval: 20 * time.Millisecond})
+		c := mustOpen(t, dial, &wire.SessionOpen{Tenant: 1, K: k, Trials: trials, Rule: wire.RuleAND})
+		if !send(dial, c.WireSession(), undecodable) {
+			t.Errorf("%s: service kept the connection open", name)
+		}
+		rep, err := c.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep.Votes, want) {
+			t.Errorf("%s: service session folded votes %v, want %v", name, rep.Votes, want)
+		}
+	}
+}

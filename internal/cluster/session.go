@@ -13,7 +13,7 @@
 package cluster
 
 import (
-	"fmt"
+	"errors"
 	"net"
 
 	"github.com/unifdist/unifdist/internal/obs"
@@ -22,118 +22,64 @@ import (
 
 // Peer is one registered peer of a service-hosted referee: either a
 // direct leaf (Hello) or a child aggregator (AggHello). The zero Peer is
-// invalid; obtain one from Referee.Handshake.
+// invalid; obtain one from Referee.Handshake. Calls on one Peer must not
+// overlap; the service applies a session's frames in arrival order on one
+// worker at a time.
 type Peer struct {
-	rf   *Referee
-	node int      // leaf node ID, or -1 for aggregator peers
-	agg  *aggPeer // registered child aggregator, or nil
-	recv *obs.Counter
+	rf     *Referee
+	node   int      // leaf node ID, or -1 for aggregator peers
+	agg    *aggPeer // registered child aggregator, or nil
+	recv   *obs.Counter
+	failed bool // a frame violated the protocol: refuse every later one
 }
+
+// errPeerFailed refuses the frames a peer sends after a protocol
+// violation, which the solo referee never reads.
+var errPeerFailed = errors.New("cluster: peer already violated the protocol")
 
 // Handshake validates and registers a peer's opening frame (Hello or
-// AggHello), mirroring exactly the checks the referee's own connection
-// handler applies. A failed handshake counts a bad frame and returns an
-// error; the caller should terminate the transport.
+// AggHello) with exactly the checks the referee's own connection handler
+// applies. A failed handshake counts a bad frame and returns an error;
+// the caller should terminate the transport.
 func (rf *Referee) Handshake(f wire.Frame) (*Peer, error) {
-	switch m := f.(type) {
-	case *wire.Hello:
-		if int(m.K) != rf.k || int(m.Trials) != rf.cfg.Trials ||
-			int(m.Node) < rf.lo || int(m.Node) >= rf.hi || !rf.registerLeaf(int(m.Node)) {
-			rf.countBadFrame()
-			return nil, fmt.Errorf("cluster: hello rejected: node %d of k=%d trials=%d", m.Node, m.K, m.Trials)
-		}
-		p := &Peer{rf: rf, node: int(m.Node)}
-		if rf.reg != nil {
-			p.recv = rf.reg.Counter(rf.metricName(fmt.Sprintf("peer.%d.recv", p.node)))
-		}
-		p.recv.Inc() // the Hello itself
-		return p, nil
-	case *wire.AggHello:
-		ap := rf.registerAgg(m)
-		if ap == nil {
-			rf.countBadFrame()
-			return nil, fmt.Errorf("cluster: agghello rejected: agg %d window [%d, %d)", m.Agg, m.Lo, m.Hi)
-		}
-		p := &Peer{rf: rf, node: -1, agg: ap}
-		if rf.reg != nil {
-			p.recv = rf.reg.Counter(rf.metricName(fmt.Sprintf("aggpeer.%d.recv", ap.id)))
-		}
-		p.recv.Inc() // the AggHello itself
-		return p, nil
-	default:
-		rf.countBadFrame()
-		return nil, fmt.Errorf("cluster: handshake frame type %d is not Hello or AggHello", f.Type())
+	node, agg, err := rf.handshake(f)
+	if err != nil {
+		return nil, err
 	}
+	p := &Peer{rf: rf, node: node, agg: agg, recv: rf.peerCounter(node, agg)}
+	p.recv.Inc() // the handshake frame itself
+	return p, nil
 }
 
-// Apply folds one post-handshake frame from the peer into its referee —
-// the same validation, dedup and incremental-decision path a directly
-// served connection takes. wireBytes is the frame's on-wire size (body
-// plus length prefix) for the byte accounting. It returns done=true when
-// the frame was the peer's Done marker: the peer sends nothing further
-// and waits for the verdict. A returned error means the frame violated
-// the protocol (counted as a bad frame); the caller should terminate the
-// transport, as a mismatched handshake would.
+// Apply folds one post-handshake frame from the peer into its referee
+// through the same validation, dedup and incremental-decision path a
+// directly served connection takes. wireBytes is the frame's on-wire size
+// (body plus length prefix) for the byte accounting. It returns done=true
+// when the frame was the peer's Done marker: the peer sends nothing
+// further and waits for the verdict. A returned error means the frame
+// violated the protocol (counted as a bad frame); the caller should
+// terminate the transport, and the peer refuses every later frame — those
+// the transport already delivered included — so exactly the frames the
+// solo referee reads before it hangs up are folded.
 func (p *Peer) Apply(f wire.Frame, tc wire.TraceContext, wireBytes int) (bool, error) {
-	rf := p.rf
-	rf.mu.Lock()
-	rf.stats.Frames++
-	rf.stats.Bytes += int64(wireBytes)
-	rf.mu.Unlock()
-	rf.m.frames.Inc()
-	p.recv.Inc()
-
-	switch m := f.(type) {
-	case *wire.Vote:
-		if p.node < 0 || int(m.Node) != p.node {
-			rf.countBadFrame()
-			return false, fmt.Errorf("cluster: vote from node %d on peer %d", m.Node, p.node)
-		}
-		rf.apply(int(m.Trial), p.node, m.Reject, 0, 0, tc)
-	case *wire.Sketch:
-		if p.node < 0 || int(m.Node) != p.node {
-			rf.countBadFrame()
-			return false, fmt.Errorf("cluster: sketch from node %d on peer %d", m.Node, p.node)
-		}
-		rf.apply(int(m.Trial), p.node, m.Collisions > 0, uint64(m.Samples), uint64(m.Collisions), tc)
-	case *wire.VoteBatch:
-		if p.node < 0 {
-			rf.countBadFrame()
-			return false, fmt.Errorf("cluster: vote batch on aggregator peer")
-		}
-		for i := range m.Votes {
-			if int(m.Votes[i].Node) != p.node {
-				rf.countBadFrame()
-				return false, fmt.Errorf("cluster: batch smuggles node %d on peer %d", m.Votes[i].Node, p.node)
-			}
-		}
-		rf.applyBatch(m, p.node, tc)
-	case *wire.PartialVerdict:
-		if p.agg == nil || m.Agg != p.agg.id {
-			rf.countBadFrame()
-			return false, fmt.Errorf("cluster: partial from agg %d on peer", m.Agg)
-		}
-		rf.applyPartial(m, p.agg, tc)
-	case *wire.Done:
-		if p.agg != nil {
-			if int(m.Node) != int(p.agg.id) {
-				rf.countBadFrame()
-				return false, fmt.Errorf("cluster: done from agg %d on peer %d", m.Node, p.agg.id)
-			}
-			rf.markDoneRange(p.agg)
-		} else {
-			if int(m.Node) != p.node {
-				rf.countBadFrame()
-				return false, fmt.Errorf("cluster: done from node %d on peer %d", m.Node, p.node)
-			}
-			rf.markDone(p.node)
-		}
-		return true, nil
-	default:
-		rf.countBadFrame()
-		return false, fmt.Errorf("cluster: unexpected frame type %d after handshake", f.Type())
+	if p.failed {
+		return false, errPeerFailed
 	}
-	return false, nil
+	p.recv.Inc()
+	done, err := p.rf.applyFrame(f, tc, p.node, p.agg, wireBytes)
+	p.failed = err != nil
+	return done, err
+}
+
+// Fail records a frame from the peer that did not decode: it counts a bad
+// frame, as the solo referee's handler does for a codec error, and the
+// peer refuses every later frame. The caller should terminate the
+// transport.
+func (p *Peer) Fail() {
+	if !p.failed {
+		p.failed = true
+		p.rf.countBadFrame(0)
+	}
 }
 
 // Register records conn for the verdict broadcast at finalization and

@@ -159,7 +159,11 @@ func (s *voteSink) acceptLoop(l net.Listener, deadline time.Duration, wg *sync.W
 	}
 }
 
-// handle drains one connection's frame stream into the sink.
+// handle drains one connection's frame stream into the sink. Its first
+// frame must register the peer (handshake); every later frame goes
+// through applyFrame, the dispatch the service's Peer.Apply shares. Any
+// protocol violation counts a bad frame and ends the transport, so no
+// later frame from the peer folds.
 func (s *voteSink) handle(conn net.Conn, end time.Time) {
 	conn.SetReadDeadline(end)
 	r := wire.NewReader(conn)
@@ -179,7 +183,7 @@ func (s *voteSink) handle(conn net.Conn, end time.Time) {
 			applyNS[t] = s.reg.Histogram(s.metricName("apply_ns."+name), obs.LatencyBuckets())
 		}
 	}
-	var peerRecv *obs.Counter // resolved after Hello identifies the peer
+	var peerRecv *obs.Counter // resolved after the handshake identifies the peer
 	// Per-connection decode scratch: steady-state vote, batch and partial
 	// decoding reuses these buffers, so the hot loop does not allocate per
 	// frame.
@@ -190,7 +194,8 @@ func (s *voteSink) handle(conn net.Conn, end time.Time) {
 			// EOF, peer close, injected disconnect, or framing error:
 			// framing errors count as a bad frame, transport ends either way.
 			if !isClosedErr(err) {
-				s.countBadFrame()
+				s.countBadFrame(0)
+				conn.Close()
 			}
 			return
 		}
@@ -199,17 +204,11 @@ func (s *voteSink) handle(conn net.Conn, end time.Time) {
 			t0 = time.Now() //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
 		}
 		f, tc, sess, err := wire.DecodeBodySession(body, &sc)
-		if err != nil {
-			// Codec error: count it and end the transport, as before the
-			// read/decode split.
-			s.countBadFrame()
-			return
-		}
-		if sess != s.cfg.Session {
-			// A frame bound to another session (or a bare legacy frame on a
-			// session-bound sink) is a misdirected peer: terminate the
-			// transport so its votes cannot leak across sessions.
-			s.countBadFrame()
+		if err != nil || sess != s.cfg.Session {
+			// A codec error, or a frame bound to another session (or a bare
+			// legacy frame on a session-bound sink): terminate the transport
+			// so the peer's votes cannot leak across sessions.
+			s.countBadFrame(0)
 			conn.Close()
 			return
 		}
@@ -228,109 +227,118 @@ func (s *voteSink) handle(conn net.Conn, end time.Time) {
 		// batches.)
 		n := len(body) + 4
 		frameBytes.Observe(int64(n))
-		s.mu.Lock()
-		s.stats.Frames++
-		s.stats.Bytes += int64(n)
-		s.mu.Unlock()
-		s.m.frames.Inc()
 		peerRecv.Inc()
 
-		switch m := f.(type) {
-		case *wire.Hello:
-			if peer != nil || int(m.K) != s.k || int(m.Trials) != s.cfg.Trials ||
-				int(m.Node) < s.lo || int(m.Node) >= s.hi || !s.registerLeaf(int(m.Node)) {
-				s.countBadFrame()
+		done := false
+		if node < 0 && peer == nil {
+			s.countFrame(n)
+			if node, peer, err = s.handshake(f); err != nil {
 				conn.Close()
 				return
 			}
-			node = int(m.Node)
-			if s.reg != nil {
-				peerRecv = s.reg.Counter(s.metricName(fmt.Sprintf("peer.%d.recv", node)))
-				peerRecv.Inc() // the Hello itself
-			}
-		case *wire.AggHello:
-			if node >= 0 {
-				s.countBadFrame()
-				conn.Close()
-				return
-			}
-			p := s.registerAgg(m)
-			if p == nil {
-				s.countBadFrame()
-				conn.Close()
-				return
-			}
-			peer = p
-			if s.reg != nil {
-				peerRecv = s.reg.Counter(s.metricName(fmt.Sprintf("aggpeer.%d.recv", peer.id)))
-				peerRecv.Inc() // the AggHello itself
-			}
-		case *wire.Vote:
-			if node < 0 || int(m.Node) != node {
-				s.countBadFrame()
-				continue
-			}
-			s.apply(int(m.Trial), node, m.Reject, 0, 0, tc)
-		case *wire.Sketch:
-			if node < 0 || int(m.Node) != node {
-				s.countBadFrame()
-				continue
-			}
-			// Single-collision vote derived server-side: reject iff the
-			// node saw any colliding pair.
-			s.apply(int(m.Trial), node, m.Collisions > 0, uint64(m.Samples), uint64(m.Collisions), tc)
-		case *wire.VoteBatch:
-			if node < 0 {
-				s.countBadFrame()
-				continue
-			}
-			ok := true
-			for i := range m.Votes {
-				if int(m.Votes[i].Node) != node {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				// A batch smuggling another node's votes is rejected whole,
-				// like a mismatched single-vote frame.
-				s.countBadFrame()
-				continue
-			}
-			s.applyBatch(m, node, tc)
-		case *wire.PartialVerdict:
-			if peer == nil || m.Agg != peer.id {
-				s.countBadFrame()
-				continue
-			}
-			s.applyPartial(m, peer, tc)
-		case *wire.Done:
-			if peer != nil {
-				if int(m.Node) != int(peer.id) {
-					s.countBadFrame()
-					continue
-				}
-				s.markDoneRange(peer)
-			} else {
-				if node < 0 || int(m.Node) != node {
-					s.countBadFrame()
-					continue
-				}
-				s.markDone(node)
-			}
-			if s.reg != nil && int(ft) < len(applyNS) {
-				applyNS[ft].Observe(int64(time.Since(t0))) //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
-			}
-			// The peer sends nothing further; keep the connection open for
-			// the verdict broadcast and release the handler.
+			peerRecv = s.peerCounter(node, peer)
+			peerRecv.Inc() // the handshake frame itself
+		} else if done, err = s.applyFrame(f, tc, node, peer, n); err != nil {
+			conn.Close()
 			return
-		default:
-			s.countBadFrame()
 		}
 		if s.reg != nil && int(ft) < len(applyNS) {
 			applyNS[ft].Observe(int64(time.Since(t0))) //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
 		}
+		if done {
+			// The peer sends nothing further; keep the connection open for
+			// the verdict broadcast and release the handler.
+			return
+		}
 	}
+}
+
+// handshake validates and registers a peer's opening frame, a leaf Hello
+// or a child AggHello, for both ingest paths. It returns the leaf's node
+// ID (-1 for an aggregator) and the registered aggregator (nil for a
+// leaf); a rejected frame counts as a bad frame.
+func (s *voteSink) handshake(f wire.Frame) (int, *aggPeer, error) {
+	switch m := f.(type) {
+	case *wire.Hello:
+		if int(m.K) != s.k || int(m.Trials) != s.cfg.Trials ||
+			int(m.Node) < s.lo || int(m.Node) >= s.hi || !s.registerLeaf(int(m.Node)) {
+			return -1, nil, s.violation(0, "hello rejected: node %d of k=%d trials=%d", m.Node, m.K, m.Trials)
+		}
+		return int(m.Node), nil, nil
+	case *wire.AggHello:
+		p := s.registerAgg(m)
+		if p == nil {
+			return -1, nil, s.violation(0, "agghello rejected: agg %d window [%d, %d)", m.Agg, m.Lo, m.Hi)
+		}
+		return -1, p, nil
+	default:
+		return -1, nil, s.violation(0, "handshake frame type %d is not Hello or AggHello", f.Type())
+	}
+}
+
+// peerCounter resolves the per-peer received-frames counter of a
+// registered leaf or aggregator (nil when telemetry is off).
+func (s *voteSink) peerCounter(node int, agg *aggPeer) *obs.Counter {
+	switch {
+	case s.reg == nil:
+		return nil
+	case agg != nil:
+		return s.reg.Counter(s.metricName(fmt.Sprintf("aggpeer.%d.recv", agg.id)))
+	default:
+		return s.reg.Counter(s.metricName(fmt.Sprintf("peer.%d.recv", node)))
+	}
+}
+
+// applyFrame validates and folds one post-handshake frame of wireBytes
+// on-wire bytes from a leaf (node ≥ 0) or a child aggregator (agg
+// non-nil), counting the frame under the same lock acquisition as its
+// fold. It reports done when the frame was the peer's Done marker. A
+// frame that violates the protocol — votes or a Done from the wrong peer,
+// a batch smuggling another node's votes, a partial from another
+// aggregator, any other frame type — counts as a bad frame and returns an
+// error; both ingest paths then end the peer's transport.
+func (s *voteSink) applyFrame(f wire.Frame, tc wire.TraceContext, node int, agg *aggPeer, wireBytes int) (bool, error) {
+	s.m.frames.Inc()
+	switch m := f.(type) {
+	case *wire.Vote:
+		if node < 0 || int(m.Node) != node {
+			return false, s.violation(wireBytes, "vote from node %d on peer %d", m.Node, node)
+		}
+		s.apply(wire.BatchVote{Trial: m.Trial, Node: m.Node, Reject: m.Reject}, false, node, tc, wireBytes)
+	case *wire.Sketch:
+		if node < 0 || int(m.Node) != node {
+			return false, s.violation(wireBytes, "sketch from node %d on peer %d", m.Node, node)
+		}
+		s.apply(wire.BatchVote{Trial: m.Trial, Node: m.Node, Samples: m.Samples, Collisions: m.Collisions}, true, node, tc, wireBytes)
+	case *wire.VoteBatch:
+		if node < 0 {
+			return false, s.violation(wireBytes, "vote batch on aggregator peer")
+		}
+		for i := range m.Votes {
+			if int(m.Votes[i].Node) != node {
+				return false, s.violation(wireBytes, "batch smuggles node %d on peer %d", m.Votes[i].Node, node)
+			}
+		}
+		s.applyBatch(m, node, tc, wireBytes)
+	case *wire.PartialVerdict:
+		if agg == nil || m.Agg != agg.id {
+			return false, s.violation(wireBytes, "partial from agg %d on peer", m.Agg)
+		}
+		s.applyPartial(m, agg, tc, wireBytes)
+	case *wire.Done:
+		switch {
+		case agg != nil && int(m.Node) == int(agg.id):
+			s.markDoneRange(agg, wireBytes)
+		case agg == nil && node >= 0 && int(m.Node) == node:
+			s.markDone(node, wireBytes)
+		default:
+			return false, s.violation(wireBytes, "done from %d on peer %d", m.Node, node)
+		}
+		return true, nil
+	default:
+		return false, s.violation(wireBytes, "unexpected frame type %d after handshake", f.Type())
+	}
+	return false, nil
 }
 
 // registerLeaf claims a node ID for a direct leaf connection; it fails
@@ -387,28 +395,33 @@ func (s *voteSink) registerAgg(h *wire.AggHello) *aggPeer {
 	return p
 }
 
-// apply records one vote under a <spanNS>.apply span parented on the
-// frame's wire trace context, linking the sink's side of the trace to
-// the node's send span across the connection.
-func (s *voteSink) apply(trial, node int, reject bool, samples, collisions uint64, tc wire.TraceContext) {
-	if !s.cfg.Trace.Enabled() {
-		s.record(trial, node, reject, samples, collisions)
-		return
+// apply folds the one vote of a Vote or Sketch frame under a
+// <spanNS>.apply span parented on the frame's wire trace context, linking
+// the sink's side of the trace to the node's send span across the
+// connection.
+func (s *voteSink) apply(v wire.BatchVote, sketch bool, node int, tc wire.TraceContext, wireBytes int) {
+	var sp *trace.Span
+	if s.cfg.Trace.Enabled() {
+		sp = s.cfg.Trace.Start(s.spanNS+".apply",
+			trace.Context{Trace: trace.ID(tc.Trace), Span: trace.ID(tc.Span)},
+			trace.A("trial", int(v.Trial)), trace.A("node", node))
 	}
-	sp := s.cfg.Trace.Start(s.spanNS+".apply",
-		trace.Context{Trace: trace.ID(tc.Trace), Span: trace.ID(tc.Span)},
-		trace.A("trial", trial), trace.A("node", node))
-	s.record(trial, node, reject, samples, collisions)
-	sp.End()
+	s.mu.Lock()
+	s.countFrameLocked(wireBytes)
+	if !s.closed {
+		s.foldLocked([]wire.BatchVote{v}, sketch, node)
+	}
+	s.mu.Unlock()
+	if sp != nil {
+		sp.End()
+	}
 }
 
-// applyBatch records a whole VoteBatch under one mutex acquisition: the
-// incremental fold, dedup bitset and done bookkeeping see the batch as
-// the same sequence of per-vote record calls the unbatched path makes,
-// just without k lock round-trips. When tracing is on, the batch gets an
-// apply span parented on the frame's wire context, and each vote a
-// derived child span — so a batched trace keeps per-vote granularity.
-func (s *voteSink) applyBatch(b *wire.VoteBatch, node int, tc wire.TraceContext) {
+// applyBatch folds a whole VoteBatch under one mutex acquisition. When
+// tracing is on, the batch gets an apply span parented on the frame's
+// wire context, and each vote a derived child span — so a batched trace
+// keeps per-vote granularity.
+func (s *voteSink) applyBatch(b *wire.VoteBatch, node int, tc wire.TraceContext, wireBytes int) {
 	var sp *trace.Span
 	ctx := trace.Context{Trace: trace.ID(tc.Trace), Span: trace.ID(tc.Span)}
 	if s.cfg.Trace.Enabled() {
@@ -418,18 +431,12 @@ func (s *voteSink) applyBatch(b *wire.VoteBatch, node int, tc wire.TraceContext)
 		ctx = sp.Context()
 	}
 	s.mu.Lock()
+	s.countFrameLocked(wireBytes)
 	if !s.closed {
 		s.stats.BatchFrames++
 		s.stats.BatchedVotes += len(b.Votes)
 		s.stats.BytesSaved += int64(b.Saved)
-		for i := range b.Votes {
-			v := &b.Votes[i]
-			reject := v.Reject
-			if b.Sketch {
-				reject = v.Collisions > 0
-			}
-			s.recordLocked(int(v.Trial), node, reject, uint64(v.Samples), uint64(v.Collisions))
-		}
+		s.foldLocked(b.Votes, b.Sketch, node)
 	}
 	s.mu.Unlock()
 	s.m.batchFill.Observe(int64(len(b.Votes)))
@@ -446,14 +453,72 @@ func (s *voteSink) applyBatch(b *wire.VoteBatch, node int, tc wire.TraceContext)
 	}
 }
 
+// foldLocked folds one frame's votes from node in a single loop: per vote
+// the trial range check, the (trial, node) dedup bit, the per-trial sums
+// and the owner's onTrial hook. In sketch mode the vote is derived
+// server-side: reject iff the node saw any colliding pair. Callers hold
+// s.mu and have checked s.closed.
+func (s *voteSink) foldLocked(votes []wire.BatchVote, sketch bool, node int) {
+	local := node - s.lo
+	folded, dups, bad := 0, 0, 0
+	for i := range votes {
+		v := &votes[i]
+		trial := int(v.Trial)
+		if trial < 0 || trial >= s.cfg.Trials {
+			bad++
+			continue
+		}
+		idx := trial*s.span + local
+		if s.voted[idx/64]&(1<<(idx%64)) != 0 {
+			dups++
+			continue
+		}
+		s.voted[idx/64] |= 1 << (idx % 64)
+		s.votes[trial]++
+		reject := v.Reject
+		if sketch {
+			reject = v.Collisions > 0
+		}
+		if reject {
+			s.rejects[trial]++
+		}
+		if s.samples != nil {
+			s.samples[trial] += uint64(v.Samples)
+			s.collides[trial] += uint64(v.Collisions)
+		}
+		folded++
+		if s.onTrial != nil {
+			s.onTrial(trial)
+		}
+	}
+	s.stats.DuplicateVotes += dups
+	s.m.votesDup.Add(int64(dups))
+	s.tallyLocked(folded, bad)
+}
+
+// tallyLocked adds one frame's folded votes and out-of-range entries to
+// the stats and counters, and refreshes the dedup_occupancy gauge — the
+// set fraction of the (trial, node) dedup bitset, a live progress probe
+// for the export server — once per frame. Callers hold s.mu.
+func (s *voteSink) tallyLocked(folded, bad int) {
+	s.stats.Votes += folded
+	s.stats.BadFrames += bad
+	s.m.votes.Add(int64(folded))
+	s.m.badFrames.Add(int64(bad))
+	if s.reg != nil {
+		s.m.dedup.Set(float64(s.stats.Votes) / float64(s.span*s.cfg.Trials))
+	}
+}
+
 // applyPartial merges a child aggregator's per-trial partial sums under
 // one mutex acquisition. Each (trial, child) pair folds exactly once —
 // the peer's seen bitset deduplicates retransmitted entries, so a
 // retrying child replaying its flushed log is idempotent. Entry validity
 // is bounded by the sender's window: a partial claiming more votes than
 // the window holds is a bad frame, which keeps votes[t] ≤ span and the
-// completion/quorum arithmetic exact.
-func (s *voteSink) applyPartial(pv *wire.PartialVerdict, peer *aggPeer, tc wire.TraceContext) {
+// completion/quorum arithmetic exact. Stats and counters are updated once
+// per frame.
+func (s *voteSink) applyPartial(pv *wire.PartialVerdict, peer *aggPeer, tc wire.TraceContext, wireBytes int) {
 	var sp *trace.Span
 	if s.cfg.Trace.Enabled() {
 		sp = s.cfg.Trace.Start(s.spanNS+".applypartial",
@@ -462,6 +527,7 @@ func (s *voteSink) applyPartial(pv *wire.PartialVerdict, peer *aggPeer, tc wire.
 	}
 	width := peer.hi - peer.lo
 	s.mu.Lock()
+	s.countFrameLocked(wireBytes)
 	if !s.closed {
 		if pv.Sketch != (s.samples != nil) {
 			// Mode mismatch: sketch sums into a vote-mode session or vice
@@ -470,17 +536,16 @@ func (s *voteSink) applyPartial(pv *wire.PartialVerdict, peer *aggPeer, tc wire.
 			s.m.badFrames.Inc()
 		} else {
 			s.stats.PartialFrames++
+			folded, dups, bad := 0, 0, 0
 			for i := range pv.Entries {
 				e := &pv.Entries[i]
 				trial := int(e.Trial)
 				if trial < 0 || trial >= s.cfg.Trials || int(e.Votes) > width {
-					s.stats.BadFrames++
-					s.m.badFrames.Inc()
+					bad++
 					continue
 				}
 				if peer.seen[trial/64]&(1<<(trial%64)) != 0 {
-					s.stats.DuplicatePartials++
-					s.m.partialsDup.Inc()
+					dups++
 					continue
 				}
 				peer.seen[trial/64] |= 1 << (trial % 64)
@@ -490,14 +555,15 @@ func (s *voteSink) applyPartial(pv *wire.PartialVerdict, peer *aggPeer, tc wire.
 					s.samples[trial] += e.Samples
 					s.collides[trial] += e.Collisions
 				}
-				s.stats.Votes += int(e.Votes)
-				s.stats.PartialVotes += int(e.Votes)
-				s.m.votes.Add(int64(e.Votes))
-				s.m.dedup.Set(float64(s.stats.Votes) / float64(s.span*s.cfg.Trials))
+				folded += int(e.Votes)
 				if s.onTrial != nil {
 					s.onTrial(trial)
 				}
 			}
+			s.stats.PartialVotes += folded
+			s.stats.DuplicatePartials += dups
+			s.m.partialsDup.Add(int64(dups))
+			s.tallyLocked(folded, bad)
 		}
 	}
 	s.mu.Unlock()
@@ -507,54 +573,12 @@ func (s *voteSink) applyPartial(pv *wire.PartialVerdict, peer *aggPeer, tc wire.
 	}
 }
 
-// record registers one deduplicated vote and notifies the owner.
-func (s *voteSink) record(trial, node int, reject bool, samples, collisions uint64) {
+// markDone registers a leaf's Done marker, a frame of wireBytes on-wire
+// bytes; the sink fires when every node in its window reported done.
+func (s *voteSink) markDone(node, wireBytes int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.recordLocked(trial, node, reject, samples, collisions)
-}
-
-// recordLocked is record's body; callers hold s.mu and have checked
-// s.closed.
-func (s *voteSink) recordLocked(trial, node int, reject bool, samples, collisions uint64) {
-	if trial < 0 || trial >= s.cfg.Trials {
-		s.stats.BadFrames++
-		s.m.badFrames.Inc()
-		return
-	}
-	idx := trial*s.span + (node - s.lo)
-	if s.voted[idx/64]&(1<<(idx%64)) != 0 {
-		s.stats.DuplicateVotes++
-		s.m.votesDup.Inc()
-		return
-	}
-	s.voted[idx/64] |= 1 << (idx % 64)
-	s.votes[trial]++
-	if reject {
-		s.rejects[trial]++
-	}
-	if s.samples != nil {
-		s.samples[trial] += samples
-		s.collides[trial] += collisions
-	}
-	s.stats.Votes++
-	s.m.votes.Inc()
-	// Fraction of the (trial, node) dedup bitset that is set — a live
-	// progress probe for the export server.
-	s.m.dedup.Set(float64(s.stats.Votes) / float64(s.span*s.cfg.Trials))
-	if s.onTrial != nil {
-		s.onTrial(trial)
-	}
-}
-
-// markDone registers a leaf's Done marker; the sink fires when every
-// node in its window reported done.
-func (s *voteSink) markDone(node int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.countFrameLocked(wireBytes)
 	if s.closed || s.nodeDone[node-s.lo] {
 		return
 	}
@@ -568,12 +592,13 @@ func (s *voteSink) markDone(node int) {
 	}
 }
 
-// markDoneRange registers a child aggregator's Done: the child only
-// sends it after every leaf in its window reported done, so the whole
-// window is marked at once.
-func (s *voteSink) markDoneRange(peer *aggPeer) {
+// markDoneRange registers a child aggregator's Done, a frame of
+// wireBytes on-wire bytes: the child only sends it after every leaf in its
+// window reported done, so the whole window is marked at once.
+func (s *voteSink) markDoneRange(peer *aggPeer, wireBytes int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.countFrameLocked(wireBytes)
 	if s.closed {
 		return
 	}
@@ -595,10 +620,36 @@ func (s *voteSink) fire() {
 	s.triggerOnce.Do(func() { close(s.trigger) })
 }
 
-// countBadFrame tallies a rejected frame.
-func (s *voteSink) countBadFrame() {
+// countFrame accounts one received frame of wireBytes on-wire bytes.
+func (s *voteSink) countFrame(wireBytes int) {
 	s.mu.Lock()
+	s.countFrameLocked(wireBytes)
+	s.mu.Unlock()
+	s.m.frames.Inc()
+}
+
+// countFrameLocked is countFrame's stats half; callers hold s.mu.
+func (s *voteSink) countFrameLocked(wireBytes int) {
+	s.stats.Frames++
+	s.stats.Bytes += int64(wireBytes)
+}
+
+// countBadFrame tallies a rejected frame of wireBytes on-wire bytes;
+// wireBytes 0 leaves the frame accounting to the caller, as for handshake
+// frames and frames that did not decode.
+func (s *voteSink) countBadFrame(wireBytes int) {
+	s.mu.Lock()
+	if wireBytes > 0 {
+		s.countFrameLocked(wireBytes)
+	}
 	s.stats.BadFrames++
 	s.mu.Unlock()
 	s.m.badFrames.Inc()
+}
+
+// violation counts a bad frame (see countBadFrame) and returns the
+// protocol error describing it.
+func (s *voteSink) violation(wireBytes int, format string, args ...any) error {
+	s.countBadFrame(wireBytes)
+	return fmt.Errorf("cluster: "+format, args...)
 }

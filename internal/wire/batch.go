@@ -37,10 +37,6 @@ import (
 // MaxBatchFrameBytes with room for the trace suffix.
 const MaxBatchVotes = 4096
 
-// maxBatchPayloadBytes bounds a batch payload so the full frame body
-// (version + type + payload + trace suffix) fits MaxBatchFrameBytes.
-const maxBatchPayloadBytes = MaxBatchFrameBytes - 2 - traceContextBytes
-
 // BatchVote is one tuple inside a VoteBatch. In vote mode only Trial,
 // Node and Reject are carried; in sketch mode Trial, Node, Samples and
 // Collisions are carried and the referee derives the vote server-side
@@ -74,38 +70,27 @@ type VoteBatch struct {
 // the compressed type byte is an encoding detail chosen at Append time.
 func (VoteBatch) Type() byte { return TypeVoteBatch }
 
-// Column selectors for the shared delta-encoding helpers.
-const (
-	colTrial = iota
-	colNode
-	colSamples
-	colCollisions
-)
-
-func colVal(v *BatchVote, col int) uint32 {
-	switch col {
-	case colTrial:
+// colVal returns column c of a batch tuple, in payload order: trial,
+// node, then (sketch mode) samples and collisions.
+func colVal(v *BatchVote, c int) uint32 {
+	switch c {
+	case 0:
 		return v.Trial
-	case colNode:
+	case 1:
 		return v.Node
-	case colSamples:
+	case 2:
 		return v.Samples
 	default:
 		return v.Collisions
 	}
 }
 
-func setColVal(v *BatchVote, col int, x uint32) {
-	switch col {
-	case colTrial:
-		v.Trial = x
-	case colNode:
-		v.Node = x
-	case colSamples:
-		v.Samples = x
-	default:
-		v.Collisions = x
+// batchColumns is the column count of a batch payload.
+func batchColumns(sketch bool) int {
+	if sketch {
+		return 4
 	}
+	return 2
 }
 
 // zigzag maps a signed delta to an unsigned varint-friendly value
@@ -129,86 +114,62 @@ func uvarintLen(v uint64) int {
 func readUvarint(p []byte, off int) (uint64, int, error) {
 	v, n := binary.Uvarint(p[off:])
 	if n <= 0 {
-		return 0, 0, fmt.Errorf("%w: bad varint at batch offset %d", ErrFrameSize, off)
+		return 0, 0, fmt.Errorf("%w: bad varint at payload offset %d", ErrFrameSize, off)
 	}
 	if n != uvarintLen(v) {
-		return 0, 0, fmt.Errorf("%w: non-minimal varint at batch offset %d", ErrFrameSize, off)
+		return 0, 0, fmt.Errorf("%w: non-minimal varint at payload offset %d", ErrFrameSize, off)
 	}
 	return v, off + n, nil
 }
 
-func appendColumn(dst []byte, votes []BatchVote, col int) []byte {
-	if len(votes) == 0 {
-		return dst
-	}
-	prev := int64(colVal(&votes[0], col))
+func appendColumn(dst []byte, votes []BatchVote, c int) []byte {
+	prev := int64(colVal(&votes[0], c))
 	dst = binary.AppendUvarint(dst, uint64(prev))
 	for i := 1; i < len(votes); i++ {
-		v := int64(colVal(&votes[i], col))
+		v := int64(colVal(&votes[i], c))
 		dst = binary.AppendUvarint(dst, zigzag(v-prev))
 		prev = v
 	}
 	return dst
 }
 
-func columnSize(votes []BatchVote, col int) int {
-	if len(votes) == 0 {
-		return 0
-	}
-	prev := int64(colVal(&votes[0], col))
-	n := uvarintLen(uint64(prev))
-	for i := 1; i < len(votes); i++ {
-		v := int64(colVal(&votes[i], col))
-		n += uvarintLen(zigzag(v - prev))
-		prev = v
-	}
-	return n
-}
-
-// decodeColumn fills one field of votes from a delta column at p[off:],
-// enforcing that every reconstructed value fits uint32.
-func decodeColumn(p []byte, off int, votes []BatchVote, col int) (int, error) {
-	first, off, err := readUvarint(p, off)
-	if err != nil {
-		return 0, err
-	}
-	if first > math.MaxUint32 {
-		return 0, fmt.Errorf("%w: batch column value %d out of range", ErrFrameSize, first)
-	}
-	setColVal(&votes[0], col, uint32(first))
-	prev := int64(first)
-	for i := 1; i < len(votes); i++ {
-		u, noff, err := readUvarint(p, off)
-		if err != nil {
-			return 0, err
+// decodeColumn decodes one delta column at p[off:] into col and bounds
+// every value by max. It is the column decoder of VoteBatch,
+// PartialVerdict and SessionReport, which share one encoding: the first
+// value as a uvarint, then the zigzag of each value's wrapping uint64
+// difference from the previous one. For a uint32 column the value bound is
+// also the delta bound: a delta passes iff it keeps the column inside
+// [0, MaxUint32], exactly the signed deltas |d| ≤ MaxUint32 that land in
+// range, with the same bytes. A one-byte varint (always minimal) decodes
+// inline; longer ones go through readUvarint's truncation and minimality
+// checks.
+func decodeColumn[T uint32 | uint64](p []byte, off int, col []T, max uint64) (int, error) {
+	var prev uint64
+	for i := range col {
+		var u uint64
+		if off < len(p) && p[off] < 0x80 {
+			u = uint64(p[off])
+			off++
+		} else {
+			var err error
+			if u, off, err = readUvarint(p, off); err != nil {
+				return 0, err
+			}
 		}
-		d := unzigzag(u)
-		// |d| ≤ 2³² keeps prev+d inside int64; the value check below does
-		// the rest.
-		if d > math.MaxUint32 || d < -math.MaxUint32 {
-			return 0, fmt.Errorf("%w: batch column delta %d out of range", ErrFrameSize, d)
+		if i > 0 {
+			u = prev + uint64(unzigzag(u))
 		}
-		val := prev + d
-		if val < 0 || val > math.MaxUint32 {
-			return 0, fmt.Errorf("%w: batch column value %d out of range", ErrFrameSize, val)
+		if u > max {
+			return 0, fmt.Errorf("%w: column value %d out of range", ErrFrameSize, int64(u))
 		}
-		setColVal(&votes[i], col, uint32(val))
-		prev = val
-		off = noff
+		col[i] = T(u)
+		prev = u
 	}
 	return off, nil
 }
 
-func (b VoteBatch) payloadSize() int {
-	n := 1 + uvarintLen(uint64(len(b.Votes)))
-	n += columnSize(b.Votes, colTrial) + columnSize(b.Votes, colNode)
-	if b.Sketch {
-		n += columnSize(b.Votes, colSamples) + columnSize(b.Votes, colCollisions)
-	} else {
-		n += (len(b.Votes) + 7) / 8
-	}
-	return n
-}
+// payloadSize measures an encoding; only the EncodedSize functions call it.
+func (b VoteBatch) payloadSize() int { return len(b.appendPayload(nil)) }
 
 func (b VoteBatch) appendPayload(dst []byte) []byte {
 	flags := byte(0)
@@ -217,27 +178,31 @@ func (b VoteBatch) appendPayload(dst []byte) []byte {
 	}
 	dst = append(dst, flags)
 	dst = binary.AppendUvarint(dst, uint64(len(b.Votes)))
-	dst = appendColumn(dst, b.Votes, colTrial)
-	dst = appendColumn(dst, b.Votes, colNode)
-	if b.Sketch {
-		dst = appendColumn(dst, b.Votes, colSamples)
-		dst = appendColumn(dst, b.Votes, colCollisions)
+	if len(b.Votes) == 0 {
 		return dst
 	}
-	nb := (len(b.Votes) + 7) / 8
-	base := len(dst)
-	for i := 0; i < nb; i++ {
-		dst = append(dst, 0)
+	for c := 0; c < batchColumns(b.Sketch); c++ {
+		dst = appendColumn(dst, b.Votes, c)
 	}
+	if b.Sketch {
+		return dst
+	}
+	var bits byte
 	for i := range b.Votes {
 		if b.Votes[i].Reject {
-			dst[base+i>>3] |= 1 << (i & 7)
+			bits |= 1 << (i & 7)
+		}
+		if i&7 == 7 || i == len(b.Votes)-1 {
+			dst = append(dst, bits)
+			bits = 0
 		}
 	}
 	return dst
 }
 
-func (b *VoteBatch) decodePayload(p []byte) error {
+// decodePayload parses a raw batch payload, decoding its delta columns
+// into sc's column scratch (nil allocates) and then every row in one pass.
+func (b *VoteBatch) decodePayload(p []byte, sc *DecodeScratch) error {
 	if len(p) < 2 {
 		return fmt.Errorf("%w: %d-byte batch payload", ErrFrameSize, len(p))
 	}
@@ -256,44 +221,41 @@ func (b *VoteBatch) decodePayload(p []byte) error {
 	if cnt > MaxBatchVotes {
 		return fmt.Errorf("%w: batch of %d votes (limit %d)", ErrOversize, cnt, MaxBatchVotes)
 	}
-	count := int(cnt)
-	if cap(b.Votes) < count {
-		b.Votes = make([]BatchVote, count)
-	} else {
-		b.Votes = b.Votes[:count]
-		// Scratch reuse: stale fields from the mode not carried by this
-		// batch must not leak through.
-		clear(b.Votes)
-	}
-	if off, err = decodeColumn(p, off, b.Votes, colTrial); err != nil {
-		return err
-	}
-	if off, err = decodeColumn(p, off, b.Votes, colNode); err != nil {
-		return err
-	}
-	if b.Sketch {
-		if off, err = decodeColumn(p, off, b.Votes, colSamples); err != nil {
+	n, ncol := int(cnt), batchColumns(b.Sketch)
+	cols := sc.columns(ncol * n)
+	for c := 0; c < ncol; c++ {
+		if off, err = decodeColumn(p, off, cols[c*n:(c+1)*n], math.MaxUint32); err != nil {
 			return err
 		}
-		if off, err = decodeColumn(p, off, b.Votes, colCollisions); err != nil {
-			return err
-		}
-	} else {
-		nb := (count + 7) / 8
+	}
+	var bits []byte
+	if !b.Sketch {
+		nb := (n + 7) / 8
 		if len(p)-off < nb {
 			return fmt.Errorf("%w: batch bitset truncated", ErrFrameSize)
 		}
-		bits := p[off : off+nb]
-		if r := count & 7; r != 0 && bits[nb-1]>>r != 0 {
+		bits = p[off : off+nb]
+		if r := n & 7; r != 0 && bits[nb-1]>>r != 0 {
 			return fmt.Errorf("%w: nonzero trailing bitset bits", ErrFrameSize)
-		}
-		for i := range b.Votes {
-			b.Votes[i].Reject = bits[i>>3]>>(i&7)&1 == 1
 		}
 		off += nb
 	}
 	if off != len(p) {
 		return fmt.Errorf("%w: %d trailing batch bytes", ErrFrameSize, len(p)-off)
+	}
+	if cap(b.Votes) < n {
+		b.Votes = make([]BatchVote, n)
+	}
+	b.Votes = b.Votes[:n]
+	// Whole-row stores: scratch reuse cannot leak fields from a batch of
+	// the other mode.
+	for i := range b.Votes {
+		if b.Sketch {
+			b.Votes[i] = BatchVote{Trial: uint32(cols[i]), Node: uint32(cols[n+i]),
+				Samples: uint32(cols[2*n+i]), Collisions: uint32(cols[3*n+i])}
+		} else {
+			b.Votes[i] = BatchVote{Trial: uint32(cols[i]), Node: uint32(cols[n+i]), Reject: bits[i>>3]>>(i&7)&1 == 1}
+		}
 	}
 	return nil
 }
@@ -332,38 +294,47 @@ type BatchEncoder struct {
 	verify []byte
 }
 
-// Append appends b's wire encoding carrying tc to dst. With compress set,
-// payloads of at least MinCompressibleSize bytes are block-compressed when
-// that saves wire bytes; smaller or incompressible payloads encode raw.
+// Append is AppendSession for session 0: the frame encodes at
+// BatchVersion.
 func (e *BatchEncoder) Append(dst []byte, b *VoteBatch, tc TraceContext, compress bool) ([]byte, error) {
+	return e.AppendSession(dst, b, 0, tc, compress)
+}
+
+// AppendSession appends b's wire encoding bound to session and carrying tc
+// to dst: at BatchVersion for session 0, else at SessionVersion with the
+// session suffix. With compress set, payloads of at least
+// MinCompressibleSize bytes are block-compressed when that saves wire
+// bytes; smaller or incompressible payloads encode raw. On error dst is
+// returned unchanged.
+func (e *BatchEncoder) AppendSession(dst []byte, b *VoteBatch, session uint32, tc TraceContext, compress bool) ([]byte, error) {
 	if len(b.Votes) == 0 {
 		return dst, fmt.Errorf("wire: empty vote batch")
 	}
 	if len(b.Votes) > MaxBatchVotes {
 		return dst, fmt.Errorf("%w: batch of %d votes (limit %d)", ErrOversize, len(b.Votes), MaxBatchVotes)
 	}
-	size := b.payloadSize()
-	if size > maxBatchPayloadBytes {
-		return dst, fmt.Errorf("%w: %d-byte batch payload (limit %d)", ErrOversize, size, maxBatchPayloadBytes)
+	if !compress {
+		return appendCapped(dst, b, session, tc)
 	}
-	if compress && size >= MinCompressibleSize {
-		e.raw = b.appendPayload(e.raw[:0])
+	e.raw = b.appendPayload(e.raw[:0])
+	size := len(e.raw)
+	if err := checkPayload(TypeVoteBatch, size, session); err != nil {
+		return dst, err
+	}
+	version := frameVersion(TypeVoteBatch, session, tc)
+	if size >= MinCompressibleSize {
 		if comp := CompressBlock(e.raw, e.comp[:0]); comp != nil {
 			e.comp = comp
-			zsize := uvarintLen(uint64(size)) + len(comp)
-			if zsize < size && e.roundTrips(comp, size) {
-				return appendFlaggedFrame(dst, BatchVersion, TypeVoteBatchZ, zsize, func(d []byte) []byte {
-					d = binary.AppendUvarint(d, uint64(size))
-					return append(d, comp...)
-				}, tc), nil
+			if uvarintLen(uint64(size))+len(comp) < size && e.roundTrips(comp, size) {
+				return appendFrame(dst, version, TypeVoteBatchZ, func(d []byte) []byte {
+					return append(binary.AppendUvarint(d, uint64(size)), comp...)
+				}, session, tc), nil
 			}
 		}
-		// Raw fallback, reusing the already-encoded payload.
-		return appendFlaggedFrame(dst, BatchVersion, TypeVoteBatch, size, func(d []byte) []byte {
-			return append(d, e.raw...)
-		}, tc), nil
 	}
-	return AppendTraced(dst, b, tc), nil
+	return appendFrame(dst, version, TypeVoteBatch, func(d []byte) []byte {
+		return append(d, e.raw...)
+	}, session, tc), nil
 }
 
 // roundTrips verifies comp decompresses back to the rawLen bytes sitting
@@ -401,7 +372,7 @@ func decodeZPayload(payload []byte, sc *DecodeScratch) ([]byte, int, error) {
 		return nil, 0, err
 	}
 	rawLen := int(rawLen64)
-	if rawLen64 < MinCompressibleSize || rawLen64 > maxBatchPayloadBytes {
+	if rawLen64 < MinCompressibleSize || rawLen64 > maxPayloadBytes {
 		return nil, 0, fmt.Errorf("%w: compressed batch raw length %d", ErrFrameSize, rawLen64)
 	}
 	if len(payload) >= rawLen {

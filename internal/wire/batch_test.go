@@ -59,6 +59,15 @@ func TestVoteBatchRoundTrip(t *testing.T) {
 		{"adversarial", &VoteBatch{Votes: advVotes(1, 257, false)}},
 		{"adversarial sketch", &VoteBatch{Sketch: true, Votes: advVotes(2, 33, true)}},
 		{"max", &VoteBatch{Votes: seqVotes(0, MaxBatchVotes, false)}},
+		// Trial deltas +63, -63 (one-byte zigzag), +64 (two bytes), -64
+		// (one byte) and -65 (two bytes): the decoder's inline fast path
+		// and its readUvarint fallback meet here.
+		{"deltas ±63 ±64", &VoteBatch{Votes: []BatchVote{{Trial: 1000, Node: 5}, {Trial: 1063, Node: 5},
+			{Trial: 1000, Node: 5, Reject: true}, {Trial: 1064, Node: 5}, {Trial: 1000, Node: 5}, {Trial: 935, Node: 5}}}},
+		// A trial column alternating five-byte and one-byte entries.
+		{"alternating 1/5-byte varints", &VoteBatch{Sketch: true, Votes: []BatchVote{{Trial: 0, Node: 9},
+			{Trial: 3000000000, Node: 9}, {Trial: 3000000001, Node: 9, Collisions: 1}, {Trial: 1, Node: 9},
+			{Trial: 2, Node: 9}, {Trial: 4000000000, Node: 9}, {Trial: 4000000001, Node: 9}}}},
 	}
 	for _, c := range cases {
 		for _, ctx := range []TraceContext{{}, tc} {
@@ -145,12 +154,16 @@ func TestVoteBatchRejectsNonCanonical(t *testing.T) {
 	raw[len(raw)-1] |= 0x80
 	mut("trailing bitset bits", raw, ErrFrameSize)
 
-	// Non-minimal varint: count 1 encoded as two bytes.
-	body := []byte{0}               // flags
-	body = append(body, 0x81, 0x00) // count = 1, overlong
-	body = append(body, 5, 6, 0)    // trial, node columns, bitset
-	frame := append([]byte{0, 0, 0, byte(2 + len(body)), BatchVersion, TypeVoteBatch}, body...)
-	mut("non-minimal varint", frame, ErrFrameSize)
+	// Hand-built payloads: flags, count, trial column, node column, bitset.
+	frame := func(payload ...byte) []byte {
+		return append([]byte{0, 0, 0, byte(2 + len(payload)), BatchVersion, TypeVoteBatch}, payload...)
+	}
+	mut("non-minimal count", frame(0, 0x81, 0x00, 5, 6, 0), ErrFrameSize)
+	mut("non-minimal column value", frame(0, 1, 0x80, 0x00, 6, 0), ErrFrameSize)
+	mut("delta below 0", frame(0, 2, 5, 11 /* -6 */, 6, 0, 0), ErrFrameSize)
+	mut("delta above MaxUint32", frame(0, 2, 0xff, 0xff, 0xff, 0xff, 0x0f, 2 /* +1 */, 6, 0, 0), ErrFrameSize)
+	mut("first value above MaxUint32", frame(0, 1, 0x80, 0x80, 0x80, 0x80, 0x10, 6, 0), ErrFrameSize)
+	mut("column cut inside a varint", frame(0, 2, 5, 0x80), ErrFrameSize)
 
 	// Truncated and padded payloads.
 	raw = enc(&VoteBatch{Votes: seqVotes(0, 9, false)})

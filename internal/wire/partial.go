@@ -38,10 +38,6 @@ import (
 // trace suffix.
 const MaxPartialEntries = 2048
 
-// maxPartialPayloadBytes bounds a partial payload so the full frame body
-// (version + type + payload + trace suffix) fits MaxBatchFrameBytes.
-const maxPartialPayloadBytes = MaxBatchFrameBytes - 2 - traceContextBytes
-
 // AggHello opens an aggregator's upstream session: it announces the
 // contiguous node-ID window [Lo, Hi) whose votes the sender terminates
 // and folds. The receiver validates K/Trials like a node Hello, checks
@@ -113,83 +109,46 @@ func (h *AggHello) decodePayload(p []byte) error {
 	return nil
 }
 
-// Partial column accessors for the shared delta codec. Columns are
-// encoded as wrapping uint64 deltas (first value plain, then
-// zigzag(v-prev) with mod-2⁶⁴ arithmetic), which is bijective over the
-// full u64 domain; u32 columns additionally bound every reconstructed
-// value.
-func appendPartialColumn(dst []byte, es []PartialEntry, get func(*PartialEntry) uint64) []byte {
-	prev := get(&es[0])
+// partialVal returns column c of a partial entry, in payload order:
+// trial, votes, rejects, then (sketch mode) samples and collisions.
+func partialVal(e *PartialEntry, c int) uint64 {
+	switch c {
+	case 0:
+		return uint64(e.Trial)
+	case 1:
+		return uint64(e.Votes)
+	case 2:
+		return uint64(e.Rejects)
+	case 3:
+		return e.Samples
+	default:
+		return e.Collisions
+	}
+}
+
+// appendPartialColumn writes column c with wrapping uint64 deltas, which
+// are bijective over the full uint64 domain of the sketch sums.
+func appendPartialColumn(dst []byte, es []PartialEntry, c int) []byte {
+	prev := partialVal(&es[0], c)
 	dst = binary.AppendUvarint(dst, prev)
 	for i := 1; i < len(es); i++ {
-		v := get(&es[i])
+		v := partialVal(&es[i], c)
 		dst = binary.AppendUvarint(dst, zigzag(int64(v-prev)))
 		prev = v
 	}
 	return dst
 }
 
-func partialColumnSize(es []PartialEntry, get func(*PartialEntry) uint64) int {
-	prev := get(&es[0])
-	n := uvarintLen(prev)
-	for i := 1; i < len(es); i++ {
-		v := get(&es[i])
-		n += uvarintLen(zigzag(int64(v - prev)))
-		prev = v
+// partialColumns is the column count of a partial payload.
+func partialColumns(sketch bool) int {
+	if sketch {
+		return 5
 	}
-	return n
+	return 3
 }
 
-// decodePartialColumn fills one field of es from a delta column at
-// p[off:], bounding every reconstructed value by maxVal.
-func decodePartialColumn(p []byte, off int, es []PartialEntry, set func(*PartialEntry, uint64), maxVal uint64) (int, error) {
-	v, off, err := readUvarint(p, off)
-	if err != nil {
-		return 0, err
-	}
-	if v > maxVal {
-		return 0, fmt.Errorf("%w: partial column value %d out of range", ErrFrameSize, v)
-	}
-	set(&es[0], v)
-	prev := v
-	for i := 1; i < len(es); i++ {
-		u, noff, err := readUvarint(p, off)
-		if err != nil {
-			return 0, err
-		}
-		val := prev + uint64(unzigzag(u)) // wrapping: one delta per (prev, val) pair
-		if val > maxVal {
-			return 0, fmt.Errorf("%w: partial column value %d out of range", ErrFrameSize, val)
-		}
-		set(&es[i], val)
-		prev = val
-		off = noff
-	}
-	return off, nil
-}
-
-func getTrial(e *PartialEntry) uint64        { return uint64(e.Trial) }
-func getVotes(e *PartialEntry) uint64        { return uint64(e.Votes) }
-func getRejects(e *PartialEntry) uint64      { return uint64(e.Rejects) }
-func getSamples(e *PartialEntry) uint64      { return e.Samples }
-func getCollisions(e *PartialEntry) uint64   { return e.Collisions }
-func setTrial(e *PartialEntry, v uint64)     { e.Trial = uint32(v) }
-func setVotes(e *PartialEntry, v uint64)     { e.Votes = uint32(v) }
-func setRejects(e *PartialEntry, v uint64)   { e.Rejects = uint32(v) }
-func setSamples(e *PartialEntry, v uint64)   { e.Samples = v }
-func setCollision(e *PartialEntry, v uint64) { e.Collisions = v }
-
-func (p PartialVerdict) payloadSize() int {
-	n := 4 + 1 + uvarintLen(uint64(len(p.Entries)))
-	n += partialColumnSize(p.Entries, getTrial)
-	n += partialColumnSize(p.Entries, getVotes)
-	n += partialColumnSize(p.Entries, getRejects)
-	if p.Sketch {
-		n += partialColumnSize(p.Entries, getSamples)
-		n += partialColumnSize(p.Entries, getCollisions)
-	}
-	return n
-}
+// payloadSize measures an encoding; only the EncodedSize functions call it.
+func (p PartialVerdict) payloadSize() int { return len(p.appendPayload(nil)) }
 
 func (p PartialVerdict) appendPayload(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, p.Agg)
@@ -199,17 +158,15 @@ func (p PartialVerdict) appendPayload(dst []byte) []byte {
 	}
 	dst = append(dst, flags)
 	dst = binary.AppendUvarint(dst, uint64(len(p.Entries)))
-	dst = appendPartialColumn(dst, p.Entries, getTrial)
-	dst = appendPartialColumn(dst, p.Entries, getVotes)
-	dst = appendPartialColumn(dst, p.Entries, getRejects)
-	if p.Sketch {
-		dst = appendPartialColumn(dst, p.Entries, getSamples)
-		dst = appendPartialColumn(dst, p.Entries, getCollisions)
+	for c := 0; c < partialColumns(p.Sketch); c++ {
+		dst = appendPartialColumn(dst, p.Entries, c)
 	}
 	return dst
 }
 
-func (p *PartialVerdict) decodePayload(b []byte) error {
+// decodePayload parses a partial payload, decoding its delta columns into
+// sc's column scratch (nil allocates) and then every entry in one pass.
+func (p *PartialVerdict) decodePayload(b []byte, sc *DecodeScratch) error {
 	if len(b) < 6 {
 		return fmt.Errorf("%w: %d-byte partial payload", ErrFrameSize, len(b))
 	}
@@ -229,62 +186,62 @@ func (p *PartialVerdict) decodePayload(b []byte) error {
 	if cnt > MaxPartialEntries {
 		return fmt.Errorf("%w: partial of %d entries (limit %d)", ErrOversize, cnt, MaxPartialEntries)
 	}
-	count := int(cnt)
-	if cap(p.Entries) < count {
-		p.Entries = make([]PartialEntry, count)
-	} else {
-		p.Entries = p.Entries[:count]
-		// Scratch reuse: sketch sums from a previous decode must not leak
-		// into a vote-mode frame.
-		clear(p.Entries)
-	}
-	if off, err = decodePartialColumn(b, off, p.Entries, setTrial, math.MaxUint32); err != nil {
-		return err
-	}
-	if off, err = decodePartialColumn(b, off, p.Entries, setVotes, math.MaxUint32); err != nil {
-		return err
-	}
-	if off, err = decodePartialColumn(b, off, p.Entries, setRejects, math.MaxUint32); err != nil {
-		return err
-	}
-	if p.Sketch {
-		if off, err = decodePartialColumn(b, off, p.Entries, setSamples, math.MaxUint64); err != nil {
-			return err
+	n, ncol := int(cnt), partialColumns(p.Sketch)
+	cols := sc.columns(ncol * n)
+	for c := 0; c < ncol; c++ {
+		max := uint64(math.MaxUint32)
+		if c >= 3 {
+			max = math.MaxUint64 // the sketch sums
 		}
-		if off, err = decodePartialColumn(b, off, p.Entries, setCollision, math.MaxUint64); err != nil {
+		if off, err = decodeColumn(b, off, cols[c*n:(c+1)*n], max); err != nil {
 			return err
 		}
 	}
 	if off != len(b) {
 		return fmt.Errorf("%w: %d trailing partial bytes", ErrFrameSize, len(b)-off)
 	}
+	if cap(p.Entries) < n {
+		p.Entries = make([]PartialEntry, n)
+	}
+	p.Entries = p.Entries[:n]
+	// Whole-entry stores: scratch reuse cannot leak sketch sums into a
+	// vote-mode frame.
 	for i := range p.Entries {
-		e := &p.Entries[i]
-		if e.Votes == 0 {
-			return fmt.Errorf("%w: partial entry for trial %d with zero votes", ErrFrameSize, e.Trial)
+		trial, votes, rejects := uint32(cols[i]), uint32(cols[n+i]), uint32(cols[2*n+i])
+		if votes == 0 {
+			return fmt.Errorf("%w: partial entry for trial %d with zero votes", ErrFrameSize, trial)
 		}
-		if e.Rejects > e.Votes {
-			return fmt.Errorf("%w: partial entry with %d rejects over %d votes", ErrFrameSize, e.Rejects, e.Votes)
+		if rejects > votes {
+			return fmt.Errorf("%w: partial entry with %d rejects over %d votes", ErrFrameSize, rejects, votes)
+		}
+		if p.Sketch {
+			p.Entries[i] = PartialEntry{Trial: trial, Votes: votes, Rejects: rejects, Samples: cols[3*n+i], Collisions: cols[4*n+i]}
+		} else {
+			p.Entries[i] = PartialEntry{Trial: trial, Votes: votes, Rejects: rejects}
 		}
 	}
 	return nil
 }
 
-// AppendPartial appends p's wire encoding carrying tc to dst, enforcing
-// the entry-count and payload-size caps the decoder will apply. Partial
-// payloads are never block-compressed: a typical entry is a handful of
-// delta varints, far below MinCompressibleSize per entry.
+// AppendPartial is AppendPartialSession for session 0: the frame encodes
+// at PartialVersion.
 func AppendPartial(dst []byte, p *PartialVerdict, tc TraceContext) ([]byte, error) {
+	return AppendPartialSession(dst, p, 0, tc)
+}
+
+// AppendPartialSession appends p's wire encoding bound to session and
+// carrying tc to dst, enforcing the entry-count and payload-size caps the
+// decoder will apply; on error dst is returned unchanged. Partial payloads
+// are never block-compressed: a typical entry is a handful of delta
+// varints, far below MinCompressibleSize per entry.
+func AppendPartialSession(dst []byte, p *PartialVerdict, session uint32, tc TraceContext) ([]byte, error) {
 	if len(p.Entries) == 0 {
 		return dst, fmt.Errorf("wire: empty partial verdict")
 	}
 	if len(p.Entries) > MaxPartialEntries {
 		return dst, fmt.Errorf("%w: partial of %d entries (limit %d)", ErrOversize, len(p.Entries), MaxPartialEntries)
 	}
-	if size := p.payloadSize(); size > maxPartialPayloadBytes {
-		return dst, fmt.Errorf("%w: %d-byte partial payload (limit %d)", ErrOversize, size, maxPartialPayloadBytes)
-	}
-	return AppendTraced(dst, p, tc), nil
+	return appendCapped(dst, p, session, tc)
 }
 
 // decodePartialBody parses a PartialVersion frame body: trace flag in the
@@ -351,7 +308,7 @@ func decodePartialPayload(base byte, payload []byte, sc *DecodeScratch) (Frame, 
 	} else {
 		pv = &PartialVerdict{}
 	}
-	if err := pv.decodePayload(payload); err != nil {
+	if err := pv.decodePayload(payload, sc); err != nil {
 		return nil, err
 	}
 	return pv, nil

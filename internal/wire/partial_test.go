@@ -15,6 +15,15 @@ func samplePartial() *PartialVerdict {
 			{Trial: 0, Votes: 32, Rejects: 4},
 			{Trial: 1, Votes: 32, Rejects: 0},
 			{Trial: 5, Votes: 7, Rejects: 7},
+			// Trial deltas +63, -63 (one-byte zigzag), +64 (two bytes) and
+			// -64 (one byte); the votes column then alternates five-byte
+			// and one-byte entries.
+			{Trial: 68, Votes: 1, Rejects: 1},
+			{Trial: 5, Votes: 4000000000, Rejects: 1},
+			{Trial: 69, Votes: 4000000001, Rejects: 0},
+			{Trial: 5, Votes: 2, Rejects: 2},
+			{Trial: 6, Votes: 3, Rejects: 0},
+			{Trial: 7, Votes: 4000000000, Rejects: 3},
 		},
 	}
 }
@@ -72,6 +81,12 @@ func TestAggHelloRoundTrip(t *testing.T) {
 
 func TestPartialVerdictValidation(t *testing.T) {
 	enc := func(p *PartialVerdict) []byte { return AppendTraced(nil, p, TraceContext{}) }
+	// partialFrame frames a vote-mode payload of agg 1 from the bytes after
+	// its flags byte.
+	partialFrame := func(rest ...byte) []byte {
+		payload := append([]byte{0, 0, 0, 1, 0}, rest...)
+		return append([]byte{0, 0, 0, byte(2 + len(payload)), PartialVersion, TypePartialVerdict}, payload...)
+	}
 	cases := []struct {
 		name string
 		raw  []byte
@@ -81,6 +96,12 @@ func TestPartialVerdictValidation(t *testing.T) {
 		{"zero votes", enc(&PartialVerdict{Agg: 1, Entries: []PartialEntry{{Trial: 0, Votes: 0}}}), ErrFrameSize},
 		{"rejects over votes", enc(&PartialVerdict{Agg: 1, Entries: []PartialEntry{{Trial: 0, Votes: 2, Rejects: 3}}}), ErrFrameSize},
 		{"agghello at v1", Append(nil, &Hello{})[:0], nil}, // placeholder replaced below
+		// Hand-built payloads: agg, flags, count, then the trial, votes and
+		// rejects columns.
+		{"non-minimal column value", partialFrame(1, 0x80, 0x00, 1, 0), ErrFrameSize},
+		{"delta below 0", partialFrame(2, 5, 11 /* -6 */, 1, 0, 0, 0), ErrFrameSize},
+		{"delta above MaxUint32", partialFrame(2, 0xff, 0xff, 0xff, 0xff, 0x0f, 2 /* +1 */, 1, 0, 0, 0), ErrFrameSize},
+		{"column cut inside a varint", partialFrame(1, 5, 0x80), ErrFrameSize},
 	}
 	// AggHello encoded at the wrong version must be rejected.
 	v1 := []byte{0, 0, 0, 22, MinVersion, TypeAggHello}

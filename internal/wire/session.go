@@ -38,10 +38,6 @@ const sessionBytes = 4
 // under MaxBatchFrameBytes with room for the trace suffix.
 const MaxReportTrials = 8192
 
-// maxReportPayloadBytes bounds a report payload so the full frame body
-// (version + type + payload + trace suffix) fits MaxBatchFrameBytes.
-const maxReportPayloadBytes = MaxBatchFrameBytes - 2 - traceContextBytes
-
 // Session decision-rule identifiers carried by SessionOpen. The service
 // reconstructs the referee's rule from the (Rule, Thresh) pair; unknown
 // values are rejected at admission (RejectRule), not at decode, so the
@@ -234,8 +230,8 @@ func (r *SessionReject) decodePayload(p []byte) error {
 	return nil
 }
 
-// Report column codec: first value uvarint, then zigzag-uvarint deltas,
-// exactly like the batch columns (bijective over uint32 values).
+// appendReportColumn writes one report column in the shared delta
+// encoding (see decodeColumn).
 func appendReportColumn(dst []byte, vals []uint32) []byte {
 	prev := int64(vals[0])
 	dst = binary.AppendUvarint(dst, uint64(prev))
@@ -247,55 +243,8 @@ func appendReportColumn(dst []byte, vals []uint32) []byte {
 	return dst
 }
 
-func reportColumnSize(vals []uint32) int {
-	prev := int64(vals[0])
-	n := uvarintLen(uint64(prev))
-	for i := 1; i < len(vals); i++ {
-		v := int64(vals[i])
-		n += uvarintLen(zigzag(v - prev))
-		prev = v
-	}
-	return n
-}
-
-func decodeReportColumn(p []byte, off int, vals []uint32) (int, error) {
-	first, off, err := readUvarint(p, off)
-	if err != nil {
-		return 0, err
-	}
-	if first > math.MaxUint32 {
-		return 0, fmt.Errorf("%w: report column value %d out of range", ErrFrameSize, first)
-	}
-	vals[0] = uint32(first)
-	prev := int64(first)
-	for i := 1; i < len(vals); i++ {
-		u, noff, err := readUvarint(p, off)
-		if err != nil {
-			return 0, err
-		}
-		d := unzigzag(u)
-		if d > math.MaxUint32 || d < -math.MaxUint32 {
-			return 0, fmt.Errorf("%w: report column delta %d out of range", ErrFrameSize, d)
-		}
-		val := prev + d
-		if val < 0 || val > math.MaxUint32 {
-			return 0, fmt.Errorf("%w: report column value %d out of range", ErrFrameSize, val)
-		}
-		vals[i] = uint32(val)
-		prev = val
-		off = noff
-	}
-	return off, nil
-}
-
-func (r SessionReport) payloadSize() int {
-	n := 4 + 4 + uvarintLen(uint64(len(r.Verdicts)))
-	n += (len(r.Verdicts) + 7) / 8
-	n += reportColumnSize(r.Rejects)
-	n += reportColumnSize(r.Votes)
-	n += reportColumnSize(r.Missing)
-	return n
-}
+// payloadSize measures an encoding; only the EncodedSize functions call it.
+func (r SessionReport) payloadSize() int { return len(r.appendPayload(nil)) }
 
 func (r SessionReport) appendPayload(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, r.Session)
@@ -359,14 +308,10 @@ func (r *SessionReport) decodePayload(p []byte) error {
 		r.Verdicts[i] = bits[i>>3]>>(i&7)&1 == 1
 	}
 	off += nb
-	if off, err = decodeReportColumn(p, off, r.Rejects); err != nil {
-		return err
-	}
-	if off, err = decodeReportColumn(p, off, r.Votes); err != nil {
-		return err
-	}
-	if off, err = decodeReportColumn(p, off, r.Missing); err != nil {
-		return err
+	for _, col := range [][]uint32{r.Rejects, r.Votes, r.Missing} {
+		if off, err = decodeColumn(p, off, col, math.MaxUint32); err != nil {
+			return err
+		}
 	}
 	if off != len(p) {
 		return fmt.Errorf("%w: %d trailing report bytes", ErrFrameSize, len(p)-off)
@@ -384,7 +329,8 @@ func (r *SessionReport) decodePayload(p []byte) error {
 }
 
 // AppendSessionReport appends r's wire encoding carrying tc to dst,
-// enforcing the trial-count and payload-size caps the decoder will apply.
+// enforcing the trial-count and payload-size caps the decoder will apply;
+// on error dst is returned unchanged.
 func AppendSessionReport(dst []byte, r *SessionReport, tc TraceContext) ([]byte, error) {
 	n := len(r.Verdicts)
 	if n == 0 {
@@ -396,10 +342,7 @@ func AppendSessionReport(dst []byte, r *SessionReport, tc TraceContext) ([]byte,
 	if len(r.Rejects) != n || len(r.Votes) != n || len(r.Missing) != n {
 		return dst, fmt.Errorf("wire: ragged session report columns")
 	}
-	if size := r.payloadSize(); size > maxReportPayloadBytes {
-		return dst, fmt.Errorf("%w: %d-byte report payload (limit %d)", ErrOversize, size, maxReportPayloadBytes)
-	}
-	return AppendTraced(dst, r, tc), nil
+	return appendCapped(dst, r, 0, tc)
 }
 
 // AppendSession appends f's wire encoding bound to a session. Session 0
@@ -410,13 +353,10 @@ func AppendSessionReport(dst []byte, r *SessionReport, tc TraceContext) ([]byte,
 // the payload and never take a suffix, whatever session says.
 func AppendSession(dst []byte, f Frame, session uint32, tc TraceContext) []byte {
 	t := f.Type()
-	if session == 0 || t >= TypeSessionOpen {
-		return AppendTraced(dst, f, tc)
+	if t >= TypeSessionOpen {
+		session = 0
 	}
-	return appendFlaggedFrame(dst, SessionVersion, t, f.payloadSize()+sessionBytes, func(d []byte) []byte {
-		d = f.appendPayload(d)
-		return binary.BigEndian.AppendUint32(d, session)
-	}, tc)
+	return appendFrame(dst, frameVersion(t, session, tc), t, f.appendPayload, session, tc)
 }
 
 // EncodedSizeSession returns the on-wire size of f when bound to session
@@ -438,61 +378,6 @@ func WriteFrameSession(w io.Writer, f Frame, session uint32, tc TraceContext) er
 		return fmt.Errorf("wire: write %T: %w", f, err)
 	}
 	return nil
-}
-
-// AppendSession is the session-bound form of BatchEncoder.Append: raw or
-// opportunistically compressed batch payload, then the session suffix.
-// Session 0 delegates to the classic encoding.
-func (e *BatchEncoder) AppendSession(dst []byte, b *VoteBatch, session uint32, tc TraceContext, compress bool) ([]byte, error) {
-	if session == 0 {
-		return e.Append(dst, b, tc, compress)
-	}
-	if len(b.Votes) == 0 {
-		return dst, fmt.Errorf("wire: empty vote batch")
-	}
-	if len(b.Votes) > MaxBatchVotes {
-		return dst, fmt.Errorf("%w: batch of %d votes (limit %d)", ErrOversize, len(b.Votes), MaxBatchVotes)
-	}
-	size := b.payloadSize()
-	if size+sessionBytes > maxBatchPayloadBytes {
-		return dst, fmt.Errorf("%w: %d-byte batch payload (limit %d)", ErrOversize, size, maxBatchPayloadBytes-sessionBytes)
-	}
-	if compress && size >= MinCompressibleSize {
-		e.raw = b.appendPayload(e.raw[:0])
-		if comp := CompressBlock(e.raw, e.comp[:0]); comp != nil {
-			e.comp = comp
-			zsize := uvarintLen(uint64(size)) + len(comp)
-			if zsize < size && e.roundTrips(comp, size) {
-				return appendFlaggedFrame(dst, SessionVersion, TypeVoteBatchZ, zsize+sessionBytes, func(d []byte) []byte {
-					d = binary.AppendUvarint(d, uint64(size))
-					d = append(d, comp...)
-					return binary.BigEndian.AppendUint32(d, session)
-				}, tc), nil
-			}
-		}
-		return appendFlaggedFrame(dst, SessionVersion, TypeVoteBatch, size+sessionBytes, func(d []byte) []byte {
-			d = append(d, e.raw...)
-			return binary.BigEndian.AppendUint32(d, session)
-		}, tc), nil
-	}
-	return AppendSession(dst, b, session, tc), nil
-}
-
-// AppendPartialSession is the session-bound form of AppendPartial.
-func AppendPartialSession(dst []byte, p *PartialVerdict, session uint32, tc TraceContext) ([]byte, error) {
-	if session == 0 {
-		return AppendPartial(dst, p, tc)
-	}
-	if len(p.Entries) == 0 {
-		return dst, fmt.Errorf("wire: empty partial verdict")
-	}
-	if len(p.Entries) > MaxPartialEntries {
-		return dst, fmt.Errorf("%w: partial of %d entries (limit %d)", ErrOversize, len(p.Entries), MaxPartialEntries)
-	}
-	if size := p.payloadSize(); size+sessionBytes > maxPartialPayloadBytes {
-		return dst, fmt.Errorf("%w: %d-byte partial payload (limit %d)", ErrOversize, size, maxPartialPayloadBytes-sessionBytes)
-	}
-	return AppendSession(dst, p, session, tc), nil
 }
 
 // decodeSessionBody parses a SessionVersion frame body: trace flag in the
@@ -536,7 +421,7 @@ func decodeSessionBody(body []byte, sc *DecodeScratch) (Frame, TraceContext, uin
 		}
 		payload = payload[:len(payload)-sessionBytes]
 	}
-	var f Frame
+	var f fixedFrame
 	switch base {
 	case TypeVoteBatch, TypeVoteBatchZ:
 		vb, err := decodeBatchPayload(base, payload, sc)

@@ -116,6 +116,12 @@ func TestSessionControlRoundTrip(t *testing.T) {
 		&SessionReject{Tenant: 5, Reason: RejectBudget},
 		&SessionReport{Session: 12, K: 10, Verdicts: []bool{true, false, true},
 			Rejects: []uint32{0, 4, 1}, Votes: []uint32{10, 9, 10}, Missing: []uint32{0, 1, 0}},
+		// Rejects deltas +63, -63 (one-byte zigzag), +64 (two bytes), -64
+		// (one byte); a votes column alternating five-byte and one-byte
+		// entries.
+		&SessionReport{Session: 12, K: 4294967295, Verdicts: []bool{true, false, true, true, false, true},
+			Rejects: []uint32{0, 63, 0, 64, 0, 1}, Votes: []uint32{64, 4000000000, 4000000001, 64, 65, 4000000000},
+			Missing: []uint32{0, 0, 0, 0, 0, 0}},
 	}
 	var sc DecodeScratch
 	for _, fr := range frames {
@@ -215,6 +221,22 @@ func TestSessionReportValidation(t *testing.T) {
 	enc = AppendTraced(nil, bad, TraceContext{})
 	if _, _, _, err := DecodeBodySession(enc[4:], nil); !errors.Is(err, ErrFrameSize) {
 		t.Errorf("votes+missing > k: err = %v, want ErrFrameSize", err)
+	}
+	// Hand-built two-trial bodies (session 1, k 100, no verdict bits)
+	// followed by the rejects, votes and missing columns.
+	for _, c := range []struct {
+		name string
+		cols []byte
+	}{
+		{"non-minimal column value", []byte{0x80, 0x00, 0, 1, 0, 0, 0}},
+		{"delta below 0", []byte{0, 1 /* -1 */, 1, 0, 0, 0}},
+		{"delta above MaxUint32", []byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 2 /* +1 */, 0, 0}},
+		{"column cut inside a varint", []byte{0, 0, 1, 0x80}},
+	} {
+		body := append([]byte{SessionVersion, TypeSessionReport, 0, 0, 0, 1, 0, 0, 0, 100, 2, 0}, c.cols...)
+		if _, _, _, err := DecodeBodySession(body, nil); !errors.Is(err, ErrFrameSize) {
+			t.Errorf("%s: err = %v, want ErrFrameSize", c.name, err)
+		}
 	}
 	// A zero-session report is invalid.
 	bad = mk(1)

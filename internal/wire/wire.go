@@ -238,10 +238,19 @@ var (
 type Frame interface {
 	// Type returns the frame's type byte.
 	Type() byte
-	// payloadSize returns the exact encoded payload length.
+	// payloadSize returns the exact encoded payload length. Only the
+	// EncodedSize functions and the fixed-size decode path call it: the
+	// encoders measure what they wrote instead.
 	payloadSize() int
 	// appendPayload appends the payload encoding to dst.
 	appendPayload(dst []byte) []byte
+}
+
+// fixedFrame is a frame whose payload has one size per type — every type
+// but the columnar VoteBatch, PartialVerdict and SessionReport, which
+// decode through their own column codec.
+type fixedFrame interface {
+	Frame
 	// decodePayload parses a payload of exactly payloadSize bytes.
 	decodePayload(p []byte) error
 }
@@ -398,47 +407,89 @@ func Append(dst []byte, f Frame) []byte {
 // BatchVersion). Batch frames encode their raw (uncompressed) form here;
 // use a BatchEncoder to opportunistically compress.
 func AppendTraced(dst []byte, f Frame, tc TraceContext) []byte {
-	switch t := f.Type(); t {
-	case TypeVoteBatch, TypeVoteBatchZ:
-		return appendFlaggedFrame(dst, BatchVersion, t, f.payloadSize(), f.appendPayload, tc)
-	case TypeAggHello, TypePartialVerdict:
-		return appendFlaggedFrame(dst, PartialVersion, t, f.payloadSize(), f.appendPayload, tc)
-	case TypeSessionOpen, TypeSessionAccept, TypeSessionReject, TypeSessionReport:
-		return appendFlaggedFrame(dst, SessionVersion, t, f.payloadSize(), f.appendPayload, tc)
-	}
-	if tc.IsZero() {
-		n := 2 + f.payloadSize() // version + type + payload
-		dst = binary.BigEndian.AppendUint32(dst, uint32(n))
-		dst = append(dst, MinVersion, f.Type())
-		return f.appendPayload(dst)
-	}
-	n := 2 + f.payloadSize() + traceContextBytes
-	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
-	dst = append(dst, TraceVersion, f.Type())
-	dst = f.appendPayload(dst)
-	dst = binary.BigEndian.AppendUint64(dst, tc.Trace)
-	return binary.BigEndian.AppendUint64(dst, tc.Span)
+	return AppendSession(dst, f, 0, tc)
 }
 
-// appendFlaggedFrame writes a frame whose type byte's high bit flags the
-// trace suffix (batch and aggregation versions): the payload producer is a
-// callback so raw VoteBatch encoding, pre-compressed payloads and partial
-// verdicts all share the header/suffix logic.
-func appendFlaggedFrame(dst []byte, version, typ byte, size int, payload func([]byte) []byte, tc TraceContext) []byte {
-	n := 2 + size
-	t := typ
-	if !tc.IsZero() {
-		n += traceContextBytes
-		t |= traceFlag
+// frameVersion returns the one version byte a frame of type t encodes at
+// when bound to session and carrying tc: SessionVersion for the session
+// control types and for session-bound frames, BatchVersion for batches,
+// PartialVersion for the aggregation types, and MinVersion (TraceVersion
+// when traced) for the single-vote types.
+func frameVersion(t byte, session uint32, tc TraceContext) byte {
+	switch {
+	case t >= TypeSessionOpen || session != 0:
+		return SessionVersion
+	case t == TypeVoteBatch || t == TypeVoteBatchZ:
+		return BatchVersion
+	case t == TypeAggHello || t == TypePartialVerdict:
+		return PartialVersion
+	case !tc.IsZero():
+		return TraceVersion
 	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
-	dst = append(dst, version, t)
-	dst = payload(dst)
+	return MinVersion
+}
+
+// appendFrame writes one frame in a single pass: it reserves the 4-byte
+// length prefix, writes the version and type bytes, appends the payload,
+// the session suffix (nonzero session only) and the trace suffix (nonzero
+// trace only), and then fills in the length. From BatchVersion on, the
+// type byte's high bit flags the trace suffix; v1/v2 frames signal it
+// through the version byte instead. The payload producer is a callback so
+// frame payloads, pre-encoded raw batches and compressed batches share
+// the framing.
+func appendFrame(dst []byte, version, typ byte, payload func([]byte) []byte, session uint32, tc TraceContext) []byte {
+	start := len(dst)
+	if !tc.IsZero() && version >= BatchVersion {
+		typ |= traceFlag
+	}
+	dst = payload(append(dst, 0, 0, 0, 0, version, typ))
+	if session != 0 {
+		dst = binary.BigEndian.AppendUint32(dst, session)
+	}
 	if !tc.IsZero() {
 		dst = binary.BigEndian.AppendUint64(dst, tc.Trace)
 		dst = binary.BigEndian.AppendUint64(dst, tc.Span)
 	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-headerBytes))
 	return dst
+}
+
+// maxPayloadBytes bounds a columnar payload (VoteBatch, PartialVerdict,
+// SessionReport) together with any session suffix, so the full frame body
+// (version + type + payload + session + trace suffix) fits
+// MaxBatchFrameBytes.
+const maxPayloadBytes = MaxBatchFrameBytes - 2 - traceContextBytes
+
+// checkPayload enforces maxPayloadBytes on a size-byte payload of type t
+// bound to session.
+func checkPayload(t byte, size int, session uint32) error {
+	limit := maxPayloadBytes
+	if session != 0 {
+		limit -= sessionBytes
+	}
+	if size > limit {
+		return fmt.Errorf("%w: %d-byte %s payload (limit %d)", ErrOversize, size, TypeName(t), limit)
+	}
+	return nil
+}
+
+// appendCapped appends f's encoding bound to session in one pass, then
+// checks the payload it wrote against maxPayloadBytes; on overflow it
+// returns dst unchanged with ErrOversize. Session control frames take no
+// suffix, so their callers pass session 0.
+func appendCapped(dst []byte, f Frame, session uint32, tc TraceContext) ([]byte, error) {
+	out := AppendSession(dst, f, session, tc)
+	size := len(out) - len(dst) - headerBytes - 2
+	if session != 0 {
+		size -= sessionBytes
+	}
+	if !tc.IsZero() {
+		size -= traceContextBytes
+	}
+	if err := checkPayload(f.Type(), size, session); err != nil {
+		return dst, err
+	}
+	return out, nil
 }
 
 // EncodedSize returns the full untraced on-wire size of f including the
@@ -508,6 +559,21 @@ type DecodeScratch struct {
 	report SessionReport
 	// zbuf holds a decompressed batch payload between decodes.
 	zbuf []byte
+	// cols holds the decoded delta columns of a VoteBatch or
+	// PartialVerdict before they are scattered into its rows.
+	cols []uint64
+}
+
+// columns returns n scratch column values, reusing sc's buffer; a nil
+// scratch allocates.
+func (sc *DecodeScratch) columns(n int) []uint64 {
+	if sc == nil {
+		return make([]uint64, n)
+	}
+	if cap(sc.cols) < n {
+		sc.cols = make([]uint64, n)
+	}
+	return sc.cols[:n]
 }
 
 // decodeBody parses version, type, payload and optional trace context from
@@ -524,7 +590,7 @@ func decodeBody(body []byte, sc *DecodeScratch) (Frame, TraceContext, error) {
 // allocation on the referee's hot decode loop; decodePayload writes every
 // field (all payloads are fixed-shape), so no reset between reuses is
 // needed.
-func scratchSingleFrame(t byte, sc *DecodeScratch) Frame {
+func scratchSingleFrame(t byte, sc *DecodeScratch) fixedFrame {
 	if sc == nil {
 		switch t {
 		case TypeHello:
@@ -571,7 +637,7 @@ func decodeBodyAll(body []byte, sc *DecodeScratch) (Frame, TraceContext, uint32,
 	case SessionVersion:
 		return decodeSessionBody(body, sc)
 	}
-	var f Frame
+	var f fixedFrame
 	switch t := body[1]; t {
 	case TypeHello, TypeVote, TypeSketch, TypeDone, TypeVerdict:
 		f = scratchSingleFrame(t, sc)
@@ -663,7 +729,7 @@ func decodeBatchPayload(base byte, payload []byte, sc *DecodeScratch) (*VoteBatc
 	}
 	if base == TypeVoteBatch {
 		vb.Compressed, vb.Saved = false, 0
-		if err := vb.decodePayload(payload); err != nil {
+		if err := vb.decodePayload(payload, sc); err != nil {
 			return nil, err
 		}
 		return vb, nil
@@ -672,7 +738,7 @@ func decodeBatchPayload(base byte, payload []byte, sc *DecodeScratch) (*VoteBatc
 	if err != nil {
 		return nil, err
 	}
-	if err := vb.decodePayload(raw); err != nil {
+	if err := vb.decodePayload(raw, sc); err != nil {
 		return nil, err
 	}
 	vb.Compressed, vb.Saved = true, saved

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"reflect"
@@ -293,5 +295,90 @@ func TestDecodeConsumesOneFrameOfMany(t *testing.T) {
 	}
 	if v, ok := f.(*Vote); !ok || v.Trial != 9 {
 		t.Fatalf("first frame = %#v", f)
+	}
+}
+
+// goldenBatch is a 1024-vote batch mixing one-, two- and three-byte trial
+// entries and a node column that jumps to a five-byte value and back.
+func goldenBatch() *VoteBatch {
+	b := &VoteBatch{Votes: make([]BatchVote, 1024)}
+	trial := uint32(70000)
+	for i := range b.Votes {
+		switch {
+		case i%97 == 0:
+			trial += 300
+		case i%89 == 0:
+			trial -= 5
+		default:
+			trial++
+		}
+		node := uint32(1234)
+		if i%256 == 255 {
+			node = 1 << 31
+		}
+		b.Votes[i] = BatchVote{Trial: trial, Node: node, Reject: i*7%5 == 0}
+	}
+	return b
+}
+
+// goldenPartial is a 2048-entry sketch-mode partial whose samples column
+// takes wrapping uint64 deltas.
+func goldenPartial() *PartialVerdict {
+	p := &PartialVerdict{Agg: 3, Sketch: true, Entries: make([]PartialEntry, MaxPartialEntries)}
+	for i := range p.Entries {
+		votes := uint32(32 - i%5)
+		p.Entries[i] = PartialEntry{Trial: uint32(2 * i), Votes: votes, Rejects: uint32(i%7) % (votes + 1),
+			Samples: uint64(i) * 0x9e3779b97f4a7c15, Collisions: uint64(i % 4)}
+	}
+	return p
+}
+
+// goldenReport is an 8192-trial session report.
+func goldenReport() *SessionReport {
+	n := MaxReportTrials
+	r := &SessionReport{Session: 5, K: 64, Verdicts: make([]bool, n),
+		Rejects: make([]uint32, n), Votes: make([]uint32, n), Missing: make([]uint32, n)}
+	for i := 0; i < n; i++ {
+		r.Verdicts[i] = i%3 != 0
+		r.Votes[i] = uint32(64 - i%4)
+		r.Rejects[i] = uint32(i % 11)
+		r.Missing[i] = uint32(i % 4)
+	}
+	return r
+}
+
+// TestEncodersMatchGoldenBytes pins the columnar encoders to bytes
+// recorded before they wrote frames in one pass: a session-bound traced
+// batch, a session-bound traced sketch-mode partial, and a full-size
+// report, each compared by length and SHA-256.
+func TestEncodersMatchGoldenBytes(t *testing.T) {
+	tc := TraceContext{Trace: 0xfeed, Span: 0xbead}
+	var e BatchEncoder
+	batch, err := e.AppendSession(nil, goldenBatch(), 9, tc, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial, err := AppendPartialSession(nil, goldenPartial(), 9, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := AppendSessionReport(nil, goldenReport(), TraceContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		enc  []byte
+		size int
+		hash string
+	}{
+		{"batch", batch, 2246, "eefe6f90047068f8bd32c2f9f94e1e6fa8052f4e42cf2461eb433c07e5f416e6"},
+		{"partial", partial, 28696, "9e71c9f17a95dd7ae4a14ce1c674137781aad45874f75b4626e64423fb08e224"},
+		{"report", report, 25616, "34f34a87dbe9c058da971155ee1a6b80aa83f7990afe787dc158c27722cea0b2"},
+	} {
+		sum := sha256.Sum256(c.enc)
+		if got := hex.EncodeToString(sum[:]); len(c.enc) != c.size || got != c.hash {
+			t.Errorf("%s: %d bytes sha256 %s, want %d bytes %s", c.name, len(c.enc), got, c.size, c.hash)
+		}
 	}
 }
