@@ -27,8 +27,8 @@
 //	                   -json]
 //
 // serve runs the long-lived multi-tenant session service: one listener
-// multiplexing many concurrent testing sessions, each admitted via wire
-// v5 SessionOpen with per-tenant quotas, folded by an isolated referee,
+// multiplexing many concurrent testing sessions, each admitted via a
+// SessionOpen frame with per-tenant quotas, folded by an isolated referee,
 // and answered with a SessionReport. submit is the client side: it opens
 // a session, runs k node clients against the service, and prints (or
 // emits as -json) the same report the legacy single-run mode produces.

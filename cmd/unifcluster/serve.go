@@ -111,7 +111,7 @@ func runSubmit(args []string, stdout io.Writer) error {
 	var (
 		addr      = fs.String("addr", "127.0.0.1:4600", "session service address")
 		tenant    = fs.Uint("tenant", 1, "tenant ID for quota accounting")
-		useDflt   = fs.Bool("default", false, "register as the default session for legacy sessionless peers")
+		useDflt   = fs.Bool("default", false, "register as the default session for unbound (session 0) peers")
 		ruleName  = fs.String("rule", "threshold", "decision rule: threshold (Thm 1.2) or and (Thm 1.1)")
 		k         = fs.Int("k", 60, "number of node clients")
 		n         = fs.Int("n", 64, "domain size")

@@ -9,16 +9,17 @@ import (
 // FrameCap enforces the wire-protocol encoding discipline in the cluster
 // runtime: every []byte that reaches a connection — a Write on a
 // net.Conn/io.Writer, or a send/Enqueue into a send queue — must have been
-// produced by a wire-package constructor (Append, AppendTraced,
-// AppendBatch, BatchEncoder.Append, Encode*). Those constructors are where
-// the typed per-frame-type size caps (wire.FrameCap, the cluster analogue
-// of the CONGEST per-edge bandwidth limit) are enforced; a hand-rolled
-// byte slice pushed at the transport bypasses the cap and the canonical
-// encoding both. Packages with a "wire" path segment are exempt — they
-// implement the constructors — as are _test.go files.
+// produced by a wire-package constructor (wire.AppendSession,
+// AppendPartialSession, AppendSessionReport, BatchEncoder.AppendSession).
+// Those constructors are where the typed per-frame-type size caps
+// (wire.FrameCap, the cluster analogue of the CONGEST per-edge bandwidth
+// limit) are enforced; a hand-rolled byte slice pushed at the transport
+// bypasses the cap and the canonical encoding both. Packages with a
+// "wire" path segment are exempt — they implement the constructors — as
+// are _test.go files.
 var FrameCap = &Analyzer{
 	Name: "framecap",
-	Doc:  "require bytes written to conns/send queues in cluster packages to come from wire.Append*/Encode* constructors",
+	Doc:  "require bytes written to conns/send queues in cluster packages to come from wire.Append* constructors",
 	Run:  runFrameCap,
 }
 
@@ -62,7 +63,7 @@ func checkFrameCapFunc(pass *Pass, body *ast.BlockStmt) {
 		}
 		resolved := o.resolve(arg)
 		if len(resolved) == 0 {
-			pass.Reportf(arg.Pos(), "byte slice of unknown origin reaches %s: frames must flow through a wire.Append*/Encode* constructor so the per-type frame cap (wire.FrameCap) applies", sink)
+			pass.Reportf(arg.Pos(), "byte slice of unknown origin reaches %s: frames must flow through wire.AppendSession/AppendPartialSession/BatchEncoder.AppendSession so the per-type frame cap (wire.FrameCap) applies", sink)
 			return
 		}
 		for _, origin := range resolved {
@@ -70,12 +71,12 @@ func checkFrameCapFunc(pass *Pass, body *ast.BlockStmt) {
 			switch x := origin.(type) {
 			case *ast.CallExpr:
 				if !frameConstructor(pass, x) {
-					pass.Reportf(origin.Pos(), "hand-rolled frame bytes reach %s: build frames with wire.Append/AppendTraced/BatchEncoder.Append so the per-type frame cap (wire.FrameCap) applies", sink)
+					pass.Reportf(origin.Pos(), "hand-rolled frame bytes reach %s: build frames with wire.AppendSession/AppendPartialSession/BatchEncoder.AppendSession so the per-type frame cap (wire.FrameCap) applies", sink)
 				}
 			case *ast.CompositeLit, *ast.BasicLit:
-				pass.Reportf(origin.Pos(), "hand-rolled frame bytes reach %s: build frames with wire.Append/AppendTraced/BatchEncoder.Append so the per-type frame cap (wire.FrameCap) applies", sink)
+				pass.Reportf(origin.Pos(), "hand-rolled frame bytes reach %s: build frames with wire.AppendSession/AppendPartialSession/BatchEncoder.AppendSession so the per-type frame cap (wire.FrameCap) applies", sink)
 			default:
-				pass.Reportf(origin.Pos(), "byte slice of unknown origin reaches %s: frames must flow through a wire.Append*/Encode* constructor so the per-type frame cap (wire.FrameCap) applies", sink)
+				pass.Reportf(origin.Pos(), "byte slice of unknown origin reaches %s: frames must flow through wire.AppendSession/AppendPartialSession/BatchEncoder.AppendSession so the per-type frame cap (wire.FrameCap) applies", sink)
 			}
 		}
 	})
@@ -123,13 +124,9 @@ func frameSinkArg(pass *Pass, call *ast.CallExpr) (ast.Expr, string) {
 }
 
 // frameConstructor reports whether call targets a wire-segment package
-// function or method whose name starts with Append or Encode — the
-// FrameCap-checked constructors.
+// function or method whose name starts with Append — the FrameCap-checked
+// constructors.
 func frameConstructor(pass *Pass, call *ast.CallExpr) bool {
 	obj := calleeObject(pass.TypesInfo, call)
-	if !objPkgSegment(obj, "wire") {
-		return false
-	}
-	name := obj.Name()
-	return strings.HasPrefix(name, "Append") || strings.HasPrefix(name, "Encode")
+	return objPkgSegment(obj, "wire") && strings.HasPrefix(obj.Name(), "Append")
 }

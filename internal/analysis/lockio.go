@@ -210,7 +210,7 @@ func blockingCall(pass *Pass, call *ast.CallExpr) string {
 		return "time.Sleep"
 	}
 	switch name := CalleeIn(call, pass.TypesInfo, "wire"); name {
-	case "WriteFrame", "WriteFrameTraced":
+	case "WriteFrame", "WriteFrameSession":
 		return "wire." + name
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -229,7 +229,7 @@ func blockingCall(pass *Pass, call *ast.CallExpr) string {
 			NamedFrom(t, "io", "Writer") || NamedFrom(t, "io", "Reader") {
 			return "conn " + name
 		}
-	case "ReadFrame", "ReadFrameTraced", "ReadBody":
+	case "ReadFrame", "ReadBody":
 		if NamedFrom(t, "wire", "Reader") {
 			return "wire.Reader." + name
 		}

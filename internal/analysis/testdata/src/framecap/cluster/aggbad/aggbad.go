@@ -18,7 +18,8 @@ type aggregator struct {
 }
 
 // flushHandRolled builds the partial frame by hand instead of via
-// wire.AppendPartial, so the cap and canonical encoding are both skipped.
+// wire.AppendPartialSession, so the cap and canonical encoding are both
+// skipped.
 func (a *aggregator) flushHandRolled(trial int, votes, rejects uint64) {
 	frame := []byte{0x07, byte(trial), byte(votes), byte(rejects)} // want "hand-rolled frame bytes reach the send queue"
 	a.q.send(frame)

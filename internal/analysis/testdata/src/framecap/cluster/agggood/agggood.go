@@ -1,5 +1,5 @@
 // Package agggood holds the framecap-clean aggregator upstream forward
-// path: every partial-verdict frame is built by wire.AppendPartial — and
+// path: every partial-verdict frame is built by wire.AppendPartialSession — and
 // rebuilt by it on replay, rather than retained as raw bytes — before it
 // reaches the send queue or the upstream connection.
 package agggood
@@ -26,7 +26,7 @@ type aggregator struct {
 
 // flush encodes the folded batch with the wire constructor and enqueues it.
 func (a *aggregator) flush(batch []entry) {
-	frame := wire.AppendPartial(nil, byte(len(batch)))
+	frame := wire.AppendPartialSession(nil, byte(len(batch)), 0)
 	a.q.send(frame)
 	a.flushed = append(a.flushed, batch...)
 }
@@ -35,12 +35,12 @@ func (a *aggregator) flush(batch []entry) {
 // reconnect goes back through the cap instead of replaying stale bytes.
 func (a *aggregator) replay() {
 	for _, e := range a.flushed {
-		frame := wire.AppendPartial(nil, e.trial)
+		frame := wire.AppendPartialSession(nil, e.trial, 0)
 		a.upstream.Write(frame)
 	}
 }
 
 // done signals end-of-stream upstream with a constructor-built frame.
 func (a *aggregator) done(id byte) {
-	a.upstream.Write(wire.Append(nil, id))
+	a.upstream.Write(wire.AppendSession(nil, id, 0))
 }

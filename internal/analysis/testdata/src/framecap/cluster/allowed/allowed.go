@@ -5,6 +5,6 @@ package allowed
 import "net"
 
 func preEncoded(c net.Conn, frame []byte) {
-	//unifvet:allow framecap producers pre-encode via wire.Append before the handoff
+	//unifvet:allow framecap producers pre-encode via wire.AppendSession before the handoff
 	c.Write(frame)
 }

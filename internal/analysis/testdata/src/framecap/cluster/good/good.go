@@ -14,33 +14,28 @@ func (q *sendQueue) send(frame []byte) {
 	q.pending = append(q.pending, frame)
 }
 
-func single(c net.Conn, vote byte) {
-	buf := wire.Append(nil, vote)
+func unbound(c net.Conn, vote byte) {
+	buf := wire.AppendSession(nil, vote, 0)
 	c.Write(buf)
 }
 
-func traced(c net.Conn, vote byte, trace uint64) {
-	frame := wire.AppendTraced(nil, vote, trace)
-	c.Write(frame)
-}
-
-func batched(c net.Conn, votes []byte) {
-	frame := wire.EncodeBatch(votes)
+func bound(c net.Conn, vote byte, session uint64) {
+	frame := wire.AppendSession(nil, vote, session)
 	c.Write(frame)
 }
 
 func viaEncoder(q *sendQueue, votes []byte) {
 	var enc wire.BatchEncoder
 	for _, v := range votes {
-		frame := enc.Append(v)
+		frame := enc.AppendSession(nil, v, 0)
 		q.send(frame)
 	}
 }
 
 func reassigned(c net.Conn, votes []byte) {
-	buf := wire.Append(nil, 0)
+	buf := wire.AppendSession(nil, 0, 0)
 	for _, v := range votes {
-		buf = wire.Append(buf, v)
+		buf = wire.AppendSession(buf, v, 0)
 	}
 	c.Write(buf)
 }

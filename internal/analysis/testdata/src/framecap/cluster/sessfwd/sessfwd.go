@@ -20,7 +20,7 @@ func reportForward(ctrl net.Conn, payload byte, session uint64) {
 // broadcast is the verdict fan-out at session finish: one constructor
 // call, many connection writes.
 func broadcast(conns []net.Conn, verdict byte) {
-	frame := wire.Append(nil, verdict)
+	frame := wire.AppendSession(nil, verdict, 0)
 	for _, c := range conns {
 		c.Write(frame)
 	}

@@ -16,7 +16,7 @@ func (q *sendQueue) start(w io.Writer) {
 	go func() {
 		defer close(q.done)
 		for it := range q.items {
-			w.Write(it) //unifvet:allow framecap producers pre-encode via wire.Append before enqueue
+			w.Write(it) //unifvet:allow framecap producers pre-encode via wire.AppendSession before enqueue
 		}
 	}()
 }

@@ -1,40 +1,26 @@
 // Package wire is a minimal stand-in for internal/wire in framecap
 // fixtures: the analyzer recognizes frame constructors by the "wire" path
-// segment plus an Append/Encode name prefix, and the Reader type by name.
+// segment plus an Append name prefix, and the Reader type by name.
 package wire
-
-// Append appends one cap-checked frame to buf.
-func Append(buf []byte, payload byte) []byte {
-	return append(buf, 1, payload)
-}
-
-// AppendTraced appends one cap-checked, trace-stamped frame to buf.
-func AppendTraced(buf []byte, payload byte, trace uint64) []byte {
-	return append(Append(buf, payload), byte(trace))
-}
 
 // AppendSession appends one cap-checked, session-stamped frame to buf.
 func AppendSession(buf []byte, payload byte, session uint64) []byte {
-	return append(Append(buf, payload), byte(session))
+	return append(buf, 1, payload, byte(session))
 }
 
-// AppendPartial appends one cap-checked partial-verdict frame to buf.
-func AppendPartial(buf []byte, payload byte) []byte {
-	return append(buf, 7, payload)
-}
-
-// EncodeBatch encodes votes as one cap-checked batch frame.
-func EncodeBatch(votes []byte) []byte {
-	return append([]byte{2, byte(len(votes))}, votes...)
+// AppendPartialSession appends one cap-checked partial-verdict frame to
+// buf.
+func AppendPartialSession(buf []byte, payload byte, session uint64) []byte {
+	return append(buf, 7, payload, byte(session))
 }
 
 // BatchEncoder accumulates votes into cap-checked batch frames.
-type BatchEncoder struct{ buf []byte }
+type BatchEncoder struct{ votes []byte }
 
-// Append adds one vote and returns the running frame bytes.
-func (e *BatchEncoder) Append(vote byte) []byte {
-	e.buf = append(e.buf, vote)
-	return EncodeBatch(e.buf)
+// AppendSession adds one vote and appends the running batch frame to dst.
+func (e *BatchEncoder) AppendSession(dst []byte, vote byte, session uint64) []byte {
+	e.votes = append(e.votes, vote)
+	return append(append(dst, 2, byte(len(e.votes)), byte(session)), e.votes...)
 }
 
 // Reader decodes frames from a stream (stub).

@@ -225,8 +225,8 @@ func TestBatchedDisconnectDrainsPendingVotes(t *testing.T) {
 }
 
 // TestMixedVersionInterop runs one referee session where half the nodes
-// speak the batched v3 protocol and half the per-frame v1/v2 protocol:
-// the referee must serve both and land on the reference verdicts.
+// send compressed VoteBatch frames and half one frame per vote: the
+// referee must serve both and land on the reference verdicts.
 func TestMixedVersionInterop(t *testing.T) {
 	nw := thresholdNetwork(t, 64, 60)
 	d := dist.NewTwoBump(64, 1.0, 9)

@@ -23,11 +23,11 @@ func (r benchRule) Name() string               { return "bench" }
 // benchmark loop measures referee-side decode+apply, not client-side
 // sampling or encoding.
 func benchPayload(node, k, trials, batch int, compress bool) []byte {
-	buf := wire.AppendTraced(nil, &wire.Hello{Node: uint32(node), K: uint32(k), Trials: uint32(trials)}, wire.TraceContext{})
+	buf := wire.AppendSession(nil, &wire.Hello{Node: uint32(node), K: uint32(k), Trials: uint32(trials)}, 0, wire.TraceContext{})
 	if batch <= 0 {
 		for t := 0; t < trials; t++ {
 			v := &wire.Vote{Trial: uint32(t), Node: uint32(node), Reject: (t+node)%3 == 0}
-			buf = wire.AppendTraced(buf, v, wire.TraceContext{})
+			buf = wire.AppendSession(buf, v, 0, wire.TraceContext{})
 		}
 	} else {
 		var enc wire.BatchEncoder
@@ -43,7 +43,7 @@ func benchPayload(node, k, trials, batch int, compress bool) []byte {
 					Trial: uint32(t + i), Node: uint32(node), Reject: (t+i+node)%3 == 0,
 				})
 			}
-			out, err := enc.Append(buf, &vb, wire.TraceContext{}, compress)
+			out, err := enc.AppendSession(buf, &vb, 0, wire.TraceContext{}, compress)
 			if err != nil {
 				panic(err)
 			}
@@ -51,7 +51,7 @@ func benchPayload(node, k, trials, batch int, compress bool) []byte {
 			t += n
 		}
 	}
-	return wire.AppendTraced(buf, &wire.Done{Node: uint32(node)}, wire.TraceContext{})
+	return wire.AppendSession(buf, &wire.Done{Node: uint32(node)}, 0, wire.TraceContext{})
 }
 
 // benchSession runs b.N full referee sessions, each synthetic peer
@@ -147,10 +147,10 @@ func BenchmarkRefereePipe(b *testing.B) {
 // per-trial sums, Done — so BenchmarkAggTree measures the root's ingest
 // of pre-aggregated traffic, not the aggregation itself.
 func aggChildPayload(aggID, lo, hi, k, trials int) []byte {
-	buf := wire.AppendTraced(nil, &wire.AggHello{
+	buf := wire.AppendSession(nil, &wire.AggHello{
 		Agg: uint32(aggID), K: uint32(k), Trials: uint32(trials),
 		Lo: uint32(lo), Hi: uint32(hi),
-	}, wire.TraceContext{})
+	}, 0, wire.TraceContext{})
 	width := hi - lo
 	entries := make([]wire.PartialEntry, 0, trials)
 	for t := 0; t < trials; t++ {
@@ -171,14 +171,14 @@ func aggChildPayload(aggID, lo, hi, k, trials int) []byte {
 		if n > wire.MaxPartialEntries {
 			n = wire.MaxPartialEntries
 		}
-		out, err := wire.AppendPartial(buf, &wire.PartialVerdict{Agg: uint32(aggID), Entries: entries[:n]}, wire.TraceContext{})
+		out, err := wire.AppendPartialSession(buf, &wire.PartialVerdict{Agg: uint32(aggID), Entries: entries[:n]}, 0, wire.TraceContext{})
 		if err != nil {
 			panic(err)
 		}
 		buf = out
 		entries = entries[n:]
 	}
-	return wire.AppendTraced(buf, &wire.Done{Node: uint32(aggID)}, wire.TraceContext{})
+	return wire.AppendSession(buf, &wire.Done{Node: uint32(aggID)}, 0, wire.TraceContext{})
 }
 
 // BenchmarkAggTree measures the root referee's ingest capacity under the

@@ -168,9 +168,9 @@ type Config struct {
 	QueueDepth  int
 	QueuePolicy QueuePolicy
 	// Session binds every frame this configuration sends — and every frame
-	// its referee accepts — to a wire v5 session ID. 0, the default, keeps
-	// the classic single-session encoding (byte-identical to codec ≤ v4).
-	// The multi-tenant service (internal/cluster/service) assigns nonzero
+	// its referee accepts — to a session ID, carried in each frame's
+	// session field. 0, the default, means unbound: a solo run, or the
+	// multi-tenant service's default session. The multi-tenant service (internal/cluster/service) assigns nonzero
 	// IDs so many concurrent sessions share one transport endpoint; the
 	// referee rejects frames whose session does not match as bad frames.
 	Session uint32

@@ -93,7 +93,7 @@ func (p *FaultPlan) decide(g *rng.RNG, reg *obs.Registry) faultAction {
 
 // link is one node→referee connection with the fault plan applied to its
 // vote frames. Control frames bypass injection. Every frame the link
-// writes is bound to sess (0 = the classic single-session encoding).
+// writes is bound to sess (0 = unbound).
 type link struct {
 	conn net.Conn
 	plan *FaultPlan

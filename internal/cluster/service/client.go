@@ -27,7 +27,7 @@ func (e *RejectError) Error() string {
 type Client struct {
 	session uint32
 	tenant  uint32
-	legacy  bool // default-mode session: peers send session 0
+	legacy  bool // default-mode session: peers send unbound frames
 	ctrl    net.Conn
 	r       *wire.Reader
 }
@@ -72,7 +72,7 @@ func (c *Client) Session() uint32 { return c.session }
 
 // WireSession returns the session ID node clients must put in
 // Config.Session: the granted ID, or 0 for a default-mode session whose
-// peers speak the legacy sessionless encoding.
+// peers send unbound (session 0) frames.
 func (c *Client) WireSession() uint32 {
 	if c.legacy {
 		return 0

@@ -8,14 +8,13 @@
 // "multi-tenant aggregation service" step beyond the one-session-per-
 // deployment runtimes of the flat star and the aggregation tree.
 //
-// The protocol is wire v5. A client opens a control connection and sends
-// SessionOpen (tenant, rule shape, trials, seed, sketch mode); the
-// service admits it — or rejects it with a typed reason when quotas or
-// shape validation fail — and answers SessionAccept carrying the session
-// ID. Node clients then connect exactly as they would to a solo referee,
-// with every frame bound to that session by the v5 session suffix; a
-// session-0 peer (codec v3/v4) routes to the designated default session,
-// so pre-session peers interoperate unchanged. When the session decides,
+// A client opens a control connection and sends SessionOpen (tenant, rule
+// shape, trials, seed, sketch mode); the service admits it — or rejects it
+// with a typed reason when quotas or shape validation fail — and answers
+// SessionAccept carrying the session ID. Node clients then connect exactly
+// as they would to a solo referee, with every frame bound to that session
+// by the frame's session field; an unbound (session 0) peer routes to the
+// designated default session. When the session decides,
 // the service streams a SessionReport back on the control connection and
 // broadcasts the verdict to the session's peers, then reclaims all
 // per-session state.
@@ -140,7 +139,7 @@ type Service struct {
 	sessions    map[uint32]*session // by session ID
 	slots       []*session          // by slot index; nil = free
 	tenantUse   map[uint32]int      // tenant → in-flight vote budget used
-	defaultSess *session            // serves session-0 (legacy v3/v4) peers
+	defaultSess *session            // serves unbound (session 0) peers
 	nextID      uint32
 	closed      bool
 	l           net.Listener
@@ -403,8 +402,8 @@ func (s *Service) allocID() uint32 {
 
 // servePeer drains one node/aggregator connection into its session's
 // frame queue. The first frame (Hello or AggHello) fixes both the
-// session — by its v5 suffix, or the default session for session-0
-// legacy peers — and the peer identity; every subsequent frame must
+// session — by its session field, or the default session for unbound
+// (session 0) peers — and the peer identity; every subsequent frame must
 // carry the same session.
 func (s *Service) servePeer(conn net.Conn, r *wire.Reader, first []byte) {
 	sessID := wire.SessionOf(first)

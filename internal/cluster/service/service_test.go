@@ -146,16 +146,15 @@ func TestConcurrentSessionsMatchSolo(t *testing.T) {
 	}
 }
 
-// TestLegacyPeersViaDefaultSession pins v3/v4 interop: node clients that
-// speak the sessionless encoding (Config.Session = 0, frames
-// byte-identical to wire v4) are served by the designated default
-// session.
+// TestLegacyPeersViaDefaultSession pins the default session: node clients
+// that send unbound frames (Config.Session = 0), per vote or batched, are
+// served by the designated default session.
 func TestLegacyPeersViaDefaultSession(t *testing.T) {
 	nw := thresholdNetwork(t, 64, 40)
 	d := dist.NewTwoBump(64, 1.0, 5)
 	for _, cfg := range []cluster.Config{
-		{Trials: 8, BaseSeed: 6},            // per-vote frames, the v3 shape
-		{Trials: 8, BaseSeed: 6, Batch: 16}, // batched frames, the v4 shape
+		{Trials: 8, BaseSeed: 6},            // per-vote frames
+		{Trials: 8, BaseSeed: 6, Batch: 16}, // batched frames
 	} {
 		_, dial := startService(t, service.Config{})
 		rep, err := service.Submit(dial, cfg, nw, d, nil, 9, true)
@@ -463,12 +462,14 @@ func TestViolationEndsPeerOnBothPaths(t *testing.T) {
 		add(&wire.Vote{Trial: 0, Node: 0, Reject: true})
 		add(&wire.Vote{Trial: 1, Node: 0})
 		if undecodable {
+			start := len(buf)
 			add(&wire.Vote{Trial: 2, Node: 0})
-			flag := len(buf) - 1 // the vote's reject flag, before any session suffix
-			if session != 0 {
-				flag -= 4
+			buf[len(buf)-1-4] = 2 // the vote's reject flag, before the session field
+			// Past the length prefix, the body must fail as a codec error on
+			// both paths, not as a wrong-session violation.
+			if _, _, _, err := wire.DecodeBodySession(buf[start+4:], nil); !errors.Is(err, wire.ErrFrameSize) {
+				t.Fatalf("corrupted vote decodes with %v, want ErrFrameSize", err)
 			}
-			buf[flag] = 2
 		} else {
 			add(&wire.Vote{Trial: 2, Node: 1})
 		}

@@ -19,7 +19,7 @@ type session struct {
 	slot      int    // metric-label slot in [0, MaxSessions)
 	tenant    uint32
 	cost      int  // k×trials charged against the tenant budget
-	isDefault bool // serves legacy session-0 peers
+	isDefault bool // serves unbound (session 0) peers
 
 	rf      *cluster.Referee
 	ctrl    net.Conn // the opener's control connection; receives the SessionReport

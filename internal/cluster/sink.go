@@ -205,9 +205,9 @@ func (s *voteSink) handle(conn net.Conn, end time.Time) {
 		}
 		f, tc, sess, err := wire.DecodeBodySession(body, &sc)
 		if err != nil || sess != s.cfg.Session {
-			// A codec error, or a frame bound to another session (or a bare
-			// legacy frame on a session-bound sink): terminate the transport
-			// so the peer's votes cannot leak across sessions.
+			// A codec error, or a frame bound to another session (or an
+			// unbound frame on a session-bound sink): terminate the
+			// transport so the peer's votes cannot leak across sessions.
 			s.countBadFrame(0)
 			conn.Close()
 			return
@@ -223,8 +223,6 @@ func (s *voteSink) handle(conn net.Conn, end time.Time) {
 			t0 = time.Now()                             //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
 		}
 		// Wire bytes as received: the frame body plus the length prefix.
-		// (EncodedSizeTraced would re-encode raw and misreport compressed
-		// batches.)
 		n := len(body) + 4
 		frameBytes.Observe(int64(n))
 		peerRecv.Inc()

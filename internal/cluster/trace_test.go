@@ -230,11 +230,11 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// TestUntracedFramesStayVersion1 pins backward compatibility end to end: a
-// session without a tracer must put only version-1 frames on the wire (the
-// pre-trace protocol), which the differential tests then decode — so this
-// just asserts the byte accounting matches the untraced frame sizes.
-func TestUntracedFramesStayVersion1(t *testing.T) {
+// TestTracingAddsOnlyContextBytes pins the byte accounting of the one
+// frame layout end to end: an untraced unbound session moves exactly the
+// session-0 frame sizes, and a traced run adds exactly the 16-byte trace
+// context to each vote frame and changes no verdict.
+func TestTracingAddsOnlyContextBytes(t *testing.T) {
 	nw := andNetwork(t, 64, 8)
 	d := dist.NewUniform(64)
 	cfg := Config{Trials: 4, BaseSeed: 5}
@@ -242,8 +242,8 @@ func TestUntracedFramesStayVersion1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Per node: Hello(18) + 4 votes(15 each) + Done(10) = 88 bytes.
-	wantPerNode := int64(18 + 4*15 + 10)
+	// Per node: Hello(22) + 4 votes(19 each) + Done(14) = 112 bytes.
+	wantPerNode := int64(22 + 4*19 + 14)
 	if rep.Stats.Bytes != wantPerNode*int64(nw.K()) {
 		t.Fatalf("untraced session moved %d bytes, want %d", rep.Stats.Bytes, wantPerNode*int64(nw.K()))
 	}

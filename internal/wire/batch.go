@@ -21,9 +21,10 @@
 // decoder enforces minimal varints, zero trailing bitset bits, zero spare
 // flag bits and exact payload length, so the raw encoding is bijective:
 // every decodable batch re-encodes to the identical bytes, the property
-// FuzzVoteBatchRoundTrip pins. The compressed form (TypeVoteBatchZ,
-// compress.go) wraps this same payload and is only emitted when it is
-// strictly smaller.
+// FuzzVoteBatchRoundTrip and FuzzWireRoundTrip pin. The compressed form
+// (TypeVoteBatchZ, compress.go) wraps this same payload and is only
+// emitted when it is strictly smaller. Both are established types: their
+// frames carry the session field like any other (wire.go).
 package wire
 
 import (
@@ -67,7 +68,7 @@ type VoteBatch struct {
 }
 
 // Type implements Frame. A VoteBatch always identifies as TypeVoteBatch;
-// the compressed type byte is an encoding detail chosen at Append time.
+// the compressed type byte is an encoding detail the BatchEncoder chooses.
 func (VoteBatch) Type() byte { return TypeVoteBatch }
 
 // colVal returns column c of a batch tuple, in payload order: trial,
@@ -168,9 +169,6 @@ func decodeColumn[T uint32 | uint64](p []byte, off int, col []T, max uint64) (in
 	return off, nil
 }
 
-// payloadSize measures an encoding; only the EncodedSize functions call it.
-func (b VoteBatch) payloadSize() int { return len(b.appendPayload(nil)) }
-
 func (b VoteBatch) appendPayload(dst []byte) []byte {
 	flags := byte(0)
 	if b.Sketch {
@@ -201,7 +199,7 @@ func (b VoteBatch) appendPayload(dst []byte) []byte {
 }
 
 // decodePayload parses a raw batch payload, decoding its delta columns
-// into sc's column scratch (nil allocates) and then every row in one pass.
+// into sc's column scratch and then every row in one pass.
 func (b *VoteBatch) decodePayload(p []byte, sc *DecodeScratch) error {
 	if len(p) < 2 {
 		return fmt.Errorf("%w: %d-byte batch payload", ErrFrameSize, len(p))
@@ -294,18 +292,10 @@ type BatchEncoder struct {
 	verify []byte
 }
 
-// Append is AppendSession for session 0: the frame encodes at
-// BatchVersion.
-func (e *BatchEncoder) Append(dst []byte, b *VoteBatch, tc TraceContext, compress bool) ([]byte, error) {
-	return e.AppendSession(dst, b, 0, tc, compress)
-}
-
 // AppendSession appends b's wire encoding bound to session and carrying tc
-// to dst: at BatchVersion for session 0, else at SessionVersion with the
-// session suffix. With compress set, payloads of at least
-// MinCompressibleSize bytes are block-compressed when that saves wire
-// bytes; smaller or incompressible payloads encode raw. On error dst is
-// returned unchanged.
+// to dst. With compress set, payloads of at least MinCompressibleSize
+// bytes are block-compressed when that saves wire bytes; smaller or
+// incompressible payloads encode raw. On error dst is returned unchanged.
 func (e *BatchEncoder) AppendSession(dst []byte, b *VoteBatch, session uint32, tc TraceContext, compress bool) ([]byte, error) {
 	if len(b.Votes) == 0 {
 		return dst, fmt.Errorf("wire: empty vote batch")
@@ -318,21 +308,20 @@ func (e *BatchEncoder) AppendSession(dst []byte, b *VoteBatch, session uint32, t
 	}
 	e.raw = b.appendPayload(e.raw[:0])
 	size := len(e.raw)
-	if err := checkPayload(TypeVoteBatch, size, session); err != nil {
+	if err := checkBody(TypeVoteBatch, 2+size+sessionBytes); err != nil { // header, payload, session field
 		return dst, err
 	}
-	version := frameVersion(TypeVoteBatch, session, tc)
 	if size >= MinCompressibleSize {
 		if comp := CompressBlock(e.raw, e.comp[:0]); comp != nil {
 			e.comp = comp
 			if uvarintLen(uint64(size))+len(comp) < size && e.roundTrips(comp, size) {
-				return appendFrame(dst, version, TypeVoteBatchZ, func(d []byte) []byte {
+				return appendFrame(dst, TypeVoteBatchZ, func(d []byte) []byte {
 					return append(binary.AppendUvarint(d, uint64(size)), comp...)
 				}, session, tc), nil
 			}
 		}
 	}
-	return appendFrame(dst, version, TypeVoteBatch, func(d []byte) []byte {
+	return appendFrame(dst, TypeVoteBatch, func(d []byte) []byte {
 		return append(d, e.raw...)
 	}, session, tc), nil
 }
@@ -353,48 +342,50 @@ func (e *BatchEncoder) roundTrips(comp []byte, rawLen int) bool {
 	return true
 }
 
-// AppendBatch is the convenience form of BatchEncoder.Append with
-// throwaway scratch.
-func AppendBatch(dst []byte, b *VoteBatch, tc TraceContext, compress bool) ([]byte, error) {
-	var e BatchEncoder
-	return e.Append(dst, b, tc, compress)
+// decodeBatch parses a raw (TypeVoteBatch) or compressed (TypeVoteBatchZ)
+// batch payload into sc.batch.
+func (sc *DecodeScratch) decodeBatch(t byte, p []byte) error {
+	vb := &sc.batch
+	vb.Compressed, vb.Saved = false, 0
+	if t == TypeVoteBatchZ {
+		raw, err := sc.decompress(p)
+		if err != nil {
+			return err
+		}
+		vb.Compressed, vb.Saved = true, len(raw)-len(p)
+		p = raw
+	}
+	return vb.decodePayload(p, sc)
 }
 
-// decodeZPayload parses a TypeVoteBatchZ payload — uvarint raw length
-// followed by the compressed block — and returns the decompressed raw
-// batch payload plus the wire bytes the compression saved. Canonicality
-// checks: the raw length must be in the compressible range and the
-// compressed payload strictly smaller than it (our encoder never emits
-// anything else).
-func decodeZPayload(payload []byte, sc *DecodeScratch) ([]byte, int, error) {
+// decompress parses a TypeVoteBatchZ payload — uvarint raw length followed
+// by the compressed block — into sc.zbuf and returns the raw batch
+// payload. Canonicality checks: the raw length must be in the
+// compressible range and the compressed payload strictly smaller than it
+// (our encoder never emits anything else).
+func (sc *DecodeScratch) decompress(payload []byte) ([]byte, error) {
 	rawLen64, off, err := readUvarint(payload, 0)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	rawLen := int(rawLen64)
-	if rawLen64 < MinCompressibleSize || rawLen64 > maxPayloadBytes {
-		return nil, 0, fmt.Errorf("%w: compressed batch raw length %d", ErrFrameSize, rawLen64)
+	if rawLen64 < MinCompressibleSize || rawLen64 > maxBodyBytes {
+		return nil, fmt.Errorf("%w: compressed batch raw length %d", ErrFrameSize, rawLen64)
 	}
 	if len(payload) >= rawLen {
-		return nil, 0, fmt.Errorf("%w: compressed batch (%d bytes) not smaller than raw (%d)",
+		return nil, fmt.Errorf("%w: compressed batch (%d bytes) not smaller than raw (%d)",
 			ErrFrameSize, len(payload), rawLen)
 	}
-	var buf []byte
-	if sc != nil {
-		buf = sc.zbuf[:0]
-	} else {
-		buf = make([]byte, 0, rawLen)
-	}
-	out, err := DecompressBlock(payload[off:], buf, rawLen)
-	if sc != nil && cap(out) > cap(sc.zbuf) {
+	out, err := DecompressBlock(payload[off:], sc.zbuf[:0], rawLen)
+	if cap(out) > cap(sc.zbuf) {
 		sc.zbuf = out
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if len(out) != rawLen {
-		return nil, 0, fmt.Errorf("%w: compressed batch decompressed to %d bytes, want %d",
+		return nil, fmt.Errorf("%w: compressed batch decompressed to %d bytes, want %d",
 			ErrFrameSize, len(out), rawLen)
 	}
-	return out, rawLen - len(payload), nil
+	return out, nil
 }

@@ -71,19 +71,10 @@ func TestVoteBatchRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, ctx := range []TraceContext{{}, tc} {
-			buf := AppendTraced(nil, c.batch, ctx)
-			if len(buf) != EncodedSizeTraced(c.batch, ctx) {
-				t.Errorf("%s: encoded %d bytes, EncodedSizeTraced says %d", c.name, len(buf), EncodedSizeTraced(c.batch, ctx))
-			}
-			if buf[4] != BatchVersion {
-				t.Errorf("%s: stamped version %d, want %d", c.name, buf[4], BatchVersion)
-			}
-			got, gotTC, n, err := DecodeTraced(buf)
-			if err != nil {
-				t.Fatalf("%s: decode: %v", c.name, err)
-			}
-			if n != len(buf) || gotTC != ctx {
-				t.Errorf("%s: consumed %d of %d bytes, tc %+v want %+v", c.name, n, len(buf), gotTC, ctx)
+			buf := AppendSession(nil, c.batch, 0, ctx)
+			got, gotTC, _ := decodeFrame(t, buf)
+			if gotTC != ctx {
+				t.Errorf("%s: tc %+v want %+v", c.name, gotTC, ctx)
 			}
 			vb, ok := got.(*VoteBatch)
 			if !ok {
@@ -96,7 +87,7 @@ func TestVoteBatchRoundTrip(t *testing.T) {
 				t.Errorf("%s: round trip mismatch", c.name)
 			}
 			// Bijectivity: re-encoding the decoded batch reproduces the bytes.
-			if !bytes.Equal(AppendTraced(nil, vb, ctx), buf) {
+			if !bytes.Equal(AppendSession(nil, vb, 0, ctx), buf) {
 				t.Errorf("%s: re-encode is not byte-identical", c.name)
 			}
 		}
@@ -105,36 +96,41 @@ func TestVoteBatchRoundTrip(t *testing.T) {
 
 // TestVoteBatchDenseEncoding pins the point of delta encoding: the typical
 // shape (one node, trials in order) costs ~2 bytes per vote, far below the
-// 15-byte v1 single-vote frame.
+// 19-byte single-vote frame.
 func TestVoteBatchDenseEncoding(t *testing.T) {
 	b := &VoteBatch{Votes: seqVotes(1234, 1000, false)}
-	if got, limit := b.payloadSize(), 3*len(b.Votes); got > limit {
+	if got, limit := len(b.appendPayload(nil)), 3*len(b.Votes); got > limit {
 		t.Fatalf("sequential batch payload %d bytes for %d votes, want ≤ %d", got, len(b.Votes), limit)
 	}
 }
 
 func TestVoteBatchCaps(t *testing.T) {
+	var e BatchEncoder
 	over := &VoteBatch{Votes: make([]BatchVote, MaxBatchVotes+1)}
-	if _, err := AppendBatch(nil, over, TraceContext{}, false); !errors.Is(err, ErrOversize) {
+	if _, err := e.AppendSession(nil, over, 0, TraceContext{}, false); !errors.Is(err, ErrOversize) {
 		t.Fatalf("oversize batch: err = %v, want ErrOversize", err)
 	}
-	if _, err := AppendBatch(nil, &VoteBatch{}, TraceContext{}, false); err == nil {
+	if _, err := e.AppendSession(nil, &VoteBatch{}, 0, TraceContext{}, false); err == nil {
 		t.Fatal("empty batch: want error")
 	}
 	// A frame declaring more votes than MaxBatchVotes is rejected at decode.
-	buf := Append(nil, &VoteBatch{Votes: seqVotes(0, 1, false)})
-	// payload starts at byte 6: flags, then the count varint (1 → one byte).
-	buf[7] = 0x81 // still one tuple encoded, but count now claims 129 …
-	if _, _, err := Decode(buf); err == nil {
+	body := AppendSession(nil, &VoteBatch{Votes: seqVotes(0, 1, false)}, 0, TraceContext{})[4:]
+	// payload starts at byte 2: flags, then the count varint (1 → one byte).
+	body[3] = 0x81 // still one tuple encoded, but count now claims 129 …
+	if _, _, _, err := DecodeBodySession(body, nil); err == nil {
 		t.Fatal("corrupt count accepted")
 	}
 }
 
 func TestVoteBatchRejectsNonCanonical(t *testing.T) {
-	enc := func(b *VoteBatch) []byte { return Append(nil, b) }
-	mut := func(name string, raw []byte, wantErr error) {
+	// frame builds an unbound batch body around a payload: flags, count,
+	// trial column, node column, bitset.
+	frame := func(payload ...byte) []byte {
+		return append(append([]byte{Version, TypeVoteBatch}, payload...), 0, 0, 0, 0)
+	}
+	mut := func(name string, body []byte, wantErr error) {
 		t.Helper()
-		_, _, err := Decode(raw)
+		_, _, _, err := DecodeBodySession(body, nil)
 		if wantErr != nil && !errors.Is(err, wantErr) {
 			t.Errorf("%s: err = %v, want %v", name, err, wantErr)
 		}
@@ -142,22 +138,21 @@ func TestVoteBatchRejectsNonCanonical(t *testing.T) {
 			t.Errorf("%s: corrupt batch accepted", name)
 		}
 	}
+	payload := func() []byte { return (&VoteBatch{Votes: seqVotes(0, 9, false)}).appendPayload(nil) }
 
 	// Spare flag bits must be zero.
-	raw := enc(&VoteBatch{Votes: seqVotes(0, 9, false)})
-	raw[6] |= 2
-	mut("spare flags", raw, ErrFrameSize)
+	p := payload()
+	p[0] |= 2
+	mut("spare flags", frame(p...), ErrFrameSize)
 
 	// Trailing bits of the reject bitset must be zero (9 votes → 2 bitset
 	// bytes, 7 spare bits in the last one).
-	raw = enc(&VoteBatch{Votes: seqVotes(0, 9, false)})
-	raw[len(raw)-1] |= 0x80
-	mut("trailing bitset bits", raw, ErrFrameSize)
+	p = payload()
+	p[len(p)-1] |= 0x80
+	mut("trailing bitset bits", frame(p...), ErrFrameSize)
 
-	// Hand-built payloads: flags, count, trial column, node column, bitset.
-	frame := func(payload ...byte) []byte {
-		return append([]byte{0, 0, 0, byte(2 + len(payload)), BatchVersion, TypeVoteBatch}, payload...)
-	}
+	mut("empty batch", frame(0, 0), ErrFrameSize)
+	mut("count over MaxBatchVotes", frame(0, 0x81, 0x20 /* 4097 */), ErrOversize)
 	mut("non-minimal count", frame(0, 0x81, 0x00, 5, 6, 0), ErrFrameSize)
 	mut("non-minimal column value", frame(0, 1, 0x80, 0x00, 6, 0), ErrFrameSize)
 	mut("delta below 0", frame(0, 2, 5, 11 /* -6 */, 6, 0, 0), ErrFrameSize)
@@ -166,39 +161,23 @@ func TestVoteBatchRejectsNonCanonical(t *testing.T) {
 	mut("column cut inside a varint", frame(0, 2, 5, 0x80), ErrFrameSize)
 
 	// Truncated and padded payloads.
-	raw = enc(&VoteBatch{Votes: seqVotes(0, 9, false)})
-	short := append([]byte(nil), raw[:len(raw)-1]...)
-	putLen(short)
-	mut("truncated", short, nil)
-	long := append(append([]byte(nil), raw...), 0)
-	putLen(long)
-	mut("trailing bytes", long, ErrFrameSize)
-}
-
-// putLen rewrites the 4-byte prefix to match the buffer.
-func putLen(b []byte) {
-	n := len(b) - 4
-	b[0], b[1], b[2], b[3] = 0, 0, byte(n>>8), byte(n)
+	p = payload()
+	mut("truncated", frame(p[:len(p)-1]...), nil)
+	mut("trailing bytes", frame(append(p, 0)...), ErrFrameSize)
 }
 
 func TestVoteBatchCompressedRoundTrip(t *testing.T) {
 	tc := TraceContext{Trace: 9, Span: 4}
 	b := &VoteBatch{Votes: seqVotes(7, 512, false)}
-	buf, err := AppendBatch(nil, b, tc, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := encodeFrame(t, b, 0, tc, true)
 	if typ := buf[5] &^ 0x80; typ != TypeVoteBatchZ {
 		t.Fatalf("compressible batch encoded as %s, want votebatchz", TypeName(typ))
 	}
-	rawSize := len(AppendTraced(nil, b, tc))
+	rawSize := len(AppendSession(nil, b, 0, tc))
 	if len(buf) >= rawSize {
 		t.Fatalf("compressed frame %d bytes ≥ raw %d", len(buf), rawSize)
 	}
-	got, gotTC, _, err := DecodeTraced(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, gotTC, _ := decodeFrame(t, buf)
 	vb := got.(*VoteBatch)
 	if gotTC != tc || !vb.Compressed || vb.Saved != rawSize-len(buf) {
 		t.Fatalf("decode: tc %+v, compressed %v, saved %d (want %d)", gotTC, vb.Compressed, vb.Saved, rawSize-len(buf))
@@ -209,22 +188,16 @@ func TestVoteBatchCompressedRoundTrip(t *testing.T) {
 
 	// Incompressible content falls back to the raw frame.
 	adv := &VoteBatch{Sketch: true, Votes: advVotes(3, 200, true)}
-	buf, err = AppendBatch(nil, adv, TraceContext{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf = encodeFrame(t, adv, 0, TraceContext{}, true)
 	if typ := buf[5] &^ 0x80; typ != TypeVoteBatch {
 		t.Fatalf("adversarial batch encoded as %s, want raw votebatch", TypeName(typ))
 	}
 	// Sub-threshold batches stay raw even when compressible.
 	tiny := &VoteBatch{Votes: seqVotes(0, 8, false)}
-	if tiny.payloadSize() >= MinCompressibleSize {
-		t.Fatalf("test batch not sub-threshold: %d bytes", tiny.payloadSize())
+	if n := len(tiny.appendPayload(nil)); n >= MinCompressibleSize {
+		t.Fatalf("test batch not sub-threshold: %d bytes", n)
 	}
-	buf, err = AppendBatch(nil, tiny, TraceContext{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf = encodeFrame(t, tiny, 0, TraceContext{}, true)
 	if typ := buf[5] &^ 0x80; typ != TypeVoteBatch {
 		t.Fatalf("sub-threshold batch encoded as %s, want raw votebatch", TypeName(typ))
 	}
@@ -238,23 +211,20 @@ func TestDecodeScratchReuse(t *testing.T) {
 	plain := &VoteBatch{Votes: seqVotes(2, 17, false)}
 	vote := &Vote{Trial: 5, Node: 2, Reject: true}
 	zbatch := &VoteBatch{Votes: seqVotes(9, 300, false)}
-	zbuf, err := AppendBatch(nil, zbatch, TraceContext{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := func(f Frame) []byte { return AppendSession(nil, f, 0, TraceContext{}) }
 
 	steps := []struct {
 		raw  []byte
 		want Frame
 	}{
-		{Append(nil, sketch), sketch},
-		{Append(nil, plain), plain},
-		{Append(nil, vote), vote},
-		{zbuf, zbatch},
-		{Append(nil, sketch), sketch},
+		{enc(sketch), sketch},
+		{enc(plain), plain},
+		{enc(vote), vote},
+		{encodeFrame(t, zbatch, 0, TraceContext{}, true), zbatch},
+		{enc(sketch), sketch},
 	}
 	for i, s := range steps {
-		f, _, err := DecodeBodyScratch(s.raw[4:], &sc)
+		f, _, _, err := DecodeBodySession(s.raw[4:], &sc)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -277,14 +247,11 @@ func TestDecodeScratchReuse(t *testing.T) {
 // single frames and batches, raw and compressed — allocates nothing.
 func TestSteadyStateDecodeAllocs(t *testing.T) {
 	var stream []byte
-	stream = Append(stream, &Vote{Trial: 1, Node: 2, Reject: true})
-	stream = AppendTraced(stream, &Vote{Trial: 2, Node: 2}, TraceContext{Trace: 3, Span: 4})
-	stream = Append(stream, &Sketch{Trial: 3, Node: 2, Samples: 9, Collisions: 1})
-	stream = Append(stream, &VoteBatch{Votes: seqVotes(2, 200, false)})
-	var err error
-	if stream, err = AppendBatch(stream, &VoteBatch{Votes: seqVotes(2, 300, false)}, TraceContext{}, true); err != nil {
-		t.Fatal(err)
-	}
+	stream = AppendSession(stream, &Vote{Trial: 1, Node: 2, Reject: true}, 0, TraceContext{})
+	stream = AppendSession(stream, &Vote{Trial: 2, Node: 2}, 5, TraceContext{Trace: 3, Span: 4})
+	stream = AppendSession(stream, &Sketch{Trial: 3, Node: 2, Samples: 9, Collisions: 1}, 0, TraceContext{})
+	stream = AppendSession(stream, &VoteBatch{Votes: seqVotes(2, 200, false)}, 0, TraceContext{})
+	stream = append(stream, encodeFrame(t, &VoteBatch{Votes: seqVotes(2, 300, false)}, 0, TraceContext{}, true)...)
 
 	br := bytes.NewReader(stream)
 	r := NewReader(br)
@@ -299,7 +266,7 @@ func TestSteadyStateDecodeAllocs(t *testing.T) {
 				}
 				t.Fatalf("read: %v", err)
 			}
-			if _, _, err := DecodeBodyScratch(body, &sc); err != nil {
+			if _, _, _, err := DecodeBodySession(body, &sc); err != nil {
 				t.Fatalf("decode: %v", err)
 			}
 		}

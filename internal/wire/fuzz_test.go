@@ -8,155 +8,214 @@ import (
 	"testing"
 )
 
-// FuzzWireRoundTrip drives the codec from both ends. Structured inputs
-// build one frame of every type from the fuzzed fields and assert the
-// encode→decode round trip is lossless through both Decode and Reader;
-// the raw tail bytes are then decoded as-is to assert adversarial input
-// never panics and only ever fails with the codec's typed errors —
-// truncated, oversized, bad-version, unknown-type and mis-sized frames
-// all degrade to errors, exactly as a referee facing a hostile peer
-// requires.
+// FuzzWireRoundTrip drives the framing from both ends on every frame type,
+// bound to session 0 and to a fuzzed session, traced and untraced.
+// Structured inputs build one frame of each type from the fuzzed fields
+// and assert that encode→decode is lossless with decode∘encode the
+// identity, that the routing peeks agree with the decode, that every frame
+// fits its FrameCap, and that the concatenated frames read back in order
+// through a Reader. The raw bytes are then read as a frame stream and
+// framed as bodies of assorted type bytes: each body must decode
+// canonically or fail with one of the codec's typed errors — truncated,
+// oversized, bad-version, unknown-type, mis-sized and bad-context frames
+// all degrade to errors, never panics, exactly as a referee facing a
+// hostile peer requires.
 func FuzzWireRoundTrip(f *testing.F) {
-	f.Add(uint32(0), uint32(0), uint32(0), uint32(0), false, []byte{})
-	f.Add(uint32(7), uint32(2000), uint32(60), uint32(3), true, Append(nil, &Vote{Trial: 1, Node: 2, Reject: true}))
-	f.Add(uint32(1<<31), uint32(1), uint32(1<<20), uint32(9), false, []byte{0, 0, 0, 200, 1, 2})
-	f.Add(uint32(3), uint32(4), uint32(5), uint32(6), true, []byte{0, 0, 0, 2, 2, 2})
-	f.Add(uint32(0), uint32(1), uint32(2), uint32(3), false, []byte{0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, a, b, c, d uint32, flag bool, raw []byte) {
-		frames := []Frame{
-			&Hello{Node: a, K: b, Trials: c},
-			&Vote{Trial: a, Node: b, Reject: flag},
-			&Sketch{Trial: a, Node: b, Samples: c, Collisions: d},
-			&Done{Node: d},
-			&Verdict{Trials: a, Accepts: b, Missing: c},
+	f.Add(uint32(0), uint32(0), uint32(0), uint64(0), uint16(0), false, []byte{})
+	f.Add(uint32(7), uint32(2000), uint32(60), uint64(3), uint16(64), true,
+		AppendSession(nil, &Vote{Trial: 1, Node: 2, Reject: true}, 0, TraceContext{}))
+	f.Add(uint32(1<<31), uint32(1), uint32(1<<20), uint64(9), uint16(100), false, []byte{0, 0, 0, 200, 1, 2})
+	f.Add(uint32(3), uint32(4), uint32(5), uint64(6), uint16(4095), true, []byte{0, 0, 0, 2, 2, 2})
+	f.Add(uint32(0), uint32(1), uint32(2), uint64(1<<40), uint16(7), false, []byte{0xff, 0xff, 0xff, 0xff})
+	// The session-frame seeds, then batch and AggHello body tails.
+	f.Add(uint32(0), uint32(0), uint32(0), uint64(0), uint16(1), false, []byte{})
+	f.Add(uint32(7), uint32(3), uint32(3), uint64(9), uint16(64), true, []byte{0, 1, 2})
+	f.Add(uint32(1<<31), uint32(1), uint32(1), uint64(1<<40), uint16(100), false,
+		AppendSession(nil, &Vote{Trial: 1, Node: 2, Reject: true}, 3, TraceContext{})[4:])
+	f.Add(uint32(5), uint32(2), uint32(2), uint64(11), uint16(4096), true, []byte{2, 9, 0, 0, 0, 1, 0, 1})
+	f.Add(uint32(2), uint32(3), uint32(9), uint64(12), uint16(8191), false,
+		AppendSession(nil, &VoteBatch{Votes: []BatchVote{{Trial: 1, Node: 2}}}, 0, TraceContext{})[6:])
+	f.Add(uint32(9), uint32(4), uint32(8), uint64(13), uint16(2047), false,
+		AppendSession(nil, &AggHello{Agg: 1, K: 8, Trials: 4, Lo: 0, Hi: 4}, 0, TraceContext{})[6:])
+	f.Fuzz(func(t *testing.T, sess, a, b uint32, seed uint64, count uint16, flag bool, raw []byte) {
+		report := fuzzReport(sess|1, 1<<31|a, seed, int(count)%MaxReportTrials+1)
+		votes := int(count)%MaxBatchVotes + 1
+		frames := []struct {
+			f        Frame
+			compress bool
+		}{
+			{&Hello{Node: a, K: b, Trials: uint32(count)}, false},
+			{&Vote{Trial: a, Node: b, Reject: flag}, false},
+			{&Sketch{Trial: a, Node: b, Samples: uint32(seed), Collisions: uint32(seed >> 32)}, false},
+			{&Done{Node: a}, false},
+			{&Verdict{Trials: a, Accepts: b, Missing: sess}, false},
+			{&VoteBatch{Sketch: flag, Votes: advVotes(seed, votes, flag)}, false},
+			{&VoteBatch{Sketch: flag, Votes: seqVotes(int(b), votes, flag)}, true},
+			{&AggHello{Agg: a, K: b, Trials: uint32(count), Lo: a >> 1, Hi: a>>1 + 1}, false},
+			{&PartialVerdict{Agg: a, Sketch: flag, Entries: advPartialEntries(seed, int(count)%MaxPartialEntries+1, flag)}, false},
+			{&SessionOpen{Tenant: a, K: b, Trials: uint32(count), Seed: seed,
+				Rule: byte(seed), Thresh: a, Sketch: flag, Default: seed%2 == 0, EarlyClose: seed%3 == 0}, false},
+			{&SessionAccept{Session: sess | 1, Tenant: a}, false},
+			{&SessionReject{Tenant: a, Reason: byte(seed)%rejectReasonMax + 1}, false},
+			{report, false},
 		}
-		// A nonzero trace ID derived from the fuzzed fields; every frame is
-		// exercised both untraced (v1) and traced (v2).
-		tc := TraceContext{Trace: uint64(a)<<32 | uint64(b) | 1, Span: uint64(c)<<32 | uint64(d)}
+		tc := TraceContext{Trace: seed | 1, Span: uint64(a)<<32 | uint64(b)}
+		type sent struct {
+			f       Frame
+			session uint32
+			tc      TraceContext
+		}
 		var stream []byte
+		var want []sent
+		var sc DecodeScratch
 		for _, fr := range frames {
-			enc := Append(nil, fr)
-			if len(enc) != EncodedSize(fr) {
-				t.Fatalf("%T: encoded %d bytes, EncodedSize %d", fr, len(enc), EncodedSize(fr))
+			for _, ctx := range []TraceContext{{}, tc} {
+				for _, session := range []uint32{0, sess | 1} {
+					enc := encodeFrame(t, fr.f, session, ctx, fr.compress)
+					body := enc[headerBytes:]
+					if len(body) > FrameCap(BodyType(body)) {
+						t.Fatalf("%T: frame body %d bytes exceeds its cap", fr.f, len(body))
+					}
+					got, gotTC, gotSess, err := DecodeBodySession(body, &sc)
+					if err != nil {
+						t.Fatalf("%T: decode own encoding (session %d): %v", fr.f, session, err)
+					}
+					if !hasSessionField(fr.f.Type()) {
+						session = 0 // control frames carry no session field
+					}
+					if gotSess != session || gotTC != ctx || !framesEqual(got, fr.f) {
+						t.Fatalf("%T: round trip mismatch (session %d→%d)", fr.f, session, gotSess)
+					}
+					if SessionOf(body) != gotSess || BodyType(body) != sentType(got) {
+						t.Fatalf("%T: peeks (type %d, session %d) disagree with the decode", fr.f, BodyType(body), SessionOf(body))
+					}
+					if re := encodeFrame(t, got, gotSess, gotTC, fr.compress); !bytes.Equal(re, enc) {
+						t.Fatalf("%T: re-encode mismatch: %x vs %x", fr.f, re, enc)
+					}
+					stream = append(stream, enc...)
+					want = append(want, sent{fr.f, session, ctx})
+				}
 			}
-			if len(enc)-4 > MaxFrameBytes {
-				t.Fatalf("%T: frame body %d bytes exceeds MaxFrameBytes", fr, len(enc)-4)
-			}
-			got, n, err := Decode(enc)
-			if err != nil {
-				t.Fatalf("%T: decode own encoding: %v", fr, err)
-			}
-			if n != len(enc) {
-				t.Fatalf("%T: consumed %d of %d", fr, n, len(enc))
-			}
-			if !reflect.DeepEqual(got, fr) {
-				t.Fatalf("round trip: got %#v, want %#v", got, fr)
-			}
-			stream = append(stream, enc...)
-
-			traced := AppendTraced(nil, fr, tc)
-			if len(traced) != EncodedSizeTraced(fr, tc) {
-				t.Fatalf("%T: traced encoded %d bytes, EncodedSizeTraced %d", fr, len(traced), EncodedSizeTraced(fr, tc))
-			}
-			if len(traced)-4 > MaxFrameBytes {
-				t.Fatalf("%T: traced frame body %d bytes exceeds MaxFrameBytes", fr, len(traced)-4)
-			}
-			gotT, gotTC, n, err := DecodeTraced(traced)
-			if err != nil {
-				t.Fatalf("%T: decode own traced encoding: %v", fr, err)
-			}
-			if n != len(traced) || gotTC != tc || !reflect.DeepEqual(gotT, fr) {
-				t.Fatalf("traced round trip: got (%#v, %+v, %d), want (%#v, %+v, %d)", gotT, gotTC, n, fr, tc, len(traced))
-			}
-			stream = append(stream, traced...)
 		}
-		// The same frames concatenated must stream-decode in order,
-		// alternating untraced and traced copies.
 		r := NewReader(bytes.NewReader(stream))
-		for i, want := range frames {
-			got, err := r.ReadFrame()
+		for i, w := range want {
+			body, err := r.ReadBody()
 			if err != nil {
 				t.Fatalf("stream frame %d: %v", i, err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("stream frame %d: got %#v, want %#v", i, got, want)
-			}
-			gotT, gotTC, err := r.ReadFrameTraced()
-			if err != nil {
-				t.Fatalf("stream traced frame %d: %v", i, err)
-			}
-			if !reflect.DeepEqual(gotT, want) || gotTC != tc {
-				t.Fatalf("stream traced frame %d: got (%#v, %+v)", i, gotT, gotTC)
+			got, gotTC, gotSess, err := DecodeBodySession(body, &sc)
+			if err != nil || gotSess != w.session || gotTC != w.tc || !framesEqual(got, w.f) {
+				t.Fatalf("stream frame %d (%T): got (%#v, %+v, session %d, %v)", i, w.f, got, gotTC, gotSess, err)
 			}
 		}
-		if _, err := r.ReadFrame(); err != io.EOF {
+		if _, err := r.ReadBody(); err != io.EOF {
 			t.Fatalf("stream end: err = %v, want io.EOF", err)
 		}
 
-		// Adversarial path: arbitrary bytes must decode to a frame or a
-		// typed codec error, never panic, and consumed bytes must stay in
-		// bounds.
-		checkErr := func(err error) {
-			if err == nil || err == io.EOF {
+		// Adversarial path: the raw bytes as a frame stream, then as bodies
+		// of the established, control, traced and fuzzed type bytes.
+		adversarial := func(body []byte) {
+			fr, ftc, fsess, err := DecodeBodySession(body, &sc)
+			if err != nil {
+				checkCodecErr(t, err)
 				return
 			}
-			for _, known := range []error{ErrTruncated, ErrOversize, ErrVersion, ErrUnknownType, ErrFrameSize, ErrTraceContext, ErrCompression} {
-				if errors.Is(err, known) {
-					return
-				}
-			}
-			t.Fatalf("unexpected error class: %v", err)
-		}
-		fr, ftc, n, err := DecodeTraced(raw)
-		if err == nil {
-			if fr == nil || n < 4 || n > len(raw) {
-				t.Fatalf("Decode(raw) = (%v, %d, nil) on %d bytes", fr, n, len(raw))
-			}
-			// Whatever decoded must re-encode to the exact consumed bytes:
-			// the codec is canonical (untraced frames are always v1, traced
-			// frames always v2 with a nonzero trace ID, raw batches always
-			// bijective v3). The one exception is a compressed batch — any
-			// valid compressor output is accepted, so equality there is
-			// semantic: re-encode raw, decode, same votes.
-			if vb, ok := fr.(*VoteBatch); ok && vb.Compressed {
-				re := AppendTraced(nil, vb, ftc)
-				f2, tc2, _, err := DecodeTraced(re)
-				if err != nil || tc2 != ftc {
-					t.Fatalf("compressed batch re-encode decode: %v", err)
-				}
-				vb2 := f2.(*VoteBatch)
-				if vb2.Sketch != vb.Sketch || !reflect.DeepEqual(vb2.Votes, vb.Votes) {
-					t.Fatal("compressed batch re-encode lost votes")
-				}
-			} else if re := AppendTraced(nil, fr, ftc); !bytes.Equal(re, raw[:n]) {
-				t.Fatalf("re-encode mismatch: %x vs %x", re, raw[:n])
-			}
-		} else {
-			checkErr(err)
+			checkCanonical(t, body, fr, ftc, fsess)
 		}
 		rr := NewReader(bytes.NewReader(raw))
 		for {
-			_, err := rr.ReadFrame()
+			body, err := rr.ReadBody()
 			if err != nil {
-				checkErr(err)
+				checkCodecErr(t, err)
 				break
 			}
+			adversarial(body)
+		}
+		for _, typ := range []byte{TypeHello, TypeVote, TypeVote | traceFlag, TypeVoteBatch, TypeVoteBatchZ,
+			TypeVoteBatch | traceFlag, TypeAggHello, TypePartialVerdict, TypePartialVerdict | traceFlag,
+			TypeSessionOpen, TypeSessionReport, TypeSessionReport | traceFlag, byte(seed)} {
+			body := append([]byte{Version, typ}, raw...)
+			if len(body) > MaxBatchFrameBytes {
+				body = body[:MaxBatchFrameBytes]
+			}
+			adversarial(body)
 		}
 	})
 }
 
-// FuzzVoteBatchRoundTrip drives the batch codec from both ends: fuzzed
-// batches (typical and adversarial shapes, raw and compressed, traced and
-// untraced) must round-trip losslessly with decode→re-encode byte equality
-// for raw frames; fuzzed raw bytes framed as batch payloads must decode or
-// fail with typed errors — never panic — with the count and size caps
-// enforced.
+// fuzzReport builds a valid n-trial report for session and k from a
+// seed: each trial's votes, rejects ≤ votes and missing ≤ k − votes
+// spread across their ranges. The moduli are taken in 64 bits so k =
+// MaxUint32 does not wrap them to zero.
+func fuzzReport(session, k uint32, seed uint64, n int) *SessionReport {
+	r := &SessionReport{Session: session, K: k,
+		Verdicts: make([]bool, n), Rejects: make([]uint32, n),
+		Votes: make([]uint32, n), Missing: make([]uint32, n)}
+	s := seed
+	for i := 0; i < n; i++ {
+		s = s*6364136223846793005 + 1442695040888963407
+		r.Votes[i] = uint32(uint64(uint32(s)) % (uint64(k) + 1))
+		r.Rejects[i] = uint32(s>>16) % (r.Votes[i] + 1)
+		r.Missing[i] = uint32(uint64(uint32(s>>32)) % (uint64(k-r.Votes[i]) + 1))
+		r.Verdicts[i] = s>>63 == 1
+	}
+	return r
+}
+
+// checkCodecErr fails t unless err is io.EOF or one of the codec's typed
+// errors.
+func checkCodecErr(t *testing.T, err error) {
+	t.Helper()
+	for _, known := range []error{io.EOF, ErrTruncated, ErrOversize, ErrVersion, ErrUnknownType,
+		ErrFrameSize, ErrTraceContext, ErrSession, ErrCompression} {
+		if errors.Is(err, known) {
+			return
+		}
+	}
+	t.Fatalf("unexpected error class: %v", err)
+}
+
+// checkCanonical asserts that a decoded body holds a count its encoder
+// accepts and re-encodes to exactly its bytes. A compressed batch is the
+// one exception to byte equality — the decoder accepts any valid
+// compressor output — so there equality is semantic: its raw re-encoding
+// decodes to the same votes.
+func checkCanonical(t *testing.T, body []byte, f Frame, tc TraceContext, session uint32) {
+	t.Helper()
+	switch v := f.(type) {
+	case *VoteBatch:
+		if len(v.Votes) == 0 || len(v.Votes) > MaxBatchVotes {
+			t.Fatalf("decoded batch with %d votes", len(v.Votes))
+		}
+	case *PartialVerdict:
+		if len(v.Entries) == 0 || len(v.Entries) > MaxPartialEntries {
+			t.Fatalf("decoded partial verdict with %d entries", len(v.Entries))
+		}
+	}
+	re := AppendSession(nil, f, session, tc)[headerBytes:]
+	if vb, ok := f.(*VoteBatch); ok && vb.Compressed {
+		got, gotTC, gotSess, err := DecodeBodySession(re, nil)
+		if err != nil || gotTC != tc || gotSess != session || !framesEqual(got, vb) {
+			t.Fatalf("compressed batch re-encode: %v", err)
+		}
+		return
+	}
+	if !bytes.Equal(re, body) {
+		t.Fatalf("%s body not canonical: %x vs %x", TypeName(BodyType(body)), re, body)
+	}
+}
+
+// FuzzVoteBatchRoundTrip drives the batch encoder: fuzzed batches
+// (typical and adversarial shapes, raw and compressed, traced and
+// untraced) must round-trip losslessly, with decode→re-encode byte
+// equality for raw frames and the vote-count cap enforced. Raw bytes
+// framed as batch bodies are FuzzWireRoundTrip's job.
 func FuzzVoteBatchRoundTrip(f *testing.F) {
-	f.Add(uint16(1), uint32(0), uint64(0), false, false, []byte{})
-	f.Add(uint16(100), uint32(42), uint64(7), false, true, []byte{0, 1, 2})
-	f.Add(uint16(64), uint32(3), uint64(9), true, true, Append(nil, &VoteBatch{Votes: []BatchVote{{Trial: 1, Node: 2}}})[4:])
-	f.Add(uint16(4096), uint32(1999), uint64(3), false, false, []byte{1, 1, 0, 0})
-	f.Fuzz(func(t *testing.T, count uint16, node uint32, seed uint64, sketch, compress bool, raw []byte) {
+	f.Add(uint16(1), uint32(0), uint64(0), false, false)
+	f.Add(uint16(100), uint32(42), uint64(7), false, true)
+	f.Add(uint16(64), uint32(3), uint64(9), true, true)
+	f.Add(uint16(4096), uint32(1999), uint64(3), false, false)
+	f.Fuzz(func(t *testing.T, count uint16, node uint32, seed uint64, sketch, compress bool) {
 		n := int(count)%MaxBatchVotes + 1
 		b := &VoteBatch{Sketch: sketch}
 		if seed%2 == 0 {
@@ -173,26 +232,24 @@ func FuzzVoteBatchRoundTrip(f *testing.F) {
 		} else {
 			b.Votes = advVotes(seed, n, sketch)
 		}
+		var e BatchEncoder
 		tc := TraceContext{Trace: seed | 1, Span: seed >> 1}
 		for _, ctx := range []TraceContext{{}, tc} {
-			enc, err := AppendBatch(nil, b, ctx, compress)
+			enc, err := e.AppendSession(nil, b, 0, ctx, compress)
 			if err != nil {
 				t.Fatalf("encode %d votes: %v", n, err)
 			}
 			if len(enc)-4 > MaxBatchFrameBytes {
 				t.Fatalf("batch frame body %d bytes exceeds cap", len(enc)-4)
 			}
-			got, gotTC, consumed, err := DecodeTraced(enc)
-			if err != nil {
-				t.Fatalf("decode own encoding: %v", err)
-			}
+			got, gotTC, _ := decodeFrame(t, enc)
 			vb := got.(*VoteBatch)
-			if consumed != len(enc) || gotTC != ctx || vb.Sketch != b.Sketch || !reflect.DeepEqual(vb.Votes, b.Votes) {
+			if gotTC != ctx || vb.Sketch != b.Sketch || !reflect.DeepEqual(vb.Votes, b.Votes) {
 				t.Fatal("batch round trip mismatch")
 			}
 			if !vb.Compressed {
 				// Raw batches are bijective.
-				if re := AppendTraced(nil, vb, ctx); !bytes.Equal(re, enc) {
+				if re := AppendSession(nil, vb, 0, ctx); !bytes.Equal(re, enc) {
 					t.Fatalf("raw batch re-encode mismatch: %x vs %x", re, enc)
 				}
 			} else if vb.Saved <= 0 {
@@ -201,44 +258,8 @@ func FuzzVoteBatchRoundTrip(f *testing.F) {
 		}
 		// Cap enforcement survives fuzzing.
 		over := &VoteBatch{Votes: make([]BatchVote, MaxBatchVotes+1)}
-		if _, err := AppendBatch(nil, over, TraceContext{}, compress); !errors.Is(err, ErrOversize) {
+		if _, err := e.AppendSession(nil, over, 0, TraceContext{}, compress); !errors.Is(err, ErrOversize) {
 			t.Fatalf("oversize batch: err = %v", err)
-		}
-
-		// Adversarial path: raw bytes framed as each batch type must decode
-		// (then re-encode canonically, checked by the main fuzz target's
-		// logic) or fail typed.
-		var sc DecodeScratch
-		for _, typ := range []byte{TypeVoteBatch, TypeVoteBatchZ, TypeVoteBatch | 0x80} {
-			body := append([]byte{BatchVersion, typ}, raw...)
-			if len(body) > MaxBatchFrameBytes {
-				body = body[:MaxBatchFrameBytes]
-			}
-			fr, _, err := DecodeBodyScratch(body, &sc)
-			if err == nil {
-				vb := fr.(*VoteBatch)
-				if len(vb.Votes) == 0 || len(vb.Votes) > MaxBatchVotes {
-					t.Fatalf("decoded batch with %d votes", len(vb.Votes))
-				}
-				if typ == TypeVoteBatch {
-					// Untraced raw batches are bijective: the decoded batch
-					// re-encodes to the exact bytes that decoded.
-					re := AppendTraced(nil, vb, TraceContext{})
-					if !bytes.Equal(re[4:], body) {
-						t.Fatalf("adversarial raw batch not canonical")
-					}
-				}
-				continue
-			}
-			for _, known := range []error{ErrTruncated, ErrOversize, ErrVersion, ErrUnknownType, ErrFrameSize, ErrTraceContext, ErrCompression} {
-				if errors.Is(err, known) {
-					err = nil
-					break
-				}
-			}
-			if err != nil {
-				t.Fatalf("unexpected error class: %v", err)
-			}
 		}
 	})
 }
@@ -265,18 +286,17 @@ func advPartialEntries(seed uint64, n int, sketch bool) []PartialEntry {
 	return es
 }
 
-// FuzzPartialVerdictRoundTrip drives the aggregation-tier codec from both
-// ends: fuzzed partial verdicts (typical and adversarial shapes, traced
-// and untraced, vote and sketch mode) must round-trip losslessly with
-// decode→re-encode byte equality; fuzzed raw bytes framed as v4 bodies
-// must decode canonically or fail with typed errors — never panic — with
-// the entry-count and frame-size caps enforced.
+// FuzzPartialVerdictRoundTrip drives the aggregation-tier encoder: fuzzed
+// partial verdicts (typical and adversarial shapes, traced and untraced,
+// vote and sketch mode) must round-trip losslessly with decode→re-encode
+// byte equality and the entry-count cap enforced. Raw bytes framed as
+// partial bodies are FuzzWireRoundTrip's job.
 func FuzzPartialVerdictRoundTrip(f *testing.F) {
-	f.Add(uint16(1), uint32(0), uint64(0), false, []byte{})
-	f.Add(uint16(64), uint32(3), uint64(7), true, []byte{0, 1, 2})
-	f.Add(uint16(500), uint32(9), uint64(2), false, AppendTraced(nil, &AggHello{Agg: 1, K: 8, Trials: 4, Lo: 0, Hi: 4}, TraceContext{})[4:])
-	f.Add(uint16(2048), uint32(1), uint64(5), true, []byte{4, 9, 0, 0, 0, 1, 0, 1, 0, 1, 0})
-	f.Fuzz(func(t *testing.T, count uint16, agg uint32, seed uint64, sketch bool, raw []byte) {
+	f.Add(uint16(1), uint32(0), uint64(0), false)
+	f.Add(uint16(64), uint32(3), uint64(7), true)
+	f.Add(uint16(500), uint32(9), uint64(2), false)
+	f.Add(uint16(2048), uint32(1), uint64(5), true)
+	f.Fuzz(func(t *testing.T, count uint16, agg uint32, seed uint64, sketch bool) {
 		n := int(count)%MaxPartialEntries + 1
 		p := &PartialVerdict{Agg: agg, Sketch: sketch}
 		if seed%2 == 0 {
@@ -297,64 +317,27 @@ func FuzzPartialVerdictRoundTrip(f *testing.F) {
 		}
 		tc := TraceContext{Trace: seed | 1, Span: seed >> 1}
 		for _, ctx := range []TraceContext{{}, tc} {
-			enc, err := AppendPartial(nil, p, ctx)
+			enc, err := AppendPartialSession(nil, p, 0, ctx)
 			if err != nil {
 				t.Fatalf("encode %d entries: %v", n, err)
 			}
 			if len(enc)-4 > MaxBatchFrameBytes {
 				t.Fatalf("partial frame body %d bytes exceeds cap", len(enc)-4)
 			}
-			got, gotTC, consumed, err := DecodeTraced(enc)
-			if err != nil {
-				t.Fatalf("decode own encoding: %v", err)
-			}
+			got, gotTC, _ := decodeFrame(t, enc)
 			pv := got.(*PartialVerdict)
-			if consumed != len(enc) || gotTC != ctx || pv.Sketch != p.Sketch || !reflect.DeepEqual(pv.Entries, p.Entries) {
+			if gotTC != ctx || pv.Sketch != p.Sketch || !reflect.DeepEqual(pv.Entries, p.Entries) {
 				t.Fatal("partial round trip mismatch")
 			}
 			// Partial frames are bijective: decode→re-encode is identity.
-			if re := AppendTraced(nil, pv, ctx); !bytes.Equal(re, enc) {
+			if re := AppendSession(nil, pv, 0, ctx); !bytes.Equal(re, enc) {
 				t.Fatalf("partial re-encode mismatch: %x vs %x", re, enc)
 			}
 		}
 		// Cap enforcement survives fuzzing.
 		over := &PartialVerdict{Agg: agg, Entries: make([]PartialEntry, MaxPartialEntries+1)}
-		if _, err := AppendPartial(nil, over, TraceContext{}); !errors.Is(err, ErrOversize) {
+		if _, err := AppendPartialSession(nil, over, 0, TraceContext{}); !errors.Is(err, ErrOversize) {
 			t.Fatalf("oversize partial: err = %v", err)
-		}
-
-		// Adversarial path: raw bytes framed as each v4 type must decode
-		// canonically or fail typed.
-		var sc DecodeScratch
-		for _, typ := range []byte{TypeAggHello, TypePartialVerdict, TypePartialVerdict | 0x80} {
-			body := append([]byte{PartialVersion, typ}, raw...)
-			if len(body) > MaxBatchFrameBytes {
-				body = body[:MaxBatchFrameBytes]
-			}
-			fr, ftc, err := DecodeBodyScratch(body, &sc)
-			if err == nil {
-				if pv, ok := fr.(*PartialVerdict); ok {
-					if len(pv.Entries) == 0 || len(pv.Entries) > MaxPartialEntries {
-						t.Fatalf("decoded partial with %d entries", len(pv.Entries))
-					}
-				}
-				// Every decodable v4 body is canonical: re-encoding the frame
-				// with its trace context reproduces the exact input bytes.
-				re := AppendTraced(nil, fr, ftc)
-				if !bytes.Equal(re[4:], body) {
-					t.Fatalf("adversarial %s not canonical: %x vs %x", TypeName(typ&^0x80), re[4:], body)
-				}
-				continue
-			}
-			for _, known := range []error{ErrTruncated, ErrOversize, ErrVersion, ErrUnknownType, ErrFrameSize, ErrTraceContext} {
-				if errors.Is(err, known) {
-					err = nil
-					break
-				}
-			}
-			if err != nil {
-				t.Fatalf("unexpected error class: %v", err)
-			}
 		}
 	})
 }

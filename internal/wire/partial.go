@@ -21,9 +21,9 @@
 // varints, zero spare flag bits, per-entry validity (votes ≥ 1,
 // rejects ≤ votes) and exact payload length are all enforced at decode,
 // so every decodable frame re-encodes to the identical bytes —
-// FuzzPartialVerdictRoundTrip pins this. Both types are only legal at
-// PartialVersion and flag their optional 16-byte trace suffix through the
-// type byte's high bit, exactly like the batch types at v3.
+// FuzzPartialVerdictRoundTrip and FuzzWireRoundTrip pin this. Both types
+// are established types: their frames carry the session field like any
+// other (wire.go).
 package wire
 
 import (
@@ -147,9 +147,6 @@ func partialColumns(sketch bool) int {
 	return 3
 }
 
-// payloadSize measures an encoding; only the EncodedSize functions call it.
-func (p PartialVerdict) payloadSize() int { return len(p.appendPayload(nil)) }
-
 func (p PartialVerdict) appendPayload(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, p.Agg)
 	flags := byte(0)
@@ -165,7 +162,7 @@ func (p PartialVerdict) appendPayload(dst []byte) []byte {
 }
 
 // decodePayload parses a partial payload, decoding its delta columns into
-// sc's column scratch (nil allocates) and then every entry in one pass.
+// sc's column scratch and then every entry in one pass.
 func (p *PartialVerdict) decodePayload(b []byte, sc *DecodeScratch) error {
 	if len(b) < 6 {
 		return fmt.Errorf("%w: %d-byte partial payload", ErrFrameSize, len(b))
@@ -223,12 +220,6 @@ func (p *PartialVerdict) decodePayload(b []byte, sc *DecodeScratch) error {
 	return nil
 }
 
-// AppendPartial is AppendPartialSession for session 0: the frame encodes
-// at PartialVersion.
-func AppendPartial(dst []byte, p *PartialVerdict, tc TraceContext) ([]byte, error) {
-	return AppendPartialSession(dst, p, 0, tc)
-}
-
 // AppendPartialSession appends p's wire encoding bound to session and
 // carrying tc to dst, enforcing the entry-count and payload-size caps the
 // decoder will apply; on error dst is returned unchanged. Partial payloads
@@ -242,74 +233,4 @@ func AppendPartialSession(dst []byte, p *PartialVerdict, session uint32, tc Trac
 		return dst, fmt.Errorf("%w: partial of %d entries (limit %d)", ErrOversize, len(p.Entries), MaxPartialEntries)
 	}
 	return appendCapped(dst, p, session, tc)
-}
-
-// decodePartialBody parses a PartialVersion frame body: trace flag in the
-// type byte, AggHello or PartialVerdict payload, optional trace suffix.
-func decodePartialBody(body []byte, sc *DecodeScratch) (Frame, TraceContext, error) {
-	t := body[1]
-	base := t &^ traceFlag
-	if base != TypeAggHello && base != TypePartialVerdict {
-		if base >= TypeHello && base <= TypeSessionReport {
-			// Every type has exactly one valid version; re-encoding another
-			// type at v4 would break the canonical-bytes invariant.
-			return nil, TraceContext{}, fmt.Errorf("%w: type %d not valid at v%d", ErrVersion, base, PartialVersion)
-		}
-		return nil, TraceContext{}, fmt.Errorf("%w: type %d", ErrUnknownType, base)
-	}
-	if len(body) > FrameCap(base) {
-		return nil, TraceContext{}, fmt.Errorf("%w: %d-byte %s frame (limit %d)",
-			ErrOversize, len(body), TypeName(base), FrameCap(base))
-	}
-	payload := body[2:]
-	var tc TraceContext
-	if t&traceFlag != 0 {
-		if len(payload) < traceContextBytes {
-			return nil, TraceContext{}, fmt.Errorf("%w: traced %s frame with %d-byte body",
-				ErrFrameSize, TypeName(base), len(body))
-		}
-		tail := payload[len(payload)-traceContextBytes:]
-		tc.Trace = binary.BigEndian.Uint64(tail[:8])
-		tc.Span = binary.BigEndian.Uint64(tail[8:])
-		if tc.Trace == 0 {
-			return nil, TraceContext{}, fmt.Errorf("%w: zero trace ID on a v%d frame", ErrTraceContext, PartialVersion)
-		}
-		payload = payload[:len(payload)-traceContextBytes]
-	}
-	f, err := decodePartialPayload(base, payload, sc)
-	if err != nil {
-		return nil, TraceContext{}, err
-	}
-	return f, tc, nil
-}
-
-// decodePartialPayload parses an AggHello or PartialVerdict payload
-// (shared by the v4 and v5 decode paths).
-func decodePartialPayload(base byte, payload []byte, sc *DecodeScratch) (Frame, error) {
-	if base == TypeAggHello {
-		var h *AggHello
-		if sc != nil {
-			h = &sc.aggHello
-		} else {
-			h = &AggHello{}
-		}
-		if len(payload) != h.payloadSize() {
-			return nil, fmt.Errorf("%w: agghello payload %d bytes, want %d",
-				ErrFrameSize, len(payload), h.payloadSize())
-		}
-		if err := h.decodePayload(payload); err != nil {
-			return nil, err
-		}
-		return h, nil
-	}
-	var pv *PartialVerdict
-	if sc != nil {
-		pv = &sc.partial
-	} else {
-		pv = &PartialVerdict{}
-	}
-	if err := pv.decodePayload(payload, sc); err != nil {
-		return nil, err
-	}
-	return pv, nil
 }

@@ -39,23 +39,20 @@ func TestPartialVerdictRoundTrip(t *testing.T) {
 					p.Entries[i].Collisions = uint64(i)
 				}
 			}
-			enc, err := AppendPartial(nil, p, tc)
+			enc, err := AppendPartialSession(nil, p, 0, tc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotTC, n, err := DecodeTraced(enc)
-			if err != nil {
-				t.Fatalf("decode own encoding: %v", err)
-			}
-			if n != len(enc) || gotTC != tc {
-				t.Fatalf("consumed %d of %d, tc %+v", n, len(enc), gotTC)
+			got, gotTC, _ := decodeFrame(t, enc)
+			if gotTC != tc {
+				t.Fatalf("tc %+v, want %+v", gotTC, tc)
 			}
 			pv, ok := got.(*PartialVerdict)
 			if !ok || !reflect.DeepEqual(pv, p) {
 				t.Fatalf("round trip: got %#v, want %#v", got, p)
 			}
 			// Canonical bytes: re-encoding the decoded frame is identical.
-			if re := AppendTraced(nil, pv, tc); !bytes.Equal(re, enc) {
+			if re := AppendSession(nil, pv, 0, tc); !bytes.Equal(re, enc) {
 				t.Fatalf("re-encode mismatch:\n%x\n%x", re, enc)
 			}
 		}
@@ -65,82 +62,52 @@ func TestPartialVerdictRoundTrip(t *testing.T) {
 func TestAggHelloRoundTrip(t *testing.T) {
 	h := &AggHello{Agg: 2, K: 100, Trials: 16, Lo: 25, Hi: 50}
 	for _, tc := range []TraceContext{{}, {Trace: 5, Span: 6}} {
-		enc := AppendTraced(nil, h, tc)
+		enc := AppendSession(nil, h, 0, tc)
 		if len(enc)-4 > MaxFrameBytes {
 			t.Fatalf("agghello body %d bytes exceeds MaxFrameBytes", len(enc)-4)
 		}
-		got, gotTC, n, err := DecodeTraced(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(enc) || gotTC != tc || !reflect.DeepEqual(got, h) {
-			t.Fatalf("round trip: got %#v tc=%+v n=%d", got, gotTC, n)
+		got, gotTC, _ := decodeFrame(t, enc)
+		if gotTC != tc || !reflect.DeepEqual(got, h) {
+			t.Fatalf("round trip: got %#v tc=%+v", got, gotTC)
 		}
 	}
 }
 
 func TestPartialVerdictValidation(t *testing.T) {
-	enc := func(p *PartialVerdict) []byte { return AppendTraced(nil, p, TraceContext{}) }
-	// partialFrame frames a vote-mode payload of agg 1 from the bytes after
-	// its flags byte.
-	partialFrame := func(rest ...byte) []byte {
-		payload := append([]byte{0, 0, 0, 1, 0}, rest...)
-		return append([]byte{0, 0, 0, byte(2 + len(payload)), PartialVersion, TypePartialVerdict}, payload...)
+	enc := func(f Frame) []byte { return AppendSession(nil, f, 0, TraceContext{})[4:] }
+	// partialBody frames an unbound vote-mode payload of agg 1 from the
+	// bytes after its flags byte.
+	partialBody := func(rest ...byte) []byte {
+		body := append([]byte{Version, TypePartialVerdict, 0, 0, 0, 1, 0}, rest...)
+		return append(body, 0, 0, 0, 0)
 	}
 	cases := []struct {
 		name string
-		raw  []byte
+		body []byte
 		want error
 	}{
-		{"empty entries", append([]byte{0, 0, 0, 8, PartialVersion, TypePartialVerdict, 0, 0, 0, 1, 0, 0}, 0), ErrFrameSize},
+		{"empty entries", partialBody(0), ErrFrameSize},
+		{"entries over MaxPartialEntries", partialBody(0x81, 0x10 /* 2049 */), ErrOversize},
 		{"zero votes", enc(&PartialVerdict{Agg: 1, Entries: []PartialEntry{{Trial: 0, Votes: 0}}}), ErrFrameSize},
 		{"rejects over votes", enc(&PartialVerdict{Agg: 1, Entries: []PartialEntry{{Trial: 0, Votes: 2, Rejects: 3}}}), ErrFrameSize},
-		{"agghello at v1", Append(nil, &Hello{})[:0], nil}, // placeholder replaced below
 		// Hand-built payloads: agg, flags, count, then the trial, votes and
 		// rejects columns.
-		{"non-minimal column value", partialFrame(1, 0x80, 0x00, 1, 0), ErrFrameSize},
-		{"delta below 0", partialFrame(2, 5, 11 /* -6 */, 1, 0, 0, 0), ErrFrameSize},
-		{"delta above MaxUint32", partialFrame(2, 0xff, 0xff, 0xff, 0xff, 0x0f, 2 /* +1 */, 1, 0, 0, 0), ErrFrameSize},
-		{"column cut inside a varint", partialFrame(1, 5, 0x80), ErrFrameSize},
+		{"non-minimal column value", partialBody(1, 0x80, 0x00, 1, 0), ErrFrameSize},
+		{"delta below 0", partialBody(2, 5, 11 /* -6 */, 1, 0, 0, 0), ErrFrameSize},
+		{"delta above MaxUint32", partialBody(2, 0xff, 0xff, 0xff, 0xff, 0x0f, 2 /* +1 */, 1, 0, 0, 0), ErrFrameSize},
+		{"column cut inside a varint", partialBody(1, 5, 0x80), ErrFrameSize},
+		{"inverted window", enc(&AggHello{Agg: 1, K: 10, Trials: 2, Lo: 5, Hi: 5}), ErrFrameSize},
 	}
-	// AggHello encoded at the wrong version must be rejected.
-	v1 := []byte{0, 0, 0, 22, MinVersion, TypeAggHello}
-	v1 = append(v1, make([]byte, 20)...)
-	cases[3] = struct {
-		name string
-		raw  []byte
-		want error
-	}{"agghello at v1", v1, ErrVersion}
-
 	for _, c := range cases {
-		if _, _, err := Decode(c.raw); !errors.Is(err, c.want) {
+		if _, _, _, err := DecodeBodySession(c.body, nil); !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
 
-	// Inverted window.
-	bad := &AggHello{Agg: 1, K: 10, Trials: 2, Lo: 5, Hi: 5}
-	if _, _, err := Decode(AppendTraced(nil, bad, TraceContext{})); !errors.Is(err, ErrFrameSize) {
-		t.Errorf("inverted window: err = %v, want ErrFrameSize", err)
-	}
-
-	// Entry-count cap at encode and decode.
+	// Entry-count cap at encode.
 	over := &PartialVerdict{Agg: 1, Entries: make([]PartialEntry, MaxPartialEntries+1)}
-	if _, err := AppendPartial(nil, over, TraceContext{}); !errors.Is(err, ErrOversize) {
+	if _, err := AppendPartialSession(nil, over, 0, TraceContext{}); !errors.Is(err, ErrOversize) {
 		t.Errorf("oversize encode: err = %v, want ErrOversize", err)
-	}
-
-	// Old types must not decode at v4.
-	old := []byte{0, 0, 0, 11, PartialVersion, TypeVote, 0, 0, 0, 0, 0, 0, 0, 1, 0}
-	if _, _, err := Decode(old); !errors.Is(err, ErrVersion) {
-		t.Errorf("vote at v4: err = %v, want ErrVersion", err)
-	}
-	// Partial types must not decode at v3 or below.
-	p := samplePartial()
-	enc3 := AppendTraced(nil, p, TraceContext{})
-	enc3[4] = BatchVersion
-	if _, _, err := Decode(enc3); !errors.Is(err, ErrVersion) {
-		t.Errorf("partial at v3: err = %v, want ErrVersion", err)
 	}
 }
 
@@ -160,17 +127,14 @@ func TestPartialVerdictWorstCaseFitsCap(t *testing.T) {
 		es[i] = PartialEntry{Trial: v, Votes: v | 1, Rejects: v | 1, Samples: s, Collisions: s}
 	}
 	p := &PartialVerdict{Agg: math.MaxUint32, Sketch: true, Entries: es}
-	enc, err := AppendPartial(nil, p, TraceContext{Trace: 1, Span: 1})
+	enc, err := AppendPartialSession(nil, p, math.MaxUint32, TraceContext{Trace: 1, Span: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(enc)-4 > MaxBatchFrameBytes {
 		t.Fatalf("worst-case partial body %d bytes exceeds cap %d", len(enc)-4, MaxBatchFrameBytes)
 	}
-	got, _, _, err := DecodeTraced(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _, _ := decodeFrame(t, enc)
 	if !reflect.DeepEqual(got.(*PartialVerdict).Entries, es) {
 		t.Fatal("worst-case round trip lost entries")
 	}
@@ -185,8 +149,8 @@ func TestPartialScratchReuse(t *testing.T) {
 	plain := &PartialVerdict{Agg: 1,
 		Entries: []PartialEntry{{Trial: 0, Votes: 2, Rejects: 1}}}
 	for _, p := range []*PartialVerdict{sk, plain} {
-		enc := AppendTraced(nil, p, TraceContext{})
-		got, _, err := DecodeBodyScratch(enc[4:], &sc)
+		enc := AppendSession(nil, p, 0, TraceContext{})
+		got, _, _, err := DecodeBodySession(enc[4:], &sc)
 		if err != nil {
 			t.Fatal(err)
 		}

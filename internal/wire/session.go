@@ -1,37 +1,19 @@
-// Session frames: the multi-tenant serving layer's wire protocol. A
-// version-5 frame carries a session context so one long-running referee
-// process can multiplex many concurrent testing sessions over a single
-// listener. Two kinds of frames are involved:
-//
-//   - Session control frames (SessionOpen, SessionAccept, SessionReject,
-//     SessionReport) are new types that exist only at SessionVersion. They
-//     carry any session identity inside their payload and take no suffix.
-//
-//   - Established frame types (Hello..PartialVerdict) gain a 4-byte
-//     big-endian session-ID suffix appended after the payload (and before
-//     the optional trace suffix — the type byte's high bit flags tracing
-//     exactly like v3/v4):
-//
-//     [len u32 BE][5][type|traceFlag?][payload][session u32 BE][trace 16B?]
-//
-// The encoding mirrors the v1/v2 trace-suffix trick: session 0 means "no
-// session" and encodes at the frame's classic version, byte-identical to
-// the pre-session protocol, while the decoder rejects an explicit zero
-// session at v5 (ErrSession). Every (frame, session) pair therefore keeps
-// exactly one canonical byte representation, which
-// FuzzSessionFrameRoundTrip pins, and v1–v4 peers interoperate with a v5
-// service unchanged.
+// Session frames: the multi-tenant serving layer's control protocol, which
+// lets one long-running referee process multiplex many concurrent testing
+// sessions over a single listener. A client asks for a session with
+// SessionOpen; the service answers SessionAccept (carrying the session ID
+// every frame of the session must then carry in its session field) or a
+// typed SessionReject, and closes the session with a columnar
+// SessionReport. The four control types carry any session identity inside
+// their payload, so unlike the established types they take no session
+// field (wire.go).
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
-
-// sessionBytes is the encoded size of the session-ID suffix.
-const sessionBytes = 4
 
 // MaxReportTrials caps the per-trial entries one SessionReport may carry.
 // Worst-case encoding (adversarial values, ≤ 16 bytes per trial) stays
@@ -60,7 +42,7 @@ const (
 	RejectShape
 	// RejectRule: the rule byte is not a known decision rule.
 	RejectRule
-	// RejectDefault: a default (legacy-peer) session is already open.
+	// RejectDefault: a default (unbound-peer) session is already open.
 	RejectDefault
 
 	rejectReasonMax = RejectDefault
@@ -105,7 +87,7 @@ type SessionOpen struct {
 	// statistics; the referee derives votes server-side).
 	Sketch bool
 	// Default additionally registers this session as the target for
-	// legacy sessionless (v1–v4) peers; at most one may be open.
+	// unbound (session 0) peers; at most one may be open.
 	Default bool
 	// EarlyClose lets the referee hang up as soon as every trial is
 	// decided.
@@ -243,9 +225,6 @@ func appendReportColumn(dst []byte, vals []uint32) []byte {
 	return dst
 }
 
-// payloadSize measures an encoding; only the EncodedSize functions call it.
-func (r SessionReport) payloadSize() int { return len(r.appendPayload(nil)) }
-
 func (r SessionReport) appendPayload(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, r.Session)
 	dst = binary.BigEndian.AppendUint32(dst, r.K)
@@ -343,170 +322,4 @@ func AppendSessionReport(dst []byte, r *SessionReport, tc TraceContext) ([]byte,
 		return dst, fmt.Errorf("wire: ragged session report columns")
 	}
 	return appendCapped(dst, r, 0, tc)
-}
-
-// AppendSession appends f's wire encoding bound to a session. Session 0
-// means "no session": the frame encodes at its classic version,
-// byte-identical to Append/AppendTraced, so pre-session peers decode it
-// unchanged. A nonzero session stamps the frame at SessionVersion with the
-// 4-byte session suffix. Session control frames carry their session inside
-// the payload and never take a suffix, whatever session says.
-func AppendSession(dst []byte, f Frame, session uint32, tc TraceContext) []byte {
-	t := f.Type()
-	if t >= TypeSessionOpen {
-		session = 0
-	}
-	return appendFrame(dst, frameVersion(t, session, tc), t, f.appendPayload, session, tc)
-}
-
-// EncodedSizeSession returns the on-wire size of f when bound to session
-// and carrying tc.
-func EncodedSizeSession(f Frame, session uint32, tc TraceContext) int {
-	n := EncodedSizeTraced(f, tc)
-	if session != 0 && f.Type() < TypeSessionOpen {
-		n += sessionBytes
-	}
-	return n
-}
-
-// WriteFrameSession writes f's session-bound encoding to w in one Write
-// call; session 0 is byte-identical to WriteFrameTraced.
-func WriteFrameSession(w io.Writer, f Frame, session uint32, tc TraceContext) error {
-	buf := make([]byte, 0, EncodedSizeSession(f, session, tc))
-	buf = AppendSession(buf, f, session, tc)
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("wire: write %T: %w", f, err)
-	}
-	return nil
-}
-
-// decodeSessionBody parses a SessionVersion frame body: trace flag in the
-// type byte, session suffix on established types, control-frame payloads
-// for the session types themselves.
-func decodeSessionBody(body []byte, sc *DecodeScratch) (Frame, TraceContext, uint32, error) {
-	t := body[1]
-	base := t &^ traceFlag
-	if base < TypeHello || base > TypeSessionReport {
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: type %d", ErrUnknownType, base)
-	}
-	if len(body) > FrameCap(base) {
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: %d-byte %s frame (limit %d)",
-			ErrOversize, len(body), TypeName(base), FrameCap(base))
-	}
-	payload := body[2:]
-	var tc TraceContext
-	if t&traceFlag != 0 {
-		if len(payload) < traceContextBytes {
-			return nil, TraceContext{}, 0, fmt.Errorf("%w: traced %s frame with %d-byte body",
-				ErrFrameSize, TypeName(base), len(body))
-		}
-		tail := payload[len(payload)-traceContextBytes:]
-		tc.Trace = binary.BigEndian.Uint64(tail[:8])
-		tc.Span = binary.BigEndian.Uint64(tail[8:])
-		if tc.Trace == 0 {
-			return nil, TraceContext{}, 0, fmt.Errorf("%w: zero trace ID on a v%d frame", ErrTraceContext, SessionVersion)
-		}
-		payload = payload[:len(payload)-traceContextBytes]
-	}
-	var session uint32
-	if base < TypeSessionOpen {
-		if len(payload) < sessionBytes {
-			return nil, TraceContext{}, 0, fmt.Errorf("%w: %s frame missing session suffix", ErrFrameSize, TypeName(base))
-		}
-		session = binary.BigEndian.Uint32(payload[len(payload)-sessionBytes:])
-		if session == 0 {
-			// Session 0 has exactly one canonical encoding: the classic
-			// version without the suffix.
-			return nil, TraceContext{}, 0, fmt.Errorf("%w: session 0 must encode at v%d or below", ErrSession, PartialVersion)
-		}
-		payload = payload[:len(payload)-sessionBytes]
-	}
-	var f fixedFrame
-	switch base {
-	case TypeVoteBatch, TypeVoteBatchZ:
-		vb, err := decodeBatchPayload(base, payload, sc)
-		if err != nil {
-			return nil, TraceContext{}, 0, err
-		}
-		return vb, tc, session, nil
-	case TypeAggHello, TypePartialVerdict:
-		af, err := decodePartialPayload(base, payload, sc)
-		if err != nil {
-			return nil, TraceContext{}, 0, err
-		}
-		return af, tc, session, nil
-	case TypeSessionReport:
-		var r *SessionReport
-		if sc != nil {
-			r = &sc.report
-		} else {
-			r = &SessionReport{}
-		}
-		if err := r.decodePayload(payload); err != nil {
-			return nil, TraceContext{}, 0, err
-		}
-		return r, tc, 0, nil
-	case TypeSessionOpen:
-		if sc != nil {
-			f = &sc.open
-		} else {
-			f = &SessionOpen{}
-		}
-	case TypeSessionAccept:
-		if sc != nil {
-			f = &sc.accept
-		} else {
-			f = &SessionAccept{}
-		}
-	case TypeSessionReject:
-		if sc != nil {
-			f = &sc.reject
-		} else {
-			f = &SessionReject{}
-		}
-	default:
-		f = scratchSingleFrame(base, sc)
-	}
-	if len(payload) != f.payloadSize() {
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: type %d v%d payload %d bytes, want %d",
-			ErrFrameSize, base, SessionVersion, len(payload), f.payloadSize())
-	}
-	if err := f.decodePayload(payload); err != nil {
-		return nil, TraceContext{}, 0, err
-	}
-	return f, tc, session, nil
-}
-
-// BodyType returns the base frame type of an encoded frame body with the
-// trace flag stripped, or 0 when the body is too short to carry one. It
-// never validates the body — use it to route a frame before the full
-// decode, never instead of it.
-func BodyType(body []byte) byte {
-	if len(body) < 2 {
-		return 0
-	}
-	return body[1] &^ traceFlag
-}
-
-// SessionOf extracts the session ID a frame body is bound to without a
-// full decode: the trailing suffix of an established-type SessionVersion
-// frame, or 0 for earlier versions, control frames, and bodies too short
-// to carry a suffix (which the full decode will reject). Like BodyType it
-// is a routing peek, not a validator.
-func SessionOf(body []byte) uint32 {
-	if len(body) < 2 || body[0] != SessionVersion {
-		return 0
-	}
-	base := body[1] &^ traceFlag
-	if base >= TypeSessionOpen {
-		return 0
-	}
-	end := len(body)
-	if body[1]&traceFlag != 0 {
-		end -= traceContextBytes
-	}
-	if end < 2+sessionBytes {
-		return 0
-	}
-	return binary.BigEndian.Uint32(body[end-sessionBytes : end])
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -22,28 +23,9 @@ func sessionTestFrames() []Frame {
 	}
 }
 
-// TestSessionZeroByteIdentical pins the interop invariant: binding a frame
-// to session 0 is a no-op on the wire — byte-identical to the v4-and-below
-// encoding — so session-unaware peers keep working against a v5 service.
-func TestSessionZeroByteIdentical(t *testing.T) {
-	tcs := []TraceContext{{}, {Trace: 9, Span: 4}}
-	for _, fr := range sessionTestFrames() {
-		for _, tc := range tcs {
-			classic := AppendTraced(nil, fr, tc)
-			bound := AppendSession(nil, fr, 0, tc)
-			if !bytes.Equal(classic, bound) {
-				t.Errorf("%T: session-0 encoding differs: %x vs %x", fr, bound, classic)
-			}
-			if n := EncodedSizeSession(fr, 0, tc); n != len(bound) {
-				t.Errorf("%T: EncodedSizeSession(0) = %d, want %d", fr, n, len(bound))
-			}
-		}
-	}
-}
-
 // TestSessionSuffixRoundTrip pins the nonzero-session path: every
-// established type round-trips through the v5 suffix encoding with the
-// session ID intact and decode∘encode the identity.
+// established type round-trips through the session field with the session
+// ID intact and decode∘encode the identity.
 func TestSessionSuffixRoundTrip(t *testing.T) {
 	tcs := []TraceContext{{}, {Trace: 9, Span: 4}}
 	var sc DecodeScratch
@@ -51,12 +33,6 @@ func TestSessionSuffixRoundTrip(t *testing.T) {
 		for _, tc := range tcs {
 			for _, sess := range []uint32{1, 7, 1 << 30} {
 				enc := AppendSession(nil, fr, sess, tc)
-				if enc[4] != SessionVersion {
-					t.Fatalf("%T: session frame stamped v%d", fr, enc[4])
-				}
-				if n := EncodedSizeSession(fr, sess, tc); n != len(enc) {
-					t.Errorf("%T: EncodedSizeSession = %d, want %d", fr, n, len(enc))
-				}
 				got, gotTC, gotSess, err := DecodeBodySession(enc[4:], &sc)
 				if err != nil {
 					t.Fatalf("%T: decode own session encoding: %v", fr, err)
@@ -70,39 +46,8 @@ func TestSessionSuffixRoundTrip(t *testing.T) {
 				if re := AppendSession(nil, got, gotSess, gotTC); !bytes.Equal(re, enc) {
 					t.Fatalf("%T: session re-encode mismatch: %x vs %x", fr, re, enc)
 				}
-				// The session-unaware decode path accepts the frame too,
-				// dropping the session like Decode drops the trace.
-				plain, plainTC, _, err := DecodeTraced(enc)
-				if err != nil || plainTC != tc || !framesEqual(plain, fr) {
-					t.Fatalf("%T: session-unaware decode: %v", fr, err)
-				}
 			}
 		}
-	}
-}
-
-// framesEqual compares two decoded frames, ignoring the decoder-output
-// Compressed/Saved fields of a VoteBatch.
-func framesEqual(got, want Frame) bool {
-	if gb, ok := got.(*VoteBatch); ok {
-		wb, ok := want.(*VoteBatch)
-		return ok && gb.Sketch == wb.Sketch && reflect.DeepEqual(gb.Votes, wb.Votes)
-	}
-	return reflect.DeepEqual(got, want)
-}
-
-// TestSessionZeroSuffixRejected pins canonicality: an explicit zero
-// session at v5 is rejected (session 0's unique encoding is the classic
-// version), so every (frame, session) pair has exactly one byte form.
-func TestSessionZeroSuffixRejected(t *testing.T) {
-	enc := AppendSession(nil, &Vote{Trial: 1, Node: 2}, 7, TraceContext{})
-	body := append([]byte(nil), enc[4:]...)
-	// Overwrite the trailing session suffix with zero.
-	for i := len(body) - sessionBytes; i < len(body); i++ {
-		body[i] = 0
-	}
-	if _, _, _, err := DecodeBodySession(body, nil); !errors.Is(err, ErrSession) {
-		t.Fatalf("zero session suffix: err = %v, want ErrSession", err)
 	}
 }
 
@@ -126,10 +71,7 @@ func TestSessionControlRoundTrip(t *testing.T) {
 	var sc DecodeScratch
 	for _, fr := range frames {
 		for _, tc := range []TraceContext{{}, {Trace: 3, Span: 8}} {
-			enc := AppendTraced(nil, fr, tc)
-			if enc[4] != SessionVersion {
-				t.Fatalf("%T: control frame stamped v%d", fr, enc[4])
-			}
+			enc := AppendSession(nil, fr, 0, tc)
 			got, gotTC, gotSess, err := DecodeBodySession(enc[4:], &sc)
 			if err != nil {
 				t.Fatalf("%T: decode: %v", fr, err)
@@ -140,7 +82,7 @@ func TestSessionControlRoundTrip(t *testing.T) {
 			if gotTC != tc || !reflect.DeepEqual(got, fr) {
 				t.Fatalf("%T: round trip: got (%#v, %+v)", fr, got, gotTC)
 			}
-			if re := AppendTraced(nil, got, gotTC); !bytes.Equal(re, enc) {
+			if re := AppendSession(nil, got, 0, gotTC); !bytes.Equal(re, enc) {
 				t.Fatalf("%T: re-encode mismatch", fr)
 			}
 			// AppendSession never stamps a suffix on control frames.
@@ -152,37 +94,25 @@ func TestSessionControlRoundTrip(t *testing.T) {
 }
 
 // TestSessionControlValidation pins the typed decode errors of the control
-// frames: out-of-range reject reasons, zero accept sessions, spare open
-// flags, and control types at pre-session versions.
+// frames — out-of-range reject reasons, zero accept sessions, spare open
+// flags — and that an established type without its session field fails.
 func TestSessionControlValidation(t *testing.T) {
-	if _, _, _, err := DecodeBodySession(AppendTraced(nil, &SessionReject{Tenant: 1, Reason: 99}, TraceContext{})[4:], nil); !errors.Is(err, ErrFrameSize) {
+	if _, _, _, err := DecodeBodySession(AppendSession(nil, &SessionReject{Tenant: 1, Reason: 99}, 0, TraceContext{})[4:], nil); !errors.Is(err, ErrFrameSize) {
 		t.Errorf("reason 99: err = %v, want ErrFrameSize", err)
 	}
-	if _, _, _, err := DecodeBodySession(AppendTraced(nil, &SessionAccept{Session: 0, Tenant: 1}, TraceContext{})[4:], nil); !errors.Is(err, ErrSession) {
+	if _, _, _, err := DecodeBodySession(AppendSession(nil, &SessionAccept{Session: 0, Tenant: 1}, 0, TraceContext{})[4:], nil); !errors.Is(err, ErrSession) {
 		t.Errorf("accept session 0: err = %v, want ErrSession", err)
 	}
-	open := AppendTraced(nil, &SessionOpen{Tenant: 1, K: 2, Trials: 3, Rule: RuleAND}, TraceContext{})
+	open := AppendSession(nil, &SessionOpen{Tenant: 1, K: 2, Trials: 3, Rule: RuleAND}, 0, TraceContext{})
 	body := append([]byte(nil), open[4:]...)
 	body[len(body)-1] |= 0x80 // spare flag bit
 	if _, _, _, err := DecodeBodySession(body, nil); !errors.Is(err, ErrFrameSize) {
 		t.Errorf("spare open flags: err = %v, want ErrFrameSize", err)
 	}
-	// Control types are only legal at v5.
-	for _, v := range []byte{MinVersion, TraceVersion, BatchVersion, PartialVersion} {
-		bad := append([]byte(nil), open[4:]...)
-		bad[0] = v
-		if _, _, _, err := DecodeBodySession(bad, nil); !errors.Is(err, ErrVersion) {
-			t.Errorf("sessionopen at v%d: err = %v, want ErrVersion", v, err)
-		}
-	}
-	// Established types stay illegal at v5 without a session suffix only
-	// when the remaining payload is mis-sized; a well-formed suffix is
-	// what makes them legal — a bare v5 vote body must fail.
-	vote := Append(nil, &Vote{Trial: 1, Node: 2})
-	bare := append([]byte(nil), vote[4:]...)
-	bare[0] = SessionVersion
+	vote := AppendSession(nil, &Vote{Trial: 1, Node: 2}, 0, TraceContext{})
+	bare := vote[4 : len(vote)-sessionBytes]
 	if _, _, _, err := DecodeBodySession(bare, nil); !errors.Is(err, ErrFrameSize) {
-		t.Errorf("bare v5 vote: err = %v, want ErrFrameSize", err)
+		t.Errorf("vote without its session field: err = %v, want ErrFrameSize", err)
 	}
 }
 
@@ -212,13 +142,13 @@ func TestSessionReportValidation(t *testing.T) {
 	// Decoder-side validity: rejects > votes and votes+missing > k fail.
 	bad := mk(2)
 	bad.Rejects[1] = 101
-	enc := AppendTraced(nil, bad, TraceContext{})
+	enc := AppendSession(nil, bad, 0, TraceContext{})
 	if _, _, _, err := DecodeBodySession(enc[4:], nil); !errors.Is(err, ErrFrameSize) {
 		t.Errorf("rejects > votes: err = %v, want ErrFrameSize", err)
 	}
 	bad = mk(2)
 	bad.Missing[0] = 1 // votes already 100 of k=100
-	enc = AppendTraced(nil, bad, TraceContext{})
+	enc = AppendSession(nil, bad, 0, TraceContext{})
 	if _, _, _, err := DecodeBodySession(enc[4:], nil); !errors.Is(err, ErrFrameSize) {
 		t.Errorf("votes+missing > k: err = %v, want ErrFrameSize", err)
 	}
@@ -233,7 +163,7 @@ func TestSessionReportValidation(t *testing.T) {
 		{"delta above MaxUint32", []byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 2 /* +1 */, 0, 0}},
 		{"column cut inside a varint", []byte{0, 0, 1, 0x80}},
 	} {
-		body := append([]byte{SessionVersion, TypeSessionReport, 0, 0, 0, 1, 0, 0, 0, 100, 2, 0}, c.cols...)
+		body := append([]byte{Version, TypeSessionReport, 0, 0, 0, 1, 0, 0, 0, 100, 2, 0}, c.cols...)
 		if _, _, _, err := DecodeBodySession(body, nil); !errors.Is(err, ErrFrameSize) {
 			t.Errorf("%s: err = %v, want ErrFrameSize", c.name, err)
 		}
@@ -241,14 +171,14 @@ func TestSessionReportValidation(t *testing.T) {
 	// A zero-session report is invalid.
 	bad = mk(1)
 	bad.Session = 0
-	enc = AppendTraced(nil, bad, TraceContext{})
+	enc = AppendSession(nil, bad, 0, TraceContext{})
 	if _, _, _, err := DecodeBodySession(enc[4:], nil); !errors.Is(err, ErrSession) {
 		t.Errorf("session-0 report: err = %v, want ErrSession", err)
 	}
 }
 
-// TestSessionBatchAndPartialCaps pins the session-bound encoders' tighter
-// payload bounds (the 4-byte suffix must still fit the frame cap).
+// TestSessionBatchAndPartialCaps pins the entry-count caps of the
+// session-bound batch and partial encoders.
 func TestSessionBatchAndPartialCaps(t *testing.T) {
 	var e BatchEncoder
 	over := &VoteBatch{Votes: make([]BatchVote, MaxBatchVotes+1)}
@@ -259,141 +189,88 @@ func TestSessionBatchAndPartialCaps(t *testing.T) {
 	if _, err := AppendPartialSession(nil, overP, 3, TraceContext{}); !errors.Is(err, ErrOversize) {
 		t.Errorf("oversize session partial: err = %v", err)
 	}
-	// Session 0 delegates to the classic encoders byte-for-byte.
-	b := &VoteBatch{Votes: []BatchVote{{Trial: 0, Node: 1}}}
-	classic, err := AppendBatch(nil, b, TraceContext{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound, err := e.AppendSession(nil, b, 0, TraceContext{}, true)
-	if err != nil || !bytes.Equal(classic, bound) {
-		t.Errorf("session-0 batch differs: %v", err)
-	}
 }
 
-// FuzzSessionFrameRoundTrip drives the v5 session codec from both ends:
-// fuzzed frames of every kind — established types bound to zero and
-// nonzero sessions, control frames, traced and untraced — must round-trip
-// losslessly with decode∘encode byte identity (session 0 byte-identical to
-// the classic encoding), and fuzzed raw bytes framed as v5 bodies must
-// decode canonically or fail with typed errors — never panic — with the
-// size caps enforced.
+// FuzzSessionFrameRoundTrip drives the session field and the session
+// control payloads from structured inputs. Binding an established frame
+// to a fuzzed session rewrites only the four session bytes ahead of the
+// trace suffix, and SessionOf reads them back. Fuzzed control frames — an
+// open, an accept, a reject and a report of up to MaxReportTrials trials
+// — round-trip with decode∘encode the identity, ignore the session
+// argument, and the report encoder enforces its trial cap. Raw bytes
+// framed as bodies are FuzzWireRoundTrip's job.
 func FuzzSessionFrameRoundTrip(f *testing.F) {
-	f.Add(uint32(0), uint32(0), uint64(0), uint16(1), false, []byte{})
-	f.Add(uint32(7), uint32(3), uint64(9), uint16(64), true, []byte{0, 1, 2})
-	f.Add(uint32(1<<31), uint32(1), uint64(1<<40), uint16(100), false,
-		AppendSession(nil, &Vote{Trial: 1, Node: 2, Reject: true}, 3, TraceContext{})[4:])
-	f.Add(uint32(5), uint32(2), uint64(11), uint16(4096), true, []byte{2, 9, 0, 0, 0, 1, 0, 1})
-	f.Fuzz(func(t *testing.T, sess, a uint32, seed uint64, count uint16, flag bool, raw []byte) {
-		n := int(count)%MaxReportTrials + 1
-		report := &SessionReport{Session: sess | 1, K: 1<<31 | a,
-			Verdicts: make([]bool, n), Rejects: make([]uint32, n),
-			Votes: make([]uint32, n), Missing: make([]uint32, n)}
-		s := seed
-		for i := 0; i < n; i++ {
-			s = s*6364136223846793005 + 1442695040888963407
-			report.Votes[i] = uint32(s) % (report.K + 1)
-			report.Rejects[i] = uint32(s>>16) % (report.Votes[i] + 1)
-			report.Missing[i] = uint32(s>>32) % (report.K - report.Votes[i] + 1)
-			report.Verdicts[i] = s>>63 == 1
-		}
-		frames := []Frame{
+	f.Add(uint32(0), uint32(0), uint64(0), uint16(1), false)
+	f.Add(uint32(7), uint32(3), uint64(9), uint16(64), true)
+	f.Add(uint32(1<<31), uint32(1), uint64(1<<40), uint16(100), false)
+	f.Add(uint32(5), uint32(2), uint64(11), uint16(4096), true)
+	f.Add(uint32(9), uint32(4), uint64(12), uint16(MaxReportTrials-1), false) // the largest report
+	f.Fuzz(func(t *testing.T, sess, a uint32, seed uint64, count uint16, flag bool) {
+		tc := TraceContext{Trace: seed | 1, Span: seed >> 3}
+		established := []Frame{
 			&Hello{Node: a, K: a + 1, Trials: uint32(count)},
 			&Vote{Trial: a, Node: sess, Reject: flag},
 			&Sketch{Trial: a, Node: sess, Samples: uint32(seed), Collisions: uint32(seed >> 32)},
 			&Done{Node: a},
 			&Verdict{Trials: uint32(count), Accepts: a, Missing: sess},
-			&AggHello{Agg: a, K: sess + 1, Trials: uint32(count), Lo: a, Hi: a + 1},
+			&VoteBatch{Sketch: flag, Votes: advVotes(seed, int(count)%MaxBatchVotes+1, flag)},
+			&AggHello{Agg: a, K: sess + 1, Trials: uint32(count), Lo: a >> 1, Hi: a>>1 + 1},
 			&PartialVerdict{Agg: a, Sketch: flag, Entries: advPartialEntries(seed, int(count)%MaxPartialEntries+1, flag)},
+		}
+		for _, fr := range established {
+			for _, ctx := range []TraceContext{{}, tc} {
+				want := AppendSession(nil, fr, 0, ctx)
+				at := len(want) - sessionBytes
+				if !ctx.IsZero() {
+					at -= traceContextBytes
+				}
+				binary.BigEndian.PutUint32(want[at:], sess)
+				bound := AppendSession(nil, fr, sess, ctx)
+				if !bytes.Equal(bound, want) {
+					t.Fatalf("%T: binding to session %d changed more than the session field: %x vs %x", fr, sess, bound, want)
+				}
+				if got := SessionOf(bound[headerBytes:]); got != sess {
+					t.Fatalf("%T: SessionOf = %d, want %d", fr, got, sess)
+				}
+			}
+		}
+
+		report := fuzzReport(sess|1, 1<<31|a, seed, int(count)%MaxReportTrials+1)
+		control := []Frame{
 			&SessionOpen{Tenant: a, K: sess, Trials: uint32(count), Seed: seed,
 				Rule: byte(seed), Thresh: a, Sketch: flag, Default: seed%2 == 0, EarlyClose: seed%3 == 0},
 			&SessionAccept{Session: sess | 1, Tenant: a},
 			&SessionReject{Tenant: a, Reason: byte(seed)%rejectReasonMax + 1},
 			report,
 		}
-		tc := TraceContext{Trace: seed | 1, Span: seed >> 3}
 		var sc DecodeScratch
-		for _, fr := range frames {
+		for _, fr := range control {
 			for _, ctx := range []TraceContext{{}, tc} {
-				for _, session := range []uint32{0, sess | 1} {
-					enc := AppendSession(nil, fr, session, ctx)
-					if len(enc)-4 > FrameCap(fr.Type()) {
-						t.Fatalf("%T: frame body %d bytes exceeds cap", fr, len(enc)-4)
-					}
-					got, gotTC, gotSess, err := DecodeBodySession(enc[4:], &sc)
-					if err != nil {
-						t.Fatalf("%T: decode own encoding (session %d): %v", fr, session, err)
-					}
-					wantSess := session
-					if fr.Type() >= TypeSessionOpen {
-						wantSess = 0 // control frames never take the suffix
-					}
-					if gotSess != wantSess || gotTC != ctx || !framesEqual(got, fr) {
-						t.Fatalf("%T: session round trip mismatch (session %d→%d)", fr, session, gotSess)
-					}
-					// The routing peeks agree with the full decode on every
-					// valid encoding.
-					if SessionOf(enc[4:]) != wantSess {
-						t.Fatalf("%T: SessionOf peek = %d, want %d", fr, SessionOf(enc[4:]), wantSess)
-					}
-					if BodyType(enc[4:]) != fr.Type() {
-						t.Fatalf("%T: BodyType peek = %d, want %d", fr, BodyType(enc[4:]), fr.Type())
-					}
-					// Decode∘encode is the identity: the codec is bijective.
-					if re := AppendSession(nil, got, gotSess, gotTC); !bytes.Equal(re, enc) {
-						t.Fatalf("%T: re-encode mismatch: %x vs %x", fr, re, enc)
-					}
-					if session == 0 && fr.Type() < TypeSessionOpen {
-						// Session 0 must be byte-identical to the classic
-						// pre-session encoding.
-						if classic := AppendTraced(nil, fr, ctx); !bytes.Equal(classic, enc) {
-							t.Fatalf("%T: session-0 not byte-identical to v4-and-below", fr)
-						}
-					}
+				enc := AppendSession(nil, fr, 0, ctx)
+				if rebound := AppendSession(nil, fr, sess|1, ctx); !bytes.Equal(rebound, enc) {
+					t.Fatalf("%T: the session argument changed a control frame", fr)
+				}
+				got, gotTC, gotSess, err := DecodeBodySession(enc[headerBytes:], &sc)
+				if err != nil || gotSess != 0 || gotTC != ctx || !reflect.DeepEqual(got, fr) {
+					t.Fatalf("%T: round trip: got (%#v, %+v, session %d, %v)", fr, got, gotTC, gotSess, err)
+				}
+				if re := AppendSession(nil, got, 0, gotTC); !bytes.Equal(re, enc) {
+					t.Fatalf("%T: re-encode mismatch: %x vs %x", fr, re, enc)
 				}
 			}
-		}
-		// Cap enforcement survives fuzzing.
-		over := &SessionReport{Session: 1, K: 1, Verdicts: make([]bool, MaxReportTrials+1),
-			Rejects: make([]uint32, MaxReportTrials+1), Votes: make([]uint32, MaxReportTrials+1),
-			Missing: make([]uint32, MaxReportTrials+1)}
-		if _, err := AppendSessionReport(nil, over, TraceContext{}); !errors.Is(err, ErrOversize) {
-			t.Fatalf("oversize report: err = %v", err)
 		}
 
-		// Adversarial path: raw bytes framed as v5 bodies — suffixed
-		// established types, control types, traced variants, and whatever
-		// type byte the fuzzer cooks up — must decode canonically or fail
-		// with a typed error.
-		types := []byte{TypeVote, TypeVote | 0x80, TypeVoteBatch, TypeHello,
-			TypeSessionOpen, TypeSessionReport, TypeSessionReport | 0x80, byte(seed)}
-		for _, typ := range types {
-			body := append([]byte{SessionVersion, typ}, raw...)
-			if len(body) > MaxBatchFrameBytes {
-				body = body[:MaxBatchFrameBytes]
-			}
-			fr, ftc, fsess, err := DecodeBodySession(body, &sc)
-			if err == nil {
-				if vb, ok := fr.(*VoteBatch); ok && vb.Compressed {
-					// Any valid compressor output is accepted; equality is
-					// semantic (see FuzzWireRoundTrip).
-					continue
-				}
-				re := AppendSession(nil, fr, fsess, ftc)
-				if !bytes.Equal(re[4:], body) {
-					t.Fatalf("adversarial %s not canonical: %x vs %x", TypeName(typ&^0x80), re[4:], body)
-				}
-				continue
-			}
-			for _, known := range []error{ErrTruncated, ErrOversize, ErrVersion, ErrUnknownType, ErrFrameSize, ErrTraceContext, ErrSession, ErrCompression} {
-				if errors.Is(err, known) {
-					err = nil
-					break
-				}
-			}
-			if err != nil {
-				t.Fatalf("unexpected error class: %v", err)
-			}
+		// The capped report encoder writes the same bytes, within FrameCap.
+		enc, err := AppendSessionReport(nil, report, tc)
+		if err != nil || !bytes.Equal(enc, AppendSession(nil, report, 0, tc)) {
+			t.Fatalf("AppendSessionReport of %d trials: %v", len(report.Verdicts), err)
+		}
+		if len(enc)-headerBytes > FrameCap(TypeSessionReport) {
+			t.Fatalf("report body %d bytes exceeds its cap", len(enc)-headerBytes)
+		}
+		over := fuzzReport(sess|1, 1<<31|a, seed, MaxReportTrials+1)
+		if _, err := AppendSessionReport(nil, over, tc); !errors.Is(err, ErrOversize) {
+			t.Fatalf("oversize report: err = %v", err)
 		}
 	})
 }

@@ -1,38 +1,28 @@
-// Package wire is the cluster runtime's binary codec: a length-prefixed,
-// versioned framing for the messages the 0-round protocols exchange over
-// real connections — a node's Hello, its per-trial Vote (or collision
-// Sketch), the Done marker closing its vote stream, and the referee's
-// Verdict.
+// Package wire is the cluster runtime's binary codec: a length-prefixed
+// framing for the messages the 0-round protocols exchange over real
+// connections — a node's Hello, its per-trial Vote (or collision Sketch),
+// the Done marker closing its vote stream and the referee's Verdict, plus
+// the batched and aggregated forms of those votes (batch.go, partial.go)
+// and the session service's control frames (session.go).
 //
-// Every frame on the wire is
+// Every frame on the wire has one layout:
 //
-//	[4-byte big-endian frame length][1-byte version][1-byte type][payload]
+//	[len u32 BE][version 5][type | trace flag][payload][session u32 BE][trace 16 B]
 //
-// where the length counts the version, type and payload bytes (not the
-// prefix itself). Five versions are in play: version 1 frames carry the
-// bare payload; version 2 frames append a 16-byte trace context (trace ID +
-// span ID, both big-endian uint64, trace ID nonzero) that links the frame
-// into the telemetry plane's distributed trace; version 3 frames carry the
-// batch types (VoteBatch, and its compressed form) whose type byte's high
-// bit flags an optional trace-context suffix; version 4 frames carry the
-// aggregation-tier types (AggHello, PartialVerdict — partial.go) with the
-// same high-bit trace flagging; version 5 frames carry the multi-tenant
-// session context (session.go) — the session control types, and any
-// established type bound to a nonzero session ID via a 4-byte suffix. The
-// encoder stamps the lowest version that can represent a frame — untraced
-// single-vote traffic is byte-identical to the pre-trace protocol, traced
-// single-vote traffic is byte-identical to v2, session-0 traffic is
-// byte-identical to v4 and below — and the decoder accepts all five,
-// rejecting anything newer with ErrVersion. Each frame has exactly one
-// valid version (batch types only at v3, aggregation types only at v4,
-// session-bound and session-control frames only at v5, everything else at
-// v1/v2), so every message keeps a single canonical byte representation.
-// Trace context is observability metadata only: the referee's verdicts
-// never depend on it.
+// The length counts everything after the prefix. The established types,
+// Hello through PartialVerdict, always carry the session field, 0 meaning
+// "bound to no session"; the four session control types carry none, since
+// any session identity they need sits in their payload. The type byte's
+// high bit flags the trailing trace context (trace ID + span ID, both
+// big-endian uint64, trace ID nonzero) that links the frame into the
+// telemetry plane's distributed trace. So every (frame, session, trace)
+// triple has exactly one byte representation, and the decoder rejects any
+// other version byte with ErrVersion. Trace context is observability
+// metadata only: the referee's verdicts never depend on it.
 //
 // Single-vote frames are tiny and fixed-size per type; the decoder
 // enforces both the per-type payload size and the MaxFrameBytes cap before
-// reading a body, mirroring the simulator's CONGEST bandwidth check
+// decoding a payload, mirroring the simulator's CONGEST bandwidth check
 // (simnet.ErrBandwidthExceeded): a peer cannot make the referee allocate or
 // buffer unbounded memory by lying in the length prefix, and an oversized
 // frame is a protocol error, not a crash. Batch frames amortize framing
@@ -43,8 +33,8 @@
 // Decoding never panics on adversarial input: truncated, oversized,
 // wrong-version, unknown-type, mis-sized and bad-trace-context frames all
 // surface as typed errors (ErrTruncated, ErrOversize, ErrVersion,
-// ErrUnknownType, ErrFrameSize, ErrTraceContext), which FuzzWireRoundTrip
-// pins.
+// ErrUnknownType, ErrFrameSize, ErrTraceContext, ErrSession), which
+// FuzzWireRoundTrip pins.
 package wire
 
 import (
@@ -54,44 +44,17 @@ import (
 	"io"
 )
 
-// Version is the current protocol version: version-5 frames carry the
-// multi-tenant session context. The encoder stamps each frame at the
-// lowest version that can represent it (see TraceVersion), so old frame
-// types never encode at v3/v4/v5 and old decoders keep accepting
-// untraced/traced single-vote traffic.
+// Version is the protocol's one version byte. The decoder rejects any
+// other value with ErrVersion.
 const Version = 5
 
-// SessionVersion is the version byte of session-context frames: the
-// session control types (SessionOpen, SessionAccept, SessionReject,
-// SessionReport) and any established frame type carrying a nonzero
-// session-ID suffix (session.go). They are only legal at this version and
-// flag their optional trace suffix through the type byte like v3/v4.
-const SessionVersion = 5
-
-// BatchVersion is the version byte of batch frames (VoteBatch and its
-// compressed form). Batch types are only legal at this version.
-const BatchVersion = 3
-
-// PartialVersion is the version byte of the aggregation-tier frames
-// (AggHello, PartialVerdict). They are only legal at this version and
-// flag their optional trace suffix through the type byte like v3.
-const PartialVersion = 4
-
-// TraceVersion is the version stamped on traced single-vote frames: the
-// payload followed by a 16-byte TraceContext suffix. Untraced single-vote
-// frames encode at MinVersion so pre-trace decoders still accept them.
-const TraceVersion = 2
-
-// MinVersion is the oldest protocol version the decoder accepts: the
-// trace-free framing of the original cluster runtime.
-const MinVersion = 1
-
 // MaxFrameBytes caps the on-wire frame length (version + type + payload +
-// optional trace context) of every single-vote frame type. All defined
-// single-vote frames are ≤ 34 bytes; the cap leaves headroom while keeping
-// the referee's per-connection buffer trivially bounded — the cluster
-// analogue of the CONGEST per-edge bandwidth limit. Batch types have their
-// own cap (MaxBatchFrameBytes); FrameCap resolves the bound per type.
+// session field + optional trace context) of every fixed-size frame type.
+// The largest single-vote frame, a traced session-bound Sketch, is 38
+// bytes; the cap leaves headroom while keeping the referee's
+// per-connection buffer trivially bounded — the cluster analogue of the
+// CONGEST per-edge bandwidth limit. The columnar types have their own cap
+// (MaxBatchFrameBytes); FrameCap resolves the bound per type.
 const MaxFrameBytes = 64
 
 // MaxBatchFrameBytes caps the on-wire length of a batch frame. It bounds
@@ -117,11 +80,11 @@ const headerBytes = 4
 // traceContextBytes is the encoded size of a TraceContext suffix.
 const traceContextBytes = 16
 
-// TraceContext is the optional trace correlation suffix of a version-2
-// frame: the sender's trace ID and the span that emitted the frame. A zero
-// Trace means "absent" — such frames encode at MinVersion without the
-// suffix, and the decoder rejects a version-2 frame whose trace ID is zero
-// (ErrTraceContext) so every encoding has exactly one byte representation.
+// TraceContext is the optional trace correlation suffix of a frame: the
+// sender's trace ID and the span that emitted the frame. A zero Trace means
+// "absent" — such frames encode without the suffix, and the decoder
+// rejects a flagged suffix whose trace ID is zero (ErrTraceContext) so
+// every encoding has exactly one byte representation.
 type TraceContext struct {
 	Trace uint64
 	Span  uint64
@@ -168,10 +131,16 @@ const (
 	TypeSessionReport
 )
 
-// traceFlag is the high bit of a BatchVersion frame's type byte: set when
-// a 16-byte TraceContext suffix follows the payload. Single-vote versions
-// signal tracing through the version byte instead.
+// traceFlag is the high bit of a frame's type byte: set when a 16-byte
+// TraceContext suffix ends the frame.
 const traceFlag = 0x80
+
+// sessionBytes is the encoded size of the session field.
+const sessionBytes = 4
+
+// hasSessionField reports whether frames of base type t carry the session
+// field: the established types do, the session control types do not.
+func hasSessionField(t byte) bool { return t < TypeSessionOpen }
 
 // TypeName returns a short lowercase name for a frame type byte, for
 // metric and span labels ("hello", "vote", ...; "type<N>" when unknown).
@@ -208,40 +177,37 @@ func TypeName(t byte) string {
 	}
 }
 
-// Codec errors. Decode and ReadFrame wrap these with positional detail;
-// match with errors.Is.
+// Codec errors. DecodeBodySession and the Reader wrap these with
+// positional detail; match with errors.Is.
 var (
 	// ErrTruncated marks a frame cut short: a header or body shorter than
 	// its declared length.
 	ErrTruncated = errors.New("wire: truncated frame")
-	// ErrOversize marks a length prefix beyond MaxFrameBytes.
+	// ErrOversize marks a frame beyond its type's FrameCap (a length
+	// prefix beyond MaxBatchFrameBytes included), or a columnar frame over
+	// its entry cap.
 	ErrOversize = errors.New("wire: frame exceeds size limit")
-	// ErrVersion marks a version byte outside MinVersion..Version, or a
-	// frame type encoded at a version that is not its canonical one.
+	// ErrVersion marks a version byte other than Version.
 	ErrVersion = errors.New("wire: unsupported protocol version")
 	// ErrUnknownType marks an unrecognized frame type byte.
 	ErrUnknownType = errors.New("wire: unknown frame type")
 	// ErrFrameSize marks a known frame type with a malformed payload
-	// (wrong size, or a non-canonical batch encoding).
+	// (wrong size, a missing session field, or a non-canonical columnar
+	// encoding).
 	ErrFrameSize = errors.New("wire: wrong payload size for frame type")
 	// ErrTraceContext marks a traced frame whose trace context is
 	// malformed (zero trace ID).
 	ErrTraceContext = errors.New("wire: invalid trace context")
-	// ErrSession marks a malformed session context: a zero session ID on a
-	// version-5 session-suffixed frame (session 0 must encode at the
-	// frame's classic version) or in a control frame requiring one.
+	// ErrSession marks a zero session ID in a control frame that requires
+	// one (SessionAccept, SessionReport).
 	ErrSession = errors.New("wire: invalid session ID")
 )
 
 // Frame is one protocol message. Implementations are small value types;
-// encoding is allocation-free via AppendTo.
+// encoding appends to a caller-owned buffer (AppendSession).
 type Frame interface {
 	// Type returns the frame's type byte.
 	Type() byte
-	// payloadSize returns the exact encoded payload length. Only the
-	// EncodedSize functions and the fixed-size decode path call it: the
-	// encoders measure what they wrote instead.
-	payloadSize() int
 	// appendPayload appends the payload encoding to dst.
 	appendPayload(dst []byte) []byte
 }
@@ -251,6 +217,8 @@ type Frame interface {
 // decode through their own column codec.
 type fixedFrame interface {
 	Frame
+	// payloadSize returns the type's one payload length.
+	payloadSize() int
 	// decodePayload parses a payload of exactly payloadSize bytes.
 	decodePayload(p []byte) error
 }
@@ -392,58 +360,29 @@ func (v *Verdict) decodePayload(p []byte) error {
 	return nil
 }
 
-// Append appends f's full wire encoding (length prefix, version, type,
-// payload) to dst and returns the extended slice. Frames encoded this way
-// carry no trace context and are stamped MinVersion — byte-identical to the
-// pre-trace protocol.
-func Append(dst []byte, f Frame) []byte {
-	return AppendTraced(dst, f, TraceContext{})
-}
-
-// AppendTraced appends f's wire encoding carrying tc. A context with a zero
-// trace ID is treated as absent and encodes exactly like Append; a nonzero
-// one adds the 16-byte suffix — stamping single-vote frames at TraceVersion
-// and setting the trace flag on batch frames (which are always stamped
-// BatchVersion). Batch frames encode their raw (uncompressed) form here;
-// use a BatchEncoder to opportunistically compress.
-func AppendTraced(dst []byte, f Frame, tc TraceContext) []byte {
-	return AppendSession(dst, f, 0, tc)
-}
-
-// frameVersion returns the one version byte a frame of type t encodes at
-// when bound to session and carrying tc: SessionVersion for the session
-// control types and for session-bound frames, BatchVersion for batches,
-// PartialVersion for the aggregation types, and MinVersion (TraceVersion
-// when traced) for the single-vote types.
-func frameVersion(t byte, session uint32, tc TraceContext) byte {
-	switch {
-	case t >= TypeSessionOpen || session != 0:
-		return SessionVersion
-	case t == TypeVoteBatch || t == TypeVoteBatchZ:
-		return BatchVersion
-	case t == TypeAggHello || t == TypePartialVerdict:
-		return PartialVersion
-	case !tc.IsZero():
-		return TraceVersion
-	}
-	return MinVersion
+// AppendSession appends f's wire encoding bound to session and carrying tc
+// to dst and returns the extended slice. Established types always carry
+// the session field, 0 meaning unbound; the session control types carry
+// none and ignore session. A zero tc adds no trace suffix. Batches encode
+// raw here; a BatchEncoder can compress them.
+func AppendSession(dst []byte, f Frame, session uint32, tc TraceContext) []byte {
+	return appendFrame(dst, f.Type(), f.appendPayload, session, tc)
 }
 
 // appendFrame writes one frame in a single pass: it reserves the 4-byte
 // length prefix, writes the version and type bytes, appends the payload,
-// the session suffix (nonzero session only) and the trace suffix (nonzero
-// trace only), and then fills in the length. From BatchVersion on, the
-// type byte's high bit flags the trace suffix; v1/v2 frames signal it
-// through the version byte instead. The payload producer is a callback so
-// frame payloads, pre-encoded raw batches and compressed batches share
-// the framing.
-func appendFrame(dst []byte, version, typ byte, payload func([]byte) []byte, session uint32, tc TraceContext) []byte {
+// the session field (established types only) and the trace suffix
+// (nonzero trace only), and then fills in the length. The payload
+// producer is a callback so frame payloads, pre-encoded raw batches and
+// compressed batches share the framing.
+func appendFrame(dst []byte, typ byte, payload func([]byte) []byte, session uint32, tc TraceContext) []byte {
 	start := len(dst)
-	if !tc.IsZero() && version >= BatchVersion {
-		typ |= traceFlag
+	flagged := typ
+	if !tc.IsZero() {
+		flagged |= traceFlag
 	}
-	dst = payload(append(dst, 0, 0, 0, 0, version, typ))
-	if session != 0 {
+	dst = payload(append(dst, 0, 0, 0, 0, Version, flagged))
+	if hasSessionField(typ) {
 		dst = binary.BigEndian.AppendUint32(dst, session)
 	}
 	if !tc.IsZero() {
@@ -454,88 +393,48 @@ func appendFrame(dst []byte, version, typ byte, payload func([]byte) []byte, ses
 	return dst
 }
 
-// maxPayloadBytes bounds a columnar payload (VoteBatch, PartialVerdict,
-// SessionReport) together with any session suffix, so the full frame body
-// (version + type + payload + session + trace suffix) fits
-// MaxBatchFrameBytes.
-const maxPayloadBytes = MaxBatchFrameBytes - 2 - traceContextBytes
+// maxBodyBytes bounds a columnar frame's body without its trace suffix
+// (version, type, payload and any session field), so the frame fits
+// MaxBatchFrameBytes traced or not.
+const maxBodyBytes = MaxBatchFrameBytes - traceContextBytes
 
-// checkPayload enforces maxPayloadBytes on a size-byte payload of type t
-// bound to session.
-func checkPayload(t byte, size int, session uint32) error {
-	limit := maxPayloadBytes
-	if session != 0 {
-		limit -= sessionBytes
-	}
-	if size > limit {
-		return fmt.Errorf("%w: %d-byte %s payload (limit %d)", ErrOversize, size, TypeName(t), limit)
+// checkBody enforces maxBodyBytes on an n-byte untraced body of type t.
+func checkBody(t byte, n int) error {
+	if n > maxBodyBytes {
+		return fmt.Errorf("%w: %d-byte %s frame body (limit %d)", ErrOversize, n, TypeName(t), maxBodyBytes)
 	}
 	return nil
 }
 
 // appendCapped appends f's encoding bound to session in one pass, then
-// checks the payload it wrote against maxPayloadBytes; on overflow it
-// returns dst unchanged with ErrOversize. Session control frames take no
-// suffix, so their callers pass session 0.
+// checks the body it wrote against maxBodyBytes; on overflow it returns
+// dst unchanged with ErrOversize.
 func appendCapped(dst []byte, f Frame, session uint32, tc TraceContext) ([]byte, error) {
 	out := AppendSession(dst, f, session, tc)
-	size := len(out) - len(dst) - headerBytes - 2
-	if session != 0 {
-		size -= sessionBytes
-	}
+	n := len(out) - len(dst) - headerBytes
 	if !tc.IsZero() {
-		size -= traceContextBytes
+		n -= traceContextBytes
 	}
-	if err := checkPayload(f.Type(), size, session); err != nil {
+	if err := checkBody(f.Type(), n); err != nil {
 		return dst, err
 	}
 	return out, nil
 }
 
-// EncodedSize returns the full untraced on-wire size of f including the
-// length prefix.
-func EncodedSize(f Frame) int { return headerBytes + 2 + f.payloadSize() }
-
-// EncodedSizeTraced returns the on-wire size of f when carrying tc.
-func EncodedSizeTraced(f Frame, tc TraceContext) int {
-	if tc.IsZero() {
-		return EncodedSize(f)
-	}
-	return EncodedSize(f) + traceContextBytes
+// WriteFrame writes f's unbound, untraced encoding to w in one Write call.
+func WriteFrame(w io.Writer, f Frame) error {
+	return WriteFrameSession(w, f, 0, TraceContext{})
 }
 
-// Decode parses one frame from the front of b, returning the frame and the
-// number of bytes consumed (any trace context is validated but dropped; use
-// DecodeTraced to keep it). An incomplete buffer returns ErrTruncated (a
-// stream reader should read more and retry); a malformed one returns
-// ErrOversize, ErrVersion, ErrUnknownType, ErrFrameSize or ErrTraceContext.
-func Decode(b []byte) (Frame, int, error) {
-	f, _, n, err := DecodeTraced(b)
-	return f, n, err
-}
-
-// DecodeTraced parses one frame and its trace context from the front of b.
-// The context is zero for version-1 frames.
-func DecodeTraced(b []byte) (Frame, TraceContext, int, error) {
-	if len(b) < headerBytes {
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(b))
+// WriteFrameSession writes f's encoding bound to session and carrying tc
+// to w in one Write call (frames are small enough that partial writes
+// only occur on a failing connection).
+func WriteFrameSession(w io.Writer, f Frame, session uint32, tc TraceContext) error {
+	var buf [headerBytes + MaxFrameBytes]byte // every fixed-size frame fits
+	if _, err := w.Write(AppendSession(buf[:0], f, session, tc)); err != nil {
+		return fmt.Errorf("wire: write %T: %w", f, err)
 	}
-	n := binary.BigEndian.Uint32(b)
-	if n > MaxBatchFrameBytes {
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: declared %d bytes (limit %d)", ErrOversize, n, MaxBatchFrameBytes)
-	}
-	if n < 2 {
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: declared %d bytes, need ≥ 2", ErrFrameSize, n)
-	}
-	total := headerBytes + int(n)
-	if len(b) < total {
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: have %d of %d bytes", ErrTruncated, len(b), total)
-	}
-	f, tc, err := decodeBody(b[headerBytes:total], nil)
-	if err != nil {
-		return nil, TraceContext{}, 0, err
-	}
-	return f, tc, total, nil
+	return nil
 }
 
 // DecodeScratch holds reusable frame values and buffers so a steady-state
@@ -564,201 +463,135 @@ type DecodeScratch struct {
 	cols []uint64
 }
 
-// columns returns n scratch column values, reusing sc's buffer; a nil
-// scratch allocates.
+// columns returns n scratch column values, reusing sc's buffer.
 func (sc *DecodeScratch) columns(n int) []uint64 {
-	if sc == nil {
-		return make([]uint64, n)
-	}
 	if cap(sc.cols) < n {
 		sc.cols = make([]uint64, n)
 	}
 	return sc.cols[:n]
 }
 
-// decodeBody parses version, type, payload and optional trace context from
-// a complete frame body, validating but dropping any session context. With
-// a non-nil scratch the returned frame aliases scratch storage instead of
-// allocating.
-func decodeBody(body []byte, sc *DecodeScratch) (Frame, TraceContext, error) {
-	f, tc, _, err := decodeBodyAll(body, sc)
-	return f, tc, err
-}
-
-// scratchSingleFrame returns the scratch-held value for a single-vote
-// frame type (nil scratch allocates). The scratch values avoid a per-frame
-// allocation on the referee's hot decode loop; decodePayload writes every
-// field (all payloads are fixed-shape), so no reset between reuses is
-// needed.
-func scratchSingleFrame(t byte, sc *DecodeScratch) fixedFrame {
-	if sc == nil {
-		switch t {
-		case TypeHello:
-			return &Hello{}
-		case TypeVote:
-			return &Vote{}
-		case TypeSketch:
-			return &Sketch{}
-		case TypeDone:
-			return &Done{}
-		default:
-			return &Verdict{}
-		}
+// DecodeBodySession parses a complete frame body (version, type, payload,
+// session field, optional trace context) as returned by Reader.ReadBody,
+// returning the frame, its trace context and its session ID — 0 for an
+// unbound frame and for the session control types, which carry any
+// session identity inside their payload. With a non-nil scratch the frame
+// aliases scratch storage and is only valid until the next decode with
+// it; a nil scratch allocates.
+func DecodeBodySession(body []byte, sc *DecodeScratch) (Frame, TraceContext, uint32, error) {
+	if len(body) < 2 {
+		return nil, TraceContext{}, 0, fmt.Errorf("%w: %d-byte body, need ≥ 2", ErrFrameSize, len(body))
 	}
-	switch t {
-	case TypeHello:
-		return &sc.hello
-	case TypeVote:
-		return &sc.vote
-	case TypeSketch:
-		return &sc.sketch
-	case TypeDone:
-		return &sc.done
-	default:
-		return &sc.verdict
+	if body[0] != Version {
+		return nil, TraceContext{}, 0, fmt.Errorf("%w: got %d, want %d", ErrVersion, body[0], Version)
 	}
-}
-
-// decodeBodyAll is the full-fidelity body decoder: frame, trace context
-// and session ID (zero below SessionVersion and for control frames, which
-// carry any session identity in their payload instead).
-func decodeBodyAll(body []byte, sc *DecodeScratch) (Frame, TraceContext, uint32, error) {
-	v := body[0]
-	if v < MinVersion || v > Version {
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: got %d, want %d..%d", ErrVersion, v, MinVersion, Version)
-	}
-	switch v {
-	case BatchVersion:
-		f, tc, err := decodeBatchBody(body, sc)
-		return f, tc, 0, err
-	case PartialVersion:
-		f, tc, err := decodePartialBody(body, sc)
-		return f, tc, 0, err
-	case SessionVersion:
-		return decodeSessionBody(body, sc)
-	}
-	var f fixedFrame
-	switch t := body[1]; t {
-	case TypeHello, TypeVote, TypeSketch, TypeDone, TypeVerdict:
-		f = scratchSingleFrame(t, sc)
-	case TypeVoteBatch, TypeVoteBatchZ:
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: batch type %d requires v%d, got v%d",
-			ErrVersion, t, BatchVersion, v)
-	case TypeAggHello, TypePartialVerdict:
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: aggregation type %d requires v%d, got v%d",
-			ErrVersion, t, PartialVersion, v)
-	case TypeSessionOpen, TypeSessionAccept, TypeSessionReject, TypeSessionReport:
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: session type %d requires v%d, got v%d",
-			ErrVersion, t, SessionVersion, v)
-	default:
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: type %d", ErrUnknownType, t)
-	}
-	payload := body[2:]
-	var tc TraceContext
-	if v >= TraceVersion {
-		// Version 2 requires the trace-context suffix.
-		want := f.payloadSize() + traceContextBytes
-		if len(payload) != want {
-			return nil, TraceContext{}, 0, fmt.Errorf("%w: type %d v%d payload %d bytes, want %d",
-				ErrFrameSize, body[1], v, len(payload), want)
-		}
-		tail := payload[f.payloadSize():]
-		tc.Trace = binary.BigEndian.Uint64(tail[:8])
-		tc.Span = binary.BigEndian.Uint64(tail[8:])
-		if tc.Trace == 0 {
-			return nil, TraceContext{}, 0, fmt.Errorf("%w: zero trace ID on a v%d frame", ErrTraceContext, v)
-		}
-		payload = payload[:f.payloadSize()]
-	} else if len(payload) != f.payloadSize() {
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: type %d payload %d bytes, want %d",
-			ErrFrameSize, body[1], len(payload), f.payloadSize())
-	}
-	if err := f.decodePayload(payload); err != nil {
-		return nil, TraceContext{}, 0, err
-	}
-	return f, tc, 0, nil
-}
-
-// decodeBatchBody parses a BatchVersion frame body: trace flag in the type
-// byte, batch payload (optionally compressed), optional trace suffix.
-func decodeBatchBody(body []byte, sc *DecodeScratch) (Frame, TraceContext, error) {
-	t := body[1]
-	base := t &^ traceFlag
-	if base != TypeVoteBatch && base != TypeVoteBatchZ {
-		if base >= TypeHello && base <= TypeSessionReport {
-			// Every type has exactly one valid version; re-encoding another
-			// type at v3 would break the canonical-bytes invariant.
-			return nil, TraceContext{}, fmt.Errorf("%w: type %d not valid at v%d", ErrVersion, base, BatchVersion)
-		}
-		return nil, TraceContext{}, fmt.Errorf("%w: type %d", ErrUnknownType, base)
+	base := body[1] &^ traceFlag
+	if base < TypeHello || base > TypeSessionReport {
+		return nil, TraceContext{}, 0, fmt.Errorf("%w: type %d", ErrUnknownType, base)
 	}
 	if len(body) > FrameCap(base) {
-		return nil, TraceContext{}, fmt.Errorf("%w: %d-byte %s frame (limit %d)",
+		return nil, TraceContext{}, 0, fmt.Errorf("%w: %d-byte %s frame (limit %d)",
 			ErrOversize, len(body), TypeName(base), FrameCap(base))
 	}
 	payload := body[2:]
 	var tc TraceContext
-	if t&traceFlag != 0 {
+	if body[1]&traceFlag != 0 {
 		if len(payload) < traceContextBytes {
-			return nil, TraceContext{}, fmt.Errorf("%w: traced %s frame with %d-byte body",
+			return nil, TraceContext{}, 0, fmt.Errorf("%w: traced %s frame with %d-byte body",
 				ErrFrameSize, TypeName(base), len(body))
 		}
 		tail := payload[len(payload)-traceContextBytes:]
 		tc.Trace = binary.BigEndian.Uint64(tail[:8])
 		tc.Span = binary.BigEndian.Uint64(tail[8:])
 		if tc.Trace == 0 {
-			return nil, TraceContext{}, fmt.Errorf("%w: zero trace ID on a v%d frame", ErrTraceContext, BatchVersion)
+			return nil, TraceContext{}, 0, fmt.Errorf("%w: zero trace ID", ErrTraceContext)
 		}
 		payload = payload[:len(payload)-traceContextBytes]
 	}
-	vb, err := decodeBatchPayload(base, payload, sc)
-	if err != nil {
-		return nil, TraceContext{}, err
-	}
-	return vb, tc, nil
-}
-
-// decodeBatchPayload parses a raw or compressed batch payload (shared by
-// the v3 and v5 decode paths).
-func decodeBatchPayload(base byte, payload []byte, sc *DecodeScratch) (*VoteBatch, error) {
-	var vb *VoteBatch
-	if sc != nil {
-		vb = &sc.batch
-	} else {
-		vb = &VoteBatch{}
-	}
-	if base == TypeVoteBatch {
-		vb.Compressed, vb.Saved = false, 0
-		if err := vb.decodePayload(payload, sc); err != nil {
-			return nil, err
+	var session uint32
+	if hasSessionField(base) {
+		if len(payload) < sessionBytes {
+			return nil, TraceContext{}, 0, fmt.Errorf("%w: %s frame missing its session field", ErrFrameSize, TypeName(base))
 		}
-		return vb, nil
+		session = binary.BigEndian.Uint32(payload[len(payload)-sessionBytes:])
+		payload = payload[:len(payload)-sessionBytes]
 	}
-	raw, saved, err := decodeZPayload(payload, sc)
+	if sc == nil {
+		sc = new(DecodeScratch)
+	}
+	f, err := sc.decode(base, payload)
 	if err != nil {
-		return nil, err
+		return nil, TraceContext{}, 0, err
 	}
-	if err := vb.decodePayload(raw, sc); err != nil {
-		return nil, err
-	}
-	vb.Compressed, vb.Saved = true, saved
-	return vb, nil
+	return f, tc, session, nil
 }
 
-// WriteFrame writes f's encoding to w in one Write call (frames are small
-// enough that partial writes only occur on a failing connection).
-func WriteFrame(w io.Writer, f Frame) error {
-	return WriteFrameTraced(w, f, TraceContext{})
+// decode parses the payload of a base-type t frame into sc's value for
+// that type.
+func (sc *DecodeScratch) decode(t byte, p []byte) (Frame, error) {
+	var f fixedFrame
+	switch t {
+	case TypeHello:
+		f = &sc.hello
+	case TypeVote:
+		f = &sc.vote
+	case TypeSketch:
+		f = &sc.sketch
+	case TypeDone:
+		f = &sc.done
+	case TypeVerdict:
+		f = &sc.verdict
+	case TypeAggHello:
+		f = &sc.aggHello
+	case TypeSessionOpen:
+		f = &sc.open
+	case TypeSessionAccept:
+		f = &sc.accept
+	case TypeSessionReject:
+		f = &sc.reject
+	case TypeVoteBatch, TypeVoteBatchZ:
+		return &sc.batch, sc.decodeBatch(t, p)
+	case TypePartialVerdict:
+		return &sc.partial, sc.partial.decodePayload(p, sc)
+	default: // TypeSessionReport, the last type DecodeBodySession admits
+		return &sc.report, sc.report.decodePayload(p)
+	}
+	// decodePayload writes every field of the fixed-shape payloads, so a
+	// reused scratch value needs no reset.
+	if len(p) != f.payloadSize() {
+		return nil, fmt.Errorf("%w: %s payload %d bytes, want %d", ErrFrameSize, TypeName(t), len(p), f.payloadSize())
+	}
+	return f, f.decodePayload(p)
 }
 
-// WriteFrameTraced writes f's encoding carrying tc to w in one Write call.
-func WriteFrameTraced(w io.Writer, f Frame, tc TraceContext) error {
-	buf := make([]byte, 0, EncodedSizeTraced(f, tc))
-	buf = AppendTraced(buf, f, tc)
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("wire: write %T: %w", f, err)
+// BodyType returns the base frame type of an encoded frame body with the
+// trace flag stripped, or 0 when the body is too short to carry one. It
+// never validates the body — use it to route a frame before the full
+// decode, never instead of it.
+func BodyType(body []byte) byte {
+	if len(body) < 2 {
+		return 0
 	}
-	return nil
+	return body[1] &^ traceFlag
+}
+
+// SessionOf extracts the session ID a frame body is bound to without a
+// full decode: the session field of an established type, or 0 for control
+// frames, other versions, and bodies too short to carry the field (which
+// the full decode will reject). Like BodyType it is a routing peek, not a
+// validator.
+func SessionOf(body []byte) uint32 {
+	if len(body) < 2 || body[0] != Version || !hasSessionField(body[1]&^traceFlag) {
+		return 0
+	}
+	end := len(body)
+	if body[1]&traceFlag != 0 {
+		end -= traceContextBytes
+	}
+	if end < 2+sessionBytes {
+		return 0
+	}
+	return binary.BigEndian.Uint32(body[end-sessionBytes : end])
 }
 
 // Reader decodes a frame stream from an io.Reader with reusable buffers:
@@ -773,45 +606,16 @@ type Reader struct {
 // NewReader wraps r as a frame stream.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
-// ReadFrame reads and decodes the next frame, dropping any trace context.
-// io.EOF is returned unwrapped at a clean frame boundary; an EOF mid-frame
-// surfaces as ErrTruncated.
+// ReadFrame reads and decodes the next frame, dropping its trace context
+// and session. io.EOF is returned unwrapped at a clean frame boundary; an
+// EOF mid-frame surfaces as ErrTruncated.
 func (r *Reader) ReadFrame() (Frame, error) {
-	f, _, err := r.ReadFrameTraced()
-	return f, err
-}
-
-// ReadFrameTraced reads and decodes the next frame along with its trace
-// context (zero for version-1 frames).
-func (r *Reader) ReadFrameTraced() (Frame, TraceContext, error) {
 	body, err := r.ReadBody()
 	if err != nil {
-		return nil, TraceContext{}, err
+		return nil, err
 	}
-	return DecodeBody(body)
-}
-
-// DecodeBody parses a complete frame body (version, type, payload, optional
-// trace context) as returned by Reader.ReadBody. Callers that want to time
-// decoding separately from blocking I/O use ReadBody + DecodeBody; the
-// fused form is ReadFrameTraced.
-func DecodeBody(body []byte) (Frame, TraceContext, error) {
-	return decodeBody(body, nil)
-}
-
-// DecodeBodyScratch is DecodeBody with caller-owned scratch: the returned
-// frame aliases scratch storage, so steady-state decode allocates nothing.
-// The frame is only valid until the next decode with the same scratch.
-func DecodeBodyScratch(body []byte, sc *DecodeScratch) (Frame, TraceContext, error) {
-	return decodeBody(body, sc)
-}
-
-// DecodeBodySession is the session-aware form of DecodeBodyScratch: it
-// additionally returns the frame's session ID — zero for frames below
-// SessionVersion and for the session control types, which carry any
-// session identity inside their payload. Scratch may be nil.
-func DecodeBodySession(body []byte, sc *DecodeScratch) (Frame, TraceContext, uint32, error) {
-	return decodeBodyAll(body, sc)
+	f, _, _, err := DecodeBodySession(body, nil)
+	return f, err
 }
 
 // ReadBody reads the next frame's body into the reader's internal buffer

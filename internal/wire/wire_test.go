@@ -24,21 +24,63 @@ func everyFrame() []Frame {
 	}
 }
 
+// decodeFrame decodes one encoded frame, checking that its length prefix
+// covers exactly the rest of b.
+func decodeFrame(t *testing.T, b []byte) (Frame, TraceContext, uint32) {
+	t.Helper()
+	if n := binary.BigEndian.Uint32(b); int(n) != len(b)-headerBytes {
+		t.Fatalf("length prefix %d, body %d bytes", n, len(b)-headerBytes)
+	}
+	f, tc, sess, err := DecodeBodySession(b[headerBytes:], nil)
+	if err != nil {
+		t.Fatalf("decode %x: %v", b, err)
+	}
+	return f, tc, sess
+}
+
+// encodeFrame encodes f bound to session and carrying tc, through a
+// compressing BatchEncoder when compress is set.
+func encodeFrame(t *testing.T, f Frame, session uint32, tc TraceContext, compress bool) []byte {
+	t.Helper()
+	if !compress {
+		return AppendSession(nil, f, session, tc)
+	}
+	var e BatchEncoder
+	b, err := e.AppendSession(nil, f.(*VoteBatch), session, tc, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// sentType returns the type byte a decoded frame arrived with: its Type,
+// or TypeVoteBatchZ for a batch that arrived compressed.
+func sentType(f Frame) byte {
+	if vb, ok := f.(*VoteBatch); ok && vb.Compressed {
+		return TypeVoteBatchZ
+	}
+	return f.Type()
+}
+
+// framesEqual compares two decoded frames, ignoring the decoder-output
+// Compressed/Saved fields of a VoteBatch.
+func framesEqual(got, want Frame) bool {
+	if gb, ok := got.(*VoteBatch); ok {
+		wb, ok := want.(*VoteBatch)
+		return ok && gb.Sketch == wb.Sketch && reflect.DeepEqual(gb.Votes, wb.Votes)
+	}
+	return reflect.DeepEqual(got, want)
+}
+
 func TestRoundTripEveryType(t *testing.T) {
 	for _, f := range everyFrame() {
-		buf := Append(nil, f)
-		if len(buf) != EncodedSize(f) {
-			t.Errorf("%T: encoded %d bytes, EncodedSize says %d", f, len(buf), EncodedSize(f))
+		buf := AppendSession(nil, f, 0, TraceContext{})
+		if want := headerBytes + 2 + f.(fixedFrame).payloadSize() + sessionBytes; len(buf) != want {
+			t.Errorf("%T: encoded %d bytes, want %d", f, len(buf), want)
 		}
-		got, n, err := Decode(buf)
-		if err != nil {
-			t.Fatalf("%T: decode: %v", f, err)
-		}
-		if n != len(buf) {
-			t.Errorf("%T: consumed %d of %d bytes", f, n, len(buf))
-		}
-		if !reflect.DeepEqual(got, f) {
-			t.Errorf("round trip: got %#v, want %#v", got, f)
+		got, tc, sess := decodeFrame(t, buf)
+		if !tc.IsZero() || sess != 0 || !reflect.DeepEqual(got, f) {
+			t.Errorf("round trip: got (%#v, %+v, session %d), want %#v", got, tc, sess, f)
 		}
 	}
 }
@@ -66,17 +108,20 @@ func TestReaderStream(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTruncated pins that a body cut short never decodes: the
+// Reader reports a cut inside a frame as ErrTruncated, and a body shorter
+// than its type's layout fails with ErrFrameSize.
 func TestDecodeRejectsTruncated(t *testing.T) {
-	full := Append(nil, &Vote{Trial: 1, Node: 2, Reject: true})
-	for cut := 0; cut < len(full); cut++ {
-		if _, _, err := Decode(full[:cut]); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("cut at %d: err = %v, want ErrTruncated", cut, err)
+	body := AppendSession(nil, &Vote{Trial: 1, Node: 2, Reject: true}, 7, TraceContext{})[headerBytes:]
+	for cut := 0; cut < len(body); cut++ {
+		if _, _, _, err := DecodeBodySession(body[:cut], nil); !errors.Is(err, ErrFrameSize) {
+			t.Fatalf("cut at %d: err = %v, want ErrFrameSize", cut, err)
 		}
 	}
 }
 
 func TestReaderRejectsMidFrameEOF(t *testing.T) {
-	full := Append(nil, &Sketch{Trial: 1, Node: 2, Samples: 3, Collisions: 1})
+	full := AppendSession(nil, &Sketch{Trial: 1, Node: 2, Samples: 3, Collisions: 1}, 0, TraceContext{})
 	for cut := 1; cut < len(full); cut++ {
 		r := NewReader(bytes.NewReader(full[:cut]))
 		if _, err := r.ReadFrame(); !errors.Is(err, ErrTruncated) {
@@ -90,55 +135,46 @@ func TestDecodeRejectsOversize(t *testing.T) {
 	var b []byte
 	b = binary.BigEndian.AppendUint32(b, MaxBatchFrameBytes+1)
 	b = append(b, make([]byte, MaxBatchFrameBytes+1)...)
-	if _, _, err := Decode(b); !errors.Is(err, ErrOversize) {
-		t.Fatalf("err = %v, want ErrOversize", err)
-	}
 	if _, err := NewReader(bytes.NewReader(b)).ReadFrame(); !errors.Is(err, ErrOversize) {
 		t.Fatalf("reader err = %v, want ErrOversize", err)
 	}
 	// The 64-byte CONGEST-mirror cap still applies to single-vote types:
 	// a vote frame padded past MaxFrameBytes is a protocol error even
-	// though the stream-level cap now admits larger (batch) frames.
-	var v []byte
-	v = binary.BigEndian.AppendUint32(v, MaxFrameBytes+1)
-	v = append(v, MinVersion, TypeVote)
-	v = append(v, make([]byte, MaxFrameBytes-1)...)
-	if _, _, err := Decode(v); !errors.Is(err, ErrFrameSize) {
-		t.Fatalf("oversize vote err = %v, want ErrFrameSize", err)
+	// though the stream-level cap admits larger (batch) frames.
+	v := append([]byte{Version, TypeVote}, make([]byte, MaxFrameBytes-1)...)
+	if _, _, _, err := DecodeBodySession(v, nil); !errors.Is(err, ErrOversize) {
+		t.Fatalf("oversize vote err = %v, want ErrOversize", err)
 	}
 }
 
 func TestDecodeRejectsBadVersion(t *testing.T) {
-	b := Append(nil, &Done{Node: 1})
-	b[4] = Version + 1
-	if _, _, err := Decode(b); !errors.Is(err, ErrVersion) {
+	b := AppendSession(nil, &Done{Node: 1}, 0, TraceContext{})[headerBytes:]
+	b[0] = Version + 1
+	if _, _, _, err := DecodeBodySession(b, nil); !errors.Is(err, ErrVersion) {
 		t.Fatalf("err = %v, want ErrVersion", err)
 	}
 }
 
 func TestDecodeRejectsUnknownType(t *testing.T) {
-	b := Append(nil, &Done{Node: 1})
-	b[5] = 0xEE
-	if _, _, err := Decode(b); !errors.Is(err, ErrUnknownType) {
+	b := AppendSession(nil, &Done{Node: 1}, 0, TraceContext{})[headerBytes:]
+	b[1] = 0xEE
+	if _, _, _, err := DecodeBodySession(b, nil); !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("err = %v, want ErrUnknownType", err)
 	}
 }
 
 func TestDecodeRejectsWrongPayloadSize(t *testing.T) {
-	// A Done frame claiming a Hello-sized payload.
-	var b []byte
-	b = binary.BigEndian.AppendUint32(b, 2+12)
-	b = append(b, MinVersion, TypeDone)
-	b = append(b, make([]byte, 12)...)
-	if _, _, err := Decode(b); !errors.Is(err, ErrFrameSize) {
+	// A Done frame claiming a Hello-sized payload, then its session field.
+	b := append([]byte{Version, TypeDone}, make([]byte, 12+sessionBytes)...)
+	if _, _, _, err := DecodeBodySession(b, nil); !errors.Is(err, ErrFrameSize) {
 		t.Fatalf("err = %v, want ErrFrameSize", err)
 	}
 }
 
 func TestDecodeRejectsBadVoteFlag(t *testing.T) {
-	b := Append(nil, &Vote{Trial: 1, Node: 2})
-	b[len(b)-1] = 7 // flag byte must be 0 or 1
-	if _, _, err := Decode(b); !errors.Is(err, ErrFrameSize) {
+	b := AppendSession(nil, &Vote{Trial: 1, Node: 2}, 0, TraceContext{})[headerBytes:]
+	b[len(b)-1-sessionBytes] = 7 // flag byte must be 0 or 1
+	if _, _, _, err := DecodeBodySession(b, nil); !errors.Is(err, ErrFrameSize) {
 		t.Fatalf("err = %v, want ErrFrameSize", err)
 	}
 }
@@ -146,29 +182,16 @@ func TestDecodeRejectsBadVoteFlag(t *testing.T) {
 func TestTracedRoundTripEveryType(t *testing.T) {
 	tc := TraceContext{Trace: 0xdeadbeefcafef00d, Span: 0x0123456789abcdef}
 	for _, f := range everyFrame() {
-		buf := AppendTraced(nil, f, tc)
-		if len(buf) != EncodedSizeTraced(f, tc) {
-			t.Errorf("%T: encoded %d bytes, EncodedSizeTraced says %d", f, len(buf), EncodedSizeTraced(f, tc))
+		buf := AppendSession(nil, f, 0, tc)
+		if want := len(AppendSession(nil, f, 0, TraceContext{})) + traceContextBytes; len(buf) != want {
+			t.Errorf("%T: traced frame %d bytes, want %d", f, len(buf), want)
 		}
-		if buf[4] != TraceVersion {
-			t.Errorf("%T: traced frame stamped version %d, want %d", f, buf[4], TraceVersion)
-		}
-		got, gotTC, n, err := DecodeTraced(buf)
-		if err != nil {
-			t.Fatalf("%T: decode traced: %v", f, err)
-		}
-		if n != len(buf) {
-			t.Errorf("%T: consumed %d of %d bytes", f, n, len(buf))
-		}
+		got, gotTC, _ := decodeFrame(t, buf)
 		if gotTC != tc {
 			t.Errorf("%T: trace context %+v, want %+v", f, gotTC, tc)
 		}
 		if !reflect.DeepEqual(got, f) {
 			t.Errorf("round trip: got %#v, want %#v", got, f)
-		}
-		// The plain decoder must accept the same frame, dropping the context.
-		if plain, _, err := Decode(buf); err != nil || !reflect.DeepEqual(plain, f) {
-			t.Errorf("Decode(traced) = (%#v, %v)", plain, err)
 		}
 	}
 }
@@ -182,13 +205,17 @@ func TestTracedReaderStream(t *testing.T) {
 		if i%2 == 0 {
 			tc = TraceContext{Trace: uint64(i) + 1, Span: uint64(i) * 7}
 		}
-		if err := WriteFrameTraced(&buf, f, tc); err != nil {
+		if err := WriteFrameSession(&buf, f, 0, tc); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r := NewReader(&buf)
 	for i, want := range frames {
-		got, tc, err := r.ReadFrameTraced()
+		body, err := r.ReadBody()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		got, tc, _, err := DecodeBodySession(body, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -204,94 +231,129 @@ func TestTracedReaderStream(t *testing.T) {
 	}
 }
 
-// TestVersionNegotiation pins the cross-version contract: v1 frames (the
-// pre-trace encoding) decode with a zero context, v2 frames require a
-// well-formed trace context, and a v-next frame is rejected with ErrVersion
-// rather than a panic.
-func TestVersionNegotiation(t *testing.T) {
-	vote := &Vote{Trial: 3, Node: 9, Reject: true}
-	tc := TraceContext{Trace: 77, Span: 88}
-
-	t.Run("v1 accepted without context", func(t *testing.T) {
-		b := Append(nil, vote)
-		if b[4] != MinVersion {
-			t.Fatalf("untraced frame stamped version %d, want %d", b[4], MinVersion)
-		}
-		f, gotTC, _, err := DecodeTraced(b)
-		if err != nil || !gotTC.IsZero() || !reflect.DeepEqual(f, vote) {
-			t.Fatalf("DecodeTraced(v1) = (%#v, %+v, %v)", f, gotTC, err)
-		}
-	})
-	t.Run("zero context encodes as v1", func(t *testing.T) {
-		if !bytes.Equal(AppendTraced(nil, vote, TraceContext{}), Append(nil, vote)) {
-			t.Fatal("AppendTraced with zero context is not byte-identical to Append")
-		}
-	})
-	t.Run("v1 with trailing context bytes rejected", func(t *testing.T) {
-		b := AppendTraced(nil, vote, tc)
-		b[4] = MinVersion // claim v1 while carrying the 16-byte suffix
-		binary.BigEndian.PutUint32(b, uint32(len(b)-headerBytes))
-		if _, _, err := Decode(b); !errors.Is(err, ErrFrameSize) {
-			t.Fatalf("err = %v, want ErrFrameSize", err)
-		}
-	})
-	t.Run("v2 without context rejected", func(t *testing.T) {
-		b := Append(nil, vote)
-		b[4] = TraceVersion
-		if _, _, err := Decode(b); !errors.Is(err, ErrFrameSize) {
-			t.Fatalf("err = %v, want ErrFrameSize", err)
-		}
-	})
-	t.Run("v2 with zero trace ID rejected", func(t *testing.T) {
-		b := AppendTraced(nil, vote, tc)
-		zero := make([]byte, 8)
-		copy(b[len(b)-traceContextBytes:], zero)
-		if _, _, err := Decode(b); !errors.Is(err, ErrTraceContext) {
-			t.Fatalf("err = %v, want ErrTraceContext", err)
-		}
-	})
-	t.Run("old type at v3 rejected", func(t *testing.T) {
-		// Batch framing is v3-only; re-encoding a single-vote type there
-		// would give it a second byte representation.
-		b := Append(nil, vote)
-		b[4] = BatchVersion
-		if _, _, err := Decode(b); !errors.Is(err, ErrVersion) {
-			t.Fatalf("err = %v, want ErrVersion", err)
-		}
-	})
-	t.Run("batch type below v3 rejected", func(t *testing.T) {
-		vb := &VoteBatch{Votes: []BatchVote{{Trial: 1, Node: 2, Reject: true}}}
-		for _, ver := range []byte{MinVersion, TraceVersion} {
-			b := Append(nil, vb)
-			b[4] = ver
-			if _, _, err := Decode(b); !errors.Is(err, ErrVersion) {
-				t.Fatalf("v%d batch err = %v, want ErrVersion", ver, err)
+// TestFrameLayout pins the one frame layout on all 13 types × session
+// {0, 7} × trace {off, on}: every frame round-trips byte-identically; the
+// routing peeks BodyType and SessionOf agree with the full decode; the
+// session field is fixed (established types carry it even at session 0,
+// control types never); every version byte but Version fails with
+// ErrVersion; a zero trace ID fails with ErrTraceContext, and a
+// fixed-size frame whose trace flag disagrees with its suffix fails with
+// ErrFrameSize; an established-type body too short for its session field
+// fails with ErrFrameSize; and every frame fits its FrameCap — the
+// largest single-vote frame, a traced session-bound Sketch, included.
+func TestFrameLayout(t *testing.T) {
+	cases := []struct {
+		typ      byte // the type byte on the wire, trace flag clear
+		f        Frame
+		compress bool
+	}{
+		{TypeHello, &Hello{Node: 3, K: 100, Trials: 7}, false},
+		{TypeVote, &Vote{Trial: 2, Node: 3, Reject: true}, false},
+		{TypeSketch, &Sketch{Trial: 1, Node: 4, Samples: 48, Collisions: 2}, false},
+		{TypeDone, &Done{Node: 3}, false},
+		{TypeVerdict, &Verdict{Trials: 7, Accepts: 5, Missing: 1}, false},
+		{TypeVoteBatch, &VoteBatch{Votes: seqVotes(3, 2, false)}, false},
+		{TypeVoteBatchZ, &VoteBatch{Votes: seqVotes(3, 512, false)}, true},
+		{TypeAggHello, &AggHello{Agg: 2, K: 100, Trials: 7, Lo: 10, Hi: 20}, false},
+		{TypePartialVerdict, &PartialVerdict{Agg: 2, Entries: []PartialEntry{{Trial: 0, Votes: 10, Rejects: 4}}}, false},
+		{TypeSessionOpen, &SessionOpen{Tenant: 5, K: 100, Trials: 7, Seed: 99, Rule: RuleThreshold, Thresh: 11, Sketch: true}, false},
+		{TypeSessionAccept, &SessionAccept{Session: 12, Tenant: 5}, false},
+		{TypeSessionReject, &SessionReject{Tenant: 5, Reason: RejectBudget}, false},
+		{TypeSessionReport, &SessionReport{Session: 12, K: 10, Verdicts: []bool{true, false, true},
+			Rejects: []uint32{0, 4, 1}, Votes: []uint32{10, 9, 10}, Missing: []uint32{0, 1, 0}}, false},
+	}
+	var sc DecodeScratch
+	for _, c := range cases {
+		name := TypeName(c.typ)
+		for _, tc := range []TraceContext{{}, {Trace: 9, Span: 4}} {
+			wantType := c.typ
+			if !tc.IsZero() {
+				wantType |= traceFlag
+			}
+			unbound := len(encodeFrame(t, c.f, 0, tc, c.compress))
+			for _, session := range []uint32{0, 7} {
+				enc := encodeFrame(t, c.f, session, tc, c.compress)
+				body := enc[headerBytes:]
+				if len(enc) != unbound {
+					t.Errorf("%s session %d: %d bytes, %d at session 0", name, session, len(enc), unbound)
+				}
+				if body[0] != Version || body[1] != wantType {
+					t.Errorf("%s: header %x", name, body[:2])
+				}
+				got, gotTC, gotSess, err := DecodeBodySession(body, &sc)
+				if err != nil {
+					t.Fatalf("%s session %d tc %+v: %v", name, session, tc, err)
+				}
+				wantSess := session
+				if !hasSessionField(c.typ) {
+					wantSess = 0
+				}
+				if gotSess != wantSess || gotTC != tc || !framesEqual(got, c.f) {
+					t.Fatalf("%s: decoded (%#v, %+v, session %d)", name, got, gotTC, gotSess)
+				}
+				if re := encodeFrame(t, got, gotSess, gotTC, c.compress); !bytes.Equal(re, enc) {
+					t.Fatalf("%s: re-encode mismatch:\n%x\n%x", name, re, enc)
+				}
+				if BodyType(body) != sentType(got) || SessionOf(body) != gotSess {
+					t.Errorf("%s: peeks (type %d, session %d), decode (type %d, session %d)",
+						name, BodyType(body), SessionOf(body), sentType(got), gotSess)
+				}
+				if len(body) > FrameCap(c.typ) {
+					t.Errorf("%s: %d-byte body over its %d-byte cap", name, len(body), FrameCap(c.typ))
+				}
+				for _, v := range []byte{1, 2, 3, 4, 6} {
+					bad := append([]byte(nil), body...)
+					bad[0] = v
+					if _, _, _, err := DecodeBodySession(bad, nil); !errors.Is(err, ErrVersion) {
+						t.Errorf("%s at version %d: err = %v, want ErrVersion", name, v, err)
+					}
+				}
+				if !tc.IsZero() {
+					bad := append([]byte(nil), body...)
+					copy(bad[len(bad)-traceContextBytes:], make([]byte, 8))
+					if _, _, _, err := DecodeBodySession(bad, nil); !errors.Is(err, ErrTraceContext) {
+						t.Errorf("%s with a zero trace ID: err = %v, want ErrTraceContext", name, err)
+					}
+				}
+				if FrameCap(c.typ) == MaxFrameBytes {
+					// A fixed-size frame whose trace flag disagrees with its
+					// suffix is mis-sized.
+					bad := append([]byte(nil), body...)
+					bad[1] ^= traceFlag
+					if _, _, _, err := DecodeBodySession(bad, nil); !errors.Is(err, ErrFrameSize) {
+						t.Errorf("%s with its trace flag flipped: err = %v, want ErrFrameSize", name, err)
+					}
+				}
 			}
 		}
-	})
-	t.Run("v-next rejected gracefully", func(t *testing.T) {
-		for _, base := range [][]byte{Append(nil, vote), AppendTraced(nil, vote, tc)} {
-			b := append([]byte(nil), base...)
-			b[4] = Version + 1
-			if _, _, err := Decode(b); !errors.Is(err, ErrVersion) {
-				t.Fatalf("Decode err = %v, want ErrVersion", err)
-			}
-			if _, err := NewReader(bytes.NewReader(b)).ReadFrame(); !errors.Is(err, ErrVersion) {
-				t.Fatalf("Reader err = %v, want ErrVersion", err)
+		if hasSessionField(c.typ) {
+			for n := 0; n < sessionBytes; n++ {
+				short := append([]byte{Version, c.typ}, make([]byte, n)...)
+				if _, _, _, err := DecodeBodySession(short, nil); !errors.Is(err, ErrFrameSize) {
+					t.Errorf("%s with a %d-byte session field: err = %v, want ErrFrameSize", name, n, err)
+				}
 			}
 		}
-	})
+	}
+	sketch := AppendSession(nil, &Sketch{Trial: 1, Node: 2, Samples: 3, Collisions: 4}, 7, TraceContext{Trace: 1, Span: 1})
+	if n := len(sketch) - headerBytes; n != 38 || n > MaxFrameBytes {
+		t.Errorf("traced session-bound sketch body %d bytes, want 38 ≤ MaxFrameBytes", n)
+	}
 }
 
+// TestDecodeConsumesOneFrameOfMany pins that the Reader consumes exactly
+// one frame per read, so the underlying stream can change hands between
+// frames without losing bytes.
 func TestDecodeConsumesOneFrameOfMany(t *testing.T) {
-	first := Append(nil, &Vote{Trial: 9, Node: 1, Reject: true})
-	b := Append(append([]byte(nil), first...), &Done{Node: 1})
-	f, n, err := Decode(b)
+	first := AppendSession(nil, &Vote{Trial: 9, Node: 1, Reject: true}, 0, TraceContext{})
+	second := AppendSession(nil, &Done{Node: 1}, 0, TraceContext{})
+	src := bytes.NewReader(append(append([]byte(nil), first...), second...))
+	f, err := NewReader(src).ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(first) {
-		t.Fatalf("consumed %d, want %d", n, len(first))
+	if src.Len() != len(second) {
+		t.Fatalf("%d bytes left unread, want %d", src.Len(), len(second))
 	}
 	if v, ok := f.(*Vote); !ok || v.Trial != 9 {
 		t.Fatalf("first frame = %#v", f)
