@@ -10,8 +10,7 @@
 //	            [-seed 1] [-transport pipe|tcp] [-policy observed|strict]
 //	            [-early] [-sketch] [-drop 0] [-dup 0] [-disconnect 0]
 //	            [-delay 0] [-fault-seed 1] [-retries 0] [-backoff 5ms]
-//	            [-deadline 10s] [-batch 0] [-compress] [-flush-bytes 8192]
-//	            [-queue 16] [-queue-policy block|drop]
+//	            [-deadline 10s] [-batch 0] [-flush-bytes 8192] [-queue 16]
 //	            [-agg 0] [-agg-depth 1]
 //	            [-json] [-journal run.jsonl] [-obs-addr :9090]
 //
@@ -20,9 +19,9 @@
 //	                   [-deadline 10s] [-reap 250ms] [-workers 4]
 //	                   [-quantum 32] [-queue 64] [-journal-dir DIR]
 //	                   [-obs-addr :9090]
-//	unifcluster submit [-addr 127.0.0.1:4600] [-tenant 1] [-default]
+//	unifcluster submit [-addr 127.0.0.1:4600] [-tenant 1]
 //	                   [run flags: -rule -k -n -eps -dist -trials -seed
-//	                   -sketch -early -batch -compress -drop -dup
+//	                   -sketch -early -batch -drop -dup
 //	                   -disconnect -delay -fault-seed -retries -backoff
 //	                   -json]
 //
@@ -34,10 +33,9 @@
 // emits as -json) the same report the legacy single-run mode produces.
 //
 // -batch enables the high-throughput transport: votes coalesce into
-// VoteBatch frames behind a bounded per-connection send queue, -compress
-// additionally compresses batch frames when that saves wire bytes, and
-// the flush/queue flags tune the coalescing watermarks and backpressure
-// policy. None of these change any verdict — batched runs are
+// VoteBatch frames behind a bounded per-connection send queue that blocks
+// when full, and the flush/queue flags tune the coalescing watermarks and
+// the queue depth. None of these change any verdict — batched runs are
 // trial-for-trial identical to unbatched ones.
 //
 // -agg shards the referee behind a hierarchical aggregation tree: the
@@ -116,10 +114,8 @@ func run(args []string, stdout io.Writer) error {
 		backoff   = fs.Duration("backoff", 5*time.Millisecond, "initial retry backoff (doubles per attempt)")
 		deadline  = fs.Duration("deadline", cluster.DefaultDeadline, "session safety-net deadline")
 		batch     = fs.Int("batch", 0, "coalesce up to this many votes per VoteBatch frame (0 = one frame per vote)")
-		compress  = fs.Bool("compress", false, "compress batch frames when it saves wire bytes (requires -batch)")
 		flushB    = fs.Int("flush-bytes", 0, "flush a pending batch at this encoded size (default 8KiB)")
 		queueLen  = fs.Int("queue", 0, "bounded send-queue depth per node connection (default 16)")
-		queuePol  = fs.String("queue-policy", "block", "full-queue policy: block (backpressure) or drop (shed load)")
 		aggFanout = fs.Int("agg", 0, "shard the referee behind an aggregator tree of this fanout (0 = flat star, ≥ 2 = tree)")
 		aggDepth  = fs.Int("agg-depth", 1, "aggregator tiers between the leaves and the root (requires -agg)")
 		jsonFlag  = fs.Bool("json", false, "emit a machine-readable run document instead of text")
@@ -152,40 +148,26 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown policy %q", *policy)
 	}
 
-	if *compress && *batch < 2 {
-		return fmt.Errorf("-compress requires -batch ≥ 2 (only batch frames are compressed)")
-	}
 	if *aggFanout == 1 || *aggFanout < 0 {
 		return fmt.Errorf("-agg must be 0 (flat star) or an aggregator fanout ≥ 2, got %d", *aggFanout)
 	}
 	if *aggDepth < 1 {
 		return fmt.Errorf("-agg-depth must be ≥ 1, got %d", *aggDepth)
 	}
-	var qp cluster.QueuePolicy
-	switch *queuePol {
-	case "block":
-		qp = cluster.QueueBlock
-	case "drop":
-		qp = cluster.QueueDrop
-	default:
-		return fmt.Errorf("unknown queue policy %q", *queuePol)
-	}
 
 	cfg := cluster.Config{
-		Trials:      *trials,
-		BaseSeed:    *seed,
-		Policy:      pol,
-		EarlyClose:  *early,
-		Sketch:      *sketch,
-		DomainN:     *n,
-		Deadline:    *deadline,
-		Retries:     *retries,
-		Backoff:     *backoff,
-		Batch:       *batch,
-		Compress:    *compress,
-		FlushBytes:  *flushB,
-		QueueDepth:  *queueLen,
-		QueuePolicy: qp,
+		Trials:     *trials,
+		BaseSeed:   *seed,
+		Policy:     pol,
+		EarlyClose: *early,
+		Sketch:     *sketch,
+		DomainN:    *n,
+		Deadline:   *deadline,
+		Retries:    *retries,
+		Backoff:    *backoff,
+		Batch:      *batch,
+		FlushBytes: *flushB,
+		QueueDepth: *queueLen,
 	}
 	var plan *cluster.FaultPlan
 	if *drop > 0 || *dup > 0 || *disc > 0 || *delay > 0 {
@@ -203,11 +185,7 @@ func run(args []string, stdout io.Writer) error {
 	if *batch >= 2 {
 		// The transport shape changes the wire traffic, never the verdicts;
 		// record it so the run document explains its own byte counts.
-		prov.Extra = map[string]string{
-			"batch":        fmt.Sprint(*batch),
-			"compress":     fmt.Sprint(*compress),
-			"queue_policy": qp.String(),
-		}
+		prov.Extra = map[string]string{"batch": fmt.Sprint(*batch)}
 		if *flushB > 0 {
 			prov.Extra["flush_bytes"] = fmt.Sprint(*flushB)
 		}
@@ -346,8 +324,7 @@ func run(args []string, stdout io.Writer) error {
 		rep.Stats.Connections, rep.Stats.Frames, rep.Stats.Bytes,
 		rep.Stats.Votes, rep.Stats.DuplicateVotes, rep.Stats.BadFrames)
 	if rep.Stats.BatchFrames > 0 {
-		printf(out, "batching: %d votes in %d batch frames (%d bytes saved by compression)\n",
-			rep.Stats.BatchedVotes, rep.Stats.BatchFrames, rep.Stats.BytesSaved)
+		printf(out, "batching: %d votes in %d batch frames\n", rep.Stats.BatchedVotes, rep.Stats.BatchFrames)
 	}
 	if rep.Stats.PartialFrames > 0 {
 		printf(out, "aggregation: %d votes folded from %d partial frames (%d duplicate entries)\n",

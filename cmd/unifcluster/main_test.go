@@ -434,7 +434,7 @@ func reportSansStats(t *testing.T, raw []byte) []byte {
 
 // TestBatchedMatchesUnbatchedTCP is the CI loopback smoke for the
 // high-throughput transport: 2000 nodes × 5 trials = 10^4 votes over real
-// TCP sockets, batched+compressed versus per-frame. The decision-relevant
+// TCP sockets, batched versus per-frame. The decision-relevant
 // report must be byte-identical, and the batched run must clear a
 // conservative throughput floor (it typically runs orders of magnitude
 // faster; the floor only catches pathological regressions, race-detector
@@ -450,7 +450,7 @@ func TestBatchedMatchesUnbatchedTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := run(append(base, "-batch", "256", "-compress"), &batched); err != nil {
+	if err := run(append(base, "-batch", "256"), &batched); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -477,7 +477,7 @@ func TestBatchedMatchesUnbatchedTCP(t *testing.T) {
 		t.Fatalf("batched run recorded %d votes in %d batch frames",
 			doc.Results.Report.Stats.Votes, doc.Results.Report.Stats.BatchFrames)
 	}
-	if doc.Provenance.Extra["batch"] != "256" || doc.Provenance.Extra["compress"] != "true" {
+	if doc.Provenance.Extra["batch"] != "256" {
 		t.Fatalf("provenance did not record the transport shape: %v", doc.Provenance.Extra)
 	}
 	if rate := float64(votes) / elapsed.Seconds(); rate < 5_000 {

@@ -111,7 +111,6 @@ func runSubmit(args []string, stdout io.Writer) error {
 	var (
 		addr      = fs.String("addr", "127.0.0.1:4600", "session service address")
 		tenant    = fs.Uint("tenant", 1, "tenant ID for quota accounting")
-		useDflt   = fs.Bool("default", false, "register as the default session for unbound (session 0) peers")
 		ruleName  = fs.String("rule", "threshold", "decision rule: threshold (Thm 1.2) or and (Thm 1.1)")
 		k         = fs.Int("k", 60, "number of node clients")
 		n         = fs.Int("n", 64, "domain size")
@@ -129,7 +128,6 @@ func runSubmit(args []string, stdout io.Writer) error {
 		retries   = fs.Int("retries", 0, "node redial attempts after transport errors")
 		backoff   = fs.Duration("backoff", 5*time.Millisecond, "initial retry backoff (doubles per attempt)")
 		batch     = fs.Int("batch", 0, "coalesce up to this many votes per VoteBatch frame (0 = one frame per vote)")
-		compress  = fs.Bool("compress", false, "compress batch frames when that saves wire bytes (requires -batch)")
 		jsonFlag  = fs.Bool("json", false, "emit a machine-readable run document instead of text")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -147,9 +145,6 @@ func runSubmit(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *compress && *batch < 2 {
-		return fmt.Errorf("-compress requires -batch ≥ 2 (only batch frames are compressed)")
-	}
 	cfg := cluster.Config{
 		Trials:     *trials,
 		BaseSeed:   *seed,
@@ -159,7 +154,6 @@ func runSubmit(args []string, stdout io.Writer) error {
 		Retries:    *retries,
 		Backoff:    *backoff,
 		Batch:      *batch,
-		Compress:   *compress,
 	}
 	var plan *cluster.FaultPlan
 	if *drop > 0 || *dup > 0 || *disc > 0 || *delay > 0 {
@@ -175,7 +169,7 @@ func runSubmit(args []string, stdout io.Writer) error {
 		nw.Rule().Name(), nw.K(), *n, *trials, *addr, *tenant)
 	prov := obs.CollectProvenance("unifcluster submit", "tcp", *seed, args)
 	start := time.Now()
-	rep, err := service.Submit(dial, cfg, nw, d, plan, uint32(*tenant), *useDflt)
+	rep, err := service.Submit(dial, cfg, nw, d, plan, uint32(*tenant))
 	if err != nil {
 		return err
 	}

@@ -285,9 +285,7 @@ func (a *Aggregator) failFold(err error) {
 }
 
 // dialUpstream opens (or reopens) the upstream link: connect, start the
-// verdict reader, send AggHello through a fresh send queue. Partials
-// must never be shed — a dropped frame loses whole trial windows — so
-// the upstream queue always blocks.
+// verdict reader, send AggHello through a fresh send queue.
 func (a *Aggregator) dialUpstream(sess trace.Context, deadline time.Duration) error {
 	conn, err := a.Dial()
 	if err != nil {
@@ -297,8 +295,7 @@ func (a *Aggregator) dialUpstream(sess trace.Context, deadline time.Duration) er
 	// timer by a full budget, because the drain flushes, Done and the
 	// verdict wait all happen after that timer may already have fired.
 	conn.SetDeadline(time.Now().Add(2 * deadline)) //unifvet:allow wallclock per-attempt I/O safety bound; partial sums are folded state and unaffected
-	q := newSendQueue(conn, a.cfg.queueDepth(), QueueBlock, a.reg,
-		fmt.Sprintf("agg.tier%d", a.Tier))
+	q := newSendQueue(conn, a.cfg.queueDepth(), a.reg, fmt.Sprintf("agg.tier%d", a.Tier))
 	hello := &wire.AggHello{Agg: a.ID, K: uint32(a.K), Trials: uint32(a.cfg.Trials),
 		Lo: uint32(a.Lo), Hi: uint32(a.Hi)}
 	buf := wire.AppendSession(q.buffer(), hello, a.cfg.Session,

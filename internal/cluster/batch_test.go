@@ -36,16 +36,11 @@ func TestBatchedMatchesReference(t *testing.T) {
 	for _, batch := range []int{2, 7, 64, 4096} {
 		checkDifferential(t, nw, d, Config{Trials: 12, BaseSeed: 77, Batch: batch}, RunPipe)
 	}
-	// Compression on top must not change a single verdict.
-	checkDifferential(t, nw, d, Config{Trials: 12, BaseSeed: 77, Batch: 64, Compress: true}, RunPipe)
 }
 
 func TestBatchedMatchesUnbatchedExactly(t *testing.T) {
 	nw := thresholdNetwork(t, 64, 60)
 	d := dist.NewTwoBump(64, 1.0, 4)
-	// Enough trials that each node's batch payload crosses the
-	// MinCompressibleSize threshold, so the Compress cases actually emit
-	// VoteBatchZ frames.
 	base := Config{Trials: 40, BaseSeed: 31}
 	want, err := RunPipe(base, nw, d, nil)
 	if err != nil {
@@ -53,23 +48,20 @@ func TestBatchedMatchesUnbatchedExactly(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{Trials: 40, BaseSeed: 31, Batch: 16},
-		{Trials: 40, BaseSeed: 31, Batch: 256, Compress: true},
-		{Trials: 40, BaseSeed: 31, Batch: 256, Compress: true, FlushBytes: 128},
+		{Trials: 40, BaseSeed: 31, Batch: 256},
+		{Trials: 40, BaseSeed: 31, Batch: 256, FlushBytes: 128},
 	} {
 		got, err := RunPipe(cfg, nw, d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(sansStats(got), sansStats(want)) {
-			t.Fatalf("batch=%d compress=%v: report diverged from unbatched:\n got %+v\nwant %+v",
-				cfg.Batch, cfg.Compress, sansStats(got), sansStats(want))
+			t.Fatalf("batch=%d flush=%d: report diverged from unbatched:\n got %+v\nwant %+v",
+				cfg.Batch, cfg.FlushBytes, sansStats(got), sansStats(want))
 		}
 		if got.Stats.BatchFrames == 0 || got.Stats.BatchedVotes != nw.K()*cfg.Trials {
 			t.Fatalf("batch=%d: stats claim %d batch frames / %d batched votes",
 				cfg.Batch, got.Stats.BatchFrames, got.Stats.BatchedVotes)
-		}
-		if cfg.Compress && got.Stats.BytesSaved <= 0 {
-			t.Fatalf("compressed run saved %d bytes", got.Stats.BytesSaved)
 		}
 		if got.Stats.Bytes >= want.Stats.Bytes {
 			t.Fatalf("batch=%d: batched run used %d wire bytes, unbatched %d",
@@ -81,7 +73,7 @@ func TestBatchedMatchesUnbatchedExactly(t *testing.T) {
 func TestBatchedTCPMatchesReference(t *testing.T) {
 	nw := thresholdNetwork(t, 64, 40)
 	d := dist.NewTwoBump(64, 1.0, 5)
-	checkDifferential(t, nw, d, Config{Trials: 8, BaseSeed: 5, Batch: 128, Compress: true}, RunTCP)
+	checkDifferential(t, nw, d, Config{Trials: 8, BaseSeed: 5, Batch: 128}, RunTCP)
 }
 
 func TestBatchedSketchMatchesReference(t *testing.T) {
@@ -90,7 +82,7 @@ func TestBatchedSketchMatchesReference(t *testing.T) {
 	nw := thresholdNetwork(t, 64, 60)
 	d := dist.NewTwoBump(64, 1.0, 2)
 	checkDifferential(t, nw, d,
-		Config{Trials: 10, BaseSeed: 9, Sketch: true, DomainN: 64, Batch: 32, Compress: true}, RunPipe)
+		Config{Trials: 10, BaseSeed: 9, Sketch: true, DomainN: 64, Batch: 32}, RunPipe)
 }
 
 // TestBatchedFaultPlanMatchesUnbatched is the determinism keystone: a
@@ -108,7 +100,7 @@ func TestBatchedFaultPlanMatchesUnbatched(t *testing.T) {
 	if want.MissingVotes == 0 || want.Stats.DuplicateVotes == 0 {
 		t.Fatal("plan injected nothing; test is inert")
 	}
-	got, err := RunPipe(Config{Trials: 8, BaseSeed: 2, Batch: 32, Compress: true}, nw, d, plan)
+	got, err := RunPipe(Config{Trials: 8, BaseSeed: 2, Batch: 32}, nw, d, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,17 +216,16 @@ func TestBatchedDisconnectDrainsPendingVotes(t *testing.T) {
 	}
 }
 
-// TestMixedVersionInterop runs one referee session where half the nodes
-// send compressed VoteBatch frames and half one frame per vote: the
-// referee must serve both and land on the reference verdicts.
-func TestMixedVersionInterop(t *testing.T) {
+// TestMixedBatchedAndPerVotePeers runs one referee session where half the
+// nodes send VoteBatch frames and half one frame per vote: the referee
+// must serve both and land on the reference verdicts.
+func TestMixedBatchedAndPerVotePeers(t *testing.T) {
 	nw := thresholdNetwork(t, 64, 60)
 	d := dist.NewTwoBump(64, 1.0, 9)
 	k := nw.K()
 	cfg := Config{Trials: 8, BaseSeed: 13}
 	batched := cfg
 	batched.Batch = 32
-	batched.Compress = true
 
 	l := NewPipeListener()
 	rf := NewReferee(k, nw.Rule(), cfg)
@@ -282,42 +273,12 @@ func TestMixedVersionInterop(t *testing.T) {
 	}
 }
 
-// blockingWriter blocks every write until released, simulating a peer
-// that stopped reading.
-type blockingWriter struct{ release chan struct{} }
-
-func (w *blockingWriter) Write(p []byte) (int, error) {
-	<-w.release
-	return len(p), nil
-}
-
-func TestSendQueueDropPolicyShedsLoad(t *testing.T) {
-	reg := obs.NewRegistry()
-	w := &blockingWriter{release: make(chan struct{})}
-	q := newSendQueue(w, 2, QueueDrop, reg, "cluster")
-	// The writer is stalled: the first frame is in the writer's hands, the
-	// next two fill the queue, everything after is shed.
-	for i := 0; i < 10; i++ {
-		if err := q.send([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := reg.Counter("cluster.queue_dropped").Value(); got == 0 {
-		t.Fatal("drop policy shed nothing with a stalled writer")
-	}
-	close(w.release)
-	if err := q.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	q.Close()
-}
-
 func TestSendQueueStickyError(t *testing.T) {
 	// A writer that fails permanently: the queue must surface the error to
 	// senders and Flush, and must never deadlock.
 	r, wend := net.Pipe()
 	r.Close() // every write now fails
-	q := newSendQueue(wend, 2, QueueBlock, nil, "cluster")
+	q := newSendQueue(wend, 2, nil, "cluster")
 	defer q.Close()
 	var sawErr bool
 	for i := 0; i < 20; i++ {
@@ -349,7 +310,7 @@ func TestSendQueueFlushIsBarrier(t *testing.T) {
 			}
 		}
 	}()
-	q := newSendQueue(pw, 4, QueueBlock, nil, "cluster")
+	q := newSendQueue(pw, 4, nil, "cluster")
 	for i := 0; i < 9; i++ {
 		if err := q.send([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -386,7 +347,7 @@ func TestBatcherRespectsFrameCaps(t *testing.T) {
 			}
 		}
 	}()
-	q := newSendQueue(pw, 4, QueueBlock, nil, "cluster")
+	q := newSendQueue(pw, 4, nil, "cluster")
 	cfg := Config{Trials: 1, Batch: 4096, FlushBytes: 4096, Sketch: true, DomainN: 1}
 	bt := newBatcher(q, cfg, trace.Context{}, nil)
 	// Wide deltas defeat the delta encoding: every column entry costs ~5

@@ -22,7 +22,7 @@ func (r benchRule) Name() string               { return "bench" }
 // frame each, or VoteBatch frames of up to batch votes), Done — so the
 // benchmark loop measures referee-side decode+apply, not client-side
 // sampling or encoding.
-func benchPayload(node, k, trials, batch int, compress bool) []byte {
+func benchPayload(node, k, trials, batch int) []byte {
 	buf := wire.AppendSession(nil, &wire.Hello{Node: uint32(node), K: uint32(k), Trials: uint32(trials)}, 0, wire.TraceContext{})
 	if batch <= 0 {
 		for t := 0; t < trials; t++ {
@@ -43,7 +43,7 @@ func benchPayload(node, k, trials, batch int, compress bool) []byte {
 					Trial: uint32(t + i), Node: uint32(node), Reject: (t+i+node)%3 == 0,
 				})
 			}
-			out, err := enc.AppendSession(buf, &vb, 0, wire.TraceContext{}, compress)
+			out, err := enc.AppendSession(buf, &vb, 0, wire.TraceContext{}, false)
 			if err != nil {
 				panic(err)
 			}
@@ -110,8 +110,7 @@ func benchSession(b *testing.B, k, trials int, payloads [][]byte,
 }
 
 // BenchmarkRefereePipe measures one referee on in-memory transports at
-// k = 10^4 peers: the per-frame baseline against the batched and
-// batched+compressed paths.
+// k = 10^4 peers: the per-frame baseline against the batched path.
 func BenchmarkRefereePipe(b *testing.B) {
 	const k = 10_000
 	pipe := func() (net.Listener, func() (net.Conn, error)) {
@@ -119,22 +118,20 @@ func BenchmarkRefereePipe(b *testing.B) {
 		return l, l.Dial
 	}
 	cases := []struct {
-		name     string
-		trials   int
-		batch    int
-		compress bool
+		name   string
+		trials int
+		batch  int
 	}{
 		// Fewer trials on the per-frame baseline keep the iteration time
 		// sane; votes/sec is a rate, so the comparison stands.
-		{"frame", 16, 0, false},
-		{"batch128", 128, 128, false},
-		{"batch128z", 128, 128, true},
+		{"frame", 16, 0},
+		{"batch128", 128, 128},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			payloads := make([][]byte, k)
 			for node := 0; node < k; node++ {
-				payloads[node] = benchPayload(node, k, c.trials, c.batch, c.compress)
+				payloads[node] = benchPayload(node, k, c.trials, c.batch)
 			}
 			b.ResetTimer()
 			benchSession(b, k, c.trials, payloads, pipe, k)
@@ -216,7 +213,7 @@ func BenchmarkAggTree(b *testing.B) {
 			if c.fanout == 0 {
 				payloads = make([][]byte, c.k)
 				for node := 0; node < c.k; node++ {
-					payloads[node] = benchPayload(node, c.k, trials, 0, false)
+					payloads[node] = benchPayload(node, c.k, trials, 0)
 				}
 			} else {
 				payloads = make([][]byte, c.fanout)
@@ -243,7 +240,7 @@ func BenchmarkAggTreeEndToEnd(b *testing.B) {
 		b.ReportAllocs()
 		payloads := make([][]byte, k)
 		for node := 0; node < k; node++ {
-			payloads[node] = benchPayload(node, k, trials, 0, false)
+			payloads[node] = benchPayload(node, k, trials, 0)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -330,20 +327,18 @@ func BenchmarkRefereeTCP(b *testing.B) {
 		return l, func() (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
 	cases := []struct {
-		name     string
-		trials   int
-		batch    int
-		compress bool
+		name   string
+		trials int
+		batch  int
 	}{
-		{"frame", 16, 0, false},
-		{"batch128", 128, 128, false},
-		{"batch128z", 128, 128, true},
+		{"frame", 16, 0},
+		{"batch128", 128, 128},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			payloads := make([][]byte, k)
 			for node := 0; node < k; node++ {
-				payloads[node] = benchPayload(node, k, c.trials, c.batch, c.compress)
+				payloads[node] = benchPayload(node, k, c.trials, c.batch)
 			}
 			b.ResetTimer()
 			benchSession(b, k, c.trials, payloads, tcp, 256)

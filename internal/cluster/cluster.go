@@ -71,35 +71,6 @@ func (p QuorumPolicy) String() string {
 // DefaultDeadline bounds a session when peers stall; see Config.Deadline.
 const DefaultDeadline = 10 * time.Second
 
-// QueuePolicy selects what a node's bounded send queue does when it is
-// full: apply backpressure or shed load.
-type QueuePolicy int
-
-const (
-	// QueueBlock applies backpressure: the sender waits for the writer to
-	// drain. This is the deterministic default — every computed vote is
-	// offered to the wire exactly as in the unbatched path.
-	QueueBlock QueuePolicy = iota
-	// QueueDrop sheds frames when the queue is full (counted in
-	// cluster.queue_dropped). It trades the batched/unbatched determinism
-	// guarantee for bounded latency: which frames are shed depends on
-	// writer scheduling, so verdicts may differ run-to-run exactly as they
-	// would on a saturated real link.
-	QueueDrop
-)
-
-// String returns the policy name.
-func (p QueuePolicy) String() string {
-	switch p {
-	case QueueBlock:
-		return "block"
-	case QueueDrop:
-		return "drop"
-	default:
-		return fmt.Sprintf("QueuePolicy(%d)", int(p))
-	}
-}
-
 // DefaultFlushBytes is the byte watermark at which a partially-filled
 // batch is flushed to the send queue.
 const DefaultFlushBytes = 8 << 10
@@ -153,26 +124,24 @@ type Config struct {
 	// dedup/rule/quorum pipeline, and differential tests pin batched runs
 	// trial-for-trial identical to unbatched ones.
 	Batch int
-	// Compress block-compresses batch payloads ≥ wire.MinCompressibleSize
-	// when that strictly saves wire bytes (wire.BatchEncoder). Only
-	// meaningful with Batch ≥ 2.
-	Compress bool
 	// FlushBytes is the byte watermark flushing a partially-filled batch
 	// (0 = DefaultFlushBytes). Flushes happen on watermarks and explicit
 	// protocol points only — never on a wall-clock timer — so the batched
 	// path stays deterministic.
 	FlushBytes int
 	// QueueDepth bounds each node's send queue in frames (0 =
-	// DefaultQueueDepth); QueuePolicy picks blocking backpressure or load
-	// shedding when it fills.
-	QueueDepth  int
-	QueuePolicy QueuePolicy
+	// DefaultQueueDepth). A full queue blocks the sender (backpressure),
+	// so every computed vote is offered to the wire exactly as in the
+	// unbatched path.
+	QueueDepth int
 	// Session binds every frame this configuration sends — and every frame
 	// its referee accepts — to a session ID, carried in each frame's
-	// session field. 0, the default, means unbound: a solo run, or the
-	// multi-tenant service's default session. The multi-tenant service (internal/cluster/service) assigns nonzero
-	// IDs so many concurrent sessions share one transport endpoint; the
-	// referee rejects frames whose session does not match as bad frames.
+	// session field. 0, the default, means unbound, which only a solo run
+	// (RunPipe, RunTCP and the trees) serves. The multi-tenant service
+	// (internal/cluster/service) assigns nonzero IDs so many concurrent
+	// sessions share one transport endpoint, and drops a peer whose frames
+	// carry session 0; the referee rejects frames whose session does not
+	// match as bad frames.
 	Session uint32
 	// MetricSuffix, when non-empty, is appended verbatim to every sink
 	// metric name (e.g. ";session=3"), which the Prometheus exporter
@@ -280,11 +249,9 @@ type RefereeStats struct {
 	DuplicateVotes int `json:"duplicate_votes"`
 	BadFrames      int `json:"bad_frames"`
 	// BatchFrames counts VoteBatch frames received and BatchedVotes the
-	// votes they carried; BytesSaved sums the wire bytes compressed
-	// batches saved versus their raw encoding.
-	BatchFrames  int   `json:"batch_frames,omitempty"`
-	BatchedVotes int   `json:"batched_votes,omitempty"`
-	BytesSaved   int64 `json:"bytes_saved,omitempty"`
+	// votes they carried.
+	BatchFrames  int `json:"batch_frames,omitempty"`
+	BatchedVotes int `json:"batched_votes,omitempty"`
 	// PartialFrames counts PartialVerdict frames folded and PartialVotes
 	// the votes they carried (also counted in Votes); DuplicatePartials
 	// the (trial, child) entries deduplicated as retransmissions. All zero

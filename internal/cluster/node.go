@@ -223,7 +223,7 @@ func (nc *NodeClient) submitBatched(frames []outFrame, attempt int) (wire.Verdic
 		g = rng.At(nc.Faults.Seed, linkID(nc.ID, attempt))
 	}
 
-	q := newSendQueue(conn, cfg.queueDepth(), cfg.QueuePolicy, cfg.Obs, "cluster")
+	q := newSendQueue(conn, cfg.queueDepth(), cfg.Obs, "cluster")
 	defer q.Close()
 	sess := trace.Context{}
 	if len(frames) > 0 {

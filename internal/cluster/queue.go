@@ -15,22 +15,20 @@ import (
 // goroutine, so vote computation never blocks on the kernel send buffer
 // and writes coalesce naturally while the queue is non-empty.
 //
-// Policy on a full queue is QueueBlock (backpressure: the producer waits,
-// keeping the batched path deterministic) or QueueDrop (shed the frame,
-// counted in cluster.queue_dropped). The first write error is sticky:
-// the writer keeps draining — so producers and Flush never deadlock on a
-// dead connection — but writes nothing further, and every subsequent
-// send/Flush reports the error to trigger the client's retry path.
+// A full queue blocks the producer (backpressure), which keeps the
+// batched path deterministic: every frame offered is written. The first
+// write error is sticky: the writer keeps draining — so producers and
+// Flush never deadlock on a dead connection — but writes nothing further,
+// and every subsequent send/Flush reports the error to trigger the
+// client's retry path.
 //
 // Frame buffers are recycled through a free list, so a steady-state
 // producer allocates only when the queue is deeper than ever before.
 type sendQueue struct {
-	items  chan queueItem
-	free   chan []byte
-	policy QueuePolicy
+	items chan queueItem
+	free  chan []byte
 
-	depth   *obs.Gauge   // cluster.queue_depth, shared across peers
-	dropped *obs.Counter // cluster.queue_dropped
+	depth *obs.Gauge // cluster.queue_depth, shared across peers
 
 	mu  sync.Mutex
 	err error
@@ -49,14 +47,12 @@ type queueItem struct {
 // prefix namespaces the queue's metrics: node clients share "cluster"
 // (cluster.queue_depth), aggregator upstream queues use a per-tier
 // prefix ("agg.tier1", ...) so each tier's depth is a separate gauge.
-func newSendQueue(w io.Writer, depth int, policy QueuePolicy, reg *obs.Registry, prefix string) *sendQueue {
+func newSendQueue(w io.Writer, depth int, reg *obs.Registry, prefix string) *sendQueue {
 	q := &sendQueue{
-		items:   make(chan queueItem, depth),
-		free:    make(chan []byte, depth+1),
-		policy:  policy,
-		depth:   reg.Gauge(prefix + ".queue_depth"),
-		dropped: reg.Counter(prefix + ".queue_dropped"),
-		done:    make(chan struct{}),
+		items: make(chan queueItem, depth),
+		free:  make(chan []byte, depth+1),
+		depth: reg.Gauge(prefix + ".queue_depth"),
+		done:  make(chan struct{}),
 	}
 	go func() {
 		defer close(q.done)
@@ -91,21 +87,12 @@ func (q *sendQueue) buffer() []byte {
 	}
 }
 
-// send enqueues one encoded frame. Under QueueBlock a full queue applies
-// backpressure; under QueueDrop the frame is shed and counted. The sticky
-// write error is returned so producers stop early on a dead connection.
+// send enqueues one encoded frame, blocking while the queue is full. The
+// sticky write error is returned so producers stop early on a dead
+// connection.
 func (q *sendQueue) send(buf []byte) error {
 	if err := q.Err(); err != nil {
 		return err
-	}
-	if q.policy == QueueDrop {
-		select {
-		case q.items <- queueItem{buf: buf}:
-			q.depth.Add(1)
-		default:
-			q.dropped.Inc()
-		}
-		return nil
 	}
 	q.items <- queueItem{buf: buf}
 	q.depth.Add(1)
@@ -114,8 +101,7 @@ func (q *sendQueue) send(buf []byte) error {
 
 // Flush blocks until every frame enqueued before it has been handed to
 // the connection (or abandoned after a write error), then reports the
-// sticky error state. Flush markers always enqueue — even under
-// QueueDrop — so a drain point is a hard barrier.
+// sticky error state: a drain point is a hard barrier.
 func (q *sendQueue) Flush() error {
 	ack := make(chan struct{})
 	q.items <- queueItem{ack: ack}
@@ -156,7 +142,6 @@ type batcher struct {
 	batch    wire.VoteBatch
 	maxVotes int
 	maxBytes int
-	compress bool
 	session  uint32
 	bytes    int
 
@@ -172,7 +157,6 @@ func newBatcher(q *sendQueue, cfg Config, sess trace.Context, sent *obs.Counter)
 		q:        q,
 		maxVotes: cfg.batchSize(),
 		maxBytes: cfg.flushBytes(),
-		compress: cfg.Compress,
 		session:  cfg.Session,
 		tr:       cfg.Trace,
 		sess:     sess,
@@ -211,11 +195,10 @@ func (b *batcher) flush() error {
 	if n == 0 {
 		return nil
 	}
-	sp := b.tr.Start("node.sendbatch", b.sess,
-		trace.A("votes", n), trace.A("compress", b.compress))
+	sp := b.tr.Start("node.sendbatch", b.sess, trace.A("votes", n))
 	ctx := sp.Context()
 	buf, err := b.enc.AppendSession(b.q.buffer(), &b.batch, b.session,
-		wire.TraceContext{Trace: uint64(ctx.Trace), Span: uint64(ctx.Span)}, b.compress)
+		wire.TraceContext{Trace: uint64(ctx.Trace), Span: uint64(ctx.Span)}, false)
 	if err == nil {
 		err = b.q.send(buf)
 	}

@@ -27,7 +27,6 @@ func (e *RejectError) Error() string {
 type Client struct {
 	session uint32
 	tenant  uint32
-	legacy  bool // default-mode session: peers send unbound frames
 	ctrl    net.Conn
 	r       *wire.Reader
 }
@@ -57,7 +56,7 @@ func Open(dial func() (net.Conn, error), open *wire.SessionOpen) (*Client, error
 	}
 	switch m := f.(type) {
 	case *wire.SessionAccept:
-		return &Client{session: m.Session, tenant: m.Tenant, legacy: open.Default, ctrl: conn, r: r}, nil
+		return &Client{session: m.Session, tenant: m.Tenant, ctrl: conn, r: r}, nil
 	case *wire.SessionReject:
 		conn.Close()
 		return nil, &RejectError{Tenant: m.Tenant, Reason: m.Reason}
@@ -67,23 +66,16 @@ func Open(dial func() (net.Conn, error), open *wire.SessionOpen) (*Client, error
 	}
 }
 
-// Session returns the granted session ID.
+// Session returns the granted session ID, which node clients put in
+// Config.Session.
 func (c *Client) Session() uint32 { return c.session }
-
-// WireSession returns the session ID node clients must put in
-// Config.Session: the granted ID, or 0 for a default-mode session whose
-// peers send unbound (session 0) frames.
-func (c *Client) WireSession() uint32 {
-	if c.legacy {
-		return 0
-	}
-	return c.session
-}
 
 // Wait blocks until the service finishes the session and returns the
 // reconstructed report. Transport statistics are zero by design; see
-// reportFromWire.
+// reportFromWire. The control connection is closed when Wait returns,
+// whether or not it succeeded.
 func (c *Client) Wait() (*cluster.Report, error) {
+	defer c.ctrl.Close()
 	body, err := c.r.ReadBody()
 	if err != nil {
 		return nil, fmt.Errorf("service: report read: %w", err)
@@ -99,7 +91,6 @@ func (c *Client) Wait() (*cluster.Report, error) {
 	if sr.Session != c.session {
 		return nil, fmt.Errorf("service: report for session %d on session %d", sr.Session, c.session)
 	}
-	c.ctrl.Close()
 	return reportFromWire(sr), nil
 }
 
@@ -110,15 +101,15 @@ func (c *Client) Close() error { return c.ctrl.Close() }
 
 // OpenFrame builds the SessionOpen for running nw under cfg: the rule
 // shape is recovered from the network's decision rule. It errors on rules
-// the wire protocol cannot name.
-func OpenFrame(cfg cluster.Config, nw *zeroround.Network, tenant uint32, isDefault bool) (*wire.SessionOpen, error) {
+// the wire protocol cannot name. The trailing bool is ignored; it remains
+// so existing callers keep compiling.
+func OpenFrame(cfg cluster.Config, nw *zeroround.Network, tenant uint32, _ bool) (*wire.SessionOpen, error) {
 	open := &wire.SessionOpen{
 		Tenant:     tenant,
 		K:          uint32(nw.K()),
 		Trials:     uint32(cfg.Trials),
 		Seed:       cfg.BaseSeed,
 		Sketch:     cfg.Sketch,
-		Default:    isDefault,
 		EarlyClose: cfg.EarlyClose,
 	}
 	switch r := nw.Rule().(type) {
@@ -139,8 +130,8 @@ func OpenFrame(cfg cluster.Config, nw *zeroround.Network, tenant uint32, isDefau
 // analogue of cluster.RunPipe/RunTCP — same cfg, same network, same
 // deterministic vote streams — which is what the differential tests
 // compare against.
-func Submit(dial func() (net.Conn, error), cfg cluster.Config, nw *zeroround.Network, d dist.Distribution, plan *cluster.FaultPlan, tenant uint32, isDefault bool) (*cluster.Report, error) {
-	open, err := OpenFrame(cfg, nw, tenant, isDefault)
+func Submit(dial func() (net.Conn, error), cfg cluster.Config, nw *zeroround.Network, d dist.Distribution, plan *cluster.FaultPlan, tenant uint32) (*cluster.Report, error) {
+	open, err := OpenFrame(cfg, nw, tenant, false)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +141,7 @@ func Submit(dial func() (net.Conn, error), cfg cluster.Config, nw *zeroround.Net
 	}
 	k := nw.K()
 	ncfg := cfg
-	ncfg.Session = c.WireSession()
+	ncfg.Session = c.Session()
 
 	errCh := make(chan error, k)
 	var wg sync.WaitGroup

@@ -13,11 +13,10 @@
 // with a typed reason when quotas or shape validation fail — and answers
 // SessionAccept carrying the session ID. Node clients then connect exactly
 // as they would to a solo referee, with every frame bound to that session
-// by the frame's session field; an unbound (session 0) peer routes to the
-// designated default session. When the session decides,
-// the service streams a SessionReport back on the control connection and
-// broadcasts the verdict to the session's peers, then reclaims all
-// per-session state.
+// by the frame's session field; an unbound (session 0) peer matches no
+// session and is dropped. When the session decides, the service streams a
+// SessionReport back on the control connection and broadcasts the verdict
+// to the session's peers, then reclaims all per-session state.
 //
 // Fairness: inbound frames are not applied on the reader goroutine.
 // Each session owns a bounded frame queue, and a fixed worker pool
@@ -135,14 +134,13 @@ type Service struct {
 	cfg Config
 	reg *obs.Registry
 
-	mu          sync.Mutex
-	sessions    map[uint32]*session // by session ID
-	slots       []*session          // by slot index; nil = free
-	tenantUse   map[uint32]int      // tenant → in-flight vote budget used
-	defaultSess *session            // serves unbound (session 0) peers
-	nextID      uint32
-	closed      bool
-	l           net.Listener
+	mu        sync.Mutex
+	sessions  map[uint32]*session // by session ID
+	slots     []*session          // by slot index; nil = free
+	tenantUse map[uint32]int      // tenant → in-flight vote budget used
+	nextID    uint32
+	closed    bool
+	l         net.Listener
 
 	sched    *scheduler
 	stop     chan struct{}
@@ -328,21 +326,15 @@ func (s *Service) admit(conn net.Conn, r *wire.Reader, open *wire.SessionOpen) {
 		reject(wire.RejectBudget)
 		return
 	}
-	if open.Default && s.defaultSess != nil {
-		s.mu.Unlock()
-		reject(wire.RejectDefault)
-		return
-	}
 	id := s.allocID()
 	sess := &session{
-		id:        id,
-		slot:      slot,
-		tenant:    open.Tenant,
-		cost:      cost,
-		isDefault: open.Default,
-		ctrl:      conn,
-		closeCh:   make(chan struct{}),
-		expiry:    time.Now().Add(s.cfg.deadline()), //unifvet:allow wallclock stalled-session eviction bound; verdicts depend only on which votes arrived
+		id:      id,
+		slot:    slot,
+		tenant:  open.Tenant,
+		cost:    cost,
+		ctrl:    conn,
+		closeCh: make(chan struct{}),
+		expiry:  time.Now().Add(s.cfg.deadline()), //unifvet:allow wallclock stalled-session eviction bound; verdicts depend only on which votes arrived
 	}
 	ccfg := cluster.Config{
 		Trials:       trials,
@@ -351,7 +343,7 @@ func (s *Service) admit(conn net.Conn, r *wire.Reader, open *wire.SessionOpen) {
 		Sketch:       open.Sketch,
 		Deadline:     s.cfg.deadline(),
 		Obs:          s.reg,
-		Session:      sess.wireID(),
+		Session:      id,
 		MetricSuffix: fmt.Sprintf(";session=%d", slot),
 	}
 	sess.rf = cluster.NewReferee(k, rule, ccfg)
@@ -360,9 +352,6 @@ func (s *Service) admit(conn net.Conn, r *wire.Reader, open *wire.SessionOpen) {
 	s.sessions[id] = sess
 	s.slots[slot] = sess
 	s.tenantUse[open.Tenant] += cost
-	if open.Default {
-		s.defaultSess = sess
-	}
 	s.mu.Unlock()
 
 	s.active.Add(1)
@@ -401,19 +390,14 @@ func (s *Service) allocID() uint32 {
 }
 
 // servePeer drains one node/aggregator connection into its session's
-// frame queue. The first frame (Hello or AggHello) fixes both the
-// session — by its session field, or the default session for unbound
-// (session 0) peers — and the peer identity; every subsequent frame must
-// carry the same session.
+// frame queue. The first frame (Hello or AggHello) fixes both the session,
+// by its session field, and the peer identity; every subsequent frame must
+// carry the same session. Session 0 is never assigned, so an unbound peer
+// finds no session and is dropped.
 func (s *Service) servePeer(conn net.Conn, r *wire.Reader, first []byte) {
 	sessID := wire.SessionOf(first)
 	s.mu.Lock()
-	var sess *session
-	if sessID == 0 {
-		sess = s.defaultSess
-	} else {
-		sess = s.sessions[sessID]
-	}
+	sess := s.sessions[sessID]
 	s.mu.Unlock()
 	if sess == nil {
 		s.badConns.Inc()
@@ -515,9 +499,6 @@ func (s *Service) finishSession(sess *session, reason string) {
 		if s.tenantUse[sess.tenant] <= 0 {
 			delete(s.tenantUse, sess.tenant)
 		}
-		if s.defaultSess == sess {
-			s.defaultSess = nil
-		}
 		s.mu.Unlock()
 		s.active.Add(-1)
 		sess.q.depth.Set(0)
@@ -578,10 +559,9 @@ func (s *Service) openJournal(sess *session, open *wire.SessionOpen) {
 		Rule    byte   `json:"rule"`
 		Thresh  uint32 `json:"thresh,omitempty"`
 		Sketch  bool   `json:"sketch,omitempty"`
-		Default bool   `json:"default,omitempty"`
 	}{Kind: "session_open", Session: sess.id, Tenant: open.Tenant, K: open.K,
 		Trials: open.Trials, Seed: open.Seed, Rule: open.Rule, Thresh: open.Thresh,
-		Sketch: open.Sketch, Default: open.Default})
+		Sketch: open.Sketch})
 }
 
 // closeJournal flushes the session's trial lines and end marker.

@@ -3,6 +3,7 @@ package service_test
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"sync"
@@ -84,7 +85,7 @@ func mixedCases(t testing.TB) []sessionCase {
 		{"thr-seed1", thr, twoBump, cluster.Config{Trials: 12, BaseSeed: 1}, nil},
 		{"thr-seed77-batch", thr, twoBump, cluster.Config{Trials: 12, BaseSeed: 77, Batch: 16}, nil},
 		{"and-seed3", and, uni, cluster.Config{Trials: 8, BaseSeed: 3}, nil},
-		{"and-seed41-batch", and, uni, cluster.Config{Trials: 8, BaseSeed: 41, Batch: 64, Compress: true}, nil},
+		{"and-seed41-batch", and, uni, cluster.Config{Trials: 8, BaseSeed: 41, Batch: 64}, nil},
 		{"thr-sketch", thr, twoBump, cluster.Config{Trials: 10, BaseSeed: 5, Sketch: true, DomainN: 64}, nil},
 		{"thr-drop", thr, twoBump, cluster.Config{Trials: 10, BaseSeed: 9}, &cluster.FaultPlan{Seed: 7, Drop: 0.10}},
 		{"thr-drop-batch", thr, twoBump, cluster.Config{Trials: 10, BaseSeed: 13, Batch: 8}, &cluster.FaultPlan{Seed: 11, Drop: 0.10, Dup: 0.10}},
@@ -111,7 +112,7 @@ func TestConcurrentSessionsMatchSolo(t *testing.T) {
 	for i, c := range cases {
 		go func(i int, c sessionCase) {
 			defer wg.Done()
-			got[i], errs[i] = service.Submit(dial, c.cfg, c.nw, c.d, c.plan, uint32(i+1), false)
+			got[i], errs[i] = service.Submit(dial, c.cfg, c.nw, c.d, c.plan, uint32(i+1))
 		}(i, c)
 	}
 	wg.Wait()
@@ -146,29 +147,65 @@ func TestConcurrentSessionsMatchSolo(t *testing.T) {
 	}
 }
 
-// TestLegacyPeersViaDefaultSession pins the default session: node clients
-// that send unbound frames (Config.Session = 0), per vote or batched, are
-// served by the designated default session.
-func TestLegacyPeersViaDefaultSession(t *testing.T) {
+// TestUnboundPeerRefused pins that the service serves no unbound peers: a
+// node client whose frames carry session 0 finds no session, even with
+// one open, and is dropped as a bad connection.
+func TestUnboundPeerRefused(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, dial := startService(t, service.Config{Obs: reg})
 	nw := thresholdNetwork(t, 64, 40)
-	d := dist.NewTwoBump(64, 1.0, 5)
-	for _, cfg := range []cluster.Config{
-		{Trials: 8, BaseSeed: 6},            // per-vote frames
-		{Trials: 8, BaseSeed: 6, Batch: 16}, // batched frames
-	} {
-		_, dial := startService(t, service.Config{})
-		rep, err := service.Submit(dial, cfg, nw, d, nil, 9, true)
+	cfg := cluster.Config{Trials: 8, BaseSeed: 6}
+	open, err := service.OpenFrame(cfg, nw, 9, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mustOpen(t, dial, open)
+	defer c.Close()
+	nc := &cluster.NodeClient{ID: 0, K: nw.K(), Tester: nw.Node(0), Config: cfg, Dial: dial}
+	if _, err := nc.Run(dist.NewTwoBump(64, 1.0, 5)); err == nil {
+		t.Fatal("a session-0 node client was served")
+	}
+	if got := reg.Counter("svc.bad_conns").Value(); got != 1 {
+		t.Errorf("svc.bad_conns = %d, want 1", got)
+	}
+}
+
+// TestWaitClosesControlOnError pins that Client.Wait releases the control
+// connection when it fails: a fake service answers the open with
+// SessionAccept and then a Verdict instead of a SessionReport, and its
+// next read must end because the client hung up, not on its deadline.
+func TestWaitClosesControlOnError(t *testing.T) {
+	l := cluster.NewPipeListener()
+	defer l.Close()
+	ended := make(chan error, 1)
+	go func() {
+		conn, err := l.Accept()
 		if err != nil {
-			t.Fatal(err)
+			ended <- err
+			return
 		}
-		want, err := cluster.RunPipe(cfg, nw, d, nil)
-		if err != nil {
-			t.Fatal(err)
+		defer conn.Close()
+		r := wire.NewReader(conn)
+		if _, err := r.ReadBody(); err != nil { // the SessionOpen
+			ended <- err
+			return
 		}
-		if !reflect.DeepEqual(sansStats(rep), sansStats(want)) {
-			t.Fatalf("batch=%d: legacy-peer session diverged from solo run:\n got %+v\nwant %+v",
-				cfg.Batch, sansStats(rep), sansStats(want))
+		for _, f := range []wire.Frame{&wire.SessionAccept{Session: 4, Tenant: 1}, &wire.Verdict{Trials: 1}} {
+			if err := wire.WriteFrame(conn, f); err != nil {
+				ended <- err
+				return
+			}
 		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err = r.ReadBody()
+		ended <- err
+	}()
+	c := mustOpen(t, l.Dial, &wire.SessionOpen{Tenant: 1, K: 4, Trials: 2, Rule: wire.RuleAND})
+	if _, err := c.Wait(); err == nil {
+		t.Fatal("Wait accepted a Verdict as the session report")
+	}
+	if err := <-ended; err != io.EOF {
+		t.Fatalf("fake service's read after the failed Wait: %v, want io.EOF (control connection closed)", err)
 	}
 }
 
@@ -225,10 +262,8 @@ func TestAdmissionQuotas(t *testing.T) {
 	c1 := mustOpen(t, dial, ok)
 	defer c1.Close()
 	wantReject(t, dial, &wire.SessionOpen{Tenant: 1, K: 95, Trials: 10, Rule: wire.RuleAND}, wire.RejectBudget)
-	// Default: at most one.
-	c2 := mustOpen(t, dial, &wire.SessionOpen{Tenant: 2, K: 10, Trials: 10, Rule: wire.RuleAND, Default: true})
+	c2 := mustOpen(t, dial, &wire.SessionOpen{Tenant: 2, K: 10, Trials: 10, Rule: wire.RuleAND})
 	defer c2.Close()
-	wantReject(t, dial, &wire.SessionOpen{Tenant: 3, K: 10, Trials: 10, Rule: wire.RuleAND, Default: true}, wire.RejectDefault)
 	// Sessions: all three slots held.
 	c3 := mustOpen(t, dial, &wire.SessionOpen{Tenant: 3, K: 10, Trials: 10, Rule: wire.RuleAND})
 	defer c3.Close()
@@ -257,16 +292,16 @@ func openUntilAccepted(t *testing.T, dial func() (net.Conn, error), open *wire.S
 }
 
 // TestExplicitCloseReclaimsSlot pins the explicit-close path: hanging up
-// the control connection finalizes the session and frees its slot,
-// tenant budget and default designation for the next tenant.
+// the control connection finalizes the session and frees its slot and
+// tenant budget for the next tenant.
 func TestExplicitCloseReclaimsSlot(t *testing.T) {
 	_, dial := startService(t, service.Config{MaxSessions: 1, TenantBudget: 200})
-	open := &wire.SessionOpen{Tenant: 1, K: 10, Trials: 10, Rule: wire.RuleAND, Default: true}
+	open := &wire.SessionOpen{Tenant: 1, K: 10, Trials: 10, Rule: wire.RuleAND}
 	c := mustOpen(t, dial, open)
 	wantReject(t, dial, &wire.SessionOpen{Tenant: 2, K: 10, Trials: 10, Rule: wire.RuleAND}, wire.RejectSessions)
 	c.Close()
-	// The same shape — same budget, same default flag — must be admittable
-	// again once the close lands.
+	// The same shape — same budget — must be admittable again once the
+	// close lands.
 	c2 := openUntilAccepted(t, dial, open)
 	c2.Close()
 }
@@ -289,7 +324,7 @@ func TestReaperEvictsStalledSession(t *testing.T) {
 	nw := thresholdNetwork(t, 64, 40)
 	d := dist.NewTwoBump(64, 1.0, 5)
 	cfg := cluster.Config{Trials: 6, BaseSeed: 6}
-	liveRep, err := service.Submit(dial, cfg, nw, d, nil, 2, false)
+	liveRep, err := service.Submit(dial, cfg, nw, d, nil, 2)
 	if err != nil {
 		t.Fatalf("live session: %v", err)
 	}
@@ -337,7 +372,7 @@ func TestServiceMetrics(t *testing.T) {
 	// Serve more sessions than the quota, sequentially, so slots recycle.
 	for i := 0; i < 5; i++ {
 		cfg := cluster.Config{Trials: 4, BaseSeed: uint64(i)}
-		if _, err := service.Submit(dial, cfg, nw, d, nil, uint32(i+1), false); err != nil {
+		if _, err := service.Submit(dial, cfg, nw, d, nil, uint32(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -417,7 +452,7 @@ func BenchmarkServiceConcurrentSessions(b *testing.B) {
 						defer wg.Done()
 						start := time.Now()
 						cfg := cluster.Config{Trials: trials, BaseSeed: uint64(i*sessions + s), Batch: 16}
-						if _, err := service.Submit(dial, cfg, nw, d, nil, uint32(s+1), false); err != nil {
+						if _, err := service.Submit(dial, cfg, nw, d, nil, uint32(s+1)); err != nil {
 							b.Error(err)
 						}
 						durs[s] = time.Since(start)
@@ -512,7 +547,7 @@ func TestViolationEndsPeerOnBothPaths(t *testing.T) {
 
 		_, dial := startService(t, service.Config{Deadline: 300 * time.Millisecond, ReapInterval: 20 * time.Millisecond})
 		c := mustOpen(t, dial, &wire.SessionOpen{Tenant: 1, K: k, Trials: trials, Rule: wire.RuleAND})
-		if !send(dial, c.WireSession(), undecodable) {
+		if !send(dial, c.Session(), undecodable) {
 			t.Errorf("%s: service kept the connection open", name)
 		}
 		rep, err := c.Wait()

@@ -15,11 +15,10 @@ import (
 // admission; the frame queue is guarded by the scheduler mutex; finish
 // is serialized by finishOnce.
 type session struct {
-	id        uint32 // service-assigned, nonzero, unique among open sessions
-	slot      int    // metric-label slot in [0, MaxSessions)
-	tenant    uint32
-	cost      int  // k×trials charged against the tenant budget
-	isDefault bool // serves unbound (session 0) peers
+	id     uint32 // service-assigned, nonzero, unique among open sessions
+	slot   int    // metric-label slot in [0, MaxSessions)
+	tenant uint32
+	cost   int // k×trials charged against the tenant budget
 
 	rf      *cluster.Referee
 	ctrl    net.Conn // the opener's control connection; receives the SessionReport
@@ -32,11 +31,6 @@ type session struct {
 	closeOnce  sync.Once
 	finishOnce sync.Once
 }
-
-// wireID is the session ID node frames must carry. Legacy peers of a
-// default session instead send session 0 and are routed here by the
-// service, bypassing this check.
-func (s *session) wireID() uint32 { return s.id }
 
 // requestClose signals the explicit-close path (control connection gone
 // before the session decided). Idempotent.

@@ -78,7 +78,6 @@ type sinkMetrics struct {
 	votesDup    *obs.Counter
 	badFrames   *obs.Counter
 	frames      *obs.Counter
-	batchSaved  *obs.Counter // <prefix>.batch_bytes_saved
 	batchFill   *obs.Histogram
 	dedup       *obs.Gauge
 	peersIdle   *obs.Gauge   // <prefix>.peers_idle: nodes that sent Done
@@ -111,7 +110,6 @@ func (s *voteSink) init(k, lo, hi int, cfg Config, prefix, spanNS string) {
 		votesDup:    s.reg.Counter(s.metricName("votes_dup")),
 		badFrames:   s.reg.Counter(s.metricName("bad_frames")),
 		frames:      s.reg.Counter(s.metricName("frames")),
-		batchSaved:  s.reg.Counter(s.metricName("batch_bytes_saved")),
 		batchFill:   s.reg.Histogram(s.metricName("batch_fill"), obs.BytesBuckets()),
 		dedup:       s.reg.Gauge(s.metricName("dedup_occupancy")),
 		peersIdle:   s.reg.Gauge(s.metricName("peers_idle")),
@@ -172,12 +170,14 @@ func (s *voteSink) handle(conn net.Conn, end time.Time) {
 	frameBytes := s.reg.Histogram(s.metricName("frame_bytes"), obs.BytesBuckets())
 	s.reg.Gauge(s.metricName("peers_connected")).Add(1)
 	defer s.reg.Gauge(s.metricName("peers_connected")).Add(-1)
-	// Per-frame-type decode and apply latency histograms, resolved once per
-	// connection; nil (and never timed) when telemetry is off, so the hot
-	// path pays no clock reads by default.
+	// Per-frame-type decode and apply latency histograms for the
+	// established types, resolved once per connection; nil (and never
+	// timed) when telemetry is off, so the hot path pays no clock reads by
+	// default. The retired type byte 7 never decodes, so it has no series.
 	var decodeNS, applyNS [wire.TypePartialVerdict + 1]*obs.Histogram
 	if s.reg != nil {
-		for t := wire.TypeHello; t <= wire.TypePartialVerdict; t++ {
+		for _, t := range []byte{wire.TypeHello, wire.TypeVote, wire.TypeSketch, wire.TypeDone,
+			wire.TypeVerdict, wire.TypeVoteBatch, wire.TypeAggHello, wire.TypePartialVerdict} {
 			name := wire.TypeName(t)
 			decodeNS[t] = s.reg.Histogram(s.metricName("decode_ns."+name), obs.LatencyBuckets())
 			applyNS[t] = s.reg.Histogram(s.metricName("apply_ns."+name), obs.LatencyBuckets())
@@ -213,11 +213,6 @@ func (s *voteSink) handle(conn net.Conn, end time.Time) {
 			return
 		}
 		ft := f.Type()
-		// A compressed batch decodes to the same VoteBatch frame; attribute
-		// its latency samples to the votebatchz series.
-		if vb, ok := f.(*wire.VoteBatch); ok && vb.Compressed {
-			ft = wire.TypeVoteBatchZ
-		}
 		if s.reg != nil && int(ft) < len(decodeNS) {
 			decodeNS[ft].Observe(int64(time.Since(t0))) //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
 			t0 = time.Now()                             //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
@@ -424,8 +419,7 @@ func (s *voteSink) applyBatch(b *wire.VoteBatch, node int, tc wire.TraceContext,
 	ctx := trace.Context{Trace: trace.ID(tc.Trace), Span: trace.ID(tc.Span)}
 	if s.cfg.Trace.Enabled() {
 		sp = s.cfg.Trace.Start(s.spanNS+".applybatch", ctx,
-			trace.A("node", node), trace.A("votes", len(b.Votes)),
-			trace.A("compressed", b.Compressed))
+			trace.A("node", node), trace.A("votes", len(b.Votes)))
 		ctx = sp.Context()
 	}
 	s.mu.Lock()
@@ -433,12 +427,10 @@ func (s *voteSink) applyBatch(b *wire.VoteBatch, node int, tc wire.TraceContext,
 	if !s.closed {
 		s.stats.BatchFrames++
 		s.stats.BatchedVotes += len(b.Votes)
-		s.stats.BytesSaved += int64(b.Saved)
 		s.foldLocked(b.Votes, b.Sketch, node)
 	}
 	s.mu.Unlock()
 	s.m.batchFill.Observe(int64(len(b.Votes)))
-	s.m.batchSaved.Add(int64(b.Saved))
 	if sp != nil {
 		for i := range b.Votes {
 			v := &b.Votes[i]

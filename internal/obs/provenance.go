@@ -37,8 +37,9 @@ type Provenance struct {
 	Start  string  `json:"start"`
 	WallMS float64 `json:"wall_ms,omitempty"`
 	// Extra carries tool-specific knobs that change the transport or
-	// encoding but not the verdicts (batch size, compression, queue
-	// policy) — recorded so a run document says how its bytes moved.
+	// encoding but not the verdicts (batch size, flush watermark, queue
+	// depth, aggregation fanout) — recorded so a run document says how
+	// its bytes moved.
 	Extra map[string]string `json:"extra,omitempty"`
 }
 

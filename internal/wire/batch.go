@@ -19,12 +19,11 @@
 // own votes in trial order, so trial deltas are +1 and node deltas are 0,
 // one byte each — without assuming it: any uint32 values round-trip. The
 // decoder enforces minimal varints, zero trailing bitset bits, zero spare
-// flag bits and exact payload length, so the raw encoding is bijective:
-// every decodable batch re-encodes to the identical bytes, the property
-// FuzzVoteBatchRoundTrip and FuzzWireRoundTrip pin. The compressed form
-// (TypeVoteBatchZ, compress.go) wraps this same payload and is only
-// emitted when it is strictly smaller. Both are established types: their
-// frames carry the session field like any other (wire.go).
+// flag bits and exact payload length, so the encoding is bijective: every
+// decodable batch re-encodes to the identical bytes, the property
+// FuzzVoteBatchRoundTrip and FuzzWireRoundTrip pin. This is the one
+// encoding of a batch; VoteBatch is an established type, so its frames
+// carry the session field like any other (wire.go).
 package wire
 
 import (
@@ -50,25 +49,15 @@ type BatchVote struct {
 	Collisions uint32
 }
 
-// VoteBatch is a batch of votes from one node. Compressed and Saved are
-// decoder outputs (whether the frame arrived as TypeVoteBatchZ and how
-// many wire bytes that saved); they are not part of the encoding.
+// VoteBatch is a batch of votes from one node.
 type VoteBatch struct {
 	// Sketch selects the tuple shape: collision statistics instead of a
 	// reject bit.
 	Sketch bool
 	// Votes are the batched tuples, at most MaxBatchVotes.
 	Votes []BatchVote
-	// Compressed reports (after decode) that the batch arrived
-	// block-compressed.
-	Compressed bool
-	// Saved reports (after decode) the wire bytes compression saved
-	// versus the raw batch encoding.
-	Saved int
 }
 
-// Type implements Frame. A VoteBatch always identifies as TypeVoteBatch;
-// the compressed type byte is an encoding detail the BatchEncoder chooses.
 func (VoteBatch) Type() byte { return TypeVoteBatch }
 
 // colVal returns column c of a batch tuple, in payload order: trial,
@@ -198,7 +187,7 @@ func (b VoteBatch) appendPayload(dst []byte) []byte {
 	return dst
 }
 
-// decodePayload parses a raw batch payload, decoding its delta columns
+// decodePayload parses a batch payload, decoding its delta columns
 // into sc's column scratch and then every row in one pass.
 func (b *VoteBatch) decodePayload(p []byte, sc *DecodeScratch) error {
 	if len(p) < 2 {
@@ -279,113 +268,19 @@ func BatchVoteSize(prev, v *BatchVote, sketch bool) int {
 	return n
 }
 
-// BatchEncoder encodes VoteBatch frames with reusable scratch buffers and
-// an opportunistic compression pass: the compressed form is emitted only
-// when the block compressor both succeeds and strictly shrinks the
-// payload, and every compressed payload is decompressed and compared
-// before it is trusted (a failed roundtrip — which would indicate a
-// compressor bug — falls back to the raw form rather than corrupting the
-// stream). The zero value is ready to use.
-type BatchEncoder struct {
-	raw    []byte
-	comp   []byte
-	verify []byte
-}
+// BatchEncoder encodes VoteBatch frames, enforcing the vote-count and
+// frame-size caps the decoder will apply. The zero value is ready to use.
+type BatchEncoder struct{}
 
 // AppendSession appends b's wire encoding bound to session and carrying tc
-// to dst. With compress set, payloads of at least MinCompressibleSize
-// bytes are block-compressed when that saves wire bytes; smaller or
-// incompressible payloads encode raw. On error dst is returned unchanged.
-func (e *BatchEncoder) AppendSession(dst []byte, b *VoteBatch, session uint32, tc TraceContext, compress bool) ([]byte, error) {
+// to dst. The trailing bool is ignored; it remains so existing callers
+// keep compiling. On error dst is returned unchanged.
+func (BatchEncoder) AppendSession(dst []byte, b *VoteBatch, session uint32, tc TraceContext, _ bool) ([]byte, error) {
 	if len(b.Votes) == 0 {
 		return dst, fmt.Errorf("wire: empty vote batch")
 	}
 	if len(b.Votes) > MaxBatchVotes {
 		return dst, fmt.Errorf("%w: batch of %d votes (limit %d)", ErrOversize, len(b.Votes), MaxBatchVotes)
 	}
-	if !compress {
-		return appendCapped(dst, b, session, tc)
-	}
-	e.raw = b.appendPayload(e.raw[:0])
-	size := len(e.raw)
-	if err := checkBody(TypeVoteBatch, 2+size+sessionBytes); err != nil { // header, payload, session field
-		return dst, err
-	}
-	if size >= MinCompressibleSize {
-		if comp := CompressBlock(e.raw, e.comp[:0]); comp != nil {
-			e.comp = comp
-			if uvarintLen(uint64(size))+len(comp) < size && e.roundTrips(comp, size) {
-				return appendFrame(dst, TypeVoteBatchZ, func(d []byte) []byte {
-					return append(binary.AppendUvarint(d, uint64(size)), comp...)
-				}, session, tc), nil
-			}
-		}
-	}
-	return appendFrame(dst, TypeVoteBatch, func(d []byte) []byte {
-		return append(d, e.raw...)
-	}, session, tc), nil
-}
-
-// roundTrips verifies comp decompresses back to the rawLen bytes sitting
-// in e.raw.
-func (e *BatchEncoder) roundTrips(comp []byte, rawLen int) bool {
-	out, err := DecompressBlock(comp, e.verify[:0], rawLen)
-	if err != nil || len(out) != rawLen {
-		return false
-	}
-	e.verify = out
-	for i := range out {
-		if out[i] != e.raw[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// decodeBatch parses a raw (TypeVoteBatch) or compressed (TypeVoteBatchZ)
-// batch payload into sc.batch.
-func (sc *DecodeScratch) decodeBatch(t byte, p []byte) error {
-	vb := &sc.batch
-	vb.Compressed, vb.Saved = false, 0
-	if t == TypeVoteBatchZ {
-		raw, err := sc.decompress(p)
-		if err != nil {
-			return err
-		}
-		vb.Compressed, vb.Saved = true, len(raw)-len(p)
-		p = raw
-	}
-	return vb.decodePayload(p, sc)
-}
-
-// decompress parses a TypeVoteBatchZ payload — uvarint raw length followed
-// by the compressed block — into sc.zbuf and returns the raw batch
-// payload. Canonicality checks: the raw length must be in the
-// compressible range and the compressed payload strictly smaller than it
-// (our encoder never emits anything else).
-func (sc *DecodeScratch) decompress(payload []byte) ([]byte, error) {
-	rawLen64, off, err := readUvarint(payload, 0)
-	if err != nil {
-		return nil, err
-	}
-	rawLen := int(rawLen64)
-	if rawLen64 < MinCompressibleSize || rawLen64 > maxBodyBytes {
-		return nil, fmt.Errorf("%w: compressed batch raw length %d", ErrFrameSize, rawLen64)
-	}
-	if len(payload) >= rawLen {
-		return nil, fmt.Errorf("%w: compressed batch (%d bytes) not smaller than raw (%d)",
-			ErrFrameSize, len(payload), rawLen)
-	}
-	out, err := DecompressBlock(payload[off:], sc.zbuf[:0], rawLen)
-	if cap(out) > cap(sc.zbuf) {
-		sc.zbuf = out
-	}
-	if err != nil {
-		return nil, err
-	}
-	if len(out) != rawLen {
-		return nil, fmt.Errorf("%w: compressed batch decompressed to %d bytes, want %d",
-			ErrFrameSize, len(out), rawLen)
-	}
-	return out, nil
+	return appendCapped(dst, b, session, tc)
 }

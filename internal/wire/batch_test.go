@@ -80,9 +80,6 @@ func TestVoteBatchRoundTrip(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: decoded %T", c.name, got)
 			}
-			if vb.Compressed || vb.Saved != 0 {
-				t.Errorf("%s: raw batch decoded as compressed (%v, %d)", c.name, vb.Compressed, vb.Saved)
-			}
 			if vb.Sketch != c.batch.Sketch || !reflect.DeepEqual(vb.Votes, c.batch.Votes) {
 				t.Errorf("%s: round trip mismatch", c.name)
 			}
@@ -166,43 +163,6 @@ func TestVoteBatchRejectsNonCanonical(t *testing.T) {
 	mut("trailing bytes", frame(append(p, 0)...), ErrFrameSize)
 }
 
-func TestVoteBatchCompressedRoundTrip(t *testing.T) {
-	tc := TraceContext{Trace: 9, Span: 4}
-	b := &VoteBatch{Votes: seqVotes(7, 512, false)}
-	buf := encodeFrame(t, b, 0, tc, true)
-	if typ := buf[5] &^ 0x80; typ != TypeVoteBatchZ {
-		t.Fatalf("compressible batch encoded as %s, want votebatchz", TypeName(typ))
-	}
-	rawSize := len(AppendSession(nil, b, 0, tc))
-	if len(buf) >= rawSize {
-		t.Fatalf("compressed frame %d bytes ≥ raw %d", len(buf), rawSize)
-	}
-	got, gotTC, _ := decodeFrame(t, buf)
-	vb := got.(*VoteBatch)
-	if gotTC != tc || !vb.Compressed || vb.Saved != rawSize-len(buf) {
-		t.Fatalf("decode: tc %+v, compressed %v, saved %d (want %d)", gotTC, vb.Compressed, vb.Saved, rawSize-len(buf))
-	}
-	if !reflect.DeepEqual(vb.Votes, b.Votes) {
-		t.Fatal("compressed round trip lost votes")
-	}
-
-	// Incompressible content falls back to the raw frame.
-	adv := &VoteBatch{Sketch: true, Votes: advVotes(3, 200, true)}
-	buf = encodeFrame(t, adv, 0, TraceContext{}, true)
-	if typ := buf[5] &^ 0x80; typ != TypeVoteBatch {
-		t.Fatalf("adversarial batch encoded as %s, want raw votebatch", TypeName(typ))
-	}
-	// Sub-threshold batches stay raw even when compressible.
-	tiny := &VoteBatch{Votes: seqVotes(0, 8, false)}
-	if n := len(tiny.appendPayload(nil)); n >= MinCompressibleSize {
-		t.Fatalf("test batch not sub-threshold: %d bytes", n)
-	}
-	buf = encodeFrame(t, tiny, 0, TraceContext{}, true)
-	if typ := buf[5] &^ 0x80; typ != TypeVoteBatch {
-		t.Fatalf("sub-threshold batch encoded as %s, want raw votebatch", TypeName(typ))
-	}
-}
-
 // TestDecodeScratchReuse interleaves frame shapes through one scratch and
 // checks no state leaks between decodes.
 func TestDecodeScratchReuse(t *testing.T) {
@@ -210,7 +170,7 @@ func TestDecodeScratchReuse(t *testing.T) {
 	sketch := &VoteBatch{Sketch: true, Votes: seqVotes(2, 40, true)}
 	plain := &VoteBatch{Votes: seqVotes(2, 17, false)}
 	vote := &Vote{Trial: 5, Node: 2, Reject: true}
-	zbatch := &VoteBatch{Votes: seqVotes(9, 300, false)}
+	wide := &VoteBatch{Votes: seqVotes(9, 300, false)}
 	enc := func(f Frame) []byte { return AppendSession(nil, f, 0, TraceContext{}) }
 
 	steps := []struct {
@@ -220,7 +180,7 @@ func TestDecodeScratchReuse(t *testing.T) {
 		{enc(sketch), sketch},
 		{enc(plain), plain},
 		{enc(vote), vote},
-		{encodeFrame(t, zbatch, 0, TraceContext{}, true), zbatch},
+		{enc(wide), wide},
 		{enc(sketch), sketch},
 	}
 	for i, s := range steps {
@@ -244,14 +204,14 @@ func TestDecodeScratchReuse(t *testing.T) {
 
 // TestSteadyStateDecodeAllocs pins the allocation-bounded Reader contract
 // claimed in PR 5: after warm-up, reading and decoding vote traffic —
-// single frames and batches, raw and compressed — allocates nothing.
+// single frames and batches of two sizes — allocates nothing.
 func TestSteadyStateDecodeAllocs(t *testing.T) {
 	var stream []byte
 	stream = AppendSession(stream, &Vote{Trial: 1, Node: 2, Reject: true}, 0, TraceContext{})
 	stream = AppendSession(stream, &Vote{Trial: 2, Node: 2}, 5, TraceContext{Trace: 3, Span: 4})
 	stream = AppendSession(stream, &Sketch{Trial: 3, Node: 2, Samples: 9, Collisions: 1}, 0, TraceContext{})
 	stream = AppendSession(stream, &VoteBatch{Votes: seqVotes(2, 200, false)}, 0, TraceContext{})
-	stream = append(stream, encodeFrame(t, &VoteBatch{Votes: seqVotes(2, 300, false)}, 0, TraceContext{}, true)...)
+	stream = AppendSession(stream, &VoteBatch{Votes: seqVotes(2, 300, false)}, 0, TraceContext{})
 
 	br := bytes.NewReader(stream)
 	r := NewReader(br)

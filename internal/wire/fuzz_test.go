@@ -40,24 +40,21 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sess, a, b uint32, seed uint64, count uint16, flag bool, raw []byte) {
 		report := fuzzReport(sess|1, 1<<31|a, seed, int(count)%MaxReportTrials+1)
 		votes := int(count)%MaxBatchVotes + 1
-		frames := []struct {
-			f        Frame
-			compress bool
-		}{
-			{&Hello{Node: a, K: b, Trials: uint32(count)}, false},
-			{&Vote{Trial: a, Node: b, Reject: flag}, false},
-			{&Sketch{Trial: a, Node: b, Samples: uint32(seed), Collisions: uint32(seed >> 32)}, false},
-			{&Done{Node: a}, false},
-			{&Verdict{Trials: a, Accepts: b, Missing: sess}, false},
-			{&VoteBatch{Sketch: flag, Votes: advVotes(seed, votes, flag)}, false},
-			{&VoteBatch{Sketch: flag, Votes: seqVotes(int(b), votes, flag)}, true},
-			{&AggHello{Agg: a, K: b, Trials: uint32(count), Lo: a >> 1, Hi: a>>1 + 1}, false},
-			{&PartialVerdict{Agg: a, Sketch: flag, Entries: advPartialEntries(seed, int(count)%MaxPartialEntries+1, flag)}, false},
-			{&SessionOpen{Tenant: a, K: b, Trials: uint32(count), Seed: seed,
-				Rule: byte(seed), Thresh: a, Sketch: flag, Default: seed%2 == 0, EarlyClose: seed%3 == 0}, false},
-			{&SessionAccept{Session: sess | 1, Tenant: a}, false},
-			{&SessionReject{Tenant: a, Reason: byte(seed)%rejectReasonMax + 1}, false},
-			{report, false},
+		frames := []Frame{
+			&Hello{Node: a, K: b, Trials: uint32(count)},
+			&Vote{Trial: a, Node: b, Reject: flag},
+			&Sketch{Trial: a, Node: b, Samples: uint32(seed), Collisions: uint32(seed >> 32)},
+			&Done{Node: a},
+			&Verdict{Trials: a, Accepts: b, Missing: sess},
+			&VoteBatch{Sketch: flag, Votes: advVotes(seed, votes, flag)},
+			&VoteBatch{Sketch: flag, Votes: seqVotes(int(b), votes, flag)},
+			&AggHello{Agg: a, K: b, Trials: uint32(count), Lo: a >> 1, Hi: a>>1 + 1},
+			&PartialVerdict{Agg: a, Sketch: flag, Entries: advPartialEntries(seed, int(count)%MaxPartialEntries+1, flag)},
+			&SessionOpen{Tenant: a, K: b, Trials: uint32(count), Seed: seed,
+				Rule: byte(seed), Thresh: a, Sketch: flag, EarlyClose: seed%3 == 0},
+			&SessionAccept{Session: sess | 1, Tenant: a},
+			&SessionReject{Tenant: a, Reason: byte(seed)%rejectReasonMax + 1},
+			report,
 		}
 		tc := TraceContext{Trace: seed | 1, Span: uint64(a)<<32 | uint64(b)}
 		type sent struct {
@@ -71,29 +68,29 @@ func FuzzWireRoundTrip(f *testing.F) {
 		for _, fr := range frames {
 			for _, ctx := range []TraceContext{{}, tc} {
 				for _, session := range []uint32{0, sess | 1} {
-					enc := encodeFrame(t, fr.f, session, ctx, fr.compress)
+					enc := AppendSession(nil, fr, session, ctx)
 					body := enc[headerBytes:]
 					if len(body) > FrameCap(BodyType(body)) {
-						t.Fatalf("%T: frame body %d bytes exceeds its cap", fr.f, len(body))
+						t.Fatalf("%T: frame body %d bytes exceeds its cap", fr, len(body))
 					}
 					got, gotTC, gotSess, err := DecodeBodySession(body, &sc)
 					if err != nil {
-						t.Fatalf("%T: decode own encoding (session %d): %v", fr.f, session, err)
+						t.Fatalf("%T: decode own encoding (session %d): %v", fr, session, err)
 					}
-					if !hasSessionField(fr.f.Type()) {
+					if !hasSessionField(fr.Type()) {
 						session = 0 // control frames carry no session field
 					}
-					if gotSess != session || gotTC != ctx || !framesEqual(got, fr.f) {
-						t.Fatalf("%T: round trip mismatch (session %d→%d)", fr.f, session, gotSess)
+					if gotSess != session || gotTC != ctx || !reflect.DeepEqual(got, fr) {
+						t.Fatalf("%T: round trip mismatch (session %d→%d)", fr, session, gotSess)
 					}
-					if SessionOf(body) != gotSess || BodyType(body) != sentType(got) {
-						t.Fatalf("%T: peeks (type %d, session %d) disagree with the decode", fr.f, BodyType(body), SessionOf(body))
+					if SessionOf(body) != gotSess || BodyType(body) != got.Type() {
+						t.Fatalf("%T: peeks (type %d, session %d) disagree with the decode", fr, BodyType(body), SessionOf(body))
 					}
-					if re := encodeFrame(t, got, gotSess, gotTC, fr.compress); !bytes.Equal(re, enc) {
-						t.Fatalf("%T: re-encode mismatch: %x vs %x", fr.f, re, enc)
+					if re := AppendSession(nil, got, gotSess, gotTC); !bytes.Equal(re, enc) {
+						t.Fatalf("%T: re-encode mismatch: %x vs %x", fr, re, enc)
 					}
 					stream = append(stream, enc...)
-					want = append(want, sent{fr.f, session, ctx})
+					want = append(want, sent{fr, session, ctx})
 				}
 			}
 		}
@@ -104,7 +101,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatalf("stream frame %d: %v", i, err)
 			}
 			got, gotTC, gotSess, err := DecodeBodySession(body, &sc)
-			if err != nil || gotSess != w.session || gotTC != w.tc || !framesEqual(got, w.f) {
+			if err != nil || gotSess != w.session || gotTC != w.tc || !reflect.DeepEqual(got, w.f) {
 				t.Fatalf("stream frame %d (%T): got (%#v, %+v, session %d, %v)", i, w.f, got, gotTC, gotSess, err)
 			}
 		}
@@ -113,7 +110,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 
 		// Adversarial path: the raw bytes as a frame stream, then as bodies
-		// of the established, control, traced and fuzzed type bytes.
+		// of the established, retired, control, traced and fuzzed type
+		// bytes.
 		adversarial := func(body []byte) {
 			fr, ftc, fsess, err := DecodeBodySession(body, &sc)
 			if err != nil {
@@ -131,7 +129,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 			adversarial(body)
 		}
-		for _, typ := range []byte{TypeHello, TypeVote, TypeVote | traceFlag, TypeVoteBatch, TypeVoteBatchZ,
+		for _, typ := range []byte{TypeHello, TypeVote, TypeVote | traceFlag, TypeVoteBatch, typeRetired,
 			TypeVoteBatch | traceFlag, TypeAggHello, TypePartialVerdict, TypePartialVerdict | traceFlag,
 			TypeSessionOpen, TypeSessionReport, TypeSessionReport | traceFlag, byte(seed)} {
 			body := append([]byte{Version, typ}, raw...)
@@ -167,7 +165,7 @@ func fuzzReport(session, k uint32, seed uint64, n int) *SessionReport {
 func checkCodecErr(t *testing.T, err error) {
 	t.Helper()
 	for _, known := range []error{io.EOF, ErrTruncated, ErrOversize, ErrVersion, ErrUnknownType,
-		ErrFrameSize, ErrTraceContext, ErrSession, ErrCompression} {
+		ErrFrameSize, ErrTraceContext, ErrSession} {
 		if errors.Is(err, known) {
 			return
 		}
@@ -176,10 +174,7 @@ func checkCodecErr(t *testing.T, err error) {
 }
 
 // checkCanonical asserts that a decoded body holds a count its encoder
-// accepts and re-encodes to exactly its bytes. A compressed batch is the
-// one exception to byte equality — the decoder accepts any valid
-// compressor output — so there equality is semantic: its raw re-encoding
-// decodes to the same votes.
+// accepts and re-encodes to exactly its bytes.
 func checkCanonical(t *testing.T, body []byte, f Frame, tc TraceContext, session uint32) {
 	t.Helper()
 	switch v := f.(type) {
@@ -192,30 +187,21 @@ func checkCanonical(t *testing.T, body []byte, f Frame, tc TraceContext, session
 			t.Fatalf("decoded partial verdict with %d entries", len(v.Entries))
 		}
 	}
-	re := AppendSession(nil, f, session, tc)[headerBytes:]
-	if vb, ok := f.(*VoteBatch); ok && vb.Compressed {
-		got, gotTC, gotSess, err := DecodeBodySession(re, nil)
-		if err != nil || gotTC != tc || gotSess != session || !framesEqual(got, vb) {
-			t.Fatalf("compressed batch re-encode: %v", err)
-		}
-		return
-	}
-	if !bytes.Equal(re, body) {
+	if re := AppendSession(nil, f, session, tc)[headerBytes:]; !bytes.Equal(re, body) {
 		t.Fatalf("%s body not canonical: %x vs %x", TypeName(BodyType(body)), re, body)
 	}
 }
 
 // FuzzVoteBatchRoundTrip drives the batch encoder: fuzzed batches
-// (typical and adversarial shapes, raw and compressed, traced and
-// untraced) must round-trip losslessly, with decode→re-encode byte
-// equality for raw frames and the vote-count cap enforced. Raw bytes
-// framed as batch bodies are FuzzWireRoundTrip's job.
+// (typical and adversarial shapes, traced and untraced) must round-trip
+// losslessly, with decode→re-encode byte equality and the vote-count cap
+// enforced. Raw bytes framed as batch bodies are FuzzWireRoundTrip's job.
 func FuzzVoteBatchRoundTrip(f *testing.F) {
-	f.Add(uint16(1), uint32(0), uint64(0), false, false)
-	f.Add(uint16(100), uint32(42), uint64(7), false, true)
-	f.Add(uint16(64), uint32(3), uint64(9), true, true)
-	f.Add(uint16(4096), uint32(1999), uint64(3), false, false)
-	f.Fuzz(func(t *testing.T, count uint16, node uint32, seed uint64, sketch, compress bool) {
+	f.Add(uint16(1), uint32(0), uint64(0), false)
+	f.Add(uint16(100), uint32(42), uint64(7), false)
+	f.Add(uint16(64), uint32(3), uint64(9), true)
+	f.Add(uint16(4096), uint32(1999), uint64(3), false)
+	f.Fuzz(func(t *testing.T, count uint16, node uint32, seed uint64, sketch bool) {
 		n := int(count)%MaxBatchVotes + 1
 		b := &VoteBatch{Sketch: sketch}
 		if seed%2 == 0 {
@@ -235,7 +221,7 @@ func FuzzVoteBatchRoundTrip(f *testing.F) {
 		var e BatchEncoder
 		tc := TraceContext{Trace: seed | 1, Span: seed >> 1}
 		for _, ctx := range []TraceContext{{}, tc} {
-			enc, err := e.AppendSession(nil, b, 0, ctx, compress)
+			enc, err := e.AppendSession(nil, b, 0, ctx, false)
 			if err != nil {
 				t.Fatalf("encode %d votes: %v", n, err)
 			}
@@ -247,18 +233,14 @@ func FuzzVoteBatchRoundTrip(f *testing.F) {
 			if gotTC != ctx || vb.Sketch != b.Sketch || !reflect.DeepEqual(vb.Votes, b.Votes) {
 				t.Fatal("batch round trip mismatch")
 			}
-			if !vb.Compressed {
-				// Raw batches are bijective.
-				if re := AppendSession(nil, vb, 0, ctx); !bytes.Equal(re, enc) {
-					t.Fatalf("raw batch re-encode mismatch: %x vs %x", re, enc)
-				}
-			} else if vb.Saved <= 0 {
-				t.Fatalf("compressed batch with Saved = %d", vb.Saved)
+			// Batches are bijective: decode→re-encode is identity.
+			if re := AppendSession(nil, vb, 0, ctx); !bytes.Equal(re, enc) {
+				t.Fatalf("batch re-encode mismatch: %x vs %x", re, enc)
 			}
 		}
 		// Cap enforcement survives fuzzing.
 		over := &VoteBatch{Votes: make([]BatchVote, MaxBatchVotes+1)}
-		if _, err := e.AppendSession(nil, over, 0, TraceContext{}, compress); !errors.Is(err, ErrOversize) {
+		if _, err := e.AppendSession(nil, over, 0, TraceContext{}, false); !errors.Is(err, ErrOversize) {
 			t.Fatalf("oversize batch: err = %v", err)
 		}
 	})
@@ -338,48 +320,6 @@ func FuzzPartialVerdictRoundTrip(f *testing.F) {
 		over := &PartialVerdict{Agg: agg, Entries: make([]PartialEntry, MaxPartialEntries+1)}
 		if _, err := AppendPartialSession(nil, over, 0, TraceContext{}); !errors.Is(err, ErrOversize) {
 			t.Fatalf("oversize partial: err = %v", err)
-		}
-	})
-}
-
-// FuzzCompressRoundTrip pins the compressor's contract on arbitrary
-// blocks: compression is deterministic, only reported when it strictly
-// shrinks the input (incompressible and sub-threshold blocks return nil),
-// and always inverts exactly; the decompressor never panics and never
-// exceeds its output cap on arbitrary input.
-func FuzzCompressRoundTrip(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3})
-	f.Add(bytes.Repeat([]byte{0}, 100))
-	f.Add(bytes.Repeat([]byte("abc"), 50))
-	f.Add(goldenBatchPayload())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 4*MaxBatchFrameBytes {
-			data = data[:4*MaxBatchFrameBytes]
-		}
-		comp := CompressBlock(data, nil)
-		if comp != nil {
-			if len(comp) >= len(data) {
-				t.Fatalf("compressed %d ≥ raw %d", len(comp), len(data))
-			}
-			out, err := DecompressBlock(comp, nil, len(data))
-			if err != nil || !bytes.Equal(out, data) {
-				t.Fatalf("round trip failed: %v", err)
-			}
-			// Determinism: a second pass is byte-identical.
-			if !bytes.Equal(CompressBlock(data, nil), comp) {
-				t.Fatal("compressor is nondeterministic")
-			}
-		}
-		// The input itself treated as a compressed block: bounded, typed,
-		// panic-free.
-		out, err := DecompressBlock(data, nil, 1<<12)
-		if err == nil {
-			if len(out) > 1<<12 {
-				t.Fatalf("output %d exceeds cap", len(out))
-			}
-		} else if !errors.Is(err, ErrCompression) {
-			t.Fatalf("unexpected error class: %v", err)
 		}
 	})
 }

@@ -222,9 +222,7 @@ func (p *PartialVerdict) decodePayload(b []byte, sc *DecodeScratch) error {
 
 // AppendPartialSession appends p's wire encoding bound to session and
 // carrying tc to dst, enforcing the entry-count and payload-size caps the
-// decoder will apply; on error dst is returned unchanged. Partial payloads
-// are never block-compressed: a typical entry is a handful of delta
-// varints, far below MinCompressibleSize per entry.
+// decoder will apply; on error dst is returned unchanged.
 func AppendPartialSession(dst []byte, p *PartialVerdict, session uint32, tc TraceContext) ([]byte, error) {
 	if len(p.Entries) == 0 {
 		return dst, fmt.Errorf("wire: empty partial verdict")

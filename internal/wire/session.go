@@ -42,10 +42,8 @@ const (
 	RejectShape
 	// RejectRule: the rule byte is not a known decision rule.
 	RejectRule
-	// RejectDefault: a default (unbound-peer) session is already open.
-	RejectDefault
 
-	rejectReasonMax = RejectDefault
+	rejectReasonMax = RejectRule
 )
 
 // RejectReasonName returns a short lowercase name for a rejection reason
@@ -60,8 +58,6 @@ func RejectReasonName(r byte) string {
 		return "shape"
 	case RejectRule:
 		return "rule"
-	case RejectDefault:
-		return "default"
 	default:
 		return fmt.Sprintf("reason%d", r)
 	}
@@ -86,9 +82,6 @@ type SessionOpen struct {
 	// Sketch marks a sketch-mode session (nodes submit raw collision
 	// statistics; the referee derives votes server-side).
 	Sketch bool
-	// Default additionally registers this session as the target for
-	// unbound (session 0) peers; at most one may be open.
-	Default bool
 	// EarlyClose lets the referee hang up as soon as every trial is
 	// decided.
 	EarlyClose bool
@@ -140,11 +133,12 @@ func (SessionOpen) payloadSize() int   { return 26 }
 func (SessionAccept) payloadSize() int { return 8 }
 func (SessionReject) payloadSize() int { return 5 }
 
+// SessionOpen flag bits. Bit 1 is retired: like every other spare bit,
+// a SessionOpen that sets it fails to decode.
 const (
 	openFlagSketch     = 1 << 0
-	openFlagDefault    = 1 << 1
 	openFlagEarlyClose = 1 << 2
-	openFlagMask       = openFlagSketch | openFlagDefault | openFlagEarlyClose
+	openFlagMask       = openFlagSketch | openFlagEarlyClose
 )
 
 func (o SessionOpen) appendPayload(dst []byte) []byte {
@@ -157,9 +151,6 @@ func (o SessionOpen) appendPayload(dst []byte) []byte {
 	flags := byte(0)
 	if o.Sketch {
 		flags |= openFlagSketch
-	}
-	if o.Default {
-		flags |= openFlagDefault
 	}
 	if o.EarlyClose {
 		flags |= openFlagEarlyClose
@@ -179,7 +170,6 @@ func (o *SessionOpen) decodePayload(p []byte) error {
 		return fmt.Errorf("%w: sessionopen flags %#x", ErrFrameSize, flags)
 	}
 	o.Sketch = flags&openFlagSketch != 0
-	o.Default = flags&openFlagDefault != 0
 	o.EarlyClose = flags&openFlagEarlyClose != 0
 	return nil
 }

@@ -40,7 +40,7 @@ func TestSessionSuffixRoundTrip(t *testing.T) {
 				if gotSess != sess || gotTC != tc {
 					t.Fatalf("%T: got (session %d, %+v), want (%d, %+v)", fr, gotSess, gotTC, sess, tc)
 				}
-				if !framesEqual(got, fr) {
+				if !reflect.DeepEqual(got, fr) {
 					t.Fatalf("%T: session round trip: got %#v", fr, got)
 				}
 				if re := AppendSession(nil, got, gotSess, gotTC); !bytes.Equal(re, enc) {
@@ -56,7 +56,7 @@ func TestSessionSuffixRoundTrip(t *testing.T) {
 func TestSessionControlRoundTrip(t *testing.T) {
 	frames := []Frame{
 		&SessionOpen{Tenant: 5, K: 100, Trials: 7, Seed: 99, Rule: RuleThreshold, Thresh: 11, Sketch: true, EarlyClose: true},
-		&SessionOpen{Tenant: 1, K: 10, Trials: 2, Seed: 3, Rule: RuleAND, Default: true},
+		&SessionOpen{Tenant: 1, K: 10, Trials: 2, Seed: 3, Rule: RuleAND},
 		&SessionAccept{Session: 12, Tenant: 5},
 		&SessionReject{Tenant: 5, Reason: RejectBudget},
 		&SessionReport{Session: 12, K: 10, Verdicts: []bool{true, false, true},
@@ -94,20 +94,26 @@ func TestSessionControlRoundTrip(t *testing.T) {
 }
 
 // TestSessionControlValidation pins the typed decode errors of the control
-// frames — out-of-range reject reasons, zero accept sessions, spare open
-// flags — and that an established type without its session field fails.
+// frames — out-of-range reject reasons (the retired default reason 5
+// included), zero accept sessions, spare open flags (the retired default
+// flag 0x02 included) — and that an established type without its session
+// field fails.
 func TestSessionControlValidation(t *testing.T) {
-	if _, _, _, err := DecodeBodySession(AppendSession(nil, &SessionReject{Tenant: 1, Reason: 99}, 0, TraceContext{})[4:], nil); !errors.Is(err, ErrFrameSize) {
-		t.Errorf("reason 99: err = %v, want ErrFrameSize", err)
+	for _, reason := range []byte{0, 5, 99} {
+		if _, _, _, err := DecodeBodySession(AppendSession(nil, &SessionReject{Tenant: 1, Reason: reason}, 0, TraceContext{})[4:], nil); !errors.Is(err, ErrFrameSize) {
+			t.Errorf("reason %d: err = %v, want ErrFrameSize", reason, err)
+		}
 	}
 	if _, _, _, err := DecodeBodySession(AppendSession(nil, &SessionAccept{Session: 0, Tenant: 1}, 0, TraceContext{})[4:], nil); !errors.Is(err, ErrSession) {
 		t.Errorf("accept session 0: err = %v, want ErrSession", err)
 	}
 	open := AppendSession(nil, &SessionOpen{Tenant: 1, K: 2, Trials: 3, Rule: RuleAND}, 0, TraceContext{})
-	body := append([]byte(nil), open[4:]...)
-	body[len(body)-1] |= 0x80 // spare flag bit
-	if _, _, _, err := DecodeBodySession(body, nil); !errors.Is(err, ErrFrameSize) {
-		t.Errorf("spare open flags: err = %v, want ErrFrameSize", err)
+	for _, bit := range []byte{0x02, 0x80} {
+		body := append([]byte(nil), open[4:]...)
+		body[len(body)-1] |= bit // a spare flag bit
+		if _, _, _, err := DecodeBodySession(body, nil); !errors.Is(err, ErrFrameSize) {
+			t.Errorf("open flag %#x: err = %v, want ErrFrameSize", bit, err)
+		}
 	}
 	vote := AppendSession(nil, &Vote{Trial: 1, Node: 2}, 0, TraceContext{})
 	bare := vote[4 : len(vote)-sessionBytes]
@@ -238,7 +244,7 @@ func FuzzSessionFrameRoundTrip(f *testing.F) {
 		report := fuzzReport(sess|1, 1<<31|a, seed, int(count)%MaxReportTrials+1)
 		control := []Frame{
 			&SessionOpen{Tenant: a, K: sess, Trials: uint32(count), Seed: seed,
-				Rule: byte(seed), Thresh: a, Sketch: flag, Default: seed%2 == 0, EarlyClose: seed%3 == 0},
+				Rule: byte(seed), Thresh: a, Sketch: flag, EarlyClose: seed%3 == 0},
 			&SessionAccept{Session: sess | 1, Tenant: a},
 			&SessionReject{Tenant: a, Reason: byte(seed)%rejectReasonMax + 1},
 			report,

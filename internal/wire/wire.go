@@ -16,8 +16,11 @@
 // high bit flags the trailing trace context (trace ID + span ID, both
 // big-endian uint64, trace ID nonzero) that links the frame into the
 // telemetry plane's distributed trace. So every (frame, session, trace)
-// triple has exactly one byte representation, and the decoder rejects any
-// other version byte with ErrVersion. Trace context is observability
+// triple has exactly one byte representation, with no exception: every
+// body the decoder accepts re-encodes to exactly its bytes. The decoder
+// rejects any other version byte with ErrVersion. Type byte 7, which once
+// carried a block-compressed batch, is retired and stays reserved: the
+// decoder rejects it with ErrUnknownType. Trace context is observability
 // metadata only: the referee's verdicts never depend on it.
 //
 // Single-vote frames are tiny and fixed-size per type; the decoder
@@ -68,7 +71,7 @@ const MaxBatchFrameBytes = 1 << 17
 // MaxFrameBytes for everything else (including unknown types, which are
 // rejected before the cap matters).
 func FrameCap(t byte) int {
-	if t == TypeVoteBatch || t == TypeVoteBatchZ || t == TypePartialVerdict || t == TypeSessionReport {
+	if t == TypeVoteBatch || t == TypePartialVerdict || t == TypeSessionReport {
 		return MaxBatchFrameBytes
 	}
 	return MaxFrameBytes
@@ -110,9 +113,10 @@ const (
 	// TypeVoteBatch packs many (trial, node, vote) tuples — or sketch
 	// tuples — into one delta/bit-packed frame (batch.go).
 	TypeVoteBatch
-	// TypeVoteBatchZ is a VoteBatch whose payload is block-compressed
-	// (compress.go); only emitted when compression actually saves bytes.
-	TypeVoteBatchZ
+	// typeRetired (7) once marked a block-compressed VoteBatch. It stays
+	// reserved so the type bytes after it keep their values, and the
+	// decoder rejects it with ErrUnknownType.
+	typeRetired
 	// TypeAggHello opens an aggregator's upstream session, announcing the
 	// node-ID window it terminates (partial.go).
 	TypeAggHello
@@ -158,8 +162,6 @@ func TypeName(t byte) string {
 		return "verdict"
 	case TypeVoteBatch:
 		return "votebatch"
-	case TypeVoteBatchZ:
-		return "votebatchz"
 	case TypeAggHello:
 		return "agghello"
 	case TypePartialVerdict:
@@ -363,25 +365,19 @@ func (v *Verdict) decodePayload(p []byte) error {
 // AppendSession appends f's wire encoding bound to session and carrying tc
 // to dst and returns the extended slice. Established types always carry
 // the session field, 0 meaning unbound; the session control types carry
-// none and ignore session. A zero tc adds no trace suffix. Batches encode
-// raw here; a BatchEncoder can compress them.
+// none and ignore session. A zero tc adds no trace suffix.
+//
+// It writes the frame in a single pass: it reserves the 4-byte length
+// prefix, writes the version and type bytes, appends the payload, the
+// session field and the trace suffix, and then fills in the length.
 func AppendSession(dst []byte, f Frame, session uint32, tc TraceContext) []byte {
-	return appendFrame(dst, f.Type(), f.appendPayload, session, tc)
-}
-
-// appendFrame writes one frame in a single pass: it reserves the 4-byte
-// length prefix, writes the version and type bytes, appends the payload,
-// the session field (established types only) and the trace suffix
-// (nonzero trace only), and then fills in the length. The payload
-// producer is a callback so frame payloads, pre-encoded raw batches and
-// compressed batches share the framing.
-func appendFrame(dst []byte, typ byte, payload func([]byte) []byte, session uint32, tc TraceContext) []byte {
 	start := len(dst)
+	typ := f.Type()
 	flagged := typ
 	if !tc.IsZero() {
 		flagged |= traceFlag
 	}
-	dst = payload(append(dst, 0, 0, 0, 0, Version, flagged))
+	dst = f.appendPayload(append(dst, 0, 0, 0, 0, Version, flagged))
 	if hasSessionField(typ) {
 		dst = binary.BigEndian.AppendUint32(dst, session)
 	}
@@ -398,14 +394,6 @@ func appendFrame(dst []byte, typ byte, payload func([]byte) []byte, session uint
 // MaxBatchFrameBytes traced or not.
 const maxBodyBytes = MaxBatchFrameBytes - traceContextBytes
 
-// checkBody enforces maxBodyBytes on an n-byte untraced body of type t.
-func checkBody(t byte, n int) error {
-	if n > maxBodyBytes {
-		return fmt.Errorf("%w: %d-byte %s frame body (limit %d)", ErrOversize, n, TypeName(t), maxBodyBytes)
-	}
-	return nil
-}
-
 // appendCapped appends f's encoding bound to session in one pass, then
 // checks the body it wrote against maxBodyBytes; on overflow it returns
 // dst unchanged with ErrOversize.
@@ -415,8 +403,8 @@ func appendCapped(dst []byte, f Frame, session uint32, tc TraceContext) ([]byte,
 	if !tc.IsZero() {
 		n -= traceContextBytes
 	}
-	if err := checkBody(f.Type(), n); err != nil {
-		return dst, err
+	if n > maxBodyBytes {
+		return dst, fmt.Errorf("%w: %d-byte %s frame body (limit %d)", ErrOversize, n, TypeName(f.Type()), maxBodyBytes)
 	}
 	return out, nil
 }
@@ -456,8 +444,6 @@ type DecodeScratch struct {
 	accept SessionAccept
 	reject SessionReject
 	report SessionReport
-	// zbuf holds a decompressed batch payload between decodes.
-	zbuf []byte
 	// cols holds the decoded delta columns of a VoteBatch or
 	// PartialVerdict before they are scattered into its rows.
 	cols []uint64
@@ -486,7 +472,7 @@ func DecodeBodySession(body []byte, sc *DecodeScratch) (Frame, TraceContext, uin
 		return nil, TraceContext{}, 0, fmt.Errorf("%w: got %d, want %d", ErrVersion, body[0], Version)
 	}
 	base := body[1] &^ traceFlag
-	if base < TypeHello || base > TypeSessionReport {
+	if base < TypeHello || base > TypeSessionReport || base == typeRetired {
 		return nil, TraceContext{}, 0, fmt.Errorf("%w: type %d", ErrUnknownType, base)
 	}
 	if len(body) > FrameCap(base) {
@@ -549,8 +535,8 @@ func (sc *DecodeScratch) decode(t byte, p []byte) (Frame, error) {
 		f = &sc.accept
 	case TypeSessionReject:
 		f = &sc.reject
-	case TypeVoteBatch, TypeVoteBatchZ:
-		return &sc.batch, sc.decodeBatch(t, p)
+	case TypeVoteBatch:
+		return &sc.batch, sc.batch.decodePayload(p, sc)
 	case TypePartialVerdict:
 		return &sc.partial, sc.partial.decodePayload(p, sc)
 	default: // TypeSessionReport, the last type DecodeBodySession admits

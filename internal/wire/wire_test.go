@@ -38,40 +38,6 @@ func decodeFrame(t *testing.T, b []byte) (Frame, TraceContext, uint32) {
 	return f, tc, sess
 }
 
-// encodeFrame encodes f bound to session and carrying tc, through a
-// compressing BatchEncoder when compress is set.
-func encodeFrame(t *testing.T, f Frame, session uint32, tc TraceContext, compress bool) []byte {
-	t.Helper()
-	if !compress {
-		return AppendSession(nil, f, session, tc)
-	}
-	var e BatchEncoder
-	b, err := e.AppendSession(nil, f.(*VoteBatch), session, tc, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// sentType returns the type byte a decoded frame arrived with: its Type,
-// or TypeVoteBatchZ for a batch that arrived compressed.
-func sentType(f Frame) byte {
-	if vb, ok := f.(*VoteBatch); ok && vb.Compressed {
-		return TypeVoteBatchZ
-	}
-	return f.Type()
-}
-
-// framesEqual compares two decoded frames, ignoring the decoder-output
-// Compressed/Saved fields of a VoteBatch.
-func framesEqual(got, want Frame) bool {
-	if gb, ok := got.(*VoteBatch); ok {
-		wb, ok := want.(*VoteBatch)
-		return ok && gb.Sketch == wb.Sketch && reflect.DeepEqual(gb.Votes, wb.Votes)
-	}
-	return reflect.DeepEqual(got, want)
-}
-
 func TestRoundTripEveryType(t *testing.T) {
 	for _, f := range everyFrame() {
 		buf := AppendSession(nil, f, 0, TraceContext{})
@@ -155,11 +121,29 @@ func TestDecodeRejectsBadVersion(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnknownType pins that an unassigned type byte never
+// decodes — including the retired byte 7, traced or not, under an
+// established (Done) and a control (SessionReport) body.
 func TestDecodeRejectsUnknownType(t *testing.T) {
-	b := AppendSession(nil, &Done{Node: 1}, 0, TraceContext{})[headerBytes:]
-	b[1] = 0xEE
-	if _, _, _, err := DecodeBodySession(b, nil); !errors.Is(err, ErrUnknownType) {
-		t.Fatalf("err = %v, want ErrUnknownType", err)
+	done := AppendSession(nil, &Done{Node: 1}, 0, TraceContext{})[headerBytes:]
+	report := AppendSession(nil, &SessionReport{Session: 3, K: 4, Verdicts: []bool{true},
+		Rejects: []uint32{0}, Votes: []uint32{4}, Missing: []uint32{0}}, 0, TraceContext{})[headerBytes:]
+	for _, c := range []struct {
+		name string
+		body []byte
+		typ  byte
+	}{
+		{"done as 0xee", done, 0xEE},
+		{"done as 7", done, typeRetired},
+		{"done as traced 7", done, typeRetired | traceFlag},
+		{"report as 7", report, typeRetired},
+		{"report as traced 7", report, typeRetired | traceFlag},
+	} {
+		b := append([]byte(nil), c.body...)
+		b[1] = c.typ
+		if _, _, _, err := DecodeBodySession(b, nil); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("%s: err = %v, want ErrUnknownType", c.name, err)
+		}
 	}
 }
 
@@ -231,7 +215,7 @@ func TestTracedReaderStream(t *testing.T) {
 	}
 }
 
-// TestFrameLayout pins the one frame layout on all 13 types × session
+// TestFrameLayout pins the one frame layout on all 12 types × session
 // {0, 7} × trace {off, on}: every frame round-trips byte-identically; the
 // routing peeks BodyType and SessionOf agree with the full decode; the
 // session field is fixed (established types carry it even at session 0,
@@ -243,24 +227,22 @@ func TestTracedReaderStream(t *testing.T) {
 // largest single-vote frame, a traced session-bound Sketch, included.
 func TestFrameLayout(t *testing.T) {
 	cases := []struct {
-		typ      byte // the type byte on the wire, trace flag clear
-		f        Frame
-		compress bool
+		typ byte // the type byte on the wire, trace flag clear
+		f   Frame
 	}{
-		{TypeHello, &Hello{Node: 3, K: 100, Trials: 7}, false},
-		{TypeVote, &Vote{Trial: 2, Node: 3, Reject: true}, false},
-		{TypeSketch, &Sketch{Trial: 1, Node: 4, Samples: 48, Collisions: 2}, false},
-		{TypeDone, &Done{Node: 3}, false},
-		{TypeVerdict, &Verdict{Trials: 7, Accepts: 5, Missing: 1}, false},
-		{TypeVoteBatch, &VoteBatch{Votes: seqVotes(3, 2, false)}, false},
-		{TypeVoteBatchZ, &VoteBatch{Votes: seqVotes(3, 512, false)}, true},
-		{TypeAggHello, &AggHello{Agg: 2, K: 100, Trials: 7, Lo: 10, Hi: 20}, false},
-		{TypePartialVerdict, &PartialVerdict{Agg: 2, Entries: []PartialEntry{{Trial: 0, Votes: 10, Rejects: 4}}}, false},
-		{TypeSessionOpen, &SessionOpen{Tenant: 5, K: 100, Trials: 7, Seed: 99, Rule: RuleThreshold, Thresh: 11, Sketch: true}, false},
-		{TypeSessionAccept, &SessionAccept{Session: 12, Tenant: 5}, false},
-		{TypeSessionReject, &SessionReject{Tenant: 5, Reason: RejectBudget}, false},
+		{TypeHello, &Hello{Node: 3, K: 100, Trials: 7}},
+		{TypeVote, &Vote{Trial: 2, Node: 3, Reject: true}},
+		{TypeSketch, &Sketch{Trial: 1, Node: 4, Samples: 48, Collisions: 2}},
+		{TypeDone, &Done{Node: 3}},
+		{TypeVerdict, &Verdict{Trials: 7, Accepts: 5, Missing: 1}},
+		{TypeVoteBatch, &VoteBatch{Votes: seqVotes(3, 2, false)}},
+		{TypeAggHello, &AggHello{Agg: 2, K: 100, Trials: 7, Lo: 10, Hi: 20}},
+		{TypePartialVerdict, &PartialVerdict{Agg: 2, Entries: []PartialEntry{{Trial: 0, Votes: 10, Rejects: 4}}}},
+		{TypeSessionOpen, &SessionOpen{Tenant: 5, K: 100, Trials: 7, Seed: 99, Rule: RuleThreshold, Thresh: 11, Sketch: true}},
+		{TypeSessionAccept, &SessionAccept{Session: 12, Tenant: 5}},
+		{TypeSessionReject, &SessionReject{Tenant: 5, Reason: RejectBudget}},
 		{TypeSessionReport, &SessionReport{Session: 12, K: 10, Verdicts: []bool{true, false, true},
-			Rejects: []uint32{0, 4, 1}, Votes: []uint32{10, 9, 10}, Missing: []uint32{0, 1, 0}}, false},
+			Rejects: []uint32{0, 4, 1}, Votes: []uint32{10, 9, 10}, Missing: []uint32{0, 1, 0}}},
 	}
 	var sc DecodeScratch
 	for _, c := range cases {
@@ -270,9 +252,9 @@ func TestFrameLayout(t *testing.T) {
 			if !tc.IsZero() {
 				wantType |= traceFlag
 			}
-			unbound := len(encodeFrame(t, c.f, 0, tc, c.compress))
+			unbound := len(AppendSession(nil, c.f, 0, tc))
 			for _, session := range []uint32{0, 7} {
-				enc := encodeFrame(t, c.f, session, tc, c.compress)
+				enc := AppendSession(nil, c.f, session, tc)
 				body := enc[headerBytes:]
 				if len(enc) != unbound {
 					t.Errorf("%s session %d: %d bytes, %d at session 0", name, session, len(enc), unbound)
@@ -288,15 +270,15 @@ func TestFrameLayout(t *testing.T) {
 				if !hasSessionField(c.typ) {
 					wantSess = 0
 				}
-				if gotSess != wantSess || gotTC != tc || !framesEqual(got, c.f) {
+				if gotSess != wantSess || gotTC != tc || !reflect.DeepEqual(got, c.f) {
 					t.Fatalf("%s: decoded (%#v, %+v, session %d)", name, got, gotTC, gotSess)
 				}
-				if re := encodeFrame(t, got, gotSess, gotTC, c.compress); !bytes.Equal(re, enc) {
+				if re := AppendSession(nil, got, gotSess, gotTC); !bytes.Equal(re, enc) {
 					t.Fatalf("%s: re-encode mismatch:\n%x\n%x", name, re, enc)
 				}
-				if BodyType(body) != sentType(got) || SessionOf(body) != gotSess {
+				if BodyType(body) != got.Type() || SessionOf(body) != gotSess {
 					t.Errorf("%s: peeks (type %d, session %d), decode (type %d, session %d)",
-						name, BodyType(body), SessionOf(body), sentType(got), gotSess)
+						name, BodyType(body), SessionOf(body), got.Type(), gotSess)
 				}
 				if len(body) > FrameCap(c.typ) {
 					t.Errorf("%s: %d-byte body over its %d-byte cap", name, len(body), FrameCap(c.typ))
