@@ -16,8 +16,7 @@
 //
 //	unifcluster serve  [-addr 127.0.0.1:4600] [-max-sessions 16]
 //	                   [-tenant-budget 0] [-max-k 0] [-max-trials 0]
-//	                   [-deadline 10s] [-reap 250ms] [-workers 4]
-//	                   [-quantum 32] [-queue 64] [-journal-dir DIR]
+//	                   [-deadline 10s] [-reap 250ms] [-journal-dir DIR]
 //	                   [-obs-addr :9090]
 //	unifcluster submit [-addr 127.0.0.1:4600] [-tenant 1]
 //	                   [run flags: -rule -k -n -eps -dist -trials -seed

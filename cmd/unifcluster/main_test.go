@@ -394,6 +394,9 @@ func TestRunErrors(t *testing.T) {
 		{name: "bad transport", args: []string{"-transport", "bogus"}, want: "unknown transport"},
 		{name: "bad policy", args: []string{"-policy", "bogus"}, want: "unknown policy"},
 		{name: "sketch under and", args: []string{"-rule", "and", "-sketch", "-k", "16", "-n", "1024"}, want: "threshold rule"},
+		{name: "retired serve -workers", args: []string{"serve", "-workers", "4"}, want: "not defined: -workers"},
+		{name: "retired serve -quantum", args: []string{"serve", "-quantum", "32"}, want: "not defined: -quantum"},
+		{name: "retired serve -queue", args: []string{"serve", "-queue", "64"}, want: "not defined: -queue"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -43,9 +43,6 @@ func runServe(args []string, stdout io.Writer) error {
 		maxTrials = fs.Int("max-trials", 0, "largest admissible trial count per session (0 = wire report cap)")
 		deadline  = fs.Duration("deadline", cluster.DefaultDeadline, "per-session deadline; stalled sessions are evicted past it")
 		reap      = fs.Duration("reap", service.DefaultReapInterval, "stalled-session sweep interval")
-		workers   = fs.Int("workers", service.DefaultWorkers, "frame-fold worker pool size")
-		quantum   = fs.Int("quantum", service.DefaultQuantum, "frames one worker folds per session turn (fairness granularity)")
-		queue     = fs.Int("queue", service.DefaultQueueDepth, "per-session inbound frame queue depth")
 		jrnlDir   = fs.String("journal-dir", "", "write one per-session JSONL journal into this directory")
 		obsAddr   = fs.String("obs-addr", "", "serve live /metrics, /healthz and pprof on this address")
 	)
@@ -66,9 +63,6 @@ func runServe(args []string, stdout io.Writer) error {
 		MaxTrials:    *maxTrials,
 		Deadline:     *deadline,
 		ReapInterval: *reap,
-		Workers:      *workers,
-		Quantum:      *quantum,
-		QueueDepth:   *queue,
 		Obs:          reg,
 		JournalDir:   *jrnlDir,
 	})

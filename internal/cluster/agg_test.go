@@ -35,6 +35,21 @@ func TestTreePipeMatchesReferenceThreshold(t *testing.T) {
 	}
 }
 
+// TestTreeRejectsBadShape pins the tree builders' shape checks now that
+// runTree also builds the flat star as its depth-0 case: RunTreePipe and
+// RunTreeTCP still refuse depth < 1 and fanout < 2.
+func TestTreeRejectsBadShape(t *testing.T) {
+	nw := thresholdNetwork(t, 64, 8)
+	d := dist.NewUniform(64)
+	for _, tree := range []func(Config, *zeroround.Network, dist.Distribution, *FaultPlan, int, int) (*Report, error){RunTreePipe, RunTreeTCP} {
+		for _, shape := range []struct{ fanout, depth int }{{4, 0}, {1, 1}} {
+			if _, err := tree(Config{Trials: 2}, nw, d, nil, shape.fanout, shape.depth); err == nil {
+				t.Errorf("fanout %d depth %d accepted", shape.fanout, shape.depth)
+			}
+		}
+	}
+}
+
 func TestTreePipeMatchesReferenceAND(t *testing.T) {
 	nw := andNetwork(t, 1<<10, 16)
 	d := dist.NewUniform(1 << 10)

@@ -105,8 +105,8 @@ func (a *Aggregator) Serve(l net.Listener) error {
 	foldDone := make(chan struct{})
 	go a.fold(sess.Context(), foldDone)
 
-	var wg sync.WaitGroup
-	go a.acceptLoop(l, deadline, &wg)
+	ing := NewIngest(1)
+	go ing.acceptLoop(&a.voteSink, l, deadline)
 
 	// The session ends on the first of: every node in the window done, an
 	// early verdict from upstream (root early close), an upstream failure,
@@ -146,7 +146,7 @@ func (a *Aggregator) Serve(l net.Listener) error {
 	<-foldDone
 
 	verdict, err := a.finishUpstream()
-	conns := a.closeSession()
+	conns := a.shut()
 	for _, c := range conns {
 		if err == nil {
 			// Bounded best-effort verdict relay, exactly like the referee's
@@ -157,7 +157,7 @@ func (a *Aggregator) Serve(l net.Listener) error {
 		}
 		c.Close()
 	}
-	wg.Wait()
+	ing.Close()
 	a.q.Close()
 	a.conn.Close()
 	a.m.peersIdle.Set(0)
@@ -431,15 +431,4 @@ func (a *Aggregator) finishUpstream() (wire.Verdict, error) {
 		return wire.Verdict{}, fmt.Errorf("upstream closed without a verdict")
 	}
 	return v, nil
-}
-
-// closeSession marks the sink closed and detaches its connections for
-// the verdict relay.
-func (a *Aggregator) closeSession() []net.Conn {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.closed = true
-	conns := a.conns
-	a.conns = nil
-	return conns
 }

@@ -22,7 +22,8 @@
 // Topology: Referee serves any net.Listener (TCP for real deployments);
 // NewPipeListener provides a zero-copy in-memory transport (net.Pipe) for
 // single-process clusters and tests. RunPipe/RunTCP assemble the full
-// referee-plus-k-nodes session either way.
+// referee-plus-k-nodes session either way, as the depth-0 case of the
+// aggregation tree RunTreePipe/RunTreeTCP build.
 package cluster
 
 import (
@@ -271,70 +272,34 @@ type RefereeStats struct {
 
 // RunPipe executes one full session in-process over net.Pipe transports:
 // a referee for nw's rule plus one node client per network node, faults
-// injected per plan (nil plan = clean links). It returns the referee's
-// report; node-side errors fail the run only when the referee did not
-// close the session early (see Config.EarlyClose).
+// injected per plan (nil plan = clean links) — the depth-0 aggregation
+// tree. It returns the referee's report; node-side errors fail the run
+// only when the referee did not close the session early (see
+// Config.EarlyClose).
 func RunPipe(cfg Config, nw *zeroround.Network, d dist.Distribution, plan *FaultPlan) (*Report, error) {
-	l := NewPipeListener()
-	return runSession(cfg, nw, d, plan, l, l.Dial)
+	return runTree(cfg, nw, d, plan, 0, 0, listenPipe)
 }
 
 // RunTCP is RunPipe over a real TCP loopback listener.
 func RunTCP(cfg Config, nw *zeroround.Network, d dist.Distribution, plan *FaultPlan) (*Report, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("cluster: listen: %w", err)
-	}
-	addr := l.Addr().String()
-	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
-	return runSession(cfg, nw, d, plan, l, dial)
+	return runTree(cfg, nw, d, plan, 0, 0, listenTCP)
 }
 
-// runSession starts the referee on l, launches nw.K() node clients that
-// connect via dial, and reconciles both sides' outcomes.
-func runSession(cfg Config, nw *zeroround.Network, d dist.Distribution, plan *FaultPlan, l net.Listener, dial func() (net.Conn, error)) (*Report, error) {
-	k := nw.K()
-	rf := NewReferee(k, nw.Rule(), cfg)
+// listenPipe opens one in-memory server listener and the dial function
+// its clients use.
+func listenPipe() (net.Listener, func() (net.Conn, error), error) {
+	l := NewPipeListener()
+	return l, l.Dial, nil
+}
 
-	type nodeErr struct {
-		node int
-		err  error
-	}
-	errCh := make(chan nodeErr, k)
-	var wg sync.WaitGroup
-	wg.Add(k)
-	for i := 0; i < k; i++ {
-		nc := &NodeClient{
-			ID:     i,
-			K:      k,
-			Tester: nw.Node(i),
-			Config: cfg,
-			Dial:   dial,
-			Faults: plan,
-		}
-		go func(i int, nc *NodeClient) {
-			defer wg.Done()
-			if _, err := nc.Run(d); err != nil {
-				errCh <- nodeErr{node: i, err: err}
-			}
-		}(i, nc)
-	}
-
-	rep, err := rf.Serve(l)
-	wg.Wait()
-	close(errCh)
+// listenTCP is listenPipe on a TCP loopback port.
+func listenTCP() (net.Listener, func() (net.Conn, error), error) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return rep, err
+		return nil, nil, fmt.Errorf("cluster: listen: %w", err)
 	}
-	for ne := range errCh {
-		// Early close severs connections of nodes whose verdicts were no
-		// longer needed; their errors are expected, not failures.
-		if rep != nil && rep.Stats.EarlyClosed {
-			continue
-		}
-		return rep, fmt.Errorf("cluster: node %d: %w", ne.node, ne.err)
-	}
-	return rep, nil
+	addr := l.Addr().String()
+	return l, func() (net.Conn, error) { return net.Dial("tcp", addr) }, nil
 }
 
 // pipeListener hands out net.Pipe pairs through the net.Listener

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/unifdist/unifdist/internal/obs/trace"
@@ -19,14 +18,14 @@ import (
 // decision rule incrementally as votes arrive — reusing the rule's
 // EarlyDecider so a trial's verdict is fixed at the earliest possible
 // vote — and finalizes undecided trials through the quorum policy when
-// the session ends. The connection-terminating half (accept loop, frame
+// the session ends. The vote-folding half (registration, frame
 // validation, dedup, per-trial fold) is the voteSink shared with the
-// Aggregator; the referee layers the rule and quorum machinery on top
-// through the sink's onTrial hook. Besides raw leaf connections, the
-// sink also terminates aggregator children (AggHello + PartialVerdict
-// partial sums), which fold into the same per-trial tallies — both
-// decision rules are commutative monoids over (votes, rejects), so the
-// merged sums decide exactly as the flat star would.
+// Aggregator, fed by the Ingest; the referee layers the rule and quorum
+// machinery on top through the sink's onTrial hook. Besides raw leaf
+// connections, the sink also terminates aggregator children (AggHello +
+// PartialVerdict partial sums), which fold into the same per-trial
+// tallies — both decision rules are commutative monoids over (votes,
+// rejects), so the merged sums decide exactly as the flat star would.
 //
 // A session ends on the first of: every node sent Done; every trial's
 // verdict is fixed (Config.EarlyClose); or the safety-net deadline
@@ -81,8 +80,8 @@ func (rf *Referee) Serve(l net.Listener) (*Report, error) {
 	rf.reg.Gauge("cluster.sessions_open").Add(1)
 	defer rf.reg.Gauge("cluster.sessions_open").Add(-1)
 
-	var wg sync.WaitGroup
-	go rf.acceptLoop(l, deadline, &wg)
+	ing := NewIngest(1)
+	go ing.acceptLoop(&rf.voteSink, l, deadline)
 
 	select {
 	case <-rf.trigger:
@@ -106,7 +105,7 @@ func (rf *Referee) Serve(l net.Listener) (*Report, error) {
 		_ = wire.WriteFrame(c, &sum)
 		c.Close()
 	}
-	wg.Wait()
+	ing.Close()
 	rf.m.peersIdle.Set(0) // the broadcast released every idle peer
 
 	if rf.cfg.Policy == QuorumStrict && rep.MissingVotes > 0 {
@@ -149,9 +148,9 @@ func (rf *Referee) settle(trial int, accept, early bool) {
 // assembles the report, the verdict broadcast frame, and the connections
 // to flush it to.
 func (rf *Referee) finalize() (*Report, wire.Verdict, []net.Conn) {
+	conns := rf.shut()
 	rf.mu.Lock()
 	defer rf.mu.Unlock()
-	rf.closed = true
 
 	rep := &Report{
 		K:        rf.k,
@@ -189,8 +188,6 @@ func (rf *Referee) finalize() (*Report, wire.Verdict, []net.Conn) {
 		Accepts: uint32(rep.Accepts),
 		Missing: uint32(rep.MissingVotes),
 	}
-	conns := rf.conns
-	rf.conns = nil
 	return rep, sum, conns
 }
 

@@ -170,7 +170,7 @@ func Submit(dial func() (net.Conn, error), cfg cluster.Config, nw *zeroround.Net
 	}
 	if cfg.EarlyClose {
 		// Early close severs node connections whose verdicts were no longer
-		// needed; their errors are expected, exactly as in runSession.
+		// needed; their errors are expected, exactly as in cluster.RunPipe.
 		return rep, nil
 	}
 	for err := range errCh {

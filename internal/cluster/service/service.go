@@ -18,10 +18,11 @@
 // SessionReport back on the control connection and broadcasts the verdict
 // to the session's peers, then reclaims all per-session state.
 //
-// Fairness: inbound frames are not applied on the reader goroutine.
-// Each session owns a bounded frame queue, and a fixed worker pool
-// drains the queues round-robin with a per-turn quantum, so one hot
-// tenant saturating its links cannot starve the other sessions' folds.
+// Fairness: peer connections are hosted on one shared cluster.Ingest, the
+// read path solo referees use too. Each session's referee owns a bounded
+// frame queue, and a fixed pool of serviceWorkers drains the queues
+// round-robin with a per-turn quantum, so one hot tenant saturating its
+// links cannot starve the other sessions' folds.
 // Determinism is untouched by any of this: votes are pure functions of
 // (seed, trial, node) and the fold is order-independent, so each
 // multiplexed session reports byte-identical (sans transport stats) to
@@ -45,11 +46,12 @@ import (
 // Defaults for the service knobs; see Config.
 const (
 	DefaultMaxSessions  = 16
-	DefaultWorkers      = 4
-	DefaultQuantum      = 32
-	DefaultQueueDepth   = 64
 	DefaultReapInterval = 250 * time.Millisecond
 )
+
+// serviceWorkers sizes the ingest's fold worker pool that all sessions
+// share.
+const serviceWorkers = 4
 
 // Config shapes one Service.
 type Config struct {
@@ -76,15 +78,6 @@ type Config struct {
 	// ReapInterval is the stalled-session sweep period (0 =
 	// DefaultReapInterval).
 	ReapInterval time.Duration
-	// Workers sizes the frame-fold worker pool (0 = DefaultWorkers);
-	// Quantum is how many frames one worker drains from a session before
-	// moving to the next in round-robin order (0 = DefaultQuantum);
-	// QueueDepth bounds each session's inbound frame queue, applying
-	// backpressure to that session's readers alone (0 =
-	// DefaultQueueDepth).
-	Workers    int
-	Quantum    int
-	QueueDepth int
 	// Obs receives service and per-session metrics; nil disables
 	// telemetry.
 	Obs *obs.Registry
@@ -121,13 +114,6 @@ func (c Config) reapInterval() time.Duration {
 	return c.ReapInterval
 }
 
-func (c Config) workers() int {
-	if c.Workers <= 0 {
-		return DefaultWorkers
-	}
-	return c.Workers
-}
-
 // Service is the session multiplexer. Build with New, run with Serve,
 // stop with Close.
 type Service struct {
@@ -142,7 +128,7 @@ type Service struct {
 	closed    bool
 	l         net.Listener
 
-	sched    *scheduler
+	ing      *cluster.Ingest // peer connections' read and fold path; set by Serve
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -150,12 +136,12 @@ type Service struct {
 	active   *obs.Gauge   // svc.sessions_active
 	opened   *obs.Counter // svc.sessions_opened
 	evicted  *obs.Counter // svc.sessions_evicted
-	badConns *obs.Counter // svc.bad_conns: connections dropped for protocol errors
+	badConns *obs.Counter // svc.bad_conns: connections dropped before reaching a session
 }
 
 // New builds a service; it owns no transport until Serve.
 func New(cfg Config) *Service {
-	s := &Service{
+	return &Service{
 		cfg:       cfg,
 		reg:       cfg.Obs,
 		sessions:  map[uint32]*session{},
@@ -167,15 +153,13 @@ func New(cfg Config) *Service {
 		evicted:   cfg.Obs.Counter("svc.sessions_evicted"),
 		badConns:  cfg.Obs.Counter("svc.bad_conns"),
 	}
-	s.sched = newScheduler(cfg)
-	return s
 }
 
 // Serve accepts connections on l until the listener closes (normally via
 // Close). Each connection self-identifies with its first frame:
 // SessionOpen starts the admission handshake, Hello/AggHello joins an
 // open session. Serve itself never blocks on a peer — per-connection
-// reader goroutines feed the worker pool.
+// reader goroutines feed the ingest's worker pool.
 func (s *Service) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -184,8 +168,8 @@ func (s *Service) Serve(l net.Listener) error {
 		return fmt.Errorf("service: serve after Close")
 	}
 	s.l = l
+	s.ing = cluster.NewIngest(serviceWorkers)
 	s.mu.Unlock()
-	s.sched.start(s.cfg.workers())
 	s.wg.Add(1)
 	go s.reap()
 	for {
@@ -205,7 +189,7 @@ func (s *Service) Serve(l net.Listener) error {
 func (s *Service) Close() error {
 	s.mu.Lock()
 	s.closed = true
-	l := s.l
+	l, ing := s.l, s.ing
 	s.mu.Unlock()
 	s.stopOnce.Do(func() { close(s.stop) })
 	if l != nil {
@@ -216,7 +200,9 @@ func (s *Service) Close() error {
 	for _, sess := range s.openSessions() {
 		s.finishSession(sess, "service_close")
 	}
-	s.sched.shutdown()
+	if ing != nil {
+		ing.Close()
+	}
 	s.wg.Wait()
 	return nil
 }
@@ -258,7 +244,17 @@ func (s *Service) handleConn(conn net.Conn) {
 		}
 		s.admit(conn, r, f.(*wire.SessionOpen))
 	case wire.TypeHello, wire.TypeAggHello:
-		s.servePeer(conn, r, body)
+		// The opening frame's session field routes the peer; session 0 is
+		// never assigned, so an unbound peer finds no session.
+		s.mu.Lock()
+		sess := s.sessions[wire.SessionOf(body)]
+		s.mu.Unlock()
+		if sess == nil {
+			s.badConns.Inc()
+			conn.Close()
+			return
+		}
+		s.ing.Serve(sess.rf, conn, r, body)
 	default:
 		s.badConns.Inc()
 		conn.Close()
@@ -347,8 +343,6 @@ func (s *Service) admit(conn net.Conn, r *wire.Reader, open *wire.SessionOpen) {
 		MetricSuffix: fmt.Sprintf(";session=%d", slot),
 	}
 	sess.rf = cluster.NewReferee(k, rule, ccfg)
-	sess.q.depth = s.reg.Gauge(fmt.Sprintf("svc.queue_depth;session=%d", slot))
-	sess.q.frames = s.reg.Counter(fmt.Sprintf("svc.frames;session=%d", slot))
 	s.sessions[id] = sess
 	s.slots[slot] = sess
 	s.tenantUse[open.Tenant] += cost
@@ -389,66 +383,6 @@ func (s *Service) allocID() uint32 {
 	}
 }
 
-// servePeer drains one node/aggregator connection into its session's
-// frame queue. The first frame (Hello or AggHello) fixes both the session,
-// by its session field, and the peer identity; every subsequent frame must
-// carry the same session. Session 0 is never assigned, so an unbound peer
-// finds no session and is dropped.
-func (s *Service) servePeer(conn net.Conn, r *wire.Reader, first []byte) {
-	sessID := wire.SessionOf(first)
-	s.mu.Lock()
-	sess := s.sessions[sessID]
-	s.mu.Unlock()
-	if sess == nil {
-		s.badConns.Inc()
-		conn.Close()
-		return
-	}
-	var sc wire.DecodeScratch
-	f, _, _, err := wire.DecodeBodySession(first, &sc)
-	if err != nil {
-		s.badConns.Inc()
-		conn.Close()
-		return
-	}
-	peer, err := sess.rf.Handshake(f)
-	if err != nil {
-		s.badConns.Inc()
-		conn.Close()
-		return
-	}
-	if !sess.rf.Register(conn) {
-		conn.Close()
-		return
-	}
-	sess.q.frames.Inc() // the handshake frame itself
-	for {
-		body, err := r.ReadBody()
-		if err != nil {
-			// EOF or transport end; the connection stays registered for the
-			// verdict broadcast if it is still open.
-			return
-		}
-		if wire.SessionOf(body) != sessID {
-			// Cross-session smuggling: terminate before the frame can fold.
-			s.badConns.Inc()
-			conn.Close()
-			return
-		}
-		if !s.sched.offer(sess, peer, conn, body) {
-			// Session finished or evicted while this peer was mid-stream.
-			conn.Close()
-			return
-		}
-		if wire.BodyType(body) == wire.TypeDone {
-			// The peer sends nothing further; keep the connection open for
-			// the verdict broadcast and release the reader. The Done folds
-			// in queue order, after every vote that preceded it.
-			return
-		}
-	}
-}
-
 // waitSession drives one session to completion: the referee's decision
 // trigger, an explicit close from the control connection, or service
 // shutdown.
@@ -468,11 +402,10 @@ func (s *Service) waitSession(sess *session) {
 // finishSession finalizes one session exactly once: quorum-decide the
 // remaining trials, stream the SessionReport to the control connection,
 // broadcast the verdict to the session's peers, flush the journal, and
-// reclaim every per-session resource (slot, tenant budget, queue,
-// metrics gauge).
+// reclaim every per-session resource (slot, tenant budget, and the
+// referee's ingest queue, which Finalize retires).
 func (s *Service) finishSession(sess *session, reason string) {
 	sess.finishOnce.Do(func() {
-		s.sched.kill(sess)
 		rep, sum, conns := sess.rf.Finalize()
 
 		if sess.ctrl != nil {
@@ -501,7 +434,6 @@ func (s *Service) finishSession(sess *session, reason string) {
 		}
 		s.mu.Unlock()
 		s.active.Add(-1)
-		sess.q.depth.Set(0)
 		s.reg.Counter("svc.sessions_finished." + reason).Inc()
 	})
 }

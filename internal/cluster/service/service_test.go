@@ -1,11 +1,14 @@
 package service_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -408,8 +411,8 @@ func TestServiceMetrics(t *testing.T) {
 	if !slots[";session=0"] {
 		t.Errorf("no metric carries the slot-0 session label; saw %v", slots)
 	}
-	if reg.Counter("svc.frames;session=0").Value() == 0 {
-		t.Error("svc.frames;session=0 never counted")
+	if reg.Counter("cluster.frames;session=0").Value() == 0 {
+		t.Error("cluster.frames;session=0 never counted")
 	}
 }
 
@@ -482,21 +485,76 @@ func BenchmarkServiceConcurrentSessions(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceMixedShapes measures fairness between unequal sessions:
+// one hot session of 240 nodes × 64 trials, sending one frame per vote,
+// starts 5 ms before eight sessions of 8 nodes × 64 trials. It reports the
+// small sessions' p50 and p90 wall times and the hot session's mean wall
+// time, so a hot session starving the small ones shows as a higher
+// small-session p90.
+func BenchmarkServiceMixedShapes(b *testing.B) {
+	const trials, smalls = 64, 8
+	hotNet, smallNet := thresholdNetwork(b, 64, 240), thresholdNetwork(b, 64, 8)
+	d := dist.NewTwoBump(64, 1.0, 9)
+	// Slot reclaim is asynchronous, so back-to-back iterations need
+	// headroom beyond the nine concurrent sessions.
+	_, dial := startService(b, service.Config{MaxSessions: 2 * (smalls + 1)})
+	submit := func(nw *zeroround.Network, seed uint64, tenant uint32) time.Duration {
+		start := time.Now()
+		if _, err := service.Submit(dial, cluster.Config{Trials: trials, BaseSeed: seed}, nw, d, nil, tenant); err != nil {
+			b.Error(err)
+		}
+		return time.Since(start)
+	}
+	var small []time.Duration
+	var hotTotal time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		durs := make([]time.Duration, smalls)
+		var wg sync.WaitGroup
+		wg.Add(smalls)
+		hotDone := make(chan time.Duration, 1)
+		go func() { hotDone <- submit(hotNet, uint64(i), 1) }()
+		time.Sleep(5 * time.Millisecond)
+		for s := range durs {
+			go func() {
+				defer wg.Done()
+				durs[s] = submit(smallNet, uint64(i*smalls+s), uint32(s+2))
+			}()
+		}
+		wg.Wait()
+		hotTotal += <-hotDone
+		small = append(small, durs...)
+	}
+	b.StopTimer()
+	sort.Slice(small, func(i, j int) bool { return small[i] < small[j] })
+	// Nearest-rank percentiles over every small session of every iteration.
+	pct := func(p float64) float64 {
+		return float64(small[int(math.Ceil(p*float64(len(small))))-1]) / 1e6
+	}
+	b.ReportMetric(pct(0.5), "small-p50-ms")
+	b.ReportMetric(pct(0.9), "small-p90-ms")
+	b.ReportMetric(float64(hotTotal)/1e6/float64(b.N), "hot-ms")
+}
+
 // TestViolationEndsPeerOnBothPaths pins one violation policy on both
-// frame-dispatch paths. One node stream — Hello, two good votes, a bad
-// frame, two more good votes, Done — goes to a solo Referee.Serve and to a
-// service session. Both must fold only the first two votes and close the
-// connection, whether the bad frame is a vote stamped with another node ID
-// or a frame that does not decode.
+// entry points. One node stream — Hello, two good votes, a bad frame, two
+// more good votes, Done — goes to a solo Referee.Serve and to a service
+// session. Both must fold only the first two votes and close the
+// connection, whether the bad frame is a vote stamped with another node
+// ID, a frame that does not decode, a length prefix past the frame cap, or
+// a vote bound to another session.
 func TestViolationEndsPeerOnBothPaths(t *testing.T) {
 	const k, trials = 4, 8
-	stream := func(session uint32, undecodable bool) []byte {
+	stream := func(session uint32, bad string) []byte {
 		var buf []byte
 		add := func(f wire.Frame) { buf = wire.AppendSession(buf, f, session, wire.TraceContext{}) }
 		add(&wire.Hello{Node: 0, K: k, Trials: trials})
 		add(&wire.Vote{Trial: 0, Node: 0, Reject: true})
 		add(&wire.Vote{Trial: 1, Node: 0})
-		if undecodable {
+		switch bad {
+		case "wrong node":
+			add(&wire.Vote{Trial: 2, Node: 1})
+		case "undecodable":
 			start := len(buf)
 			add(&wire.Vote{Trial: 2, Node: 0})
 			buf[len(buf)-1-4] = 2 // the vote's reject flag, before the session field
@@ -505,8 +563,10 @@ func TestViolationEndsPeerOnBothPaths(t *testing.T) {
 			if _, _, _, err := wire.DecodeBodySession(buf[start+4:], nil); !errors.Is(err, wire.ErrFrameSize) {
 				t.Fatalf("corrupted vote decodes with %v, want ErrFrameSize", err)
 			}
-		} else {
-			add(&wire.Vote{Trial: 2, Node: 1})
+		case "oversize prefix":
+			buf = binary.BigEndian.AppendUint32(buf, wire.MaxBatchFrameBytes+1)
+		case "wrong session":
+			buf = wire.AppendSession(buf, &wire.Vote{Trial: 2, Node: 0}, session+1, wire.TraceContext{})
 		}
 		add(&wire.Vote{Trial: 3, Node: 0})
 		add(&wire.Vote{Trial: 4, Node: 0})
@@ -515,21 +575,19 @@ func TestViolationEndsPeerOnBothPaths(t *testing.T) {
 	}
 	// send writes the stream and reports whether the far end closed the
 	// connection instead of answering with a verdict at the session end.
-	send := func(dial func() (net.Conn, error), session uint32, undecodable bool) bool {
+	send := func(dial func() (net.Conn, error), session uint32, bad string) bool {
 		conn, err := dial()
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		_, _ = conn.Write(stream(session, undecodable)) // fails once the far end hangs up
+		_, _ = conn.Write(stream(session, bad)) // fails once the far end hangs up
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		_, err = wire.NewReader(conn).ReadFrame()
 		return err != nil
 	}
 	want := []int{1, 1, 0, 0, 0, 0, 0, 0}
-	for _, undecodable := range []bool{false, true} {
-		name := map[bool]string{false: "wrong node", true: "undecodable"}[undecodable]
-
+	for _, bad := range []string{"wrong node", "undecodable", "oversize prefix", "wrong session"} {
 		rf := cluster.NewReferee(k, zeroround.ANDRule{}, cluster.Config{Trials: trials, Deadline: 300 * time.Millisecond})
 		l := cluster.NewPipeListener()
 		solo := make(chan *cluster.Report, 1)
@@ -537,25 +595,25 @@ func TestViolationEndsPeerOnBothPaths(t *testing.T) {
 			rep, _ := rf.Serve(l)
 			solo <- rep
 		}()
-		if !send(l.Dial, 0, undecodable) {
-			t.Errorf("%s: solo referee kept the connection open", name)
+		if !send(l.Dial, 0, bad) {
+			t.Errorf("%s: solo referee kept the connection open", bad)
 		}
 		if rep := <-solo; !reflect.DeepEqual(rep.Votes, want) || rep.Stats.BadFrames != 1 {
 			t.Errorf("%s: solo referee folded votes %v with %d bad frames, want %v and 1",
-				name, rep.Votes, rep.Stats.BadFrames, want)
+				bad, rep.Votes, rep.Stats.BadFrames, want)
 		}
 
 		_, dial := startService(t, service.Config{Deadline: 300 * time.Millisecond, ReapInterval: 20 * time.Millisecond})
 		c := mustOpen(t, dial, &wire.SessionOpen{Tenant: 1, K: k, Trials: trials, Rule: wire.RuleAND})
-		if !send(dial, c.Session(), undecodable) {
-			t.Errorf("%s: service kept the connection open", name)
+		if !send(dial, c.Session(), bad) {
+			t.Errorf("%s: service kept the connection open", bad)
 		}
 		rep, err := c.Wait()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", bad, err)
 		}
 		if !reflect.DeepEqual(rep.Votes, want) {
-			t.Errorf("%s: service session folded votes %v, want %v", name, rep.Votes, want)
+			t.Errorf("%s: service session folded votes %v, want %v", bad, rep.Votes, want)
 		}
 	}
 }

@@ -12,8 +12,7 @@ import (
 
 // session is one admitted testing session: an isolated referee plus the
 // multiplexer state around it. Identity fields are immutable after
-// admission; the frame queue is guarded by the scheduler mutex; finish
-// is serialized by finishOnce.
+// admission; finish is serialized by finishOnce.
 type session struct {
 	id     uint32 // service-assigned, nonzero, unique among open sessions
 	slot   int    // metric-label slot in [0, MaxSessions)
@@ -24,8 +23,6 @@ type session struct {
 	ctrl    net.Conn // the opener's control connection; receives the SessionReport
 	journal *obs.Journal
 	expiry  time.Time // reaper eviction bound
-
-	q sessQueue
 
 	closeCh    chan struct{} // closed on explicit client close
 	closeOnce  sync.Once

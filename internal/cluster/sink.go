@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -11,9 +12,10 @@ import (
 	"github.com/unifdist/unifdist/internal/wire"
 )
 
-// voteSink is the connection-terminating half shared by the Referee and
-// the Aggregator: it accepts peer connections, validates and
-// deduplicates their frames, and folds votes into per-trial sums. What
+// voteSink is the vote-folding half shared by the Referee and the
+// Aggregator: it registers peer connections, validates and deduplicates
+// their frames, and folds votes into per-trial sums. Its frames arrive
+// through an Ingest (ingest.go), which owns every read loop. What
 // happens when a trial's tally advances is the owner's business — the
 // referee runs its incremental decision rule, an aggregator watches for
 // window completion — expressed through the onTrial hook, called under
@@ -55,6 +57,9 @@ type voteSink struct {
 	conns     []net.Conn
 	closed    bool
 	stats     RefereeStats
+	ing       *Ingest // the ingest its connections are hosted on
+
+	inbox sinkQueue // guarded by ing.mu
 
 	trigger     chan struct{}
 	triggerOnce sync.Once
@@ -78,12 +83,20 @@ type sinkMetrics struct {
 	votesDup    *obs.Counter
 	badFrames   *obs.Counter
 	frames      *obs.Counter
+	frameBytes  *obs.Histogram
 	batchFill   *obs.Histogram
 	dedup       *obs.Gauge
 	peersIdle   *obs.Gauge   // <prefix>.peers_idle: nodes that sent Done
 	fanin       *obs.Counter // agg.fanin: child aggregators registered
 	partials    *obs.Counter // <prefix>.partials: partial frames folded
 	partialsDup *obs.Counter // <prefix>.partials_dup: deduplicated entries
+	conns       *obs.Counter // <prefix>.connections: accepted connections
+	connected   *obs.Gauge   // <prefix>.peers_connected: live readers
+	depth       *obs.Gauge   // <prefix>.ingest_depth: queued frame bodies
+	// Per-frame-type decode and apply latency histograms of the
+	// established types; nil, and never timed, when telemetry is off. The
+	// retired type byte 7 never decodes, so it has no series.
+	decodeNS, applyNS [wire.TypeSessionReport + 1]*obs.Histogram
 }
 
 // init prepares the sink for one session terminating [lo, hi) of a
@@ -110,12 +123,24 @@ func (s *voteSink) init(k, lo, hi int, cfg Config, prefix, spanNS string) {
 		votesDup:    s.reg.Counter(s.metricName("votes_dup")),
 		badFrames:   s.reg.Counter(s.metricName("bad_frames")),
 		frames:      s.reg.Counter(s.metricName("frames")),
+		frameBytes:  s.reg.Histogram(s.metricName("frame_bytes"), obs.BytesBuckets()),
 		batchFill:   s.reg.Histogram(s.metricName("batch_fill"), obs.BytesBuckets()),
 		dedup:       s.reg.Gauge(s.metricName("dedup_occupancy")),
 		peersIdle:   s.reg.Gauge(s.metricName("peers_idle")),
 		fanin:       s.reg.Counter("agg.fanin" + cfg.MetricSuffix),
 		partials:    s.reg.Counter(s.metricName("partials")),
 		partialsDup: s.reg.Counter(s.metricName("partials_dup")),
+		conns:       s.reg.Counter(s.metricName("connections")),
+		connected:   s.reg.Gauge(s.metricName("peers_connected")),
+		depth:       s.reg.Gauge(s.metricName("ingest_depth")),
+	}
+	if s.reg != nil {
+		for _, t := range []byte{wire.TypeHello, wire.TypeVote, wire.TypeSketch, wire.TypeDone,
+			wire.TypeVerdict, wire.TypeVoteBatch, wire.TypeAggHello, wire.TypePartialVerdict} {
+			name := wire.TypeName(t)
+			s.m.decodeNS[t] = s.reg.Histogram(s.metricName("decode_ns."+name), obs.LatencyBuckets())
+			s.m.applyNS[t] = s.reg.Histogram(s.metricName("apply_ns."+name), obs.LatencyBuckets())
+		}
 	}
 }
 
@@ -126,160 +151,133 @@ func (s *voteSink) metricName(name string) string {
 	return s.prefix + "." + name + s.cfg.MetricSuffix
 }
 
-// acceptLoop runs the listener until it closes, spawning one handler per
-// connection. wg tracks the handlers; Add happens inside the critical
-// section — the owner's finalize sets closed under the same mutex, so no
-// handler can appear after the session closed and before wg.Wait.
-func (s *voteSink) acceptLoop(l net.Listener, deadline time.Duration, wg *sync.WaitGroup) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns = append(s.conns, conn)
-		s.stats.Connections++
-		wg.Add(1)
-		s.mu.Unlock()
-		s.reg.Counter(s.metricName("connections")).Inc()
-		go func() {
-			defer wg.Done()
-			// Absolute per-connection read bound: a stalled peer cannot
-			// hold its handler past the session deadline.
-			end := time.Now().Add(deadline) //unifvet:allow wallclock connection-deadline safety net; verdicts depend only on which votes arrive
-			s.handle(conn, end)
-		}()
+// register records conn for the verdict broadcast, counts the accepted
+// connection, and counts its reader on g, the ingest hosting it. It
+// reports false once the session closed; the caller then closes conn. The
+// reader is counted under the same lock as the closed check, so none can
+// start after the owner's shut.
+func (s *voteSink) register(conn net.Conn, g *Ingest) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
 	}
+	s.ing = g
+	s.conns = append(s.conns, conn)
+	s.stats.Connections++
+	s.m.conns.Inc()
+	g.readers.Add(1)
+	return true
 }
 
-// handle drains one connection's frame stream into the sink. Its first
-// frame must register the peer (handshake); every later frame goes
-// through applyFrame, the dispatch the service's Peer.Apply shares. Any
-// protocol violation counts a bad frame and ends the transport, so no
-// later frame from the peer folds.
-func (s *voteSink) handle(conn net.Conn, end time.Time) {
-	conn.SetReadDeadline(end)
-	r := wire.NewReader(conn)
-	node := -1        // set by a leaf Hello
-	var peer *aggPeer // set by a child AggHello
-	frameBytes := s.reg.Histogram(s.metricName("frame_bytes"), obs.BytesBuckets())
-	s.reg.Gauge(s.metricName("peers_connected")).Add(1)
-	defer s.reg.Gauge(s.metricName("peers_connected")).Add(-1)
-	// Per-frame-type decode and apply latency histograms for the
-	// established types, resolved once per connection; nil (and never
-	// timed) when telemetry is off, so the hot path pays no clock reads by
-	// default. The retired type byte 7 never decodes, so it has no series.
-	var decodeNS, applyNS [wire.TypePartialVerdict + 1]*obs.Histogram
+// shut closes the sink against further folds and its ingest queue against
+// further frames, and detaches the registered connections for the owner's
+// verdict broadcast.
+func (s *voteSink) shut() []net.Conn {
+	s.mu.Lock()
+	s.closed = true
+	conns, g := s.conns, s.ing
+	s.conns = nil
+	s.mu.Unlock()
+	if g != nil {
+		g.retire(s)
+	}
+	return conns
+}
+
+// ingestFrame decodes one frame body bound for the sink and hands it to
+// apply, timing both halves into the per-type decode_ns and apply_ns
+// histograms when telemetry is on. A body that does not decode, or that
+// is bound to another session, counts a bad frame. It reports false when
+// the frame broke the protocol; the caller then ends the peer's
+// transport, so no later frame from the peer folds.
+func (s *voteSink) ingestFrame(body []byte, sc *wire.DecodeScratch,
+	apply func(wire.Frame, wire.TraceContext, int) (bool, error)) bool {
+	var t0 time.Time
 	if s.reg != nil {
-		for _, t := range []byte{wire.TypeHello, wire.TypeVote, wire.TypeSketch, wire.TypeDone,
-			wire.TypeVerdict, wire.TypeVoteBatch, wire.TypeAggHello, wire.TypePartialVerdict} {
-			name := wire.TypeName(t)
-			decodeNS[t] = s.reg.Histogram(s.metricName("decode_ns."+name), obs.LatencyBuckets())
-			applyNS[t] = s.reg.Histogram(s.metricName("apply_ns."+name), obs.LatencyBuckets())
-		}
+		t0 = time.Now() //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
 	}
-	var peerRecv *obs.Counter // resolved after the handshake identifies the peer
-	// Per-connection decode scratch: steady-state vote, batch and partial
-	// decoding reuses these buffers, so the hot loop does not allocate per
-	// frame.
-	var sc wire.DecodeScratch
-	for {
-		body, err := r.ReadBody()
-		if err != nil {
-			// EOF, peer close, injected disconnect, or framing error:
-			// framing errors count as a bad frame, transport ends either way.
-			if !isClosedErr(err) {
-				s.countBadFrame(0)
-				conn.Close()
-			}
-			return
-		}
-		var t0 time.Time
-		if s.reg != nil {
-			t0 = time.Now() //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
-		}
-		f, tc, sess, err := wire.DecodeBodySession(body, &sc)
-		if err != nil || sess != s.cfg.Session {
-			// A codec error, or a frame bound to another session (or an
-			// unbound frame on a session-bound sink): terminate the
-			// transport so the peer's votes cannot leak across sessions.
-			s.countBadFrame(0)
-			conn.Close()
-			return
-		}
-		ft := f.Type()
-		if s.reg != nil && int(ft) < len(decodeNS) {
-			decodeNS[ft].Observe(int64(time.Since(t0))) //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
-			t0 = time.Now()                             //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
-		}
-		// Wire bytes as received: the frame body plus the length prefix.
-		n := len(body) + 4
-		frameBytes.Observe(int64(n))
-		peerRecv.Inc()
-
-		done := false
-		if node < 0 && peer == nil {
-			s.countFrame(n)
-			if node, peer, err = s.handshake(f); err != nil {
-				conn.Close()
-				return
-			}
-			peerRecv = s.peerCounter(node, peer)
-			peerRecv.Inc() // the handshake frame itself
-		} else if done, err = s.applyFrame(f, tc, node, peer, n); err != nil {
-			conn.Close()
-			return
-		}
-		if s.reg != nil && int(ft) < len(applyNS) {
-			applyNS[ft].Observe(int64(time.Since(t0))) //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
-		}
-		if done {
-			// The peer sends nothing further; keep the connection open for
-			// the verdict broadcast and release the handler.
-			return
-		}
+	f, tc, sess, err := wire.DecodeBodySession(body, sc)
+	if err != nil || sess != s.cfg.Session {
+		s.countBadFrame(0)
+		return false
 	}
+	ft := f.Type()
+	if s.reg != nil {
+		s.m.decodeNS[ft].Observe(int64(time.Since(t0))) //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
+		t0 = time.Now()                                 //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
+	}
+	_, err = apply(f, tc, len(body)+4) // +4: the length prefix
+	if s.reg != nil {
+		s.m.applyNS[ft].Observe(int64(time.Since(t0))) //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
+	}
+	return err == nil
 }
+
+// Peer is one registered peer of a sink: a direct leaf (Hello) or a child
+// aggregator (AggHello). The zero Peer is invalid; the ingest's readers
+// obtain one from the sink's handshake, and Referee.Handshake hands one to
+// callers that read frames themselves. Calls on one Peer must not
+// overlap; the ingest applies a sink's frames in arrival order on one
+// worker at a time.
+type Peer struct {
+	s      *voteSink
+	node   int      // leaf node ID, or -1 for aggregator peers
+	agg    *aggPeer // registered child aggregator, or nil
+	recv   *obs.Counter
+	failed bool // a frame violated the protocol: refuse every later one
+}
+
+// errPeerFailed refuses the frames a peer sends after a protocol
+// violation, which the ingest has already stopped reading.
+var errPeerFailed = errors.New("cluster: peer already violated the protocol")
 
 // handshake validates and registers a peer's opening frame, a leaf Hello
-// or a child AggHello, for both ingest paths. It returns the leaf's node
-// ID (-1 for an aggregator) and the registered aggregator (nil for a
-// leaf); a rejected frame counts as a bad frame.
-func (s *voteSink) handshake(f wire.Frame) (int, *aggPeer, error) {
+// or a child AggHello, and returns the peer; a rejected frame counts as a
+// bad frame.
+func (s *voteSink) handshake(f wire.Frame) (*Peer, error) {
+	p := &Peer{s: s, node: -1}
 	switch m := f.(type) {
 	case *wire.Hello:
 		if int(m.K) != s.k || int(m.Trials) != s.cfg.Trials ||
 			int(m.Node) < s.lo || int(m.Node) >= s.hi || !s.registerLeaf(int(m.Node)) {
-			return -1, nil, s.violation(0, "hello rejected: node %d of k=%d trials=%d", m.Node, m.K, m.Trials)
+			return nil, s.violation(0, "hello rejected: node %d of k=%d trials=%d", m.Node, m.K, m.Trials)
 		}
-		return int(m.Node), nil, nil
+		p.node = int(m.Node)
 	case *wire.AggHello:
-		p := s.registerAgg(m)
-		if p == nil {
-			return -1, nil, s.violation(0, "agghello rejected: agg %d window [%d, %d)", m.Agg, m.Lo, m.Hi)
+		if p.agg = s.registerAgg(m); p.agg == nil {
+			return nil, s.violation(0, "agghello rejected: agg %d window [%d, %d)", m.Agg, m.Lo, m.Hi)
 		}
-		return -1, p, nil
 	default:
-		return -1, nil, s.violation(0, "handshake frame type %d is not Hello or AggHello", f.Type())
+		return nil, s.violation(0, "handshake frame type %d is not Hello or AggHello", f.Type())
 	}
+	if s.reg != nil {
+		name := fmt.Sprintf("peer.%d.recv", p.node)
+		if p.agg != nil {
+			name = fmt.Sprintf("aggpeer.%d.recv", p.agg.id)
+		}
+		p.recv = s.reg.Counter(s.metricName(name))
+	}
+	p.recv.Inc() // the handshake frame itself
+	return p, nil
 }
 
-// peerCounter resolves the per-peer received-frames counter of a
-// registered leaf or aggregator (nil when telemetry is off).
-func (s *voteSink) peerCounter(node int, agg *aggPeer) *obs.Counter {
-	switch {
-	case s.reg == nil:
-		return nil
-	case agg != nil:
-		return s.reg.Counter(s.metricName(fmt.Sprintf("aggpeer.%d.recv", agg.id)))
-	default:
-		return s.reg.Counter(s.metricName(fmt.Sprintf("peer.%d.recv", node)))
+// Apply folds one post-handshake frame of wireBytes on-wire bytes (body
+// plus length prefix) from the peer through the sink's validation, dedup
+// and fold. It reports done when the frame was the peer's Done marker:
+// the peer sends nothing further and waits for the verdict. A returned
+// error means the frame violated the protocol (counted as a bad frame);
+// the caller should end the transport, and the peer refuses every later
+// frame, those already delivered included, so exactly the frames before
+// the violation fold.
+func (p *Peer) Apply(f wire.Frame, tc wire.TraceContext, wireBytes int) (bool, error) {
+	if p.failed {
+		return false, errPeerFailed
 	}
+	p.recv.Inc()
+	done, err := p.s.applyFrame(f, tc, p.node, p.agg, wireBytes)
+	p.failed = err != nil
+	return done, err
 }
 
 // applyFrame validates and folds one post-handshake frame of wireBytes
@@ -289,9 +287,8 @@ func (s *voteSink) peerCounter(node int, agg *aggPeer) *obs.Counter {
 // frame that violates the protocol — votes or a Done from the wrong peer,
 // a batch smuggling another node's votes, a partial from another
 // aggregator, any other frame type — counts as a bad frame and returns an
-// error; both ingest paths then end the peer's transport.
+// error.
 func (s *voteSink) applyFrame(f wire.Frame, tc wire.TraceContext, node int, agg *aggPeer, wireBytes int) (bool, error) {
-	s.m.frames.Inc()
 	switch m := f.(type) {
 	case *wire.Vote:
 		if node < 0 || int(m.Node) != node {
@@ -615,13 +612,16 @@ func (s *voteSink) countFrame(wireBytes int) {
 	s.mu.Lock()
 	s.countFrameLocked(wireBytes)
 	s.mu.Unlock()
-	s.m.frames.Inc()
 }
 
-// countFrameLocked is countFrame's stats half; callers hold s.mu.
+// countFrameLocked is countFrame under a held s.mu: every frame that
+// decodes for the sink passes here exactly once, whether it folds or
+// violates the protocol.
 func (s *voteSink) countFrameLocked(wireBytes int) {
 	s.stats.Frames++
 	s.stats.Bytes += int64(wireBytes)
+	s.m.frames.Inc()
+	s.m.frameBytes.Observe(int64(wireBytes))
 }
 
 // countBadFrame tallies a rejected frame of wireBytes on-wire bytes;

@@ -22,37 +22,29 @@ import (
 // zeroround.(*Network).RunAt: partial sums compose the same monoid the
 // flat referee folds vote by vote.
 func RunTreePipe(cfg Config, nw *zeroround.Network, d dist.Distribution, plan *FaultPlan, fanout, depth int) (*Report, error) {
-	newListener := func() (net.Listener, func() (net.Conn, error), error) {
-		l := NewPipeListener()
-		return l, l.Dial, nil
+	if depth < 1 {
+		return nil, fmt.Errorf("cluster: tree depth must be ≥ 1, got %d", depth)
 	}
-	return runTree(cfg, nw, d, plan, fanout, depth, newListener)
+	return runTree(cfg, nw, d, plan, fanout, depth, listenPipe)
 }
 
 // RunTreeTCP is RunTreePipe over real TCP loopback listeners, one per
 // tree server.
 func RunTreeTCP(cfg Config, nw *zeroround.Network, d dist.Distribution, plan *FaultPlan, fanout, depth int) (*Report, error) {
-	newListener := func() (net.Listener, func() (net.Conn, error), error) {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: listen: %w", err)
-		}
-		addr := l.Addr().String()
-		return l, func() (net.Conn, error) { return net.Dial("tcp", addr) }, nil
+	if depth < 1 {
+		return nil, fmt.Errorf("cluster: tree depth must be ≥ 1, got %d", depth)
 	}
-	return runTree(cfg, nw, d, plan, fanout, depth, newListener)
+	return runTree(cfg, nw, d, plan, fanout, depth, listenTCP)
 }
 
-// runTree builds the aggregation tree, launches the leaves, and
-// reconciles every tier's outcome like runSession does for the star.
+// runTree builds the aggregation tree — depth 0 is the flat star, every
+// leaf dialing the root — launches the leaves, and reconciles every
+// tier's outcome.
 func runTree(cfg Config, nw *zeroround.Network, d dist.Distribution, plan *FaultPlan, fanout, depth int,
 	newListener func() (net.Listener, func() (net.Conn, error), error)) (*Report, error) {
 	k := nw.K()
-	if fanout < 2 {
+	if depth > 0 && fanout < 2 {
 		return nil, fmt.Errorf("cluster: tree fanout must be ≥ 2, got %d", fanout)
-	}
-	if depth < 1 {
-		return nil, fmt.Errorf("cluster: tree depth must be ≥ 1, got %d", depth)
 	}
 	rf := NewReferee(k, nw.Rule(), cfg)
 	rootL, rootDial, err := newListener()
