@@ -359,15 +359,18 @@ func TestObsServerLiveScrape(t *testing.T) {
 	}
 
 	// The same configuration without the obs server must produce a
-	// byte-identical report: telemetry export never touches verdicts.
+	// byte-identical report, stats included: telemetry export never
+	// touches verdicts. Only early_trials is dropped, as reportSansStats
+	// drops it: it records at which arriving vote each trial was fixed,
+	// which varies with scheduling even between identical runs.
 	var plainOut bytes.Buffer
 	if err := run(common, &plainOut); err != nil {
 		t.Fatal(err)
 	}
-	report := func(raw []byte) json.RawMessage {
+	report := func(raw []byte) []byte {
 		var doc struct {
 			Results struct {
-				Report json.RawMessage `json:"report"`
+				Report map[string]json.RawMessage `json:"report"`
 			} `json:"results"`
 		}
 		if err := json.Unmarshal(raw, &doc); err != nil {
@@ -376,7 +379,15 @@ func TestObsServerLiveScrape(t *testing.T) {
 		if len(doc.Results.Report) == 0 {
 			t.Fatal("run document has no report")
 		}
-		return doc.Results.Report
+		if _, ok := doc.Results.Report["stats"]; !ok {
+			t.Fatal("run report has no stats")
+		}
+		delete(doc.Results.Report, "early_trials")
+		out, err := json.Marshal(doc.Results.Report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
 	if obsRep, plainRep := report(obsOut.Bytes()), report(plainOut.Bytes()); !bytes.Equal(obsRep, plainRep) {
 		t.Fatalf("obs run report diverged from plain run:\nobs:   %s\nplain: %s", obsRep, plainRep)

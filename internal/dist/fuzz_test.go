@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"testing"
 
 	"github.com/unifdist/unifdist/internal/rng"
@@ -75,6 +76,43 @@ func FuzzCollisionScratch(f *testing.F) {
 			if got := nilSc.CountCollisions(n, samples); got != wantPairs {
 				t.Fatalf("nil scratch CountCollisions(%v) = %d, want %d", samples, got, wantPairs)
 			}
+		}
+	})
+}
+
+// FuzzSampleIntoMatchesScalar checks every batch kernel against its
+// scalar Sample reference: for a seed, a domain size, a block length and a
+// distribution kind, the batch block must equal the scalar one and leave
+// the generator in the same state.
+func FuzzSampleIntoMatchesScalar(f *testing.F) {
+	f.Add(uint64(1), uint64(97), uint16(1000), uint8(0))
+	f.Add(uint64(2), uint64(1<<62+12345), uint16(513), uint8(0))
+	f.Add(uint64(3), uint64(64), uint16(256), uint8(1))
+	f.Add(uint64(4), uint64(200), uint16(257), uint8(2))
+	f.Add(uint64(5), uint64(1), uint16(1), uint8(3))
+	f.Fuzz(func(t *testing.T, seed, domain uint64, length uint16, kind uint8) {
+		var d Distribution
+		switch small := int(domain%4096) + 1; kind % 4 {
+		case 0: // any domain an int holds, so Lemire's rejection loop runs
+			d = NewUniform(int(domain%math.MaxInt) + 1)
+		case 1:
+			d = NewTwoBump(2*small, float64(seed%1000+1)/1000, seed)
+		case 2:
+			d = NewZipf(small, 1.1)
+		default:
+			d = NewPointMassMixture(small, int(seed%uint64(small)), 0.3)
+		}
+		s := int(length % 2048)
+		gb, gs := rng.New(seed), rng.New(seed)
+		batch := make([]int, s)
+		SampleInto(d, batch, gb)
+		for i := range batch {
+			if want := d.Sample(gs); batch[i] != want {
+				t.Fatalf("%s seed %d len %d: batch[%d]=%d, scalar %d", d.Name(), seed, s, i, batch[i], want)
+			}
+		}
+		if *gb != *gs {
+			t.Fatalf("%s seed %d len %d: end state differs from the scalar stream's", d.Name(), seed, s)
 		}
 	})
 }

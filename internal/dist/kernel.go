@@ -10,9 +10,14 @@ import "github.com/unifdist/unifdist/internal/rng"
 // SampleInto entry point dispatches once per batch rather than once per
 // sample.
 //
-// Every kernel consumes the generator exactly as the scalar Sample method
-// does, so for a fixed seed the sample stream is identical whichever path
-// runs — batch sampling is a pure speedup, never a behavioural change.
+// The kernels draw through rng's batch draws (IntnInto, IntnFloat64Into),
+// which keep the generator state in registers for a whole block, and pick
+// between the two candidates of a two-draw sample without a branch. Every
+// kernel consumes the generator exactly as the scalar Sample method does,
+// so for a fixed seed the sample stream, and the generator state after it,
+// are identical whichever path runs — batch sampling is a pure speedup,
+// never a behavioural change. The scalar methods are the reference the
+// kernels are pinned against.
 
 // BatchSampler is implemented by distributions that can fill a buffer of
 // i.i.d. samples without per-sample interface dispatch. Implementations must
@@ -35,42 +40,56 @@ func SampleInto(d Distribution, buf []int, r *rng.RNG) {
 	}
 }
 
-// SampleInto implements BatchSampler: a tight loop of direct Uint64n calls.
+// SampleInto implements BatchSampler: one IntnInto block draw.
 func (u Uniform) SampleInto(dst []int, r *rng.RNG) {
-	n := uint64(u.n)
-	for i := range dst {
-		dst[i] = int(r.Uint64n(n))
-	}
+	r.IntnInto(dst, u.n)
 }
 
-// SampleInto implements BatchSampler with the pair-then-heavy draw of Sample
-// inlined; the heavy-pick cutoff (1+ε)/2 is hoisted out of the loop.
+// pairChunk is how many (Intn, Float64) pairs a two-draw kernel stages at
+// a time: the uniforms live in a stack array of this length.
+const pairChunk = 64
+
+// SampleInto implements BatchSampler: each chunk draws its (pair, uniform)
+// pairs in one IntnFloat64Into block, then picks the heavy or light element
+// of every pair without a branch. The cutoff (1+ε)/2 is hoisted out of the
+// loop.
 func (t *TwoBump) SampleInto(dst []int, r *rng.RNG) {
-	half := uint64(t.n / 2)
 	cut := (1 + t.eps) / 2
 	sign := t.sign
-	for i := range dst {
-		pair := int(r.Uint64n(half))
-		pickHeavy := r.Float64() < cut
-		if pickHeavy == sign[pair] {
-			dst[i] = 2 * pair
-		} else {
-			dst[i] = 2*pair + 1
+	var u [pairChunk]float64
+	for len(dst) > 0 {
+		block := dst[:min(len(dst), pairChunk)]
+		r.IntnFloat64Into(block, u[:], t.n/2)
+		for i, pair := range block {
+			// Sample returns 2·pair when pickHeavy == sign[pair], else
+			// 2·pair+1; both comparisons become flag-to-register moves.
+			light := 1
+			if (u[i] < cut) == sign[pair] {
+				light = 0
+			}
+			block[i] = 2*pair + light
 		}
+		dst = dst[len(block):]
 	}
 }
 
-// SampleInto implements BatchSampler: the alias-table lookup of Sample in a
-// concrete loop.
+// SampleInto implements BatchSampler: the alias-table lookup of Sample,
+// with each chunk's (column, uniform) pairs drawn in one IntnFloat64Into
+// block and the primary/alias pick made without a branch.
 func (h *Histogram) SampleInto(dst []int, r *rng.RNG) {
-	n := uint64(len(h.p))
-	cut, alias := h.cut, h.alias
-	for i := range dst {
-		j := int(r.Uint64n(n))
-		if r.Float64() < cut[j] {
-			dst[i] = j
-		} else {
-			dst[i] = alias[j]
+	// alias is resliced to len(cut) so one bounds check covers both lookups.
+	cut, alias := h.cut, h.alias[:len(h.cut)]
+	var u [pairChunk]float64
+	for len(dst) > 0 {
+		block := dst[:min(len(dst), pairChunk)]
+		r.IntnFloat64Into(block, u[:], len(cut))
+		for i, j := range block {
+			pick := alias[j]
+			if u[i] < cut[j] {
+				pick = j
+			}
+			block[i] = pick
 		}
+		dst = dst[len(block):]
 	}
 }

@@ -11,6 +11,8 @@ import (
 type oneByOne struct{ Distribution }
 
 // kernelDistributions returns the batch-sampling distributions under test.
+// The uniform on 2⁶²+12345 elements makes Lemire's bounded draw reject
+// about a quarter of its raw draws, so the kernels' rejection loop runs.
 func kernelDistributions(t testing.TB) []Distribution {
 	t.Helper()
 	h, err := NewHistogram([]float64{1, 2, 3, 4, 0.5, 7}, "h")
@@ -19,29 +21,44 @@ func kernelDistributions(t testing.TB) []Distribution {
 	}
 	return []Distribution{
 		NewUniform(97),
+		NewUniform(1<<62 + 12345),
 		NewTwoBump(64, 0.5, 11),
+		NewTwoBump(6, 0.9, 3),
 		h,
 		NewZipf(200, 1.1),
 	}
 }
 
 // TestSampleIntoMatchesScalarStream checks the batch kernels consume the
-// generator exactly as repeated Sample calls do: same seed, same stream.
+// generator exactly as repeated Sample calls do: same seed, same samples,
+// and the same next draw after the block. The lengths cover the empty and
+// tiny blocks, an odd length, and either side of one and two pair chunks.
 func TestSampleIntoMatchesScalarStream(t *testing.T) {
+	lengths := []int{0, 1, 2, 97, pairChunk - 1, pairChunk, pairChunk + 1, 2*pairChunk - 1, 2 * pairChunk, 2*pairChunk + 1, 1000}
 	for _, d := range kernelDistributions(t) {
 		if _, ok := d.(BatchSampler); !ok {
 			t.Errorf("%s does not implement BatchSampler", d.Name())
 		}
+		for _, seed := range []uint64{0, 1, 42, 0xdeadbeef} {
+			for _, s := range lengths {
+				gb, gs := rng.New(seed), rng.New(seed)
+				batch := make([]int, s)
+				SampleInto(d, batch, gb)
+				scalar := make([]int, s)
+				SampleInto(oneByOne{d}, scalar, gs)
+				for i := range batch {
+					if batch[i] != scalar[i] {
+						t.Fatalf("%s seed %d len %d: batch[%d]=%d but scalar[%d]=%d", d.Name(), seed, s, i, batch[i], i, scalar[i])
+					}
+				}
+				if b, c := gb.Uint64(), gs.Uint64(); b != c {
+					t.Fatalf("%s seed %d len %d: next draw after the block %d, scalar %d", d.Name(), seed, s, b, c)
+				}
+			}
+		}
 		const s = 1000
 		batch := make([]int, s)
 		SampleInto(d, batch, rng.New(42))
-		scalar := make([]int, s)
-		SampleInto(oneByOne{d}, scalar, rng.New(42))
-		for i := range batch {
-			if batch[i] != scalar[i] {
-				t.Fatalf("%s: batch[%d]=%d but scalar[%d]=%d", d.Name(), i, batch[i], i, scalar[i])
-			}
-		}
 		if n := SampleN(d, s, rng.New(42)); n[s-1] != batch[s-1] || n[0] != batch[0] {
 			t.Errorf("%s: SampleN diverges from SampleInto", d.Name())
 		}

@@ -23,7 +23,7 @@ import (
 // instead of a hash map, which is both faster and lighter for one-off calls.
 
 // maxStampDomain bounds the domain size for which the scratch keeps an O(n)
-// stamp array (4 MiB of uint32 at the bound). Above it, collision checks
+// stamp array (2 MiB of uint16 at the bound). Above it, collision checks
 // fall back to sorting in a reusable buffer.
 const maxStampDomain = 1 << 20
 
@@ -32,8 +32,8 @@ const maxStampDomain = 1 << 20
 // is also valid and falls back to the allocating package-level functions.
 // A scratch is not safe for concurrent use — give each goroutine its own.
 type CollisionScratch struct {
-	stamps []uint32
-	epoch  uint32
+	stamps []uint16
+	epoch  uint16
 	buf    []int
 }
 
@@ -41,9 +41,11 @@ type CollisionScratch struct {
 // and are retained across calls.
 func NewCollisionScratch() *CollisionScratch { return &CollisionScratch{} }
 
-// nextEpoch advances the epoch, clearing the stamp array on the (rare)
-// wrap-around so stale stamps from 2³²−1 calls ago cannot alias.
-func (sc *CollisionScratch) nextEpoch() uint32 {
+// nextEpoch advances the epoch, clearing the stamp array on wrap-around
+// (once every 65,535 calls) so stale stamps from an earlier cycle cannot
+// alias. Sixteen-bit stamps halve the array the probes walk; the clear
+// costs one pass over it per 65,535 calls.
+func (sc *CollisionScratch) nextEpoch() uint16 {
 	sc.epoch++
 	if sc.epoch == 0 {
 		clear(sc.stamps)
@@ -61,7 +63,7 @@ func (sc *CollisionScratch) useStamps(n int) bool {
 		return false
 	}
 	if len(sc.stamps) < n {
-		sc.stamps = append(sc.stamps, make([]uint32, n-len(sc.stamps))...)
+		sc.stamps = append(sc.stamps, make([]uint16, n-len(sc.stamps))...)
 	}
 	return true
 }

@@ -56,13 +56,43 @@ func TestScratchReuseAcrossDomains(t *testing.T) {
 func TestScratchEpochWrap(t *testing.T) {
 	sc := NewCollisionScratch()
 	sc.HasCollision(8, []int{1, 2, 3}) // stamp 1..3 at epoch 1
-	sc.epoch = ^uint32(0) - 1
-	sc.HasCollision(8, []int{4, 5}) // epoch 2³²−1
+	sc.epoch = ^uint16(0) - 1
+	sc.HasCollision(8, []int{4, 5}) // epoch 2¹⁶−1
 	if sc.HasCollision(8, []int{1, 2, 3, 4}) {
 		t.Fatal("stale stamps survived epoch wrap")
 	}
 	if sc.epoch != 1 {
 		t.Fatalf("epoch after wrap = %d, want 1", sc.epoch)
+	}
+}
+
+// TestScratchRealEpochWrap drives one scratch through more than two full
+// 16-bit epoch cycles over mixed domains and checks every answer against
+// the package-level functions. Every call has at least two samples, so
+// each one advances the epoch, and the call sequence repeats with the epoch
+// period: call i+65535 replays call i at the same epoch, so a stamp left
+// over from the previous cycle would report a phantom collision.
+func TestScratchRealEpochWrap(t *testing.T) {
+	const period = 1<<16 - 1
+	domains := []int{2, 17, 1000, 1 << 16, maxStampDomain}
+	sc := NewCollisionScratch()
+	samples := make([]int, 0, 24)
+	for call := 0; call < 2*period+1000; call++ {
+		r := rng.At(5, uint64(call%period))
+		n := domains[r.Intn(len(domains))]
+		samples = samples[:2+r.Intn(cap(samples)-1)]
+		for i := range samples {
+			samples[i] = r.Intn(n)
+		}
+		if call%5 == 4 {
+			if got, want := sc.CountCollisions(n, samples), CountCollisions(samples); got != want {
+				t.Fatalf("call %d (epoch %d), n=%d samples=%v: CountCollisions=%d want %d", call, sc.epoch, n, samples, got, want)
+			}
+			continue
+		}
+		if got, want := sc.HasCollision(n, samples), HasCollision(samples); got != want {
+			t.Fatalf("call %d (epoch %d), n=%d samples=%v: HasCollision=%v want %v", call, sc.epoch, n, samples, got, want)
+		}
 	}
 }
 

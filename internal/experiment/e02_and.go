@@ -62,7 +62,7 @@ func runE2(ctx *RunContext) (*Table, error) {
 		return []string{
 			fmtFloat(float64(k)), fmtFloat(float64(cfg.M)),
 			fmtFloat(float64(cfg.SamplesPerNode)), fmtFloat(float64(solo.S)),
-			fmtFloat(float64(solo.S)/float64(cfg.SamplesPerNode)),
+			fmtFloat(float64(solo.S) / float64(cfg.SamplesPerNode)),
 			fmtFloat(cfg.NodeGap), fmtFloat(cfg.RequiredGap), fmtBool(cfg.Feasible),
 			fmtProb(errU), fmtProb(errFar),
 		}, nil

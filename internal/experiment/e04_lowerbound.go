@@ -79,9 +79,9 @@ func runE4(ctx *RunContext) (*Table, error) {
 		errFar := nw.EstimateErrorParallel(dist.NewTwoBump(n, eps, r.Uint64()), false, trials, r)
 		return []string{
 			fmtFloat(float64(node.SampleSize())),
-			fmtFloat(float64(node.SampleSize())/ref),
+			fmtFloat(float64(node.SampleSize()) / ref),
 			fmtFloat(float64(thr)),
-			fmtProb(errU), fmtProb(errFar), fmtProb((errU+errFar)/2),
+			fmtProb(errU), fmtProb(errFar), fmtProb((errU + errFar) / 2),
 		}, nil
 	})
 	if err != nil {

@@ -12,6 +12,14 @@
 // recommended by the xoshiro authors. Splitting derives a child seed by
 // hashing the parent's stream with splitmix64, which keeps parent and child
 // streams statistically independent for simulation purposes.
+//
+// The xoshiro256++ transition is written once, as step, which inlines into
+// every draw. Hot loops use the batch draws IntnInto and IntnFloat64Into,
+// which keep the four state words in registers for a whole block. Their
+// contract is exact equivalence: a batch draw leaves dst, and the generator,
+// exactly as the corresponding sequence of scalar Intn (and Float64) calls
+// would, Lemire's rejection loop included, so the next draw after a block
+// is the same whichever path filled it.
 package rng
 
 import "math/bits"
@@ -21,7 +29,7 @@ import "math/bits"
 // The zero value is not usable; construct with New. RNG is not safe for
 // concurrent use; give each goroutine its own generator via Split.
 type RNG struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // New returns a generator seeded from seed via splitmix64.
@@ -41,15 +49,16 @@ func (r *RNG) Split() *RNG {
 // does. It lets hot loops re-seed one generator instead of allocating a
 // fresh RNG per work item.
 func (r *RNG) Seed(seed uint64) {
-	sm := seed
-	for i := range r.s {
-		sm, r.s[i] = splitmix64(sm)
-	}
+	sm, s0 := splitmix64(seed)
+	sm, s1 := splitmix64(sm)
+	sm, s2 := splitmix64(sm)
+	_, s3 := splitmix64(sm)
 	// xoshiro256++ requires a nonzero state; splitmix64 output is zero for
 	// all four words with probability 2^-256, but guard anyway.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+	if s0|s1|s2|s3 == 0 {
+		s0 = 0x9e3779b97f4a7c15
 	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }
 
 // SeedAt re-initializes r in place as the index-th child stream of base:
@@ -70,18 +79,25 @@ func At(base, index uint64) *RNG {
 	return &r
 }
 
+// step is the xoshiro256++ transition: it returns the output for state
+// (s0, s1, s2, s3) and the successor state. It is pure and small enough to
+// inline, so a loop can keep the state in locals across many draws.
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = bits.RotateLeft64(s0+s3, 23) + s0
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = bits.RotateLeft64(s3, 45)
+	return out, s0, s1, s2, s3
+}
+
 // Uint64 returns the next 64 uniformly distributed bits.
-func (r *RNG) Uint64() uint64 {
-	s := &r.s
-	result := bits.RotateLeft64(s[0]+s[3], 23) + s[0]
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-	return result
+func (r *RNG) Uint64() (out uint64) {
+	out, r.s0, r.s1, r.s2, r.s3 = step(r.s0, r.s1, r.s2, r.s3)
+	return out
 }
 
 // Intn returns a uniformly distributed integer in [0, n). It panics if
@@ -106,17 +122,81 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	}
 	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			hi, lo = bits.Mul64(r.Uint64(), n)
-		}
+		hi, r.s0, r.s1, r.s2, r.s3 = retry(hi, lo, n, r.s0, r.s1, r.s2, r.s3)
 	}
 	return hi
 }
 
+// retry finishes Lemire's bounded draw once the first product (hi, lo) of
+// a raw draw and n has lo < n: while lo falls below 2⁶⁴ mod n it draws
+// again from the state. It returns the accepted high word and the advanced
+// state. Every bounded draw, scalar or batch, rejects through here.
+func retry(hi, lo, n, s0, s1, s2, s3 uint64) (v, n0, n1, n2, n3 uint64) {
+	thresh := -n % n
+	var x uint64
+	for lo < thresh {
+		x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		hi, lo = bits.Mul64(x, n)
+	}
+	return hi, s0, s1, s2, s3
+}
+
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) * 0x1p-53
+	return unit(r.Uint64())
+}
+
+// unit maps a raw draw to [0, 1) through its top 53 bits.
+func unit(x uint64) float64 {
+	return float64(x>>11) * 0x1p-53
+}
+
+// IntnInto fills dst with len(dst) successive Intn(n) draws, keeping the
+// generator state in registers for the whole block. It panics if n <= 0.
+func (r *RNG) IntnInto(dst []int, n int) {
+	if n <= 0 {
+		panic("rng: IntnInto with non-positive n")
+	}
+	un := uint64(n)
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	var x uint64
+	for i := range dst {
+		x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		hi, lo := bits.Mul64(x, un)
+		if lo < un {
+			hi, s0, s1, s2, s3 = retry(hi, lo, un, s0, s1, s2, s3)
+		}
+		dst[i] = int(hi)
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+}
+
+// IntnFloat64Into fills idx and u with len(idx) successive (Intn(n),
+// Float64()) pairs: idx[i] = Intn(n), then u[i] = Float64(). It keeps the
+// generator state in registers for the whole block, and panics if n <= 0
+// or len(u) < len(idx).
+func (r *RNG) IntnFloat64Into(idx []int, u []float64, n int) {
+	if n <= 0 {
+		panic("rng: IntnFloat64Into with non-positive n")
+	}
+	if len(u) < len(idx) {
+		panic("rng: IntnFloat64Into with len(u) < len(idx)")
+	}
+	u = u[:len(idx)]
+	un := uint64(n)
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	var x uint64
+	for i := range idx {
+		x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		hi, lo := bits.Mul64(x, un)
+		if lo < un {
+			hi, s0, s1, s2, s3 = retry(hi, lo, un, s0, s1, s2, s3)
+		}
+		idx[i] = int(hi)
+		x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		u[i] = unit(x)
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }
 
 // Bool returns a uniformly distributed boolean.

@@ -258,3 +258,112 @@ func TestSeedAtMatchesAt(t *testing.T) {
 		}
 	}
 }
+
+// batchBounds are the bounds the batch draws are pinned at. At 2⁶²+12345
+// Lemire's method rejects about a quarter of raw draws, so the rejection
+// loop runs; at the smaller bounds it runs with probability about n/2⁶⁴.
+var batchBounds = []int{1, 3, 97, 1 << 20, 1<<62 + 12345, math.MaxInt}
+
+// batchLengths are the block lengths the batch draws are pinned at.
+var batchLengths = []int{0, 1, 2, 7, 255, 256, 257, 1000}
+
+// rawDraws returns how many Uint64 steps take a generator seeded with seed
+// to the state of g, or -1 if none within limit.
+func rawDraws(seed uint64, g *RNG, limit int) int {
+	c := New(seed)
+	for i := 0; i <= limit; i++ {
+		if *c == *g {
+			return i
+		}
+		c.Uint64()
+	}
+	return -1
+}
+
+// TestIntnIntoMatchesScalar checks IntnInto leaves dst and the generator
+// exactly as len(dst) successive Intn calls would.
+func TestIntnIntoMatchesScalar(t *testing.T) {
+	for _, n := range batchBounds {
+		for _, seed := range []uint64{0, 5, 1 << 40} {
+			for _, l := range batchLengths {
+				gb, gs := New(seed), New(seed)
+				dst := make([]int, l)
+				gb.IntnInto(dst, n)
+				for i := range dst {
+					if want := gs.Intn(n); dst[i] != want {
+						t.Fatalf("n=%d seed=%d len=%d: dst[%d]=%d, scalar %d", n, seed, l, i, dst[i], want)
+					}
+				}
+				if *gb != *gs {
+					t.Fatalf("n=%d seed=%d len=%d: end state differs from the scalar calls'", n, seed, l)
+				}
+			}
+		}
+	}
+}
+
+// TestIntnFloat64IntoMatchesScalar checks IntnFloat64Into leaves idx, u and
+// the generator exactly as len(idx) successive (Intn, Float64) pairs would.
+func TestIntnFloat64IntoMatchesScalar(t *testing.T) {
+	for _, n := range batchBounds {
+		for _, seed := range []uint64{0, 5, 1 << 40} {
+			for _, l := range batchLengths {
+				gb, gs := New(seed), New(seed)
+				idx := make([]int, l)
+				u := make([]float64, l+3) // longer u is allowed; its tail stays untouched
+				gb.IntnFloat64Into(idx, u, n)
+				for i := range idx {
+					wantIdx := gs.Intn(n)
+					wantU := gs.Float64()
+					if idx[i] != wantIdx || u[i] != wantU {
+						t.Fatalf("n=%d seed=%d len=%d: pair %d = (%d, %v), scalar (%d, %v)", n, seed, l, i, idx[i], u[i], wantIdx, wantU)
+					}
+				}
+				for i := l; i < len(u); i++ {
+					if u[i] != 0 {
+						t.Fatalf("n=%d len=%d: u[%d] written past the block", n, l, i)
+					}
+				}
+				if *gb != *gs {
+					t.Fatalf("n=%d seed=%d len=%d: end state differs from the scalar calls'", n, seed, l)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchDrawsReachRejection checks the 2⁶²+12345 bound really exercises
+// the rejection loop: a block consumes more raw draws than it has entries.
+func TestBatchDrawsReachRejection(t *testing.T) {
+	const n, l = 1<<62 + 12345, 1000
+	g := New(3)
+	g.IntnInto(make([]int, l), n)
+	if d := rawDraws(3, g, 2*l); d <= l {
+		t.Fatalf("IntnInto consumed %d raw draws for %d entries; want rejections", d, l)
+	}
+	g = New(3)
+	g.IntnFloat64Into(make([]int, l), make([]float64, l), n)
+	if d := rawDraws(3, g, 4*l); d <= 2*l {
+		t.Fatalf("IntnFloat64Into consumed %d raw draws for %d pairs; want rejections", d, l)
+	}
+}
+
+func TestBatchDrawsPanic(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"IntnInto n=0", func() { New(1).IntnInto(make([]int, 1), 0) }},
+		{"IntnFloat64Into n=-1", func() { New(1).IntnFloat64Into(make([]int, 1), make([]float64, 1), -1) }},
+		{"IntnFloat64Into short u", func() { New(1).IntnFloat64Into(make([]int, 2), make([]float64, 1, 2), 5) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.name)
+				}
+			}()
+			c.f()
+		}()
+	}
+}

@@ -113,3 +113,46 @@ func TestRunAtErrorWithinBound(t *testing.T) {
 		t.Errorf("err|far = %v > 1/3", errFar)
 	}
 }
+
+// benchRejects keeps BenchmarkVoteAt's votes live.
+var benchRejects int
+
+// BenchmarkVoteAt times the indexed vote path that perfbench's
+// zeroround.vote_ns row reports: VoteAt (reseed, sample block, collision
+// statistic) on the 64-node threshold network over a 64-element domain at
+// ε = 1, node-major over 128 trials, for the uniform and the two-bump
+// input. One op is one vote.
+func BenchmarkVoteAt(b *testing.B) {
+	const n, k, trials = 64, 64, 128
+	cfg, err := SolveThreshold(n, k, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nw, err := BuildThreshold(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs := []struct {
+		name string
+		d    dist.Distribution
+	}{
+		{"uniform", dist.NewUniform(n)},
+		{"twobump", dist.NewTwoBump(n, 1.0, 7)},
+	}
+	for _, in := range inputs {
+		b.Run(in.name, func(b *testing.B) {
+			g := rng.New(0)
+			sc := nw.NewScratch()
+			rejects := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := i % (k * trials)
+				if nw.VoteAt(in.d, 42, uint64(v%trials), v/trials, g, sc) {
+					rejects++
+				}
+			}
+			benchRejects = rejects
+		})
+	}
+}
