@@ -124,24 +124,11 @@ func Aggregate(g *graph.Graph, values []uint64, op AggregateOp, seed uint64) (Ag
 // Complete semantics; the aggregated value follows the completion echo as a
 // msgToken on the same FIFO (value fits the 9-byte token format), and the
 // root broadcasts the result as a msgDecision-style msgToken downward after
-// a msgStart marker.
+// a msgStart marker. A child's value lands in its port's report[0].
 type aggNode struct {
-	ctx   *simnet.Context
+	wave
 	op    AggregateOp
 	value uint64
-
-	outQ [][]message
-
-	root         int
-	dist         int
-	parentPort   int
-	pending      map[int]bool
-	children     map[int]bool
-	childSize    map[int]uint32
-	childValue   map[int]uint64
-	childHasVal  map[int]bool
-	sawBigger    bool
-	completeSent bool
 
 	haveResult bool
 	result     uint64
@@ -149,27 +136,7 @@ type aggNode struct {
 }
 
 // Init implements simnet.Node.
-func (nd *aggNode) Init(ctx *simnet.Context) {
-	nd.ctx = ctx
-	nd.outQ = make([][]message, ctx.Degree)
-	nd.root = ctx.ID
-	nd.parentPort = -1
-	nd.reset()
-	for p := 0; p < ctx.Degree; p++ {
-		nd.enqueue(p, message{typ: msgAnnounce, a: uint64(nd.root), b: 0})
-		nd.pending[p] = true
-	}
-}
-
-func (nd *aggNode) reset() {
-	nd.pending = make(map[int]bool)
-	nd.children = make(map[int]bool)
-	nd.childSize = make(map[int]uint32)
-	nd.childValue = make(map[int]uint64)
-	nd.childHasVal = make(map[int]bool)
-	nd.sawBigger = false
-	nd.completeSent = false
-}
+func (nd *aggNode) Init(ctx *simnet.Context) { nd.initWave(ctx) }
 
 // Round implements simnet.Node.
 func (nd *aggNode) Round(in []simnet.PortMessage) ([]simnet.PortMessage, bool) {
@@ -186,95 +153,46 @@ func (nd *aggNode) Round(in []simnet.PortMessage) ([]simnet.PortMessage, bool) {
 	return out, nd.haveResult && len(out) == 0
 }
 
-func (nd *aggNode) isRoot() bool { return nd.parentPort < 0 }
-
 func (nd *aggNode) handle(port int, m message) {
-	switch m.typ {
-	case msgAnnounce:
-		root, dist := int(m.a), int(m.b)
-		if root > nd.root {
-			nd.root = root
-			nd.dist = dist + 1
-			nd.parentPort = port
-			nd.reset()
+	if handled, adopted := nd.handleTree(port, m); handled {
+		if adopted {
 			// Drop queued value tokens from the superseded root: they are
 			// not root-tagged, and a stale one delivered to a node that
 			// became our parent under the new root would be misread as the
 			// result broadcast.
 			nd.purgeTokens()
-			nd.enqueue(port, message{typ: msgAccept, a: uint64(root)})
-			for p := 0; p < nd.ctx.Degree; p++ {
-				if p != port {
-					nd.enqueue(p, message{typ: msgAnnounce, a: uint64(root), b: uint64(nd.dist)})
-					nd.pending[p] = true
-				}
-			}
-			return
 		}
-		nd.enqueue(port, message{typ: msgReject, a: m.a, b: uint64(nd.root)})
-	case msgAccept:
-		if int(m.a) == nd.root && nd.pending[port] {
-			delete(nd.pending, port)
-			nd.children[port] = true
-		}
-	case msgReject:
-		if int(m.a) == nd.root && nd.pending[port] {
-			delete(nd.pending, port)
-			if int(m.b) > nd.root {
-				nd.sawBigger = true
-			}
-		}
-	case msgComplete:
-		if int(m.a) == nd.root && nd.children[port] {
-			nd.childSize[port] = uint32(m.b) & completeSizeMask
-			if m.b&completeBiggerBit != 0 {
-				nd.sawBigger = true
-			}
-		}
-	case msgToken:
-		// Before the result broadcast: a child's aggregated value (follows
-		// its COMPLETE on the same FIFO). After: the root's result arriving
-		// from the parent.
-		if nd.children[port] && !nd.childHasVal[port] {
-			nd.childValue[port] = m.a
-			nd.childHasVal[port] = true
-			return
-		}
-		if port == nd.parentPort && !nd.haveResult {
-			nd.haveResult = true
-			nd.result = m.a
-			for p := range nd.children {
-				nd.enqueue(p, message{typ: msgToken, a: m.a})
-			}
-		}
+		return
+	}
+	if m.typ != msgToken {
+		return
+	}
+	// Before the result broadcast: a child's aggregated value (follows its
+	// COMPLETE on the same FIFO). After: the root's result arriving from
+	// the parent.
+	if ps := &nd.ports[port]; ps.child && !ps.haveReport {
+		ps.report[0] = m.a
+		ps.haveReport = true
+		nd.nReported++
+		return
+	}
+	if port == nd.parentPort && !nd.haveResult {
+		nd.haveResult = true
+		nd.result = m.a
+		nd.broadcast(message{typ: msgToken, a: m.a})
 	}
 }
 
 func (nd *aggNode) step() {
-	if nd.completeSent || len(nd.pending) > 0 {
+	if !nd.subtreeComplete() || nd.nReported < len(nd.childPorts) {
 		return
 	}
-	for p := range nd.children {
-		if _, ok := nd.childSize[p]; !ok {
-			return
-		}
-		if !nd.childHasVal[p] {
-			return
-		}
-	}
-	size := 1
 	agg := nd.value
-	for p := range nd.children {
-		size += int(nd.childSize[p])
-		agg = nd.op.apply(agg, nd.childValue[p])
+	for _, p := range nd.childPorts {
+		agg = nd.op.apply(agg, nd.ports[p].report[0])
 	}
 	if !nd.isRoot() {
-		nd.completeSent = true
-		packed := uint64(size) & completeSizeMask
-		if nd.sawBigger {
-			packed |= completeBiggerBit
-		}
-		nd.enqueue(nd.parentPort, message{typ: msgComplete, a: uint64(nd.root), b: packed})
+		nd.sendComplete(nd.subtreeSize())
 		nd.enqueue(nd.parentPort, message{typ: msgToken, a: agg})
 		return
 	}
@@ -282,51 +200,13 @@ func (nd *aggNode) step() {
 		nd.completeSent = true
 		nd.haveResult = true
 		nd.result = agg
-		for p := range nd.children {
-			nd.enqueue(p, message{typ: msgToken, a: agg})
-		}
+		nd.broadcast(message{typ: msgToken, a: agg})
 	}
-}
-
-func (nd *aggNode) enqueue(port int, m message) {
-	nd.outQ[port] = append(nd.outQ[port], m)
 }
 
 // purgeTokens removes queued value tokens after a root change.
 func (nd *aggNode) purgeTokens() {
 	for p := range nd.outQ {
-		kept := nd.outQ[p][:0]
-		for _, m := range nd.outQ[p] {
-			if m.typ != msgToken {
-				kept = append(kept, m)
-			}
-		}
-		nd.outQ[p] = kept
-	}
-}
-
-func (nd *aggNode) flush() []simnet.PortMessage {
-	var out []simnet.PortMessage
-	for p := range nd.outQ {
-		for len(nd.outQ[p]) > 0 {
-			m := nd.outQ[p][0]
-			if nd.isStale(m) {
-				nd.outQ[p] = nd.outQ[p][1:]
-				continue
-			}
-			nd.outQ[p] = nd.outQ[p][1:]
-			out = append(out, simnet.PortMessage{Port: p, Payload: encode(m)})
-			break
-		}
-	}
-	return out
-}
-
-func (nd *aggNode) isStale(m message) bool {
-	switch m.typ {
-	case msgAnnounce, msgAccept, msgComplete:
-		return int(m.a) != nd.root
-	default:
-		return false
+		nd.queued -= nd.outQ[p].dropTokens()
 	}
 }

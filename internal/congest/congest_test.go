@@ -25,7 +25,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		{typ: msgDecision, a: 1},
 	}
 	for _, m := range msgs {
-		payload := encode(m)
+		payload := appendEncode(nil, m)
 		if len(payload) > congestBandwidth {
 			t.Errorf("type %d: %d bytes exceeds CONGEST budget", m.typ, len(payload))
 		}

@@ -15,7 +15,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := decode(encode(m))
+		re, err := decode(appendEncode(nil, m))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

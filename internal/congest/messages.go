@@ -49,21 +49,21 @@ type message struct {
 	a, b uint64
 }
 
-func encode(m message) []byte {
+// maxMessageBytes is the longest encoding: a type byte and two 4-byte
+// fields, or a type byte and one 8-byte token.
+const maxMessageBytes = 9
+
+// appendEncode appends m's wire form to buf.
+func appendEncode(buf []byte, m message) []byte {
+	buf = append(buf, byte(m.typ))
 	switch m.typ {
 	case msgTokDone:
-		return []byte{byte(m.typ)}
+		return buf
 	case msgToken:
-		buf := make([]byte, 9)
-		buf[0] = byte(m.typ)
-		binary.LittleEndian.PutUint64(buf[1:], m.a)
-		return buf
+		return binary.LittleEndian.AppendUint64(buf, m.a)
 	default:
-		buf := make([]byte, 9)
-		buf[0] = byte(m.typ)
-		binary.LittleEndian.PutUint32(buf[1:], uint32(m.a))
-		binary.LittleEndian.PutUint32(buf[5:], uint32(m.b))
-		return buf
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.a))
+		return binary.LittleEndian.AppendUint32(buf, uint32(m.b))
 	}
 }
 

@@ -16,6 +16,7 @@ package congest
 import (
 	"fmt"
 
+	"github.com/unifdist/unifdist/internal/dist"
 	"github.com/unifdist/unifdist/internal/simnet"
 )
 
@@ -39,7 +40,7 @@ const (
 
 // node is the per-vertex protocol state machine.
 type node struct {
-	ctx    *simnet.Context
+	wave
 	mode   Mode
 	tokens []uint64 // this node's initial samples (s ≥ 1 supported)
 
@@ -52,42 +53,29 @@ type node struct {
 	// the root, once the tree completes).
 	tau, t int
 
-	// Per-port outgoing FIFO queues; at most one message per port drains
-	// per round, which serializes logical messages sharing an edge.
-	outQ [][]message
-
-	// BFS / leader-election state (reset on adopting a larger root).
-	root         int
-	dist         int
-	parentPort   int // −1 while the node believes it is the root
-	pending      map[int]bool
-	children     map[int]bool
-	childSize    map[int]uint32
-	sawBigger    bool // evidence that a root larger than ours exists
-	completeSent bool
-	treeDone     bool // true root only
-	treeSize     int  // root only: discovered k
+	treeDone bool // true root only
+	treeSize int  // root only: discovered k
 
 	// COUNT-wave state (computable only after τ is known).
-	started    bool
-	childCount map[int]uint32
-	haveCount  bool
-	cSelf      int
-	mPrime     int
+	started   bool
+	nCounted  int // children whose COUNT arrived
+	haveCount bool
+	cSelf     int
+	mPrime    int
 
 	// Token-pipeline state.
-	sentUp       int
-	tokDoneSent  bool
-	childTokDone map[int]bool
-	held         []uint64
-	finalized    bool
-	packages     [][]uint64
-	discarded    int
+	sentUp      int
+	tokDoneSent bool
+	nTokDone    int // children whose TOKDONE arrived
+	held        []uint64
+	finalized   bool
+	packages    [][]uint64
+	discarded   int
+	sortBuf     []uint64 // collision-check scratch for the packages
 
 	// Report/decision state (ModeUniformity).
 	localRejects  int
 	localVirtuals int
-	childReports  map[int][2]uint64
 	reportSent    bool
 	totalRejects  int
 	totalVirtuals int
@@ -110,27 +98,9 @@ func newNode(mode Mode, tau, threshold int, tokens []uint64, solver func(k int) 
 
 // Init implements simnet.Node.
 func (nd *node) Init(ctx *simnet.Context) {
-	nd.ctx = ctx
-	nd.outQ = make([][]message, ctx.Degree)
-	nd.root = ctx.ID
-	nd.dist = 0
-	nd.parentPort = -1
-	nd.resetTreeState()
 	nd.held = append([]uint64(nil), nd.tokens...)
 	// The initial announce wave: claim to be the root.
-	for p := 0; p < ctx.Degree; p++ {
-		nd.enqueue(p, message{typ: msgAnnounce, a: uint64(nd.root), b: uint64(nd.dist)})
-		nd.pending[p] = true
-	}
-}
-
-// resetTreeState clears all per-root bookkeeping.
-func (nd *node) resetTreeState() {
-	nd.pending = make(map[int]bool)
-	nd.children = make(map[int]bool)
-	nd.childSize = make(map[int]uint32)
-	nd.sawBigger = false
-	nd.completeSent = false
+	nd.initWave(ctx)
 }
 
 // Round implements simnet.Node.
@@ -157,85 +127,47 @@ func (nd *node) fail(err error) {
 	}
 }
 
-func (nd *node) isRoot() bool { return nd.parentPort < 0 }
-
 // handle processes one incoming message.
 func (nd *node) handle(port int, m message) {
+	if handled, _ := nd.handleTree(port, m); handled {
+		return
+	}
+	ps := &nd.ports[port]
 	switch m.typ {
-	case msgAnnounce:
-		root, dist := int(m.a), int(m.b)
-		if root > nd.root {
-			nd.adopt(root, dist+1, port)
-			return
-		}
-		// Decline, reporting our current root: the announcer records
-		// "bigger root exists" evidence when ours is strictly larger.
-		nd.enqueue(port, message{typ: msgReject, a: m.a, b: uint64(nd.root)})
-	case msgAccept:
-		if int(m.a) == nd.root && nd.pending[port] {
-			delete(nd.pending, port)
-			nd.children[port] = true
-		}
-	case msgReject:
-		if int(m.a) == nd.root && nd.pending[port] {
-			delete(nd.pending, port)
-			if int(m.b) > nd.root {
-				nd.sawBigger = true
-			}
-		}
-	case msgComplete:
-		if int(m.a) == nd.root && nd.children[port] {
-			if _, dup := nd.childSize[port]; !dup {
-				nd.childSize[port] = uint32(m.b) & completeSizeMask
-				if m.b&completeBiggerBit != 0 {
-					nd.sawBigger = true
-				}
-			}
-		}
 	case msgStart:
 		if port == nd.parentPort && !nd.started {
 			nd.startPipeline(int(m.a), int(m.b))
 		}
 	case msgCount:
-		if nd.children[port] {
-			nd.childCount[port] = uint32(m.a)
+		if ps.child {
+			if !ps.haveCount {
+				ps.haveCount = true
+				nd.nCounted++
+			}
+			ps.count = uint32(m.a)
 		}
 	case msgToken:
-		if nd.children[port] {
+		if ps.child {
 			nd.held = append(nd.held, m.a)
 		}
 	case msgTokDone:
-		if nd.children[port] {
-			nd.childTokDone[port] = true
+		if ps.child && !ps.tokDone {
+			ps.tokDone = true
+			nd.nTokDone++
 		}
 	case msgReport:
-		if nd.children[port] {
-			nd.childReports[port] = [2]uint64{m.a, m.b}
+		if ps.child {
+			if !ps.haveReport {
+				ps.haveReport = true
+				nd.nReported++
+			}
+			ps.report = [2]uint64{m.a, m.b}
 		}
 	case msgDecision:
 		if port == nd.parentPort && nd.decision < 0 {
 			nd.decision = int(m.a)
-			for p := range nd.children {
-				nd.enqueue(p, message{typ: msgDecision, a: m.a})
-			}
+			nd.broadcast(message{typ: msgDecision, a: m.a})
 		}
-	}
-}
-
-// adopt switches to a larger root announced on port with the given
-// distance.
-func (nd *node) adopt(root, dist, port int) {
-	nd.root = root
-	nd.dist = dist
-	nd.parentPort = port
-	nd.resetTreeState()
-	nd.enqueue(port, message{typ: msgAccept, a: uint64(root)})
-	for p := 0; p < nd.ctx.Degree; p++ {
-		if p == port {
-			continue
-		}
-		nd.enqueue(p, message{typ: msgAnnounce, a: uint64(root), b: uint64(dist)})
-		nd.pending[p] = true
 	}
 }
 
@@ -249,12 +181,7 @@ func (nd *node) startPipeline(tau, threshold int) {
 	nd.started = true
 	nd.tau = tau
 	nd.t = threshold
-	nd.childCount = make(map[int]uint32)
-	nd.childTokDone = make(map[int]bool)
-	nd.childReports = make(map[int][2]uint64)
-	for p := range nd.children {
-		nd.enqueue(p, message{typ: msgStart, a: uint64(tau), b: uint64(threshold)})
-	}
+	nd.broadcast(message{typ: msgStart, a: uint64(tau), b: uint64(threshold)})
 }
 
 // step advances local state transitions after all messages of the round
@@ -278,25 +205,12 @@ func (nd *node) step() {
 // whole graph (every boundary response would otherwise carry a bigger
 // root), so the root needs to know neither D nor k to declare victory.
 func (nd *node) stepTreeCompletion() {
-	if nd.completeSent || len(nd.pending) > 0 {
+	if !nd.subtreeComplete() {
 		return
 	}
-	for p := range nd.children {
-		if _, ok := nd.childSize[p]; !ok {
-			return
-		}
-	}
-	size := 1
-	for p := range nd.children {
-		size += int(nd.childSize[p])
-	}
+	size := nd.subtreeSize()
 	if !nd.isRoot() {
-		nd.completeSent = true
-		packed := uint64(size) & completeSizeMask
-		if nd.sawBigger {
-			packed |= completeBiggerBit
-		}
-		nd.enqueue(nd.parentPort, message{typ: msgComplete, a: uint64(nd.root), b: packed})
+		nd.sendComplete(size)
 		return
 	}
 	if nd.root == nd.ctx.ID && !nd.sawBigger && !nd.started {
@@ -323,17 +237,12 @@ func (nd *node) stepTreeCompletion() {
 // stepCount emits c(v) = (1 + Σ c(children)) mod τ once every child's
 // count arrived — the second convergecast, possible only after τ is known.
 func (nd *node) stepCount() {
-	if nd.haveCount {
+	if nd.haveCount || nd.nCounted < len(nd.childPorts) {
 		return
 	}
-	for p := range nd.children {
-		if _, ok := nd.childCount[p]; !ok {
-			return
-		}
-	}
 	sum := 0
-	for p := range nd.children {
-		sum += int(nd.childCount[p])
+	for _, p := range nd.childPorts {
+		sum += int(nd.ports[p].count)
 	}
 	// The paper's s = 1 start generalizes directly: this node contributes
 	// its own |tokens| samples instead of one.
@@ -364,13 +273,8 @@ func (nd *node) stepPipeline() {
 			nd.enqueue(nd.parentPort, message{typ: msgTokDone})
 		}
 	}
-	if nd.finalized || !nd.tokDoneSent || nd.sentUp < nd.cSelf {
+	if nd.finalized || !nd.tokDoneSent || nd.sentUp < nd.cSelf || nd.nTokDone < len(nd.childPorts) {
 		return
-	}
-	for p := range nd.children {
-		if !nd.childTokDone[p] {
-			return
-		}
 	}
 	// All tokens this node will ever hold have arrived.
 	if len(nd.held)%nd.tau != 0 {
@@ -384,7 +288,7 @@ func (nd *node) stepPipeline() {
 	}
 	nd.localVirtuals = len(nd.packages)
 	for _, pkg := range nd.packages {
-		if hasCollision(pkg) {
+		if dist.HasRepeat(pkg, &nd.sortBuf) {
 			nd.localRejects++
 		}
 	}
@@ -394,16 +298,12 @@ func (nd *node) stepPipeline() {
 // stepReport aggregates (rejects, virtuals) once all children reported;
 // the root then decides and broadcasts.
 func (nd *node) stepReport() {
-	if nd.reportSent {
+	if nd.reportSent || nd.nReported < len(nd.childPorts) {
 		return
 	}
-	for p := range nd.children {
-		if _, ok := nd.childReports[p]; !ok {
-			return
-		}
-	}
 	rej, vir := nd.localRejects, nd.localVirtuals
-	for _, r := range nd.childReports {
+	for _, p := range nd.childPorts {
+		r := nd.ports[p].report
 		rej += int(r[0])
 		vir += int(r[1])
 	}
@@ -419,9 +319,7 @@ func (nd *node) stepReport() {
 		acc = 1
 	}
 	nd.decision = int(acc)
-	for p := range nd.children {
-		nd.enqueue(p, message{typ: msgDecision, a: acc})
-	}
+	nd.broadcast(message{typ: msgDecision, a: acc})
 }
 
 // isDone reports whether the node's role in the protocol has ended. The
@@ -437,52 +335,4 @@ func (nd *node) isDone() bool {
 		return true
 	}
 	return nd.decision >= 0
-}
-
-// enqueue appends a message to a port's outgoing FIFO.
-func (nd *node) enqueue(port int, m message) {
-	nd.outQ[port] = append(nd.outQ[port], m)
-}
-
-// flush pops at most one message per port, dropping stale tree-protocol
-// messages that refer to a superseded root.
-func (nd *node) flush() []simnet.PortMessage {
-	var out []simnet.PortMessage
-	for p := range nd.outQ {
-		for len(nd.outQ[p]) > 0 {
-			m := nd.outQ[p][0]
-			if nd.isStale(m) {
-				nd.outQ[p] = nd.outQ[p][1:]
-				continue
-			}
-			nd.outQ[p] = nd.outQ[p][1:]
-			out = append(out, simnet.PortMessage{Port: p, Payload: encode(m)})
-			break
-		}
-	}
-	return out
-}
-
-// isStale reports whether a queued tree message refers to a root we no
-// longer believe in. Responses to other nodes' announces (rejects) are
-// never stale: the sender needs them tagged with its own root.
-func (nd *node) isStale(m message) bool {
-	switch m.typ {
-	case msgAnnounce, msgAccept, msgComplete:
-		return int(m.a) != nd.root
-	default:
-		return false
-	}
-}
-
-// hasCollision reports whether the package contains two equal samples.
-func hasCollision(pkg []uint64) bool {
-	seen := make(map[uint64]struct{}, len(pkg))
-	for _, v := range pkg {
-		if _, ok := seen[v]; ok {
-			return true
-		}
-		seen[v] = struct{}{}
-	}
-	return false
 }

@@ -172,6 +172,35 @@ func (sc *CollisionScratch) CountDistinct(n int, samples []int) int {
 	return distinct
 }
 
+// HasRepeat reports whether values holds two equal elements: the collision
+// check on raw sample values that carry no domain size, such as the CONGEST
+// tester's packages and the LOCAL tester's blocks. It sorts a copy in *buf,
+// growing it as needed and leaving it for the next call, so a caller that
+// keeps buf allocates nothing in steady state; a nil buf sorts a fresh copy.
+func HasRepeat(values []uint64, buf *[]uint64) bool {
+	switch len(values) {
+	case 0, 1:
+		return false
+	case 2:
+		return values[0] == values[1]
+	}
+	var cp []uint64
+	if buf != nil {
+		cp = (*buf)[:0]
+	}
+	cp = append(cp, values...)
+	slices.Sort(cp)
+	if buf != nil {
+		*buf = cp
+	}
+	for i := 1; i < len(cp); i++ {
+		if cp[i] == cp[i-1] {
+			return true
+		}
+	}
+	return false
+}
+
 // countSortedCollisions returns Σ C(run, 2) over equal-element runs of a
 // sorted slice.
 func countSortedCollisions(cp []int) int {

@@ -133,3 +133,51 @@ func BenchmarkHasCollisionMap(b *testing.B) {
 		HasCollision(samples)
 	}
 }
+
+// TestHasRepeatMatchesHasCollision checks HasRepeat against HasCollision on
+// random blocks of every length up to 40 over small and large domains, with
+// a shared buffer, a fresh one, and no buffer.
+func TestHasRepeatMatchesHasCollision(t *testing.T) {
+	r := rng.New(19)
+	var buf []uint64
+	for _, domain := range []int{2, 8, 64, 1 << 20} {
+		for length := 0; length <= 40; length++ {
+			for rep := 0; rep < 5; rep++ {
+				ints := make([]int, length)
+				vals := make([]uint64, length)
+				for i := range ints {
+					ints[i] = r.Intn(domain)
+					vals[i] = uint64(ints[i]) << 40 // distinct from the int values
+				}
+				want := HasCollision(ints)
+				var fresh []uint64
+				if got := HasRepeat(vals, &buf); got != want {
+					t.Fatalf("HasRepeat(%v, shared) = %v, want %v", vals, got, want)
+				}
+				if got := HasRepeat(vals, &fresh); got != want {
+					t.Fatalf("HasRepeat(%v, fresh) = %v, want %v", vals, got, want)
+				}
+				if got := HasRepeat(vals, nil); got != want {
+					t.Fatalf("HasRepeat(%v, nil) = %v, want %v", vals, got, want)
+				}
+				for i := range ints {
+					if vals[i] != uint64(ints[i])<<40 {
+						t.Fatal("HasRepeat reordered its input")
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestHasRepeatWarmBufferAllocationFree(t *testing.T) {
+	vals := make([]uint64, 64)
+	for i := range vals {
+		vals[i] = uint64(i * 7919)
+	}
+	var buf []uint64
+	HasRepeat(vals, &buf)
+	if allocs := testing.AllocsPerRun(50, func() { HasRepeat(vals, &buf) }); allocs != 0 {
+		t.Fatalf("HasRepeat with a warm buffer made %v allocations, want 0", allocs)
+	}
+}

@@ -33,16 +33,18 @@ func renderAt(t *testing.T, id string, procs int) string {
 }
 
 // TestTablesDeterministicAcrossGOMAXPROCS checks the parallel-engine
-// contract end to end: the same seed must produce byte-identical E2, E3 and
-// E9 tables at GOMAXPROCS 1, 2, and 8. The concurrent sweep rows (RunRows),
-// the chunked parallel trial engines (EstimateErrorParallel and the SMP
-// estimators) and the flat simulator pool all reshape their schedules
-// across these settings; per-index seeding keeps the output fixed.
+// contract end to end: the same seed must produce byte-identical E2, E3,
+// E6, E8 and E9 tables at GOMAXPROCS 1, 2, and 8. The concurrent sweep rows
+// (RunRows), the chunked parallel trial engines (EstimateErrorParallel and
+// the SMP estimators) and the flat simulator pool all reshape their
+// schedules across these settings; per-index seeding keeps the output
+// fixed. E6 and E8 run the CONGEST packaging and LOCAL node programs on
+// that pool.
 func TestTablesDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, id := range []string{"E2", "E3", "E9"} {
+	for _, id := range []string{"E2", "E3", "E6", "E8", "E9"} {
 		want := renderAt(t, id, 1)
 		for _, procs := range []int{2, 8} {
 			if got := renderAt(t, id, procs); got != want {

@@ -9,7 +9,9 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"sync"
 
 	"github.com/unifdist/unifdist/internal/rng"
 )
@@ -18,6 +20,12 @@ import (
 type Graph struct {
 	name string
 	adj  [][]int
+
+	// powers memoizes Power by radius, so repeated LOCAL runs on one graph
+	// share one G^r (and the simulator's compiled topology for it).
+	// AddEdge clears it.
+	powerMu sync.Mutex
+	powers  map[int]*Graph
 }
 
 // New returns an empty graph with n vertices and no edges.
@@ -49,6 +57,9 @@ func (g *Graph) AddEdge(u, v int) error {
 	}
 	g.adj[u] = append(g.adj[u], v)
 	g.adj[v] = append(g.adj[v], u)
+	g.powerMu.Lock()
+	g.powers = nil
+	g.powerMu.Unlock()
 	return nil
 }
 
@@ -116,6 +127,50 @@ func (g *Graph) BFS(root int) (distance, parent []int) {
 	return distance, parent
 }
 
+// bfsScratch is caller-owned BFS working memory: one distance array and
+// one queue, reused across sources so all-pairs sweeps allocate O(n) once.
+type bfsScratch struct {
+	distance []int32
+	queue    []int32
+}
+
+func newBFSScratch(n int) *bfsScratch {
+	s := &bfsScratch{distance: make([]int32, n), queue: make([]int32, n)}
+	for i := range s.distance {
+		s.distance[i] = -1
+	}
+	return s
+}
+
+// run explores g from root up to depth maxDepth (−1: unbounded) and returns
+// the vertices reached in BFS order; s.distance holds their distances until
+// reset. Every other entry of s.distance is −1.
+func (s *bfsScratch) run(g *Graph, root int, maxDepth int32) []int32 {
+	s.distance[root] = 0
+	queue := append(s.queue[:0], int32(root))
+	for head := 0; head < len(queue); head++ {
+		x := queue[head]
+		dx := s.distance[x]
+		if dx == maxDepth {
+			continue
+		}
+		for _, w := range g.adj[x] {
+			if s.distance[w] == -1 {
+				s.distance[w] = dx + 1
+				queue = append(queue, int32(w))
+			}
+		}
+	}
+	return queue
+}
+
+// reset restores the −1 entries written by the run that reached visited.
+func (s *bfsScratch) reset(visited []int32) {
+	for _, v := range visited {
+		s.distance[v] = -1
+	}
+}
+
 // IsConnected reports whether the graph is connected.
 func (g *Graph) IsConnected() bool {
 	distance, _ := g.BFS(0)
@@ -130,68 +185,112 @@ func (g *Graph) IsConnected() bool {
 // Eccentricity returns the maximum BFS distance from v. It panics if the
 // graph is disconnected.
 func (g *Graph) Eccentricity(v int) int {
-	distance, _ := g.BFS(v)
-	max := 0
-	for _, d := range distance {
-		if d == -1 {
-			panic("graph: eccentricity of a disconnected graph")
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max
+	s := newBFSScratch(len(g.adj))
+	return int(s.eccentricity(s.run(g, v, -1)))
 }
 
-// Diameter returns the exact diameter via all-pairs BFS. It panics if the
-// graph is disconnected.
-func (g *Graph) Diameter() int {
-	max := 0
-	for v := range g.adj {
-		if e := g.Eccentricity(v); e > max {
-			max = e
-		}
+// eccentricity returns the depth of a full BFS that reached visited,
+// panicking if it did not reach every vertex.
+func (s *bfsScratch) eccentricity(visited []int32) int32 {
+	if len(visited) != len(s.distance) {
+		panic("graph: eccentricity of a disconnected graph")
 	}
-	return max
+	// BFS order is nondecreasing in distance: the last vertex is farthest.
+	return s.distance[visited[len(visited)-1]]
+}
+
+// Diameter returns the exact diameter. It panics if the graph is
+// disconnected.
+//
+// It bounds eccentricities instead of computing all of them (Takes and
+// Kosters, "Determining the diameter of small world networks", 2011). A BFS
+// from v gives every vertex w the bounds max(d, ε(v)−d) ≤ ε(w) ≤ ε(v)+d,
+// with d = d(v, w). A vertex whose upper bound does not exceed the largest
+// lower bound found so far cannot raise the diameter and drops out; the
+// next BFS source alternates between the remaining vertex with the largest
+// upper bound and the one with the smallest lower bound. The answer is
+// exact at any source order; only the number of BFS runs varies, up to n
+// on a ring. The distance array, the queue, the bounds and the candidate
+// list are allocated once per call.
+func (g *Graph) Diameter() int {
+	n := len(g.adj)
+	s := newBFSScratch(n)
+	lo := make([]int32, n)
+	hi := make([]int32, n)
+	cand := make([]int32, n)
+	for v := range cand {
+		hi[v] = math.MaxInt32
+		cand[v] = int32(v)
+	}
+	best := int32(0)
+	for pickHigh := true; len(cand) > 0; pickHigh = !pickHigh {
+		v := cand[0]
+		for _, w := range cand[1:] {
+			if (pickHigh && hi[w] > hi[v]) || (!pickHigh && lo[w] < lo[v]) {
+				v = w
+			}
+		}
+		visited := s.run(g, int(v), -1)
+		e := s.eccentricity(visited)
+		best = max(best, e)
+		for _, w := range cand {
+			d := s.distance[w]
+			lo[w] = max(lo[w], d, e-d)
+			hi[w] = min(hi[w], e+d)
+			best = max(best, lo[w])
+		}
+		s.reset(visited)
+		// v itself leaves here: its bounds are now both ε(v) ≤ best.
+		kept := cand[:0]
+		for _, w := range cand {
+			if hi[w] > best {
+				kept = append(kept, w)
+			}
+		}
+		cand = kept
+	}
+	return int(best)
 }
 
 // Power returns G^r: vertices are the same and {u, v} is an edge iff their
-// distance in g is between 1 and r. It panics if r < 1.
+// distance in g is between 1 and r. It panics if r < 1. The result is
+// memoized per r until the next AddEdge, so every call with the same r
+// returns the same graph; callers must not modify it.
 func (g *Graph) Power(r int) *Graph {
 	if r < 1 {
 		panic("graph: Power requires r >= 1")
 	}
+	g.powerMu.Lock()
+	defer g.powerMu.Unlock()
+	if p, ok := g.powers[r]; ok {
+		return p
+	}
+	p := g.power(r)
+	if g.powers == nil {
+		g.powers = make(map[int]*Graph)
+	}
+	g.powers[r] = p
+	return p
+}
+
+// power builds G^r with one bounded BFS per vertex on shared scratch,
+// reading each neighbor list off the distance array in vertex order so it
+// comes out sorted.
+func (g *Graph) power(r int) *Graph {
 	n := len(g.adj)
 	p := New(n, fmt.Sprintf("%s^%d", g.name, r))
+	s := newBFSScratch(n)
 	for v := 0; v < n; v++ {
-		// Bounded BFS to depth r.
-		distance := make([]int, n)
-		for i := range distance {
-			distance[i] = -1
-		}
-		distance[v] = 0
-		queue := []int{v}
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			if distance[x] == r {
-				continue
-			}
-			for _, w := range g.adj[x] {
-				if distance[w] == -1 {
-					distance[w] = distance[x] + 1
-					queue = append(queue, w)
-				}
+		visited := s.run(g, v, int32(r))
+		nb := make([]int, 0, len(visited)-1)
+		for w, d := range s.distance {
+			if d > 0 {
+				nb = append(nb, w)
 			}
 		}
-		for w := v + 1; w < n; w++ {
-			if distance[w] >= 1 && distance[w] <= r {
-				p.adj[v] = append(p.adj[v], w)
-				p.adj[w] = append(p.adj[w], v)
-			}
-		}
+		p.adj[v] = nb
+		s.reset(visited)
 	}
-	p.sortAdj()
 	return p
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -256,10 +257,97 @@ func BenchmarkDiameterGrid(b *testing.B) {
 	}
 }
 
+// BenchmarkPowerGraph measures building G^3; Power itself would answer
+// from its memo after the first call.
 func BenchmarkPowerGraph(b *testing.B) {
 	g := NewRandomConnected(200, 0.02, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.Power(3)
+		_ = g.power(3)
+	}
+}
+
+// TestDiameterMatchesAllPairs checks the bounding Diameter against the
+// maximum eccentricity over every vertex, on the fixed topologies and on
+// random graphs from sparse (long paths) to dense.
+func TestDiameterMatchesAllPairs(t *testing.T) {
+	graphs := []*Graph{
+		New(1, "single"), NewLine(2), NewLine(37), NewRing(3), NewRing(40), NewRing(41),
+		NewStar(25), NewComplete(9), NewGrid(7, 13), NewGrid(1, 20),
+		NewBalancedTree(50, 2), NewBalancedTree(40, 3),
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		k := int(seed*7%60) + 2
+		graphs = append(graphs, NewRandomConnected(k, []float64{0, 0.02, 0.1, 0.4}[seed%4], seed))
+	}
+	for _, g := range graphs {
+		want := 0
+		for v := 0; v < g.N(); v++ {
+			want = max(want, g.Eccentricity(v))
+		}
+		if got := g.Diameter(); got != want {
+			t.Errorf("%s: Diameter = %d, max eccentricity = %d", g.Name(), got, want)
+		}
+	}
+}
+
+// TestDiameterAllocsConstant checks that Diameter allocates its working
+// memory once per call, not once per BFS source. On a ring every vertex
+// is a BFS source.
+func TestDiameterAllocsConstant(t *testing.T) {
+	var want float64
+	for i, k := range []int{16, 256, 2048} {
+		g := NewRing(k)
+		got := testing.AllocsPerRun(3, func() { _ = g.Diameter() })
+		if i == 0 {
+			want = got
+		}
+		if got != want || got > 6 {
+			t.Errorf("ring(%d): Diameter made %v allocations, want %v at every k and at most 6", k, got, want)
+		}
+	}
+}
+
+func TestPowerMemoizedUntilAddEdge(t *testing.T) {
+	g := NewLine(6)
+	p2 := g.Power(2)
+	if g.Power(2) != p2 {
+		t.Fatal("second Power(2) built a new graph")
+	}
+	if g.Power(3) == p2 {
+		t.Fatal("Power(3) returned the Power(2) graph")
+	}
+	if err := g.AddEdge(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	q2 := g.Power(2)
+	if q2 == p2 {
+		t.Fatal("Power(2) after AddEdge returned the stale graph")
+	}
+	if !q2.HasEdge(0, 4) || p2.HasEdge(0, 4) {
+		t.Fatal("Power(2) after AddEdge misses the new 2-hop edge {0,4}")
+	}
+}
+
+// TestPowerConcurrentCallersShareOneGraph calls Power from several
+// goroutines at once (run it under -race): every caller must get the one
+// memoized G^r.
+func TestPowerConcurrentCallersShareOneGraph(t *testing.T) {
+	g := NewGrid(6, 7)
+	const callers = 8
+	got := make([]*Graph, callers)
+	var wg sync.WaitGroup
+	wg.Add(callers)
+	for i := 0; i < callers; i++ {
+		go func(i int) {
+			defer wg.Done()
+			got[i] = g.Power(1 + i%2)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != g.Power(1+i%2) {
+			t.Fatalf("caller %d got a different G^%d", i, 1+i%2)
+		}
 	}
 }

@@ -208,7 +208,7 @@ func RunUniformityMulti(g *graph.Graph, tokensPerNode [][]uint64, p Params, seed
 // virtualVote runs the m-repetition single-collision tester on a virtual
 // node's collected samples: split into m equal blocks and reject iff every
 // block contains a collision. Nodes with too few samples to form 2-sample
-// blocks accept (they carry no signal).
+// blocks accept (they carry no signal). The blocks share one sort buffer.
 func virtualVote(n, m int, samples []uint64) bool {
 	if m < 1 {
 		m = 1
@@ -217,21 +217,11 @@ func virtualVote(n, m int, samples []uint64) bool {
 	if block < 2 {
 		return true
 	}
+	var buf []uint64
 	for i := 0; i < m; i++ {
-		if !blockHasCollision(samples[i*block : (i+1)*block]) {
+		if !dist.HasRepeat(samples[i*block:(i+1)*block], &buf) {
 			return true
 		}
-	}
-	return false
-}
-
-func blockHasCollision(block []uint64) bool {
-	seen := make(map[uint64]struct{}, len(block))
-	for _, v := range block {
-		if _, ok := seen[v]; ok {
-			return true
-		}
-		seen[v] = struct{}{}
 	}
 	return false
 }
@@ -247,8 +237,21 @@ const (
 // of gradient routing. It returns the samples collected per MIS node and
 // the number of simulator rounds used.
 func gather(g *graph.Graph, tokensPerNode [][]uint64, inMIS []bool, r int, seed uint64) (map[int][]uint64, int, error) {
-	nodes := make([]simnet.Node, g.N())
-	impls := make([]*gatherNode, g.N())
+	nodes, impls := newGatherNodes(tokensPerNode, inMIS, r)
+	stats, err := simnet.Run(g, nodes, simnet.Config{Seed: seed})
+	if err != nil {
+		return nil, 0, fmt.Errorf("local: gather: %w", err)
+	}
+	collected, err := collectGather(impls)
+	if err != nil {
+		return nil, 0, err
+	}
+	return collected, stats.Rounds, nil
+}
+
+func newGatherNodes(tokensPerNode [][]uint64, inMIS []bool, r int) ([]simnet.Node, []*gatherNode) {
+	nodes := make([]simnet.Node, len(inMIS))
+	impls := make([]*gatherNode, len(inMIS))
 	for v := range nodes {
 		impls[v] = &gatherNode{
 			radius: r,
@@ -257,22 +260,24 @@ func gather(g *graph.Graph, tokensPerNode [][]uint64, inMIS []bool, r int, seed 
 		}
 		nodes[v] = impls[v]
 	}
-	stats, err := simnet.Run(g, nodes, simnet.Config{Seed: seed})
-	if err != nil {
-		return nil, 0, fmt.Errorf("local: gather: %w", err)
-	}
+	return nodes, impls
+}
+
+// collectGather returns the samples each MIS node collected, checking that
+// every sample was delivered.
+func collectGather(impls []*gatherNode) (map[int][]uint64, error) {
 	collected := make(map[int][]uint64)
 	for v, nd := range impls {
 		if nd.lost {
-			return nil, 0, fmt.Errorf("local: node %d found no MIS node within radius", v)
+			return nil, fmt.Errorf("local: node %d found no MIS node within radius", v)
 		}
 		if nd.inMIS {
 			collected[v] = nd.collected
 		} else if len(nd.pendingOut) > 0 {
-			return nil, 0, fmt.Errorf("local: node %d still holds %d undelivered samples", v, len(nd.pendingOut))
+			return nil, fmt.Errorf("local: node %d still holds %d undelivered samples", v, len(nd.pendingOut))
 		}
 	}
-	return collected, stats.Rounds, nil
+	return collected, nil
 }
 
 // beaconEntry tracks the best known route to one MIS node.

@@ -12,7 +12,7 @@ package local
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/unifdist/unifdist/internal/graph"
 	"github.com/unifdist/unifdist/internal/simnet"
@@ -31,18 +31,27 @@ type MISResult struct {
 // LubyMIS computes a maximal independent set of g with Luby's distributed
 // algorithm, executed faithfully on the message-passing simulator.
 func LubyMIS(g *graph.Graph, seed uint64) (MISResult, error) {
-	nodes := make([]simnet.Node, g.N())
-	impls := make([]*lubyNode, g.N())
-	for v := range nodes {
-		impls[v] = &lubyNode{}
-		nodes[v] = impls[v]
-	}
+	nodes, impls := newLubyNodes(g.N())
 	stats, err := simnet.Run(g, nodes, simnet.Config{Seed: seed})
 	if err != nil {
 		return MISResult{}, fmt.Errorf("local: luby: %w", err)
 	}
-	res := MISResult{InMIS: make([]bool, g.N()), Rounds: stats.Rounds}
-	iters := 0
+	return collectMIS(impls, stats)
+}
+
+func newLubyNodes(k int) ([]simnet.Node, []*lubyNode) {
+	nodes := make([]simnet.Node, k)
+	impls := make([]*lubyNode, k)
+	for v := range nodes {
+		impls[v] = &lubyNode{}
+		nodes[v] = impls[v]
+	}
+	return nodes, impls
+}
+
+// collectMIS reads the independent set off the halted Luby nodes.
+func collectMIS(impls []*lubyNode, stats simnet.Stats) (MISResult, error) {
+	res := MISResult{InMIS: make([]bool, len(impls)), Rounds: stats.Rounds}
 	for v, nd := range impls {
 		switch nd.state {
 		case lubyInMIS:
@@ -51,11 +60,8 @@ func LubyMIS(g *graph.Graph, seed uint64) (MISResult, error) {
 		default:
 			return MISResult{}, fmt.Errorf("local: node %d ended undecided", v)
 		}
-		if nd.iteration > iters {
-			iters = nd.iteration
-		}
+		res.Iterations = max(res.Iterations, nd.iteration)
 	}
-	res.Iterations = iters
 	return res, nil
 }
 
@@ -96,57 +102,71 @@ const (
 	lubyMsgLeave
 )
 
+// Fixed JOIN and LEAVE payloads, shared read-only by every node.
+var (
+	joinPayload  = []byte{lubyMsgJoin}
+	leavePayload = []byte{lubyMsgLeave}
+)
+
 // lubyNode runs Luby's algorithm: each iteration is three simulator rounds
 // (exchange random values; winners announce JOIN; new dead nodes announce
 // LEAVE), with nodes tracking which neighbors are still contending.
+//
+// The outbox and the value payload are reused. Reusing the payload is safe
+// even where RunChannel hands receivers the sender's slice: it is rewritten
+// only at the next iteration, two rounds after the receivers consumed it.
 type lubyNode struct {
 	ctx       *simnet.Context
 	state     lubyState
 	phase     int // 0 = send values, 1 = decide+announce join, 2 = process leave
 	iteration int
-	alive     map[int]bool
+	alive     []int // still-contending neighbor ports, ascending
 	value     uint64
 	announced bool
-}
-
-// alivePorts returns the still-contending neighbor ports in sorted order,
-// so broadcasts never depend on map iteration order (trace/journal
-// byte-determinism).
-func (nd *lubyNode) alivePorts() []int {
-	ports := make([]int, 0, len(nd.alive))
-	for p := range nd.alive {
-		ports = append(ports, p)
-	}
-	sort.Ints(ports)
-	return ports
+	out       []simnet.PortMessage
+	valueMsg  [13]byte
 }
 
 // Init implements simnet.Node.
 func (nd *lubyNode) Init(ctx *simnet.Context) {
 	nd.ctx = ctx
 	nd.state = lubyContender
-	nd.alive = make(map[int]bool, ctx.Degree)
-	for p := 0; p < ctx.Degree; p++ {
-		nd.alive[p] = true
+	nd.alive = make([]int, ctx.Degree)
+	for p := range nd.alive {
+		nd.alive[p] = p
+	}
+	nd.out = make([]simnet.PortMessage, 0, ctx.Degree)
+}
+
+// broadcast queues payload on every alive port, in ascending port order
+// (trace/journal byte-determinism).
+func (nd *lubyNode) broadcast(payload []byte) {
+	for _, p := range nd.alive {
+		nd.out = append(nd.out, simnet.PortMessage{Port: p, Payload: payload})
+	}
+}
+
+// drop removes port from the alive set, if present.
+func (nd *lubyNode) drop(port int) {
+	if i, ok := slices.BinarySearch(nd.alive, port); ok {
+		nd.alive = slices.Delete(nd.alive, i, i+1)
 	}
 }
 
 // Round implements simnet.Node.
 func (nd *lubyNode) Round(in []simnet.PortMessage) ([]simnet.PortMessage, bool) {
-	var out []simnet.PortMessage
+	nd.out = nd.out[:0]
 	switch nd.phase {
 	case 0:
 		// Start of iteration: contenders draw and broadcast a value.
 		nd.iteration++
 		if nd.state == lubyContender {
 			nd.value = nd.ctx.RNG.Uint64()
-			payload := make([]byte, 13)
+			payload := nd.valueMsg[:]
 			payload[0] = lubyMsgValue
 			binary.LittleEndian.PutUint64(payload[1:], nd.value)
 			binary.LittleEndian.PutUint32(payload[9:], uint32(nd.ctx.ID))
-			for _, p := range nd.alivePorts() {
-				out = append(out, simnet.PortMessage{Port: p, Payload: payload})
-			}
+			nd.broadcast(payload)
 		}
 	case 1:
 		// Decide: a contender wins if its (value, ID) beats every alive
@@ -165,9 +185,7 @@ func (nd *lubyNode) Round(in []simnet.PortMessage) ([]simnet.PortMessage, bool) 
 			}
 			if win {
 				nd.state = lubyInMIS
-				for _, p := range nd.alivePorts() {
-					out = append(out, simnet.PortMessage{Port: p, Payload: []byte{lubyMsgJoin}})
-				}
+				nd.broadcast(joinPayload)
 				nd.announced = true
 			}
 		}
@@ -178,21 +196,19 @@ func (nd *lubyNode) Round(in []simnet.PortMessage) ([]simnet.PortMessage, bool) 
 		for _, m := range in {
 			if m.Payload[0] == lubyMsgJoin {
 				joined = true
-				delete(nd.alive, m.Port)
+				nd.drop(m.Port)
 			}
 		}
 		if nd.state == lubyContender && joined {
 			nd.state = lubyDead
-			for _, p := range nd.alivePorts() {
-				out = append(out, simnet.PortMessage{Port: p, Payload: []byte{lubyMsgLeave}})
-			}
+			nd.broadcast(leavePayload)
 			nd.announced = true
 		}
 	}
 	// LEAVE messages can arrive in any phase right after a kill round.
 	for _, m := range in {
 		if m.Payload[0] == lubyMsgLeave {
-			delete(nd.alive, m.Port)
+			nd.drop(m.Port)
 		}
 	}
 	nd.phase = (nd.phase + 1) % 3
@@ -202,5 +218,5 @@ func (nd *lubyNode) Round(in []simnet.PortMessage) ([]simnet.PortMessage, bool) 
 		// Degree-zero contender joined without needing announcements.
 		done = true
 	}
-	return out, done
+	return nd.out, done
 }
