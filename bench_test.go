@@ -67,6 +67,8 @@ func BenchmarkSingleCollisionRun(b *testing.B) {
 	}
 }
 
+// BenchmarkThresholdNetworkTrial times one full indexed trial (RunAt, all
+// k = 2000 votes) with a reused generator and scratch.
 func BenchmarkThresholdNetworkTrial(b *testing.B) {
 	const (
 		n = 1 << 16
@@ -81,10 +83,11 @@ func BenchmarkThresholdNetworkTrial(b *testing.B) {
 		b.Fatal(err)
 	}
 	u := unifdist.NewUniform(n)
-	r := unifdist.NewRNG(1)
+	g, sc := unifdist.NewRNG(0), nw.NewScratch()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = nw.Run(u, r)
+		_, _ = nw.RunAt(u, 1, uint64(i), g, sc)
 	}
 }
 
@@ -135,10 +138,11 @@ func BenchmarkEqualityProtocol(b *testing.B) {
 	}
 }
 
-// PR-2 hot-path kernels: batch sampling, scratch collision statistics, and
-// the allocation-free network trial. BENCH_PR2.json records these (see
-// cmd/benchjson); the *Scalar/Map counterparts live next to the kernels in
-// internal/dist for before/after comparison.
+// Hot-path kernels: batch sampling and scratch collision statistics
+// (BenchmarkThresholdNetworkTrial times the allocation-free network trial).
+// BENCH_PR2.json records these (see cmd/benchjson); the *Scalar/Map
+// counterparts live next to the kernels in internal/dist for before/after
+// comparison.
 
 func benchSampleInto(b *testing.B, d unifdist.Distribution) {
 	buf := make([]int, 4096)
@@ -174,7 +178,10 @@ func BenchmarkHasCollisionScratch(b *testing.B) {
 	}
 }
 
-func BenchmarkNetworkRun(b *testing.B) {
+// BenchmarkEstimateErrorAt is the estimator behind the 0-round tables on
+// the k = 2000 threshold network: 64 indexed trials per op, stopping each
+// at the rule's early decision.
+func BenchmarkEstimateErrorAt(b *testing.B) {
 	const (
 		n = 1 << 16
 		k = 2000
@@ -188,33 +195,9 @@ func BenchmarkNetworkRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	u := unifdist.NewUniform(n)
-	r := unifdist.NewRNG(1)
-	sc := nw.NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = nw.RunWith(u, r, sc)
-	}
-}
-
-func BenchmarkEstimateErrorParallel(b *testing.B) {
-	const (
-		n = 1 << 16
-		k = 2000
-	)
-	cfg, err := unifdist.SolveThreshold(n, k, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nw, err := unifdist.BuildThreshold(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := unifdist.NewUniform(n)
-	r := unifdist.NewRNG(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = nw.EstimateErrorParallel(u, true, 64, r)
+		_ = nw.EstimateErrorAt(u, true, 64, uint64(i))
 	}
 }

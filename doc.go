@@ -36,8 +36,10 @@
 //	if err != nil { ... }
 //	nw, err := unifdist.BuildThreshold(cfg)
 //	if err != nil { ... }
-//	r := unifdist.NewRNG(42)
-//	accept, rejects := nw.Run(unifdist.NewUniform(1<<16), r)
+//	// Trial 0 at base seed 42: node i's samples are a pure function of
+//	// (42, 0, i), so k real machines at base 42 reach the same verdict.
+//	accept, rejects := nw.RunAt(unifdist.NewUniform(1<<16), 42, 0, nil, nil)
+//	errRate := nw.EstimateErrorAt(unifdist.NewUniform(1<<16), true, 1000, 42)
 //
 // See the examples directory for runnable scenarios and DESIGN.md /
 // EXPERIMENTS.md for the experiment index reproducing every theorem.

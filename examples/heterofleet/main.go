@@ -65,12 +65,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r := unifdist.NewRNG(3)
-	for _, d := range []unifdist.Distribution{
+	const base = 3 // names every (trial, device) sample stream
+	for trial, d := range []unifdist.Distribution{
 		unifdist.NewUniform(nBuckets),
 		unifdist.NewTwoBump(nBuckets, eps, 5),
 	} {
-		accept, rejects := nw.Run(d, r)
+		accept, rejects := nw.RunAt(d, base, uint64(trial), nil, nil)
 		verdict := "normal"
 		if !accept {
 			verdict = "ANOMALY"

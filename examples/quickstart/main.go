@@ -33,12 +33,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	r := unifdist.NewRNG(42)
-	for _, d := range []unifdist.Distribution{
+	// Each input is one indexed trial: node i's samples in trial t are a pure
+	// function of (base, t, i), so the same verdicts come out of k real
+	// machines voting at the same base.
+	const base = 42
+	for trial, d := range []unifdist.Distribution{
 		unifdist.NewUniform(n),
 		unifdist.NewTwoBump(n, eps, 7), // L1 distance exactly ε from uniform
 	} {
-		accept, rejects := nw.Run(d, r)
+		accept, rejects := nw.RunAt(d, base, uint64(trial), nil, nil)
 		verdict := "UNIFORM"
 		if !accept {
 			verdict = "FAR FROM UNIFORM"

@@ -71,8 +71,8 @@ func main() {
 	}
 	stuck := unifdist.NewPointMassMixture(tempBins, 100, 0.5)
 
-	r := unifdist.NewRNG(7)
-	for _, scenario := range []struct {
+	const base = 7 // names every (trial, sensor) sample stream
+	for trial, scenario := range []struct {
 		name string
 		mu   unifdist.Distribution
 	}{
@@ -84,7 +84,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		accept, alarms := nw.Run(filtered, r)
+		accept, alarms := nw.RunAt(filtered, base, uint64(trial), nil, nil)
 		verdict := "matches calibration"
 		if !accept {
 			verdict = "ANOMALY: distribution shifted"

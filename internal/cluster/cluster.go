@@ -222,7 +222,9 @@ type Report struct {
 }
 
 // ErrorRate returns the fraction of trials whose verdict differs from
-// wantAccept — the cluster analogue of zeroround.EstimateError.
+// wantAccept. On a clean session it equals zeroround's EstimateErrorAt at
+// the session's base seed and trial count: the paper tables estimate over
+// the same (trial, node) streams the nodes vote from.
 func (r *Report) ErrorRate(wantAccept bool) float64 {
 	if r.Trials == 0 {
 		return 0

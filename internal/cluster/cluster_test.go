@@ -65,6 +65,25 @@ func checkDifferential(t *testing.T, nw *zeroround.Network, d dist.Distribution,
 	}
 }
 
+// TestErrorRateMatchesEstimateErrorAt: a clean session's error rate equals
+// the paper tables' estimate at the same base, on both inputs and for both
+// wanted verdicts — the tables and the cluster run one sampling contract.
+func TestErrorRateMatchesEstimateErrorAt(t *testing.T) {
+	nw := thresholdNetwork(t, 64, 60)
+	const trials, base = 24, 5
+	for _, d := range []dist.Distribution{dist.NewUniform(64), dist.NewTwoBump(64, 1.0, 9)} {
+		rep, err := RunPipe(Config{Trials: trials, BaseSeed: base}, nw, d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []bool{true, false} {
+			if got, est := rep.ErrorRate(want), nw.EstimateErrorAt(d, want, trials, base); got != est {
+				t.Errorf("%s want=%v: session error rate %v, EstimateErrorAt %v", d.Name(), want, got, est)
+			}
+		}
+	}
+}
+
 func TestPipeClusterMatchesReferenceThreshold(t *testing.T) {
 	// E3 shape (Theorem 1.2): single-collision nodes under the threshold
 	// rule. The tiny domain makes collisions — and thus rejecting votes —

@@ -2,26 +2,21 @@ package congest
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/unifdist/unifdist/internal/dist"
 	"github.com/unifdist/unifdist/internal/graph"
 	"github.com/unifdist/unifdist/internal/rng"
 	"github.com/unifdist/unifdist/internal/simnet"
+	"github.com/unifdist/unifdist/internal/trialpool"
 )
 
-// EstimateErrorParallel is EstimateError with trials fanned out across
-// worker goroutines (0 means GOMAXPROCS). The result is bit-for-bit
-// deterministic in r at any worker count:
+// EstimateErrorParallel is EstimateError with trials fanned out across the
+// shared trial pool (internal/trialpool; workers 0 means GOMAXPROCS). The
+// result is bit-for-bit deterministic in r at any worker count:
 //
 //   - trial i's randomness is derived by index — rng.SeedAt(base, i) for a
 //     base drawn once from r — so the tokens and simulator seed of a trial
 //     depend on neither scheduling nor the worker count;
-//   - workers claim chunks of trial indices from one atomic counter
-//     (work-stealing) and fold verdicts into per-worker partial sums; the
-//     total is a commutative sum, so the estimate is schedule-independent;
 //   - each trial's simulator runs single-threaded (simnet.Config.Workers=1)
 //     so trial-level parallelism is not oversubscribed by node-level
 //     parallelism;
@@ -41,90 +36,25 @@ func EstimateErrorParallel(g *graph.Graph, d dist.Distribution, p Params, wantAc
 	// One draw fixes every trial's randomness and advances r by the same
 	// amount at any worker count.
 	base := r.Uint64()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
-
-	// runRange executes trials [lo, hi) on worker-owned scratch and reports
-	// the wrong-verdict count plus the first (lowest-index) failure.
-	runRange := func(lo, hi int, gen *rng.RNG, tokens []uint64) (int, int, error) {
-		wrong := 0
-		for i := lo; i < hi; i++ {
+	wrong, err := trialpool.Count(trials, workers, func() func(int) (bool, error) {
+		gen := rng.New(0)
+		tokens := make([]uint64, g.N())
+		return func(i int) (bool, error) {
 			gen.SeedAt(base, uint64(i))
 			for v := range tokens {
 				tokens[v] = uint64(d.Sample(gen))
 			}
 			res, err := runUniformityTrial(g, tokens, p, gen.Uint64())
 			if err != nil {
-				return wrong, i, err
+				return false, err
 			}
-			if res.Accept != wantAccept {
-				wrong++
-			}
+			return res.Accept != wantAccept, nil
 		}
-		return wrong, -1, nil
+	})
+	if err != nil {
+		return 0, err
 	}
-
-	if workers == 1 {
-		wrong, _, err := runRange(0, trials, rng.New(0), make([]uint64, g.N()))
-		if err != nil {
-			return 0, err
-		}
-		return float64(wrong) / float64(trials), nil
-	}
-
-	chunk := trials / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	if chunk > 64 {
-		chunk = 64
-	}
-	var (
-		next, total atomic.Int64
-		wg          sync.WaitGroup
-		mu          sync.Mutex
-		firstIdx    = trials
-		firstErr    error
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			gen := rng.New(0)
-			tokens := make([]uint64, g.N())
-			local := 0
-			for {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= trials {
-					break
-				}
-				hi := lo + chunk
-				if hi > trials {
-					hi = trials
-				}
-				wrong, idx, err := runRange(lo, hi, gen, tokens)
-				local += wrong
-				if err != nil {
-					mu.Lock()
-					if idx < firstIdx {
-						firstIdx, firstErr = idx, err
-					}
-					mu.Unlock()
-					break
-				}
-			}
-			total.Add(int64(local))
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return float64(int(total.Load())) / float64(trials), nil
+	return float64(wrong) / float64(trials), nil
 }
 
 // runUniformityTrial is one estimator trial: a single-threaded simulation

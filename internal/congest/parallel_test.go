@@ -7,6 +7,7 @@ import (
 	"github.com/unifdist/unifdist/internal/graph"
 	"github.com/unifdist/unifdist/internal/rng"
 	"github.com/unifdist/unifdist/internal/simnet"
+	"github.com/unifdist/unifdist/internal/simnet/simnettest"
 )
 
 // TestEstimateErrorParallelWorkerInvariant pins the estimator's central
@@ -103,7 +104,7 @@ func benchUniformityEngine(b *testing.B, engine func(*graph.Graph, []simnet.Node
 }
 
 func BenchmarkUniformityFlat(b *testing.B)       { benchUniformityEngine(b, simnet.Run) }
-func BenchmarkUniformityChannelRef(b *testing.B) { benchUniformityEngine(b, simnet.RunChannel) }
+func BenchmarkUniformityChannelRef(b *testing.B) { benchUniformityEngine(b, simnettest.RunChannel) }
 
 // TestUniformityEnginesAgree runs the full uniformity protocol under both
 // simulator engines on a spread of topologies and requires identical
@@ -144,7 +145,7 @@ func TestUniformityEnginesAgree(t *testing.T) {
 			return collectUniformity(stats, impls)
 		}
 		flat, ferr := run(simnet.Run)
-		legacy, lerr := run(simnet.RunChannel)
+		legacy, lerr := run(simnettest.RunChannel)
 		if (ferr == nil) != (lerr == nil) || (ferr != nil && ferr.Error() != lerr.Error()) {
 			t.Fatalf("%s: errors differ: flat=%v legacy=%v", g.Name(), ferr, lerr)
 		}

@@ -10,9 +10,10 @@ import "github.com/unifdist/unifdist/internal/simnet"
 // their storage when drained, and flush encodes into two payload arenas
 // owned by the node.
 //
-// Why two arenas. Run copies payloads on delivery, but RunChannel hands the
-// receiver the sender's own slice, to read during the next round while the
-// sender runs that round concurrently. So a round that sends encodes into
+// Why two arenas. simnet.Run copies payloads on delivery, but the reference
+// engine the tests hold it to (simnettest.RunChannel) hands the receiver the
+// sender's own slice, to read during the next round while the sender runs
+// that round concurrently. So a round that sends encodes into
 // the arena the previous sending round did not use; the receiver of the
 // earlier payloads has finished with them before the sender comes back to
 // that arena.

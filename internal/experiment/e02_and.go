@@ -57,8 +57,8 @@ func runE2(ctx *RunContext) (*Table, error) {
 		}
 		nw.Obs = ctx.Registry()
 		nw.Workers = ctx.Workers
-		errU := nw.EstimateErrorParallel(dist.NewUniform(n), true, trials, r)
-		errFar := nw.EstimateErrorParallel(dist.NewTwoBump(n, eps, r.Uint64()), false, trials, r)
+		errU := nw.EstimateErrorAt(dist.NewUniform(n), true, trials, r.Uint64())
+		errFar := nw.EstimateErrorAt(dist.NewTwoBump(n, eps, r.Uint64()), false, trials, r.Uint64())
 		return []string{
 			fmtFloat(float64(k)), fmtFloat(float64(cfg.M)),
 			fmtFloat(float64(cfg.SamplesPerNode)), fmtFloat(float64(solo.S)),

@@ -50,8 +50,8 @@ func runE3(ctx *RunContext) (*Table, error) {
 		}
 		nw.Obs = ctx.Registry()
 		nw.Workers = ctx.Workers
-		errU := nw.EstimateErrorParallel(dist.NewUniform(n), true, trials, r)
-		errFar := nw.EstimateErrorParallel(dist.NewTwoBump(n, eps, r.Uint64()), false, trials, r)
+		errU := nw.EstimateErrorAt(dist.NewUniform(n), true, trials, r.Uint64())
+		errFar := nw.EstimateErrorAt(dist.NewTwoBump(n, eps, r.Uint64()), false, trials, r.Uint64())
 		paperS := math.Sqrt(float64(n)/float64(k)) / (eps * eps)
 		return []string{
 			fmtFloat(float64(k)), fmtFloat(cfg.Delta),

@@ -74,9 +74,10 @@ func runE4(ctx *RunContext) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		nw.Obs = ctx.Registry()
 		nw.Workers = ctx.Workers
-		errU := nw.EstimateErrorParallel(dist.NewUniform(n), true, trials, r)
-		errFar := nw.EstimateErrorParallel(dist.NewTwoBump(n, eps, r.Uint64()), false, trials, r)
+		errU := nw.EstimateErrorAt(dist.NewUniform(n), true, trials, r.Uint64())
+		errFar := nw.EstimateErrorAt(dist.NewTwoBump(n, eps, r.Uint64()), false, trials, r.Uint64())
 		return []string{
 			fmtFloat(float64(node.SampleSize())),
 			fmtFloat(float64(node.SampleSize()) / ref),

@@ -65,9 +65,10 @@ func runE5(ctx *RunContext) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		nw.Obs = ctx.Registry()
 		nw.Workers = ctx.Workers
-		errU := nw.EstimateErrorParallel(dist.NewUniform(n), true, trials, r)
-		errFar := nw.EstimateErrorParallel(dist.NewTwoBump(n, eps, r.Uint64()), false, trials, r)
+		errU := nw.EstimateErrorAt(dist.NewUniform(n), true, trials, r.Uint64())
+		errFar := nw.EstimateErrorAt(dist.NewTwoBump(n, eps, r.Uint64()), false, trials, r.Uint64())
 		maxS, minS := 0, math.MaxInt
 		for _, s := range cfg.Samples {
 			if s > maxS {

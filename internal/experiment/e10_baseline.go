@@ -51,12 +51,13 @@ func runE10(ctx *RunContext) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		nw.Obs = ctx.Registry()
 		nw.Workers = ctx.Workers
 		far := dist.NewTwoBump(n, eps, r.Uint64())
 		errUC := tester.EstimateRejectProb(cc, dist.NewUniform(n), trials, r)
 		errFC := 1 - tester.EstimateRejectProb(cc, far, trials, r)
-		errUD := nw.EstimateErrorParallel(dist.NewUniform(n), true, trials, r)
-		errFD := nw.EstimateErrorParallel(far, false, trials, r)
+		errUD := nw.EstimateErrorAt(dist.NewUniform(n), true, trials, r.Uint64())
+		errFD := nw.EstimateErrorAt(far, false, trials, r.Uint64())
 		total := nw.TotalSamples()
 		return []string{
 			fmtFloat(float64(n)), fmtFloat(float64(cc.SampleSize())),

@@ -79,9 +79,10 @@ func runE15(ctx *RunContext) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		nw.Obs = ctx.Registry()
 		nw.Workers = ctx.Workers
-		errU := nw.EstimateErrorParallel(dist.NewUniform(n), true, trials, r)
-		errF := nw.EstimateErrorParallel(dist.NewTwoBump(n, eps, r.Uint64()), false, trials, r)
+		errU := nw.EstimateErrorAt(dist.NewUniform(n), true, trials, r.Uint64())
+		errF := nw.EstimateErrorAt(dist.NewTwoBump(n, eps, r.Uint64()), false, trials, r.Uint64())
 		return []string{pl.name, fmtFloat(float64(pl.t)), fmtProb(errU), fmtProb(errF)}, nil
 	})
 	if err != nil {

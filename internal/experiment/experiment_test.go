@@ -189,6 +189,30 @@ func TestExecuteRecordsTelemetry(t *testing.T) {
 	}
 }
 
+// TestZeroRoundTableReportsTrials runs E15 quick through Execute with a
+// registry attached: every estimated trial must reach zeroround.trials
+// (5 placements × 2 error cells × 120 trials) and the latency histogram.
+func TestZeroRoundTableReportsTrials(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	e, _ := Lookup("E15")
+	res, err := e.Execute(&RunContext{Mode: Quick, Seed: 1, Obs: &obs.Recorder{Registry: obs.NewRegistry()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 5 * 2 * 120
+	if got := res.Metrics.Counters["zeroround.trials"]; got != want {
+		t.Errorf("zeroround.trials = %d, want %d", got, want)
+	}
+	if got := res.Metrics.Histograms["zeroround.trial_ns"].Count; got != want {
+		t.Errorf("zeroround.trial_ns count = %d, want %d", got, want)
+	}
+	if wrong := res.Metrics.Counters["zeroround.wrong"]; wrong < 0 || wrong > want {
+		t.Errorf("zeroround.wrong = %d out of range", wrong)
+	}
+}
+
 // TestExecuteDisabledTelemetry checks the disabled path leaves tables
 // untouched.
 func TestExecuteDisabledTelemetry(t *testing.T) {

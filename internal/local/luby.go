@@ -113,8 +113,9 @@ var (
 // LEAVE), with nodes tracking which neighbors are still contending.
 //
 // The outbox and the value payload are reused. Reusing the payload is safe
-// even where RunChannel hands receivers the sender's slice: it is rewritten
-// only at the next iteration, two rounds after the receivers consumed it.
+// even where the reference engine simnettest.RunChannel hands receivers the
+// sender's slice: it is rewritten only at the next iteration, two rounds
+// after the receivers consumed it.
 type lubyNode struct {
 	ctx       *simnet.Context
 	state     lubyState

@@ -7,6 +7,7 @@ import (
 	"github.com/unifdist/unifdist/internal/graph"
 	"github.com/unifdist/unifdist/internal/rng"
 	"github.com/unifdist/unifdist/internal/simnet"
+	"github.com/unifdist/unifdist/internal/simnet/simnettest"
 )
 
 // localPinCase is one pinned LOCAL topology with its gathering radius.
@@ -92,7 +93,7 @@ func TestLocalEnginesAgree(t *testing.T) {
 		run  func(*graph.Graph, []simnet.Node, simnet.Config) (simnet.Stats, error)
 	}{
 		{"flat", simnet.Run},
-		{"channel", simnet.RunChannel},
+		{"channel", simnettest.RunChannel},
 	}
 	for _, c := range localPinCases() {
 		power := c.g.Power(c.radius)

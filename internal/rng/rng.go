@@ -9,9 +9,14 @@
 // child generators; this package does.
 //
 // The generator is xoshiro256++ seeded through splitmix64, the construction
-// recommended by the xoshiro authors. Splitting derives a child seed by
-// hashing the parent's stream with splitmix64, which keeps parent and child
-// streams statistically independent for simulation purposes.
+// recommended by the xoshiro authors. Two ways derive child generators.
+// Split seeds a child from the parent's next output, which keeps parent and
+// child streams statistically independent for simulation purposes. At and
+// SeedAt name the index-th child of a base seed with no parent state at
+// all: child i takes the four splitmix64 outputs of its own counter block
+// past base, so every (base, index) pair names one stream, distinct indices
+// never share a state, and no child shares New(base)'s. Every parallel
+// estimator and every (trial, node) vote stream is derived this way.
 //
 // The xoshiro256++ transition is written once, as step, which inlines into
 // every draw. Hot loops use the batch draws IntnInto and IntnFloat64Into,
@@ -46,13 +51,16 @@ func (r *RNG) Split() *RNG {
 }
 
 // Seed re-initializes r in place from seed via splitmix64, exactly as New
-// does. It lets hot loops re-seed one generator instead of allocating a
-// fresh RNG per work item.
+// does: the four state words are the splitmix64 outputs for the counters
+// seed+γ … seed+4γ, where γ is the splitmix64 increment. The four mixes are
+// independent of one another, so they compute in parallel. Seed lets hot
+// loops re-seed one generator instead of allocating a fresh RNG per work
+// item.
 func (r *RNG) Seed(seed uint64) {
-	sm, s0 := splitmix64(seed)
-	sm, s1 := splitmix64(sm)
-	sm, s2 := splitmix64(sm)
-	_, s3 := splitmix64(sm)
+	c1 := seed + gamma
+	c2 := c1 + gamma
+	c3 := c2 + gamma
+	s0, s1, s2, s3 := mix64(c1), mix64(c2), mix64(c3), mix64(c3+gamma)
 	// xoshiro256++ requires a nonzero state; splitmix64 output is zero for
 	// all four words with probability 2^-256, but guard anyway.
 	if s0|s1|s2|s3 == 0 {
@@ -62,14 +70,17 @@ func (r *RNG) Seed(seed uint64) {
 }
 
 // SeedAt re-initializes r in place as the index-th child stream of base:
-// the seed is splitmix64-hashed from base and index, so streams for
-// different indices are statistically independent and any (base, index)
-// pair names the same stream on every call. This is the indexed analogue of
-// Split for deterministic parallel fan-out — worker goroutines derive trial
-// i's generator from (base, i) with no shared state and no pre-split array.
+// Seed(base + 4·(index+1)·γ). Its four state words are the splitmix64
+// outputs for the counters base+(4·index+5)·γ … base+(4·index+8)·γ, so each
+// index owns a block of four counters, disjoint from New(base)'s (base+γ …
+// base+4γ) and from every other index's; γ is odd, so distinct counters
+// give distinct states. Any (base, index) pair names the same stream on
+// every call, and a reseed costs one splitmix pass. This is the indexed
+// analogue of Split for deterministic parallel fan-out — worker goroutines
+// derive trial i's generator from (base, i) with no shared state and no
+// pre-split array.
 func (r *RNG) SeedAt(base, index uint64) {
-	_, h := splitmix64(base + (index+1)*0x9e3779b97f4a7c15)
-	r.Seed(h)
+	r.Seed(base + 4*(index+1)*gamma)
 }
 
 // At returns the index-th child generator of base; see SeedAt.
@@ -223,12 +234,13 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// splitmix64 advances the splitmix64 state and returns the new state and
-// the next output value.
-func splitmix64(state uint64) (next, out uint64) {
-	state += 0x9e3779b97f4a7c15
-	z := state
+// gamma is the splitmix64 increment γ: the generator's i-th output is
+// mix64(seed + i·γ).
+const gamma = 0x9e3779b97f4a7c15
+
+// mix64 is splitmix64's output function on one counter value.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return state, z ^ (z >> 31)
+	return z ^ (z >> 31)
 }

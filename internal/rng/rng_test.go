@@ -248,6 +248,29 @@ func TestAtDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
+// TestAtIndicesNameDistinctStreams: for the first 10⁵ indices at several
+// bases, every child stream starts with a distinct output, and none starts
+// as New(base) does.
+func TestAtIndicesNameDistinctStreams(t *testing.T) {
+	const n = 100000
+	for _, base := range []uint64{0, 1, 42, 0x9e3779b97f4a7c15, ^uint64(0)} {
+		root := New(base).Uint64()
+		seen := make(map[uint64]uint64, n)
+		var r RNG
+		for i := uint64(0); i < n; i++ {
+			r.SeedAt(base, i)
+			first := r.Uint64()
+			if first == root {
+				t.Fatalf("base %#x: At(base, %d) starts as New(base)", base, i)
+			}
+			if j, dup := seen[first]; dup {
+				t.Fatalf("base %#x: At(base, %d) and At(base, %d) share a first output", base, j, i)
+			}
+			seen[first] = i
+		}
+	}
+}
+
 func TestSeedAtMatchesAt(t *testing.T) {
 	var r RNG
 	r.SeedAt(11, 4)

@@ -1,10 +1,12 @@
-package simnet
+package simnet_test
 
 import (
 	"errors"
 	"testing"
 
 	"github.com/unifdist/unifdist/internal/graph"
+	"github.com/unifdist/unifdist/internal/simnet"
+	"github.com/unifdist/unifdist/internal/simnet/simnettest"
 )
 
 // These tests pin the retained reference engine's failure behaviour
@@ -15,15 +17,15 @@ import (
 
 func TestRunChannelBandwidthExceeded(t *testing.T) {
 	g := graph.NewLine(2)
-	mk := func() []Node { return []Node{&oversized{}, silent{}} }
-	cfg := Config{MaxBytesPerMessage: 16, Seed: 1}
+	mk := func() []simnet.Node { return []simnet.Node{&oversized{}, silent{}} }
+	cfg := simnet.Config{MaxBytesPerMessage: 16, Seed: 1}
 
-	stats, err := RunChannel(g, mk(), cfg)
-	if !errors.Is(err, ErrBandwidthExceeded) {
+	stats, err := simnettest.RunChannel(g, mk(), cfg)
+	if !errors.Is(err, simnet.ErrBandwidthExceeded) {
 		t.Fatalf("RunChannel err = %v, want ErrBandwidthExceeded", err)
 	}
-	flatStats, flatErr := Run(g, mk(), cfg)
-	if !errors.Is(flatErr, ErrBandwidthExceeded) {
+	flatStats, flatErr := simnet.Run(g, mk(), cfg)
+	if !errors.Is(flatErr, simnet.ErrBandwidthExceeded) {
 		t.Fatalf("flat engine err = %v, want ErrBandwidthExceeded", flatErr)
 	}
 	if err.Error() != flatErr.Error() {
@@ -37,24 +39,24 @@ func TestRunChannelBandwidthExceeded(t *testing.T) {
 func TestRunChannelMaxRounds(t *testing.T) {
 	const limit = 7
 	g := graph.NewRing(5)
-	mk := func() []Node {
-		nodes := make([]Node, g.N())
+	mk := func() []simnet.Node {
+		nodes := make([]simnet.Node, g.N())
 		for i := range nodes {
 			nodes[i] = forever{}
 		}
 		return nodes
 	}
-	cfg := Config{MaxRounds: limit, Seed: 1}
+	cfg := simnet.Config{MaxRounds: limit, Seed: 1}
 
-	stats, err := RunChannel(g, mk(), cfg)
-	if !errors.Is(err, ErrMaxRounds) {
+	stats, err := simnettest.RunChannel(g, mk(), cfg)
+	if !errors.Is(err, simnet.ErrMaxRounds) {
 		t.Fatalf("RunChannel err = %v, want ErrMaxRounds", err)
 	}
 	if stats.Rounds != limit {
 		t.Errorf("RunChannel ran %d rounds, want the full limit %d", stats.Rounds, limit)
 	}
-	flatStats, flatErr := Run(g, mk(), cfg)
-	if !errors.Is(flatErr, ErrMaxRounds) {
+	flatStats, flatErr := simnet.Run(g, mk(), cfg)
+	if !errors.Is(flatErr, simnet.ErrMaxRounds) {
 		t.Fatalf("flat engine err = %v, want ErrMaxRounds", flatErr)
 	}
 	if err.Error() != flatErr.Error() {
@@ -71,16 +73,16 @@ func TestRunChannelMaxRounds(t *testing.T) {
 func TestRunChannelBandwidthTracedStats(t *testing.T) {
 	g := graph.NewLine(2)
 	tr := &recordingTracer{}
-	_, err := RunChannel(g, []Node{&oversized{}, silent{}}, Config{MaxBytesPerMessage: 16, Seed: 1, Tracer: tr})
-	if !errors.Is(err, ErrBandwidthExceeded) {
+	_, err := simnettest.RunChannel(g, []simnet.Node{&oversized{}, silent{}}, simnet.Config{MaxBytesPerMessage: 16, Seed: 1, Tracer: tr})
+	if !errors.Is(err, simnet.ErrBandwidthExceeded) {
 		t.Fatalf("err = %v, want ErrBandwidthExceeded", err)
 	}
 	if len(tr.events) == 0 {
 		t.Fatal("tracer saw no events before the bandwidth violation")
 	}
 	flatTr := &recordingTracer{}
-	_, flatErr := Run(g, []Node{&oversized{}, silent{}}, Config{MaxBytesPerMessage: 16, Seed: 1, Tracer: flatTr})
-	if !errors.Is(flatErr, ErrBandwidthExceeded) {
+	_, flatErr := simnet.Run(g, []simnet.Node{&oversized{}, silent{}}, simnet.Config{MaxBytesPerMessage: 16, Seed: 1, Tracer: flatTr})
+	if !errors.Is(flatErr, simnet.ErrBandwidthExceeded) {
 		t.Fatalf("flat err = %v, want ErrBandwidthExceeded", flatErr)
 	}
 	if len(tr.events) != len(flatTr.events) {

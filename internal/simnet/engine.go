@@ -16,7 +16,7 @@ import (
 // and tracing happen serially in node-index order so the observable
 // behaviour — Stats, tracer event sequence, error, and every node's final
 // state — is byte-identical to the legacy goroutine-per-node engine
-// (RunChannel) at any worker count.
+// (simnettest.RunChannel, the test-only reference) at any worker count.
 //
 // Determinism argument. Three things could make a parallel round engine
 // schedule-dependent, and each is pinned:

@@ -1,9 +1,10 @@
-package simnet
+package simnet_test
 
 import (
 	"testing"
 
 	"github.com/unifdist/unifdist/internal/graph"
+	"github.com/unifdist/unifdist/internal/simnet"
 )
 
 // scripted is a fuzz-driven node program: its per-round behaviour (which
@@ -12,7 +13,7 @@ import (
 // so any divergence between the two engines — including on error paths —
 // is a pure engine bug.
 type scripted struct {
-	ctx      *Context
+	ctx      *simnet.Context
 	lifetime int
 	sendMask byte
 	badRound int // 1-based round to sin on; 0 = law-abiding
@@ -21,12 +22,12 @@ type scripted struct {
 	sum      uint64
 }
 
-func (s *scripted) Init(ctx *Context) {
+func (s *scripted) Init(ctx *simnet.Context) {
 	s.ctx = ctx
 	s.lifetime = 1 + int(ctx.RNG.Uint64n(5))
 }
 
-func (s *scripted) Round(in []PortMessage) ([]PortMessage, bool) {
+func (s *scripted) Round(in []simnet.PortMessage) ([]simnet.PortMessage, bool) {
 	for _, m := range in {
 		s.sum = s.sum*263 + uint64(m.Port) + 1
 		for _, b := range m.Payload {
@@ -37,24 +38,24 @@ func (s *scripted) Round(in []PortMessage) ([]PortMessage, bool) {
 	if s.rounds == s.badRound {
 		switch s.badKind % 3 {
 		case 0: // invalid port
-			return []PortMessage{{Port: s.ctx.Degree + 3, Payload: []byte{1}}}, false
+			return []simnet.PortMessage{{Port: s.ctx.Degree + 3, Payload: []byte{1}}}, false
 		case 1: // duplicate port
 			if s.ctx.Degree > 0 {
-				return []PortMessage{
+				return []simnet.PortMessage{
 					{Port: 0, Payload: []byte{1}},
 					{Port: 0, Payload: []byte{2}},
 				}, false
 			}
 		case 2: // oversized payload
 			if s.ctx.Degree > 0 {
-				return []PortMessage{{Port: 0, Payload: make([]byte, 64)}}, false
+				return []simnet.PortMessage{{Port: 0, Payload: make([]byte, 64)}}, false
 			}
 		}
 	}
 	if s.rounds > s.lifetime {
 		return nil, true
 	}
-	var out []PortMessage
+	var out []simnet.PortMessage
 	for p := 0; p < s.ctx.Degree; p++ {
 		draw := s.ctx.RNG.Uint64()
 		if s.sendMask&(1<<(uint(p)%8)) == 0 && draw%4 != 0 {
@@ -64,7 +65,7 @@ func (s *scripted) Round(in []PortMessage) ([]PortMessage, bool) {
 		for i := range payload {
 			payload[i] = byte(draw >> (7 * uint(i)))
 		}
-		out = append(out, PortMessage{Port: p, Payload: payload})
+		out = append(out, simnet.PortMessage{Port: p, Payload: payload})
 	}
 	return out, false
 }
@@ -101,14 +102,14 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nRaw uint8, seed uint64, edgeBits []byte, badRound, badKind uint8) {
 		n := 2 + int(nRaw%7) // 2..8 nodes
 		g := fuzzGraph(n, edgeBits)
-		mk := func() Node {
+		mk := func() simnet.Node {
 			return &scripted{
 				sendMask: byte(seed),
 				badRound: int(badRound % 8), // 0 disables
 				badKind:  badKind,
 			}
 		}
-		cfg := Config{MaxBytesPerMessage: 16, MaxRounds: 48, Seed: seed}
+		cfg := simnet.Config{MaxBytesPerMessage: 16, MaxRounds: 48, Seed: seed}
 		flat, legacy, ftr, ltr, ferr, lerr := runEngines(g, mk, cfg)
 		if (ferr == nil) != (lerr == nil) || (ferr != nil && ferr.Error() != lerr.Error()) {
 			t.Fatalf("errors differ: flat=%v legacy=%v", ferr, lerr)
@@ -127,13 +128,13 @@ func FuzzEngineEquivalence(f *testing.F) {
 		// Worker-count invariance of the flat engine on the same script.
 		for _, workers := range []int{2, 5} {
 			tr := &recordingTracer{}
-			nodes := make([]Node, g.N())
+			nodes := make([]simnet.Node, g.N())
 			for i := range nodes {
 				nodes[i] = mk()
 			}
 			wcfg := cfg
 			wcfg.Tracer, wcfg.Workers = tr, workers
-			stats, err := Run(g, nodes, wcfg)
+			stats, err := simnet.Run(g, nodes, wcfg)
 			if (err == nil) != (ferr == nil) || (err != nil && err.Error() != ferr.Error()) {
 				t.Fatalf("workers=%d error %v, want %v", workers, err, ferr)
 			}

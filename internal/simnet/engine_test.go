@@ -1,4 +1,4 @@
-package simnet
+package simnet_test
 
 import (
 	"bytes"
@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"github.com/unifdist/unifdist/internal/graph"
+	"github.com/unifdist/unifdist/internal/simnet"
+	"github.com/unifdist/unifdist/internal/simnet/simnettest"
 )
 
 // recordingTracer captures the full event stream as comparable strings, so
@@ -27,7 +29,7 @@ func (r *recordingTracer) OnHalt(round, node int) {
 	r.events = append(r.events, fmt.Sprintf("halt r=%d node=%d", round, node))
 }
 
-func (r *recordingTracer) OnRunEnd(stats Stats) {
+func (r *recordingTracer) OnRunEnd(stats simnet.Stats) {
 	r.events = append(r.events, fmt.Sprintf("end rounds=%d msgs=%d bytes=%d max=%d",
 		stats.Rounds, stats.Messages, stats.Bytes, stats.MaxMessageBytes))
 }
@@ -38,19 +40,19 @@ func (r *recordingTracer) OnRunEnd(stats Stats) {
 // of rounds. Its behaviour is a pure function of the Context, so two
 // engines seeding node RNGs identically must produce identical executions.
 type chatter struct {
-	ctx      *Context
+	ctx      *simnet.Context
 	lifetime int
 	rounds   int
 	received int
 	checksum uint64
 }
 
-func (c *chatter) Init(ctx *Context) {
+func (c *chatter) Init(ctx *simnet.Context) {
 	c.ctx = ctx
 	c.lifetime = 1 + int(ctx.RNG.Uint64n(6))
 }
 
-func (c *chatter) Round(in []PortMessage) ([]PortMessage, bool) {
+func (c *chatter) Round(in []simnet.PortMessage) ([]simnet.PortMessage, bool) {
 	for _, m := range in {
 		c.received++
 		for _, b := range m.Payload {
@@ -61,7 +63,7 @@ func (c *chatter) Round(in []PortMessage) ([]PortMessage, bool) {
 	if c.rounds > c.lifetime {
 		return nil, true
 	}
-	var out []PortMessage
+	var out []simnet.PortMessage
 	for p := 0; p < c.ctx.Degree; p++ {
 		draw := c.ctx.RNG.Uint64()
 		if draw%3 == 0 {
@@ -71,7 +73,7 @@ func (c *chatter) Round(in []PortMessage) ([]PortMessage, bool) {
 		for i := range payload {
 			payload[i] = byte(draw >> (8 * uint(i%8)))
 		}
-		out = append(out, PortMessage{Port: p, Payload: payload})
+		out = append(out, simnet.PortMessage{Port: p, Payload: payload})
 	}
 	return out, false
 }
@@ -91,9 +93,9 @@ func diffTopologies() []*graph.Graph {
 
 // runEngines executes the same program on both engines (fresh node
 // instances each, same seed) and returns their stats, traces and errors.
-func runEngines(g *graph.Graph, mk func() Node, cfg Config) (flat, legacy Stats, flatTr, legacyTr *recordingTracer, flatErr, legacyErr error) {
-	build := func() []Node {
-		nodes := make([]Node, g.N())
+func runEngines(g *graph.Graph, mk func() simnet.Node, cfg simnet.Config) (flat, legacy simnet.Stats, flatTr, legacyTr *recordingTracer, flatErr, legacyErr error) {
+	build := func() []simnet.Node {
+		nodes := make([]simnet.Node, g.N())
 		for i := range nodes {
 			nodes[i] = mk()
 		}
@@ -102,12 +104,12 @@ func runEngines(g *graph.Graph, mk func() Node, cfg Config) (flat, legacy Stats,
 	flatTr, legacyTr = &recordingTracer{}, &recordingTracer{}
 	fcfg, lcfg := cfg, cfg
 	fcfg.Tracer, lcfg.Tracer = flatTr, legacyTr
-	flat, flatErr = Run(g, build(), fcfg)
-	legacy, legacyErr = RunChannel(g, build(), lcfg)
+	flat, flatErr = simnet.Run(g, build(), fcfg)
+	legacy, legacyErr = simnettest.RunChannel(g, build(), lcfg)
 	return
 }
 
-func compareRuns(t *testing.T, label string, flat, legacy Stats, flatTr, legacyTr *recordingTracer, flatErr, legacyErr error) {
+func compareRuns(t *testing.T, label string, flat, legacy simnet.Stats, flatTr, legacyTr *recordingTracer, flatErr, legacyErr error) {
 	t.Helper()
 	if (flatErr == nil) != (legacyErr == nil) ||
 		(flatErr != nil && flatErr.Error() != legacyErr.Error()) {
@@ -139,15 +141,15 @@ func TestEngineMatchesChannelRef(t *testing.T) {
 		}
 		programs := []struct {
 			name string
-			mk   func() Node
+			mk   func() simnet.Node
 		}{
-			{"flood", func() Node { return &floodMax{limit: d + 1} }},
-			{"chatter", func() Node { return &chatter{} }},
+			{"flood", func() simnet.Node { return &floodMax{limit: d + 1} }},
+			{"chatter", func() simnet.Node { return &chatter{} }},
 		}
 		for _, prog := range programs {
 			t.Run(g.Name()+"/"+prog.name, func(t *testing.T) {
 				for _, seed := range []uint64{1, 2, 42} {
-					cfg := Config{MaxBytesPerMessage: 16, Seed: seed}
+					cfg := simnet.Config{MaxBytesPerMessage: 16, Seed: seed}
 					flat, legacy, ftr, ltr, ferr, lerr := runEngines(g, prog.mk, cfg)
 					compareRuns(t, fmt.Sprintf("seed=%d", seed), flat, legacy, ftr, ltr, ferr, lerr)
 				}
@@ -162,13 +164,13 @@ func TestEngineMatchesChannelRef(t *testing.T) {
 func TestEngineMatchesChannelRefOnErrors(t *testing.T) {
 	cases := []struct {
 		name string
-		mk   func() Node
-		cfg  Config
+		mk   func() simnet.Node
+		cfg  simnet.Config
 	}{
-		{"invalid-port", func() Node { return badPort{} }, Config{Seed: 1}},
-		{"duplicate-port", func() Node { return doubleSend{} }, Config{Seed: 1}},
-		{"bandwidth", func() Node { return &oversized{} }, Config{MaxBytesPerMessage: 16, Seed: 1}},
-		{"max-rounds", func() Node { return forever{} }, Config{MaxRounds: 7, Seed: 1}},
+		{"invalid-port", func() simnet.Node { return badPort{} }, simnet.Config{Seed: 1}},
+		{"duplicate-port", func() simnet.Node { return doubleSend{} }, simnet.Config{Seed: 1}},
+		{"bandwidth", func() simnet.Node { return &oversized{} }, simnet.Config{MaxBytesPerMessage: 16, Seed: 1}},
+		{"max-rounds", func() simnet.Node { return forever{} }, simnet.Config{MaxRounds: 7, Seed: 1}},
 	}
 	g := graph.NewRing(6)
 	for _, tc := range cases {
@@ -188,14 +190,14 @@ func TestEngineWorkerCountInvariant(t *testing.T) {
 	for _, g := range diffTopologies() {
 		t.Run(g.Name(), func(t *testing.T) {
 			var want *recordingTracer
-			var wantStats Stats
+			var wantStats simnet.Stats
 			for _, workers := range []int{1, 2, 8} {
 				tr := &recordingTracer{}
-				nodes := make([]Node, g.N())
+				nodes := make([]simnet.Node, g.N())
 				for i := range nodes {
 					nodes[i] = &chatter{}
 				}
-				stats, err := Run(g, nodes, Config{MaxBytesPerMessage: 16, Seed: 9, Tracer: tr, Workers: workers})
+				stats, err := simnet.Run(g, nodes, simnet.Config{MaxBytesPerMessage: 16, Seed: 9, Tracer: tr, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -222,17 +224,17 @@ func TestEngineWorkerCountInvariant(t *testing.T) {
 // mutator sends a payload, then mutates its own buffer after the round —
 // the aliasing hazard the copy-on-deliver contract closes.
 type mutator struct {
-	ctx    *Context
+	ctx    *simnet.Context
 	buf    []byte
 	rounds int
 }
 
-func (m *mutator) Init(ctx *Context) { m.ctx = ctx; m.buf = []byte{0xAA, 0xBB} }
-func (m *mutator) Round(in []PortMessage) ([]PortMessage, bool) {
+func (m *mutator) Init(ctx *simnet.Context) { m.ctx = ctx; m.buf = []byte{0xAA, 0xBB} }
+func (m *mutator) Round(in []simnet.PortMessage) ([]simnet.PortMessage, bool) {
 	m.rounds++
 	switch m.rounds {
 	case 1:
-		return []PortMessage{{Port: 0, Payload: m.buf}}, false
+		return []simnet.PortMessage{{Port: 0, Payload: m.buf}}, false
 	case 2:
 		// The message is in flight/delivered; scribble over the buffer.
 		m.buf[0], m.buf[1] = 0xDE, 0xAD
@@ -247,8 +249,8 @@ type receiver struct {
 	got []byte
 }
 
-func (r *receiver) Init(*Context) {}
-func (r *receiver) Round(in []PortMessage) ([]PortMessage, bool) {
+func (r *receiver) Init(*simnet.Context) {}
+func (r *receiver) Round(in []simnet.PortMessage) ([]simnet.PortMessage, bool) {
 	for _, m := range in {
 		r.got = append(r.got, m.Payload...)
 		for i := range m.Payload {
@@ -264,7 +266,7 @@ func (r *receiver) Round(in []PortMessage) ([]PortMessage, bool) {
 func TestPayloadCopiedOnDeliver(t *testing.T) {
 	g := graph.NewLine(2)
 	rcv := &receiver{}
-	if _, err := Run(g, []Node{&mutator{}, rcv}, Config{Seed: 1}); err != nil {
+	if _, err := simnet.Run(g, []simnet.Node{&mutator{}, rcv}, simnet.Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rcv.got, []byte{0xAA, 0xBB}) {
@@ -272,73 +274,25 @@ func TestPayloadCopiedOnDeliver(t *testing.T) {
 	}
 }
 
-// TestTopologyCacheReusedAndValidated checks that repeated runs on one
-// graph reuse the compiled CSR tables, and that mutating the graph between
-// runs triggers recompilation instead of a stale simulation.
-func TestTopologyCacheReusedAndValidated(t *testing.T) {
-	g := graph.NewLine(4)
-	t1 := topologyFor(g)
-	if t2 := topologyFor(g); t2 != t1 {
-		t.Fatal("topology recompiled for an unchanged graph")
-	}
-	if err := g.AddEdge(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	t3 := topologyFor(g)
-	if t3 == t1 {
-		t.Fatal("stale topology served after the graph gained an edge")
-	}
-	if t3.degree(0) != 2 || t3.degree(3) != 2 {
-		t.Fatalf("recompiled topology wrong: deg(0)=%d deg(3)=%d", t3.degree(0), t3.degree(3))
-	}
-}
-
-// TestCompileTopologyRoundTrip checks the CSR tables against the graph's
-// own adjacency: dst matches the neighbor lists and revPort inverts them.
-func TestCompileTopologyRoundTrip(t *testing.T) {
-	for _, g := range diffTopologies() {
-		tp := compileTopology(g)
-		if tp.edges() != 2*g.NumEdges() {
-			t.Fatalf("%s: %d directed edges, want %d", g.Name(), tp.edges(), 2*g.NumEdges())
-		}
-		for v := 0; v < g.N(); v++ {
-			nb := g.Neighbors(v)
-			if tp.degree(v) != len(nb) {
-				t.Fatalf("%s: degree(%d) = %d, want %d", g.Name(), v, tp.degree(v), len(nb))
-			}
-			for p, u := range nb {
-				ei := tp.start[v] + int32(p)
-				if int(tp.dst[ei]) != u {
-					t.Fatalf("%s: dst(%d,%d) = %d, want %d", g.Name(), v, p, tp.dst[ei], u)
-				}
-				back := g.Neighbors(u)[tp.revPort[ei]]
-				if back != v {
-					t.Fatalf("%s: revPort(%d,%d) routes to %d, want %d", g.Name(), v, p, back, v)
-				}
-			}
-		}
-	}
-}
-
-func benchFlood(b *testing.B, run func(*graph.Graph, []Node, Config) (Stats, error)) {
+func benchFlood(b *testing.B, run func(*graph.Graph, []simnet.Node, simnet.Config) (simnet.Stats, error)) {
 	g := graph.NewRing(100)
 	d := g.Diameter()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nodes := make([]Node, g.N())
+		nodes := make([]simnet.Node, g.N())
 		for j := range nodes {
 			nodes[j] = &floodMax{limit: d + 1}
 		}
-		if _, err := run(g, nodes, Config{MaxBytesPerMessage: 16, Seed: 1}); err != nil {
+		if _, err := run(g, nodes, simnet.Config{MaxBytesPerMessage: 16, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkRunFlat measures the flat engine on the flood ring.
-func BenchmarkRunFlat(b *testing.B) { benchFlood(b, Run) }
+func BenchmarkRunFlat(b *testing.B) { benchFlood(b, simnet.Run) }
 
 // BenchmarkRunChannelRef is the retained legacy engine on the same
 // workload — the before/after anchor for the flat-engine rewrite.
-func BenchmarkRunChannelRef(b *testing.B) { benchFlood(b, RunChannel) }
+func BenchmarkRunChannelRef(b *testing.B) { benchFlood(b, simnettest.RunChannel) }

@@ -10,8 +10,8 @@
 // node programs in chunks while all routing and tracing stay serial in
 // node-index order — so Stats, tracer event streams and node states are
 // byte-identical at any Config.Workers value. The legacy goroutine-per-node
-// coordinator is retained as RunChannel for differential testing and
-// benchmarking.
+// coordinator lives on as simnettest.RunChannel, the reference the engine
+// is differentially tested and benchmarked against.
 //
 // The CONGEST bandwidth restriction is enforced by Config.MaxBytesPerMessage
 // (a message of B bits per edge per round; 0 disables the limit, giving the
@@ -21,8 +21,6 @@ package simnet
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 
 	"github.com/unifdist/unifdist/internal/graph"
 	"github.com/unifdist/unifdist/internal/rng"
@@ -87,7 +85,8 @@ type Config struct {
 	Tracer Tracer
 	// Workers bounds the flat engine's node-execution pool; 0 means
 	// GOMAXPROCS. Stats, tracer streams and node states are byte-identical
-	// at any value. RunChannel ignores it (one goroutine per node).
+	// at any value. simnettest.RunChannel ignores it (one goroutine per
+	// node).
 	Workers int
 }
 
@@ -111,162 +110,7 @@ type Stats struct {
 //
 // Run uses the flat round engine (engine.go): deterministic at any
 // Config.Workers value, with Stats, tracer event streams and node states
-// byte-identical to the legacy RunChannel engine.
+// byte-identical to the legacy simnettest.RunChannel engine.
 func Run(g *graph.Graph, nodes []Node, cfg Config) (Stats, error) {
 	return runFlat(g, nodes, cfg)
-}
-
-// RunChannel is the legacy goroutine-per-node engine: every node runs in
-// its own goroutine and a coordinator exchanges inbox/outbox pairs over
-// channels each round. It is retained as the differential-testing reference
-// for the flat engine and as the BenchmarkRunChannelRef baseline; new code
-// should call Run. Unlike Run, delivered payloads alias the sender's
-// slices, and Config.Workers is ignored.
-func RunChannel(g *graph.Graph, nodes []Node, cfg Config) (Stats, error) {
-	k := g.N()
-	if len(nodes) != k {
-		return Stats{}, fmt.Errorf("simnet: %d nodes for %d vertices", len(nodes), k)
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 10*k + 1000
-	}
-
-	root := rng.New(cfg.Seed)
-	workers := make([]*worker, k)
-	for v := 0; v < k; v++ {
-		w := &worker{
-			node:  nodes[v],
-			in:    make(chan []PortMessage, 1),
-			out:   make(chan roundResult, 1),
-			index: v,
-		}
-		ctx := &Context{
-			ID:       v,
-			Degree:   g.Degree(v),
-			NumNodes: k,
-			RNG:      root.Split(),
-		}
-		nodes[v].Init(ctx)
-		workers[v] = w
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(k)
-	for _, w := range workers {
-		go func(w *worker) {
-			defer wg.Done()
-			w.loop()
-		}(w)
-	}
-	defer func() {
-		for _, w := range workers {
-			close(w.in)
-		}
-		wg.Wait()
-	}()
-
-	// Precompute reverse port lookup: ports[v][u] is u's port index at v.
-	ports := make([]map[int]int, k)
-	for v := 0; v < k; v++ {
-		nb := g.Neighbors(v)
-		ports[v] = make(map[int]int, len(nb))
-		for i, u := range nb {
-			ports[v][u] = i
-		}
-	}
-
-	var stats Stats
-	inboxes := make([][]PortMessage, k)
-	active := make([]bool, k)
-	remaining := k
-	for v := range active {
-		active[v] = true
-	}
-
-	for stats.Rounds < maxRounds && remaining > 0 {
-		stats.Rounds++
-		if cfg.Tracer != nil {
-			cfg.Tracer.OnRoundStart(stats.Rounds, remaining)
-		}
-		// Dispatch inboxes to active nodes.
-		for v, w := range workers {
-			if !active[v] {
-				continue
-			}
-			w.in <- inboxes[v]
-			inboxes[v] = nil
-		}
-		// Collect outboxes and route.
-		for v, w := range workers {
-			if !active[v] {
-				continue
-			}
-			res := <-w.out
-			if res.done {
-				active[v] = false
-				remaining--
-				if cfg.Tracer != nil {
-					cfg.Tracer.OnHalt(stats.Rounds, v)
-				}
-			}
-			seen := make(map[int]bool, len(res.out))
-			for _, m := range res.out {
-				if m.Port < 0 || m.Port >= g.Degree(v) {
-					return stats, fmt.Errorf("simnet: node %d sent on invalid port %d", v, m.Port)
-				}
-				if seen[m.Port] {
-					return stats, fmt.Errorf("simnet: node %d sent twice on port %d in one round", v, m.Port)
-				}
-				seen[m.Port] = true
-				if cfg.MaxBytesPerMessage > 0 && len(m.Payload) > cfg.MaxBytesPerMessage {
-					return stats, fmt.Errorf("%w: node %d sent %d bytes (limit %d)",
-						ErrBandwidthExceeded, v, len(m.Payload), cfg.MaxBytesPerMessage)
-				}
-				dst := g.Neighbors(v)[m.Port]
-				if !active[dst] {
-					continue // delivered into the void: dst already halted
-				}
-				dstPort := ports[dst][v]
-				inboxes[dst] = append(inboxes[dst], PortMessage{Port: dstPort, Payload: m.Payload})
-				if cfg.Tracer != nil {
-					cfg.Tracer.OnMessage(stats.Rounds, v, dst, m.Payload)
-				}
-				stats.Messages++
-				stats.Bytes += int64(len(m.Payload))
-				if len(m.Payload) > stats.MaxMessageBytes {
-					stats.MaxMessageBytes = len(m.Payload)
-				}
-			}
-		}
-	}
-	if remaining > 0 {
-		return stats, fmt.Errorf("%w: %d nodes still active after %d rounds", ErrMaxRounds, remaining, stats.Rounds)
-	}
-	if o, ok := cfg.Tracer.(RunEndObserver); ok {
-		o.OnRunEnd(stats)
-	}
-	return stats, nil
-}
-
-type roundResult struct {
-	out  []PortMessage
-	done bool
-}
-
-type worker struct {
-	node  Node
-	in    chan []PortMessage
-	out   chan roundResult
-	index int
-}
-
-func (w *worker) loop() {
-	for in := range w.in {
-		out, done := w.node.Round(in)
-		w.out <- roundResult{out: out, done: done}
-		if done {
-			return
-		}
-	}
 }

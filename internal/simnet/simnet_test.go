@@ -1,4 +1,4 @@
-package simnet
+package simnet_test
 
 import (
 	"encoding/binary"
@@ -7,23 +7,24 @@ import (
 	"testing"
 
 	"github.com/unifdist/unifdist/internal/graph"
+	"github.com/unifdist/unifdist/internal/simnet"
 )
 
 // floodMax floods the maximum ID for a fixed number of rounds, then halts.
 // After g.Diameter() rounds every node must know the global maximum.
 type floodMax struct {
-	ctx    *Context
+	ctx    *simnet.Context
 	best   int
 	rounds int
 	limit  int
 }
 
-func (f *floodMax) Init(ctx *Context) {
+func (f *floodMax) Init(ctx *simnet.Context) {
 	f.ctx = ctx
 	f.best = ctx.ID
 }
 
-func (f *floodMax) Round(in []PortMessage) ([]PortMessage, bool) {
+func (f *floodMax) Round(in []simnet.PortMessage) ([]simnet.PortMessage, bool) {
 	for _, m := range in {
 		if v := int(binary.BigEndian.Uint64(m.Payload)); v > f.best {
 			f.best = v
@@ -35,9 +36,9 @@ func (f *floodMax) Round(in []PortMessage) ([]PortMessage, bool) {
 	}
 	payload := make([]byte, 8)
 	binary.BigEndian.PutUint64(payload, uint64(f.best))
-	out := make([]PortMessage, f.ctx.Degree)
+	out := make([]simnet.PortMessage, f.ctx.Degree)
 	for p := 0; p < f.ctx.Degree; p++ {
-		out[p] = PortMessage{Port: p, Payload: payload}
+		out[p] = simnet.PortMessage{Port: p, Payload: payload}
 	}
 	return out, false
 }
@@ -53,13 +54,13 @@ func TestFloodMaxConverges(t *testing.T) {
 	for _, g := range topologies {
 		t.Run(g.Name(), func(t *testing.T) {
 			d := g.Diameter()
-			nodes := make([]Node, g.N())
+			nodes := make([]simnet.Node, g.N())
 			impls := make([]*floodMax, g.N())
 			for i := range nodes {
 				impls[i] = &floodMax{limit: d + 1}
 				nodes[i] = impls[i]
 			}
-			stats, err := Run(g, nodes, Config{MaxBytesPerMessage: 16, Seed: 1})
+			stats, err := simnet.Run(g, nodes, simnet.Config{MaxBytesPerMessage: 16, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,31 +83,31 @@ func TestFloodMaxConverges(t *testing.T) {
 // silent halts immediately without sending.
 type silent struct{}
 
-func (silent) Init(*Context)                             {}
-func (silent) Round([]PortMessage) ([]PortMessage, bool) { return nil, true }
+func (silent) Init(*simnet.Context)                                    {}
+func (silent) Round([]simnet.PortMessage) ([]simnet.PortMessage, bool) { return nil, true }
 
 // oversized sends a payload larger than any CONGEST limit.
-type oversized struct{ ctx *Context }
+type oversized struct{ ctx *simnet.Context }
 
-func (o *oversized) Init(ctx *Context) { o.ctx = ctx }
-func (o *oversized) Round([]PortMessage) ([]PortMessage, bool) {
+func (o *oversized) Init(ctx *simnet.Context) { o.ctx = ctx }
+func (o *oversized) Round([]simnet.PortMessage) ([]simnet.PortMessage, bool) {
 	if o.ctx.Degree == 0 {
 		return nil, true
 	}
-	return []PortMessage{{Port: 0, Payload: make([]byte, 1024)}}, true
+	return []simnet.PortMessage{{Port: 0, Payload: make([]byte, 1024)}}, true
 }
 
 func TestBandwidthEnforced(t *testing.T) {
 	g := graph.NewLine(2)
-	_, err := Run(g, []Node{&oversized{}, silent{}}, Config{MaxBytesPerMessage: 16, Seed: 1})
-	if !errors.Is(err, ErrBandwidthExceeded) {
+	_, err := simnet.Run(g, []simnet.Node{&oversized{}, silent{}}, simnet.Config{MaxBytesPerMessage: 16, Seed: 1})
+	if !errors.Is(err, simnet.ErrBandwidthExceeded) {
 		t.Fatalf("err = %v, want ErrBandwidthExceeded", err)
 	}
 }
 
 func TestBandwidthUnlimitedInLOCAL(t *testing.T) {
 	g := graph.NewLine(2)
-	_, err := Run(g, []Node{&oversized{}, silent{}}, Config{Seed: 1})
+	_, err := simnet.Run(g, []simnet.Node{&oversized{}, silent{}}, simnet.Config{Seed: 1})
 	if err != nil {
 		t.Fatalf("LOCAL model rejected big message: %v", err)
 	}
@@ -115,14 +116,14 @@ func TestBandwidthUnlimitedInLOCAL(t *testing.T) {
 // badPort sends on a port it does not have.
 type badPort struct{}
 
-func (badPort) Init(*Context) {}
-func (badPort) Round([]PortMessage) ([]PortMessage, bool) {
-	return []PortMessage{{Port: 5, Payload: []byte{1}}}, true
+func (badPort) Init(*simnet.Context) {}
+func (badPort) Round([]simnet.PortMessage) ([]simnet.PortMessage, bool) {
+	return []simnet.PortMessage{{Port: 5, Payload: []byte{1}}}, true
 }
 
 func TestInvalidPortRejected(t *testing.T) {
 	g := graph.NewLine(2)
-	_, err := Run(g, []Node{badPort{}, silent{}}, Config{Seed: 1})
+	_, err := simnet.Run(g, []simnet.Node{badPort{}, silent{}}, simnet.Config{Seed: 1})
 	if err == nil || !strings.Contains(err.Error(), "invalid port") {
 		t.Fatalf("err = %v, want invalid port", err)
 	}
@@ -131,9 +132,9 @@ func TestInvalidPortRejected(t *testing.T) {
 // doubleSend sends twice on port 0 in one round.
 type doubleSend struct{}
 
-func (doubleSend) Init(*Context) {}
-func (doubleSend) Round([]PortMessage) ([]PortMessage, bool) {
-	return []PortMessage{
+func (doubleSend) Init(*simnet.Context) {}
+func (doubleSend) Round([]simnet.PortMessage) ([]simnet.PortMessage, bool) {
+	return []simnet.PortMessage{
 		{Port: 0, Payload: []byte{1}},
 		{Port: 0, Payload: []byte{2}},
 	}, true
@@ -141,7 +142,7 @@ func (doubleSend) Round([]PortMessage) ([]PortMessage, bool) {
 
 func TestDuplicatePortRejected(t *testing.T) {
 	g := graph.NewLine(2)
-	_, err := Run(g, []Node{doubleSend{}, silent{}}, Config{Seed: 1})
+	_, err := simnet.Run(g, []simnet.Node{doubleSend{}, silent{}}, simnet.Config{Seed: 1})
 	if err == nil || !strings.Contains(err.Error(), "twice on port") {
 		t.Fatalf("err = %v, want duplicate-port error", err)
 	}
@@ -150,41 +151,41 @@ func TestDuplicatePortRejected(t *testing.T) {
 // forever never halts.
 type forever struct{}
 
-func (forever) Init(*Context)                             {}
-func (forever) Round([]PortMessage) ([]PortMessage, bool) { return nil, false }
+func (forever) Init(*simnet.Context)                                    {}
+func (forever) Round([]simnet.PortMessage) ([]simnet.PortMessage, bool) { return nil, false }
 
 func TestMaxRoundsAborts(t *testing.T) {
 	g := graph.NewLine(3)
-	_, err := Run(g, []Node{forever{}, forever{}, forever{}}, Config{MaxRounds: 10, Seed: 1})
-	if !errors.Is(err, ErrMaxRounds) {
+	_, err := simnet.Run(g, []simnet.Node{forever{}, forever{}, forever{}}, simnet.Config{MaxRounds: 10, Seed: 1})
+	if !errors.Is(err, simnet.ErrMaxRounds) {
 		t.Fatalf("err = %v, want ErrMaxRounds", err)
 	}
 }
 
 func TestNodeCountMismatch(t *testing.T) {
 	g := graph.NewLine(3)
-	if _, err := Run(g, []Node{silent{}}, Config{Seed: 1}); err == nil {
+	if _, err := simnet.Run(g, []simnet.Node{silent{}}, simnet.Config{Seed: 1}); err == nil {
 		t.Fatal("node/vertex mismatch accepted")
 	}
 }
 
 // pingPong node 0 sends one ping; node 1 replies; both count messages.
 type pingPong struct {
-	ctx      *Context
+	ctx      *simnet.Context
 	received int
 	starter  bool
 	rounds   int
 }
 
-func (p *pingPong) Init(ctx *Context) { p.ctx = ctx }
-func (p *pingPong) Round(in []PortMessage) ([]PortMessage, bool) {
+func (p *pingPong) Init(ctx *simnet.Context) { p.ctx = ctx }
+func (p *pingPong) Round(in []simnet.PortMessage) ([]simnet.PortMessage, bool) {
 	p.received += len(in)
 	p.rounds++
 	switch {
 	case p.starter && p.rounds == 1:
-		return []PortMessage{{Port: 0, Payload: []byte("ping")}}, false
+		return []simnet.PortMessage{{Port: 0, Payload: []byte("ping")}}, false
 	case !p.starter && p.received > 0:
-		return []PortMessage{{Port: 0, Payload: []byte("pong")}}, true
+		return []simnet.PortMessage{{Port: 0, Payload: []byte("pong")}}, true
 	case p.starter && p.received > 0:
 		return nil, true
 	}
@@ -195,7 +196,7 @@ func TestMessageAccounting(t *testing.T) {
 	g := graph.NewLine(2)
 	a := &pingPong{starter: true}
 	b := &pingPong{}
-	stats, err := Run(g, []Node{a, b}, Config{MaxBytesPerMessage: 16, Seed: 1})
+	stats, err := simnet.Run(g, []simnet.Node{a, b}, simnet.Config{MaxBytesPerMessage: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,21 +216,21 @@ type rngProbe struct {
 	draw uint64
 }
 
-func (r *rngProbe) Init(ctx *Context) { r.draw = ctx.RNG.Uint64() }
-func (r *rngProbe) Round([]PortMessage) ([]PortMessage, bool) {
+func (r *rngProbe) Init(ctx *simnet.Context) { r.draw = ctx.RNG.Uint64() }
+func (r *rngProbe) Round([]simnet.PortMessage) ([]simnet.PortMessage, bool) {
 	return nil, true
 }
 
 func TestPrivateRNGsDeterministicAndDistinct(t *testing.T) {
 	run := func() []uint64 {
 		g := graph.NewRing(5)
-		nodes := make([]Node, 5)
+		nodes := make([]simnet.Node, 5)
 		probes := make([]*rngProbe, 5)
 		for i := range nodes {
 			probes[i] = &rngProbe{}
 			nodes[i] = probes[i]
 		}
-		if _, err := Run(g, nodes, Config{Seed: 42}); err != nil {
+		if _, err := simnet.Run(g, nodes, simnet.Config{Seed: 42}); err != nil {
 			t.Fatal(err)
 		}
 		out := make([]uint64, 5)
@@ -256,7 +257,7 @@ func TestMessagesToHaltedNodesDropped(t *testing.T) {
 	// silently dropped and the run still terminates.
 	g := graph.NewLine(2)
 	sender := &lateSender{}
-	stats, err := Run(g, []Node{sender, silent{}}, Config{Seed: 1})
+	stats, err := simnet.Run(g, []simnet.Node{sender, silent{}}, simnet.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,11 +268,11 @@ func TestMessagesToHaltedNodesDropped(t *testing.T) {
 
 type lateSender struct{ rounds int }
 
-func (l *lateSender) Init(*Context) {}
-func (l *lateSender) Round([]PortMessage) ([]PortMessage, bool) {
+func (l *lateSender) Init(*simnet.Context) {}
+func (l *lateSender) Round([]simnet.PortMessage) ([]simnet.PortMessage, bool) {
 	l.rounds++
 	if l.rounds == 2 {
-		return []PortMessage{{Port: 0, Payload: []byte{9}}}, true
+		return []simnet.PortMessage{{Port: 0, Payload: []byte{9}}}, true
 	}
 	return nil, l.rounds > 2
 }
@@ -280,11 +281,11 @@ func BenchmarkFloodRing(b *testing.B) {
 	g := graph.NewRing(100)
 	d := g.Diameter()
 	for i := 0; i < b.N; i++ {
-		nodes := make([]Node, g.N())
+		nodes := make([]simnet.Node, g.N())
 		for j := range nodes {
 			nodes[j] = &floodMax{limit: d + 1}
 		}
-		if _, err := Run(g, nodes, Config{MaxBytesPerMessage: 16, Seed: 1}); err != nil {
+		if _, err := simnet.Run(g, nodes, simnet.Config{MaxBytesPerMessage: 16, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

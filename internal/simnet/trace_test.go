@@ -1,4 +1,4 @@
-package simnet
+package simnet_test
 
 import (
 	"bytes"
@@ -8,14 +8,15 @@ import (
 
 	"github.com/unifdist/unifdist/internal/graph"
 	"github.com/unifdist/unifdist/internal/obs"
+	"github.com/unifdist/unifdist/internal/simnet"
 )
 
 func TestSummaryTracerCollects(t *testing.T) {
 	g := graph.NewLine(2)
 	a := &pingPong{starter: true}
 	b := &pingPong{}
-	tracer := &SummaryTracer{}
-	stats, err := Run(g, []Node{a, b}, Config{Seed: 1, Tracer: tracer})
+	tracer := &simnet.SummaryTracer{}
+	stats, err := simnet.Run(g, []simnet.Node{a, b}, simnet.Config{Seed: 1, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +46,12 @@ func TestSummaryTracerCollects(t *testing.T) {
 
 func TestSummaryTracerDump(t *testing.T) {
 	g := graph.NewRing(6)
-	nodes := make([]Node, 6)
+	nodes := make([]simnet.Node, 6)
 	for i := range nodes {
 		nodes[i] = &floodMax{limit: 4}
 	}
-	tracer := &SummaryTracer{}
-	if _, err := Run(g, nodes, Config{Seed: 2, Tracer: tracer}); err != nil {
+	tracer := &simnet.SummaryTracer{}
+	if _, err := simnet.Run(g, nodes, simnet.Config{Seed: 2, Tracer: tracer}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -67,7 +68,7 @@ func TestSummaryTracerDump(t *testing.T) {
 }
 
 func TestTracerRoundsReturnsCopy(t *testing.T) {
-	tracer := &SummaryTracer{}
+	tracer := &simnet.SummaryTracer{}
 	tracer.OnRoundStart(1, 5)
 	tracer.OnMessage(1, 0, 1, []byte{1, 2})
 	rounds := tracer.Rounds()
@@ -79,13 +80,13 @@ func TestTracerRoundsReturnsCopy(t *testing.T) {
 
 func TestNilTracerIsFine(t *testing.T) {
 	g := graph.NewLine(2)
-	if _, err := Run(g, []Node{silent{}, silent{}}, Config{Seed: 1}); err != nil {
+	if _, err := simnet.Run(g, []simnet.Node{silent{}, silent{}}, simnet.Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSummaryTracerUnseenRoundIsImplicit(t *testing.T) {
-	tracer := &SummaryTracer{}
+	tracer := &simnet.SummaryTracer{}
 	// OnMessage/OnHalt with no prior OnRoundStart must create an explicit
 	// Implicit summary, not miscount under a bogus row.
 	tracer.OnMessage(3, 0, 1, []byte{1, 2, 3})
@@ -107,7 +108,7 @@ func TestSummaryTracerUnseenRoundIsImplicit(t *testing.T) {
 }
 
 func TestSummaryTracerOutOfOrderEvents(t *testing.T) {
-	tracer := &SummaryTracer{}
+	tracer := &simnet.SummaryTracer{}
 	tracer.OnRoundStart(1, 4)
 	tracer.OnRoundStart(2, 4)
 	// Event for round 1 arriving after round 2 started must update round 1,
@@ -129,8 +130,8 @@ func TestSummaryTracerOutOfOrderEvents(t *testing.T) {
 func TestMetricsTracerRecords(t *testing.T) {
 	g := graph.NewLine(2)
 	reg := obs.NewRegistry()
-	tracer := NewMetricsTracer(reg, 16)
-	stats, err := Run(g, []Node{&pingPong{starter: true}, &pingPong{}}, Config{
+	tracer := simnet.NewMetricsTracer(reg, 16)
+	stats, err := simnet.Run(g, []simnet.Node{&pingPong{starter: true}, &pingPong{}}, simnet.Config{
 		Seed: 1, Tracer: tracer, MaxBytesPerMessage: 16,
 	})
 	if err != nil {
@@ -163,13 +164,13 @@ func TestMetricsTracerRecords(t *testing.T) {
 
 func TestJSONLTracerEvents(t *testing.T) {
 	g := graph.NewRing(6)
-	nodes := make([]Node, 6)
+	nodes := make([]simnet.Node, 6)
 	for i := range nodes {
 		nodes[i] = &floodMax{limit: 4}
 	}
 	var buf bytes.Buffer
 	journal := obs.NewJournal(&buf)
-	stats, err := Run(g, nodes, Config{Seed: 2, Tracer: NewJSONLTracer(journal, "test", 16)})
+	stats, err := simnet.Run(g, nodes, simnet.Config{Seed: 2, Tracer: simnet.NewJSONLTracer(journal, "test", 16)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,15 +209,15 @@ func TestJSONLTracerEvents(t *testing.T) {
 }
 
 func TestMultiTracer(t *testing.T) {
-	summary := &SummaryTracer{}
+	summary := &simnet.SummaryTracer{}
 	reg := obs.NewRegistry()
-	metrics := NewMetricsTracer(reg, 0)
-	combined := MultiTracer(nil, summary, metrics)
+	metrics := simnet.NewMetricsTracer(reg, 0)
+	combined := simnet.MultiTracer(nil, summary, metrics)
 	if combined == nil {
 		t.Fatal("MultiTracer dropped live tracers")
 	}
 	g := graph.NewLine(2)
-	stats, err := Run(g, []Node{&pingPong{starter: true}, &pingPong{}}, Config{Seed: 3, Tracer: combined})
+	stats, err := simnet.Run(g, []simnet.Node{&pingPong{starter: true}, &pingPong{}}, simnet.Config{Seed: 3, Tracer: combined})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +231,10 @@ func TestMultiTracer(t *testing.T) {
 	if got := reg.Counter("simnet.messages").Value(); got != int64(stats.Messages) {
 		t.Errorf("metrics saw %d messages, stats %d", got, stats.Messages)
 	}
-	if MultiTracer(nil, nil) != nil {
+	if simnet.MultiTracer(nil, nil) != nil {
 		t.Error("MultiTracer of nils not nil")
 	}
-	if MultiTracer(summary) != Tracer(summary) {
+	if simnet.MultiTracer(summary) != simnet.Tracer(summary) {
 		t.Error("single-tracer MultiTracer not pass-through")
 	}
 }

@@ -1,13 +1,10 @@
 package smp
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"github.com/unifdist/unifdist/internal/ecc"
 	"github.com/unifdist/unifdist/internal/rng"
 	"github.com/unifdist/unifdist/internal/tester"
+	"github.com/unifdist/unifdist/internal/trialpool"
 )
 
 // This file holds the parallel trial estimators for the SMP protocols. The
@@ -15,101 +12,26 @@ import (
 // times on a fixed input pair, so the estimators here hoist everything that
 // does not depend on the trial's coins out of the loop — above all the ECC
 // encoding, which dominates a single protocol run — and fan the trials
-// across a worker pool.
+// across the shared trial pool (internal/trialpool).
 //
 // Every estimator is bit-for-bit deterministic in the caller's RNG at any
-// worker count: trial i's generator is reseeded by index (rng.SeedAt with a
-// base drawn once from r), workers claim chunks of trial indices from one
-// atomic counter and fold verdicts into per-worker partial sums, and the
-// total is a commutative sum. The sequential estimators draw from r
+// worker count: it draws one base from r, and trial i reseeds its worker's
+// generator as rng.SeedAt(base, i). The sequential estimators draw from r
 // directly, so the two families sample different (equally valid) trial
 // sets.
 
-// countParallel runs trials indexed 0…trials−1 across workers (0 means
-// GOMAXPROCS) and returns how many reported true. newWorker builds one
-// per-worker trial closure owning whatever scratch it needs; the closure
-// receives the trial index and a generator already reseeded for that index.
-// On error the failure of the lowest trial index wins.
-func countParallel(trials, workers int, base uint64, newWorker func() func(int, *rng.RNG) (bool, error)) (int, error) {
-	if trials <= 0 {
-		return 0, nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
-
-	runRange := func(lo, hi int, gen *rng.RNG, fn func(int, *rng.RNG) (bool, error)) (int, int, error) {
-		count := 0
-		for i := lo; i < hi; i++ {
+// countTrials runs trials on the shared pool and returns how many reported
+// true. newWorker builds one per-worker trial closure owning whatever
+// scratch it needs; the closure receives a generator already reseeded for
+// its trial from base.
+func countTrials(trials, workers int, base uint64, newWorker func() func(*rng.RNG) (bool, error)) (int, error) {
+	return trialpool.Count(trials, workers, func() func(int) (bool, error) {
+		gen, fn := rng.New(0), newWorker()
+		return func(i int) (bool, error) {
 			gen.SeedAt(base, uint64(i))
-			hit, err := fn(i, gen)
-			if err != nil {
-				return count, i, err
-			}
-			if hit {
-				count++
-			}
+			return fn(gen)
 		}
-		return count, -1, nil
-	}
-
-	if workers == 1 {
-		count, _, err := runRange(0, trials, rng.New(0), newWorker())
-		return count, err
-	}
-
-	chunk := trials / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	if chunk > 64 {
-		chunk = 64
-	}
-	var (
-		next, total atomic.Int64
-		wg          sync.WaitGroup
-		mu          sync.Mutex
-		firstIdx    = trials
-		firstErr    error
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			gen := rng.New(0)
-			fn := newWorker()
-			local := 0
-			for {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= trials {
-					break
-				}
-				hi := lo + chunk
-				if hi > trials {
-					hi = trials
-				}
-				count, idx, err := runRange(lo, hi, gen, fn)
-				local += count
-				if err != nil {
-					mu.Lock()
-					if idx < firstIdx {
-						firstIdx, firstErr = idx, err
-					}
-					mu.Unlock()
-					break
-				}
-			}
-			total.Add(int64(local))
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return int(total.Load()), nil
+	})
 }
 
 // encodePair encodes both players' inputs through one shared symbol
@@ -137,8 +59,8 @@ func (e *Equality) EstimateRejectProbParallel(x, y []byte, trials, workers int, 
 		return 0, err
 	}
 	base := r.Uint64()
-	rejects, err := countParallel(trials, workers, base, func() func(int, *rng.RNG) (bool, error) {
-		return func(_ int, gen *rng.RNG) (bool, error) {
+	rejects, err := countTrials(trials, workers, base, func() func(*rng.RNG) (bool, error) {
+		return func(gen *rng.RNG) (bool, error) {
 			return !e.runPrepared(cx, cy, gen), nil
 		}
 	})
@@ -182,10 +104,10 @@ func (s *SingleCellEquality) EstimateRejectProbParallel(x, y []byte, trials, wor
 		idx int
 		bit bool
 	}
-	rejects, err := countParallel(trials, workers, base, func() func(int, *rng.RNG) (bool, error) {
+	rejects, err := countTrials(trials, workers, base, func() func(*rng.RNG) (bool, error) {
 		alice := make([]probe, s.reps)
 		bob := make([]probe, s.reps)
-		return func(_ int, gen *rng.RNG) (bool, error) {
+		return func(gen *rng.RNG) (bool, error) {
 			for i := 0; i < s.reps; i++ {
 				ai := gen.Intn(m)
 				bi := gen.Intn(m)
@@ -220,7 +142,7 @@ func (e *EqualityFromTester) EstimateAcceptProbParallel(x, y []byte, trials, wor
 		return 0, err
 	}
 	base := r.Uint64()
-	accepts, err := countParallel(trials, workers, base, func() func(int, *rng.RNG) (bool, error) {
+	accepts, err := countTrials(trials, workers, base, func() func(*rng.RNG) (bool, error) {
 		var (
 			t       tester.Tester
 			samples []int
@@ -230,7 +152,7 @@ func (e *EqualityFromTester) EstimateAcceptProbParallel(x, y []byte, trials, wor
 		if initErr == nil {
 			samples = make([]int, t.SampleSize())
 		}
-		return func(_ int, gen *rng.RNG) (bool, error) {
+		return func(gen *rng.RNG) (bool, error) {
 			if initErr != nil {
 				return false, initErr
 			}

@@ -26,10 +26,9 @@ func benchEstimate(b *testing.B, reg *obs.Registry) {
 	}
 	nw.Obs = reg
 	d := dist.NewUniform(1 << 20)
-	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nw.EstimateErrorParallel(d, true, 25, r)
+		nw.EstimateErrorAt(d, true, 25, uint64(i))
 	}
 }
 
@@ -45,8 +44,8 @@ func BenchmarkEstimateTelemetryDisabled(b *testing.B) { benchEstimate(b, nil) }
 // histograms and counters with a live registry.
 func BenchmarkEstimateTelemetryEnabled(b *testing.B) { benchEstimate(b, obs.NewRegistry()) }
 
-// TestParallelTelemetryCounts verifies the instrumented parallel pool
-// records exactly one observation per trial.
+// TestParallelTelemetryCounts verifies the instrumented estimator records
+// exactly one observation per trial, on the pool and on one worker.
 func TestParallelTelemetryCounts(t *testing.T) {
 	cfg, err := SolveAND(1<<16, 100, 1.0, 1.0/3)
 	if err != nil {
@@ -59,8 +58,9 @@ func TestParallelTelemetryCounts(t *testing.T) {
 	reg := obs.NewRegistry()
 	nw.Obs = reg
 	const trials = 40
-	nw.EstimateErrorParallel(dist.NewUniform(1<<16), true, trials, rng.New(1))
-	nw.EstimateError(dist.NewUniform(1<<16), true, trials, rng.New(2))
+	nw.EstimateErrorAt(dist.NewUniform(1<<16), true, trials, 1)
+	nw.Workers = 1
+	nw.EstimateErrorAt(dist.NewUniform(1<<16), true, trials, 2)
 	s := reg.Snapshot()
 	if got := s.Counters["zeroround.trials"]; got != 2*trials {
 		t.Errorf("zeroround.trials = %d, want %d", got, 2*trials)
@@ -86,7 +86,7 @@ func TestParallelDeterminismWithTelemetry(t *testing.T) {
 			t.Fatal(err)
 		}
 		nw.Obs = reg
-		return nw.EstimateErrorParallel(dist.NewTwoBump(1<<16, 1, 7), false, 30, rng.New(42))
+		return nw.EstimateErrorAt(dist.NewTwoBump(1<<16, 1, 7), false, 30, rng.New(42).Uint64())
 	}
 	if a, b := build(nil), build(obs.NewRegistry()); a != b {
 		t.Errorf("telemetry changed the estimate: %g vs %g", a, b)

@@ -1,23 +1,24 @@
 package zeroround
 
 import (
+	"time"
+
 	"github.com/unifdist/unifdist/internal/dist"
+	"github.com/unifdist/unifdist/internal/obs"
 	"github.com/unifdist/unifdist/internal/rng"
 	"github.com/unifdist/unifdist/internal/tester"
+	"github.com/unifdist/unifdist/internal/trialpool"
 )
 
-// This file is the network's vote contract with the cluster runtime
-// (internal/cluster): an indexed randomness assignment that names every
-// (trial, node) sample stream independently of execution order.
-//
-// Run and RunWith draw all nodes' samples from one sequential stream, so
-// node i's samples depend on how many draws nodes 0…i−1 consumed — fine in
-// a single-threaded simulator, impossible to reproduce when k real machines
-// sample concurrently. VoteStream instead derives node i's generator for
-// trial t directly from (base, t, i), so a distributed execution — any
-// connection ordering, any scheduling, any retry — produces exactly the
-// votes of the in-process reference execution RunAt. The cluster's
-// differential tests pin this equivalence trial for trial.
+// This file is the network's one sampling contract: an indexed randomness
+// assignment that names every (trial, node) sample stream independently of
+// execution order. VoteStream derives node i's generator for trial t from
+// (base, t, i) alone, so any execution — the in-process RunAt, the parallel
+// EstimateErrorAt behind the paper tables, or k real machines over the
+// cluster runtime (internal/cluster), at any connection ordering, any
+// scheduling, any retry — produces exactly the same votes. The cluster's
+// differential tests pin this equivalence trial for trial, and a table cell
+// estimated at base b names the trials a cluster session at base b runs.
 
 // VoteStream seeds g as the private sample stream of node `node` in trial
 // `trial` of a k-node indexed execution with base seed base. Streams for
@@ -72,18 +73,64 @@ func (nw *Network) RunAt(d dist.Distribution, base, trial uint64, g *rng.RNG, sc
 	return nw.rule.Accept(rejects, len(nw.nodes)), rejects
 }
 
-// EstimateErrorAt is EstimateError over the indexed execution RunAt:
-// the fraction of trials [0, trials) whose verdict differs from
-// wantAccept. It consumes no generator state beyond the base it is given,
-// so it names the exact trial set a cluster run at the same base executes.
-func (nw *Network) EstimateErrorAt(d dist.Distribution, wantAccept bool, trials int, base uint64) float64 {
-	g := rng.New(0)
-	sc := nw.NewScratch()
-	wrong := 0
-	for t := 0; t < trials; t++ {
-		if accept, _ := nw.RunAt(d, base, uint64(t), g, sc); accept != wantAccept {
-			wrong++
+// verdictAt is RunAt restricted to the verdict: it polls the nodes in index
+// order and, when the rule is an EarlyDecider, stops as soon as the outcome
+// is fixed (the first rejection under AND, the T-th under threshold). The
+// votes it does take are RunAt's, so the verdict is RunAt's too.
+func (nw *Network) verdictAt(d dist.Distribution, base, trial uint64, g *rng.RNG, sc *Scratch) bool {
+	k := len(nw.nodes)
+	rejects := 0
+	for i := range nw.nodes {
+		if nw.VoteAt(d, base, trial, i, g, sc) {
+			rejects++
 		}
+		if nw.early != nil {
+			if accept, done := nw.early.Decided(rejects, k-i-1); done {
+				return accept
+			}
+		}
+	}
+	return nw.rule.Accept(rejects, k)
+}
+
+// EstimateErrorAt returns the fraction of indexed trials [0, trials) whose
+// RunAt verdict differs from wantAccept, or 0 when trials ≤ 0. It consumes
+// no generator state beyond the base it is given, so it names the exact
+// trial set a cluster session at the same base executes.
+//
+// Trials run on the shared pool (internal/trialpool) with nw.Workers
+// goroutines, each owning one generator and one Scratch, and stop polling
+// nodes once the rule's EarlyDecider fixes the verdict. Every trial's
+// verdict is a pure function of (base, trial), so the estimate is
+// bit-for-bit a full RunAt loop's at any worker count and GOMAXPROCS.
+//
+// When nw.Obs is attached, each trial's latency goes into the shared
+// zeroround.trial_ns histogram and the call adds to the zeroround.trials
+// and zeroround.wrong counters; the registry's metrics are atomic, so this
+// is safe across the pool.
+func (nw *Network) EstimateErrorAt(d dist.Distribution, wantAccept bool, trials int, base uint64) float64 {
+	if trials <= 0 {
+		return 0
+	}
+	var trialNS *obs.Histogram
+	if nw.Obs != nil {
+		trialNS = nw.Obs.Histogram("zeroround.trial_ns", obs.LatencyBuckets())
+	}
+	wrong, _ := trialpool.Count(trials, nw.Workers, func() func(int) (bool, error) {
+		g, sc := rng.New(0), nw.NewScratch()
+		return func(t int) (bool, error) {
+			if trialNS == nil {
+				return nw.verdictAt(d, base, uint64(t), g, sc) != wantAccept, nil
+			}
+			start := time.Now() //unifvet:allow wallclock per-trial latency histogram; verdicts don't read the clock
+			got := nw.verdictAt(d, base, uint64(t), g, sc)
+			trialNS.Observe(time.Since(start).Nanoseconds()) //unifvet:allow wallclock per-trial latency histogram; verdicts don't read the clock
+			return got != wantAccept, nil
+		}
+	})
+	if nw.Obs != nil {
+		nw.Obs.Counter("zeroround.trials").Add(int64(trials))
+		nw.Obs.Counter("zeroround.wrong").Add(int64(wrong))
 	}
 	return float64(wrong) / float64(trials)
 }

@@ -1,10 +1,13 @@
 package zeroround
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/unifdist/unifdist/internal/dist"
+	"github.com/unifdist/unifdist/internal/obs"
 	"github.com/unifdist/unifdist/internal/rng"
+	"github.com/unifdist/unifdist/internal/tester"
 )
 
 func buildThresholdNetwork(t *testing.T, n, k int) (*Network, ThresholdConfig) {
@@ -81,19 +84,129 @@ func TestVoteStreamIndependentOfCallOrder(t *testing.T) {
 	}
 }
 
-func TestEstimateErrorAtMatchesManualLoop(t *testing.T) {
-	nw, _ := buildThresholdNetwork(t, 4096, 120)
-	d := dist.NewUniform(4096)
-	const trials = 40
-	got := nw.EstimateErrorAt(d, true, trials, 13)
-	wrong := 0
-	for tr := 0; tr < trials; tr++ {
-		if accept, _ := nw.RunAt(d, 13, uint64(tr), nil, nil); !accept {
-			wrong++
+// estimateNetworks builds one small network per decision rule, both over
+// the same node tester, with thresholds that make uniform and far inputs
+// stop early at different nodes.
+func estimateNetworks(t *testing.T) []*Network {
+	t.Helper()
+	const n = 1 << 10
+	node, err := tester.NewSingleCollision(n, 0.2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]tester.Tester, 40)
+	for i := range nodes {
+		nodes[i] = node
+	}
+	var nws []*Network
+	for _, rule := range []Rule{ANDRule{}, ThresholdRule{T: 5}} {
+		nw, err := NewNetwork(nodes, rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nws = append(nws, nw)
+	}
+	return nws
+}
+
+func estimateInputs() []dist.Distribution {
+	return []dist.Distribution{dist.NewUniform(1 << 10), dist.NewTwoBump(1<<10, 1, 3)}
+}
+
+// TestVerdictAtMatchesRunAt replays every trial through the early-stopping
+// verdict path and the full-scan RunAt and demands identical verdicts under
+// both rules, on uniform and far inputs.
+func TestVerdictAtMatchesRunAt(t *testing.T) {
+	for _, nw := range estimateNetworks(t) {
+		g, sc := rng.New(0), nw.NewScratch()
+		for _, d := range estimateInputs() {
+			for trial := uint64(0); trial < 60; trial++ {
+				fast := nw.verdictAt(d, 9, trial, g, sc)
+				slow, _ := nw.RunAt(d, 9, trial, g, sc)
+				if fast != slow {
+					t.Fatalf("%s %s trial %d: verdictAt = %v, RunAt = %v", nw.Rule().Name(), d.Name(), trial, fast, slow)
+				}
+			}
 		}
 	}
-	if want := float64(wrong) / trials; got != want {
-		t.Fatalf("EstimateErrorAt = %v, manual loop = %v", got, want)
+}
+
+// TestEstimateErrorAtMatchesManualLoop: at every worker count, with
+// telemetry on and off, under both rules and on both inputs, the
+// early-stopping parallel estimate equals a full RunAt loop over the same
+// base bit for bit.
+func TestEstimateErrorAtMatchesManualLoop(t *testing.T) {
+	const trials, base = 53, 13
+	for _, nw := range estimateNetworks(t) {
+		for _, d := range estimateInputs() {
+			for _, wantAccept := range []bool{true, false} {
+				wrong := 0
+				for tr := 0; tr < trials; tr++ {
+					if accept, _ := nw.RunAt(d, base, uint64(tr), nil, nil); accept != wantAccept {
+						wrong++
+					}
+				}
+				want := float64(wrong) / trials
+				for _, workers := range []int{1, 2, 8} {
+					for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+						nw.Workers, nw.Obs = workers, reg
+						if got := nw.EstimateErrorAt(d, wantAccept, trials, base); got != want {
+							t.Fatalf("%s %s want=%v workers=%d obs=%v: EstimateErrorAt = %v, RunAt loop = %v",
+								nw.Rule().Name(), d.Name(), wantAccept, workers, reg != nil, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEstimateErrorParallelDeterministic: EstimateErrorAt's parallel pool
+// gives the same estimate on every call at the same base.
+func TestEstimateErrorParallelDeterministic(t *testing.T) {
+	nw, _ := buildThresholdNetwork(t, 1<<14, 2000)
+	u := dist.NewUniform(1 << 14)
+	if a, b := nw.EstimateErrorAt(u, true, 40, 5), nw.EstimateErrorAt(u, true, 40, 5); a != b {
+		t.Fatalf("parallel estimation not deterministic: %v vs %v", a, b)
+	}
+}
+
+// TestEstimateErrorParallelWorkerCountInvariant checks EstimateErrorAt's
+// core guarantee on a large network: the estimate is bit-for-bit
+// identical at every worker count, and at any GOMAXPROCS.
+func TestEstimateErrorParallelWorkerCountInvariant(t *testing.T) {
+	nw, _ := buildThresholdNetwork(t, 1<<14, 2000)
+	far := dist.NewTwoBump(1<<14, 1, 3)
+	want := -1.0
+	for _, workers := range []int{1, 2, 3, 8} {
+		nw.Workers = workers
+		got := nw.EstimateErrorAt(far, false, 37, 11)
+		if want < 0 {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Fatalf("workers=%d: estimate %v, want %v", workers, got, want)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		nw.Workers = 0 // default to GOMAXPROCS
+		if got := nw.EstimateErrorAt(far, false, 37, 11); got != want {
+			t.Fatalf("GOMAXPROCS=%d: estimate %v, want %v", procs, got, want)
+		}
+	}
+}
+
+// TestEstimateErrorParallelZeroTrials: EstimateErrorAt over no trials
+// estimates 0, not 0/0.
+func TestEstimateErrorParallelZeroTrials(t *testing.T) {
+	nw, _ := buildThresholdNetwork(t, 1<<12, 500)
+	for _, trials := range []int{0, -1} {
+		if got := nw.EstimateErrorAt(dist.NewUniform(1<<12), true, trials, 1); got != 0 {
+			t.Fatalf("%d trials returned %v", trials, got)
+		}
 	}
 }
 
@@ -154,5 +267,25 @@ func BenchmarkVoteAt(b *testing.B) {
 			}
 			benchRejects = rejects
 		})
+	}
+}
+
+// BenchmarkEstimateErrorAt times the estimator behind the 0-round paper
+// tables on a small threshold network (k = 200, n = 2¹²), 256 trials per
+// op at the default worker count.
+func BenchmarkEstimateErrorAt(b *testing.B) {
+	cfg, err := SolveThreshold(1<<12, 200, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nw, err := BuildThreshold(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := dist.NewUniform(1 << 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nw.EstimateErrorAt(d, true, 256, uint64(i))
 	}
 }

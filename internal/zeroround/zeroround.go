@@ -19,11 +19,9 @@ package zeroround
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"github.com/unifdist/unifdist/internal/dist"
 	"github.com/unifdist/unifdist/internal/obs"
-	"github.com/unifdist/unifdist/internal/rng"
 	"github.com/unifdist/unifdist/internal/stats"
 	"github.com/unifdist/unifdist/internal/tester"
 )
@@ -39,12 +37,12 @@ type Rule interface {
 }
 
 // EarlyDecider is an optional Rule refinement: rules whose verdict can
-// become fixed before every node has voted implement it, and the
-// Monte-Carlo estimators stop sampling the remaining nodes as soon as the
-// outcome is determined. The verdict is identical to a full scan — only
-// the work (and the per-trial randomness consumed) shrinks — so
-// estimators stay deterministic for a fixed seed. Run and RunWith never
-// short-circuit: their rejects count is part of the API.
+// become fixed before every node has voted implement it. EstimateErrorAt
+// stops polling a trial's nodes as soon as the outcome is determined, and
+// the cluster referee closes such trials early. Each node's vote is fixed
+// by (base, trial, node) alone, so the verdict is RunAt's; only the work
+// shrinks. RunAt itself always polls every node: its rejects count is part
+// of the API.
 type EarlyDecider interface {
 	// Decided reports whether the verdict is already fixed after observing
 	// rejects rejecting votes with remaining nodes still unpolled, and if
@@ -99,21 +97,20 @@ type Network struct {
 	nodes []tester.Tester
 	rule  Rule
 	// scratchNodes[i] is nodes[i] as a ScratchTester, or nil; resolved once
-	// at construction so Run pays no type assertion per node per trial.
+	// at construction so a vote pays no type assertion.
 	scratchNodes []tester.ScratchTester
 	// early is rule as an EarlyDecider, or nil; resolved once likewise.
 	early EarlyDecider
 	// maxSamples caches MaxSamplesPerNode.
 	maxSamples int
 
-	// Obs, when non-nil, receives per-trial telemetry from EstimateError
-	// and EstimateErrorParallel: the zeroround.trials counter,
-	// zeroround.wrong counter, and the zeroround.trial_ns latency
-	// histogram. Leave nil to disable (the cost is one pointer check per
-	// estimate call).
+	// Obs, when non-nil, receives per-trial telemetry from EstimateErrorAt:
+	// the zeroround.trials counter, zeroround.wrong counter, and the
+	// zeroround.trial_ns latency histogram. Leave nil to disable (the cost
+	// is one pointer check per estimate call).
 	Obs *obs.Registry
 
-	// Workers bounds the goroutines used by EstimateErrorParallel;
+	// Workers bounds the goroutines EstimateErrorAt runs its trials on;
 	// 0 means GOMAXPROCS. The estimate is bit-for-bit identical at any
 	// worker count.
 	Workers int
@@ -165,10 +162,10 @@ func (nw *Network) TotalSamples() int {
 // MaxSamplesPerNode returns the largest per-node sample count.
 func (nw *Network) MaxSamplesPerNode() int { return nw.maxSamples }
 
-// Scratch holds the reusable buffers of one Run execution: the sample
-// buffer and the collision-statistic scratch. One Scratch serves any number
-// of sequential Run calls on the same network; it is not safe for
-// concurrent use, so parallel estimators allocate one per worker.
+// Scratch holds the reusable buffers of the indexed execution: the sample
+// buffer and the collision-statistic scratch. One Scratch serves any
+// number of sequential VoteAt and RunAt calls on the same network; it is
+// not safe for concurrent use, so EstimateErrorAt allocates one per worker.
 type Scratch struct {
 	buf []int
 	col *dist.CollisionScratch
@@ -180,102 +177,6 @@ func (nw *Network) NewScratch() *Scratch {
 		buf: make([]int, nw.maxSamples),
 		col: dist.NewCollisionScratch(),
 	}
-}
-
-// Run draws fresh samples for every node from d and returns the network
-// verdict (true = accept) along with the number of rejecting nodes.
-//
-// Run allocates a sample buffer per call; Monte-Carlo loops should
-// allocate one Scratch via NewScratch and call RunWith instead.
-func (nw *Network) Run(d dist.Distribution, r *rng.RNG) (accept bool, rejects int) {
-	return nw.RunWith(d, r, nil)
-}
-
-// RunWith is Run using sc's reusable buffers (nil sc allocates). For every
-// node the sample block is drawn through the batch kernels and the verdict
-// computed against the shared collision scratch, so a warm Scratch makes a
-// trial allocation-free.
-func (nw *Network) RunWith(d dist.Distribution, r *rng.RNG, sc *Scratch) (accept bool, rejects int) {
-	var buf []int
-	var col *dist.CollisionScratch
-	if sc != nil {
-		buf, col = sc.buf, sc.col
-	} else {
-		buf = make([]int, nw.maxSamples)
-	}
-	for i, nd := range nw.nodes {
-		s := nd.SampleSize()
-		block := buf[:s]
-		dist.SampleInto(d, block, r)
-		var ok bool
-		if st := nw.scratchNodes[i]; st != nil {
-			ok = st.TestScratch(block, col)
-		} else {
-			ok = nd.Test(block)
-		}
-		if !ok {
-			rejects++
-		}
-	}
-	return nw.rule.Accept(rejects, len(nw.nodes)), rejects
-}
-
-// runVerdict is RunWith restricted to the verdict: when the rule is an
-// EarlyDecider it stops polling nodes as soon as the outcome is fixed
-// (e.g. the first rejection under AND, the T-th under threshold). The
-// Monte-Carlo estimators go through here; each trial's verdict is
-// unchanged, only its cost.
-func (nw *Network) runVerdict(d dist.Distribution, r *rng.RNG, sc *Scratch) bool {
-	buf, col := sc.buf, sc.col
-	k := len(nw.nodes)
-	rejects := 0
-	for i, nd := range nw.nodes {
-		block := buf[:nd.SampleSize()]
-		dist.SampleInto(d, block, r)
-		var ok bool
-		if st := nw.scratchNodes[i]; st != nil {
-			ok = st.TestScratch(block, col)
-		} else {
-			ok = nd.Test(block)
-		}
-		if !ok {
-			rejects++
-		}
-		if nw.early != nil {
-			if accept, done := nw.early.Decided(rejects, k-i-1); done {
-				return accept
-			}
-		}
-	}
-	return nw.rule.Accept(rejects, k)
-}
-
-// EstimateError runs trials independent executions on d and returns the
-// fraction that produced the wrong verdict, where wantAccept states the
-// correct verdict for d.
-func (nw *Network) EstimateError(d dist.Distribution, wantAccept bool, trials int, r *rng.RNG) float64 {
-	wrong := 0
-	sc := nw.NewScratch()
-	if nw.Obs == nil {
-		for i := 0; i < trials; i++ {
-			if nw.runVerdict(d, r, sc) != wantAccept {
-				wrong++
-			}
-		}
-		return float64(wrong) / float64(trials)
-	}
-	trialNS := nw.Obs.Histogram("zeroround.trial_ns", obs.LatencyBuckets())
-	for i := 0; i < trials; i++ {
-		start := time.Now() //unifvet:allow wallclock per-trial latency histogram; verdicts don't read the clock
-		got := nw.runVerdict(d, r, sc)
-		trialNS.Observe(time.Since(start).Nanoseconds()) //unifvet:allow wallclock per-trial latency histogram; verdicts don't read the clock
-		if got != wantAccept {
-			wrong++
-		}
-	}
-	nw.Obs.Counter("zeroround.trials").Add(int64(trials))
-	nw.Obs.Counter("zeroround.wrong").Add(int64(wrong))
-	return float64(wrong) / float64(trials)
 }
 
 // CP returns the gap constant C_p = ln(1/p) / ln(1/(1−p)) required of each

@@ -155,8 +155,8 @@ func TestBuildANDSeparation(t *testing.T) {
 	}
 	r := rng.New(7)
 	const trials = 150
-	errU := nw.EstimateError(dist.NewUniform(n), true, trials, r)
-	errFar := nw.EstimateError(dist.NewTwoBump(n, eps, 3), false, trials, r)
+	errU := nw.EstimateErrorAt(dist.NewUniform(n), true, trials, r.Uint64())
+	errFar := nw.EstimateErrorAt(dist.NewTwoBump(n, eps, 3), false, trials, r.Uint64())
 	// errU = Pr[some node rejects uniform]; errFar = Pr[no node rejects far].
 	// Separation: accepting far must be less likely than accepting uniform.
 	if 1-errU <= errFar {
@@ -230,8 +230,8 @@ func TestThresholdNetworkErrorBound(t *testing.T) {
 	}
 	r := rng.New(99)
 	const trials = 60
-	errU := nw.EstimateError(dist.NewUniform(n), true, trials, r)
-	errFar := nw.EstimateError(dist.NewTwoBump(n, eps, 5), false, trials, r)
+	errU := nw.EstimateErrorAt(dist.NewUniform(n), true, trials, r.Uint64())
+	errFar := nw.EstimateErrorAt(dist.NewTwoBump(n, eps, 5), false, trials, r.Uint64())
 	if errU > 1.0/3 {
 		t.Errorf("uniform error %v > 1/3", errU)
 	}
@@ -251,7 +251,7 @@ func TestRunReturnsRejectCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(3)
-	_, rejects := nw.Run(dist.NewUniform(n), r)
+	_, rejects := nw.RunAt(dist.NewUniform(n), r.Uint64(), 0, nil, nil)
 	if rejects < 0 || rejects > nw.K() {
 		t.Fatalf("rejects = %d out of range [0, %d]", rejects, nw.K())
 	}
@@ -356,8 +356,8 @@ func TestAsymmetricThresholdEndToEnd(t *testing.T) {
 	}
 	r := rng.New(17)
 	const trials = 40
-	errU := nw.EstimateError(dist.NewUniform(n), true, trials, r)
-	errFar := nw.EstimateError(dist.NewTwoBump(n, eps, 21), false, trials, r)
+	errU := nw.EstimateErrorAt(dist.NewUniform(n), true, trials, r.Uint64())
+	errFar := nw.EstimateErrorAt(dist.NewTwoBump(n, eps, 21), false, trials, r.Uint64())
 	if errU > 0.4 {
 		t.Errorf("uniform error %v too high", errU)
 	}
@@ -451,11 +451,13 @@ func TestBuildAsymmetricAND(t *testing.T) {
 		t.Fatalf("rule %T, want ANDRule", nw.Rule())
 	}
 	r := rng.New(5)
-	accept, _ := nw.Run(dist.NewUniform(n), r)
+	accept, _ := nw.RunAt(dist.NewUniform(n), r.Uint64(), 0, nil, nil)
 	_ = accept // smoke: must not panic
 }
 
-func BenchmarkThresholdNetworkRun(b *testing.B) {
+// BenchmarkThresholdNetworkRunAt times one full indexed trial (k = 1000
+// votes, no early stopping) with a reused generator and scratch.
+func BenchmarkThresholdNetworkRunAt(b *testing.B) {
 	n, k := 1<<16, 1000
 	cfg, err := SolveThreshold(n, k, 1)
 	if err != nil {
@@ -466,10 +468,10 @@ func BenchmarkThresholdNetworkRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	u := dist.NewUniform(n)
-	r := rng.New(1)
+	g, sc := rng.New(0), nw.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = nw.Run(u, r)
+		_, _ = nw.RunAt(u, 1, uint64(i), g, sc)
 	}
 }
 
@@ -500,37 +502,6 @@ func TestEarlyDeciderMatchesAccept(t *testing.T) {
 						t.Errorf("%s: Decided(%d, %d) = %v but Accept(%d) = %v",
 							rule.Name(), rejects, remaining, accept, rejects+extra, got)
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestRunVerdictMatchesRunWith replays identical per-trial streams through
-// the short-circuiting verdict path and the full-scan RunWith and demands
-// identical verdicts under both rules.
-func TestRunVerdictMatchesRunWith(t *testing.T) {
-	const n = 1 << 10
-	node, err := tester.NewSingleCollision(n, 0.2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]tester.Tester, 40)
-	for i := range nodes {
-		nodes[i] = node
-	}
-	for _, rule := range []Rule{ANDRule{}, ThresholdRule{T: 5}} {
-		nw, err := NewNetwork(nodes, rule)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := nw.NewScratch()
-		for _, d := range []dist.Distribution{dist.NewUniform(n), dist.NewTwoBump(n, 1, 3)} {
-			for trial := 0; trial < 60; trial++ {
-				fast := nw.runVerdict(d, rng.At(9, uint64(trial)), sc)
-				slow, _ := nw.RunWith(d, rng.At(9, uint64(trial)), sc)
-				if fast != slow {
-					t.Fatalf("%s trial %d: runVerdict = %v, RunWith = %v", rule.Name(), trial, fast, slow)
 				}
 			}
 		}

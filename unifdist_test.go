@@ -23,7 +23,7 @@ func TestFacadeThresholdEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := unifdist.NewRNG(1)
-	accept, rejects := nw.Run(unifdist.NewUniform(n), r)
+	accept, rejects := nw.RunAt(unifdist.NewUniform(n), r.Uint64(), 0, nil, nil)
 	if rejects < 0 || rejects > k {
 		t.Fatalf("rejects = %d", rejects)
 	}
