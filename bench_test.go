@@ -105,7 +105,8 @@ func BenchmarkCongestUniformityRun(b *testing.B) {
 	r := unifdist.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := unifdist.RunCongestOnDistribution(g, u, p, r); err != nil {
+		tokens, _ := drawRun(g, u, r)
+		if _, err := unifdist.RunCongestUniformity(g, tokens, p, unifdist.CongestOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -134,7 +134,7 @@ func run(args []string, stdout io.Writer) error {
 	var results map[string]any
 	switch *model {
 	case "congest":
-		results, err = runCongest(g, tokens, *n, *k, *eps, *tau, *workers, *pkgOnly, s, r)
+		results, err = runCongest(g, tokens, *n, *k, *eps, *tau, *workers, *pkgOnly, s)
 	case "local":
 		results, err = runLocal(g, tokens, *n, *k, *eps, *radius, s, r)
 	default:
@@ -170,8 +170,8 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-func runCongest(g *graph.Graph, tokens []uint64, n, k int, eps float64, tau, workers int, pkgOnly bool, s *sinks, r *rng.RNG) (map[string]any, error) {
-	tracer := s.tracer("congestsim", congest.Bandwidth())
+func runCongest(g *graph.Graph, tokens []uint64, n, k int, eps float64, tau, workers int, pkgOnly bool, s *sinks) (map[string]any, error) {
+	opt := congest.Options{Tracer: s.tracer("congestsim", congest.Bandwidth()), Workers: workers}
 	dumpTrace := func() error {
 		if s.summary == nil || s.out == nil {
 			return nil
@@ -183,7 +183,7 @@ func runCongest(g *graph.Graph, tokens []uint64, n, k int, eps float64, tau, wor
 		if tau == 0 {
 			tau = 8
 		}
-		res, err := congest.RunTokenPackagingTracedWorkers(g, tokens, tau, r.Uint64(), tracer, workers)
+		res, err := congest.RunTokenPackaging(g, tokens, tau, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -222,7 +222,7 @@ func runCongest(g *graph.Graph, tokens []uint64, n, k int, eps float64, tau, wor
 	}
 	s.printf("params: τ=%d, T=%d, δ=%.4g, feasible=%v, calibrated=%v\n",
 		p.Tau, p.T, p.Delta, p.Feasible, p.Calibrated)
-	res, err := congest.RunUniformityTracedWorkers(g, tokens, p, r.Uint64(), tracer, workers)
+	res, err := congest.RunUniformity(g, tokens, p, opt)
 	if err != nil {
 		return nil, err
 	}

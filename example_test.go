@@ -45,7 +45,7 @@ func ExampleRunTokenPackaging() {
 	for i := range tokens {
 		tokens[i] = uint64(i)
 	}
-	res, err := unifdist.RunTokenPackaging(g, tokens, 6, 1)
+	res, err := unifdist.RunTokenPackaging(g, tokens, 6, unifdist.CongestOptions{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -62,7 +62,7 @@ func ExampleAggregate() {
 	for i := range values {
 		values[i] = uint64(i + 1) // 1..10
 	}
-	res, err := unifdist.Aggregate(g, values, unifdist.AggSum, 1)
+	res, err := unifdist.Aggregate(g, values, unifdist.AggSum)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -33,7 +33,11 @@ func main() {
 		unifdist.NewUniform(n),
 		unifdist.NewTwoBump(n, eps, 3),
 	} {
-		res, err := unifdist.RunCongestOnDistribution(g, d, p, r)
+		tokens := make([]uint64, k) // node v's one sample
+		for v := range tokens {
+			tokens[v] = uint64(d.Sample(r))
+		}
+		res, err := unifdist.RunCongestUniformity(g, tokens, p, unifdist.CongestOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

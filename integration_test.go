@@ -9,6 +9,17 @@ import (
 // The integration tests exercise cross-module scenarios through the public
 // API only — the combinations a downstream user would actually build.
 
+// drawRun draws one token per node of g from d, then one more word: the
+// LOCAL tester's MIS seed, and the word a CONGEST run once took as its
+// simulator seed, so every run sees the inputs these tests always drew.
+func drawRun(g *unifdist.Graph, d unifdist.Distribution, r *unifdist.RNG) ([]uint64, uint64) {
+	tokens := make([]uint64, g.N())
+	for v := range tokens {
+		tokens[v] = uint64(d.Sample(r))
+	}
+	return tokens, r.Uint64()
+}
+
 // TestIntegrationIdentityTestingOverCongest combines the paper's two big
 // ideas: each node applies the identity→uniformity filter locally with
 // private randomness (§1), and the network then runs the full CONGEST
@@ -48,7 +59,8 @@ func TestIntegrationIdentityTestingOverCongest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := unifdist.RunCongestOnDistribution(g, filtered, params, r)
+		tokens, _ := drawRun(g, filtered, r)
+		res, err := unifdist.RunCongestUniformity(g, tokens, params, unifdist.CongestOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +99,7 @@ func TestIntegrationUnknownKPipeline(t *testing.T) {
 	for i := range tokens {
 		tokens[i] = uint64(d.Sample(r))
 	}
-	res, err := unifdist.RunCongestUnknownK(g, tokens, n, 1.0, 9)
+	res, err := unifdist.RunCongestUnknownK(g, tokens, n, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +122,15 @@ func TestIntegrationLocalVsCongestAgreeOnExtremes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres, err := unifdist.RunCongestOnDistribution(g, point, congestParams, r)
+	tokens, _ := drawRun(g, point, r)
+	cres, err := unifdist.RunCongestUniformity(g, tokens, congestParams, unifdist.CongestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	localParams := unifdist.LocalParams{N: small, K: k, Eps: 1, P: 1.0 / 3, R: 4}
 	localParams.AND.M = 1
-	lres, err := unifdist.RunLocalOnDistribution(g, point, localParams, r)
+	tokens, seed := drawRun(g, point, r)
+	lres, err := unifdist.RunLocalUniformity(g, tokens, localParams, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +142,14 @@ func TestIntegrationLocalVsCongestAgreeOnExtremes(t *testing.T) {
 	big := 1 << 30
 	u := unifdist.NewUniform(big)
 	congestParams.N = big // collision probability ~0 regardless of τ/T
-	cres, err = unifdist.RunCongestOnDistribution(g, u, congestParams, r)
+	tokens, _ = drawRun(g, u, r)
+	cres, err = unifdist.RunCongestUniformity(g, tokens, congestParams, unifdist.CongestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	localParams.N = big
-	lres, err = unifdist.RunLocalOnDistribution(g, u, localParams, r)
+	tokens, seed = drawRun(g, u, r)
+	lres, err = unifdist.RunLocalUniformity(g, tokens, localParams, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

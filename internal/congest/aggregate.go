@@ -68,7 +68,7 @@ type AggregateResult struct {
 // echoes and the root broadcasts the result. It is exposed as a reusable
 // building block — the uniformity protocol's report phase is exactly an
 // AggSum of per-node rejection counts.
-func Aggregate(g *graph.Graph, values []uint64, op AggregateOp, seed uint64) (AggregateResult, error) {
+func Aggregate(g *graph.Graph, values []uint64, op AggregateOp) (AggregateResult, error) {
 	if len(values) != g.N() {
 		return AggregateResult{}, fmt.Errorf("congest: %d values for %d nodes", len(values), g.N())
 	}
@@ -83,10 +83,7 @@ func Aggregate(g *graph.Graph, values []uint64, op AggregateOp, seed uint64) (Ag
 		impls[v] = &aggNode{op: op, value: values[v]}
 		nodes[v] = impls[v]
 	}
-	stats, err := simnet.Run(g, nodes, simnet.Config{
-		MaxBytesPerMessage: congestBandwidth,
-		Seed:               seed,
-	})
+	stats, err := run(g, nodes, Options{})
 	if err != nil {
 		return AggregateResult{}, err
 	}

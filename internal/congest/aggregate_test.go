@@ -26,7 +26,7 @@ func TestAggregateOps(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.op.String(), func(t *testing.T) {
-			res, err := Aggregate(g, values, tt.op, 7)
+			res, err := Aggregate(g, values, tt.op)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func TestAggregateRoundsLinearInDiameter(t *testing.T) {
 		for i := range values {
 			values[i] = uint64(i)
 		}
-		res, err := Aggregate(g, values, AggSum, 3)
+		res, err := Aggregate(g, values, AggSum)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name(), err)
 		}
@@ -81,15 +81,15 @@ func TestAggregatePropertyRandomGraphs(t *testing.T) {
 			}
 		}
 		_ = raw
-		s, err := Aggregate(g, values, AggSum, seed)
+		s, err := Aggregate(g, values, AggSum)
 		if err != nil || s.Value != sum {
 			return false
 		}
-		mn, err := Aggregate(g, values, AggMin, seed)
+		mn, err := Aggregate(g, values, AggMin)
 		if err != nil || mn.Value != min {
 			return false
 		}
-		mx, err := Aggregate(g, values, AggMax, seed)
+		mx, err := Aggregate(g, values, AggMax)
 		return err == nil && mx.Value == max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -99,17 +99,17 @@ func TestAggregatePropertyRandomGraphs(t *testing.T) {
 
 func TestAggregateValidation(t *testing.T) {
 	g := graph.NewLine(3)
-	if _, err := Aggregate(g, []uint64{1}, AggSum, 1); err == nil {
+	if _, err := Aggregate(g, []uint64{1}, AggSum); err == nil {
 		t.Error("value/node mismatch accepted")
 	}
-	if _, err := Aggregate(g, []uint64{1, 2, 3}, AggregateOp(99), 1); err == nil {
+	if _, err := Aggregate(g, []uint64{1, 2, 3}, AggregateOp(99)); err == nil {
 		t.Error("unknown op accepted")
 	}
 }
 
 func TestAggregateSingleNode(t *testing.T) {
 	g := graph.New(1, "single")
-	res, err := Aggregate(g, []uint64{42}, AggMax, 1)
+	res, err := Aggregate(g, []uint64{42}, AggMax)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,6 +55,18 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// drawTokens draws one token per node of g from d, then skips the word a
+// run once took from r as its simulator seed, so tests that draw several
+// inputs from one generator keep their inputs.
+func drawTokens(g *graph.Graph, d dist.Distribution, r *rng.RNG) []uint64 {
+	tokens := make([]uint64, g.N())
+	for v := range tokens {
+		tokens[v] = uint64(d.Sample(r))
+	}
+	r.Uint64()
+	return tokens
+}
+
 // checkPackagingInvariants verifies the three requirements of Definition 2
 // plus token conservation.
 func checkPackagingInvariants(t *testing.T, res PackagingResult, tokens []uint64, tau int) {
@@ -105,7 +117,7 @@ func TestTokenPackagingTopologies(t *testing.T) {
 				for i := range tokens {
 					tokens[i] = uint64(1000 + i)
 				}
-				res, err := RunTokenPackaging(g, tokens, tau, 5)
+				res, err := RunTokenPackaging(g, tokens, tau, Options{})
 				if err != nil {
 					t.Fatalf("tau=%d: %v", tau, err)
 				}
@@ -137,7 +149,7 @@ func TestTokenPackagingRoundBound(t *testing.T) {
 		for i := range tokens {
 			tokens[i] = uint64(i)
 		}
-		res, err := RunTokenPackaging(tc.g, tokens, tc.tau, 9)
+		res, err := RunTokenPackaging(tc.g, tokens, tc.tau, Options{})
 		if err != nil {
 			t.Fatalf("%s tau=%d: %v", tc.g.Name(), tc.tau, err)
 		}
@@ -162,7 +174,7 @@ func TestTokenPackagingProperty(t *testing.T) {
 		for i := range tokens {
 			tokens[i] = uint64(r.Intn(8)) // deliberately collision-heavy
 		}
-		res, err := RunTokenPackaging(g, tokens, tau, seed)
+		res, err := RunTokenPackaging(g, tokens, tau, Options{})
 		if err != nil {
 			return false
 		}
@@ -246,7 +258,8 @@ func TestSolveParamsErrors(t *testing.T) {
 }
 
 func TestUniformityProtocolEndToEnd(t *testing.T) {
-	// Theorem 1.4 end-to-end on a random graph: error ≤ 1/3 on both sides.
+	// Theorem 1.4 end-to-end on a random graph: error ≤ 1/3 on both sides,
+	// estimated on the virtual network of one simulated schedule.
 	n, k, eps := 1<<12, 8000, 1.0
 	p, err := SolveParamsCalibrated(n, k, eps)
 	if err != nil {
@@ -256,16 +269,18 @@ func TestUniformityProtocolEndToEnd(t *testing.T) {
 		t.Skipf("infeasible regime: %+v", p)
 	}
 	g := graph.NewRandomConnected(k, 0.0008, 1)
+	sched, err := RunSchedule(g, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := sched.Network(n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rng.New(12)
-	const trials = 12
-	errU, err := EstimateError(g, dist.NewUniform(n), p, true, trials, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errFar, err := EstimateError(g, dist.NewTwoBump(n, eps, 3), p, false, trials, r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const trials = 1000
+	errU := nw.EstimateErrorAt(dist.NewUniform(n), true, trials, r.Uint64())
+	errFar := nw.EstimateErrorAt(dist.NewTwoBump(n, eps, 3), false, trials, r.Uint64())
 	if errU > 1.0/3+0.2 {
 		t.Errorf("uniform error %v too high", errU)
 	}
@@ -284,7 +299,7 @@ func TestUniformityDecisionConsistency(t *testing.T) {
 	}
 	g := graph.NewGrid(20, 30)
 	r := rng.New(5)
-	res, err := RunUniformityOnDistribution(g, dist.NewUniform(n), p, r)
+	res, err := RunUniformity(g, drawTokens(g, dist.NewUniform(n), r), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +336,7 @@ func TestUniformityRoundBound(t *testing.T) {
 		graph.NewRandomConnected(k, 0.01, 2),
 	} {
 		r := rng.New(77)
-		res, err := RunUniformityOnDistribution(g, dist.NewUniform(n), p, r)
+		res, err := RunUniformity(g, drawTokens(g, dist.NewUniform(n), r), p, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name(), err)
 		}
@@ -342,7 +357,7 @@ func TestUniformityBandwidthIsCONGEST(t *testing.T) {
 	}
 	g := graph.NewRandomConnected(k, 0.02, 9)
 	r := rng.New(3)
-	res, err := RunUniformityOnDistribution(g, dist.NewUniform(n), p, r)
+	res, err := RunUniformity(g, drawTokens(g, dist.NewUniform(n), r), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +369,7 @@ func TestUniformityBandwidthIsCONGEST(t *testing.T) {
 
 func TestRunUniformityRejectsTinyTau(t *testing.T) {
 	g := graph.NewLine(4)
-	if _, err := RunUniformity(g, []uint64{1, 2, 3, 4}, Params{Tau: 1, T: 1}, 1); err == nil {
+	if _, err := RunUniformity(g, []uint64{1, 2, 3, 4}, Params{Tau: 1, T: 1}, Options{}); err == nil {
 		t.Fatal("τ=1 accepted for uniformity protocol")
 	}
 }
@@ -373,7 +388,7 @@ func TestSingleNodeDegenerate(t *testing.T) {
 	// k=1: the lone node is the root, packages nothing (its token is the
 	// leftover), and accepts.
 	g := graph.New(1, "single")
-	res, err := RunTokenPackaging(g, []uint64{7}, 2, 1)
+	res, err := RunTokenPackaging(g, []uint64{7}, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +403,7 @@ func TestPackagesSortedWithinNetworkHaveAllTokens(t *testing.T) {
 	for i := range tokens {
 		tokens[i] = uint64(100 * i)
 	}
-	res, err := RunTokenPackaging(g, tokens, 4, 2)
+	res, err := RunTokenPackaging(g, tokens, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +440,7 @@ func BenchmarkTokenPackagingGrid(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunTokenPackaging(g, tokens, 5, uint64(i)); err != nil {
+		if _, err := RunTokenPackaging(g, tokens, 5, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -441,7 +456,7 @@ func BenchmarkUniformityProtocol(b *testing.B) {
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunUniformityOnDistribution(g, dist.NewUniform(n), p, r); err != nil {
+		if _, err := RunUniformity(g, drawTokens(g, dist.NewUniform(n), r), p, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -461,7 +476,7 @@ func TestUnknownKDiscoversNetworkSize(t *testing.T) {
 		for i := range tokens {
 			tokens[i] = uint64(dist.NewUniform(n).Sample(r))
 		}
-		res, err := RunUniformityUnknownK(g, tokens, n, eps, 7)
+		res, err := RunUniformityUnknownK(g, tokens, n, eps)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name(), err)
 		}
@@ -486,7 +501,7 @@ func TestUnknownKDiscoversNetworkSize(t *testing.T) {
 }
 
 func TestUnknownKMatchesKnownKDecision(t *testing.T) {
-	// With the same seed and tokens, the unknown-k run must use the same
+	// With the same tokens, the unknown-k run must use the same
 	// parameters the calibrated solver would give for the true k, and the
 	// known-k run must agree on the verdict.
 	n, eps := 1<<12, 1.0
@@ -500,11 +515,11 @@ func TestUnknownKMatchesKnownKDecision(t *testing.T) {
 	for i := range tokens {
 		tokens[i] = uint64(dist.NewHalfSupport(n).Sample(r))
 	}
-	unknown, err := RunUniformityUnknownK(g, tokens, n, eps, 5)
+	unknown, err := RunUniformityUnknownK(g, tokens, n, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	known, err := RunUniformity(g, tokens, p, 5)
+	known, err := RunUniformity(g, tokens, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,11 +544,11 @@ func TestUnknownKRoundOverheadIsOneDiameter(t *testing.T) {
 	for i := range tokens {
 		tokens[i] = uint64(dist.NewUniform(n).Sample(r))
 	}
-	known, err := RunUniformity(g, tokens, p, 3)
+	known, err := RunUniformity(g, tokens, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unknown, err := RunUniformityUnknownK(g, tokens, n, eps, 3)
+	unknown, err := RunUniformityUnknownK(g, tokens, n, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +563,6 @@ func TestMultiSamplePerNode(t *testing.T) {
 	// The s > 1 generalization: 100 nodes × 5 samples behave like 500
 	// tokens — invariants hold and all samples are packaged or discarded.
 	g := graph.NewRandomConnected(100, 0.05, 3)
-	r := rng.New(13)
 	const sPer = 5
 	per := make([][]uint64, g.N())
 	total := 0
@@ -560,7 +574,7 @@ func TestMultiSamplePerNode(t *testing.T) {
 		}
 	}
 	p := Params{Tau: 7, T: 3}
-	res, err := RunUniformityMulti(g, per, p, r.Uint64())
+	res, err := RunUniformityMulti(g, per, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +606,7 @@ func TestMultiSampleEmptyNodesAllowed(t *testing.T) {
 	per := make([][]uint64, 6)
 	per[0] = []uint64{1, 2, 3}
 	per[3] = []uint64{4}
-	res, err := RunUniformityMulti(g, per, Params{Tau: 2, T: 1}, 1)
+	res, err := RunUniformityMulti(g, per, Params{Tau: 2, T: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,7 @@ package congest
 import (
 	"fmt"
 
-	"github.com/unifdist/unifdist/internal/dist"
 	"github.com/unifdist/unifdist/internal/graph"
-	"github.com/unifdist/unifdist/internal/rng"
 	"github.com/unifdist/unifdist/internal/simnet"
 )
 
@@ -32,33 +30,38 @@ type PackagingResult struct {
 	Root int
 }
 
+// Options are a CONGEST run's simulator settings. The zero value runs
+// untraced on a GOMAXPROCS-sized pool; a run's result, stats and trace are
+// identical at any Workers value.
+type Options struct {
+	// Tracer, if non-nil, observes every round (see simnet.Tracer).
+	Tracer simnet.Tracer
+	// Workers bounds the simulator's node-execution pool; 0 means
+	// GOMAXPROCS.
+	Workers int
+}
+
+// run executes CONGEST node programs on g under the 16-byte budget: every
+// protocol's one way into the simulator. No node program reads its
+// context's generator, so the simulator seed stays zero and a run is a
+// function of the graph, the inputs and the parameters alone.
+func run(g *graph.Graph, nodes []simnet.Node, opt Options) (simnet.Stats, error) {
+	return simnet.Run(g, nodes, simnet.Config{
+		MaxBytesPerMessage: congestBandwidth,
+		Tracer:             opt.Tracer,
+		Workers:            opt.Workers,
+	})
+}
+
 // RunTokenPackaging solves τ-token packaging on g: node v starts with
 // tokens[v], and the nodes collectively output packages of exactly tau
 // tokens with at most tau−1 tokens lost (discarded at the root).
-func RunTokenPackaging(g *graph.Graph, tokens []uint64, tau int, seed uint64) (PackagingResult, error) {
-	return RunTokenPackagingTraced(g, tokens, tau, seed, nil)
-}
-
-// RunTokenPackagingTraced is RunTokenPackaging with a simulator tracer
-// attached (see simnet.Tracer), used by cmd/congestsim -trace.
-func RunTokenPackagingTraced(g *graph.Graph, tokens []uint64, tau int, seed uint64, tracer simnet.Tracer) (PackagingResult, error) {
-	return RunTokenPackagingTracedWorkers(g, tokens, tau, seed, tracer, 0)
-}
-
-// RunTokenPackagingTracedWorkers is RunTokenPackagingTraced with an explicit
-// bound on the simulator's node-execution pool (0 means GOMAXPROCS); the
-// result is identical at any value.
-func RunTokenPackagingTracedWorkers(g *graph.Graph, tokens []uint64, tau int, seed uint64, tracer simnet.Tracer, workers int) (PackagingResult, error) {
+func RunTokenPackaging(g *graph.Graph, tokens []uint64, tau int, opt Options) (PackagingResult, error) {
 	nodes, impls, err := buildNodes(g, tokens, ModePackagingOnly, tau, 0, nil)
 	if err != nil {
 		return PackagingResult{}, err
 	}
-	stats, err := simnet.Run(g, nodes, simnet.Config{
-		MaxBytesPerMessage: congestBandwidth,
-		Seed:               seed,
-		Tracer:             tracer,
-		Workers:            workers,
-	})
+	stats, err := run(g, nodes, opt)
 	if err != nil {
 		return PackagingResult{}, err
 	}
@@ -108,20 +111,7 @@ type UniformityResult struct {
 
 // RunUniformity runs the CONGEST uniformity tester with one sample per node
 // (tokens[v] is node v's sample from the unknown distribution).
-func RunUniformity(g *graph.Graph, tokens []uint64, p Params, seed uint64) (UniformityResult, error) {
-	return RunUniformityTraced(g, tokens, p, seed, nil)
-}
-
-// RunUniformityTraced is RunUniformity with a simulator tracer attached.
-func RunUniformityTraced(g *graph.Graph, tokens []uint64, p Params, seed uint64, tracer simnet.Tracer) (UniformityResult, error) {
-	return RunUniformityTracedWorkers(g, tokens, p, seed, tracer, 0)
-}
-
-// RunUniformityTracedWorkers is RunUniformityTraced with an explicit bound
-// on the simulator's node-execution pool (0 means GOMAXPROCS). The verdict,
-// stats and trace are identical at any value — cmd/congestsim -workers
-// exposes the knob so CI can diff runs at different counts.
-func RunUniformityTracedWorkers(g *graph.Graph, tokens []uint64, p Params, seed uint64, tracer simnet.Tracer, workers int) (UniformityResult, error) {
+func RunUniformity(g *graph.Graph, tokens []uint64, p Params, opt Options) (UniformityResult, error) {
 	if p.Tau < 2 {
 		return UniformityResult{}, fmt.Errorf("congest: package size τ=%d < 2", p.Tau)
 	}
@@ -129,12 +119,12 @@ func RunUniformityTracedWorkers(g *graph.Graph, tokens []uint64, p Params, seed 
 	if err != nil {
 		return UniformityResult{}, err
 	}
-	stats, err := simnet.Run(g, nodes, simnet.Config{
-		MaxBytesPerMessage: congestBandwidth,
-		Seed:               seed,
-		Tracer:             tracer,
-		Workers:            workers,
-	})
+	return runUniformity(g, nodes, impls, opt)
+}
+
+// runUniformity runs built uniformity nodes and gathers their outcomes.
+func runUniformity(g *graph.Graph, nodes []simnet.Node, impls []*node, opt Options) (UniformityResult, error) {
+	stats, err := run(g, nodes, opt)
 	if err != nil {
 		return UniformityResult{}, err
 	}
@@ -175,28 +165,12 @@ func collectUniformity(stats simnet.Stats, impls []*node) (UniformityResult, err
 	return res, nil
 }
 
-// RunUniformityOnDistribution draws one sample per node from d and runs the
-// uniformity protocol.
-func RunUniformityOnDistribution(g *graph.Graph, d dist.Distribution, p Params, r *rng.RNG) (UniformityResult, error) {
-	return RunUniformityOnDistributionTraced(g, d, p, r, nil)
-}
-
-// RunUniformityOnDistributionTraced is RunUniformityOnDistribution with a
-// simulator tracer attached.
-func RunUniformityOnDistributionTraced(g *graph.Graph, d dist.Distribution, p Params, r *rng.RNG, tracer simnet.Tracer) (UniformityResult, error) {
-	tokens := make([]uint64, g.N())
-	for v := range tokens {
-		tokens[v] = uint64(d.Sample(r))
-	}
-	return RunUniformityTraced(g, tokens, p, r.Uint64(), tracer)
-}
-
 // RunUniformityUnknownK runs the uniformity protocol without telling the
 // nodes the network size: the elected root discovers k from the completion
 // echoes, derives (τ, T) with the calibrated solver, and broadcasts them
 // with the start signal — an extension beyond the paper, which assumes k
 // is known to all nodes.
-func RunUniformityUnknownK(g *graph.Graph, tokens []uint64, n int, eps float64, seed uint64) (UniformityResult, error) {
+func RunUniformityUnknownK(g *graph.Graph, tokens []uint64, n int, eps float64) (UniformityResult, error) {
 	solver := func(k int) (int, int, error) {
 		p, err := SolveParamsCalibrated(n, k, eps)
 		if err != nil {
@@ -208,30 +182,7 @@ func RunUniformityUnknownK(g *graph.Graph, tokens []uint64, n int, eps float64, 
 	if err != nil {
 		return UniformityResult{}, err
 	}
-	stats, err := simnet.Run(g, nodes, simnet.Config{
-		MaxBytesPerMessage: congestBandwidth,
-		Seed:               seed,
-	})
-	if err != nil {
-		return UniformityResult{}, err
-	}
-	return collectUniformity(stats, impls)
-}
-
-// EstimateError runs trials executions on fresh samples from d and returns
-// the fraction of wrong verdicts, where wantAccept is the correct verdict.
-func EstimateError(g *graph.Graph, d dist.Distribution, p Params, wantAccept bool, trials int, r *rng.RNG) (float64, error) {
-	wrong := 0
-	for i := 0; i < trials; i++ {
-		res, err := RunUniformityOnDistribution(g, d, p, r)
-		if err != nil {
-			return 0, err
-		}
-		if res.Accept != wantAccept {
-			wrong++
-		}
-	}
-	return float64(wrong) / float64(trials), nil
+	return runUniformity(g, nodes, impls, Options{})
 }
 
 func buildNodes(g *graph.Graph, tokens []uint64, mode Mode, tau, threshold int, solver func(k int) (int, int, error)) ([]simnet.Node, []*node, error) {
@@ -267,7 +218,7 @@ func buildNodesMulti(g *graph.Graph, tokensPerNode [][]uint64, mode Mode, tau, t
 // node — the paper's "generalizes in a straightforward manner to larger s":
 // node v contributes every sample in tokensPerNode[v] to the token
 // pipeline.
-func RunUniformityMulti(g *graph.Graph, tokensPerNode [][]uint64, p Params, seed uint64) (UniformityResult, error) {
+func RunUniformityMulti(g *graph.Graph, tokensPerNode [][]uint64, p Params) (UniformityResult, error) {
 	if p.Tau < 2 {
 		return UniformityResult{}, fmt.Errorf("congest: package size τ=%d < 2", p.Tau)
 	}
@@ -275,12 +226,5 @@ func RunUniformityMulti(g *graph.Graph, tokensPerNode [][]uint64, p Params, seed
 	if err != nil {
 		return UniformityResult{}, err
 	}
-	stats, err := simnet.Run(g, nodes, simnet.Config{
-		MaxBytesPerMessage: congestBandwidth,
-		Seed:               seed,
-	})
-	if err != nil {
-		return UniformityResult{}, err
-	}
-	return collectUniformity(stats, impls)
+	return runUniformity(g, nodes, impls, Options{})
 }

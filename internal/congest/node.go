@@ -11,6 +11,11 @@
 // protocol parameters (τ, T) from the discovered k before broadcasting
 // them with the start signal. Every message fits in the simulator's
 // CONGEST budget (16 bytes = Θ(log n) bits).
+//
+// No node program reads a token's value to route it, so one run fixes the
+// schedule every input shares; RunSchedule returns it, and its Network is
+// the 0-round threshold network Theorem 1.4 reduces to, on which the
+// tester's error is estimated without simulating each trial.
 package congest
 
 import (

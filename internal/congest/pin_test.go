@@ -88,7 +88,7 @@ func TestPackagingStatsPinned(t *testing.T) {
 			g := pinGraph(topo, k)
 			for _, tau := range []int{4, 16} {
 				key := fmt.Sprintf("%s/%d/%d", topo, k, tau)
-				res, err := RunTokenPackaging(g, pinTokens(k), tau, uint64(k+tau))
+				res, err := RunTokenPackaging(g, pinTokens(k), tau, Options{})
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}
@@ -145,7 +145,7 @@ func TestUniformityStatsPinned(t *testing.T) {
 			g := pinGraph(topo, k)
 			for _, tau := range []int{4, 16} {
 				key := fmt.Sprintf("%s/%d/%d", topo, k, tau)
-				res, err := RunUniformity(g, pinTokens(k), Params{Tau: tau, T: 2}, uint64(3*k+tau))
+				res, err := RunUniformity(g, pinTokens(k), Params{Tau: tau, T: 2}, Options{})
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}
@@ -187,7 +187,7 @@ func TestAggregateStatsPinned(t *testing.T) {
 	for _, topo := range pinTopologies {
 		for _, k := range []int{60, 200} {
 			key := fmt.Sprintf("%s/%d", topo, k)
-			res, err := Aggregate(pinGraph(topo, k), pinTokens(k), AggSum, uint64(5*k))
+			res, err := Aggregate(pinGraph(topo, k), pinTokens(k), AggSum)
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}

@@ -35,11 +35,11 @@ func renderAt(t *testing.T, id string, procs int) string {
 // TestTablesDeterministicAcrossGOMAXPROCS checks the parallel-engine
 // contract end to end: the same seed must produce byte-identical E2, E3,
 // E6, E8 and E9 tables at GOMAXPROCS 1, 2, and 8. The concurrent sweep rows
-// (RunRows), the chunked parallel trial engines (EstimateErrorParallel and
-// the SMP estimators) and the flat simulator pool all reshape their
-// schedules across these settings; per-index seeding keeps the output
-// fixed. E6 and E8 run the CONGEST packaging and LOCAL node programs on
-// that pool.
+// (RunRows), the shared trial pool (internal/trialpool, behind
+// EstimateErrorAt and the SMP estimators) and the flat simulator pool all
+// reshape their schedules across these settings; per-index seeding keeps
+// the output fixed. E6 and E8 run the CONGEST packaging and LOCAL node
+// programs on that pool.
 func TestTablesDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -56,11 +56,11 @@ func TestTablesDeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestE7DeterministicAcrossGOMAXPROCS is the same pin for the CONGEST
-// experiment, whose quick render simulates ~16000 nodes for hundreds of
-// rounds per trial: the flat simulator pool, the parallel trial estimator
-// and the sweep rows must all collapse to the same bytes. It runs in its
-// own test because the renders cost tens of seconds — skipped under the
-// race detector, where three renders would dominate the package's budget.
+// experiment, whose quick render simulates two 8000-node topologies once
+// each and runs 4000 indexed trials on their virtual networks: the flat
+// simulator pool and the trial pool must both collapse to the same bytes.
+// It runs in its own test because each render costs about a second —
+// skipped under the race detector, where a render takes over ten.
 func TestE7DeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

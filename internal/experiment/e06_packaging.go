@@ -49,7 +49,7 @@ func runE6(ctx *RunContext) (*Table, error) {
 			for i := range tokens {
 				tokens[i] = r.Uint64() % 1024
 			}
-			res, err := congest.RunTokenPackagingTraced(g, tokens, tau, r.Uint64(), ctx.SimTracer("E6", congest.Bandwidth()))
+			res, err := congest.RunTokenPackaging(g, tokens, tau, congest.Options{Tracer: ctx.SimTracer("E6", congest.Bandwidth())})
 			if err != nil {
 				return nil, fmt.Errorf("%s τ=%d: %w", g.Name(), tau, err)
 			}

@@ -8,6 +8,7 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"github.com/unifdist/unifdist/internal/obs"
 	"github.com/unifdist/unifdist/internal/rng"
 	"github.com/unifdist/unifdist/internal/simnet"
+	"github.com/unifdist/unifdist/internal/stats"
 )
 
 // Mode selects the experiment scale.
@@ -410,6 +412,13 @@ func fmtFloat(v float64) string {
 // fmtProb renders a probability.
 func fmtProb(v float64) string {
 	return fmt.Sprintf("%.3f", v)
+}
+
+// fmtErr renders an error rate estimated over trials with its 95% Wilson
+// score interval.
+func fmtErr(rate float64, trials int) string {
+	lo, hi := stats.WilsonInterval(int(math.Round(rate*float64(trials))), trials, 1.96)
+	return fmt.Sprintf("%.3f [%.3f, %.3f]", rate, lo, hi)
 }
 
 // fmtBool renders a feasibility flag.

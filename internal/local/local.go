@@ -6,10 +6,9 @@ import (
 	"math"
 	"sort"
 
-	"github.com/unifdist/unifdist/internal/dist"
 	"github.com/unifdist/unifdist/internal/graph"
-	"github.com/unifdist/unifdist/internal/rng"
 	"github.com/unifdist/unifdist/internal/simnet"
+	"github.com/unifdist/unifdist/internal/tester"
 	"github.com/unifdist/unifdist/internal/zeroround"
 )
 
@@ -127,72 +126,7 @@ func RunUniformity(g *graph.Graph, tokens []uint64, p Params, seed uint64) (Resu
 	for v, tok := range tokens {
 		per[v] = []uint64{tok}
 	}
-	return runUniformity(g, per, p, seed)
-}
-
-// runUniformity is the shared implementation over per-node sample sets.
-func runUniformity(g *graph.Graph, tokensPerNode [][]uint64, p Params, seed uint64) (Result, error) {
-	if p.R < 1 {
-		return Result{}, fmt.Errorf("local: radius %d < 1", p.R)
-	}
-	// A radius beyond k−1 is equivalent to k−1 on a connected graph.
-	radius := p.R
-	if radius >= g.N() && g.N() > 1 {
-		radius = g.N() - 1
-	}
-	power := g.Power(radius)
-	mis, err := LubyMIS(power, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := VerifyMIS(power, mis.InMIS); err != nil {
-		return Result{}, err
-	}
-
-	collected, gatherRounds, err := gather(g, tokensPerNode, mis.InMIS, radius, seed^0x9e3779b97f4a7c15)
-	if err != nil {
-		return Result{}, err
-	}
-
-	res := Result{
-		Accept:     true,
-		GRounds:    radius*mis.Rounds + gatherRounds,
-		MinSamples: math.MaxInt,
-	}
-	for v := range mis.InMIS {
-		if !mis.InMIS[v] {
-			continue
-		}
-		res.MISNodes++
-		samples := collected[v]
-		if len(samples) < res.MinSamples {
-			res.MinSamples = len(samples)
-		}
-		if len(samples) > res.MaxSamples {
-			res.MaxSamples = len(samples)
-		}
-		if !virtualVote(p.N, p.AND.M, samples) {
-			res.Rejecting++
-			res.Accept = false
-		}
-	}
-	if res.MISNodes == 0 {
-		return Result{}, fmt.Errorf("local: empty MIS")
-	}
-	if res.MinSamples == math.MaxInt {
-		res.MinSamples = 0
-	}
-	return res, nil
-}
-
-// RunUniformityOnDistribution draws one sample per node from d and runs the
-// protocol.
-func RunUniformityOnDistribution(g *graph.Graph, d dist.Distribution, p Params, r *rng.RNG) (Result, error) {
-	tokens := make([]uint64, g.N())
-	for v := range tokens {
-		tokens[v] = uint64(d.Sample(r))
-	}
-	return RunUniformity(g, tokens, p, r.Uint64())
+	return RunUniformityMulti(g, per, p, seed)
 }
 
 // RunUniformityMulti is RunUniformity with s ≥ 0 samples per node (the
@@ -202,28 +136,119 @@ func RunUniformityMulti(g *graph.Graph, tokensPerNode [][]uint64, p Params, seed
 	if len(tokensPerNode) != g.N() {
 		return Result{}, fmt.Errorf("local: %d token sets for %d nodes", len(tokensPerNode), g.N())
 	}
-	return runUniformity(g, tokensPerNode, p, seed)
+	blocks, gRounds, err := route(g, tokensPerNode, p.R, seed)
+	if err != nil {
+		return Result{}, err
+	}
+	res := Result{Accept: true, GRounds: gRounds, MISNodes: len(blocks), MinSamples: math.MaxInt}
+	for _, samples := range blocks {
+		res.MinSamples = min(res.MinSamples, len(samples))
+		res.MaxSamples = max(res.MaxSamples, len(samples))
+		if !virtualVote(p.N, p.AND.M, samples) {
+			res.Rejecting++
+			res.Accept = false
+		}
+	}
+	return res, nil
+}
+
+// route runs the protocol's communication: Luby's MIS on G^r at seed, then
+// the gather. It returns the samples each MIS node collected, MIS nodes in
+// vertex order and samples in collection order, and the G-round cost.
+func route(g *graph.Graph, tokensPerNode [][]uint64, r int, seed uint64) ([][]uint64, int, error) {
+	if r < 1 {
+		return nil, 0, fmt.Errorf("local: radius %d < 1", r)
+	}
+	// A radius beyond k−1 is equivalent to k−1 on a connected graph.
+	radius := r
+	if radius >= g.N() && g.N() > 1 {
+		radius = g.N() - 1
+	}
+	power := g.Power(radius)
+	mis, err := LubyMIS(power, seed)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := VerifyMIS(power, mis.InMIS); err != nil {
+		return nil, 0, err
+	}
+	collected, gatherRounds, err := gather(g, tokensPerNode, mis.InMIS, radius)
+	if err != nil {
+		return nil, 0, err
+	}
+	var blocks [][]uint64
+	for v, in := range mis.InMIS {
+		if in {
+			blocks = append(blocks, collected[v])
+		}
+	}
+	if len(blocks) == 0 {
+		return nil, 0, fmt.Errorf("local: empty MIS")
+	}
+	return blocks, radius*mis.Rounds + gatherRounds, nil
 }
 
 // virtualVote runs the m-repetition single-collision tester on a virtual
 // node's collected samples: split into m equal blocks and reject iff every
 // block contains a collision. Nodes with too few samples to form 2-sample
-// blocks accept (they carry no signal). The blocks share one sort buffer.
+// blocks accept (they carry no signal). It is the schedule network's node
+// (tester.BlockCollision) applied to the samples as collected.
 func virtualVote(n, m int, samples []uint64) bool {
-	if m < 1 {
-		m = 1
+	block := make([]int, len(samples))
+	for i, v := range samples {
+		block[i] = int(v)
 	}
-	block := len(samples) / m
-	if block < 2 {
-		return true
+	return tester.NewBlockCollision(n, len(samples), m).Test(block)
+}
+
+// Schedule is what the Section 6 protocol fixes at one MIS seed. Luby's
+// algorithm is the protocol's only randomness and the gather routes
+// samples without reading them, so the MIS, the G-round cost and which
+// sample positions each MIS node collects, in which order, are the same
+// for every input. A schedule is read off one run on tag tokens (node v
+// holds v).
+type Schedule struct {
+	// GRounds is the run's cost in G-rounds, as in Result.
+	GRounds int
+	// Blocks[i] lists the positions (node IDs) whose samples the i-th MIS
+	// node, in vertex order, collected, in collection order.
+	Blocks [][]int
+	// M is the block count of every MIS node's vote (Params.AND.M).
+	M int
+}
+
+// RunSchedule runs the protocol's MIS and gather on g once, at the given
+// MIS seed, on tag tokens, and returns its schedule.
+func RunSchedule(g *graph.Graph, p Params, seed uint64) (Schedule, error) {
+	tags := make([][]uint64, g.N())
+	for v := range tags {
+		tags[v] = []uint64{uint64(v)}
 	}
-	var buf []uint64
-	for i := 0; i < m; i++ {
-		if !dist.HasRepeat(samples[i*block:(i+1)*block], &buf) {
-			return true
+	blocks, gRounds, err := route(g, tags, p.R, seed)
+	if err != nil {
+		return Schedule{}, err
+	}
+	s := Schedule{GRounds: gRounds, Blocks: make([][]int, len(blocks)), M: p.AND.M}
+	for i, b := range blocks {
+		s.Blocks[i] = make([]int, len(b))
+		for j, v := range b {
+			s.Blocks[i][j] = int(v)
 		}
 	}
-	return false
+	return s, nil
+}
+
+// Network returns the schedule's virtual network: an AND network with one
+// node per MIS node, node i running virtualVote's m-block rule on
+// len(Blocks[i]) samples from a domain of size n. Laying node i's samples
+// of an indexed trial out on Blocks[i] and running the protocol at the
+// schedule's MIS seed gives RunAt's verdict and rejecting count.
+func (s Schedule) Network(n int) (*zeroround.Network, error) {
+	nodes := make([]tester.Tester, len(s.Blocks))
+	for i, b := range s.Blocks {
+		nodes[i] = tester.NewBlockCollision(n, len(b), s.M)
+	}
+	return zeroround.NewNetwork(nodes, zeroround.ANDRule{})
 }
 
 // Beacon/routing message types.
@@ -236,9 +261,9 @@ const (
 // lowest MIS ID) using R rounds of beacon flooding followed by R+1 rounds
 // of gradient routing. It returns the samples collected per MIS node and
 // the number of simulator rounds used.
-func gather(g *graph.Graph, tokensPerNode [][]uint64, inMIS []bool, r int, seed uint64) (map[int][]uint64, int, error) {
+func gather(g *graph.Graph, tokensPerNode [][]uint64, inMIS []bool, r int) (map[int][]uint64, int, error) {
 	nodes, impls := newGatherNodes(tokensPerNode, inMIS, r)
-	stats, err := simnet.Run(g, nodes, simnet.Config{Seed: seed})
+	stats, err := simnet.Run(g, nodes, simnet.Config{})
 	if err != nil {
 		return nil, 0, fmt.Errorf("local: gather: %w", err)
 	}

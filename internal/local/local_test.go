@@ -137,7 +137,7 @@ func TestGatherDeliversAllSamples(t *testing.T) {
 		for i := range tokens {
 			tokens[i] = []uint64{uint64(7000 + i)}
 		}
-		collected, rounds, err := gather(tc.g, tokens, mis.InMIS, tc.r, 13)
+		collected, rounds, err := gather(tc.g, tokens, mis.InMIS, tc.r)
 		if err != nil {
 			t.Fatalf("%s r=%d: %v", tc.g.Name(), tc.r, err)
 		}
@@ -172,7 +172,7 @@ func TestGatherMinSamplesBound(t *testing.T) {
 	for i := range tokens {
 		tokens[i] = []uint64{uint64(i)}
 	}
-	collected, _, err := gather(g, tokens, mis.InMIS, r, 3)
+	collected, _, err := gather(g, tokens, mis.InMIS, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,6 +221,16 @@ func TestSolveLocalErrors(t *testing.T) {
 	}
 }
 
+// drawRun draws one token per node of g from d, then the MIS seed, in the
+// order the tests have always drawn a run's inputs from one generator.
+func drawRun(g *graph.Graph, d dist.Distribution, r *rng.RNG) ([]uint64, uint64) {
+	tokens := make([]uint64, g.N())
+	for v := range tokens {
+		tokens[v] = uint64(d.Sample(r))
+	}
+	return tokens, r.Uint64()
+}
+
 func TestRunUniformitySeparation(t *testing.T) {
 	// LOCAL end-to-end: dramatic cases must be decided correctly.
 	n := 1 << 30 // collisions essentially impossible under uniform
@@ -234,7 +244,8 @@ func TestRunUniformitySeparation(t *testing.T) {
 		p.AND.M = 1
 	}
 	r := rng.New(41)
-	res, err := RunUniformityOnDistribution(g, dist.NewUniform(n), p, r)
+	tokens, seed := drawRun(g, dist.NewUniform(n), r)
+	res, err := RunUniformity(g, tokens, p, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +260,8 @@ func TestRunUniformitySeparation(t *testing.T) {
 	// with enough samples rejects.
 	point := dist.NewPointMassMixture(1<<10, 0, 0.999)
 	p.N = 1 << 10
-	res, err = RunUniformityOnDistribution(g, point, p, r)
+	tokens, seed = drawRun(g, point, r)
+	res, err = RunUniformity(g, tokens, p, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +370,8 @@ func BenchmarkLocalUniformity(b *testing.B) {
 	d := dist.NewUniform(1 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunUniformityOnDistribution(g, d, p, r); err != nil {
+		tokens, seed := drawRun(g, d, r)
+		if _, err := RunUniformity(g, tokens, p, seed); err != nil {
 			b.Fatal(err)
 		}
 	}

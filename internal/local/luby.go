@@ -7,6 +7,10 @@
 // the standard LOCAL simulation argument. The LOCAL model places no bound
 // on message size, so beacon and sample-routing messages may aggregate
 // arbitrarily many values.
+//
+// At a fixed MIS seed the MIS and the gather do not depend on the sample
+// values; RunSchedule records that routing once, and its Network is the
+// AND network of MIS nodes the tester's error is estimated on.
 package local
 
 import (

@@ -130,9 +130,11 @@ func (s *SingleCellEquality) EstimateRejectProbParallel(x, y []byte, trials, wor
 	return float64(rejects) / float64(trials), nil
 }
 
-// EstimateAcceptProbParallel is EstimateAcceptProb with the codewords and
-// the tester hoisted out of the trial loop: inputs are encoded once per
-// call and each worker builds the tester once and reuses one sample buffer.
+// EstimateAcceptProbParallel measures the acceptance probability on a fixed
+// input pair over trials Run executions on the shared trial pool, with the
+// codewords and the tester hoisted out of the trial loop: inputs are
+// encoded once per call and each worker builds the tester once and reuses
+// one sample buffer.
 func (e *EqualityFromTester) EstimateAcceptProbParallel(x, y []byte, trials, workers int, r *rng.RNG) (float64, error) {
 	if trials <= 0 {
 		return 0, nil

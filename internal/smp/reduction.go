@@ -125,19 +125,3 @@ func (e *EqualityFromTester) Run(x, y []byte, r *rng.RNG) (bool, error) {
 	}
 	return t.Test(samples), nil
 }
-
-// EstimateAcceptProb measures the empirical acceptance probability on a
-// fixed input pair.
-func (e *EqualityFromTester) EstimateAcceptProb(x, y []byte, trials int, r *rng.RNG) (float64, error) {
-	accepts := 0
-	for i := 0; i < trials; i++ {
-		acc, err := e.Run(x, y, r)
-		if err != nil {
-			return 0, err
-		}
-		if acc {
-			accepts++
-		}
-	}
-	return float64(accepts) / float64(trials), nil
-}

@@ -93,12 +93,6 @@ func (e *Equality) MessageBits() int {
 	return 2*coord + e.t
 }
 
-// CostBound returns the Lemma 7.3 upper bound O(√(δn)) (for constant τ)
-// against which the experiment tables compare MessageBits.
-func (e *Equality) CostBound() float64 {
-	return math.Sqrt(e.tau*e.delta*float64(e.nBits))*10 + 2*math.Log2(float64(e.grid)) + 10
-}
-
 // AliceMessage encodes x and returns a random vertical chunk.
 func (e *Equality) AliceMessage(x []byte, r *rng.RNG) (Message, error) {
 	cw, err := e.code.Encode(x)

@@ -230,9 +230,6 @@ func TestMessageBitsAccounting(t *testing.T) {
 	if got, want := e.MessageBits(), 2*coord+e.ChunkLen(); got != want {
 		t.Fatalf("MessageBits = %d, want %d", got, want)
 	}
-	if e.MessageBits() > int(e.CostBound()) {
-		t.Fatalf("cost %d exceeds bound %v", e.MessageBits(), e.CostBound())
-	}
 }
 
 func BenchmarkEqualityRun(b *testing.B) {

@@ -242,19 +242,64 @@ func (t *Amplified) TestScratch(samples []int, sc *dist.CollisionScratch) bool {
 	if len(samples) != t.SampleSize() {
 		panic(fmt.Sprintf("tester: got %d samples, want %d", len(samples), t.SampleSize()))
 	}
-	s := t.inner.params.S
-	n := t.inner.params.N
-	for i := 0; i < t.m; i++ {
-		if !sc.HasCollision(n, samples[i*s:(i+1)*s]) {
-			return true // some block saw no collision ⇒ accept
-		}
-	}
-	return false
+	return !allBlocksCollide(t.inner.params.N, t.inner.params.S, t.m, samples, sc)
 }
 
 // Name implements Tester.
 func (t *Amplified) Name() string {
 	return fmt.Sprintf("amplified(m=%d,%s)", t.m, t.inner.Name())
+}
+
+// allBlocksCollide reports whether each of the first m consecutive blocks
+// of size block in samples (drawn from a domain of size n) holds a repeat:
+// the amplified rejection rule, shared by Amplified and BlockCollision.
+func allBlocksCollide(n, block, m int, samples []int, sc *dist.CollisionScratch) bool {
+	for i := 0; i < m; i++ {
+		if !sc.HasCollision(n, samples[i*block:(i+1)*block]) {
+			return false // some block saw no collision ⇒ accept
+		}
+	}
+	return true
+}
+
+// BlockCollision is the vote of a node whose sample count a protocol run
+// fixes rather than a solver: it splits its s samples into m blocks of
+// ⌊s/m⌋ (a remainder is unused) and rejects iff every block holds a
+// repeat, Amplified's rule at whatever block size s allows. A block of
+// fewer than two samples cannot collide, so such a node accepts. It is the
+// virtual node of the multi-round testers: the CONGEST tester's package of
+// τ tokens (m = 1, Theorem 1.4) and the LOCAL tester's MIS node with the
+// samples it gathered (Section 6).
+type BlockCollision struct {
+	n, s, m int
+}
+
+// NewBlockCollision returns the m-block vote over s samples from a domain
+// of size n; m < 1 counts as one block.
+func NewBlockCollision(n, s, m int) *BlockCollision {
+	return &BlockCollision{n: n, s: s, m: max(m, 1)}
+}
+
+// SampleSize implements Tester.
+func (t *BlockCollision) SampleSize() int { return t.s }
+
+// Test rejects iff every block of ⌊s/m⌋ ≥ 2 samples contains a collision.
+func (t *BlockCollision) Test(samples []int) bool {
+	return t.TestScratch(samples, nil)
+}
+
+// TestScratch implements ScratchTester.
+func (t *BlockCollision) TestScratch(samples []int, sc *dist.CollisionScratch) bool {
+	if len(samples) != t.s {
+		panic(fmt.Sprintf("tester: got %d samples, want %d", len(samples), t.s))
+	}
+	block := t.s / t.m
+	return block < 2 || !allBlocksCollide(t.n, block, t.m, samples, sc)
+}
+
+// Name implements Tester.
+func (t *BlockCollision) Name() string {
+	return fmt.Sprintf("block-collision(s=%d,m=%d)", t.s, t.m)
 }
 
 // CollisionCounting is the classical centralized baseline [Paninski 2008;

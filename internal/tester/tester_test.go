@@ -217,6 +217,57 @@ func TestAmplifiedRejectsIffAllBlocksCollide(t *testing.T) {
 	}
 }
 
+func TestBlockCollision(t *testing.T) {
+	for _, tt := range []struct {
+		name    string
+		m       int
+		samples []int
+		accept  bool
+	}{
+		{"no samples accepts", 2, nil, true},
+		{"m below one is one block", 0, []int{1, 2, 3, 1}, false},
+		{"every block collides", 2, []int{5, 5, 6, 6}, false},
+		{"one clean block accepts", 2, []int{5, 5, 1, 2}, true},
+		{"remainder is unused", 2, []int{4, 4, 7, 7, 9}, false},
+		{"remainder cannot collide", 2, []int{4, 5, 7, 7, 4}, true},
+		{"blocks under two samples accept", 4, []int{3, 3, 3}, true},
+	} {
+		bc := NewBlockCollision(10, len(tt.samples), tt.m)
+		if got := bc.Test(tt.samples); got != tt.accept {
+			t.Errorf("%s: Test(%v) = %v, want %v", tt.name, tt.samples, got, tt.accept)
+		}
+		if got := bc.TestScratch(tt.samples, dist.NewCollisionScratch()); got != tt.accept {
+			t.Errorf("%s: TestScratch(%v) = %v, want %v", tt.name, tt.samples, got, tt.accept)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("wrong sample count accepted")
+		}
+	}()
+	NewBlockCollision(10, 3, 1).Test([]int{1, 2})
+}
+
+// TestBlockCollisionMatchesAmplified: at s = m·S, the block vote is the
+// m-repetition amplified tester's verdict on every input.
+func TestBlockCollisionMatchesAmplified(t *testing.T) {
+	const n = 64
+	am, err := NewAmplified(n, 0.2, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := NewBlockCollision(n, am.SampleSize(), am.Repetitions())
+	r := rng.New(9)
+	sc := dist.NewCollisionScratch()
+	samples := make([]int, am.SampleSize())
+	for i := 0; i < 2000; i++ {
+		dist.SampleInto(dist.NewUniform(n), samples, r)
+		if got, want := bc.TestScratch(samples, sc), am.Test(samples); got != want {
+			t.Fatalf("samples %v: block vote %v, amplified %v", samples, got, want)
+		}
+	}
+}
+
 func TestAmplifiedErrors(t *testing.T) {
 	if _, err := NewAmplified(1000, 0.05, 1, 0); err == nil {
 		t.Error("m=0 accepted")

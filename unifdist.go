@@ -141,6 +141,9 @@ var (
 type (
 	// CongestParams is the CONGEST protocol configuration.
 	CongestParams = congest.Params
+	// CongestOptions are a CONGEST run's simulator settings (tracer,
+	// worker pool).
+	CongestOptions = congest.Options
 	// PackagingResult reports a τ-token-packaging run.
 	PackagingResult = congest.PackagingResult
 	// CongestResult reports a full CONGEST uniformity run.
@@ -160,16 +163,14 @@ const (
 
 // CONGEST solvers and drivers, re-exported from internal/congest.
 var (
-	SolveCongest             = congest.SolveParams
-	SolveCongestCalibrated   = congest.SolveParamsCalibrated
-	RunTokenPackaging        = congest.RunTokenPackaging
-	RunCongestUniformity     = congest.RunUniformity
-	RunCongestOnDistribution = congest.RunUniformityOnDistribution
-	RunCongestMulti          = congest.RunUniformityMulti
-	Aggregate                = congest.Aggregate
-	RunCongestUnknownK       = congest.RunUniformityUnknownK
-	EstimateCongestError     = congest.EstimateError
-	PredictedTau             = congest.PredictedTau
+	SolveCongest           = congest.SolveParams
+	SolveCongestCalibrated = congest.SolveParamsCalibrated
+	RunTokenPackaging      = congest.RunTokenPackaging
+	RunCongestUniformity   = congest.RunUniformity
+	RunCongestMulti        = congest.RunUniformityMulti
+	Aggregate              = congest.Aggregate
+	RunCongestUnknownK     = congest.RunUniformityUnknownK
+	PredictedTau           = congest.PredictedTau
 )
 
 // LOCAL protocols (Section 6).
@@ -184,12 +185,11 @@ type (
 
 // LOCAL solvers and drivers, re-exported from internal/local.
 var (
-	SolveLocal             = local.SolveLocal
-	RunLocalUniformity     = local.RunUniformity
-	RunLocalMulti          = local.RunUniformityMulti
-	RunLocalOnDistribution = local.RunUniformityOnDistribution
-	LubyMIS                = local.LubyMIS
-	VerifyMIS              = local.VerifyMIS
+	SolveLocal         = local.SolveLocal
+	RunLocalUniformity = local.RunUniformity
+	RunLocalMulti      = local.RunUniformityMulti
+	LubyMIS            = local.LubyMIS
+	VerifyMIS          = local.VerifyMIS
 )
 
 // SMP Equality (Lemma 7.3).

@@ -50,7 +50,7 @@ func TestFacadeCongestPackaging(t *testing.T) {
 	for i := range tokens {
 		tokens[i] = uint64(i)
 	}
-	res, err := unifdist.RunTokenPackaging(g, tokens, 4, 1)
+	res, err := unifdist.RunTokenPackaging(g, tokens, 4, unifdist.CongestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
