@@ -91,15 +91,16 @@ type outFrame struct {
 
 // computeFrames runs the node's tester for every trial and encodes the
 // submission as ready-to-send frames. The sample stream of trial t is
-// fixed by (BaseSeed, t, ID) alone, so the frames are a pure function of
-// the configuration — independent of scheduling, attempts, or the other
-// nodes.
+// fixed by (BaseSeed, t, ID) alone, and a vote is VoteAt's reseed and
+// tester.Voter call, so the frames are a pure function of the
+// configuration — independent of scheduling, attempts, or the other nodes
+// — and equal RunAt's votes.
 func (nc *NodeClient) computeFrames(d dist.Distribution, sess trace.Context) ([]outFrame, error) {
 	g := rng.New(0)
 	s := nc.Tester.SampleSize()
 	block := make([]int, s)
 	var col dist.CollisionScratch
-	st, _ := nc.Tester.(tester.ScratchTester)
+	vote := tester.NewVoter(nc.Tester)
 	tr := nc.Config.Trace
 
 	frames := make([]outFrame, 0, nc.Config.Trials)
@@ -110,25 +111,19 @@ func (nc *NodeClient) computeFrames(d dist.Distribution, sess trace.Context) ([]
 			trace.Derive("node.sample", uint64(tr.Trace()), uint64(t), uint64(nc.ID)),
 			sess, trace.A("trial", t))
 		zeroround.VoteStream(g, nc.Config.BaseSeed, uint64(t), nc.ID, nc.K)
-		dist.SampleInto(d, block, g)
 		var f wire.Frame
 		if nc.Config.Sketch {
 			// Raw sketch: the referee derives the single-collision vote as
 			// Collisions > 0, so this mode is only valid for testers where
-			// that derivation IS the test.
+			// that derivation IS the test. It counts over the full draw.
+			dist.SampleInto(d, block, g)
 			c := col.CountCollisions(nc.Config.DomainN, block)
 			f = &wire.Sketch{
 				Trial: uint32(t), Node: uint32(nc.ID),
 				Samples: uint32(s), Collisions: uint32(c),
 			}
 		} else {
-			var accept bool
-			if st != nil {
-				accept = st.TestScratch(block, &col)
-			} else {
-				accept = nc.Tester.Test(block)
-			}
-			f = &wire.Vote{Trial: uint32(t), Node: uint32(nc.ID), Reject: !accept}
+			f = &wire.Vote{Trial: uint32(t), Node: uint32(nc.ID), Reject: vote.Vote(d, g, block, &col)}
 		}
 		sp.End()
 		frames = append(frames, outFrame{frame: f, parent: sp.Context()})

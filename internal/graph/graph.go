@@ -382,13 +382,19 @@ func NewRandomConnected(k int, p float64, seed uint64) *Graph {
 	}
 	r := rng.New(seed)
 	g := New(k, fmt.Sprintf("random(%d,p=%.3g)", k, p))
+	// parent[v] < v is v's tree parent. When row u is drawn, only rows
+	// below u have added non-tree edges, so a vertex v > u is adjacent to u
+	// only as its tree child: parent[v] != u replaces an adjacency scan per
+	// pair, and the draws are the same.
+	parent := make([]int, k)
 	for i := 1; i < k; i++ {
-		mustEdge(g, r.Intn(i), i)
+		parent[i] = r.Intn(i)
+		mustEdge(g, parent[i], i)
 	}
 	if p > 0 {
 		for u := 0; u < k; u++ {
 			for v := u + 1; v < k; v++ {
-				if !g.HasEdge(u, v) && r.Float64() < p {
+				if parent[v] != u && r.Float64() < p {
 					mustEdge(g, u, v)
 				}
 			}

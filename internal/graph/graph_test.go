@@ -1,9 +1,13 @@
 package graph
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"github.com/unifdist/unifdist/internal/rng"
 )
 
 func TestAddEdgeValidation(t *testing.T) {
@@ -152,6 +156,53 @@ func TestRandomConnectedDeterministic(t *testing.T) {
 		for i := range na {
 			if na[i] != nb[i] {
 				t.Fatalf("vertex %d neighbors differ", v)
+			}
+		}
+	}
+}
+
+// randomConnectedPairScan is NewRandomConnected with the adjacency scan
+// per pair it was first written with: the oracle for its parent[] test.
+func randomConnectedPairScan(k int, p float64, seed uint64) *Graph {
+	r := rng.New(seed)
+	g := New(k, fmt.Sprintf("random(%d,p=%.3g)", k, p))
+	for i := 1; i < k; i++ {
+		mustEdge(g, r.Intn(i), i)
+	}
+	if p > 0 {
+		for u := 0; u < k; u++ {
+			for v := u + 1; v < k; v++ {
+				if !g.HasEdge(u, v) && r.Float64() < p {
+					mustEdge(g, u, v)
+				}
+			}
+		}
+	}
+	g.sortAdj()
+	return g
+}
+
+// TestRandomConnectedMatchesPairScan: the tree-parent test draws the same
+// stream as the pair scan, so both build the same edge list.
+func TestRandomConnectedMatchesPairScan(t *testing.T) {
+	cases := []struct {
+		k    int
+		p    float64
+		seed uint64
+	}{
+		{1, 0.5, 1}, {2, 1, 2}, {40, 0.1, 7}, {60, 1, 5}, {100, 0, 9},
+		{200, 0.02, 11}, {500, 0.0012, 3}, {800, 0.01, 4},
+	}
+	for _, c := range cases {
+		got, want := NewRandomConnected(c.k, c.p, c.seed), randomConnectedPairScan(c.k, c.p, c.seed)
+		if got.Name() != want.Name() || got.NumEdges() != want.NumEdges() {
+			t.Fatalf("random(%d, p=%v, seed %d): %q with %d edges, pair scan %q with %d",
+				c.k, c.p, c.seed, got.Name(), got.NumEdges(), want.Name(), want.NumEdges())
+		}
+		for v := 0; v < c.k; v++ {
+			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+				t.Fatalf("random(%d, p=%v, seed %d): vertex %d has neighbours %v, pair scan %v",
+					c.k, c.p, c.seed, v, got.Neighbors(v), want.Neighbors(v))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package smp
 
 import (
+	"github.com/unifdist/unifdist/internal/dist"
 	"github.com/unifdist/unifdist/internal/ecc"
 	"github.com/unifdist/unifdist/internal/rng"
 	"github.com/unifdist/unifdist/internal/tester"
@@ -134,7 +135,7 @@ func (s *SingleCellEquality) EstimateRejectProbParallel(x, y []byte, trials, wor
 // input pair over trials Run executions on the shared trial pool, with the
 // codewords and the tester hoisted out of the trial loop: inputs are
 // encoded once per call and each worker builds the tester once and reuses
-// one sample buffer.
+// one sample buffer and, for a tester.ScratchTester, one collision scratch.
 func (e *EqualityFromTester) EstimateAcceptProbParallel(x, y []byte, trials, workers int, r *rng.RNG) (float64, error) {
 	if trials <= 0 {
 		return 0, nil
@@ -145,36 +146,17 @@ func (e *EqualityFromTester) EstimateAcceptProbParallel(x, y []byte, trials, wor
 	}
 	base := r.Uint64()
 	accepts, err := countTrials(trials, workers, base, func() func(*rng.RNG) (bool, error) {
-		var (
-			t       tester.Tester
-			samples []int
-			initErr error
-		)
-		t, initErr = e.build(e.Domain())
-		if initErr == nil {
-			samples = make([]int, t.SampleSize())
+		t, initErr := e.build(e.Domain())
+		if initErr != nil {
+			return func(*rng.RNG) (bool, error) { return false, initErr }
 		}
+		samples := make([]int, t.SampleSize())
+		st, _ := t.(tester.ScratchTester)
+		sc := dist.NewCollisionScratch()
 		return func(gen *rng.RNG) (bool, error) {
-			if initErr != nil {
-				return false, initErr
-			}
-			for i := range samples {
-				// Interleave as in Run: even positions from Alice's µ_X, odd
-				// from Bob's ν_Y.
-				coord := gen.Intn(e.m)
-				if i%2 == 0 {
-					bit := 0
-					if ecc.Bit(cx, coord) {
-						bit = 1
-					}
-					samples[i] = 2*coord + bit
-				} else {
-					bit := 1
-					if ecc.Bit(cy, coord) {
-						bit = 0
-					}
-					samples[i] = 2*coord + bit
-				}
+			e.fillStream(samples, cx, cy, gen)
+			if st != nil {
+				return st.TestScratch(samples, sc), nil
 			}
 			return t.Test(samples), nil
 		}

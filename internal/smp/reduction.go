@@ -101,13 +101,18 @@ func (e *EqualityFromTester) Run(x, y []byte, r *rng.RNG) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	q := t.SampleSize()
-	samples := make([]int, q)
+	samples := make([]int, t.SampleSize())
+	e.fillStream(samples, cx, cy, r)
+	return t.Test(samples), nil
+}
+
+// fillStream fills samples with the referee's stream for codewords cx and
+// cy: even positions from Alice's µ_X, odd from Bob's ν_Y. (A uniformly
+// random interleaving would match the mixture exactly; the referee's
+// alternating merge is the standard stratified surrogate and only reduces
+// the variance of the per-pair counts.)
+func (e *EqualityFromTester) fillStream(samples []int, cx, cy []byte, r *rng.RNG) {
 	for i := range samples {
-		// Interleave: even positions from Alice's µ_X, odd from Bob's ν_Y.
-		// (A uniformly random interleaving would match the mixture exactly;
-		// the referee's alternating merge is the standard stratified
-		// surrogate and only reduces the variance of the per-pair counts.)
 		coord := r.Intn(e.m)
 		if i%2 == 0 {
 			bit := 0
@@ -123,5 +128,4 @@ func (e *EqualityFromTester) Run(x, y []byte, r *rng.RNG) (bool, error) {
 			samples[i] = 2*coord + bit
 		}
 	}
-	return t.Test(samples), nil
 }

@@ -29,26 +29,23 @@ func VoteStream(g *rng.RNG, base, trial uint64, node, k int) {
 	g.SeedAt(base, trial*uint64(k)+uint64(node))
 }
 
-// Node returns node i's tester (the vote hook the cluster node client runs
-// against its own sample block).
+// Node returns node i's tester, from which the cluster node client resolves
+// the same tester.Voter that VoteAt runs.
 func (nw *Network) Node(i int) tester.Tester { return nw.nodes[i] }
 
-// VoteAt computes node `node`'s vote for indexed trial `trial`: it reseeds
-// g via VoteStream, draws the node's sample block from d through the batch
-// kernels, and returns true when the node rejects. A nil sc allocates
-// per call; Monte-Carlo loops should reuse one Scratch.
+// VoteAt computes node `node`'s vote for indexed trial `trial` and
+// returns true when the node rejects. It reseeds g via VoteStream and
+// votes through the node's tester.Voter, which draws from d only the
+// samples that decide the vote: a block-collision node stops at its first
+// block without a repeat. The vote equals the node's Test on its full
+// sample set from the same stream; g's state afterwards is unspecified.
+// A nil sc allocates per call; Monte-Carlo loops should reuse one Scratch.
 func (nw *Network) VoteAt(d dist.Distribution, base, trial uint64, node int, g *rng.RNG, sc *Scratch) (reject bool) {
 	if sc == nil {
 		sc = nw.NewScratch()
 	}
 	VoteStream(g, base, trial, node, len(nw.nodes))
-	nd := nw.nodes[node]
-	block := sc.buf[:nd.SampleSize()]
-	dist.SampleInto(d, block, g)
-	if st := nw.scratchNodes[node]; st != nil {
-		return !st.TestScratch(block, sc.col)
-	}
-	return !nd.Test(block)
+	return nw.voters[node].Vote(d, g, sc.buf, sc.col)
 }
 
 // RunAt executes indexed trial `trial` in full — every node votes through
@@ -99,7 +96,8 @@ func (nw *Network) verdictAt(d dist.Distribution, base, trial uint64, g *rng.RNG
 // trial set a cluster session at the same base executes.
 //
 // Trials run on the shared pool (internal/trialpool) with nw.Workers
-// goroutines, each owning one generator and one Scratch, and stop polling
+// goroutines, each owning one generator; a trial borrows its Scratch from
+// a pool that outlives the call and the network. Trials stop polling
 // nodes once the rule's EarlyDecider fixes the verdict. Every trial's
 // verdict is a pure function of (base, trial), so the estimate is
 // bit-for-bit a full RunAt loop's at any worker count and GOMAXPROCS.
@@ -117,8 +115,10 @@ func (nw *Network) EstimateErrorAt(d dist.Distribution, wantAccept bool, trials 
 		trialNS = nw.Obs.Histogram("zeroround.trial_ns", obs.LatencyBuckets())
 	}
 	wrong, _ := trialpool.Count(trials, nw.Workers, func() func(int) (bool, error) {
-		g, sc := rng.New(0), nw.NewScratch()
+		g := rng.New(0)
 		return func(t int) (bool, error) {
+			sc := nw.borrowScratch()
+			defer scratchPool.Put(sc)
 			if trialNS == nil {
 				return nw.verdictAt(d, base, uint64(t), g, sc) != wantAccept, nil
 			}

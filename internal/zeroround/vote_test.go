@@ -1,7 +1,9 @@
 package zeroround
 
 import (
+	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/unifdist/unifdist/internal/dist"
@@ -131,6 +133,46 @@ func TestVerdictAtMatchesRunAt(t *testing.T) {
 	}
 }
 
+// TestRunAtRejectsPinnedAND pins RunAt's reject counts on an AND network
+// whose nodes vote on m = 2 blocks (SolveAND(2¹⁶, 1000, 1, 1/3): M = 2,
+// s = 104) for trials 0–63 at base 22, on the uniform and a two-bump
+// input. The literals were recorded when every vote drew all its samples,
+// so they hold the early block exit to the full draw's verdicts.
+func TestRunAtRejectsPinnedAND(t *testing.T) {
+	cfg, err := SolveAND(1<<16, 1000, 1, 1.0/3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.M != 2 || cfg.SamplesPerNode != 104 {
+		t.Fatalf("SolveAND: M = %d, s = %d; the pin needs M = 2, s = 104", cfg.M, cfg.SamplesPerNode)
+	}
+	nw, err := BuildAND(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range []struct {
+		d       dist.Distribution
+		rejects [64]int
+	}{
+		{dist.NewUniform(1 << 16), [64]int{
+			1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+			0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0,
+		}},
+		{dist.NewTwoBump(1<<16, 1, 7), [64]int{
+			1, 0, 3, 1, 1, 3, 0, 1, 2, 0, 0, 2, 2, 1, 1, 3, 0, 2, 0, 0, 2, 1, 0, 0, 1, 1, 3, 0, 0, 2, 2, 0,
+			1, 3, 0, 0, 4, 2, 0, 0, 1, 2, 4, 1, 2, 1, 1, 0, 0, 1, 0, 0, 2, 1, 3, 3, 2, 3, 2, 1, 0, 0, 1, 1,
+		}},
+	} {
+		g, sc := rng.New(0), nw.NewScratch()
+		for trial, want := range pin.rejects {
+			accept, got := nw.RunAt(pin.d, 22, uint64(trial), g, sc)
+			if got != want || accept != (want == 0) {
+				t.Fatalf("%s trial %d: RunAt = (%v, %d rejects), pinned %d rejects", pin.d.Name(), trial, accept, got, want)
+			}
+		}
+	}
+}
+
 // TestEstimateErrorAtMatchesManualLoop: at every worker count, with
 // telemetry on and off, under both rules and on both inputs, the
 // early-stopping parallel estimate equals a full RunAt loop over the same
@@ -159,6 +201,90 @@ func TestEstimateErrorAtMatchesManualLoop(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEstimateErrorAtReusesScratch: trial scratch outlives the call and
+// the network, so after a warm-up an E2-size cell (n = 2²⁰, where one
+// stamp array is 2 MiB) allocates well under one stamp array, on the
+// network that warmed the pool and on a new one. Each network is measured
+// over five calls and judged by its least allocation, so a garbage
+// collection that empties the pool mid-test cannot fail it.
+func TestEstimateErrorAtReusesScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const n, stamp = 1 << 20, 2 << 20
+	build := func(k int) *Network {
+		cfg, err := SolveAND(n, k, 1, 1.0/3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw, err := BuildAND(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw.Workers = 2
+		return nw
+	}
+	u := dist.NewUniform(n)
+	warm := build(1000)
+	warm.EstimateErrorAt(u, true, 25, 1)
+	for _, nw := range []*Network{warm, build(4000)} {
+		least := uint64(math.MaxUint64)
+		var ms runtime.MemStats
+		for i := uint64(0); i < 5; i++ {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			nw.EstimateErrorAt(u, true, 25, 2+i)
+			runtime.ReadMemStats(&ms)
+			least = min(least, ms.TotalAlloc-before)
+		}
+		if least > stamp/16 {
+			t.Errorf("k=%d: an EstimateErrorAt call allocated %d B at least, want under %d B (1/16 of a stamp array)", nw.K(), least, stamp/16)
+		}
+	}
+}
+
+// TestEstimateErrorAtConcurrentCalls: calls running at once on networks of
+// different sample sizes share the scratch pool, and each still returns
+// its sequential estimate.
+func TestEstimateErrorAtConcurrentCalls(t *testing.T) {
+	cfg, err := SolveAND(1<<16, 1000, 1, 1.0/3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	and, err := BuildAND(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nws := append(estimateNetworks(t), and)
+	d := dist.NewTwoBump(1<<10, 1, 3)
+	and16 := dist.NewTwoBump(1<<16, 1, 3)
+	input := func(nw *Network) dist.Distribution {
+		if nw == and {
+			return and16
+		}
+		return d
+	}
+	want := make([]float64, len(nws))
+	for i, nw := range nws {
+		nw.Workers = 2
+		want[i] = nw.EstimateErrorAt(input(nw), false, 40, 8)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				i := (g + round) % len(nws)
+				if got := nws[i].EstimateErrorAt(input(nws[i]), false, 40, 8); got != want[i] {
+					t.Errorf("network %d: concurrent estimate %v, sequential %v", i, got, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestEstimateErrorParallelDeterministic: EstimateErrorAt's parallel pool
@@ -230,38 +356,53 @@ func TestRunAtErrorWithinBound(t *testing.T) {
 // benchRejects keeps BenchmarkVoteAt's votes live.
 var benchRejects int
 
-// BenchmarkVoteAt times the indexed vote path that perfbench's
-// zeroround.vote_ns row reports: VoteAt (reseed, sample block, collision
-// statistic) on the 64-node threshold network over a 64-element domain at
-// ε = 1, node-major over 128 trials, for the uniform and the two-bump
-// input. One op is one vote.
+// BenchmarkVoteAt times the indexed vote path, VoteAt (reseed, sample
+// blocks, collision checks), node-major over 128 trials, for the uniform
+// and the two-bump input on two networks. The unprefixed cases run the
+// 64-node threshold network over a 64-element domain at ε = 1 that
+// perfbench's zeroround.vote_ns row reports: one block per node. The and/
+// cases run the AND network of SolveAND(2¹⁶, 1000, 1, 1/3), whose nodes
+// vote on m = 2 blocks of 52 samples, so a uniform vote mostly stops after
+// its first block. One op is one vote.
 func BenchmarkVoteAt(b *testing.B) {
-	const n, k, trials = 64, 64, 128
-	cfg, err := SolveThreshold(n, k, 1.0)
+	const trials = 128
+	thrCfg, err := SolveThreshold(64, 64, 1.0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	nw, err := BuildThreshold(cfg)
+	thr, err := BuildThreshold(thrCfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	inputs := []struct {
+	andCfg, err := SolveAND(1<<16, 1000, 1.0, 1.0/3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	and, err := BuildAND(andCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
 		name string
+		nw   *Network
 		d    dist.Distribution
 	}{
-		{"uniform", dist.NewUniform(n)},
-		{"twobump", dist.NewTwoBump(n, 1.0, 7)},
+		{"uniform", thr, dist.NewUniform(64)},
+		{"twobump", thr, dist.NewTwoBump(64, 1.0, 7)},
+		{"and/uniform", and, dist.NewUniform(1 << 16)},
+		{"and/twobump", and, dist.NewTwoBump(1<<16, 1.0, 7)},
 	}
-	for _, in := range inputs {
-		b.Run(in.name, func(b *testing.B) {
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			k := c.nw.K()
 			g := rng.New(0)
-			sc := nw.NewScratch()
+			sc := c.nw.NewScratch()
 			rejects := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v := i % (k * trials)
-				if nw.VoteAt(in.d, 42, uint64(v%trials), v/trials, g, sc) {
+				if c.nw.VoteAt(c.d, 42, uint64(v%trials), v/trials, g, sc) {
 					rejects++
 				}
 			}

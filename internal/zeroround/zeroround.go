@@ -19,6 +19,7 @@ package zeroround
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/unifdist/unifdist/internal/dist"
 	"github.com/unifdist/unifdist/internal/obs"
@@ -96,9 +97,9 @@ func (t ThresholdRule) Name() string { return fmt.Sprintf("threshold(T=%d)", t.T
 type Network struct {
 	nodes []tester.Tester
 	rule  Rule
-	// scratchNodes[i] is nodes[i] as a ScratchTester, or nil; resolved once
-	// at construction so a vote pays no type assertion.
-	scratchNodes []tester.ScratchTester
+	// voters[i] is nodes[i]'s vote, resolved once at construction so a
+	// vote pays no type assertion.
+	voters []tester.Voter
 	// early is rule as an EarlyDecider, or nil; resolved once likewise.
 	early EarlyDecider
 	// maxSamples caches MaxSamplesPerNode.
@@ -126,14 +127,12 @@ func NewNetwork(nodes []tester.Tester, rule Rule) (*Network, error) {
 		return nil, fmt.Errorf("zeroround: nil decision rule")
 	}
 	nw := &Network{
-		nodes:        nodes,
-		rule:         rule,
-		scratchNodes: make([]tester.ScratchTester, len(nodes)),
+		nodes:  nodes,
+		rule:   rule,
+		voters: make([]tester.Voter, len(nodes)),
 	}
 	for i, nd := range nodes {
-		if st, ok := nd.(tester.ScratchTester); ok {
-			nw.scratchNodes[i] = st
-		}
+		nw.voters[i] = tester.NewVoter(nd)
 		if s := nd.SampleSize(); s > nw.maxSamples {
 			nw.maxSamples = s
 		}
@@ -165,7 +164,8 @@ func (nw *Network) MaxSamplesPerNode() int { return nw.maxSamples }
 // Scratch holds the reusable buffers of the indexed execution: the sample
 // buffer and the collision-statistic scratch. One Scratch serves any
 // number of sequential VoteAt and RunAt calls on the same network; it is
-// not safe for concurrent use, so EstimateErrorAt allocates one per worker.
+// not safe for concurrent use, so EstimateErrorAt lends one to each trial
+// from a pool shared across calls and networks.
 type Scratch struct {
 	buf []int
 	col *dist.CollisionScratch
@@ -177,6 +177,23 @@ func (nw *Network) NewScratch() *Scratch {
 		buf: make([]int, nw.maxSamples),
 		col: dist.NewCollisionScratch(),
 	}
+}
+
+// scratchPool holds the trial scratch EstimateErrorAt lends out. A
+// collision scratch's stamp array costs two bytes per domain element
+// (2 MiB at n = 2²⁰) and grows on demand, so one pooled scratch serves
+// every network and domain size.
+var scratchPool = sync.Pool{New: func() any { return &Scratch{col: dist.NewCollisionScratch()} }}
+
+// borrowScratch takes a scratch from the pool with its sample buffer sized
+// for nw; hand it back with scratchPool.Put.
+func (nw *Network) borrowScratch() *Scratch {
+	sc := scratchPool.Get().(*Scratch)
+	if cap(sc.buf) < nw.maxSamples {
+		sc.buf = make([]int, nw.maxSamples)
+	}
+	sc.buf = sc.buf[:nw.maxSamples]
+	return sc
 }
 
 // CP returns the gap constant C_p = ln(1/p) / ln(1/(1−p)) required of each
