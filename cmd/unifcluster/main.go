@@ -10,7 +10,7 @@
 //	            [-seed 1] [-transport pipe|tcp] [-policy observed|strict]
 //	            [-early] [-sketch] [-drop 0] [-dup 0] [-disconnect 0]
 //	            [-delay 0] [-fault-seed 1] [-retries 0] [-backoff 5ms]
-//	            [-deadline 10s] [-batch 0] [-flush-bytes 8192] [-queue 16]
+//	            [-deadline 10s] [-batch 0] [-flush-bytes 8192]
 //	            [-agg 0] [-agg-depth 1]
 //	            [-json] [-journal run.jsonl] [-obs-addr :9090]
 //
@@ -32,10 +32,10 @@
 // emits as -json) the same report the legacy single-run mode produces.
 //
 // -batch enables the high-throughput transport: votes coalesce into
-// VoteBatch frames behind a bounded per-connection send queue that blocks
-// when full, and the flush/queue flags tune the coalescing watermarks and
-// the queue depth. None of these change any verdict — batched runs are
-// trial-for-trial identical to unbatched ones.
+// VoteBatch frames, each written to the node's connection as soon as a
+// watermark trips, and -flush-bytes sets the byte watermark. Neither
+// changes any verdict — batched runs are trial-for-trial identical to
+// unbatched ones.
 //
 // -agg shards the referee behind a hierarchical aggregation tree: the
 // node-ID space splits into contiguous windows of at most -agg children
@@ -104,17 +104,12 @@ func run(args []string, stdout io.Writer) error {
 		policy    = fs.String("policy", "observed", "missing-vote policy: observed or strict")
 		early     = fs.Bool("early", false, "close the session as soon as every verdict is fixed")
 		sketch    = fs.Bool("sketch", false, "nodes submit raw collision sketches (threshold rule only)")
-		drop      = fs.Float64("drop", 0, "per-vote drop probability")
-		dup       = fs.Float64("dup", 0, "per-vote duplication probability")
-		disc      = fs.Float64("disconnect", 0, "per-vote hard-disconnect probability")
-		delay     = fs.Duration("delay", 0, "max per-vote injected delay")
-		faultSeed = fs.Uint64("fault-seed", 1, "seed of the fault plan's link streams")
+		faultPlan = faultFlags(fs)
 		retries   = fs.Int("retries", 0, "node redial attempts after transport errors")
 		backoff   = fs.Duration("backoff", 5*time.Millisecond, "initial retry backoff (doubles per attempt)")
 		deadline  = fs.Duration("deadline", cluster.DefaultDeadline, "session safety-net deadline")
 		batch     = fs.Int("batch", 0, "coalesce up to this many votes per VoteBatch frame (0 = one frame per vote)")
 		flushB    = fs.Int("flush-bytes", 0, "flush a pending batch at this encoded size (default 8KiB)")
-		queueLen  = fs.Int("queue", 0, "bounded send-queue depth per node connection (default 16)")
 		aggFanout = fs.Int("agg", 0, "shard the referee behind an aggregator tree of this fanout (0 = flat star, ≥ 2 = tree)")
 		aggDepth  = fs.Int("agg-depth", 1, "aggregator tiers between the leaves and the root (requires -agg)")
 		jsonFlag  = fs.Bool("json", false, "emit a machine-readable run document instead of text")
@@ -166,12 +161,8 @@ func run(args []string, stdout io.Writer) error {
 		Backoff:    *backoff,
 		Batch:      *batch,
 		FlushBytes: *flushB,
-		QueueDepth: *queueLen,
 	}
-	var plan *cluster.FaultPlan
-	if *drop > 0 || *dup > 0 || *disc > 0 || *delay > 0 {
-		plan = &cluster.FaultPlan{Seed: *faultSeed, Drop: *drop, Dup: *dup, Disconnect: *disc, Delay: *delay}
-	}
+	plan := faultPlan()
 
 	out := stdout
 	var reg *obs.Registry
@@ -187,9 +178,6 @@ func run(args []string, stdout io.Writer) error {
 		prov.Extra = map[string]string{"batch": fmt.Sprint(*batch)}
 		if *flushB > 0 {
 			prov.Extra["flush_bytes"] = fmt.Sprint(*flushB)
-		}
-		if *queueLen > 0 {
-			prov.Extra["queue_depth"] = fmt.Sprint(*queueLen)
 		}
 	}
 	if *aggFanout >= 2 {
@@ -290,16 +278,7 @@ func run(args []string, stdout io.Writer) error {
 	// still carries a fully decided report, and returning first would
 	// truncate the journal after run_start — losing every trial line.
 	if journal != nil && rep != nil {
-		for t := 0; t < rep.Trials; t++ {
-			journal.Write(struct {
-				Kind    string `json:"kind"`
-				Trial   int    `json:"trial"`
-				Accept  bool   `json:"accept"`
-				Rejects int    `json:"rejects"`
-				Votes   int    `json:"votes"`
-				Missing int    `json:"missing"`
-			}{Kind: "cluster_trial", Trial: t, Accept: rep.Verdicts[t], Rejects: rep.Rejects[t], Votes: rep.Votes[t], Missing: rep.Missing[t]})
-		}
+		rep.WriteTrials(journal)
 		end := struct {
 			Kind   string  `json:"kind"`
 			WallMS float64 `json:"wall_ms"`
@@ -358,6 +337,25 @@ func run(args []string, stdout io.Writer) error {
 		return doc.WriteJSON(stdout)
 	}
 	return nil
+}
+
+// faultFlags registers the five fault-plan flags on fs and returns the
+// builder of the plan they describe: nil when every rate and the delay
+// are zero.
+func faultFlags(fs *flag.FlagSet) func() *cluster.FaultPlan {
+	var (
+		drop  = fs.Float64("drop", 0, "per-vote drop probability")
+		dup   = fs.Float64("dup", 0, "per-vote duplication probability")
+		disc  = fs.Float64("disconnect", 0, "per-vote hard-disconnect probability")
+		delay = fs.Duration("delay", 0, "max per-vote injected delay")
+		seed  = fs.Uint64("fault-seed", 1, "seed of the fault plan's link streams")
+	)
+	return func() *cluster.FaultPlan {
+		if *drop > 0 || *dup > 0 || *disc > 0 || *delay > 0 {
+			return &cluster.FaultPlan{Seed: *seed, Drop: *drop, Dup: *dup, Disconnect: *disc, Delay: *delay}
+		}
+		return nil
+	}
 }
 
 func printf(w io.Writer, format string, args ...any) {

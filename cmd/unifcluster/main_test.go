@@ -408,6 +408,7 @@ func TestRunErrors(t *testing.T) {
 		{name: "retired serve -workers", args: []string{"serve", "-workers", "4"}, want: "not defined: -workers"},
 		{name: "retired serve -quantum", args: []string{"serve", "-quantum", "32"}, want: "not defined: -quantum"},
 		{name: "retired serve -queue", args: []string{"serve", "-queue", "64"}, want: "not defined: -queue"},
+		{name: "retired -queue", args: []string{"-queue", "16"}, want: "not defined: -queue"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -114,11 +114,7 @@ func runSubmit(args []string, stdout io.Writer) error {
 		seed      = fs.Uint64("seed", 1, "base seed of the indexed sample streams")
 		sketch    = fs.Bool("sketch", false, "nodes submit raw collision sketches (threshold rule only)")
 		early     = fs.Bool("early", false, "let the service close the session as soon as every verdict is fixed")
-		drop      = fs.Float64("drop", 0, "per-vote drop probability")
-		dup       = fs.Float64("dup", 0, "per-vote duplication probability")
-		disc      = fs.Float64("disconnect", 0, "per-vote hard-disconnect probability")
-		delay     = fs.Duration("delay", 0, "max per-vote injected delay")
-		faultSeed = fs.Uint64("fault-seed", 1, "seed of the fault plan's link streams")
+		faultPlan = faultFlags(fs)
 		retries   = fs.Int("retries", 0, "node redial attempts after transport errors")
 		backoff   = fs.Duration("backoff", 5*time.Millisecond, "initial retry backoff (doubles per attempt)")
 		batch     = fs.Int("batch", 0, "coalesce up to this many votes per VoteBatch frame (0 = one frame per vote)")
@@ -149,10 +145,7 @@ func runSubmit(args []string, stdout io.Writer) error {
 		Backoff:    *backoff,
 		Batch:      *batch,
 	}
-	var plan *cluster.FaultPlan
-	if *drop > 0 || *dup > 0 || *disc > 0 || *delay > 0 {
-		plan = &cluster.FaultPlan{Seed: *faultSeed, Drop: *drop, Dup: *dup, Disconnect: *disc, Delay: *delay}
-	}
+	plan := faultPlan()
 
 	out := stdout
 	if *jsonFlag {

@@ -6,7 +6,7 @@ import (
 
 // LockIO forbids blocking I/O while holding a sync.Mutex/RWMutex in
 // cluster-segment packages: connection reads/writes (net.Conn, io.Writer,
-// wire.WriteFrame*/ReadFrame*/ReadBody), channel sends (except under a
+// wire.WriteFrame/ReadFrame*/ReadBody), channel sends (except under a
 // select with a default clause, which cannot block), send-queue
 // send/Flush/Enqueue calls (QueueBlock applies backpressure while the
 // caller holds the lock), and time.Sleep. The referee's hot path is the
@@ -210,7 +210,7 @@ func blockingCall(pass *Pass, call *ast.CallExpr) string {
 		return "time.Sleep"
 	}
 	switch name := CalleeIn(call, pass.TypesInfo, "wire"); name {
-	case "WriteFrame", "WriteFrameSession":
+	case "WriteFrame":
 		return "wire." + name
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)

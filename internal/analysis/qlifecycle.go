@@ -11,7 +11,7 @@ import (
 // barrier. Two idioms terminate cleanly and pass without annotation:
 //
 //   - `for range ch { ... }` — ends when the channel is closed; this is
-//     the sendQueue single-writer idiom (producer closes items, the writer
+//     the single-writer queue idiom (producer closes items, the writer
 //     drains and signals done).
 //   - a `for { select { ... } }` loop where some clause returns or breaks
 //     out of the loop (a stop-channel case).

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"errors"
 	"io"
+	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -422,4 +425,69 @@ func TestAggregatorDrainsPartialOnDeadline(t *testing.T) {
 		t.Errorf("root folded %d partial votes, want %d (node 0's drained sums)",
 			rep.Stats.PartialVotes, rootCfg.Trials)
 	}
+}
+
+// TestAggregatorReplaysAfterUpstreamFailure drives the aggregator's
+// redial-and-replay path: its first upstream connection fails on its
+// second write (the first PartialVerdict), so it redials once and replays
+// its flushed log, and the root must still decide every trial exactly as
+// RunAt with no vote missing.
+func TestAggregatorReplaysAfterUpstreamFailure(t *testing.T) {
+	nw := thresholdNetwork(t, 64, 10)
+	d := dist.NewTwoBump(64, 1.0, 3)
+	reg := obs.NewRegistry()
+	run := func(cfg Config, nw *zeroround.Network, d dist.Distribution, _ *FaultPlan) (*Report, error) {
+		k := nw.K()
+		rootL, aggL := NewPipeListener(), NewPipeListener()
+		var dials atomic.Int32
+		dial := func() (net.Conn, error) {
+			c, err := rootL.Dial()
+			if err != nil || dials.Add(1) > 1 {
+				return c, err
+			}
+			return &failingConn{Conn: c, failAt: 2}, nil
+		}
+		aggCfg := cfg
+		aggCfg.Obs = reg
+		agg := &Aggregator{ID: 0, Lo: 0, Hi: k, K: k, Tier: 1, Dial: dial, Config: aggCfg}
+		aggDone := make(chan error, 1)
+		go func() { aggDone <- agg.Serve(aggL) }()
+		nodeErrs := make(chan error, k)
+		for n := 0; n < k; n++ {
+			nc := &NodeClient{ID: n, K: k, Tester: nw.Node(n), Config: cfg, Dial: aggL.Dial}
+			go func() {
+				_, err := nc.Run(d)
+				nodeErrs <- err
+			}()
+		}
+		rep, err := NewReferee(k, nw.Rule(), cfg).Serve(rootL)
+		if aerr := <-aggDone; aerr != nil && err == nil {
+			err = aerr
+		}
+		for n := 0; n < k; n++ {
+			if nerr := <-nodeErrs; nerr != nil && err == nil {
+				err = nerr
+			}
+		}
+		return rep, err
+	}
+	checkDifferential(t, nw, d, Config{Trials: 6, BaseSeed: 8, Retries: 2}, run)
+	if got := reg.Snapshot().Counters["agg.upstream_retries"]; got != 1 {
+		t.Fatalf("agg.upstream_retries = %d, want 1", got)
+	}
+}
+
+// failingConn fails its failAt-th Write and closes the connection, as a
+// link that dies mid-session does.
+type failingConn struct {
+	net.Conn
+	writes, failAt int
+}
+
+func (c *failingConn) Write(p []byte) (int, error) {
+	if c.writes++; c.writes == c.failAt {
+		c.Conn.Close()
+		return 0, errors.New("injected upstream write failure")
+	}
+	return c.Conn.Write(p)
 }

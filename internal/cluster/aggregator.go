@@ -13,12 +13,12 @@ import (
 
 // Aggregator is one shard server of a hierarchical aggregation tree: it
 // terminates the node clients (or child aggregators) of the window
-// [Lo, Hi) exactly like a referee — same handshake, dedup bitsets,
-// batching and send-queue machinery, all through the shared voteSink —
-// folds their votes into per-trial partial sums, and forwards the sums
-// upstream as wire.PartialVerdict frames. Both decision rules are
-// commutative monoids over (votes, rejects), so the root referee merging
-// the partials decides trial-for-trial exactly as the flat star would.
+// [Lo, Hi) exactly like a referee — same handshake, dedup bitsets and
+// batch decoding, all through the shared voteSink — folds their votes
+// into per-trial partial sums, and forwards the sums upstream as
+// wire.PartialVerdict frames. Both decision rules are commutative monoids
+// over (votes, rejects), so the root referee merging the partials decides
+// trial-for-trial exactly as the flat star would.
 //
 // Flushes happen on count/byte watermarks and at the session drain only
 // — never on a wall-clock timer — so a tree run stays deterministic.
@@ -35,7 +35,7 @@ type Aggregator struct {
 	// K is the global network size (validated against every Hello).
 	K int
 	// Tier is the aggregator's level in the tree, 1 = directly above the
-	// leaves; it namespaces the upstream queue metrics (agg.tier<N>.*).
+	// leaves; it is recorded on the agg.session span.
 	Tier int
 	// Dial opens the upstream connection (parent aggregator or root).
 	Dial func() (net.Conn, error)
@@ -55,12 +55,14 @@ type Aggregator struct {
 	cond     *sync.Cond
 	foldErr  error
 
-	// Upstream link. The fold goroutine owns conn/q until it exits
-	// (foldDone), then Serve's finalization takes over — a sequential
-	// handoff, so no extra lock. upDone and the verdict fields are shared
-	// with the reader goroutine and guarded by the sink mutex.
+	// Upstream link. Serve owns conn and buf until it starts the fold
+	// goroutine, which owns them until it exits (foldDone); then Serve's
+	// finalization takes over — a sequential handoff, so every write to
+	// conn comes from its owner and needs no extra lock. upDone and the
+	// verdict fields are shared with the reader goroutine and guarded by
+	// the sink mutex.
 	conn        net.Conn
-	q           *sendQueue
+	buf         []byte              // reused frame encode buffer
 	flushed     []wire.PartialEntry // every entry flushed, for replay
 	upDone      chan struct{}
 	haveVerdict bool
@@ -158,7 +160,6 @@ func (a *Aggregator) Serve(l net.Listener) error {
 		c.Close()
 	}
 	ing.Close()
-	a.q.Close()
 	a.conn.Close()
 	a.m.peersIdle.Set(0)
 	if err != nil {
@@ -247,30 +248,40 @@ func (a *Aggregator) fold(sess trace.Context, done chan struct{}) {
 	}
 }
 
-// flushPartial encodes one PartialVerdict frame under an agg.fold span —
-// whose context rides the frame, parenting the parent sink's
-// applypartial span across the connection — and enqueues it upstream,
-// retrying with a full replay on a dead link.
+// flushPartial writes one PartialVerdict frame upstream and keeps its
+// entries for replay, retrying with a full replay on a dead link.
 func (a *Aggregator) flushPartial(sess trace.Context, entries []wire.PartialEntry) error {
 	// Trial completion order depends on connection scheduling; sorting
 	// keeps the frame content canonical for a given completion set.
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Trial < entries[j].Trial })
+	a.flushed = append(a.flushed, entries...)
+	if err := a.writePartial(sess, entries, false); err != nil {
+		return a.retryUpstream(sess, err)
+	}
+	return nil
+}
+
+// writePartial encodes entries as one PartialVerdict frame under an
+// agg.fold span — whose context rides the frame, parenting the parent
+// sink's applypartial span across the connection — and writes it
+// upstream.
+func (a *Aggregator) writePartial(sess trace.Context, entries []wire.PartialEntry, replay bool) error {
 	sp := a.cfg.Trace.Start("agg.fold", sess,
 		trace.A("agg", int(a.ID)), trace.A("entries", len(entries)))
+	if replay {
+		sp.Annotate(trace.A("replay", true))
+	}
 	ctx := sp.Context()
 	pv := &wire.PartialVerdict{Agg: a.ID, Sketch: a.samples != nil, Entries: entries}
-	buf, err := wire.AppendPartialSession(a.q.buffer(), pv, a.cfg.Session,
+	buf, err := wire.AppendPartialSession(a.buf[:0], pv, a.cfg.Session,
 		wire.TraceContext{Trace: uint64(ctx.Trace), Span: uint64(ctx.Span)})
 	if err == nil {
-		err = a.q.send(buf)
+		a.buf = buf
+		_, err = a.conn.Write(buf)
 	}
 	sp.End()
 	a.reg.Counter("cluster.partials_sent").Inc()
-	a.flushed = append(a.flushed, entries...)
-	if err != nil {
-		return a.retryUpstream(sess)
-	}
-	return nil
+	return err
 }
 
 // failFold records the fold's terminal error and fires the session
@@ -284,8 +295,8 @@ func (a *Aggregator) failFold(err error) {
 	a.fire()
 }
 
-// dialUpstream opens (or reopens) the upstream link: connect, start the
-// verdict reader, send AggHello through a fresh send queue.
+// dialUpstream opens (or reopens) the upstream link: connect, write
+// AggHello, start the verdict reader.
 func (a *Aggregator) dialUpstream(sess trace.Context, deadline time.Duration) error {
 	conn, err := a.Dial()
 	if err != nil {
@@ -295,20 +306,19 @@ func (a *Aggregator) dialUpstream(sess trace.Context, deadline time.Duration) er
 	// timer by a full budget, because the drain flushes, Done and the
 	// verdict wait all happen after that timer may already have fired.
 	conn.SetDeadline(time.Now().Add(2 * deadline)) //unifvet:allow wallclock per-attempt I/O safety bound; partial sums are folded state and unaffected
-	q := newSendQueue(conn, a.cfg.queueDepth(), a.reg, fmt.Sprintf("agg.tier%d", a.Tier))
 	hello := &wire.AggHello{Agg: a.ID, K: uint32(a.K), Trials: uint32(a.cfg.Trials),
 		Lo: uint32(a.Lo), Hi: uint32(a.Hi)}
-	buf := wire.AppendSession(q.buffer(), hello, a.cfg.Session,
+	buf := wire.AppendSession(a.buf[:0], hello, a.cfg.Session,
 		wire.TraceContext{Trace: uint64(sess.Trace), Span: uint64(sess.Span)})
-	if err := q.send(buf); err != nil {
-		q.Close()
+	a.buf = buf
+	if _, err := conn.Write(buf); err != nil {
 		conn.Close()
 		return err
 	}
 	upDone := make(chan struct{})
 	go a.readUpstream(conn, upDone)
 	a.mu.Lock()
-	a.conn, a.q, a.upDone = conn, q, upDone
+	a.conn, a.upDone = conn, upDone
 	a.mu.Unlock()
 	return nil
 }
@@ -339,23 +349,18 @@ func (a *Aggregator) readUpstream(conn net.Conn, done chan struct{}) {
 	}
 }
 
-// retryUpstream redials the upstream link and replays the full flushed
-// log in frame-sized chunks. The parent's per-(trial, child) dedup makes
-// the replay idempotent: entries that made it through before the failure
-// fold exactly once.
-func (a *Aggregator) retryUpstream(sess trace.Context) error {
+// retryUpstream redials the upstream link after the write that failed
+// with lastErr and replays the full flushed log in frame-sized chunks.
+// The parent's per-(trial, child) dedup makes the replay idempotent:
+// entries that made it through before the failure fold exactly once.
+func (a *Aggregator) retryUpstream(sess trace.Context, lastErr error) error {
 	backoff := a.cfg.Backoff
-	var lastErr error = a.q.Err()
-	if lastErr == nil {
-		lastErr = fmt.Errorf("upstream send failed")
-	}
 	for attempt := 0; attempt < a.cfg.Retries; attempt++ {
 		a.reg.Counter("agg.upstream_retries").Inc()
 		if backoff > 0 {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		a.q.Close()
 		a.conn.Close()
 		if err := a.dialUpstream(sess, a.cfg.deadline()); err != nil {
 			lastErr = err
@@ -370,38 +375,23 @@ func (a *Aggregator) retryUpstream(sess trace.Context) error {
 	return fmt.Errorf("upstream after %d retries: %w", a.cfg.Retries, lastErr)
 }
 
-// replay resends every flushed entry through the (fresh) upstream queue.
+// replay resends every flushed entry on the fresh upstream link.
 func (a *Aggregator) replay(sess trace.Context) error {
-	log := a.flushed
-	for len(log) > 0 {
-		n := len(log)
-		if n > wire.MaxPartialEntries {
-			n = wire.MaxPartialEntries
-		}
-		sp := a.cfg.Trace.Start("agg.fold", sess,
-			trace.A("agg", int(a.ID)), trace.A("entries", n), trace.A("replay", true))
-		ctx := sp.Context()
-		pv := &wire.PartialVerdict{Agg: a.ID, Sketch: a.samples != nil, Entries: log[:n]}
-		buf, err := wire.AppendPartialSession(a.q.buffer(), pv, a.cfg.Session,
-			wire.TraceContext{Trace: uint64(ctx.Trace), Span: uint64(ctx.Span)})
-		if err == nil {
-			err = a.q.send(buf)
-		}
-		sp.End()
-		a.reg.Counter("cluster.partials_sent").Inc()
-		if err != nil {
+	for log := a.flushed; len(log) > 0; {
+		n := min(len(log), wire.MaxPartialEntries)
+		if err := a.writePartial(sess, log[:n], true); err != nil {
 			return err
 		}
 		log = log[n:]
 	}
-	return a.q.Flush()
+	return nil
 }
 
 // finishUpstream completes the upstream protocol after the fold loop
-// exited: send Done, flush the queue, and wait for the verdict the
-// reader goroutine collects. A session whose verdict already arrived
-// (early close) succeeds regardless of trailing fold errors — the
-// decision is fixed, trailing partials are moot.
+// exited: write Done and wait for the verdict the reader goroutine
+// collects. A session whose verdict already arrived (early close)
+// succeeds regardless of trailing fold errors — the decision is fixed,
+// trailing partials are moot.
 func (a *Aggregator) finishUpstream() (wire.Verdict, error) {
 	a.mu.Lock()
 	ferr := a.foldErr
@@ -413,12 +403,9 @@ func (a *Aggregator) finishUpstream() (wire.Verdict, error) {
 	if ferr != nil {
 		return wire.Verdict{}, ferr
 	}
-	buf := wire.AppendSession(a.q.buffer(), &wire.Done{Node: a.ID}, a.cfg.Session, wire.TraceContext{})
-	err := a.q.send(buf)
-	if err == nil {
-		err = a.q.Flush()
-	}
-	if err != nil {
+	buf := wire.AppendSession(a.buf[:0], &wire.Done{Node: a.ID}, a.cfg.Session, wire.TraceContext{})
+	a.buf = buf
+	if _, err := a.conn.Write(buf); err != nil {
 		return wire.Verdict{}, fmt.Errorf("upstream done: %w", err)
 	}
 	// The reader exits on verdict, upstream close, or the connection

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"io"
-	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -273,83 +271,12 @@ func TestMixedBatchedAndPerVotePeers(t *testing.T) {
 	}
 }
 
-func TestSendQueueStickyError(t *testing.T) {
-	// A writer that fails permanently: the queue must surface the error to
-	// senders and Flush, and must never deadlock.
-	r, wend := net.Pipe()
-	r.Close() // every write now fails
-	q := newSendQueue(wend, 2, nil, "cluster")
-	defer q.Close()
-	var sawErr bool
-	for i := 0; i < 20; i++ {
-		if err := q.send([]byte{1, 2, 3}); err != nil {
-			sawErr = true
-			break
-		}
-	}
-	if err := q.Flush(); err == nil && !sawErr {
-		t.Fatal("dead connection surfaced no error")
-	}
-	if err := q.Flush(); err == nil {
-		t.Fatal("sticky error cleared itself")
-	}
-}
-
-func TestSendQueueFlushIsBarrier(t *testing.T) {
-	var got []byte
-	pr, pw := io.Pipe()
-	readDone := make(chan struct{})
-	go func() {
-		defer close(readDone)
-		buf := make([]byte, 64)
-		for {
-			n, err := pr.Read(buf)
-			got = append(got, buf[:n]...)
-			if err != nil {
-				return
-			}
-		}
-	}()
-	q := newSendQueue(pw, 4, nil, "cluster")
-	for i := 0; i < 9; i++ {
-		if err := q.send([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := q.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	q.Close()
-	pw.Close()
-	<-readDone
-	want := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("writer delivered %v, want %v (in order, none lost)", got, want)
-	}
-}
-
 // TestBatcherRespectsFrameCaps drives the batcher with adversarially wide
 // votes and checks no emitted frame ever exceeds the wire caps.
 func TestBatcherRespectsFrameCaps(t *testing.T) {
-	var frames [][]byte
-	pr, pw := io.Pipe()
-	readDone := make(chan struct{})
-	go func() {
-		defer close(readDone)
-		for {
-			buf := make([]byte, 1<<18)
-			n, err := pr.Read(buf)
-			if n > 0 {
-				frames = append(frames, buf[:n])
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	q := newSendQueue(pw, 4, nil, "cluster")
+	var w frameRecorder
 	cfg := Config{Trials: 1, Batch: 4096, FlushBytes: 4096, Sketch: true, DomainN: 1}
-	bt := newBatcher(q, cfg, trace.Context{}, nil)
+	bt := newBatcher(&frameWriter{w: &w}, cfg, trace.Context{})
 	// Wide deltas defeat the delta encoding: every column entry costs ~5
 	// bytes, so the byte watermark must flush long before MaxBatchVotes.
 	for i := 0; i < 20000; i++ {
@@ -364,13 +291,20 @@ func TestBatcherRespectsFrameCaps(t *testing.T) {
 	if err := bt.flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Flush(); err != nil {
-		t.Fatal(err)
+	if len(w.frames) < 2 {
+		t.Fatalf("watermark never flushed: %d writes", len(w.frames))
 	}
-	q.Close()
-	pw.Close()
-	<-readDone
-	if len(frames) < 2 {
-		t.Fatalf("watermark never flushed: %d writes", len(frames))
+	for i, f := range w.frames {
+		if len(f)-4 > wire.FrameCap(wire.TypeVoteBatch) {
+			t.Fatalf("frame %d is %d bytes past its prefix, cap %d", i, len(f)-4, wire.FrameCap(wire.TypeVoteBatch))
+		}
 	}
+}
+
+// frameRecorder keeps a copy of every Write, one frame each.
+type frameRecorder struct{ frames [][]byte }
+
+func (r *frameRecorder) Write(p []byte) (int, error) {
+	r.frames = append(r.frames, append([]byte(nil), p...))
+	return len(p), nil
 }

@@ -13,7 +13,7 @@
 // that equivalence exactly.
 //
 // Unlike the simulator, the transport can misbehave: a seeded FaultPlan
-// drops, duplicates, delays or disconnects vote frames deterministically,
+// drops, duplicates, delays or disconnects votes deterministically,
 // and the referee degrades gracefully — its quorum policy decides each
 // trial from the votes that arrived, recording how many went missing. This
 // expresses a robustness property the simulator cannot: the measured
@@ -73,11 +73,8 @@ func (p QuorumPolicy) String() string {
 const DefaultDeadline = 10 * time.Second
 
 // DefaultFlushBytes is the byte watermark at which a partially-filled
-// batch is flushed to the send queue.
+// batch is written to the connection.
 const DefaultFlushBytes = 8 << 10
-
-// DefaultQueueDepth is the per-peer send-queue bound, in frames.
-const DefaultQueueDepth = 16
 
 // Config holds the session parameters shared by the referee and every
 // node client.
@@ -119,22 +116,16 @@ type Config struct {
 	Obs *obs.Registry
 	// Batch, when ≥ 2, switches node clients to the high-throughput path:
 	// up to Batch votes are coalesced into each wire.VoteBatch frame
-	// (clamped to wire.MaxBatchVotes) and written through a bounded send
-	// queue. 0 or 1 keeps the one-frame-per-vote path. Batching never
-	// changes verdicts: the referee applies batched votes through the same
-	// dedup/rule/quorum pipeline, and differential tests pin batched runs
-	// trial-for-trial identical to unbatched ones.
+	// (clamped to wire.MaxBatchVotes). 0 or 1 keeps one frame per vote.
+	// Batching never changes verdicts: the referee applies batched votes
+	// through the same dedup/rule/quorum pipeline, and differential tests
+	// pin batched runs trial-for-trial identical to unbatched ones.
 	Batch int
 	// FlushBytes is the byte watermark flushing a partially-filled batch
 	// (0 = DefaultFlushBytes). Flushes happen on watermarks and explicit
 	// protocol points only — never on a wall-clock timer — so the batched
 	// path stays deterministic.
 	FlushBytes int
-	// QueueDepth bounds each node's send queue in frames (0 =
-	// DefaultQueueDepth). A full queue blocks the sender (backpressure),
-	// so every computed vote is offered to the wire exactly as in the
-	// unbatched path.
-	QueueDepth int
 	// Session binds every frame this configuration sends — and every frame
 	// its referee accepts — to a session ID, carried in each frame's
 	// session field. 0, the default, means unbound, which only a solo run
@@ -188,14 +179,6 @@ func (c Config) flushBytes() int {
 	return c.FlushBytes
 }
 
-// queueDepth resolves the send-queue bound.
-func (c Config) queueDepth() int {
-	if c.QueueDepth <= 0 {
-		return DefaultQueueDepth
-	}
-	return c.QueueDepth
-}
-
 // Report is the referee's account of one session.
 type Report struct {
 	// K and Trials echo the session shape.
@@ -236,6 +219,24 @@ func (r *Report) ErrorRate(wantAccept bool) float64 {
 		}
 	}
 	return float64(wrong) / float64(r.Trials)
+}
+
+// WriteTrials writes one cluster_trial line per trial to j.
+func (r *Report) WriteTrials(j *obs.Journal) {
+	for t := 0; t < r.Trials; t++ {
+		j.Write(trialLine{Kind: "cluster_trial", Trial: t, Accept: r.Verdicts[t],
+			Rejects: r.Rejects[t], Votes: r.Votes[t], Missing: r.Missing[t]})
+	}
+}
+
+// trialLine is the journal record of one decided trial.
+type trialLine struct {
+	Kind    string `json:"kind"`
+	Trial   int    `json:"trial"`
+	Accept  bool   `json:"accept"`
+	Rejects int    `json:"rejects"`
+	Votes   int    `json:"votes"`
+	Missing int    `json:"missing"`
 }
 
 // RefereeStats is the transport-level accounting of one session.

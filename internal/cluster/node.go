@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -31,7 +32,7 @@ type NodeClient struct {
 	// Dial opens a fresh connection to the referee.
 	Dial func() (net.Conn, error)
 	// Faults, when non-nil and active, injects transport faults into this
-	// node's vote frames; see FaultPlan.
+	// node's votes; see FaultPlan.
 	Faults *FaultPlan
 }
 
@@ -53,10 +54,7 @@ func (nc *NodeClient) Run(d dist.Distribution) (wire.Verdict, error) {
 	sess := cfg.Trace.Start("node.session", trace.Context{}, trace.A("node", nc.ID))
 	defer sess.End()
 
-	frames, err := nc.computeFrames(d, sess.Context())
-	if err != nil {
-		return wire.Verdict{}, err
-	}
+	votes := nc.computeVotes(d, sess.Context())
 
 	backoff := cfg.Backoff
 	var lastErr error
@@ -68,12 +66,7 @@ func (nc *NodeClient) Run(d dist.Distribution) (wire.Verdict, error) {
 				backoff *= 2
 			}
 		}
-		var v wire.Verdict
-		if cfg.batchSize() > 0 {
-			v, err = nc.submitBatched(frames, attempt)
-		} else {
-			v, err = nc.submit(frames, attempt)
-		}
+		v, err := nc.submit(votes, sess.Context(), attempt)
 		if err == nil {
 			return v, nil
 		}
@@ -82,20 +75,19 @@ func (nc *NodeClient) Run(d dist.Distribution) (wire.Verdict, error) {
 	return wire.Verdict{}, fmt.Errorf("cluster: node %d: %w", nc.ID, lastErr)
 }
 
-// outFrame is one precomputed submission frame plus the trace position of
-// the sample computation that produced it (zero when tracing is off).
-type outFrame struct {
-	frame  wire.Frame
+// outVote is one precomputed vote plus the trace position of the sample
+// computation that produced it (zero when tracing is off).
+type outVote struct {
+	vote   wire.BatchVote
 	parent trace.Context
 }
 
-// computeFrames runs the node's tester for every trial and encodes the
-// submission as ready-to-send frames. The sample stream of trial t is
-// fixed by (BaseSeed, t, ID) alone, and a vote is VoteAt's reseed and
-// tester.Voter call, so the frames are a pure function of the
+// computeVotes runs the node's tester for every trial. The sample stream
+// of trial t is fixed by (BaseSeed, t, ID) alone, and a vote is VoteAt's
+// reseed and tester.Voter call, so the votes are a pure function of the
 // configuration — independent of scheduling, attempts, or the other nodes
 // — and equal RunAt's votes.
-func (nc *NodeClient) computeFrames(d dist.Distribution, sess trace.Context) ([]outFrame, error) {
+func (nc *NodeClient) computeVotes(d dist.Distribution, sess trace.Context) []outVote {
 	g := rng.New(0)
 	s := nc.Tester.SampleSize()
 	block := make([]int, s)
@@ -103,173 +95,97 @@ func (nc *NodeClient) computeFrames(d dist.Distribution, sess trace.Context) ([]
 	vote := tester.NewVoter(nc.Tester)
 	tr := nc.Config.Trace
 
-	frames := make([]outFrame, 0, nc.Config.Trials)
-	for t := 0; t < nc.Config.Trials; t++ {
+	votes := make([]outVote, nc.Config.Trials)
+	for t := range votes {
 		// The sample span's ID is derived from (trace, trial, node), so a
 		// rerun of the same configuration yields the same span graph.
 		sp := tr.StartID("node.sample",
 			trace.Derive("node.sample", uint64(tr.Trace()), uint64(t), uint64(nc.ID)),
 			sess, trace.A("trial", t))
 		zeroround.VoteStream(g, nc.Config.BaseSeed, uint64(t), nc.ID, nc.K)
-		var f wire.Frame
+		v := wire.BatchVote{Trial: uint32(t), Node: uint32(nc.ID)}
 		if nc.Config.Sketch {
 			// Raw sketch: the referee derives the single-collision vote as
 			// Collisions > 0, so this mode is only valid for testers where
 			// that derivation IS the test. It counts over the full draw.
 			dist.SampleInto(d, block, g)
-			c := col.CountCollisions(nc.Config.DomainN, block)
-			f = &wire.Sketch{
-				Trial: uint32(t), Node: uint32(nc.ID),
-				Samples: uint32(s), Collisions: uint32(c),
-			}
+			v.Samples = uint32(s)
+			v.Collisions = uint32(col.CountCollisions(nc.Config.DomainN, block))
 		} else {
-			f = &wire.Vote{Trial: uint32(t), Node: uint32(nc.ID), Reject: vote.Vote(d, g, block, &col)}
+			v.Reject = vote.Vote(d, g, block, &col)
 		}
 		sp.End()
-		frames = append(frames, outFrame{frame: f, parent: sp.Context()})
+		votes[t] = outVote{vote: v, parent: sp.Context()}
 	}
-	return frames, nil
+	return votes
 }
 
 // submit performs one connection attempt: handshake, vote stream, Done,
-// then blocks for the referee's verdict.
-func (nc *NodeClient) submit(frames []outFrame, attempt int) (wire.Verdict, error) {
-	conn, err := nc.Dial()
-	if err != nil {
-		return wire.Verdict{}, fmt.Errorf("dial: %w", err)
-	}
-	defer conn.Close()
-	// Per-attempt I/O bound: if the referee stalls or the link injects a
-	// disconnect mid-stream, the attempt fails here and the retry path
-	// takes over rather than hanging the node forever.
-	conn.SetDeadline(time.Now().Add(nc.Config.deadline())) //unifvet:allow wallclock per-attempt I/O safety bound; votes are precomputed and unaffected
-
-	tr := nc.Config.Trace
-	lk := newLink(conn, nc.Faults, nc.ID, attempt, nc.Config.Obs, nc.Config.Session)
-	hello := &wire.Hello{Node: uint32(nc.ID), K: uint32(nc.K), Trials: uint32(nc.Config.Trials)}
-	if err := lk.sendControl(hello); err != nil {
-		return wire.Verdict{}, fmt.Errorf("hello: %w", err)
-	}
-	for _, of := range frames {
-		// The send span's ID rides the frame as its wire trace context, so
-		// the referee's apply span can parent on it across the connection.
-		sp := tr.Start("node.send", of.parent, trace.A("attempt", attempt))
-		ctx := sp.Context()
-		err := lk.sendVote(of.frame, wire.TraceContext{Trace: uint64(ctx.Trace), Span: uint64(ctx.Span)})
-		sp.End()
-		if err != nil {
-			return wire.Verdict{}, fmt.Errorf("vote: %w", err)
-		}
-	}
-	if err := lk.sendControl(&wire.Done{Node: uint32(nc.ID)}); err != nil {
-		return wire.Verdict{}, fmt.Errorf("done: %w", err)
-	}
-
-	r := wire.NewReader(conn)
-	f, err := r.ReadFrame()
-	if err != nil {
-		return wire.Verdict{}, fmt.Errorf("verdict: %w", err)
-	}
-	v, ok := f.(*wire.Verdict)
-	if !ok {
-		return wire.Verdict{}, fmt.Errorf("verdict: unexpected frame type %d", f.Type())
-	}
-	return *v, nil
-}
-
-// batchVote flattens one precomputed submission frame into its VoteBatch
-// entry. The frames were computed by computeFrames, so only Vote and
-// Sketch frames reach here.
-func batchVote(f wire.Frame) wire.BatchVote {
-	switch fr := f.(type) {
-	case *wire.Vote:
-		return wire.BatchVote{Trial: fr.Trial, Node: fr.Node, Reject: fr.Reject}
-	case *wire.Sketch:
-		return wire.BatchVote{Trial: fr.Trial, Node: fr.Node, Samples: fr.Samples, Collisions: fr.Collisions}
-	default:
-		panic(fmt.Sprintf("cluster: frame type %d is not a vote", f.Type()))
-	}
-}
-
-// submitBatched is the high-throughput variant of submit: votes coalesce
-// into VoteBatch frames behind a bounded send queue instead of one write
-// per vote. The fault plan draws the identical per-vote stream as the
-// per-frame path (FaultPlan.decide), so a faulty batched run realizes the
-// same delivered-vote multiset: drops skip the vote, dups pack it twice
-// (the referee dedups), and a disconnect first drains the pending batch —
-// mirroring the per-frame path, where earlier votes were already on the
-// wire when the link died.
-func (nc *NodeClient) submitBatched(frames []outFrame, attempt int) (wire.Verdict, error) {
+// then blocks for the referee's verdict. Every frame goes to the
+// connection as soon as it is encoded. The fault plan draws once per
+// vote (FaultPlan.decide), so a (Seed, rates) plan realizes the same
+// delivered-vote multiset on both submission shapes: drops skip the vote,
+// dups deliver it twice (the referee dedups), and a disconnect first
+// writes the pending batch — the votes before it are on the wire, as
+// they are when each vote has its own frame — then kills the link.
+func (nc *NodeClient) submit(votes []outVote, sess trace.Context, attempt int) (wire.Verdict, error) {
 	cfg := nc.Config
 	conn, err := nc.Dial()
 	if err != nil {
 		return wire.Verdict{}, fmt.Errorf("dial: %w", err)
 	}
 	defer conn.Close()
+	// Per-attempt I/O bound: if the referee stalls, the attempt fails here
+	// and the retry path takes over rather than hanging the node forever.
 	conn.SetDeadline(time.Now().Add(cfg.deadline())) //unifvet:allow wallclock per-attempt I/O safety bound; votes are precomputed and unaffected
 
-	var sent, dropped *obs.Counter
+	out := &frameWriter{w: conn, session: cfg.Session}
+	var dropped *obs.Counter
 	if cfg.Obs != nil {
-		sent = cfg.Obs.Counter(fmt.Sprintf("cluster.peer.%d.sent", nc.ID))
+		out.sent = cfg.Obs.Counter(fmt.Sprintf("cluster.peer.%d.sent", nc.ID))
 		dropped = cfg.Obs.Counter(fmt.Sprintf("cluster.peer.%d.dropped", nc.ID))
+	}
+	var bt *batcher
+	if cfg.batchSize() > 0 {
+		bt = newBatcher(out, cfg, sess)
 	}
 	var g *rng.RNG
 	if nc.Faults.Active() {
 		g = rng.At(nc.Faults.Seed, linkID(nc.ID, attempt))
 	}
 
-	q := newSendQueue(conn, cfg.queueDepth(), cfg.Obs, "cluster")
-	defer q.Close()
-	sess := trace.Context{}
-	if len(frames) > 0 {
-		sess = frames[0].parent
-	}
-	bt := newBatcher(q, cfg, sess, sent)
-
 	hello := &wire.Hello{Node: uint32(nc.ID), K: uint32(nc.K), Trials: uint32(cfg.Trials)}
-	if err := q.send(wire.AppendSession(q.buffer(), hello, cfg.Session, wire.TraceContext{})); err != nil {
+	if err := out.frame(hello, wire.TraceContext{}); err != nil {
 		return wire.Verdict{}, fmt.Errorf("hello: %w", err)
 	}
-	for _, of := range frames {
-		action := faultDeliver
+	for i := range votes {
+		copies := 1
 		if g != nil {
-			action = nc.Faults.decide(g, cfg.Obs)
-		}
-		switch action {
-		case faultDisconnect:
-			// Drain what the per-frame path would already have written, then
-			// kill the link so the retry path takes over.
-			bt.flush()
-			q.Flush()
-			conn.Close()
-			return wire.Verdict{}, fmt.Errorf("vote: link disconnected by fault plan")
-		case faultDrop:
-			dropped.Inc()
-			continue
-		case faultDup:
-			if err := bt.add(batchVote(of.frame)); err != nil {
-				return wire.Verdict{}, fmt.Errorf("vote: %w", err)
-			}
-			if err := bt.add(batchVote(of.frame)); err != nil {
-				return wire.Verdict{}, fmt.Errorf("vote: %w", err)
-			}
-		default:
-			if err := bt.add(batchVote(of.frame)); err != nil {
-				return wire.Verdict{}, fmt.Errorf("vote: %w", err)
+			switch nc.Faults.decide(g, cfg.Obs) {
+			case faultDisconnect:
+				if bt != nil {
+					_ = bt.flush() // the attempt fails either way
+				}
+				conn.Close()
+				return wire.Verdict{}, fmt.Errorf("vote: link disconnected by fault plan")
+			case faultDrop:
+				dropped.Inc()
+				continue
+			case faultDup:
+				copies = 2
 			}
 		}
+		if err := nc.deliver(out, bt, &votes[i], copies, attempt); err != nil {
+			return wire.Verdict{}, fmt.Errorf("vote: %w", err)
+		}
 	}
-	if err := bt.flush(); err != nil {
-		return wire.Verdict{}, err
+	if bt != nil {
+		if err := bt.flush(); err != nil {
+			return wire.Verdict{}, err
+		}
 	}
-	if err := q.send(wire.AppendSession(q.buffer(), &wire.Done{Node: uint32(nc.ID)}, cfg.Session, wire.TraceContext{})); err != nil {
+	if err := out.frame(&wire.Done{Node: uint32(nc.ID)}, wire.TraceContext{}); err != nil {
 		return wire.Verdict{}, fmt.Errorf("done: %w", err)
-	}
-	// Graceful drain: every queued frame must reach the kernel before we
-	// block on the verdict, and before EarlyClose can tear the session down
-	// under us with votes still buffered.
-	if err := q.Flush(); err != nil {
-		return wire.Verdict{}, fmt.Errorf("drain: %w", err)
 	}
 
 	r := wire.NewReader(conn)
@@ -282,4 +198,134 @@ func (nc *NodeClient) submitBatched(frames []outFrame, attempt int) (wire.Verdic
 		return wire.Verdict{}, fmt.Errorf("verdict: unexpected frame type %d", f.Type())
 	}
 	return *v, nil
+}
+
+// deliver turns one delivered vote into bytes, copies times. Batched, each
+// copy is an entry in the pending VoteBatch. Otherwise the vote is its own
+// Vote (or Sketch) frame, written copies times under one node.send span
+// parented on the vote's sample span; the span's ID rides the frame as its
+// wire trace context, so the referee's apply span can parent on it across
+// the connection.
+func (nc *NodeClient) deliver(out *frameWriter, bt *batcher, ov *outVote, copies, attempt int) error {
+	if bt != nil {
+		for ; copies > 0; copies-- {
+			if err := bt.add(ov.vote); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	v := &ov.vote
+	var f wire.Frame
+	if nc.Config.Sketch {
+		f = &wire.Sketch{Trial: v.Trial, Node: v.Node, Samples: v.Samples, Collisions: v.Collisions}
+	} else {
+		f = &wire.Vote{Trial: v.Trial, Node: v.Node, Reject: v.Reject}
+	}
+	sp := nc.Config.Trace.Start("node.send", ov.parent, trace.A("attempt", attempt))
+	ctx := sp.Context()
+	tc := wire.TraceContext{Trace: uint64(ctx.Trace), Span: uint64(ctx.Span)}
+	var err error
+	for ; copies > 0 && err == nil; copies-- {
+		err = out.frame(f, tc)
+	}
+	sp.End()
+	return err
+}
+
+// frameWriter writes one connection attempt's frames: each is encoded
+// bound to the session into one reused buffer, written at once, and
+// counted in cluster.peer.<id>.sent.
+type frameWriter struct {
+	w       io.Writer
+	session uint32
+	buf     []byte
+	sent    *obs.Counter
+}
+
+// frame encodes f carrying tc and writes it.
+func (out *frameWriter) frame(f wire.Frame, tc wire.TraceContext) error {
+	buf := wire.AppendSession(out.buf[:0], f, out.session, tc)
+	out.buf = buf
+	out.sent.Inc()
+	_, err := out.w.Write(buf)
+	return err
+}
+
+// batcher coalesces a node's votes into VoteBatch frames, writing each on
+// a count watermark (maxVotes), a byte watermark (maxBytes), or an
+// explicit flush at a protocol point (disconnect, Done). There is no
+// time-based flush: the deterministic path never consults a clock.
+type batcher struct {
+	out      *frameWriter
+	batch    wire.VoteBatch
+	maxVotes int
+	maxBytes int
+	bytes    int
+
+	tr   *trace.Tracer
+	sess trace.Context
+	fill *obs.Histogram // cluster.batch_fill
+}
+
+// newBatcher sizes a batcher from the session config. Its send spans
+// parent on sess, the node's session span.
+func newBatcher(out *frameWriter, cfg Config, sess trace.Context) *batcher {
+	b := &batcher{
+		out:      out,
+		maxVotes: cfg.batchSize(),
+		maxBytes: cfg.flushBytes(),
+		tr:       cfg.Trace,
+		sess:     sess,
+		fill:     cfg.Obs.Histogram("cluster.batch_fill", obs.BytesBuckets()),
+	}
+	b.batch.Sketch = cfg.Sketch
+	return b
+}
+
+// add appends one vote, flushing when a watermark trips.
+func (b *batcher) add(v wire.BatchVote) error {
+	var prev *wire.BatchVote
+	if n := len(b.batch.Votes); n > 0 {
+		prev = &b.batch.Votes[n-1]
+	} else {
+		// Fixed overhead slack: flags, count varint, bitset rounding.
+		b.bytes = 16
+	}
+	b.bytes += wire.BatchVoteSize(prev, &v, b.batch.Sketch)
+	if !b.batch.Sketch && len(b.batch.Votes)%8 == 0 {
+		b.bytes++ // a fresh reject-bitset byte
+	}
+	b.batch.Votes = append(b.batch.Votes, v)
+	if len(b.batch.Votes) >= b.maxVotes || b.bytes >= b.maxBytes {
+		return b.flush()
+	}
+	return nil
+}
+
+// flush encodes and writes the pending batch (no-op when empty). The
+// batch send span's context rides the frame, so the referee's apply spans
+// parent on it across the connection.
+func (b *batcher) flush() error {
+	n := len(b.batch.Votes)
+	if n == 0 {
+		return nil
+	}
+	sp := b.tr.Start("node.sendbatch", b.sess, trace.A("votes", n))
+	ctx := sp.Context()
+	buf, err := wire.BatchEncoder{}.AppendSession(b.out.buf[:0], &b.batch, b.out.session,
+		wire.TraceContext{Trace: uint64(ctx.Trace), Span: uint64(ctx.Span)}, false)
+	if err == nil {
+		b.out.buf = buf
+		b.out.sent.Inc()
+		_, err = b.out.w.Write(buf)
+	}
+	sp.End()
+	b.fill.Observe(int64(n))
+	b.batch.Votes = b.batch.Votes[:0]
+	b.bytes = 0
+	if err != nil {
+		return fmt.Errorf("batch flush: %w", err)
+	}
+	return nil
 }

@@ -502,17 +502,7 @@ func (s *Service) closeJournal(sess *session, rep *cluster.Report, reason string
 	if j == nil {
 		return
 	}
-	for t := 0; t < rep.Trials; t++ {
-		j.Write(struct {
-			Kind    string `json:"kind"`
-			Trial   int    `json:"trial"`
-			Accept  bool   `json:"accept"`
-			Rejects int    `json:"rejects"`
-			Votes   int    `json:"votes"`
-			Missing int    `json:"missing"`
-		}{Kind: "cluster_trial", Trial: t, Accept: rep.Verdicts[t],
-			Rejects: rep.Rejects[t], Votes: rep.Votes[t], Missing: rep.Missing[t]})
-	}
+	rep.WriteTrials(j)
 	j.Write(struct {
 		Kind    string `json:"kind"`
 		Session uint32 `json:"session"`

@@ -212,6 +212,90 @@ func TestTracingSketchModeAndFaults(t *testing.T) {
 	}
 }
 
+// TestTracingBatchedSpanChain pins the batched span graph: every
+// node.sendbatch span parents on its node's node.session span, every
+// referee.applybatch on a node.sendbatch, and every per-vote
+// referee.apply on a referee.applybatch.
+func TestTracingBatchedSpanChain(t *testing.T) {
+	nw := andNetwork(t, 64, 24)
+	d := dist.NewUniform(64)
+	var buf bytes.Buffer
+	j := obs.NewJournal(&buf)
+	cfg := Config{Trials: 8, BaseSeed: 1234, Batch: 4, Trace: trace.New(j, trace.Derive("session", 1234))}
+	checkDifferential(t, nw, d, cfg, RunPipe)
+	if err := j.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	k := nw.K()
+	spans := readSpans(t, &buf)
+	byID := map[string]spanRec{}
+	counts := map[string]int{}
+	for _, s := range spans {
+		byID[s.Span] = s
+		counts[s.Name]++
+	}
+	batches := k * cfg.Trials / cfg.Batch
+	if counts["node.sendbatch"] != batches || counts["referee.applybatch"] != batches || counts["referee.apply"] != k*cfg.Trials {
+		t.Fatalf("sendbatch/applybatch/apply spans = %d/%d/%d, want %d/%d/%d",
+			counts["node.sendbatch"], counts["referee.applybatch"], counts["referee.apply"], batches, batches, k*cfg.Trials)
+	}
+	wantParent := map[string]string{
+		"node.sendbatch":     "node.session",
+		"referee.applybatch": "node.sendbatch",
+		"referee.apply":      "referee.applybatch",
+	}
+	for _, s := range spans {
+		want, ok := wantParent[s.Name]
+		if !ok {
+			continue
+		}
+		if p := byID[s.Parent]; p.Name != want {
+			t.Fatalf("%s parent %q is %q, want a %s span", s.Name, s.Parent, p.Name, want)
+		}
+	}
+	// A batch's session is the session of the node that sent it.
+	for _, s := range spans {
+		if s.Name != "referee.applybatch" {
+			continue
+		}
+		sess := byID[byID[s.Parent].Parent]
+		if sess.Attrs["node"] != s.Attrs["node"] {
+			t.Fatalf("batch from node %v chains to the session of node %v", s.Attrs["node"], sess.Attrs["node"])
+		}
+	}
+}
+
+// TestPeerSentMatchesRecv checks the per-peer frame accounting on both
+// submission shapes: on a clean run, every node's cluster.peer.<id>.sent
+// (each frame it wrote, Hello and Done included) equals the referee's
+// cluster.peer.<id>.recv.
+func TestPeerSentMatchesRecv(t *testing.T) {
+	nw := thresholdNetwork(t, 64, 16)
+	d := dist.NewTwoBump(64, 1.0, 5)
+	for _, batch := range []int{0, 4} {
+		for _, sketch := range []bool{false, true} {
+			reg := obs.NewRegistry()
+			cfg := Config{Trials: 8, BaseSeed: 21, Batch: batch, Sketch: sketch, DomainN: 64, Obs: reg}
+			if _, err := RunPipe(cfg, nw, d, nil); err != nil {
+				t.Fatal(err)
+			}
+			want := int64(cfg.Trials + 2)
+			if batch > 0 {
+				want = int64(cfg.Trials/batch + 2)
+			}
+			snap := reg.Snapshot()
+			for i := 0; i < nw.K(); i++ {
+				sent, recv := snap.Counters[peerCounterName(i, "sent")], snap.Counters[peerCounterName(i, "recv")]
+				if sent != recv || sent != want {
+					t.Fatalf("batch=%d sketch=%v: node %d sent %d frames, referee received %d, want %d",
+						batch, sketch, i, sent, recv, want)
+				}
+			}
+		}
+	}
+}
+
 func peerCounterName(node int, kind string) string {
 	return "cluster.peer." + itoa(node) + "." + kind
 }

@@ -409,17 +409,12 @@ func appendCapped(dst []byte, f Frame, session uint32, tc TraceContext) ([]byte,
 	return out, nil
 }
 
-// WriteFrame writes f's unbound, untraced encoding to w in one Write call.
+// WriteFrame writes f's unbound, untraced encoding to w in one Write call
+// (frames are small enough that partial writes only occur on a failing
+// connection).
 func WriteFrame(w io.Writer, f Frame) error {
-	return WriteFrameSession(w, f, 0, TraceContext{})
-}
-
-// WriteFrameSession writes f's encoding bound to session and carrying tc
-// to w in one Write call (frames are small enough that partial writes
-// only occur on a failing connection).
-func WriteFrameSession(w io.Writer, f Frame, session uint32, tc TraceContext) error {
 	var buf [headerBytes + MaxFrameBytes]byte // every fixed-size frame fits
-	if _, err := w.Write(AppendSession(buf[:0], f, session, tc)); err != nil {
+	if _, err := w.Write(AppendSession(buf[:0], f, 0, TraceContext{})); err != nil {
 		return fmt.Errorf("wire: write %T: %w", f, err)
 	}
 	return nil

@@ -189,9 +189,7 @@ func TestTracedReaderStream(t *testing.T) {
 		if i%2 == 0 {
 			tc = TraceContext{Trace: uint64(i) + 1, Span: uint64(i) * 7}
 		}
-		if err := WriteFrameSession(&buf, f, 0, tc); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(AppendSession(nil, f, 0, tc))
 	}
 	r := NewReader(&buf)
 	for i, want := range frames {
