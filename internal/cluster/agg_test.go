@@ -433,9 +433,40 @@ func TestAggregatorDrainsPartialOnDeadline(t *testing.T) {
 // its flushed log, and the root must still decide every trial exactly as
 // RunAt with no vote missing.
 func TestAggregatorReplaysAfterUpstreamFailure(t *testing.T) {
+	_, reg := checkAggregatorRetry(t, Config{Trials: 6, BaseSeed: 8, Retries: 2},
+		func(c net.Conn) net.Conn { return &failingConn{Conn: c, failAt: 2} })
+	if got := reg.Snapshot().Counters["agg.upstream_retries"]; got != 1 {
+		t.Fatalf("agg.upstream_retries = %d, want 1", got)
+	}
+}
+
+// TestAggregatorRedialsAfterDoneWriteFailure: when only the write of the
+// aggregator's Done fails, it redials, replays and sends Done on the new
+// link, so the root finalizes because every node is done — not at its
+// deadline, kept short so a missing redial fails fast — and decides
+// every trial exactly as RunAt.
+func TestAggregatorRedialsAfterDoneWriteFailure(t *testing.T) {
+	rep, reg := checkAggregatorRetry(t, Config{Trials: 6, BaseSeed: 8, Retries: 2, Deadline: 3 * time.Second},
+		func(c net.Conn) net.Conn { return &failingConn{Conn: c, failType: wire.TypeDone} })
+	if rep.Stats.DeadlineExpired {
+		t.Error("root finalized on its deadline")
+	}
+	if got := reg.Snapshot().Counters["agg.upstream_retries"]; got != 1 {
+		t.Fatalf("agg.upstream_retries = %d, want 1", got)
+	}
+}
+
+// checkAggregatorRetry runs one aggregator over a 64-node window between
+// the leaves and the root, with its first upstream connection wrapped by
+// fail, and holds the root's report to RunAt with no vote missing
+// (checkDifferential). It returns that report and the aggregator's
+// registry.
+func checkAggregatorRetry(t *testing.T, cfg Config, fail func(net.Conn) net.Conn) (*Report, *obs.Registry) {
+	t.Helper()
 	nw := thresholdNetwork(t, 64, 10)
 	d := dist.NewTwoBump(64, 1.0, 3)
 	reg := obs.NewRegistry()
+	var rep *Report
 	run := func(cfg Config, nw *zeroround.Network, d dist.Distribution, _ *FaultPlan) (*Report, error) {
 		k := nw.K()
 		rootL, aggL := NewPipeListener(), NewPipeListener()
@@ -445,7 +476,7 @@ func TestAggregatorReplaysAfterUpstreamFailure(t *testing.T) {
 			if err != nil || dials.Add(1) > 1 {
 				return c, err
 			}
-			return &failingConn{Conn: c, failAt: 2}, nil
+			return fail(c), nil
 		}
 		aggCfg := cfg
 		aggCfg.Obs = reg
@@ -460,7 +491,8 @@ func TestAggregatorReplaysAfterUpstreamFailure(t *testing.T) {
 				nodeErrs <- err
 			}()
 		}
-		rep, err := NewReferee(k, nw.Rule(), cfg).Serve(rootL)
+		var err error
+		rep, err = NewReferee(k, nw.Rule(), cfg).Serve(rootL)
 		if aerr := <-aggDone; aerr != nil && err == nil {
 			err = aerr
 		}
@@ -471,21 +503,21 @@ func TestAggregatorReplaysAfterUpstreamFailure(t *testing.T) {
 		}
 		return rep, err
 	}
-	checkDifferential(t, nw, d, Config{Trials: 6, BaseSeed: 8, Retries: 2}, run)
-	if got := reg.Snapshot().Counters["agg.upstream_retries"]; got != 1 {
-		t.Fatalf("agg.upstream_retries = %d, want 1", got)
-	}
+	checkDifferential(t, nw, d, cfg, run)
+	return rep, reg
 }
 
-// failingConn fails its failAt-th Write and closes the connection, as a
+// failingConn fails its failAt-th Write — or, with failType set, its
+// first write of a frame of that type — and closes the connection, as a
 // link that dies mid-session does.
 type failingConn struct {
 	net.Conn
 	writes, failAt int
+	failType       byte
 }
 
 func (c *failingConn) Write(p []byte) (int, error) {
-	if c.writes++; c.writes == c.failAt {
+	if c.writes++; c.writes == c.failAt || c.failType != 0 && wire.BodyType(p[4:]) == c.failType {
 		c.Conn.Close()
 		return 0, errors.New("injected upstream write failure")
 	}

@@ -46,7 +46,7 @@ type Aggregator struct {
 
 	voteSink
 
-	// Fold state, guarded by the sink mutex. onTrial appends completed
+	// Fold state, guarded by the sink mutex. onComplete appends completed
 	// trials to pending and signals cond; the fold goroutine snapshots
 	// sums under the mutex and encodes/sends outside it.
 	pending  []int
@@ -84,7 +84,7 @@ func (a *Aggregator) Serve(l net.Listener) error {
 		return fmt.Errorf("cluster: aggregator %d: window [%d, %d) outside [0, %d)", a.ID, a.Lo, a.Hi, a.K)
 	}
 	a.voteSink.init(a.K, a.Lo, a.Hi, a.Config, "agg", "agg")
-	a.onTrial = a.onComplete
+	a.aggregator = a
 	a.emitted = make([]bool, a.cfg.Trials)
 	a.cond = sync.NewCond(&a.mu)
 
@@ -147,7 +147,7 @@ func (a *Aggregator) Serve(l net.Listener) error {
 	a.mu.Unlock()
 	<-foldDone
 
-	verdict, err := a.finishUpstream()
+	verdict, err := a.finishUpstream(sess.Context())
 	conns := a.shut()
 	for _, c := range conns {
 		if err == nil {
@@ -168,10 +168,10 @@ func (a *Aggregator) Serve(l net.Listener) error {
 	return nil
 }
 
-// onComplete is the sink's onTrial hook: when the window's every node
-// has voted on a trial, the trial's sums are final and the fold loop can
-// flush them. Called under the sink mutex; cond.Signal never blocks, so
-// no I/O happens under the lock.
+// onComplete is what the sink's fold calls after each fold into trial:
+// when the window's every node has voted on a trial, the trial's sums are
+// final and the fold loop can flush them. Called under the sink mutex;
+// cond.Signal never blocks, so no I/O happens under the lock.
 func (a *Aggregator) onComplete(trial int) {
 	if a.votes[trial] == a.span && !a.emitted[trial] {
 		a.emitted[trial] = true
@@ -388,11 +388,12 @@ func (a *Aggregator) replay(sess trace.Context) error {
 }
 
 // finishUpstream completes the upstream protocol after the fold loop
-// exited: write Done and wait for the verdict the reader goroutine
+// exited: write Done — after a failed write, on the link retryUpstream
+// redials — and wait for the verdict the link's reader goroutine
 // collects. A session whose verdict already arrived (early close)
 // succeeds regardless of trailing fold errors — the decision is fixed,
 // trailing partials are moot.
-func (a *Aggregator) finishUpstream() (wire.Verdict, error) {
+func (a *Aggregator) finishUpstream(sess trace.Context) (wire.Verdict, error) {
 	a.mu.Lock()
 	ferr := a.foldErr
 	have, v, upDone := a.haveVerdict, a.verdictMsg, a.upDone
@@ -403,10 +404,16 @@ func (a *Aggregator) finishUpstream() (wire.Verdict, error) {
 	if ferr != nil {
 		return wire.Verdict{}, ferr
 	}
-	buf := wire.AppendSession(a.buf[:0], &wire.Done{Node: a.ID}, a.cfg.Session, wire.TraceContext{})
-	a.buf = buf
-	if _, err := a.conn.Write(buf); err != nil {
-		return wire.Verdict{}, fmt.Errorf("upstream done: %w", err)
+	if err := a.writeDone(); err != nil {
+		if err = a.retryUpstream(sess, err); err == nil {
+			err = a.writeDone()
+		}
+		if err != nil {
+			return wire.Verdict{}, fmt.Errorf("upstream done: %w", err)
+		}
+		a.mu.Lock()
+		upDone = a.upDone // the redialed link's reader
+		a.mu.Unlock()
 	}
 	// The reader exits on verdict, upstream close, or the connection
 	// deadline — all bounded.
@@ -418,4 +425,12 @@ func (a *Aggregator) finishUpstream() (wire.Verdict, error) {
 		return wire.Verdict{}, fmt.Errorf("upstream closed without a verdict")
 	}
 	return v, nil
+}
+
+// writeDone writes the aggregator's Done marker upstream.
+func (a *Aggregator) writeDone() error {
+	buf := wire.AppendSession(a.buf[:0], &wire.Done{Node: a.ID}, a.cfg.Session, wire.TraceContext{})
+	a.buf = buf
+	_, err := a.conn.Write(buf)
+	return err
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -307,4 +308,76 @@ type frameRecorder struct{ frames [][]byte }
 func (r *frameRecorder) Write(p []byte) (int, error) {
 	r.frames = append(r.frames, append([]byte(nil), p...))
 	return len(p), nil
+}
+
+// TestBatcherWritesRuns records what the nodes of a clean batched session
+// write and checks that every VoteBatch frame is in run form — one node's
+// votes on consecutive trials, the shape the codec's run path decodes —
+// so that path serves the real traffic. The codec is bijective, so rows
+// in run shape mean run-form bytes.
+func TestBatcherWritesRuns(t *testing.T) {
+	nw := thresholdNetwork(t, 64, 12)
+	d := dist.NewTwoBump(64, 1.0, 9)
+	cfg := Config{Trials: 100, BaseSeed: 4, Batch: 16}
+	k := nw.K()
+	l := NewPipeListener()
+	recs := make([]frameRecorder, k)
+	errs := make(chan error, k)
+	for n := 0; n < k; n++ {
+		dial := func() (net.Conn, error) {
+			c, err := l.Dial()
+			return &recordingConn{Conn: c, rec: &recs[n]}, err
+		}
+		nc := &NodeClient{ID: n, K: k, Tester: nw.Node(n), Config: cfg, Dial: dial}
+		go func() {
+			_, err := nc.Run(d)
+			errs <- err
+		}()
+	}
+	rep, err := NewReferee(k, nw.Rule(), cfg).Serve(l)
+	for n := 0; n < k; n++ {
+		if nerr := <-errs; err == nil {
+			err = nerr
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MissingVotes != 0 || rep.Stats.BatchedVotes != k*cfg.Trials {
+		t.Fatalf("%d votes missing, %d batched; want 0 and %d", rep.MissingVotes, rep.Stats.BatchedVotes, k*cfg.Trials)
+	}
+	for n := range recs {
+		batches := 0
+		for _, raw := range recs[n].frames {
+			f, _, _, err := wire.DecodeBodySession(raw[4:], nil)
+			if err != nil {
+				t.Fatalf("node %d wrote an undecodable frame: %v", n, err)
+			}
+			vb, ok := f.(*wire.VoteBatch)
+			if !ok {
+				continue
+			}
+			batches++
+			for i, v := range vb.Votes {
+				if v.Node != uint32(n) || v.Trial != vb.Votes[0].Trial+uint32(i) {
+					t.Fatalf("node %d batch %d is not a run: vote %d is (trial %d, node %d) after trial %d",
+						n, batches, i, v.Trial, v.Node, vb.Votes[0].Trial)
+				}
+			}
+		}
+		if want := (cfg.Trials + cfg.Batch - 1) / cfg.Batch; batches != want {
+			t.Fatalf("node %d wrote %d batches, want %d", n, batches, want)
+		}
+	}
+}
+
+// recordingConn copies every write into rec before sending it.
+type recordingConn struct {
+	net.Conn
+	rec *frameRecorder
+}
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	c.rec.Write(p)
+	return c.Conn.Write(p)
 }

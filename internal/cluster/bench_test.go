@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -344,4 +346,61 @@ func BenchmarkRefereeTCP(b *testing.B) {
 			benchSession(b, k, c.trials, payloads, tcp, 256)
 		})
 	}
+}
+
+// BenchmarkBatchFold isolates batch decode and fold, the referee-side
+// work of a batched session: a 64-node × 8192-trial session of
+// 1024-vote VoteBatch frames, read from memory, decoded and applied
+// through Referee.Handshake and Peer.Apply as perfbench's replay does —
+// no connection, no ingest queue — reporting ns per folded vote.
+func BenchmarkBatchFold(b *testing.B) {
+	const k, trials, batch = 64, 8192, 1024
+	streams := make([][]byte, k)
+	for n := range streams {
+		streams[n] = benchPayload(n, k, trials, batch)
+	}
+	var (
+		sc wire.DecodeScratch
+		rd bytes.Reader
+	)
+	r := wire.NewReader(&rd)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rf := NewReferee(k, benchRule{thr: k}, Config{Trials: trials})
+		b.StartTimer()
+		for _, s := range streams {
+			rd.Reset(s)
+			var peer *Peer
+			for {
+				body, err := r.ReadBody()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				f, tc, _, err := wire.DecodeBodySession(body, &sc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if peer == nil {
+					if peer, err = rf.Handshake(f); err != nil {
+						b.Fatal(err)
+					}
+					continue
+				}
+				if _, err := peer.Apply(f, tc, len(body)+4); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StopTimer()
+		if rep, _, _ := rf.Finalize(); rep.MissingVotes != 0 || rep.Stats.Votes != k*trials {
+			b.Fatalf("folded %d votes with %d missing, want %d and none", rep.Stats.Votes, rep.MissingVotes, k*trials)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(k*trials), "ns/vote")
 }

@@ -21,9 +21,9 @@ import (
 // the session ends. The vote-folding half (registration, frame
 // validation, dedup, per-trial fold) is the voteSink shared with the
 // Aggregator, fed by the Ingest; the referee layers the rule and quorum
-// machinery on top through the sink's onTrial hook. Besides raw leaf
-// connections, the sink also terminates aggregator children (AggHello +
-// PartialVerdict partial sums), which fold into the same per-trial
+// machinery on top in advance, which the sink's fold calls. Besides raw
+// leaf connections, the sink also terminates aggregator children (AggHello
+// + PartialVerdict partial sums), which fold into the same per-trial
 // tallies — both decision rules are commutative monoids over (votes,
 // rejects), so the merged sums decide exactly as the flat star would.
 //
@@ -56,7 +56,7 @@ func NewReferee(k int, rule zeroround.Rule, cfg Config) *Referee {
 		undecided: cfg.Trials,
 	}
 	rf.voteSink.init(k, 0, k, cfg, "cluster", "referee")
-	rf.onTrial = rf.advance
+	rf.referee = rf
 	if ed, ok := rule.(zeroround.EarlyDecider); ok {
 		rf.early = ed
 	}

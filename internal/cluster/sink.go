@@ -17,9 +17,10 @@ import (
 // their frames, and folds votes into per-trial sums. Its frames arrive
 // through an Ingest (ingest.go), which owns every read loop. What
 // happens when a trial's tally advances is the owner's business — the
-// referee runs its incremental decision rule, an aggregator watches for
-// window completion — expressed through the onTrial hook, called under
-// the sink mutex after every fold.
+// referee runs its incremental decision rule (Referee.advance), an
+// aggregator watches for window completion (Aggregator.onComplete) — and
+// the fold calls that method directly under the sink mutex after every
+// vote or partial entry it folds.
 //
 // A sink terminates the contiguous node-ID window [lo, hi) of a k-node
 // network; the root referee's window is the whole network, an
@@ -40,9 +41,9 @@ type voteSink struct {
 	spanNS string // span namespace: "referee" or "agg"
 	m      sinkMetrics
 
-	// onTrial is invoked under mu after every vote or partial entry folded
-	// into trial, so the owner can advance its decision/completion state.
-	onTrial func(trial int)
+	// The owner whose state every fold advances under mu; one is nil.
+	referee    *Referee
+	aggregator *Aggregator
 
 	mu        sync.Mutex
 	voted     []uint64 // (trial, local node) dedup bitset, span*trials bits
@@ -442,40 +443,40 @@ func (s *voteSink) applyBatch(b *wire.VoteBatch, node int, tc wire.TraceContext,
 
 // foldLocked folds one frame's votes from node in a single loop: per vote
 // the trial range check, the (trial, node) dedup bit, the per-trial sums
-// and the owner's onTrial hook. In sketch mode the vote is derived
-// server-side: reject iff the node saw any colliding pair. Callers hold
-// s.mu and have checked s.closed.
+// and the owner's method. In sketch mode the vote is derived server-side:
+// reject iff the node saw any colliding pair. Callers hold s.mu and have
+// checked s.closed.
 func (s *voteSink) foldLocked(votes []wire.BatchVote, sketch bool, node int) {
-	local := node - s.lo
+	local, span, trials := uint(node-s.lo), uint(s.span), uint(s.cfg.Trials)
+	voted, counts, rejects, samples, collides := s.voted, s.votes, s.rejects, s.samples, s.collides
+	rf, agg := s.referee, s.aggregator
 	folded, dups, bad := 0, 0, 0
 	for i := range votes {
 		v := &votes[i]
-		trial := int(v.Trial)
-		if trial < 0 || trial >= s.cfg.Trials {
+		trial := uint(v.Trial)
+		if trial >= trials {
 			bad++
 			continue
 		}
-		idx := trial*s.span + local
-		if s.voted[idx/64]&(1<<(idx%64)) != 0 {
+		idx := trial*span + local
+		if voted[idx/64]&(1<<(idx%64)) != 0 {
 			dups++
 			continue
 		}
-		s.voted[idx/64] |= 1 << (idx % 64)
-		s.votes[trial]++
-		reject := v.Reject
-		if sketch {
-			reject = v.Collisions > 0
+		voted[idx/64] |= 1 << (idx % 64)
+		counts[trial]++
+		if sketch && v.Collisions > 0 || !sketch && v.Reject {
+			rejects[trial]++
 		}
-		if reject {
-			s.rejects[trial]++
-		}
-		if s.samples != nil {
-			s.samples[trial] += uint64(v.Samples)
-			s.collides[trial] += uint64(v.Collisions)
+		if samples != nil {
+			samples[trial] += uint64(v.Samples)
+			collides[trial] += uint64(v.Collisions)
 		}
 		folded++
-		if s.onTrial != nil {
-			s.onTrial(trial)
+		if rf != nil {
+			rf.advance(int(trial))
+		} else {
+			agg.onComplete(int(trial))
 		}
 	}
 	s.stats.DuplicateVotes += dups
@@ -543,8 +544,10 @@ func (s *voteSink) applyPartial(pv *wire.PartialVerdict, peer *aggPeer, tc wire.
 					s.collides[trial] += e.Collisions
 				}
 				folded += int(e.Votes)
-				if s.onTrial != nil {
-					s.onTrial(trial)
+				if s.referee != nil {
+					s.referee.advance(trial)
+				} else {
+					s.aggregator.onComplete(trial)
 				}
 			}
 			s.stats.PartialVotes += folded

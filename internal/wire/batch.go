@@ -24,9 +24,19 @@
 // FuzzVoteBatchRoundTrip and FuzzWireRoundTrip pin. This is the one
 // encoding of a batch; VoteBatch is an established type, so its frames
 // carry the session field like any other (wire.go).
+//
+// Run form. One node's votes on trials t0 … t0+n−1, every clean cluster
+// batch, have the columns uvarint(t0), n−1 bytes 0x02 (zigzag +1),
+// uvarint(node), n−1 bytes 0x00. The encoder appends these constant runs
+// instead of 2n varints; the vote-mode decoder matches them as whole byte
+// runs and fills the rows from (t0, node, bitset), but only on bytes the
+// column decoder accepts with the same rows, falling through to it on any
+// other. So bytes, rows, errors and bijectivity are unchanged, as
+// FuzzVoteBatchRunMatchesColumns checks.
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -36,6 +46,9 @@ import (
 // encoding (adversarial values, sketch mode) stays under
 // MaxBatchFrameBytes with room for the trace suffix.
 const MaxBatchVotes = 4096
+
+// The delta bytes of a run (see the file comment); never written.
+var runTrialDeltas, runNodeDeltas = bytes.Repeat([]byte{0x02}, MaxBatchVotes), make([]byte, MaxBatchVotes)
 
 // BatchVote is one tuple inside a VoteBatch. In vote mode only Trial,
 // Node and Reject are carried; in sketch mode Trial, Node, Samples and
@@ -163,12 +176,19 @@ func (b VoteBatch) appendPayload(dst []byte) []byte {
 	if b.Sketch {
 		flags = 1
 	}
+	n := len(b.Votes)
 	dst = append(dst, flags)
-	dst = binary.AppendUvarint(dst, uint64(len(b.Votes)))
-	if len(b.Votes) == 0 {
+	dst = binary.AppendUvarint(dst, uint64(n))
+	if n == 0 {
 		return dst
 	}
-	for c := 0; c < batchColumns(b.Sketch); c++ {
+	c := 0
+	if isRun(b.Votes) {
+		dst = append(binary.AppendUvarint(dst, uint64(b.Votes[0].Trial)), runTrialDeltas[:n-1]...)
+		dst = append(binary.AppendUvarint(dst, uint64(b.Votes[0].Node)), runNodeDeltas[:n-1]...)
+		c = 2
+	}
+	for ; c < batchColumns(b.Sketch); c++ {
 		dst = appendColumn(dst, b.Votes, c)
 	}
 	if b.Sketch {
@@ -187,8 +207,9 @@ func (b VoteBatch) appendPayload(dst []byte) []byte {
 	return dst
 }
 
-// decodePayload parses a batch payload, decoding its delta columns
-// into sc's column scratch and then every row in one pass.
+// decodePayload parses a batch payload: a vote-mode run through
+// decodeRun, anything else by decoding its delta columns into sc's column
+// scratch and then every row in one pass.
 func (b *VoteBatch) decodePayload(p []byte, sc *DecodeScratch) error {
 	if len(p) < 2 {
 		return fmt.Errorf("%w: %d-byte batch payload", ErrFrameSize, len(p))
@@ -209,6 +230,13 @@ func (b *VoteBatch) decodePayload(p []byte, sc *DecodeScratch) error {
 		return fmt.Errorf("%w: batch of %d votes (limit %d)", ErrOversize, cnt, MaxBatchVotes)
 	}
 	n, ncol := int(cnt), batchColumns(b.Sketch)
+	if cap(b.Votes) < n {
+		b.Votes = make([]BatchVote, n)
+	}
+	b.Votes = b.Votes[:n]
+	if !b.Sketch && b.decodeRun(p[off:]) {
+		return nil
+	}
 	cols := sc.columns(ncol * n)
 	for c := 0; c < ncol; c++ {
 		if off, err = decodeColumn(p, off, cols[c*n:(c+1)*n], math.MaxUint32); err != nil {
@@ -230,10 +258,6 @@ func (b *VoteBatch) decodePayload(p []byte, sc *DecodeScratch) error {
 	if off != len(p) {
 		return fmt.Errorf("%w: %d trailing batch bytes", ErrFrameSize, len(p)-off)
 	}
-	if cap(b.Votes) < n {
-		b.Votes = make([]BatchVote, n)
-	}
-	b.Votes = b.Votes[:n]
 	// Whole-row stores: scratch reuse cannot leak fields from a batch of
 	// the other mode.
 	for i := range b.Votes {
@@ -245,6 +269,42 @@ func (b *VoteBatch) decodePayload(p []byte, sc *DecodeScratch) error {
 		}
 	}
 	return nil
+}
+
+// isRun reports whether votes are a run: one node's votes on trials
+// t0 … t0+n−1, none past MaxUint32.
+func isRun(votes []BatchVote) bool {
+	t0, node := uint64(votes[0].Trial), votes[0].Node
+	for i := range votes {
+		if uint64(votes[i].Trial) != t0+uint64(i) || votes[i].Node != node {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeRun fills the rows of b.Votes from p, the columns and bitset of
+// a vote-mode payload of len(b.Votes) votes, if p is a run the column
+// decoder accepts, and reports whether it was; on false it writes nothing.
+func (b *VoteBatch) decodeRun(p []byte) bool {
+	n := len(b.Votes)
+	t0, off, err := readUvarint(p, 0)
+	if err != nil || t0 > math.MaxUint32-uint64(n-1) || !bytes.HasPrefix(p[off:], runTrialDeltas[:n-1]) {
+		return false
+	}
+	node, off, err := readUvarint(p, off+n-1)
+	if err != nil || node > math.MaxUint32 || !bytes.HasPrefix(p[off:], runNodeDeltas[:n-1]) {
+		return false
+	}
+	bits := p[off+n-1:]
+	if len(bits) != (n+7)/8 || n&7 != 0 && bits[len(bits)-1]>>(n&7) != 0 {
+		return false
+	}
+	rows := b.Votes
+	for i := range rows {
+		rows[i] = BatchVote{Trial: uint32(t0) + uint32(i), Node: uint32(node), Reject: bits[i>>3]>>(i&7)&1 == 1}
+	}
+	return true
 }
 
 // BatchVoteSize returns the payload bytes appending v to a batch adds:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -234,5 +235,66 @@ func TestSteadyStateDecodeAllocs(t *testing.T) {
 	decodeAll() // warm-up: sizes the spill buffer and scratch slices
 	if n := testing.AllocsPerRun(50, decodeAll); n != 0 {
 		t.Fatalf("steady-state decode allocates %v per pass, want 0", n)
+	}
+}
+
+// TestVoteBatchRunEncoding pins the run form's bytes — one node's votes
+// on consecutive trials — and checks that they are the column encoder's
+// bytes for that batch, that the decoder takes its run path on them, and
+// that batches just off the run shape (a dropped vote, a duplicated vote,
+// trials wrapping past MaxUint32) round-trip through the column path with
+// the same rows.
+func TestVoteBatchRunEncoding(t *testing.T) {
+	run := make([]BatchVote, 10)
+	for i := range run {
+		run[i] = BatchVote{Trial: 1000 + uint32(i), Node: 300, Reject: i%4 == 1}
+	}
+	want := []byte{0x00, 10, 0xe8, 0x07} // flags, count, uvarint(1000)
+	want = append(want, bytes.Repeat([]byte{0x02}, 9)...)
+	want = append(want, 0xac, 0x02) // uvarint(300)
+	want = append(want, make([]byte, 9)...)
+	want = append(want, 0x22, 0x02) // rejects at 1, 5 and 9, LSB first
+	b := &VoteBatch{Votes: run}
+	got := b.appendPayload(nil)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("run payload %x, want %x", got, want)
+	}
+	cols := appendColumn(appendColumn([]byte{0x00, 10}, run, 0), run, 1)
+	if !bytes.Equal(cols, want[:len(want)-2]) {
+		t.Fatalf("column encoder writes %x, run form %x", cols, want[:len(want)-2])
+	}
+	if rows, ok := runPath(got); !ok || !reflect.DeepEqual(rows, run) {
+		t.Fatalf("run path missed its own payload: rows %v", rows)
+	}
+	// Sketch mode writes its first two columns in run form too.
+	sketch := seqVotes(7, 50, true)
+	cols = []byte{0x01, 50}
+	for c := 0; c < 4; c++ {
+		cols = appendColumn(cols, sketch, c)
+	}
+	if got := (&VoteBatch{Sketch: true, Votes: sketch}).appendPayload(nil); !bytes.Equal(got, cols) {
+		t.Fatalf("sketch run payload %x, column encoder %x", got, cols)
+	}
+
+	dropped := append(append([]BatchVote(nil), run[:4]...), run[5:]...)
+	duplicated := append(append([]BatchVote(nil), run[:5]...), run[4:]...)
+	wrapped := []BatchVote{{Trial: math.MaxUint32 - 1, Node: 3}, {Trial: math.MaxUint32, Node: 3, Reject: true}, {Trial: 0, Node: 3}}
+	edge := []BatchVote{{Trial: math.MaxUint32 - 1, Node: math.MaxUint32}, {Trial: math.MaxUint32, Node: math.MaxUint32, Reject: true}}
+	for _, c := range []struct {
+		name  string
+		votes []BatchVote
+		run   bool
+	}{{"dropped vote", dropped, false}, {"duplicated vote", duplicated, false}, {"wrapped trials", wrapped, false}, {"run to MaxUint32", edge, true}} {
+		p := (&VoteBatch{Votes: c.votes}).appendPayload(nil)
+		if _, ok := runPath(p); ok != c.run {
+			t.Errorf("%s: run path taken = %v, want %v", c.name, ok, c.run)
+		}
+		var dec VoteBatch
+		if err := dec.decodePayload(p, new(DecodeScratch)); err != nil || !reflect.DeepEqual(dec.Votes, c.votes) {
+			t.Errorf("%s: decoded %v, %v; want %v", c.name, dec.Votes, err, c.votes)
+		}
+		if re := dec.appendPayload(nil); !bytes.Equal(re, p) {
+			t.Errorf("%s: re-encode %x, want %x", c.name, re, p)
+		}
 	}
 }

@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -242,6 +245,136 @@ func FuzzVoteBatchRoundTrip(f *testing.F) {
 		over := &VoteBatch{Votes: make([]BatchVote, MaxBatchVotes+1)}
 		if _, err := e.AppendSession(nil, over, 0, TraceContext{}, false); !errors.Is(err, ErrOversize) {
 			t.Fatalf("oversize batch: err = %v", err)
+		}
+	})
+}
+
+// runPayload builds a vote-mode batch payload in run form by hand: n
+// votes of node on trials t0 … t0+n−1, reject bits taken from rejects and
+// trailing bitset bits zero. t0 and node are not range-checked, so a run
+// can wrap past MaxUint32 or name a node the codec rejects.
+func runPayload(n int, t0, node, rejects uint64) []byte {
+	p := binary.AppendUvarint([]byte{0}, uint64(n))
+	p = append(binary.AppendUvarint(p, t0), bytes.Repeat([]byte{0x02}, n-1)...)
+	p = append(binary.AppendUvarint(p, node), make([]byte, n-1)...)
+	for i := 0; i < n; i += 8 {
+		bits := byte(rejects >> (i % 64))
+		if n-i < 8 {
+			bits &= 1<<(n-i) - 1
+		}
+		p = append(p, bits)
+	}
+	return p
+}
+
+// runPath decodes a vote-mode payload through its header and decodeRun
+// alone, reporting whether the run path took it.
+func runPath(p []byte) ([]BatchVote, bool) {
+	if len(p) < 2 || p[0] != 0 {
+		return nil, false
+	}
+	cnt, off, err := readUvarint(p, 1)
+	if err != nil || cnt == 0 || cnt > MaxBatchVotes {
+		return nil, false
+	}
+	b := VoteBatch{Votes: make([]BatchVote, cnt)}
+	return b.Votes, b.decodeRun(p[off:])
+}
+
+// columnsOnly decodes a vote-mode payload with the column decoder alone —
+// decodePayload's checks and column path, without the run path — as the
+// reference the run path must match.
+func columnsOnly(p []byte) ([]BatchVote, error) {
+	if len(p) < 2 || p[0] != 0 {
+		return nil, errors.New("not a vote-mode payload")
+	}
+	cnt, off, err := readUvarint(p, 1)
+	if err != nil || cnt == 0 || cnt > MaxBatchVotes {
+		return nil, fmt.Errorf("count %d: %v", cnt, err)
+	}
+	n := int(cnt)
+	cols := make([]uint32, 2*n)
+	for c := 0; c < 2; c++ {
+		if off, err = decodeColumn(p, off, cols[c*n:(c+1)*n], math.MaxUint32); err != nil {
+			return nil, err
+		}
+	}
+	bits := p[off:]
+	if len(bits) != (n+7)/8 {
+		return nil, fmt.Errorf("%d bitset bytes for %d votes", len(bits), n)
+	}
+	votes := make([]BatchVote, n)
+	for i := range votes {
+		votes[i] = BatchVote{Trial: cols[i], Node: cols[n+i], Reject: bits[i/8]&(1<<(i%8)) != 0}
+	}
+	for i := n; i < 8*len(bits); i++ {
+		if bits[i/8]&(1<<(i%8)) != 0 {
+			return nil, fmt.Errorf("bitset bit %d set past %d votes", i, n)
+		}
+	}
+	return votes, nil
+}
+
+// FuzzVoteBatchRunMatchesColumns pins the VoteBatch run path to the
+// column decoder: every vote-mode payload — arbitrary bytes, or a
+// hand-built run with one byte replaced, one byte cut or one byte added —
+// decodes through decodePayload as through the column decoder alone
+// (columnsOnly): both fail, or both give the same rows. And a payload
+// whose rows are a run must take the run path, so the pin cannot hold
+// vacuously.
+func FuzzVoteBatchRunMatchesColumns(f *testing.F) {
+	const max32 = math.MaxUint32
+	// edit: 0 none, 1 set byte at%len to val, 2 cut the last byte, 3
+	// append val.
+	add := func(n int, t0, node, rejects uint64, at int, val, edit byte) {
+		f.Add([]byte(nil), uint16(n-1), t0, node, rejects, uint16(at), val, edit)
+	}
+	add(1, 0, 0, 1, 0, 0, 0)
+	add(MaxBatchVotes, 7, 5, 0xdeadbeef, 0, 0, 0)
+	add(1024, max32-1023, 9, 3, 0, 0, 0)     // last trial is MaxUint32
+	add(1024, max32-1022, 9, 3, 0, 0, 0)     // wraps: both decoders fail
+	add(MaxBatchVotes, 3, max32, 1, 0, 0, 0) // largest node
+	add(100, 3, uint64(max32)+1, 1, 0, 0, 0) // node past MaxUint32
+	// Offsets of the two delta runs in runPayload(100, 1000, 7, ·).
+	trialRun := 1 + uvarintLen(100) + uvarintLen(1000)
+	nodeRun := trialRun + 99 + uvarintLen(7)
+	for _, val := range []byte{0x04, 0x01, 0x82} {
+		add(100, 1000, 7, 0x55, trialRun+50, val, 1)
+		add(100, 1000, 7, 0x55, nodeRun+98, val, 1)
+	}
+	add(9, 0, 2, 0x1ff, len(runPayload(9, 0, 2, 0))-1, 0x81, 1) // nonzero trailing bits
+	add(64, 5, 6, 7, 0, 0, 2)                                   // one byte short
+	add(64, 5, 6, 7, 0, 0, 3)                                   // one byte long
+	f.Add([]byte{2, 5, 2, 0x40, 1}, uint16(0), uint64(0), uint64(0), uint64(0), uint16(0), byte(0), byte(0))
+	f.Fuzz(func(t *testing.T, raw []byte, count uint16, t0, node, rejects uint64, at uint16, val, edit byte) {
+		var p []byte
+		if len(raw) > 0 {
+			p = append([]byte{0}, raw...) // vote-mode flags, then anything
+		} else {
+			p = runPayload(int(count)%MaxBatchVotes+1, t0, node, rejects)
+			switch edit % 4 {
+			case 1:
+				p[int(at)%len(p)] = val
+			case 2:
+				p = p[:len(p)-1]
+			case 3:
+				p = append(p, val)
+			}
+		}
+		var b VoteBatch
+		err := b.decodePayload(p, new(DecodeScratch))
+		want, errCols := columnsOnly(p)
+		if (err == nil) != (errCols == nil) {
+			t.Fatalf("%d-byte payload %.24x…: decodePayload error %v, column decoder %v", len(p), p, err, errCols)
+		}
+		if errCols != nil {
+			return
+		}
+		if b.Sketch || !reflect.DeepEqual(b.Votes, want) {
+			t.Fatalf("%d-byte payload %.24x…: decodePayload rows differ from the column decoder's", len(p), p)
+		}
+		if _, ok := runPath(p); isRun(want) && !ok {
+			t.Fatalf("%d-byte payload %.24x…: run-shaped rows missed the run path", len(p), p)
 		}
 	})
 }
