@@ -95,7 +95,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	d, err := buildDistribution(*distName, *n, *eps, *seed)
+	d, err := dist.ByName(*distName, *n, *eps, *seed)
 	if err != nil {
 		return err
 	}
@@ -306,24 +306,6 @@ func buildTopology(name string, k int, seed uint64) (*graph.Graph, error) {
 		return graph.NewBalancedTree(k, 2), nil
 	default:
 		return nil, fmt.Errorf("unknown topology %q", name)
-	}
-}
-
-func buildDistribution(name string, n int, eps float64, seed uint64) (dist.Distribution, error) {
-	switch name {
-	case "uniform":
-		return dist.NewUniform(n), nil
-	case "twobump":
-		if eps <= 0 || eps > 1 {
-			eps = 1
-		}
-		return dist.NewTwoBump(n, eps, seed), nil
-	case "zipf":
-		return dist.NewZipf(n, 1.2), nil
-	case "halfsupport":
-		return dist.NewHalfSupport(n), nil
-	default:
-		return nil, fmt.Errorf("unknown distribution %q", name)
 	}
 }
 

@@ -145,15 +145,3 @@ func TestBuildTopologies(t *testing.T) {
 		}
 	}
 }
-
-func TestBuildDistributions(t *testing.T) {
-	for _, name := range []string{"uniform", "twobump", "zipf", "halfsupport"} {
-		d, err := buildDistribution(name, 64, 1, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if d.N() != 64 {
-			t.Errorf("%s: domain %d", name, d.N())
-		}
-	}
-}

@@ -131,7 +131,7 @@ func run(args []string, stdout io.Writer) error {
 		results["windows"] = windows
 		results["rejecting_windows"] = rejects
 	} else {
-		d, err := buildDistribution(*distName, *n, *eps, *seed)
+		d, err := dist.ByName(*distName, *n, *eps, *seed)
 		if err != nil {
 			return err
 		}
@@ -202,22 +202,4 @@ func runOnStdin(tst tester.Tester, n int, out io.Writer) (windows, rejects int, 
 	fmt.Fprintf(out, "%d samples -> %d windows of %d\n", len(samples), windows, s)
 	fmt.Fprintf(out, "rejecting windows: %d/%d (%.3f)\n", rejects, windows, float64(rejects)/float64(windows))
 	return windows, rejects, nil
-}
-
-func buildDistribution(name string, n int, eps float64, seed uint64) (dist.Distribution, error) {
-	switch name {
-	case "uniform":
-		return dist.NewUniform(n), nil
-	case "twobump":
-		if eps <= 0 || eps > 1 {
-			eps = 1
-		}
-		return dist.NewTwoBump(n, eps, seed), nil
-	case "zipf":
-		return dist.NewZipf(n, 1.2), nil
-	case "halfsupport":
-		return dist.NewHalfSupport(n), nil
-	default:
-		return nil, fmt.Errorf("unknown distribution %q", name)
-	}
 }

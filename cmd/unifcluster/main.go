@@ -16,7 +16,7 @@
 //
 //	unifcluster serve  [-addr 127.0.0.1:4600] [-max-sessions 16]
 //	                   [-tenant-budget 0] [-max-k 0] [-max-trials 0]
-//	                   [-deadline 10s] [-reap 250ms] [-journal-dir DIR]
+//	                   [-deadline 10s] [-journal-dir DIR]
 //	                   [-obs-addr :9090]
 //	unifcluster submit [-addr 127.0.0.1:4600] [-tenant 1]
 //	                   [run flags: -rule -k -n -eps -dist -trials -seed
@@ -30,6 +30,10 @@
 // and answered with a SessionReport. submit is the client side: it opens
 // a session, runs k node clients against the service, and prints (or
 // emits as -json) the same report the legacy single-run mode produces.
+//
+// Trials with missing votes are decided from the votes that arrived, a
+// missing vote counting as an accept, under either -policy; strict then
+// fails a run that lost any vote, after the journal is flushed.
 //
 // -batch enables the high-throughput transport: votes coalesce into
 // VoteBatch frames, each written to the node's connection as soon as a
@@ -127,18 +131,12 @@ func run(args []string, stdout io.Writer) error {
 	if *sketch && *ruleName != "threshold" {
 		return fmt.Errorf("-sketch is only valid for the threshold rule (single-collision testers)")
 	}
-	d, err := buildDistribution(*distName, *n, *eps, *seed)
+	d, err := dist.ByName(*distName, *n, *eps, *seed)
 	if err != nil {
 		return err
 	}
 
-	var pol cluster.QuorumPolicy
-	switch *policy {
-	case "observed":
-		pol = cluster.QuorumObserved
-	case "strict":
-		pol = cluster.QuorumStrict
-	default:
+	if *policy != "observed" && *policy != "strict" {
 		return fmt.Errorf("unknown policy %q", *policy)
 	}
 
@@ -152,7 +150,6 @@ func run(args []string, stdout io.Writer) error {
 	cfg := cluster.Config{
 		Trials:     *trials,
 		BaseSeed:   *seed,
-		Policy:     pol,
 		EarlyClose: *early,
 		Sketch:     *sketch,
 		DomainN:    *n,
@@ -245,7 +242,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	printf(out, "cluster: rule=%s k=%d n=%d trials=%d transport=%s policy=%s\n",
-		nw.Rule().Name(), nw.K(), *n, *trials, *transport, pol)
+		nw.Rule().Name(), nw.K(), *n, *trials, *transport, *policy)
 	if *aggFanout >= 2 {
 		printf(out, "topology: aggregation tree, fanout=%d depth=%d\n", *aggFanout, *aggDepth)
 	}
@@ -272,6 +269,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 	prov.WallMS = float64(time.Since(start).Microseconds()) / 1e3
 	liveRep.Store(rep)
+	// The strict policy decides every trial as the observed one does, then
+	// fails a run that lost votes.
+	if runErr == nil && *policy == "strict" && rep.MissingVotes > 0 {
+		runErr = fmt.Errorf("cluster: strict quorum: %d votes missing across %d trials", rep.MissingVotes, rep.QuorumTrials)
+	}
 
 	// Flush the journal before surfacing any run error: a strict-quorum
 	// failure (or an EarlyDecider short-circuit severing node connections)
@@ -324,7 +326,7 @@ func run(args []string, stdout io.Writer) error {
 				"report":  rep,
 				"input":   map[string]any{"dist": d.Name(), "n": *n, "l1_from_uniform": dist.L1FromUniform(d)},
 				"faults":  plan,
-				"policy":  pol.String(),
+				"policy":  *policy,
 				"sketch":  *sketch,
 				"early":   *early,
 				"retries": *retries,
@@ -384,23 +386,5 @@ func buildNetwork(rule string, n, k int, eps float64) (*zeroround.Network, any, 
 		return nw, cfg, err
 	default:
 		return nil, nil, fmt.Errorf("unknown rule %q", rule)
-	}
-}
-
-func buildDistribution(name string, n int, eps float64, seed uint64) (dist.Distribution, error) {
-	switch name {
-	case "uniform":
-		return dist.NewUniform(n), nil
-	case "twobump":
-		if eps <= 0 || eps > 1 {
-			eps = 1
-		}
-		return dist.NewTwoBump(n, eps, seed), nil
-	case "zipf":
-		return dist.NewZipf(n, 1.2), nil
-	case "halfsupport":
-		return dist.NewHalfSupport(n), nil
-	default:
-		return nil, fmt.Errorf("unknown distribution %q", name)
 	}
 }

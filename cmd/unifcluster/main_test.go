@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -146,6 +147,20 @@ func TestRunCleanJSONHasNoMissingVotes(t *testing.T) {
 	}
 	if len(doc.Results.Report.Verdicts) != 5 {
 		t.Errorf("verdicts = %v", doc.Results.Report.Verdicts)
+	}
+}
+
+// TestQuorumStrictFailsOnMissingVotes pins the strict policy: a lossy run
+// fails, naming the votes it lost, while the observed policy accepts the
+// same run.
+func TestQuorumStrictFailsOnMissingVotes(t *testing.T) {
+	args := []string{"-k", "60", "-n", "64", "-trials", "6", "-seed", "2", "-drop", "0.15", "-fault-seed", "7"}
+	err := run(append([]string{"-policy", "strict"}, args...), io.Discard)
+	if err == nil || err.Error() != "cluster: strict quorum: 46 votes missing across 5 trials" {
+		t.Fatalf("strict run: err = %v, want the strict-quorum failure", err)
+	}
+	if err := run(args, io.Discard); err != nil {
+		t.Fatalf("observed run: %v", err)
 	}
 }
 
@@ -398,7 +413,7 @@ func TestRunErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
-		want string
+		want string // a regular expression the error must match
 	}{
 		{name: "bad rule", args: []string{"-rule", "bogus"}, want: "unknown rule"},
 		{name: "bad dist", args: []string{"-dist", "bogus"}, want: "unknown distribution"},
@@ -409,11 +424,16 @@ func TestRunErrors(t *testing.T) {
 		{name: "retired serve -quantum", args: []string{"serve", "-quantum", "32"}, want: "not defined: -quantum"},
 		{name: "retired serve -queue", args: []string{"serve", "-queue", "64"}, want: "not defined: -queue"},
 		{name: "retired -queue", args: []string{"-queue", "16"}, want: "not defined: -queue"},
+		{name: "retired serve -reap", args: []string{"serve", "-reap", "250ms"}, want: "not defined: -reap"},
+		// Every node fails; the run reports the lowest node's error exactly
+		// as the node client wrote it.
+		{name: "node error", args: []string{"-k", "8", "-n", "64", "-trials", "2", "-disconnect", "1", "-deadline", "300ms"},
+			want: "^cluster: node 0: vote: link disconnected by fault plan$"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run(tc.args, io.Discard)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
+			if err == nil || !regexp.MustCompile(tc.want).MatchString(err.Error()) {
 				t.Fatalf("err = %v, want %q", err, tc.want)
 			}
 		})

@@ -42,7 +42,6 @@ func runServe(args []string, stdout io.Writer) error {
 		maxK      = fs.Int("max-k", 0, "largest admissible network size per session (0 = unlimited)")
 		maxTrials = fs.Int("max-trials", 0, "largest admissible trial count per session (0 = wire report cap)")
 		deadline  = fs.Duration("deadline", cluster.DefaultDeadline, "per-session deadline; stalled sessions are evicted past it")
-		reap      = fs.Duration("reap", service.DefaultReapInterval, "stalled-session sweep interval")
 		jrnlDir   = fs.String("journal-dir", "", "write one per-session JSONL journal into this directory")
 		obsAddr   = fs.String("obs-addr", "", "serve live /metrics, /healthz and pprof on this address")
 	)
@@ -62,7 +61,6 @@ func runServe(args []string, stdout io.Writer) error {
 		MaxK:         *maxK,
 		MaxTrials:    *maxTrials,
 		Deadline:     *deadline,
-		ReapInterval: *reap,
 		Obs:          reg,
 		JournalDir:   *jrnlDir,
 	})
@@ -131,7 +129,7 @@ func runSubmit(args []string, stdout io.Writer) error {
 	if *sketch && *ruleName != "threshold" {
 		return fmt.Errorf("-sketch is only valid for the threshold rule (single-collision testers)")
 	}
-	d, err := buildDistribution(*distName, *n, *eps, *seed)
+	d, err := dist.ByName(*distName, *n, *eps, *seed)
 	if err != nil {
 		return err
 	}

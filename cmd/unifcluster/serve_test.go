@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/unifdist/unifdist/internal/cluster"
+	"github.com/unifdist/unifdist/internal/dist"
 )
 
 // startServe runs `unifcluster serve` in the background on a free port and
@@ -121,7 +122,7 @@ func TestServeSubmitMultiTenantSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := buildDistribution(c.dst, c.nn, 1.0, c.cfg.BaseSeed)
+		d, err := dist.ByName(c.dst, c.nn, 1.0, c.cfg.BaseSeed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -332,25 +331,19 @@ func TestPartialExceedingWindowRejected(t *testing.T) {
 
 func TestQuorumPolicyOnSilentSubtree(t *testing.T) {
 	// A subtree that disconnects mid-trial leaves its unreported votes
-	// missing. QuorumObserved falls back (missing vote = accept);
-	// QuorumStrict must fail the run and account for the loss.
+	// missing: the quorum fallback decides from the votes that arrived
+	// (missing vote = accept) and accounts for the loss.
 	nw := thresholdNetwork(t, 64, 10)
 	k := nw.K()
-	partial := func() []wire.Frame {
-		// The child covers [0, k) but only k-1 leaves reported each trial.
-		entries := make([]wire.PartialEntry, 2)
-		for tr := range entries {
-			entries[tr] = wire.PartialEntry{Trial: uint32(tr), Votes: uint32(k - 1), Rejects: 0}
-		}
-		return []wire.Frame{
-			&wire.PartialVerdict{Agg: 1, Entries: entries},
-			&wire.Done{Node: 1},
-		}
+	// The child covers [0, k) but only k-1 leaves reported each trial.
+	entries := make([]wire.PartialEntry, 2)
+	for tr := range entries {
+		entries[tr] = wire.PartialEntry{Trial: uint32(tr), Votes: uint32(k - 1), Rejects: 0}
 	}
-
 	cfg := Config{Trials: 2, BaseSeed: 6, Deadline: 5 * time.Second}
 	rep, err := fakeAggSession(t, NewReferee(k, nw.Rule(), cfg), NewPipeListener(),
-		&wire.AggHello{Agg: 1, K: uint32(k), Trials: 2, Lo: 0, Hi: uint32(k)}, partial())
+		&wire.AggHello{Agg: 1, K: uint32(k), Trials: 2, Lo: 0, Hi: uint32(k)},
+		[]wire.Frame{&wire.PartialVerdict{Agg: 1, Entries: entries}, &wire.Done{Node: 1}})
 	if err != nil {
 		t.Fatalf("observed quorum rejected a lossy subtree: %v", err)
 	}
@@ -359,21 +352,8 @@ func TestQuorumPolicyOnSilentSubtree(t *testing.T) {
 			t.Errorf("trial %d: %d votes, %d missing; want %d, 1", tr, rep.Votes[tr], rep.Missing[tr], k-1)
 		}
 	}
-	if rep.QuorumTrials != 2 {
-		t.Errorf("%d quorum trials, want 2", rep.QuorumTrials)
-	}
-
-	cfg.Policy = QuorumStrict
-	rep, err = fakeAggSession(t, NewReferee(k, nw.Rule(), cfg), NewPipeListener(),
-		&wire.AggHello{Agg: 1, K: uint32(k), Trials: 2, Lo: 0, Hi: uint32(k)}, partial())
-	if err == nil {
-		t.Fatal("strict quorum accepted a lossy subtree")
-	}
-	if !strings.Contains(err.Error(), "strict quorum") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if rep == nil || rep.MissingVotes != 2 {
-		t.Fatal("strict failure did not account for the subtree's missing votes")
+	if rep.QuorumTrials != 2 || rep.MissingVotes != 2 {
+		t.Errorf("%d quorum trials, %d missing votes; want 2, 2", rep.QuorumTrials, rep.MissingVotes)
 	}
 }
 

@@ -89,9 +89,6 @@ func (a *Aggregator) Serve(l net.Listener) error {
 	a.cond = sync.NewCond(&a.mu)
 
 	deadline := a.cfg.deadline()
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-
 	sess := a.cfg.Trace.Start("agg.session", trace.Context{},
 		trace.A("agg", int(a.ID)), trace.A("lo", a.Lo), trace.A("hi", a.Hi),
 		trace.A("tier", a.Tier))
@@ -107,20 +104,10 @@ func (a *Aggregator) Serve(l net.Listener) error {
 	foldDone := make(chan struct{})
 	go a.fold(sess.Context(), foldDone)
 
-	ing := NewIngest(1)
-	go ing.acceptLoop(&a.voteSink, l, deadline)
-
 	// The session ends on the first of: every node in the window done, an
 	// early verdict from upstream (root early close), an upstream failure,
 	// or the safety-net deadline.
-	select {
-	case <-a.trigger:
-	case <-timer.C:
-		a.mu.Lock()
-		a.stats.DeadlineExpired = true
-		a.mu.Unlock()
-	}
-	l.Close()
+	ing := a.host(l)
 
 	// Fresh upstream I/O budget for the drain-and-finish phase: on the
 	// deadline path the session bound is already spent exactly when the
@@ -129,12 +116,9 @@ func (a *Aggregator) Serve(l net.Listener) error {
 	if a.conn != nil {
 		a.conn.SetDeadline(time.Now().Add(deadline)) //unifvet:allow wallclock per-phase I/O safety bound; partial sums are folded state and unaffected
 	}
-	a.mu.Unlock()
-
 	// Drain: hand every trial with folded votes — complete or not — to
 	// the fold loop, then stop it. Incomplete sums let the root's quorum
 	// fallback see exactly the votes that arrived.
-	a.mu.Lock()
 	a.closed = true
 	for t := 0; t < a.cfg.Trials; t++ {
 		if a.votes[t] > 0 && !a.emitted[t] {
@@ -148,17 +132,11 @@ func (a *Aggregator) Serve(l net.Listener) error {
 	<-foldDone
 
 	verdict, err := a.finishUpstream(sess.Context())
-	conns := a.shut()
-	for _, c := range conns {
-		if err == nil {
-			// Bounded best-effort verdict relay, exactly like the referee's
-			// broadcast: a node that already went away must not stall
-			// shutdown.
-			c.SetWriteDeadline(time.Now().Add(time.Second)) //unifvet:allow wallclock bounded best-effort verdict broadcast on shutdown
-			_ = wire.WriteFrame(c, &verdict)
-		}
-		c.Close()
+	var relay *wire.Verdict
+	if err == nil {
+		relay = &verdict
 	}
+	Broadcast(a.shut(), relay)
 	ing.Close()
 	a.conn.Close()
 	a.m.peersIdle.Set(0)

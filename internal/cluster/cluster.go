@@ -14,7 +14,7 @@
 //
 // Unlike the simulator, the transport can misbehave: a seeded FaultPlan
 // drops, duplicates, delays or disconnects votes deterministically,
-// and the referee degrades gracefully — its quorum policy decides each
+// and the referee degrades gracefully — its quorum fallback decides each
 // trial from the votes that arrived, recording how many went missing. This
 // expresses a robustness property the simulator cannot: the measured
 // network error stays within the paper's 1/3 under bounded vote loss.
@@ -39,36 +39,6 @@ import (
 	"github.com/unifdist/unifdist/internal/zeroround"
 )
 
-// QuorumPolicy decides what the referee does with trials whose votes did
-// not all arrive by the end of the run.
-type QuorumPolicy int
-
-const (
-	// QuorumObserved decides each trial from the votes that arrived: the
-	// decision rule is applied to the observed rejecting count over the
-	// full network size, i.e. a missing vote counts as an accept. This is
-	// the graceful-degradation mode: bounded vote loss shifts the verdict
-	// threshold by at most the loss rate.
-	QuorumObserved QuorumPolicy = iota
-	// QuorumStrict requires every vote: any missing vote fails the run
-	// with an error (verdicts are still reported, decided as in
-	// QuorumObserved, so the caller can inspect what the quorum would have
-	// said).
-	QuorumStrict
-)
-
-// String returns the policy name.
-func (p QuorumPolicy) String() string {
-	switch p {
-	case QuorumObserved:
-		return "observed"
-	case QuorumStrict:
-		return "strict"
-	default:
-		return fmt.Sprintf("QuorumPolicy(%d)", int(p))
-	}
-}
-
 // DefaultDeadline bounds a session when peers stall; see Config.Deadline.
 const DefaultDeadline = 10 * time.Second
 
@@ -84,8 +54,6 @@ type Config struct {
 	// BaseSeed fixes the indexed randomness of every (trial, node) sample
 	// stream (zeroround.VoteStream) and thereby the entire run.
 	BaseSeed uint64
-	// Policy decides trials with missing votes; see QuorumPolicy.
-	Policy QuorumPolicy
 	// EarlyClose lets the referee shut the session down as soon as every
 	// trial's verdict is fixed (EarlyDecider rules can fix a verdict
 	// before all votes arrive). Verdicts are unchanged; only trailing

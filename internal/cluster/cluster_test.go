@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -284,23 +283,6 @@ func TestDisconnectRecoversViaRetry(t *testing.T) {
 	}
 }
 
-func TestQuorumStrictFailsOnMissingVotes(t *testing.T) {
-	nw := thresholdNetwork(t, 64, 60)
-	d := dist.NewUniform(64)
-	cfg := Config{Trials: 6, BaseSeed: 2, Policy: QuorumStrict}
-	plan := &FaultPlan{Seed: 7, Drop: 0.15}
-	rep, err := RunPipe(cfg, nw, d, plan)
-	if err == nil {
-		t.Fatal("strict quorum accepted a lossy run")
-	}
-	if !strings.Contains(err.Error(), "strict quorum") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if rep == nil || rep.MissingVotes == 0 {
-		t.Fatal("strict failure did not report the missing votes")
-	}
-}
-
 func TestRefereeRejectsMismatchedHello(t *testing.T) {
 	nw := thresholdNetwork(t, 64, 10)
 	d := dist.NewUniform(64)
@@ -341,14 +323,5 @@ func TestReportErrorRate(t *testing.T) {
 	}
 	if got := (&Report{}).ErrorRate(true); got != 0 {
 		t.Fatalf("empty report ErrorRate = %v", got)
-	}
-}
-
-func TestQuorumPolicyString(t *testing.T) {
-	if QuorumObserved.String() != "observed" || QuorumStrict.String() != "strict" {
-		t.Fatal("policy names drifted")
-	}
-	if s := QuorumPolicy(9).String(); !strings.Contains(s, "9") {
-		t.Fatalf("unknown policy string %q", s)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"strings"
-	"time"
 
 	"github.com/unifdist/unifdist/internal/obs/trace"
 	"github.com/unifdist/unifdist/internal/wire"
@@ -17,11 +16,11 @@ import (
 // connections, validates and deduplicates their votes, applies the
 // decision rule incrementally as votes arrive — reusing the rule's
 // EarlyDecider so a trial's verdict is fixed at the earliest possible
-// vote — and finalizes undecided trials through the quorum policy when
+// vote — and finalizes undecided trials through the quorum fallback when
 // the session ends. The vote-folding half (registration, frame
 // validation, dedup, per-trial fold) is the voteSink shared with the
-// Aggregator, fed by the Ingest; the referee layers the rule and quorum
-// machinery on top in advance, which the sink's fold calls. Besides raw
+// Aggregator, fed by the Ingest; the referee layers the rule on top in
+// advance, which the sink's fold calls. Besides raw
 // leaf connections, the sink also terminates aggregator children (AggHello
 // + PartialVerdict partial sums), which fold into the same per-trial
 // tallies — both decision rules are commutative monoids over (votes,
@@ -64,33 +63,18 @@ func NewReferee(k int, rule zeroround.Rule, cfg Config) *Referee {
 }
 
 // Serve runs one session on l and returns the referee's report. It always
-// closes l. Under QuorumStrict a session with missing votes returns the
-// report alongside a non-nil error.
+// closes l.
 func (rf *Referee) Serve(l net.Listener) (*Report, error) {
 	if rf.cfg.Trials <= 0 {
 		l.Close()
 		return nil, fmt.Errorf("cluster: referee needs Trials > 0, got %d", rf.cfg.Trials)
 	}
-	deadline := rf.cfg.deadline()
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-
 	sess := rf.cfg.Trace.Start("referee.session", trace.Context{},
 		trace.A("k", rf.k), trace.A("trials", rf.cfg.Trials))
 	rf.reg.Gauge("cluster.sessions_open").Add(1)
 	defer rf.reg.Gauge("cluster.sessions_open").Add(-1)
 
-	ing := NewIngest(1)
-	go ing.acceptLoop(&rf.voteSink, l, deadline)
-
-	select {
-	case <-rf.trigger:
-	case <-timer.C:
-		rf.mu.Lock()
-		rf.stats.DeadlineExpired = true
-		rf.mu.Unlock()
-	}
-	l.Close()
+	ing := rf.host(l)
 
 	vspan := rf.cfg.Trace.Start("referee.verdict", sess.Context())
 	rep, sum, conns := rf.finalize()
@@ -98,19 +82,9 @@ func (rf *Referee) Serve(l net.Listener) (*Report, error) {
 		trace.A("quorum_trials", rep.QuorumTrials))
 	vspan.End()
 	sess.End()
-	for _, c := range conns {
-		// Bounded best-effort verdict delivery: a node that already went
-		// away must not stall shutdown (net.Pipe writes block until read).
-		c.SetWriteDeadline(time.Now().Add(time.Second)) //unifvet:allow wallclock bounded best-effort verdict broadcast on shutdown
-		_ = wire.WriteFrame(c, &sum)
-		c.Close()
-	}
+	Broadcast(conns, &sum)
 	ing.Close()
 	rf.m.peersIdle.Set(0) // the broadcast released every idle peer
-
-	if rf.cfg.Policy == QuorumStrict && rep.MissingVotes > 0 {
-		return rep, fmt.Errorf("cluster: strict quorum: %d votes missing across %d trials", rep.MissingVotes, rep.QuorumTrials)
-	}
 	return rep, nil
 }
 
@@ -144,7 +118,7 @@ func (rf *Referee) settle(trial int, accept, early bool) {
 	}
 }
 
-// finalize decides the remaining trials via the quorum policy and
+// finalize decides the remaining trials via the quorum fallback and
 // assembles the report, the verdict broadcast frame, and the connections
 // to flush it to.
 func (rf *Referee) finalize() (*Report, wire.Verdict, []net.Conn) {

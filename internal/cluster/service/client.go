@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"net"
-	"sync"
 
 	"github.com/unifdist/unifdist/internal/cluster"
 	"github.com/unifdist/unifdist/internal/dist"
@@ -139,32 +138,11 @@ func Submit(dial func() (net.Conn, error), cfg cluster.Config, nw *zeroround.Net
 	if err != nil {
 		return nil, err
 	}
-	k := nw.K()
 	ncfg := cfg
 	ncfg.Session = c.Session()
-
-	errCh := make(chan error, k)
-	var wg sync.WaitGroup
-	wg.Add(k)
-	for i := 0; i < k; i++ {
-		nc := &cluster.NodeClient{
-			ID:     i,
-			K:      k,
-			Tester: nw.Node(i),
-			Config: ncfg,
-			Dial:   dial,
-			Faults: plan,
-		}
-		go func(i int, nc *cluster.NodeClient) {
-			defer wg.Done()
-			if _, err := nc.Run(d); err != nil {
-				errCh <- fmt.Errorf("node %d: %w", i, err)
-			}
-		}(i, nc)
-	}
+	wait := cluster.StartNodes(ncfg, nw, d, plan, func(int) func() (net.Conn, error) { return dial })
 	rep, werr := c.Wait()
-	wg.Wait()
-	close(errCh)
+	nodeErr := wait()
 	if werr != nil {
 		return nil, werr
 	}
@@ -173,8 +151,5 @@ func Submit(dial func() (net.Conn, error), cfg cluster.Config, nw *zeroround.Net
 		// needed; their errors are expected, exactly as in cluster.RunPipe.
 		return rep, nil
 	}
-	for err := range errCh {
-		return rep, fmt.Errorf("service: %w", err)
-	}
-	return rep, nil
+	return rep, nodeErr
 }

@@ -20,19 +20,11 @@ type session struct {
 	cost   int // k×trials charged against the tenant budget
 
 	rf      *cluster.Referee
-	ctrl    net.Conn // the opener's control connection; receives the SessionReport
+	ctrl    net.Conn    // the opener's control connection; receives the SessionReport
+	timer   *time.Timer // the session deadline; guarded by Service.mu
 	journal *obs.Journal
-	expiry  time.Time // reaper eviction bound
 
-	closeCh    chan struct{} // closed on explicit client close
-	closeOnce  sync.Once
 	finishOnce sync.Once
-}
-
-// requestClose signals the explicit-close path (control connection gone
-// before the session decided). Idempotent.
-func (s *session) requestClose() {
-	s.closeOnce.Do(func() { close(s.closeCh) })
 }
 
 // reportFrame converts a referee report into the wire SessionReport.

@@ -28,26 +28,15 @@ func (rf *Referee) Handshake(f wire.Frame) (*Peer, error) {
 
 // Decided returns the channel closed when the session's outcome is
 // fixed: every node done, or every verdict early-decided under
-// Config.EarlyClose.
+// Config.EarlyClose. Finalize closes it too, so a waiter always returns.
 func (rf *Referee) Decided() <-chan struct{} {
 	return rf.trigger
 }
 
-// Finalize decides the remaining trials via the quorum policy, closes
+// Finalize decides the remaining trials via the quorum fallback, closes
 // the session against further folds, and returns the report, the
 // verdict broadcast frame, and the registered connections to flush it
 // to. Callers own closing the connections.
 func (rf *Referee) Finalize() (*Report, wire.Verdict, []net.Conn) {
 	return rf.finalize()
-}
-
-// MarkExpired records that the session hit its deadline (or was evicted
-// as stalled) and fires the decision trigger, so a Decided waiter
-// proceeds to Finalize with the quorum fallback covering the missing
-// votes.
-func (rf *Referee) MarkExpired() {
-	rf.mu.Lock()
-	rf.stats.DeadlineExpired = true
-	rf.mu.Unlock()
-	rf.fire()
 }

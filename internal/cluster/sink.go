@@ -172,11 +172,12 @@ func (s *voteSink) register(conn net.Conn, g *Ingest) bool {
 }
 
 // shut closes the sink against further folds and its ingest queue against
-// further frames, and detaches the registered connections for the owner's
-// verdict broadcast.
+// further frames, fires the trigger so a Decided waiter returns, and
+// detaches the registered connections for the owner's verdict broadcast.
 func (s *voteSink) shut() []net.Conn {
 	s.mu.Lock()
 	s.closed = true
+	s.fire()
 	conns, g := s.conns, s.ing
 	s.conns = nil
 	s.mu.Unlock()
@@ -184,6 +185,54 @@ func (s *voteSink) shut() []net.Conn {
 		g.retire(s)
 	}
 	return conns
+}
+
+// host runs the accept side of a solo session, a Referee's or an
+// Aggregator's, on l: it arms the session's one deadline timer, hosts
+// every connection l accepts on a one-worker ingest, waits for the
+// trigger and closes l. The owner finalizes, broadcasts the verdict, and
+// then closes the returned ingest.
+func (s *voteSink) host(l net.Listener) *Ingest {
+	deadline := s.cfg.deadline()
+	timer := time.AfterFunc(deadline, s.expire)
+	ing := NewIngest(1)
+	go ing.acceptLoop(s, l, deadline)
+	<-s.trigger
+	timer.Stop()
+	l.Close()
+	return ing
+}
+
+// expire is the deadline timer's action: unless the trigger already
+// fired, it marks the session expired and fires the trigger.
+func (s *voteSink) expire() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case <-s.trigger:
+	default:
+		s.stats.DeadlineExpired = true
+		s.fire()
+	}
+}
+
+// Broadcast writes the verdict v to every conn and closes it; a nil v
+// only closes them. Delivery is bounded and best-effort: a peer that
+// already went away must not stall shutdown (net.Pipe writes block until
+// read). Referees, aggregators and the session service end every session
+// through it.
+func Broadcast(conns []net.Conn, v *wire.Verdict) {
+	var frame []byte
+	if v != nil {
+		frame = wire.AppendSession(nil, v, 0, wire.TraceContext{})
+	}
+	for _, c := range conns {
+		if frame != nil {
+			c.SetWriteDeadline(time.Now().Add(time.Second)) //unifvet:allow wallclock bounded best-effort verdict broadcast on shutdown
+			_, _ = c.Write(frame)
+		}
+		c.Close()
+	}
 }
 
 // ingestFrame decodes one frame body bound for the sink and hands it to
@@ -605,7 +654,7 @@ func (s *voteSink) markDoneRange(peer *aggPeer, wireBytes int) {
 	}
 }
 
-// fire triggers session finalization once; callers hold s.mu.
+// fire triggers session finalization once.
 func (s *voteSink) fire() {
 	s.triggerOnce.Do(func() { close(s.trigger) })
 }

@@ -104,52 +104,53 @@ func runTree(cfg Config, nw *zeroround.Network, d dist.Distribution, plan *Fault
 		return nil, err
 	}
 
-	type nodeErr struct {
-		node int
-		err  error
-	}
-	errCh := make(chan nodeErr, k)
-	var wg sync.WaitGroup
-	wg.Add(k)
-	for i := 0; i < k; i++ {
-		nc := &NodeClient{
-			ID:     i,
-			K:      k,
-			Tester: nw.Node(i),
-			Config: cfg,
-			Dial:   leafDial[i],
-			Faults: plan,
-		}
-		go func(i int, nc *NodeClient) {
-			defer wg.Done()
-			if _, rerr := nc.Run(d); rerr != nil {
-				errCh <- nodeErr{node: i, err: rerr}
-			}
-		}(i, nc)
-	}
-
+	wait := StartNodes(cfg, nw, d, plan, func(i int) func() (net.Conn, error) { return leafDial[i] })
 	rep, err := rf.Serve(rootL)
-	wg.Wait()
+	nodeErr := wait()
 	aggWG.Wait()
-	close(errCh)
 	if err != nil {
 		return rep, err
 	}
 	// Early close severs connections of peers whose verdicts were no
 	// longer needed — leaves and aggregators alike; their errors are
 	// expected, not failures.
-	tolerate := rep != nil && rep.Stats.EarlyClosed
-	for ne := range errCh {
-		if tolerate {
-			continue
-		}
-		return rep, fmt.Errorf("cluster: node %d: %w", ne.node, ne.err)
+	if rep.Stats.EarlyClosed {
+		return rep, nil
 	}
-	for _, aerr := range aggErrs {
-		if tolerate {
-			continue
-		}
-		return rep, aerr
+	if nodeErr != nil {
+		return rep, nodeErr
+	}
+	if len(aggErrs) > 0 {
+		return rep, aggErrs[0]
 	}
 	return rep, nil
+}
+
+// StartNodes starts one NodeClient per node of nw, node i dialing
+// dial(i), and returns the function that waits for all of them. wait
+// returns the error of the lowest-numbered node that failed, exactly as
+// NodeClient.Run wrote it, or nil; each caller decides which node errors
+// an early close excuses.
+func StartNodes(cfg Config, nw *zeroround.Network, d dist.Distribution, plan *FaultPlan,
+	dial func(node int) func() (net.Conn, error)) (wait func() error) {
+	k := nw.K()
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	wg.Add(k)
+	for i := 0; i < k; i++ {
+		nc := &NodeClient{ID: i, K: k, Tester: nw.Node(i), Config: cfg, Dial: dial(i), Faults: plan}
+		go func() {
+			defer wg.Done()
+			_, errs[i] = nc.Run(d)
+		}()
+	}
+	return func() error {
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }

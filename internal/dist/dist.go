@@ -289,6 +289,28 @@ func NewHalfSupport(n int) *Histogram {
 	return MustHistogram(p, fmt.Sprintf("halfsupport(n=%d)", n))
 }
 
+// ByName builds the command-line test input called name on a domain of
+// size n: "uniform", "twobump" (ε-far, eps outside (0, 1] taken as 1,
+// bump placement drawn from seed), "zipf" (exponent 1.2) or
+// "halfsupport".
+func ByName(name string, n int, eps float64, seed uint64) (Distribution, error) {
+	switch name {
+	case "uniform":
+		return NewUniform(n), nil
+	case "twobump":
+		if eps <= 0 || eps > 1 {
+			eps = 1
+		}
+		return NewTwoBump(n, eps, seed), nil
+	case "zipf":
+		return NewZipf(n, 1.2), nil
+	case "halfsupport":
+		return NewHalfSupport(n), nil
+	default:
+		return nil, fmt.Errorf("unknown distribution %q", name)
+	}
+}
+
 // L1FromUniform returns Σ_i |µ(i) − 1/n|, the L1 distance between d and the
 // uniform distribution on its domain.
 func L1FromUniform(d Distribution) float64 {

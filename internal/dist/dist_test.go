@@ -8,6 +8,21 @@ import (
 	"github.com/unifdist/unifdist/internal/rng"
 )
 
+func TestBuildDistributions(t *testing.T) {
+	for _, name := range []string{"uniform", "twobump", "zipf", "halfsupport"} {
+		d, err := ByName(name, 64, 1, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d.N() != 64 {
+			t.Errorf("%s: domain %d", name, d.N())
+		}
+	}
+	if _, err := ByName("bogus", 64, 1, 1); err == nil {
+		t.Error("unknown distribution accepted")
+	}
+}
+
 func TestUniformBasics(t *testing.T) {
 	u := NewUniform(10)
 	if u.N() != 10 {

@@ -55,11 +55,11 @@ func runE9(ctx *RunContext) (*Table, error) {
 		}
 		y := append([]byte(nil), x...)
 		y[0] ^= 1 // single-bit difference: hardest unequal pair
-		rejEq, err := e.EstimateRejectProbParallel(x, x, trials/4, ctx.WorkerCount(), r)
+		rejEq, err := e.EstimateRejectProb(x, x, trials/4, ctx.WorkerCount(), r)
 		if err != nil {
 			return nil, err
 		}
-		rejNeq, err := e.EstimateRejectProbParallel(x, y, trials, ctx.WorkerCount(), r)
+		rejNeq, err := e.EstimateRejectProb(x, y, trials, ctx.WorkerCount(), r)
 		if err != nil {
 			return nil, err
 		}

@@ -66,11 +66,11 @@ func runE13(ctx *RunContext) (*Table, error) {
 		}
 		y := append([]byte(nil), x...)
 		y[0] ^= 0xff
-		accEq, err := e.EstimateAcceptProbParallel(x, x, trials, ctx.WorkerCount(), r)
+		accEq, err := e.EstimateAcceptProb(x, x, trials, ctx.WorkerCount(), r)
 		if err != nil {
 			return nil, err
 		}
-		accNeq, err := e.EstimateAcceptProbParallel(x, y, trials, ctx.WorkerCount(), r)
+		accNeq, err := e.EstimateAcceptProb(x, y, trials, ctx.WorkerCount(), r)
 		if err != nil {
 			return nil, err
 		}

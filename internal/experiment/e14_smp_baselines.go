@@ -62,7 +62,7 @@ func runE14(ctx *RunContext) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rej, err := sc.EstimateRejectProbParallel(x, y, trials, ctx.WorkerCount(), r)
+		rej, err := sc.EstimateRejectProb(x, y, trials, ctx.WorkerCount(), r)
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +82,7 @@ func runE14(ctx *RunContext) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rej, err := e.EstimateRejectProbParallel(x, y, trials, ctx.WorkerCount(), r)
+		rej, err := e.EstimateRejectProb(x, y, trials, ctx.WorkerCount(), r)
 		if err != nil {
 			return nil, err
 		}

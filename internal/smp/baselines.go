@@ -117,19 +117,3 @@ func (s *SingleCellEquality) Run(x, y []byte, r *rng.RNG) (bool, error) {
 	}
 	return true, nil
 }
-
-// EstimateRejectProb measures the empirical rejection probability on a
-// fixed input pair.
-func (s *SingleCellEquality) EstimateRejectProb(x, y []byte, trials int, r *rng.RNG) (float64, error) {
-	rejects := 0
-	for i := 0; i < trials; i++ {
-		acc, err := s.Run(x, y, r)
-		if err != nil {
-			return 0, err
-		}
-		if !acc {
-			rejects++
-		}
-	}
-	return float64(rejects) / float64(trials), nil
-}

@@ -8,18 +8,16 @@ import (
 	"github.com/unifdist/unifdist/internal/trialpool"
 )
 
-// This file holds the parallel trial estimators for the SMP protocols. The
-// experiment cells (E9, E13, E14) run each protocol tens of thousands of
-// times on a fixed input pair, so the estimators here hoist everything that
-// does not depend on the trial's coins out of the loop — above all the ECC
-// encoding, which dominates a single protocol run — and fan the trials
-// across the shared trial pool (internal/trialpool).
+// This file holds the trial estimators for the SMP protocols, one per
+// protocol. The experiment cells (E9, E13, E14) run each protocol tens of
+// thousands of times on a fixed input pair, so the estimators hoist
+// everything that does not depend on the trial's coins out of the loop —
+// above all the ECC encoding, which dominates a single protocol run — and
+// fan the trials across the shared trial pool (internal/trialpool).
 //
 // Every estimator is bit-for-bit deterministic in the caller's RNG at any
 // worker count: it draws one base from r, and trial i reseeds its worker's
-// generator as rng.SeedAt(base, i). The sequential estimators draw from r
-// directly, so the two families sample different (equally valid) trial
-// sets.
+// generator as rng.SeedAt(base, i).
 
 // countTrials runs trials on the shared pool and returns how many reported
 // true. newWorker builds one per-worker trial closure owning whatever
@@ -49,9 +47,10 @@ func encodePair(code *ecc.Code, x, y []byte) (cx, cy []byte, err error) {
 	return cx, cy, nil
 }
 
-// EstimateRejectProbParallel is EstimateRejectProb with the codewords
-// computed once and the trials fanned across workers (0 means GOMAXPROCS).
-func (e *Equality) EstimateRejectProbParallel(x, y []byte, trials, workers int, r *rng.RNG) (float64, error) {
+// EstimateRejectProb measures the rejection probability on a fixed input
+// pair over trials protocol runs, with the codewords computed once and the
+// trials fanned across workers (0 means GOMAXPROCS).
+func (e *Equality) EstimateRejectProb(x, y []byte, trials, workers int, r *rng.RNG) (float64, error) {
 	if trials <= 0 {
 		return 0, nil
 	}
@@ -89,9 +88,10 @@ func (e *Equality) runPrepared(cx, cy []byte, r *rng.RNG) bool {
 	return e.bitAt(cx, bRow, aCol) == e.bitAt(cy, bRow, aCol)
 }
 
-// EstimateRejectProbParallel is SingleCellEquality.EstimateRejectProb with
-// the codewords computed once and the trials fanned across workers.
-func (s *SingleCellEquality) EstimateRejectProbParallel(x, y []byte, trials, workers int, r *rng.RNG) (float64, error) {
+// EstimateRejectProb measures the rejection probability on a fixed input
+// pair over trials protocol runs, with the codewords computed once and the
+// trials fanned across workers (0 means GOMAXPROCS).
+func (s *SingleCellEquality) EstimateRejectProb(x, y []byte, trials, workers int, r *rng.RNG) (float64, error) {
 	if trials <= 0 {
 		return 0, nil
 	}
@@ -131,12 +131,12 @@ func (s *SingleCellEquality) EstimateRejectProbParallel(x, y []byte, trials, wor
 	return float64(rejects) / float64(trials), nil
 }
 
-// EstimateAcceptProbParallel measures the acceptance probability on a fixed
+// EstimateAcceptProb measures the acceptance probability on a fixed
 // input pair over trials Run executions on the shared trial pool, with the
 // codewords and the tester hoisted out of the trial loop: inputs are
 // encoded once per call and each worker builds the tester once and reuses
 // one sample buffer and, for a tester.ScratchTester, one collision scratch.
-func (e *EqualityFromTester) EstimateAcceptProbParallel(x, y []byte, trials, workers int, r *rng.RNG) (float64, error) {
+func (e *EqualityFromTester) EstimateAcceptProb(x, y []byte, trials, workers int, r *rng.RNG) (float64, error) {
 	if trials <= 0 {
 		return 0, nil
 	}

@@ -54,7 +54,7 @@ func TestEqualityParallelWorkerInvariant(t *testing.T) {
 	}
 	x, y := testInputs(t, 512)
 	pinWorkerInvariance(t, "chunk", func(workers int, r *rng.RNG) (float64, error) {
-		return e.EstimateRejectProbParallel(x, y, 400, workers, r)
+		return e.EstimateRejectProb(x, y, 400, workers, r)
 	})
 }
 
@@ -66,7 +66,7 @@ func TestEqualityParallelMatchesGuarantees(t *testing.T) {
 	x, y := testInputs(t, 512)
 	r := rng.New(3)
 	// Equal inputs are never rejected.
-	rejEq, err := e.EstimateRejectProbParallel(x, x, 500, 0, r)
+	rejEq, err := e.EstimateRejectProb(x, x, 500, 0, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestEqualityParallelMatchesGuarantees(t *testing.T) {
 	}
 	// Unequal inputs are rejected at least at the guaranteed rate (with
 	// slack for sampling noise over 4000 trials).
-	rejNeq, err := e.EstimateRejectProbParallel(x, y, 4000, 0, r)
+	rejNeq, err := e.EstimateRejectProb(x, y, 4000, 0, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +125,10 @@ func TestSingleCellParallelWorkerInvariant(t *testing.T) {
 	}
 	x, y := testInputs(t, 512)
 	pinWorkerInvariance(t, "singlecell", func(workers int, r *rng.RNG) (float64, error) {
-		return s.EstimateRejectProbParallel(x, y, 400, workers, r)
+		return s.EstimateRejectProb(x, y, 400, workers, r)
 	})
 	// Equal inputs are never rejected.
-	rej, err := s.EstimateRejectProbParallel(x, x, 300, 0, rng.New(4))
+	rej, err := s.EstimateRejectProb(x, x, 300, 0, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +147,11 @@ func TestReductionParallelWorkerInvariant(t *testing.T) {
 	}
 	x, y := testInputs(t, 128)
 	pinWorkerInvariance(t, "reduction", func(workers int, r *rng.RNG) (float64, error) {
-		return e.EstimateAcceptProbParallel(x, y, 60, workers, r)
+		return e.EstimateAcceptProb(x, y, 60, workers, r)
 	})
 	// Sanity: equal inputs make the mixture exactly uniform, so acceptance
 	// should be high.
-	acc, err := e.EstimateAcceptProbParallel(x, x, 120, 0, rng.New(8))
+	acc, err := e.EstimateAcceptProb(x, x, 120, 0, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}

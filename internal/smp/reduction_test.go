@@ -72,7 +72,7 @@ func TestSingleCellEqualityDetectionGrowsWithReps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rej, err := sc.EstimateRejectProb(x, y, 4000, r)
+		rej, err := sc.EstimateRejectProb(x, y, 4000, 0, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestReductionEqualInputsLookUniform(t *testing.T) {
 	for i := range x {
 		x[i] = byte(3 * i)
 	}
-	acc, err := e.EstimateAcceptProbParallel(x, x, 20000, 0, r)
+	acc, err := e.EstimateAcceptProb(x, x, 20000, 0, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +151,11 @@ func TestReductionUnequalInputsRejectedMoreOften(t *testing.T) {
 	y := append([]byte(nil), x...)
 	y[0] = 0xff // many flipped bits: well past the distance bound
 	const trials = 40000
-	accEq, err := e.EstimateAcceptProbParallel(x, x, trials, 0, r)
+	accEq, err := e.EstimateAcceptProb(x, x, trials, 0, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	accNeq, err := e.EstimateAcceptProbParallel(x, y, trials, 0, r)
+	accNeq, err := e.EstimateAcceptProb(x, y, trials, 0, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,22 +147,6 @@ func (e *Equality) Run(x, y []byte, r *rng.RNG) (bool, error) {
 	return e.Referee(a, b), nil
 }
 
-// EstimateRejectProb measures the empirical rejection probability on a
-// fixed input pair over trials runs.
-func (e *Equality) EstimateRejectProb(x, y []byte, trials int, r *rng.RNG) (float64, error) {
-	rejects := 0
-	for i := 0; i < trials; i++ {
-		acc, err := e.Run(x, y, r)
-		if err != nil {
-			return 0, err
-		}
-		if !acc {
-			rejects++
-		}
-	}
-	return float64(rejects) / float64(trials), nil
-}
-
 // GuaranteedReject returns the protocol's lower bound τδ on the rejection
 // probability of unequal inputs.
 func (e *Equality) GuaranteedReject() float64 { return e.tau * e.delta }

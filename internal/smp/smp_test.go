@@ -75,7 +75,7 @@ func TestUnequalInputsRejectedAtGuaranteedRate(t *testing.T) {
 	y := make([]byte, 12)
 	y[0] = 1 // single-bit difference: the hardest unequal pair
 	const trials = 60000
-	rej, err := e.EstimateRejectProb(x, y, trials, r)
+	rej, err := e.EstimateRejectProb(x, y, trials, 0, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestRejectionScalesWithTau(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rej, err := e.EstimateRejectProb(x, y, 40000, r)
+		rej, err := e.EstimateRejectProb(x, y, 40000, 0, r)
 		if err != nil {
 			t.Fatal(err)
 		}

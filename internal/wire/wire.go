@@ -194,9 +194,9 @@ var (
 	// ErrUnknownType marks an unrecognized frame type byte.
 	ErrUnknownType = errors.New("wire: unknown frame type")
 	// ErrFrameSize marks a known frame type with a malformed payload
-	// (wrong size, a missing session field, or a non-canonical columnar
-	// encoding).
-	ErrFrameSize = errors.New("wire: wrong payload size for frame type")
+	// (wrong size, a missing session field, an out-of-range field, or a
+	// non-canonical columnar encoding).
+	ErrFrameSize = errors.New("wire: malformed payload")
 	// ErrTraceContext marks a traced frame whose trace context is
 	// malformed (zero trace ID).
 	ErrTraceContext = errors.New("wire: invalid trace context")
@@ -272,7 +272,7 @@ type Verdict struct {
 	Trials  uint32
 	Accepts uint32
 	// Missing is the total number of votes that never arrived (decided by
-	// quorum policy instead).
+	// the quorum fallback instead).
 	Missing uint32
 }
 
