@@ -8,7 +8,7 @@
 //	unifcluster [-rule threshold|and] [-k 60] [-n 64] [-eps 1.0]
 //	            [-dist uniform|twobump|zipf|halfsupport] [-trials 10]
 //	            [-seed 1] [-transport pipe|tcp] [-policy observed|strict]
-//	            [-early] [-sketch] [-drop 0] [-dup 0] [-disconnect 0]
+//	            [-early] [-drop 0] [-dup 0] [-disconnect 0]
 //	            [-delay 0] [-fault-seed 1] [-retries 0] [-backoff 5ms]
 //	            [-deadline 10s] [-batch 0] [-flush-bytes 8192]
 //	            [-agg 0] [-agg-depth 1]
@@ -20,9 +20,8 @@
 //	                   [-obs-addr :9090]
 //	unifcluster submit [-addr 127.0.0.1:4600] [-tenant 1]
 //	                   [run flags: -rule -k -n -eps -dist -trials -seed
-//	                   -sketch -early -batch -drop -dup
-//	                   -disconnect -delay -fault-seed -retries -backoff
-//	                   -json]
+//	                   -early -batch -drop -dup -disconnect -delay
+//	                   -fault-seed -retries -backoff -json]
 //
 // serve runs the long-lived multi-tenant session service: one listener
 // multiplexing many concurrent testing sessions, each admitted via a
@@ -107,7 +106,6 @@ func run(args []string, stdout io.Writer) error {
 		transport = fs.String("transport", "pipe", "pipe (in-memory) or tcp (loopback)")
 		policy    = fs.String("policy", "observed", "missing-vote policy: observed or strict")
 		early     = fs.Bool("early", false, "close the session as soon as every verdict is fixed")
-		sketch    = fs.Bool("sketch", false, "nodes submit raw collision sketches (threshold rule only)")
 		faultPlan = faultFlags(fs)
 		retries   = fs.Int("retries", 0, "node redial attempts after transport errors")
 		backoff   = fs.Duration("backoff", 5*time.Millisecond, "initial retry backoff (doubles per attempt)")
@@ -127,9 +125,6 @@ func run(args []string, stdout io.Writer) error {
 	nw, params, err := buildNetwork(*ruleName, *n, *k, *eps)
 	if err != nil {
 		return err
-	}
-	if *sketch && *ruleName != "threshold" {
-		return fmt.Errorf("-sketch is only valid for the threshold rule (single-collision testers)")
 	}
 	d, err := dist.ByName(*distName, *n, *eps, *seed)
 	if err != nil {
@@ -151,8 +146,6 @@ func run(args []string, stdout io.Writer) error {
 		Trials:     *trials,
 		BaseSeed:   *seed,
 		EarlyClose: *early,
-		Sketch:     *sketch,
-		DomainN:    *n,
 		Deadline:   *deadline,
 		Retries:    *retries,
 		Backoff:    *backoff,
@@ -327,7 +320,6 @@ func run(args []string, stdout io.Writer) error {
 				"input":   map[string]any{"dist": d.Name(), "n": *n, "l1_from_uniform": dist.L1FromUniform(d)},
 				"faults":  plan,
 				"policy":  *policy,
-				"sketch":  *sketch,
 				"early":   *early,
 				"retries": *retries,
 			},

@@ -32,12 +32,6 @@ func TestRunTCPSmoke(t *testing.T) {
 	}
 }
 
-func TestRunSketchSmoke(t *testing.T) {
-	if err := run([]string{"-sketch", "-k", "30", "-n", "64", "-trials", "4"}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunJSONDocument(t *testing.T) {
 	journalPath := filepath.Join(t.TempDir(), "run.jsonl")
 	var buf bytes.Buffer
@@ -419,7 +413,9 @@ func TestRunErrors(t *testing.T) {
 		{name: "bad dist", args: []string{"-dist", "bogus"}, want: "unknown distribution"},
 		{name: "bad transport", args: []string{"-transport", "bogus"}, want: "unknown transport"},
 		{name: "bad policy", args: []string{"-policy", "bogus"}, want: "unknown policy"},
-		{name: "sketch under and", args: []string{"-rule", "and", "-sketch", "-k", "16", "-n", "1024"}, want: "threshold rule"},
+		// -sketch is retired in run and submit mode: it fails under any rule.
+		{name: "sketch under and", args: []string{"-rule", "and", "-sketch", "-k", "16", "-n", "1024"}, want: "not defined: -sketch"},
+		{name: "retired submit -sketch", args: []string{"submit", "-sketch"}, want: "not defined: -sketch"},
 		{name: "retired serve -workers", args: []string{"serve", "-workers", "4"}, want: "not defined: -workers"},
 		{name: "retired serve -quantum", args: []string{"serve", "-quantum", "32"}, want: "not defined: -quantum"},
 		{name: "retired serve -queue", args: []string{"serve", "-queue", "64"}, want: "not defined: -queue"},

@@ -110,7 +110,6 @@ func runSubmit(args []string, stdout io.Writer) error {
 		distName  = fs.String("dist", "uniform", "uniform, twobump, zipf or halfsupport")
 		trials    = fs.Int("trials", 10, "Monte-Carlo trials for this session")
 		seed      = fs.Uint64("seed", 1, "base seed of the indexed sample streams")
-		sketch    = fs.Bool("sketch", false, "nodes submit raw collision sketches (threshold rule only)")
 		early     = fs.Bool("early", false, "let the service close the session as soon as every verdict is fixed")
 		faultPlan = faultFlags(fs)
 		retries   = fs.Int("retries", 0, "node redial attempts after transport errors")
@@ -126,9 +125,6 @@ func runSubmit(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *sketch && *ruleName != "threshold" {
-		return fmt.Errorf("-sketch is only valid for the threshold rule (single-collision testers)")
-	}
 	d, err := dist.ByName(*distName, *n, *eps, *seed)
 	if err != nil {
 		return err
@@ -137,8 +133,6 @@ func runSubmit(args []string, stdout io.Writer) error {
 		Trials:     *trials,
 		BaseSeed:   *seed,
 		EarlyClose: *early,
-		Sketch:     *sketch,
-		DomainN:    *n,
 		Retries:    *retries,
 		Backoff:    *backoff,
 		Batch:      *batch,
@@ -172,7 +166,6 @@ func runSubmit(args []string, stdout io.Writer) error {
 				"input":  map[string]any{"dist": d.Name(), "n": *n, "l1_from_uniform": dist.L1FromUniform(d)},
 				"faults": plan,
 				"tenant": *tenant,
-				"sketch": *sketch,
 			},
 		}
 		return doc.WriteJSON(stdout)

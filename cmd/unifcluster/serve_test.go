@@ -95,8 +95,8 @@ func TestServeSubmitMultiTenantSmoke(t *testing.T) {
 		{name: "thr-drop-batch", args: []string{"-k", "40", "-n", "64", "-trials", "6", "-seed", "5", "-dist", "twobump", "-drop", "0.1", "-dup", "0.1", "-fault-seed", "11", "-batch", "8"},
 			cfg: cluster.Config{Trials: 6, BaseSeed: 5, Batch: 8}, rule: "threshold", kk: 40, nn: 64, dst: "twobump",
 			plan: &cluster.FaultPlan{Seed: 11, Drop: 0.1, Dup: 0.1}},
-		{name: "thr-sketch", args: []string{"-k", "40", "-n", "64", "-trials", "6", "-seed", "13", "-dist", "twobump", "-sketch"},
-			cfg: cluster.Config{Trials: 6, BaseSeed: 13, Sketch: true, DomainN: 64}, rule: "threshold", kk: 40, nn: 64, dst: "twobump"},
+		{name: "thr-13", args: []string{"-k", "40", "-n", "64", "-trials", "6", "-seed", "13", "-dist", "twobump"},
+			cfg: cluster.Config{Trials: 6, BaseSeed: 13}, rule: "threshold", kk: 40, nn: 64, dst: "twobump"},
 		{name: "thr-3", args: []string{"-k", "40", "-n", "64", "-trials", "6", "-seed", "21", "-dist", "twobump", "-batch", "32"},
 			cfg: cluster.Config{Trials: 6, BaseSeed: 21, Batch: 32}, rule: "threshold", kk: 40, nn: 64, dst: "twobump"},
 	}

@@ -64,16 +64,6 @@ func TestTreeTCPMatchesReference(t *testing.T) {
 	checkDifferential(t, nw, d, Config{Trials: 8, BaseSeed: 5}, treeRun(RunTreeTCP, 4, 2))
 }
 
-func TestTreeSketchMatchesReference(t *testing.T) {
-	// Sketch-mode partials carry the extra samples/collisions columns;
-	// the root's derived verdicts must still match the reference.
-	nw := thresholdNetwork(t, 64, 60)
-	d := dist.NewTwoBump(64, 1.0, 2)
-	checkDifferential(t, nw, d,
-		Config{Trials: 8, BaseSeed: 9, Sketch: true, DomainN: 64},
-		treeRun(RunTreePipe, 8, 2))
-}
-
 func TestTreeMatchesFlatStarExactly(t *testing.T) {
 	// Beyond matching the reference, the tree must reproduce the flat
 	// star's full report: verdicts, rejects, votes, missing — while the

@@ -40,7 +40,7 @@ type Aggregator struct {
 	// Dial opens the upstream connection (parent aggregator or root).
 	Dial func() (net.Conn, error)
 	// Config carries the session shape: the referee-relevant fields
-	// (Trials, Sketch, Deadline, Obs, Trace) plus Retries/Backoff for the
+	// (Trials, Deadline, Obs, Trace) plus Retries/Backoff for the
 	// upstream link and Batch/FlushBytes for the partial flush watermarks.
 	Config Config
 
@@ -183,11 +183,8 @@ func (a *Aggregator) fold(sess trace.Context, done chan struct{}) {
 	watermark := a.partialWatermark()
 	maxBytes := a.cfg.flushBytes()
 	// Conservative per-entry wire estimate for the byte watermark: three
-	// (five in sketch mode) delta varints.
-	perEntry := 15
-	if a.cfg.Sketch {
-		perEntry = 35
-	}
+	// delta varints.
+	const perEntry = 15
 	var batch []wire.PartialEntry
 	for {
 		a.mu.Lock()
@@ -198,12 +195,7 @@ func (a *Aggregator) fold(sess trace.Context, done chan struct{}) {
 		trials := a.pending
 		a.pending = nil
 		for _, t := range trials {
-			e := wire.PartialEntry{Trial: uint32(t), Votes: uint32(a.votes[t]), Rejects: uint32(a.rejects[t])}
-			if a.samples != nil {
-				e.Samples = a.samples[t]
-				e.Collisions = a.collides[t]
-			}
-			batch = append(batch, e)
+			batch = append(batch, wire.PartialEntry{Trial: uint32(t), Votes: uint32(a.votes[t]), Rejects: uint32(a.rejects[t])})
 		}
 		a.mu.Unlock()
 		for len(batch) >= watermark || len(batch)*perEntry >= maxBytes || (stop && len(batch) > 0) {
@@ -250,7 +242,7 @@ func (a *Aggregator) writePartial(sess trace.Context, entries []wire.PartialEntr
 		sp.Annotate(trace.A("replay", true))
 	}
 	ctx := sp.Context()
-	pv := &wire.PartialVerdict{Agg: a.ID, Sketch: a.samples != nil, Entries: entries}
+	pv := &wire.PartialVerdict{Agg: a.ID, Entries: entries}
 	buf, err := wire.AppendPartialSession(a.buf[:0], pv, a.cfg.Session,
 		wire.TraceContext{Trace: uint64(ctx.Trace), Span: uint64(ctx.Span)})
 	if err == nil {

@@ -75,15 +75,6 @@ func TestBatchedTCPMatchesReference(t *testing.T) {
 	checkDifferential(t, nw, d, Config{Trials: 8, BaseSeed: 5, Batch: 128}, RunTCP)
 }
 
-func TestBatchedSketchMatchesReference(t *testing.T) {
-	// Sketch batches carry (samples, collisions) columns; the referee's
-	// derived vote must land on identical verdicts.
-	nw := thresholdNetwork(t, 64, 60)
-	d := dist.NewTwoBump(64, 1.0, 2)
-	checkDifferential(t, nw, d,
-		Config{Trials: 10, BaseSeed: 9, Sketch: true, DomainN: 64, Batch: 32}, RunPipe)
-}
-
 // TestBatchedFaultPlanMatchesUnbatched is the determinism keystone: a
 // seeded drop/dup plan must realize the identical delivered-vote multiset
 // whether votes travel one frame each or packed in batches, because both
@@ -114,75 +105,65 @@ func TestBatchedFaultPlanMatchesUnbatched(t *testing.T) {
 
 // TestBatchedFoldMatchesPerVoteFold feeds the same votes into two
 // referees with telemetry on, once as VoteBatch frames and once as single
-// Vote (or Sketch) frames. The batches hold a duplicate inside one batch,
+// Vote frames. The batches hold a duplicate inside one batch,
 // a duplicate across two batches and a trial past Trials. Stats,
 // per-trial outcomes and the final votes, votes_dup, bad_frames and
 // dedup_occupancy metrics must agree.
 func TestBatchedFoldMatchesPerVoteFold(t *testing.T) {
 	const k, trials = 3, 6
 	batches := [][]uint32{{0, 1, 1, 2}, {2, 3, 9}, {4, 5}}
-	for _, sketch := range []bool{false, true} {
-		run := func(batched bool) (*Report, *obs.Registry) {
-			reg := obs.NewRegistry()
-			rf := NewReferee(k, zeroround.ThresholdRule{T: 2}, Config{Trials: trials, Sketch: sketch, Obs: reg})
-			for node := uint32(0); node < k; node++ {
-				peer, err := rf.Handshake(&wire.Hello{Node: node, K: k, Trials: trials})
-				if err != nil {
+	run := func(batched bool) (*Report, *obs.Registry) {
+		reg := obs.NewRegistry()
+		rf := NewReferee(k, zeroround.ThresholdRule{T: 2}, Config{Trials: trials, Obs: reg})
+		for node := uint32(0); node < k; node++ {
+			peer, err := rf.Handshake(&wire.Hello{Node: node, K: k, Trials: trials})
+			if err != nil {
+				t.Fatal(err)
+			}
+			apply := func(f wire.Frame) {
+				if _, err := peer.Apply(f, wire.TraceContext{}, 0); err != nil {
 					t.Fatal(err)
 				}
-				apply := func(f wire.Frame) {
-					if _, err := peer.Apply(f, wire.TraceContext{}, 0); err != nil {
-						t.Fatal(err)
+			}
+			for _, trs := range batches {
+				vb := &wire.VoteBatch{}
+				for _, tr := range trs {
+					v := wire.BatchVote{Trial: tr, Node: node, Reject: (tr+node)%3 == 0}
+					vb.Votes = append(vb.Votes, v)
+					if !batched {
+						apply(&wire.Vote{Trial: v.Trial, Node: node, Reject: v.Reject})
 					}
 				}
-				for _, trs := range batches {
-					vb := &wire.VoteBatch{Sketch: sketch}
-					for _, tr := range trs {
-						reject := (tr+node)%3 == 0
-						v := wire.BatchVote{Trial: tr, Node: node, Reject: reject && !sketch}
-						if sketch && reject {
-							v.Samples, v.Collisions = 8, 1
-						}
-						vb.Votes = append(vb.Votes, v)
-						switch {
-						case batched:
-						case sketch:
-							apply(&wire.Sketch{Trial: v.Trial, Node: node, Samples: v.Samples, Collisions: v.Collisions})
-						default:
-							apply(&wire.Vote{Trial: v.Trial, Node: node, Reject: v.Reject})
-						}
-					}
-					if batched {
-						apply(vb)
-					}
+				if batched {
+					apply(vb)
 				}
-				apply(&wire.Done{Node: node})
 			}
-			rep, _, _ := rf.Finalize()
-			return rep, reg
+			apply(&wire.Done{Node: node})
 		}
-		batched, breg := run(true)
-		single, sreg := run(false)
-		if batched.Stats.Votes != k*trials || batched.Stats.DuplicateVotes != 2*k || batched.Stats.BadFrames != k {
-			t.Fatalf("sketch=%v: batched stats %+v, want %d votes, %d duplicates, %d bad", sketch, batched.Stats, k*trials, 2*k, k)
+		rep, _, _ := rf.Finalize()
+		return rep, reg
+	}
+	batched, breg := run(true)
+	single, sreg := run(false)
+	if batched.Stats.Votes != k*trials || batched.Stats.DuplicateVotes != 2*k || batched.Stats.BadFrames != k {
+		t.Fatalf("batched stats %+v, want %d votes, %d duplicates, %d bad", batched.Stats, k*trials, 2*k, k)
+	}
+	if batched.Stats.Votes != single.Stats.Votes || batched.Stats.DuplicateVotes != single.Stats.DuplicateVotes ||
+		batched.Stats.BadFrames != single.Stats.BadFrames {
+		t.Errorf("batched stats %+v, per-vote %+v", batched.Stats, single.Stats)
+	}
+	if !reflect.DeepEqual(batched.Verdicts, single.Verdicts) || !reflect.DeepEqual(batched.Rejects, single.Rejects) ||
+		!reflect.DeepEqual(batched.Votes, single.Votes) {
+		t.Errorf("batched trials %v/%v/%v, per-vote %v/%v/%v",
+			batched.Verdicts, batched.Rejects, batched.Votes, single.Verdicts, single.Rejects, single.Votes)
+	}
+	for _, name := range []string{"cluster.votes", "cluster.votes_dup", "cluster.bad_frames"} {
+		if b, s := breg.Counter(name).Value(), sreg.Counter(name).Value(); b != s || b == 0 {
+			t.Errorf("%s batched %d, per-vote %d", name, b, s)
 		}
-		if batched.Stats.Votes != single.Stats.Votes || batched.Stats.DuplicateVotes != single.Stats.DuplicateVotes ||
-			batched.Stats.BadFrames != single.Stats.BadFrames {
-			t.Errorf("sketch=%v: batched stats %+v, per-vote %+v", sketch, batched.Stats, single.Stats)
-		}
-		if !reflect.DeepEqual(batched.Verdicts, single.Verdicts) || !reflect.DeepEqual(batched.Rejects, single.Rejects) ||
-			!reflect.DeepEqual(batched.Votes, single.Votes) {
-			t.Errorf("sketch=%v: batched trials %v/%v/%v, per-vote %v/%v/%v", sketch,
-				batched.Verdicts, batched.Rejects, batched.Votes, single.Verdicts, single.Rejects, single.Votes)
-		}
-		for _, name := range []string{"cluster.votes", "cluster.votes_dup", "cluster.bad_frames"} {
-			if b, s := breg.Counter(name).Value(), sreg.Counter(name).Value(); b != s || b == 0 {
-				t.Errorf("sketch=%v: %s batched %d, per-vote %d", sketch, name, b, s)
-			}
-		}
-		if b, s := breg.Gauge("cluster.dedup_occupancy").Value(), sreg.Gauge("cluster.dedup_occupancy").Value(); b != s || b != 1 {
-			t.Errorf("sketch=%v: dedup_occupancy batched %v, per-vote %v, want 1", sketch, b, s)
-		}
+	}
+	if b, s := breg.Gauge("cluster.dedup_occupancy").Value(), sreg.Gauge("cluster.dedup_occupancy").Value(); b != s || b != 1 {
+		t.Errorf("dedup_occupancy batched %v, per-vote %v, want 1", b, s)
 	}
 }
 
@@ -276,15 +257,12 @@ func TestMixedBatchedAndPerVotePeers(t *testing.T) {
 // votes and checks no emitted frame ever exceeds the wire caps.
 func TestBatcherRespectsFrameCaps(t *testing.T) {
 	var w frameRecorder
-	cfg := Config{Trials: 1, Batch: 4096, FlushBytes: 4096, Sketch: true, DomainN: 1}
+	cfg := Config{Trials: 1, Batch: 4096, FlushBytes: 4096}
 	bt := newBatcher(&frameWriter{w: &w}, cfg, trace.Context{})
 	// Wide deltas defeat the delta encoding: every column entry costs ~5
 	// bytes, so the byte watermark must flush long before MaxBatchVotes.
 	for i := 0; i < 20000; i++ {
-		v := wire.BatchVote{
-			Trial: uint32(i * 2654435761), Node: uint32(i % 64),
-			Samples: uint32(i * 40503), Collisions: uint32(i),
-		}
+		v := wire.BatchVote{Trial: uint32(i * 2654435761), Node: uint32(i * 40503), Reject: i%3 == 0}
 		if err := bt.add(v); err != nil {
 			t.Fatal(err)
 		}

@@ -348,53 +348,73 @@ func BenchmarkRefereeTCP(b *testing.B) {
 	}
 }
 
+// streamFolder folds precomputed node streams into a referee: read from
+// memory, decoded and applied through Referee.Handshake and Peer.Apply as
+// perfbench's replay does — no connection, no ingest queue. Its reader
+// and decode scratch are reused across sessions.
+type streamFolder struct {
+	rd bytes.Reader
+	r  *wire.Reader
+	sc wire.DecodeScratch
+}
+
+func newStreamFolder() *streamFolder {
+	sf := &streamFolder{}
+	sf.r = wire.NewReader(&sf.rd)
+	return sf
+}
+
+// fold folds streams, one per node, into rf and returns the frames and
+// on-wire bytes it read.
+func (sf *streamFolder) fold(rf *Referee, streams [][]byte) (frames int, n int64, err error) {
+	for _, s := range streams {
+		sf.rd.Reset(s)
+		var peer *Peer
+		for {
+			body, err := sf.r.ReadBody()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return 0, 0, err
+			}
+			frames++
+			n += int64(len(body) + 4) // +4: the length prefix
+			f, tc, _, err := wire.DecodeBodySession(body, &sf.sc)
+			if err != nil {
+				return 0, 0, err
+			}
+			if peer == nil {
+				if peer, err = rf.Handshake(f); err != nil {
+					return 0, 0, err
+				}
+			} else if _, err := peer.Apply(f, tc, len(body)+4); err != nil {
+				return 0, 0, err
+			}
+		}
+	}
+	return frames, n, nil
+}
+
 // BenchmarkBatchFold isolates batch decode and fold, the referee-side
 // work of a batched session: a 64-node × 8192-trial session of
-// 1024-vote VoteBatch frames, read from memory, decoded and applied
-// through Referee.Handshake and Peer.Apply as perfbench's replay does —
-// no connection, no ingest queue — reporting ns per folded vote.
+// 1024-vote VoteBatch frames folded by a streamFolder, reporting ns per
+// folded vote.
 func BenchmarkBatchFold(b *testing.B) {
 	const k, trials, batch = 64, 8192, 1024
 	streams := make([][]byte, k)
 	for n := range streams {
 		streams[n] = benchPayload(n, k, trials, batch)
 	}
-	var (
-		sc wire.DecodeScratch
-		rd bytes.Reader
-	)
-	r := wire.NewReader(&rd)
+	sf := newStreamFolder()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		rf := NewReferee(k, benchRule{thr: k}, Config{Trials: trials})
 		b.StartTimer()
-		for _, s := range streams {
-			rd.Reset(s)
-			var peer *Peer
-			for {
-				body, err := r.ReadBody()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				f, tc, _, err := wire.DecodeBodySession(body, &sc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if peer == nil {
-					if peer, err = rf.Handshake(f); err != nil {
-						b.Fatal(err)
-					}
-					continue
-				}
-				if _, err := peer.Apply(f, tc, len(body)+4); err != nil {
-					b.Fatal(err)
-				}
-			}
+		if _, _, err := sf.fold(rf, streams); err != nil {
+			b.Fatal(err)
 		}
 		b.StopTimer()
 		if rep, _, _ := rf.Finalize(); rep.MissingVotes != 0 || rep.Stats.Votes != k*trials {

@@ -61,14 +61,6 @@ type Config struct {
 	// connection closing, which is expected, so loopback harnesses ignore
 	// node-side errors once the referee closed early.
 	EarlyClose bool
-	// Sketch switches the nodes to submitting raw collision sketches
-	// (wire.Sketch) instead of precomputed votes; the referee derives the
-	// vote as Collisions > 0. Valid only for single-collision testers
-	// (the threshold rule), where that derivation is the tester.
-	Sketch bool
-	// DomainN is the sample domain size, required in Sketch mode to run
-	// the collision statistic.
-	DomainN int
 	// Deadline bounds the whole session at the referee and each node
 	// client I/O attempt; 0 means DefaultDeadline. It is a safety net
 	// against stalled peers — fault-free runs finish on protocol events

@@ -109,14 +109,6 @@ func TestTCPClusterMatchesReference(t *testing.T) {
 	checkDifferential(t, nw, d, Config{Trials: 8, BaseSeed: 5}, RunTCP)
 }
 
-func TestSketchModeMatchesReference(t *testing.T) {
-	// Sketch submissions carry raw collision counts; the referee's derived
-	// vote must land on the identical verdicts.
-	nw := thresholdNetwork(t, 64, 60)
-	d := dist.NewTwoBump(64, 1.0, 2)
-	checkDifferential(t, nw, d, Config{Trials: 10, BaseSeed: 9, Sketch: true, DomainN: 64}, RunPipe)
-}
-
 func TestPipeClusterDeterministicAcrossRuns(t *testing.T) {
 	nw := thresholdNetwork(t, 64, 60)
 	d := dist.NewTwoBump(64, 1.0, 4)

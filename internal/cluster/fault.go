@@ -8,13 +8,13 @@ import (
 )
 
 // FaultPlan is a seeded description of transport misbehavior. Faults are
-// injected per vote on each node→referee link: every vote (or sketch) a
-// node sends, in its own frame or in a VoteBatch, draws once from the
-// link's private generator and is then dropped, duplicated, preceded by a
-// delay, or replaced by a hard disconnect according to the configured
-// rates. Control frames
-// (Hello, Done, Verdict) are delivered whenever the link is up, so a
-// lossy-but-alive link models "votes may be lost", not "TCP is broken".
+// injected per vote on each node→referee link: every vote a node sends,
+// in its own frame or in a VoteBatch, draws once from the link's private
+// generator and is then dropped, duplicated, preceded by a delay, or
+// replaced by a hard disconnect according to the configured rates.
+// Control frames (Hello, Done, Verdict) are delivered whenever the link is
+// up, so a lossy-but-alive link models "votes may be lost", not "TCP is
+// broken".
 //
 // Each link's generator is derived as rng.At(Seed, linkID) where linkID
 // encodes (node, attempt) — so a run's fault pattern is a pure function of

@@ -18,8 +18,8 @@ import (
 // NodeClient is one network node speaking the cluster protocol: it draws
 // its sample block for every trial from the indexed randomness contract
 // (zeroround.VoteStream), runs its local tester, and submits the resulting
-// votes — or raw collision sketches in Config.Sketch mode — to the
-// referee, retrying on a fresh connection after transport errors.
+// votes to the referee, retrying on a fresh connection after transport
+// errors.
 type NodeClient struct {
 	// ID is this node's index in [0, K); K the network size. Both are
 	// echoed in the Hello handshake and validated by the referee.
@@ -46,9 +46,6 @@ func (nc *NodeClient) Run(d dist.Distribution) (wire.Verdict, error) {
 	cfg := nc.Config
 	if cfg.Trials <= 0 {
 		return wire.Verdict{}, fmt.Errorf("cluster: node %d: Trials must be > 0, got %d", nc.ID, cfg.Trials)
-	}
-	if cfg.Sketch && cfg.DomainN <= 0 {
-		return wire.Verdict{}, fmt.Errorf("cluster: node %d: Sketch mode needs DomainN > 0", nc.ID)
 	}
 
 	sess := cfg.Trace.Start("node.session", trace.Context{}, trace.A("node", nc.ID))
@@ -89,8 +86,7 @@ type outVote struct {
 // — and equal RunAt's votes.
 func (nc *NodeClient) computeVotes(d dist.Distribution, sess trace.Context) []outVote {
 	g := rng.New(0)
-	s := nc.Tester.SampleSize()
-	block := make([]int, s)
+	block := make([]int, nc.Tester.SampleSize())
 	var col dist.CollisionScratch
 	vote := tester.NewVoter(nc.Tester)
 	tr := nc.Config.Trace
@@ -103,17 +99,7 @@ func (nc *NodeClient) computeVotes(d dist.Distribution, sess trace.Context) []ou
 			trace.Derive("node.sample", uint64(tr.Trace()), uint64(t), uint64(nc.ID)),
 			sess, trace.A("trial", t))
 		zeroround.VoteStream(g, nc.Config.BaseSeed, uint64(t), nc.ID, nc.K)
-		v := wire.BatchVote{Trial: uint32(t), Node: uint32(nc.ID)}
-		if nc.Config.Sketch {
-			// Raw sketch: the referee derives the single-collision vote as
-			// Collisions > 0, so this mode is only valid for testers where
-			// that derivation IS the test. It counts over the full draw.
-			dist.SampleInto(d, block, g)
-			v.Samples = uint32(s)
-			v.Collisions = uint32(col.CountCollisions(nc.Config.DomainN, block))
-		} else {
-			v.Reject = vote.Vote(d, g, block, &col)
-		}
+		v := wire.BatchVote{Trial: uint32(t), Node: uint32(nc.ID), Reject: vote.Vote(d, g, block, &col)}
 		sp.End()
 		votes[t] = outVote{vote: v, parent: sp.Context()}
 	}
@@ -202,7 +188,7 @@ func (nc *NodeClient) submit(votes []outVote, sess trace.Context, attempt int) (
 
 // deliver turns one delivered vote into bytes, copies times. Batched, each
 // copy is an entry in the pending VoteBatch. Otherwise the vote is its own
-// Vote (or Sketch) frame, written copies times under one node.send span
+// Vote frame, written copies times under one node.send span
 // parented on the vote's sample span; the span's ID rides the frame as its
 // wire trace context, so the referee's apply span can parent on it across
 // the connection.
@@ -216,12 +202,7 @@ func (nc *NodeClient) deliver(out *frameWriter, bt *batcher, ov *outVote, copies
 		return nil
 	}
 	v := &ov.vote
-	var f wire.Frame
-	if nc.Config.Sketch {
-		f = &wire.Sketch{Trial: v.Trial, Node: v.Node, Samples: v.Samples, Collisions: v.Collisions}
-	} else {
-		f = &wire.Vote{Trial: v.Trial, Node: v.Node, Reject: v.Reject}
-	}
+	f := &wire.Vote{Trial: v.Trial, Node: v.Node, Reject: v.Reject}
 	sp := nc.Config.Trace.Start("node.send", ov.parent, trace.A("attempt", attempt))
 	ctx := sp.Context()
 	tc := wire.TraceContext{Trace: uint64(ctx.Trace), Span: uint64(ctx.Span)}
@@ -271,7 +252,7 @@ type batcher struct {
 // newBatcher sizes a batcher from the session config. Its send spans
 // parent on sess, the node's session span.
 func newBatcher(out *frameWriter, cfg Config, sess trace.Context) *batcher {
-	b := &batcher{
+	return &batcher{
 		out:      out,
 		maxVotes: cfg.batchSize(),
 		maxBytes: cfg.flushBytes(),
@@ -279,8 +260,6 @@ func newBatcher(out *frameWriter, cfg Config, sess trace.Context) *batcher {
 		sess:     sess,
 		fill:     cfg.Obs.Histogram("cluster.batch_fill", obs.BytesBuckets()),
 	}
-	b.batch.Sketch = cfg.Sketch
-	return b
 }
 
 // add appends one vote, flushing when a watermark trips.
@@ -292,8 +271,8 @@ func (b *batcher) add(v wire.BatchVote) error {
 		// Fixed overhead slack: flags, count varint, bitset rounding.
 		b.bytes = 16
 	}
-	b.bytes += wire.BatchVoteSize(prev, &v, b.batch.Sketch)
-	if !b.batch.Sketch && len(b.batch.Votes)%8 == 0 {
+	b.bytes += wire.BatchVoteSize(prev, &v)
+	if len(b.batch.Votes)%8 == 0 {
 		b.bytes++ // a fresh reject-bitset byte
 	}
 	b.batch.Votes = append(b.batch.Votes, v)

@@ -108,7 +108,6 @@ func OpenFrame(cfg cluster.Config, nw *zeroround.Network, tenant uint32, _ bool)
 		K:          uint32(nw.K()),
 		Trials:     uint32(cfg.Trials),
 		Seed:       cfg.BaseSeed,
-		Sketch:     cfg.Sketch,
 		EarlyClose: cfg.EarlyClose,
 	}
 	switch r := nw.Rule().(type) {

@@ -9,7 +9,7 @@
 // deployment runtimes of the flat star and the aggregation tree.
 //
 // A client opens a control connection and sends SessionOpen (tenant, rule
-// shape, trials, seed, sketch mode); the service admits it — or rejects it
+// shape, trials, seed); the service admits it — or rejects it
 // with a typed reason when quotas or shape validation fail — and answers
 // SessionAccept carrying the session ID. Node clients then connect exactly
 // as they would to a solo referee, with every frame bound to that session
@@ -258,12 +258,6 @@ func (s *Service) admit(conn net.Conn, r *wire.Reader, open *wire.SessionOpen) {
 	var rule zeroround.Rule
 	switch open.Rule {
 	case wire.RuleAND:
-		if open.Sketch {
-			// Sketch mode derives the vote as Collisions > 0 — only the
-			// threshold (single-collision) tester is that derivation.
-			reject(wire.RejectRule)
-			return
-		}
 		rule = zeroround.ANDRule{}
 	case wire.RuleThreshold:
 		if open.Thresh < 1 {
@@ -306,7 +300,6 @@ func (s *Service) admit(conn net.Conn, r *wire.Reader, open *wire.SessionOpen) {
 		Trials:       trials,
 		BaseSeed:     open.Seed,
 		EarlyClose:   open.EarlyClose,
-		Sketch:       open.Sketch,
 		Deadline:     s.cfg.deadline(),
 		Obs:          s.reg,
 		Session:      id,
@@ -414,10 +407,8 @@ func (s *Service) openJournal(sess *session, open *wire.SessionOpen) {
 		Seed    uint64 `json:"seed"`
 		Rule    byte   `json:"rule"`
 		Thresh  uint32 `json:"thresh,omitempty"`
-		Sketch  bool   `json:"sketch,omitempty"`
 	}{Kind: "session_open", Session: sess.id, Tenant: open.Tenant, K: open.K,
-		Trials: open.Trials, Seed: open.Seed, Rule: open.Rule, Thresh: open.Thresh,
-		Sketch: open.Sketch})
+		Trials: open.Trials, Seed: open.Seed, Rule: open.Rule, Thresh: open.Thresh})
 }
 
 // closeJournal flushes the session's trial lines and end marker.

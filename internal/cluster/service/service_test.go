@@ -78,7 +78,7 @@ type sessionCase struct {
 }
 
 // mixedCases builds the headline workload: ≥8 sessions mixing rules,
-// seeds, batching, sketch mode and seeded 10% vote drop.
+// seeds, batching and seeded 10% vote drop.
 func mixedCases(t testing.TB) []sessionCase {
 	thr := thresholdNetwork(t, 64, 60)
 	and := andNetwork(t, 1<<10, 16)
@@ -89,7 +89,7 @@ func mixedCases(t testing.TB) []sessionCase {
 		{"thr-seed77-batch", thr, twoBump, cluster.Config{Trials: 12, BaseSeed: 77, Batch: 16}, nil},
 		{"and-seed3", and, uni, cluster.Config{Trials: 8, BaseSeed: 3}, nil},
 		{"and-seed41-batch", and, uni, cluster.Config{Trials: 8, BaseSeed: 41, Batch: 64}, nil},
-		{"thr-sketch", thr, twoBump, cluster.Config{Trials: 10, BaseSeed: 5, Sketch: true, DomainN: 64}, nil},
+		{"thr-seed5", thr, twoBump, cluster.Config{Trials: 10, BaseSeed: 5}, nil},
 		{"thr-drop", thr, twoBump, cluster.Config{Trials: 10, BaseSeed: 9}, &cluster.FaultPlan{Seed: 7, Drop: 0.10}},
 		{"thr-drop-batch", thr, twoBump, cluster.Config{Trials: 10, BaseSeed: 13, Batch: 8}, &cluster.FaultPlan{Seed: 11, Drop: 0.10, Dup: 0.10}},
 		{"and-drop", and, uni, cluster.Config{Trials: 8, BaseSeed: 21}, &cluster.FaultPlan{Seed: 5, Drop: 0.10}},
@@ -132,7 +132,7 @@ func TestConcurrentSessionsMatchSolo(t *testing.T) {
 			t.Errorf("%s: service report diverged from solo run:\n got %+v\nwant %+v",
 				c.name, sansStats(got[i]), sansStats(want))
 		}
-		if !c.plan.Active() && !c.cfg.Sketch {
+		if !c.plan.Active() {
 			for tr := 0; tr < c.cfg.Trials; tr++ {
 				wantAccept, wantRejects := c.nw.RunAt(c.d, c.cfg.BaseSeed, uint64(tr), nil, nil)
 				if got[i].Verdicts[tr] != wantAccept || got[i].Rejects[tr] != wantRejects {
@@ -233,13 +233,17 @@ func wantReject(t *testing.T, dial func() (net.Conn, error), open *wire.SessionO
 	}
 }
 
-// TestAdmissionQuotas walks every typed rejection reason.
+// TestAdmissionQuotas walks every typed rejection reason, and pins that
+// a SessionOpen that does not decode is dropped as a bad connection, with
+// no reject frame and no slot or tenant budget taken.
 func TestAdmissionQuotas(t *testing.T) {
+	reg := obs.NewRegistry()
 	_, dial := startService(t, service.Config{
 		MaxSessions:  3,
 		TenantBudget: 1000,
 		MaxK:         256,
 		MaxTrials:    64,
+		Obs:          reg,
 	})
 	ok := &wire.SessionOpen{Tenant: 1, K: 10, Trials: 10, Rule: wire.RuleAND}
 
@@ -252,13 +256,29 @@ func TestAdmissionQuotas(t *testing.T) {
 	} {
 		wantReject(t, dial, bad, wire.RejectShape)
 	}
-	// Rule: unknown byte, threshold without T, sketch under AND.
+	// Rule: unknown byte, threshold without T.
 	for _, bad := range []*wire.SessionOpen{
 		{Tenant: 1, K: 10, Trials: 10, Rule: 99},
 		{Tenant: 1, K: 10, Trials: 10, Rule: wire.RuleThreshold},
-		{Tenant: 1, K: 10, Trials: 10, Rule: wire.RuleAND, Sketch: true},
 	} {
 		wantReject(t, dial, bad, wire.RejectRule)
+	}
+	// Open flag bit 0 is retired: the open does not decode.
+	conn, err := dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := wire.AppendSession(nil, ok, 0, wire.TraceContext{})
+	open[len(open)-1] |= 0x01
+	if _, err := conn.Write(open); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := wire.NewReader(conn).ReadFrame(); err != io.EOF {
+		t.Fatalf("open with flag bit 0 answered (%v, %v), want the connection closed", f, err)
+	}
+	conn.Close()
+	if got := reg.Counter("svc.bad_conns").Value(); got != 1 {
+		t.Errorf("svc.bad_conns = %d after an undecodable open, want 1", got)
 	}
 	// Budget: tenant 1 holds 100 of 1000; 950 more would overflow, while
 	// tenant 2 starts fresh.

@@ -49,8 +49,6 @@ type voteSink struct {
 	voted     []uint64 // (trial, local node) dedup bitset, span*trials bits
 	votes     []int    // per-trial votes folded (direct + partial)
 	rejects   []int
-	samples   []uint64 // sketch-mode per-trial sums; nil in vote mode
-	collides  []uint64
 	direct    []bool // local node claimed by a direct leaf Hello
 	nodeDone  []bool // by local node index
 	doneCount int
@@ -96,7 +94,7 @@ type sinkMetrics struct {
 	depth       *obs.Gauge   // <prefix>.ingest_depth: queued frame bodies
 	// Per-frame-type decode and apply latency histograms of the
 	// established types; nil, and never timed, when telemetry is off. The
-	// retired type byte 7 never decodes, so it has no series.
+	// retired type bytes 3 and 7 never decode, so they have no series.
 	decodeNS, applyNS [wire.TypeSessionReport + 1]*obs.Histogram
 }
 
@@ -112,10 +110,6 @@ func (s *voteSink) init(k, lo, hi int, cfg Config, prefix, spanNS string) {
 	s.voted = make([]uint64, (span*cfg.Trials+63)/64)
 	s.votes = make([]int, cfg.Trials)
 	s.rejects = make([]int, cfg.Trials)
-	if cfg.Sketch {
-		s.samples = make([]uint64, cfg.Trials)
-		s.collides = make([]uint64, cfg.Trials)
-	}
 	s.direct = make([]bool, span)
 	s.nodeDone = make([]bool, span)
 	s.trigger = make(chan struct{})
@@ -136,7 +130,7 @@ func (s *voteSink) init(k, lo, hi int, cfg Config, prefix, spanNS string) {
 		depth:       s.reg.Gauge(s.metricName("ingest_depth")),
 	}
 	if s.reg != nil {
-		for _, t := range []byte{wire.TypeHello, wire.TypeVote, wire.TypeSketch, wire.TypeDone,
+		for _, t := range []byte{wire.TypeHello, wire.TypeVote, wire.TypeDone,
 			wire.TypeVerdict, wire.TypeVoteBatch, wire.TypeAggHello, wire.TypePartialVerdict} {
 			name := wire.TypeName(t)
 			s.m.decodeNS[t] = s.reg.Histogram(s.metricName("decode_ns."+name), obs.LatencyBuckets())
@@ -344,12 +338,7 @@ func (s *voteSink) applyFrame(f wire.Frame, tc wire.TraceContext, node int, agg 
 		if node < 0 || int(m.Node) != node {
 			return false, s.violation(wireBytes, "vote from node %d on peer %d", m.Node, node)
 		}
-		s.apply(wire.BatchVote{Trial: m.Trial, Node: m.Node, Reject: m.Reject}, false, node, tc, wireBytes)
-	case *wire.Sketch:
-		if node < 0 || int(m.Node) != node {
-			return false, s.violation(wireBytes, "sketch from node %d on peer %d", m.Node, node)
-		}
-		s.apply(wire.BatchVote{Trial: m.Trial, Node: m.Node, Samples: m.Samples, Collisions: m.Collisions}, true, node, tc, wireBytes)
+		s.apply(wire.BatchVote{Trial: m.Trial, Node: m.Node, Reject: m.Reject}, node, tc, wireBytes)
 	case *wire.VoteBatch:
 		if node < 0 {
 			return false, s.violation(wireBytes, "vote batch on aggregator peer")
@@ -435,11 +424,10 @@ func (s *voteSink) registerAgg(h *wire.AggHello) *aggPeer {
 	return p
 }
 
-// apply folds the one vote of a Vote or Sketch frame under a
-// <spanNS>.apply span parented on the frame's wire trace context, linking
-// the sink's side of the trace to the node's send span across the
-// connection.
-func (s *voteSink) apply(v wire.BatchVote, sketch bool, node int, tc wire.TraceContext, wireBytes int) {
+// apply folds the one vote of a Vote frame under a <spanNS>.apply span
+// parented on the frame's wire trace context, linking the sink's side of
+// the trace to the node's send span across the connection.
+func (s *voteSink) apply(v wire.BatchVote, node int, tc wire.TraceContext, wireBytes int) {
 	var sp *trace.Span
 	if s.cfg.Trace.Enabled() {
 		sp = s.cfg.Trace.Start(s.spanNS+".apply",
@@ -449,7 +437,7 @@ func (s *voteSink) apply(v wire.BatchVote, sketch bool, node int, tc wire.TraceC
 	s.mu.Lock()
 	s.countFrameLocked(wireBytes)
 	if !s.closed {
-		s.foldLocked([]wire.BatchVote{v}, sketch, node)
+		s.foldLocked([]wire.BatchVote{v}, node)
 	}
 	s.mu.Unlock()
 	if sp != nil {
@@ -474,7 +462,7 @@ func (s *voteSink) applyBatch(b *wire.VoteBatch, node int, tc wire.TraceContext,
 	if !s.closed {
 		s.stats.BatchFrames++
 		s.stats.BatchedVotes += len(b.Votes)
-		s.foldLocked(b.Votes, b.Sketch, node)
+		s.foldLocked(b.Votes, node)
 	}
 	s.mu.Unlock()
 	s.m.batchFill.Observe(int64(len(b.Votes)))
@@ -492,12 +480,10 @@ func (s *voteSink) applyBatch(b *wire.VoteBatch, node int, tc wire.TraceContext,
 
 // foldLocked folds one frame's votes from node in a single loop: per vote
 // the trial range check, the (trial, node) dedup bit, the per-trial sums
-// and the owner's method. In sketch mode the vote is derived server-side:
-// reject iff the node saw any colliding pair. Callers hold s.mu and have
-// checked s.closed.
-func (s *voteSink) foldLocked(votes []wire.BatchVote, sketch bool, node int) {
+// and the owner's method. Callers hold s.mu and have checked s.closed.
+func (s *voteSink) foldLocked(votes []wire.BatchVote, node int) {
 	local, span, trials := uint(node-s.lo), uint(s.span), uint(s.cfg.Trials)
-	voted, counts, rejects, samples, collides := s.voted, s.votes, s.rejects, s.samples, s.collides
+	voted, counts, rejects := s.voted, s.votes, s.rejects
 	rf, agg := s.referee, s.aggregator
 	folded, dups, bad := 0, 0, 0
 	for i := range votes {
@@ -514,12 +500,8 @@ func (s *voteSink) foldLocked(votes []wire.BatchVote, sketch bool, node int) {
 		}
 		voted[idx/64] |= 1 << (idx % 64)
 		counts[trial]++
-		if sketch && v.Collisions > 0 || !sketch && v.Reject {
+		if v.Reject {
 			rejects[trial]++
-		}
-		if samples != nil {
-			samples[trial] += uint64(v.Samples)
-			collides[trial] += uint64(v.Collisions)
 		}
 		folded++
 		if rf != nil {
@@ -566,44 +548,33 @@ func (s *voteSink) applyPartial(pv *wire.PartialVerdict, peer *aggPeer, tc wire.
 	s.mu.Lock()
 	s.countFrameLocked(wireBytes)
 	if !s.closed {
-		if pv.Sketch != (s.samples != nil) {
-			// Mode mismatch: sketch sums into a vote-mode session or vice
-			// versa would silently drop columns.
-			s.stats.BadFrames++
-			s.m.badFrames.Inc()
-		} else {
-			s.stats.PartialFrames++
-			folded, dups, bad := 0, 0, 0
-			for i := range pv.Entries {
-				e := &pv.Entries[i]
-				trial := int(e.Trial)
-				if trial < 0 || trial >= s.cfg.Trials || int(e.Votes) > width {
-					bad++
-					continue
-				}
-				if peer.seen[trial/64]&(1<<(trial%64)) != 0 {
-					dups++
-					continue
-				}
-				peer.seen[trial/64] |= 1 << (trial % 64)
-				s.votes[trial] += int(e.Votes)
-				s.rejects[trial] += int(e.Rejects)
-				if s.samples != nil {
-					s.samples[trial] += e.Samples
-					s.collides[trial] += e.Collisions
-				}
-				folded += int(e.Votes)
-				if s.referee != nil {
-					s.referee.advance(trial)
-				} else {
-					s.aggregator.onComplete(trial)
-				}
+		s.stats.PartialFrames++
+		folded, dups, bad := 0, 0, 0
+		for i := range pv.Entries {
+			e := &pv.Entries[i]
+			trial := int(e.Trial)
+			if trial < 0 || trial >= s.cfg.Trials || int(e.Votes) > width {
+				bad++
+				continue
 			}
-			s.stats.PartialVotes += folded
-			s.stats.DuplicatePartials += dups
-			s.m.partialsDup.Add(int64(dups))
-			s.tallyLocked(folded, bad)
+			if peer.seen[trial/64]&(1<<(trial%64)) != 0 {
+				dups++
+				continue
+			}
+			peer.seen[trial/64] |= 1 << (trial % 64)
+			s.votes[trial] += int(e.Votes)
+			s.rejects[trial] += int(e.Rejects)
+			folded += int(e.Votes)
+			if s.referee != nil {
+				s.referee.advance(trial)
+			} else {
+				s.aggregator.onComplete(trial)
+			}
 		}
+		s.stats.PartialVotes += folded
+		s.stats.DuplicatePartials += dups
+		s.m.partialsDup.Add(int64(dups))
+		s.tallyLocked(folded, bad)
 	}
 	s.mu.Unlock()
 	s.m.partials.Inc()

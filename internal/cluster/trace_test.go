@@ -148,15 +148,15 @@ func TestTracingPreservesVerdicts(t *testing.T) {
 	}
 }
 
-// TestTracingSketchModeAndFaults exercises the traced path through sketch
-// frames and a drop plan: verdicts must match an identically-seeded
-// untraced run exactly (tracing must not consume fault randomness), with
-// per-peer drop counters live.
-func TestTracingSketchModeAndFaults(t *testing.T) {
+// TestTracingFaults exercises the traced path through a drop plan:
+// verdicts must match an identically-seeded untraced run exactly (tracing
+// must not consume fault randomness), with per-peer drop counters live
+// and one apply latency sample and one apply span per vote that arrived.
+func TestTracingFaults(t *testing.T) {
 	nw := thresholdNetwork(t, 256, 16)
 	d := dist.NewUniform(256)
 	plan := &FaultPlan{Seed: 99, Drop: 0.2}
-	base := Config{Trials: 12, BaseSeed: 777, Sketch: true, DomainN: 256}
+	base := Config{Trials: 12, BaseSeed: 777}
 
 	plain, err := RunPipe(base, nw, d, plan)
 	if err != nil {
@@ -197,8 +197,8 @@ func TestTracingSketchModeAndFaults(t *testing.T) {
 	if droppedPeers == 0 {
 		t.Fatal("drop plan dropped nothing; test is vacuous")
 	}
-	if h := snap.Histograms["cluster.apply_ns.sketch"]; h.Count == 0 {
-		t.Fatal("no sketch apply latency recorded")
+	if h := snap.Histograms["cluster.apply_ns.vote"]; h.Count != int64(got.Stats.Votes) {
+		t.Fatalf("vote apply latency samples = %d, recorded votes = %d", h.Count, got.Stats.Votes)
 	}
 	// Spans only for votes that actually arrived.
 	applies := 0
@@ -274,23 +274,21 @@ func TestPeerSentMatchesRecv(t *testing.T) {
 	nw := thresholdNetwork(t, 64, 16)
 	d := dist.NewTwoBump(64, 1.0, 5)
 	for _, batch := range []int{0, 4} {
-		for _, sketch := range []bool{false, true} {
-			reg := obs.NewRegistry()
-			cfg := Config{Trials: 8, BaseSeed: 21, Batch: batch, Sketch: sketch, DomainN: 64, Obs: reg}
-			if _, err := RunPipe(cfg, nw, d, nil); err != nil {
-				t.Fatal(err)
-			}
-			want := int64(cfg.Trials + 2)
-			if batch > 0 {
-				want = int64(cfg.Trials/batch + 2)
-			}
-			snap := reg.Snapshot()
-			for i := 0; i < nw.K(); i++ {
-				sent, recv := snap.Counters[peerCounterName(i, "sent")], snap.Counters[peerCounterName(i, "recv")]
-				if sent != recv || sent != want {
-					t.Fatalf("batch=%d sketch=%v: node %d sent %d frames, referee received %d, want %d",
-						batch, sketch, i, sent, recv, want)
-				}
+		reg := obs.NewRegistry()
+		cfg := Config{Trials: 8, BaseSeed: 21, Batch: batch, Obs: reg}
+		if _, err := RunPipe(cfg, nw, d, nil); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(cfg.Trials + 2)
+		if batch > 0 {
+			want = int64(cfg.Trials/batch + 2)
+		}
+		snap := reg.Snapshot()
+		for i := 0; i < nw.K(); i++ {
+			sent, recv := snap.Counters[peerCounterName(i, "sent")], snap.Counters[peerCounterName(i, "recv")]
+			if sent != recv || sent != want {
+				t.Fatalf("batch=%d: node %d sent %d frames, referee received %d, want %d",
+					batch, i, sent, recv, want)
 			}
 		}
 	}

@@ -1,25 +1,21 @@
-// Vote batching: the VoteBatch frame packs many (trial, node, vote) —
-// or (trial, node, samples, collisions) sketch — tuples into one wire
-// frame, amortizing the 4-byte prefix, the syscall, and the referee's
-// per-frame bookkeeping across up to MaxBatchVotes votes.
+// Vote batching: the VoteBatch frame packs many (trial, node, vote)
+// tuples into one wire frame, amortizing the 4-byte prefix, the syscall,
+// and the referee's per-frame bookkeeping across up to MaxBatchVotes
+// votes.
 //
 // Raw payload layout (all varints are unsigned LEB128, minimal-length):
 //
-//	[flags u8]            bit0 = sketch mode, other bits zero
+//	[flags u8]            zero (reserved)
 //	[count uvarint]       1 .. MaxBatchVotes
 //	[trial column]        first value uvarint, then zigzag-uvarint deltas
 //	[node column]         same encoding
-//	sketch mode:
-//	  [samples column]    same encoding
-//	  [collisions column] same encoding
-//	vote mode:
-//	  [reject bitset]     ⌈count/8⌉ bytes, LSB-first, trailing bits zero
+//	[reject bitset]       ⌈count/8⌉ bytes, LSB-first, trailing bits zero
 //
 // Delta columns exploit the cluster's access pattern — a node sends its
 // own votes in trial order, so trial deltas are +1 and node deltas are 0,
 // one byte each — without assuming it: any uint32 values round-trip. The
-// decoder enforces minimal varints, zero trailing bitset bits, zero spare
-// flag bits and exact payload length, so the encoding is bijective: every
+// decoder enforces minimal varints, zero trailing bitset bits, a zero
+// flags byte and exact payload length, so the encoding is bijective: every
 // decodable batch re-encodes to the identical bytes, the property
 // FuzzVoteBatchRoundTrip and FuzzWireRoundTrip pin. This is the one
 // encoding of a batch; VoteBatch is an established type, so its frames
@@ -28,8 +24,8 @@
 // Run form. One node's votes on trials t0 … t0+n−1, every clean cluster
 // batch, have the columns uvarint(t0), n−1 bytes 0x02 (zigzag +1),
 // uvarint(node), n−1 bytes 0x00. The encoder appends these constant runs
-// instead of 2n varints; the vote-mode decoder matches them as whole byte
-// runs and fills the rows from (t0, node, bitset), but only on bytes the
+// instead of 2n varints; the decoder matches them as whole byte runs and
+// fills the rows from (t0, node, bitset), but only on bytes the
 // column decoder accepts with the same rows, falling through to it on any
 // other. So bytes, rows, errors and bijectivity are unchanged, as
 // FuzzVoteBatchRunMatchesColumns checks.
@@ -43,57 +39,35 @@ import (
 )
 
 // MaxBatchVotes caps the tuples one VoteBatch may carry. Worst-case
-// encoding (adversarial values, sketch mode) stays under
-// MaxBatchFrameBytes with room for the trace suffix.
+// encoding (adversarial values) stays under MaxBatchFrameBytes with room
+// for the trace suffix.
 const MaxBatchVotes = 4096
 
 // The delta bytes of a run (see the file comment); never written.
 var runTrialDeltas, runNodeDeltas = bytes.Repeat([]byte{0x02}, MaxBatchVotes), make([]byte, MaxBatchVotes)
 
-// BatchVote is one tuple inside a VoteBatch. In vote mode only Trial,
-// Node and Reject are carried; in sketch mode Trial, Node, Samples and
-// Collisions are carried and the referee derives the vote server-side
-// (reject iff Collisions > 0), mirroring the single-frame Sketch type.
+// BatchVote is one tuple inside a VoteBatch, the fields of a Vote.
 type BatchVote struct {
-	Trial      uint32
-	Node       uint32
-	Reject     bool
-	Samples    uint32
-	Collisions uint32
+	Trial  uint32
+	Node   uint32
+	Reject bool
 }
 
 // VoteBatch is a batch of votes from one node.
 type VoteBatch struct {
-	// Sketch selects the tuple shape: collision statistics instead of a
-	// reject bit.
-	Sketch bool
 	// Votes are the batched tuples, at most MaxBatchVotes.
 	Votes []BatchVote
 }
 
 func (VoteBatch) Type() byte { return TypeVoteBatch }
 
-// colVal returns column c of a batch tuple, in payload order: trial,
-// node, then (sketch mode) samples and collisions.
+// colVal returns column c of a batch tuple, in payload order: trial, then
+// node.
 func colVal(v *BatchVote, c int) uint32 {
-	switch c {
-	case 0:
+	if c == 0 {
 		return v.Trial
-	case 1:
-		return v.Node
-	case 2:
-		return v.Samples
-	default:
-		return v.Collisions
 	}
-}
-
-// batchColumns is the column count of a batch payload.
-func batchColumns(sketch bool) int {
-	if sketch {
-		return 4
-	}
-	return 2
+	return v.Node
 }
 
 // zigzag maps a signed delta to an unsigned varint-friendly value
@@ -136,17 +110,15 @@ func appendColumn(dst []byte, votes []BatchVote, c int) []byte {
 	return dst
 }
 
-// decodeColumn decodes one delta column at p[off:] into col and bounds
-// every value by max. It is the column decoder of VoteBatch,
-// PartialVerdict and SessionReport, which share one encoding: the first
-// value as a uvarint, then the zigzag of each value's wrapping uint64
-// difference from the previous one. For a uint32 column the value bound is
-// also the delta bound: a delta passes iff it keeps the column inside
+// decodeColumn decodes one delta column at p[off:] into col. It is the
+// column decoder of VoteBatch, PartialVerdict and SessionReport, which
+// share one encoding: the first value as a uvarint, then the zigzag of
+// each value's signed difference from the previous one. The value bound
+// is also the delta bound: a delta passes iff it keeps the column inside
 // [0, MaxUint32], exactly the signed deltas |d| ≤ MaxUint32 that land in
-// range, with the same bytes. A one-byte varint (always minimal) decodes
-// inline; longer ones go through readUvarint's truncation and minimality
-// checks.
-func decodeColumn[T uint32 | uint64](p []byte, off int, col []T, max uint64) (int, error) {
+// range. A one-byte varint (always minimal) decodes inline; longer ones go
+// through readUvarint's truncation and minimality checks.
+func decodeColumn(p []byte, off int, col []uint32) (int, error) {
 	var prev uint64
 	for i := range col {
 		var u uint64
@@ -162,37 +134,26 @@ func decodeColumn[T uint32 | uint64](p []byte, off int, col []T, max uint64) (in
 		if i > 0 {
 			u = prev + uint64(unzigzag(u))
 		}
-		if u > max {
+		if u > math.MaxUint32 {
 			return 0, fmt.Errorf("%w: column value %d out of range", ErrFrameSize, int64(u))
 		}
-		col[i] = T(u)
+		col[i] = uint32(u)
 		prev = u
 	}
 	return off, nil
 }
 
 func (b VoteBatch) appendPayload(dst []byte) []byte {
-	flags := byte(0)
-	if b.Sketch {
-		flags = 1
-	}
 	n := len(b.Votes)
-	dst = append(dst, flags)
-	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = binary.AppendUvarint(append(dst, 0), uint64(n))
 	if n == 0 {
 		return dst
 	}
-	c := 0
 	if isRun(b.Votes) {
 		dst = append(binary.AppendUvarint(dst, uint64(b.Votes[0].Trial)), runTrialDeltas[:n-1]...)
 		dst = append(binary.AppendUvarint(dst, uint64(b.Votes[0].Node)), runNodeDeltas[:n-1]...)
-		c = 2
-	}
-	for ; c < batchColumns(b.Sketch); c++ {
-		dst = appendColumn(dst, b.Votes, c)
-	}
-	if b.Sketch {
-		return dst
+	} else {
+		dst = appendColumn(appendColumn(dst, b.Votes, 0), b.Votes, 1)
 	}
 	var bits byte
 	for i := range b.Votes {
@@ -207,18 +168,16 @@ func (b VoteBatch) appendPayload(dst []byte) []byte {
 	return dst
 }
 
-// decodePayload parses a batch payload: a vote-mode run through
-// decodeRun, anything else by decoding its delta columns into sc's column
-// scratch and then every row in one pass.
+// decodePayload parses a batch payload: a run through decodeRun, anything
+// else by decoding its delta columns into sc's column scratch and then
+// every row in one pass.
 func (b *VoteBatch) decodePayload(p []byte, sc *DecodeScratch) error {
 	if len(p) < 2 {
 		return fmt.Errorf("%w: %d-byte batch payload", ErrFrameSize, len(p))
 	}
-	flags := p[0]
-	if flags&^1 != 0 {
-		return fmt.Errorf("%w: batch flags %#x", ErrFrameSize, flags)
+	if p[0] != 0 {
+		return fmt.Errorf("%w: batch flags %#x", ErrFrameSize, p[0])
 	}
-	b.Sketch = flags&1 != 0
 	cnt, off, err := readUvarint(p, 1)
 	if err != nil {
 		return err
@@ -229,44 +188,30 @@ func (b *VoteBatch) decodePayload(p []byte, sc *DecodeScratch) error {
 	if cnt > MaxBatchVotes {
 		return fmt.Errorf("%w: batch of %d votes (limit %d)", ErrOversize, cnt, MaxBatchVotes)
 	}
-	n, ncol := int(cnt), batchColumns(b.Sketch)
+	n := int(cnt)
 	if cap(b.Votes) < n {
 		b.Votes = make([]BatchVote, n)
 	}
 	b.Votes = b.Votes[:n]
-	if !b.Sketch && b.decodeRun(p[off:]) {
+	if b.decodeRun(p[off:]) {
 		return nil
 	}
-	cols := sc.columns(ncol * n)
-	for c := 0; c < ncol; c++ {
-		if off, err = decodeColumn(p, off, cols[c*n:(c+1)*n], math.MaxUint32); err != nil {
+	cols := sc.columns(2 * n)
+	for c := 0; c < 2; c++ {
+		if off, err = decodeColumn(p, off, cols[c*n:(c+1)*n]); err != nil {
 			return err
 		}
 	}
-	var bits []byte
-	if !b.Sketch {
-		nb := (n + 7) / 8
-		if len(p)-off < nb {
-			return fmt.Errorf("%w: batch bitset truncated", ErrFrameSize)
-		}
-		bits = p[off : off+nb]
-		if r := n & 7; r != 0 && bits[nb-1]>>r != 0 {
-			return fmt.Errorf("%w: nonzero trailing bitset bits", ErrFrameSize)
-		}
-		off += nb
+	nb := (n + 7) / 8
+	if len(p)-off != nb {
+		return fmt.Errorf("%w: batch bitset of %d bytes, want %d", ErrFrameSize, len(p)-off, nb)
 	}
-	if off != len(p) {
-		return fmt.Errorf("%w: %d trailing batch bytes", ErrFrameSize, len(p)-off)
+	bits := p[off:]
+	if r := n & 7; r != 0 && bits[nb-1]>>r != 0 {
+		return fmt.Errorf("%w: nonzero trailing bitset bits", ErrFrameSize)
 	}
-	// Whole-row stores: scratch reuse cannot leak fields from a batch of
-	// the other mode.
 	for i := range b.Votes {
-		if b.Sketch {
-			b.Votes[i] = BatchVote{Trial: uint32(cols[i]), Node: uint32(cols[n+i]),
-				Samples: uint32(cols[2*n+i]), Collisions: uint32(cols[3*n+i])}
-		} else {
-			b.Votes[i] = BatchVote{Trial: uint32(cols[i]), Node: uint32(cols[n+i]), Reject: bits[i>>3]>>(i&7)&1 == 1}
-		}
+		b.Votes[i] = BatchVote{Trial: cols[i], Node: cols[n+i], Reject: bits[i>>3]>>(i&7)&1 == 1}
 	}
 	return nil
 }
@@ -284,8 +229,8 @@ func isRun(votes []BatchVote) bool {
 }
 
 // decodeRun fills the rows of b.Votes from p, the columns and bitset of
-// a vote-mode payload of len(b.Votes) votes, if p is a run the column
-// decoder accepts, and reports whether it was; on false it writes nothing.
+// a payload of len(b.Votes) votes, if p is a run the column decoder
+// accepts, and reports whether it was; on false it writes nothing.
 func (b *VoteBatch) decodeRun(p []byte) bool {
 	n := len(b.Votes)
 	t0, off, err := readUvarint(p, 0)
@@ -311,21 +256,12 @@ func (b *VoteBatch) decodeRun(p []byte) bool {
 // the per-column varint costs given the previous entry (nil when v is
 // first). It excludes the flags/count/bitset overhead — a watermark
 // estimate for flush decisions, not an exact encoder.
-func BatchVoteSize(prev, v *BatchVote, sketch bool) int {
+func BatchVoteSize(prev, v *BatchVote) int {
 	if prev == nil {
-		n := uvarintLen(uint64(v.Trial)) + uvarintLen(uint64(v.Node))
-		if sketch {
-			n += uvarintLen(uint64(v.Samples)) + uvarintLen(uint64(v.Collisions))
-		}
-		return n
+		return uvarintLen(uint64(v.Trial)) + uvarintLen(uint64(v.Node))
 	}
-	n := uvarintLen(zigzag(int64(v.Trial)-int64(prev.Trial))) +
+	return uvarintLen(zigzag(int64(v.Trial)-int64(prev.Trial))) +
 		uvarintLen(zigzag(int64(v.Node)-int64(prev.Node)))
-	if sketch {
-		n += uvarintLen(zigzag(int64(v.Samples)-int64(prev.Samples))) +
-			uvarintLen(zigzag(int64(v.Collisions)-int64(prev.Collisions)))
-	}
-	return n
 }
 
 // BatchEncoder encodes VoteBatch frames, enforcing the vote-count and

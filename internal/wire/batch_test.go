@@ -11,23 +11,17 @@ import (
 
 // seqVotes builds the cluster's typical batch shape: one node's votes in
 // trial order.
-func seqVotes(node, n int, sketch bool) []BatchVote {
+func seqVotes(node, n int) []BatchVote {
 	votes := make([]BatchVote, n)
 	for i := range votes {
-		votes[i] = BatchVote{Trial: uint32(i), Node: uint32(node)}
-		if sketch {
-			votes[i].Samples = 48
-			votes[i].Collisions = uint32(i % 3)
-		} else {
-			votes[i].Reject = i%3 == 0
-		}
+		votes[i] = BatchVote{Trial: uint32(i), Node: uint32(node), Reject: i%3 == 0}
 	}
 	return votes
 }
 
 // advVotes builds adversarially jumpy values exercising wide deltas, from
 // a tiny inline splitmix so the fixture is seeded and reproducible.
-func advVotes(seed uint64, n int, sketch bool) []BatchVote {
+func advVotes(seed uint64, n int) []BatchVote {
 	next := func() uint32 {
 		seed += 0x9e3779b97f4a7c15
 		z := seed
@@ -38,12 +32,7 @@ func advVotes(seed uint64, n int, sketch bool) []BatchVote {
 	votes := make([]BatchVote, n)
 	for i := range votes {
 		votes[i] = BatchVote{Trial: next(), Node: next()}
-		if sketch {
-			votes[i].Samples = next()
-			votes[i].Collisions = next()
-		} else {
-			votes[i].Reject = next()&1 == 0
-		}
+		votes[i].Reject = next()&1 == 0
 	}
 	return votes
 }
@@ -55,19 +44,17 @@ func TestVoteBatchRoundTrip(t *testing.T) {
 		batch *VoteBatch
 	}{
 		{"single", &VoteBatch{Votes: []BatchVote{{Trial: 7, Node: 1999, Reject: true}}}},
-		{"sequential", &VoteBatch{Votes: seqVotes(42, 100, false)}},
-		{"sketch", &VoteBatch{Sketch: true, Votes: seqVotes(3, 64, true)}},
-		{"adversarial", &VoteBatch{Votes: advVotes(1, 257, false)}},
-		{"adversarial sketch", &VoteBatch{Sketch: true, Votes: advVotes(2, 33, true)}},
-		{"max", &VoteBatch{Votes: seqVotes(0, MaxBatchVotes, false)}},
+		{"sequential", &VoteBatch{Votes: seqVotes(42, 100)}},
+		{"adversarial", &VoteBatch{Votes: advVotes(1, 257)}},
+		{"max", &VoteBatch{Votes: seqVotes(0, MaxBatchVotes)}},
 		// Trial deltas +63, -63 (one-byte zigzag), +64 (two bytes), -64
 		// (one byte) and -65 (two bytes): the decoder's inline fast path
 		// and its readUvarint fallback meet here.
 		{"deltas ±63 ±64", &VoteBatch{Votes: []BatchVote{{Trial: 1000, Node: 5}, {Trial: 1063, Node: 5},
 			{Trial: 1000, Node: 5, Reject: true}, {Trial: 1064, Node: 5}, {Trial: 1000, Node: 5}, {Trial: 935, Node: 5}}}},
 		// A trial column alternating five-byte and one-byte entries.
-		{"alternating 1/5-byte varints", &VoteBatch{Sketch: true, Votes: []BatchVote{{Trial: 0, Node: 9},
-			{Trial: 3000000000, Node: 9}, {Trial: 3000000001, Node: 9, Collisions: 1}, {Trial: 1, Node: 9},
+		{"alternating 1/5-byte varints", &VoteBatch{Votes: []BatchVote{{Trial: 0, Node: 9},
+			{Trial: 3000000000, Node: 9}, {Trial: 3000000001, Node: 9, Reject: true}, {Trial: 1, Node: 9},
 			{Trial: 2, Node: 9}, {Trial: 4000000000, Node: 9}, {Trial: 4000000001, Node: 9}}}},
 	}
 	for _, c := range cases {
@@ -81,7 +68,7 @@ func TestVoteBatchRoundTrip(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: decoded %T", c.name, got)
 			}
-			if vb.Sketch != c.batch.Sketch || !reflect.DeepEqual(vb.Votes, c.batch.Votes) {
+			if !reflect.DeepEqual(vb.Votes, c.batch.Votes) {
 				t.Errorf("%s: round trip mismatch", c.name)
 			}
 			// Bijectivity: re-encoding the decoded batch reproduces the bytes.
@@ -96,7 +83,7 @@ func TestVoteBatchRoundTrip(t *testing.T) {
 // shape (one node, trials in order) costs ~2 bytes per vote, far below the
 // 19-byte single-vote frame.
 func TestVoteBatchDenseEncoding(t *testing.T) {
-	b := &VoteBatch{Votes: seqVotes(1234, 1000, false)}
+	b := &VoteBatch{Votes: seqVotes(1234, 1000)}
 	if got, limit := len(b.appendPayload(nil)), 3*len(b.Votes); got > limit {
 		t.Fatalf("sequential batch payload %d bytes for %d votes, want ≤ %d", got, len(b.Votes), limit)
 	}
@@ -112,7 +99,7 @@ func TestVoteBatchCaps(t *testing.T) {
 		t.Fatal("empty batch: want error")
 	}
 	// A frame declaring more votes than MaxBatchVotes is rejected at decode.
-	body := AppendSession(nil, &VoteBatch{Votes: seqVotes(0, 1, false)}, 0, TraceContext{})[4:]
+	body := AppendSession(nil, &VoteBatch{Votes: seqVotes(0, 1)}, 0, TraceContext{})[4:]
 	// payload starts at byte 2: flags, then the count varint (1 → one byte).
 	body[3] = 0x81 // still one tuple encoded, but count now claims 129 …
 	if _, _, _, err := DecodeBodySession(body, nil); err == nil {
@@ -136,12 +123,14 @@ func TestVoteBatchRejectsNonCanonical(t *testing.T) {
 			t.Errorf("%s: corrupt batch accepted", name)
 		}
 	}
-	payload := func() []byte { return (&VoteBatch{Votes: seqVotes(0, 9, false)}).appendPayload(nil) }
+	payload := func() []byte { return (&VoteBatch{Votes: seqVotes(0, 9)}).appendPayload(nil) }
 
-	// Spare flag bits must be zero.
+	// The flags byte must be zero: a spare bit, or the retired bit 0 on a
+	// payload laid out as its trial, node and two more columns.
 	p := payload()
 	p[0] |= 2
 	mut("spare flags", frame(p...), ErrFrameSize)
+	mut("retired flag 0x01", frame(1, 1, 5, 6, 7, 8), ErrFrameSize)
 
 	// Trailing bits of the reject bitset must be zero (9 votes → 2 bitset
 	// bytes, 7 spare bits in the last one).
@@ -164,25 +153,26 @@ func TestVoteBatchRejectsNonCanonical(t *testing.T) {
 	mut("trailing bytes", frame(append(p, 0)...), ErrFrameSize)
 }
 
-// TestDecodeScratchReuse interleaves frame shapes through one scratch and
-// checks no state leaks between decodes.
+// TestDecodeScratchReuse interleaves frame shapes and lengths through one
+// scratch — column-path and run-path batches, longer and shorter than the
+// frame before — and checks no state leaks between decodes.
 func TestDecodeScratchReuse(t *testing.T) {
 	var sc DecodeScratch
-	sketch := &VoteBatch{Sketch: true, Votes: seqVotes(2, 40, true)}
-	plain := &VoteBatch{Votes: seqVotes(2, 17, false)}
+	adv := &VoteBatch{Votes: advVotes(2, 40)}
+	plain := &VoteBatch{Votes: seqVotes(2, 17)}
 	vote := &Vote{Trial: 5, Node: 2, Reject: true}
-	wide := &VoteBatch{Votes: seqVotes(9, 300, false)}
+	wide := &VoteBatch{Votes: seqVotes(9, 300)}
 	enc := func(f Frame) []byte { return AppendSession(nil, f, 0, TraceContext{}) }
 
 	steps := []struct {
 		raw  []byte
 		want Frame
 	}{
-		{enc(sketch), sketch},
+		{enc(adv), adv},
 		{enc(plain), plain},
 		{enc(vote), vote},
 		{enc(wide), wide},
-		{enc(sketch), sketch},
+		{enc(adv), adv},
 	}
 	for i, s := range steps {
 		f, _, _, err := DecodeBodySession(s.raw[4:], &sc)
@@ -192,7 +182,7 @@ func TestDecodeScratchReuse(t *testing.T) {
 		switch want := s.want.(type) {
 		case *VoteBatch:
 			got := f.(*VoteBatch)
-			if got.Sketch != want.Sketch || !reflect.DeepEqual(got.Votes, want.Votes) {
+			if !reflect.DeepEqual(got.Votes, want.Votes) {
 				t.Fatalf("step %d: batch state leaked across scratch reuse", i)
 			}
 		default:
@@ -203,16 +193,16 @@ func TestDecodeScratchReuse(t *testing.T) {
 	}
 }
 
-// TestSteadyStateDecodeAllocs pins the allocation-bounded Reader contract
-// claimed in PR 5: after warm-up, reading and decoding vote traffic —
-// single frames and batches of two sizes — allocates nothing.
+// TestSteadyStateDecodeAllocs pins the allocation-bounded Reader contract:
+// after warm-up, reading and decoding vote traffic — single frames, a
+// column-path batch and run batches of two sizes — allocates nothing.
 func TestSteadyStateDecodeAllocs(t *testing.T) {
 	var stream []byte
 	stream = AppendSession(stream, &Vote{Trial: 1, Node: 2, Reject: true}, 0, TraceContext{})
 	stream = AppendSession(stream, &Vote{Trial: 2, Node: 2}, 5, TraceContext{Trace: 3, Span: 4})
-	stream = AppendSession(stream, &Sketch{Trial: 3, Node: 2, Samples: 9, Collisions: 1}, 0, TraceContext{})
-	stream = AppendSession(stream, &VoteBatch{Votes: seqVotes(2, 200, false)}, 0, TraceContext{})
-	stream = AppendSession(stream, &VoteBatch{Votes: seqVotes(2, 300, false)}, 0, TraceContext{})
+	stream = AppendSession(stream, &VoteBatch{Votes: advVotes(3, 100)}, 0, TraceContext{})
+	stream = AppendSession(stream, &VoteBatch{Votes: seqVotes(2, 200)}, 0, TraceContext{})
+	stream = AppendSession(stream, &VoteBatch{Votes: seqVotes(2, 300)}, 0, TraceContext{})
 
 	br := bytes.NewReader(stream)
 	r := NewReader(br)
@@ -266,16 +256,6 @@ func TestVoteBatchRunEncoding(t *testing.T) {
 	if rows, ok := runPath(got); !ok || !reflect.DeepEqual(rows, run) {
 		t.Fatalf("run path missed its own payload: rows %v", rows)
 	}
-	// Sketch mode writes its first two columns in run form too.
-	sketch := seqVotes(7, 50, true)
-	cols = []byte{0x01, 50}
-	for c := 0; c < 4; c++ {
-		cols = appendColumn(cols, sketch, c)
-	}
-	if got := (&VoteBatch{Sketch: true, Votes: sketch}).appendPayload(nil); !bytes.Equal(got, cols) {
-		t.Fatalf("sketch run payload %x, column encoder %x", got, cols)
-	}
-
 	dropped := append(append([]BatchVote(nil), run[:4]...), run[5:]...)
 	duplicated := append(append([]BatchVote(nil), run[:5]...), run[4:]...)
 	wrapped := []BatchVote{{Trial: math.MaxUint32 - 1, Node: 3}, {Trial: math.MaxUint32, Node: 3, Reject: true}, {Trial: 0, Node: 3}}

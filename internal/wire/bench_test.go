@@ -14,8 +14,8 @@ func BenchmarkVoteBatchCodec(b *testing.B) {
 		name  string
 		votes []BatchVote
 	}{
-		{"run", seqVotes(42, n, false)},
-		{"adversarial", advVotes(1, n, false)},
+		{"run", seqVotes(42, n)},
+		{"adversarial", advVotes(1, n)},
 	} {
 		vb := &VoteBatch{Votes: c.votes}
 		var enc BatchEncoder

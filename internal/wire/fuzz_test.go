@@ -46,15 +46,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 		frames := []Frame{
 			&Hello{Node: a, K: b, Trials: uint32(count)},
 			&Vote{Trial: a, Node: b, Reject: flag},
-			&Sketch{Trial: a, Node: b, Samples: uint32(seed), Collisions: uint32(seed >> 32)},
 			&Done{Node: a},
 			&Verdict{Trials: a, Accepts: b, Missing: sess},
-			&VoteBatch{Sketch: flag, Votes: advVotes(seed, votes, flag)},
-			&VoteBatch{Sketch: flag, Votes: seqVotes(int(b), votes, flag)},
+			&VoteBatch{Votes: advVotes(seed, votes)},
+			&VoteBatch{Votes: seqVotes(int(b), votes)},
 			&AggHello{Agg: a, K: b, Trials: uint32(count), Lo: a >> 1, Hi: a>>1 + 1},
-			&PartialVerdict{Agg: a, Sketch: flag, Entries: advPartialEntries(seed, int(count)%MaxPartialEntries+1, flag)},
+			&PartialVerdict{Agg: a, Entries: advPartialEntries(seed, int(count)%MaxPartialEntries+1)},
 			&SessionOpen{Tenant: a, K: b, Trials: uint32(count), Seed: seed,
-				Rule: byte(seed), Thresh: a, Sketch: flag, EarlyClose: seed%3 == 0},
+				Rule: byte(seed), Thresh: a, EarlyClose: seed%3 == 0},
 			&SessionAccept{Session: sess | 1, Tenant: a},
 			&SessionReject{Tenant: a, Reason: byte(seed)%rejectReasonMax + 1},
 			report,
@@ -132,7 +131,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 			adversarial(body)
 		}
-		for _, typ := range []byte{TypeHello, TypeVote, TypeVote | traceFlag, TypeVoteBatch, typeRetired,
+		for _, typ := range []byte{TypeHello, TypeVote, TypeVote | traceFlag, typeRetiredSketch, TypeVoteBatch, typeRetiredBatch,
 			TypeVoteBatch | traceFlag, TypeAggHello, TypePartialVerdict, TypePartialVerdict | traceFlag,
 			TypeSessionOpen, TypeSessionReport, TypeSessionReport | traceFlag, byte(seed)} {
 			body := append([]byte{Version, typ}, raw...)
@@ -200,26 +199,20 @@ func checkCanonical(t *testing.T, body []byte, f Frame, tc TraceContext, session
 // losslessly, with decode→re-encode byte equality and the vote-count cap
 // enforced. Raw bytes framed as batch bodies are FuzzWireRoundTrip's job.
 func FuzzVoteBatchRoundTrip(f *testing.F) {
-	f.Add(uint16(1), uint32(0), uint64(0), false)
-	f.Add(uint16(100), uint32(42), uint64(7), false)
-	f.Add(uint16(64), uint32(3), uint64(9), true)
-	f.Add(uint16(4096), uint32(1999), uint64(3), false)
-	f.Fuzz(func(t *testing.T, count uint16, node uint32, seed uint64, sketch bool) {
+	f.Add(uint16(1), uint32(0), uint64(0))
+	f.Add(uint16(100), uint32(42), uint64(7))
+	f.Add(uint16(64), uint32(3), uint64(9))
+	f.Add(uint16(4096), uint32(1999), uint64(3))
+	f.Fuzz(func(t *testing.T, count uint16, node uint32, seed uint64) {
 		n := int(count)%MaxBatchVotes + 1
-		b := &VoteBatch{Sketch: sketch}
+		b := &VoteBatch{}
 		if seed%2 == 0 {
 			// Typical shape: one node, trials in order.
 			for i := 0; i < n; i++ {
-				v := BatchVote{Trial: uint32(i), Node: node}
-				if sketch {
-					v.Samples, v.Collisions = 48, uint32(i%2)
-				} else {
-					v.Reject = (uint64(i)+seed)%3 == 0
-				}
-				b.Votes = append(b.Votes, v)
+				b.Votes = append(b.Votes, BatchVote{Trial: uint32(i), Node: node, Reject: (uint64(i)+seed)%3 == 0})
 			}
 		} else {
-			b.Votes = advVotes(seed, n, sketch)
+			b.Votes = advVotes(seed, n)
 		}
 		var e BatchEncoder
 		tc := TraceContext{Trace: seed | 1, Span: seed >> 1}
@@ -233,7 +226,7 @@ func FuzzVoteBatchRoundTrip(f *testing.F) {
 			}
 			got, gotTC, _ := decodeFrame(t, enc)
 			vb := got.(*VoteBatch)
-			if gotTC != ctx || vb.Sketch != b.Sketch || !reflect.DeepEqual(vb.Votes, b.Votes) {
+			if gotTC != ctx || !reflect.DeepEqual(vb.Votes, b.Votes) {
 				t.Fatal("batch round trip mismatch")
 			}
 			// Batches are bijective: decode→re-encode is identity.
@@ -249,7 +242,7 @@ func FuzzVoteBatchRoundTrip(f *testing.F) {
 	})
 }
 
-// runPayload builds a vote-mode batch payload in run form by hand: n
+// runPayload builds a batch payload in run form by hand: n
 // votes of node on trials t0 … t0+n−1, reject bits taken from rejects and
 // trailing bitset bits zero. t0 and node are not range-checked, so a run
 // can wrap past MaxUint32 or name a node the codec rejects.
@@ -267,7 +260,7 @@ func runPayload(n int, t0, node, rejects uint64) []byte {
 	return p
 }
 
-// runPath decodes a vote-mode payload through its header and decodeRun
+// runPath decodes a batch payload through its header and decodeRun
 // alone, reporting whether the run path took it.
 func runPath(p []byte) ([]BatchVote, bool) {
 	if len(p) < 2 || p[0] != 0 {
@@ -281,12 +274,12 @@ func runPath(p []byte) ([]BatchVote, bool) {
 	return b.Votes, b.decodeRun(p[off:])
 }
 
-// columnsOnly decodes a vote-mode payload with the column decoder alone —
+// columnsOnly decodes a batch payload with the column decoder alone —
 // decodePayload's checks and column path, without the run path — as the
 // reference the run path must match.
 func columnsOnly(p []byte) ([]BatchVote, error) {
 	if len(p) < 2 || p[0] != 0 {
-		return nil, errors.New("not a vote-mode payload")
+		return nil, errors.New("nonzero flags byte")
 	}
 	cnt, off, err := readUvarint(p, 1)
 	if err != nil || cnt == 0 || cnt > MaxBatchVotes {
@@ -295,7 +288,7 @@ func columnsOnly(p []byte) ([]BatchVote, error) {
 	n := int(cnt)
 	cols := make([]uint32, 2*n)
 	for c := 0; c < 2; c++ {
-		if off, err = decodeColumn(p, off, cols[c*n:(c+1)*n], math.MaxUint32); err != nil {
+		if off, err = decodeColumn(p, off, cols[c*n:(c+1)*n]); err != nil {
 			return nil, err
 		}
 	}
@@ -316,7 +309,7 @@ func columnsOnly(p []byte) ([]BatchVote, error) {
 }
 
 // FuzzVoteBatchRunMatchesColumns pins the VoteBatch run path to the
-// column decoder: every vote-mode payload — arbitrary bytes, or a
+// column decoder: every payload — arbitrary bytes, or a
 // hand-built run with one byte replaced, one byte cut or one byte added —
 // decodes through decodePayload as through the column decoder alone
 // (columnsOnly): both fail, or both give the same rows. And a payload
@@ -349,7 +342,7 @@ func FuzzVoteBatchRunMatchesColumns(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, count uint16, t0, node, rejects uint64, at uint16, val, edit byte) {
 		var p []byte
 		if len(raw) > 0 {
-			p = append([]byte{0}, raw...) // vote-mode flags, then anything
+			p = append([]byte{0}, raw...) // the flags byte, then anything
 		} else {
 			p = runPayload(int(count)%MaxBatchVotes+1, t0, node, rejects)
 			switch edit % 4 {
@@ -370,7 +363,7 @@ func FuzzVoteBatchRunMatchesColumns(f *testing.F) {
 		if errCols != nil {
 			return
 		}
-		if b.Sketch || !reflect.DeepEqual(b.Votes, want) {
+		if !reflect.DeepEqual(b.Votes, want) {
 			t.Fatalf("%d-byte payload %.24x…: decodePayload rows differ from the column decoder's", len(p), p)
 		}
 		if _, ok := runPath(p); isRun(want) && !ok {
@@ -380,10 +373,10 @@ func FuzzVoteBatchRunMatchesColumns(f *testing.F) {
 }
 
 // advPartialEntries builds adversarial partial entries from a seed:
-// trial/votes/rejects jump across the u32 range (worst-case deltas) and
-// sketch sums across the u64 range, always keeping the per-entry validity
-// the decoder enforces (votes ≥ 1, rejects ≤ votes).
-func advPartialEntries(seed uint64, n int, sketch bool) []PartialEntry {
+// trial/votes/rejects jump across the u32 range (worst-case deltas),
+// always keeping the per-entry validity the decoder enforces (votes ≥ 1,
+// rejects ≤ votes).
+func advPartialEntries(seed uint64, n int) []PartialEntry {
 	es := make([]PartialEntry, n)
 	s := seed
 	for i := range es {
@@ -392,28 +385,23 @@ func advPartialEntries(seed uint64, n int, sketch bool) []PartialEntry {
 		e.Trial = uint32(s >> 32)
 		e.Votes = uint32(s)%1000 + 1
 		e.Rejects = uint32(s>>16) % (e.Votes + 1)
-		if sketch {
-			s = s*6364136223846793005 + 1442695040888963407
-			e.Samples = s
-			e.Collisions = s >> 7
-		}
 	}
 	return es
 }
 
 // FuzzPartialVerdictRoundTrip drives the aggregation-tier encoder: fuzzed
-// partial verdicts (typical and adversarial shapes, traced and untraced,
-// vote and sketch mode) must round-trip losslessly with decode→re-encode
+// partial verdicts (typical and adversarial shapes, traced and untraced)
+// must round-trip losslessly with decode→re-encode
 // byte equality and the entry-count cap enforced. Raw bytes framed as
 // partial bodies are FuzzWireRoundTrip's job.
 func FuzzPartialVerdictRoundTrip(f *testing.F) {
-	f.Add(uint16(1), uint32(0), uint64(0), false)
-	f.Add(uint16(64), uint32(3), uint64(7), true)
-	f.Add(uint16(500), uint32(9), uint64(2), false)
-	f.Add(uint16(2048), uint32(1), uint64(5), true)
-	f.Fuzz(func(t *testing.T, count uint16, agg uint32, seed uint64, sketch bool) {
+	f.Add(uint16(1), uint32(0), uint64(0))
+	f.Add(uint16(64), uint32(3), uint64(7))
+	f.Add(uint16(500), uint32(9), uint64(2))
+	f.Add(uint16(2048), uint32(1), uint64(5))
+	f.Fuzz(func(t *testing.T, count uint16, agg uint32, seed uint64) {
 		n := int(count)%MaxPartialEntries + 1
-		p := &PartialVerdict{Agg: agg, Sketch: sketch}
+		p := &PartialVerdict{Agg: agg}
 		if seed%2 == 0 {
 			// Typical shape: consecutive trials, near-constant sums.
 			p.Entries = make([]PartialEntry, n)
@@ -422,13 +410,9 @@ func FuzzPartialVerdictRoundTrip(f *testing.F) {
 				e.Trial = uint32(i)
 				e.Votes = uint32(seed%64) + 1
 				e.Rejects = uint32((seed + uint64(i))) % (e.Votes + 1)
-				if sketch {
-					e.Samples = uint64(e.Votes) * 48
-					e.Collisions = uint64(i % 3)
-				}
 			}
 		} else {
-			p.Entries = advPartialEntries(seed, n, sketch)
+			p.Entries = advPartialEntries(seed, n)
 		}
 		tc := TraceContext{Trace: seed | 1, Span: seed >> 1}
 		for _, ctx := range []TraceContext{{}, tc} {
@@ -441,7 +425,7 @@ func FuzzPartialVerdictRoundTrip(f *testing.F) {
 			}
 			got, gotTC, _ := decodeFrame(t, enc)
 			pv := got.(*PartialVerdict)
-			if gotTC != ctx || pv.Sketch != p.Sketch || !reflect.DeepEqual(pv.Entries, p.Entries) {
+			if gotTC != ctx || !reflect.DeepEqual(pv.Entries, p.Entries) {
 				t.Fatal("partial round trip mismatch")
 			}
 			// Partial frames are bijective: decode→re-encode is identity.

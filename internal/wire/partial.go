@@ -8,17 +8,14 @@
 // Raw PartialVerdict payload layout (varints are minimal LEB128):
 //
 //	[agg u32 BE]          sender's aggregator ID, echoed from AggHello
-//	[flags u8]            bit0 = sketch mode, other bits zero
+//	[flags u8]            zero (reserved)
 //	[count uvarint]       1 .. MaxPartialEntries
 //	[trial column]        first value uvarint, then zigzag-uvarint deltas
 //	[votes column]        same encoding (votes seen for the trial, ≥ 1)
 //	[rejects column]      same encoding (≤ the votes column entry)
-//	sketch mode:
-//	  [samples column]    u64 sums, wrapping zigzag deltas
-//	  [collisions column] same encoding
 //
 // Like VoteBatch, the encoding is canonical and bijective: minimal
-// varints, zero spare flag bits, per-entry validity (votes ≥ 1,
+// varints, a zero flags byte, per-entry validity (votes ≥ 1,
 // rejects ≤ votes) and exact payload length are all enforced at decode,
 // so every decodable frame re-encodes to the identical bytes —
 // FuzzPartialVerdictRoundTrip and FuzzWireRoundTrip pin this. Both types
@@ -29,13 +26,11 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // MaxPartialEntries caps the per-trial entries one PartialVerdict may
-// carry. Worst-case encoding (adversarial values, sketch mode, ≤ 35
-// bytes per entry) stays under MaxBatchFrameBytes with room for the
-// trace suffix.
+// carry. Worst-case encoding (adversarial values, ≤ 15 bytes per entry)
+// stays under MaxBatchFrameBytes with room for the trace suffix.
 const MaxPartialEntries = 2048
 
 // AggHello opens an aggregator's upstream session: it announces the
@@ -65,10 +60,6 @@ type PartialEntry struct {
 	// decision rules fold through this one sum: threshold compares the
 	// merged total against T, and AND accepts iff it stays zero.
 	Rejects uint32
-	// Samples and Collisions are the sketch-mode sums of the folded
-	// nodes' raw collision statistics; zero in vote mode.
-	Samples    uint64
-	Collisions uint64
 }
 
 // PartialVerdict carries an aggregator's per-trial partial sums upstream.
@@ -78,8 +69,6 @@ type PartialEntry struct {
 type PartialVerdict struct {
 	// Agg echoes the sender's AggHello identity.
 	Agg uint32
-	// Sketch marks sketch-mode sums (samples/collisions columns present).
-	Sketch bool
 	// Entries are the per-trial sums, at most MaxPartialEntries.
 	Entries []PartialEntry
 }
@@ -110,52 +99,35 @@ func (h *AggHello) decodePayload(p []byte) error {
 }
 
 // partialVal returns column c of a partial entry, in payload order:
-// trial, votes, rejects, then (sketch mode) samples and collisions.
-func partialVal(e *PartialEntry, c int) uint64 {
+// trial, votes, rejects.
+func partialVal(e *PartialEntry, c int) uint32 {
 	switch c {
 	case 0:
-		return uint64(e.Trial)
+		return e.Trial
 	case 1:
-		return uint64(e.Votes)
-	case 2:
-		return uint64(e.Rejects)
-	case 3:
-		return e.Samples
+		return e.Votes
 	default:
-		return e.Collisions
+		return e.Rejects
 	}
 }
 
-// appendPartialColumn writes column c with wrapping uint64 deltas, which
-// are bijective over the full uint64 domain of the sketch sums.
+// appendPartialColumn writes column c in the shared delta encoding (see
+// decodeColumn).
 func appendPartialColumn(dst []byte, es []PartialEntry, c int) []byte {
-	prev := partialVal(&es[0], c)
-	dst = binary.AppendUvarint(dst, prev)
+	prev := int64(partialVal(&es[0], c))
+	dst = binary.AppendUvarint(dst, uint64(prev))
 	for i := 1; i < len(es); i++ {
-		v := partialVal(&es[i], c)
-		dst = binary.AppendUvarint(dst, zigzag(int64(v-prev)))
+		v := int64(partialVal(&es[i], c))
+		dst = binary.AppendUvarint(dst, zigzag(v-prev))
 		prev = v
 	}
 	return dst
 }
 
-// partialColumns is the column count of a partial payload.
-func partialColumns(sketch bool) int {
-	if sketch {
-		return 5
-	}
-	return 3
-}
-
 func (p PartialVerdict) appendPayload(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, p.Agg)
-	flags := byte(0)
-	if p.Sketch {
-		flags = 1
-	}
-	dst = append(dst, flags)
+	dst = append(binary.BigEndian.AppendUint32(dst, p.Agg), 0)
 	dst = binary.AppendUvarint(dst, uint64(len(p.Entries)))
-	for c := 0; c < partialColumns(p.Sketch); c++ {
+	for c := 0; c < 3; c++ {
 		dst = appendPartialColumn(dst, p.Entries, c)
 	}
 	return dst
@@ -168,11 +140,9 @@ func (p *PartialVerdict) decodePayload(b []byte, sc *DecodeScratch) error {
 		return fmt.Errorf("%w: %d-byte partial payload", ErrFrameSize, len(b))
 	}
 	p.Agg = binary.BigEndian.Uint32(b[0:4])
-	flags := b[4]
-	if flags&^1 != 0 {
-		return fmt.Errorf("%w: partial flags %#x", ErrFrameSize, flags)
+	if b[4] != 0 {
+		return fmt.Errorf("%w: partial flags %#x", ErrFrameSize, b[4])
 	}
-	p.Sketch = flags&1 != 0
 	cnt, off, err := readUvarint(b, 5)
 	if err != nil {
 		return err
@@ -183,14 +153,10 @@ func (p *PartialVerdict) decodePayload(b []byte, sc *DecodeScratch) error {
 	if cnt > MaxPartialEntries {
 		return fmt.Errorf("%w: partial of %d entries (limit %d)", ErrOversize, cnt, MaxPartialEntries)
 	}
-	n, ncol := int(cnt), partialColumns(p.Sketch)
-	cols := sc.columns(ncol * n)
-	for c := 0; c < ncol; c++ {
-		max := uint64(math.MaxUint32)
-		if c >= 3 {
-			max = math.MaxUint64 // the sketch sums
-		}
-		if off, err = decodeColumn(b, off, cols[c*n:(c+1)*n], max); err != nil {
+	n := int(cnt)
+	cols := sc.columns(3 * n)
+	for c := 0; c < 3; c++ {
+		if off, err = decodeColumn(b, off, cols[c*n:(c+1)*n]); err != nil {
 			return err
 		}
 	}
@@ -201,21 +167,15 @@ func (p *PartialVerdict) decodePayload(b []byte, sc *DecodeScratch) error {
 		p.Entries = make([]PartialEntry, n)
 	}
 	p.Entries = p.Entries[:n]
-	// Whole-entry stores: scratch reuse cannot leak sketch sums into a
-	// vote-mode frame.
 	for i := range p.Entries {
-		trial, votes, rejects := uint32(cols[i]), uint32(cols[n+i]), uint32(cols[2*n+i])
-		if votes == 0 {
-			return fmt.Errorf("%w: partial entry for trial %d with zero votes", ErrFrameSize, trial)
+		e := PartialEntry{Trial: cols[i], Votes: cols[n+i], Rejects: cols[2*n+i]}
+		if e.Votes == 0 {
+			return fmt.Errorf("%w: partial entry for trial %d with zero votes", ErrFrameSize, e.Trial)
 		}
-		if rejects > votes {
-			return fmt.Errorf("%w: partial entry with %d rejects over %d votes", ErrFrameSize, rejects, votes)
+		if e.Rejects > e.Votes {
+			return fmt.Errorf("%w: partial entry with %d rejects over %d votes", ErrFrameSize, e.Rejects, e.Votes)
 		}
-		if p.Sketch {
-			p.Entries[i] = PartialEntry{Trial: trial, Votes: votes, Rejects: rejects, Samples: cols[3*n+i], Collisions: cols[4*n+i]}
-		} else {
-			p.Entries[i] = PartialEntry{Trial: trial, Votes: votes, Rejects: rejects}
-		}
+		p.Entries[i] = e
 	}
 	return nil
 }

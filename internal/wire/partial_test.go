@@ -30,31 +30,22 @@ func samplePartial() *PartialVerdict {
 
 func TestPartialVerdictRoundTrip(t *testing.T) {
 	for _, tc := range []TraceContext{{}, {Trace: 9, Span: 11}} {
-		for _, sketch := range []bool{false, true} {
-			p := samplePartial()
-			p.Sketch = sketch
-			if sketch {
-				for i := range p.Entries {
-					p.Entries[i].Samples = uint64(1000 + i*3)
-					p.Entries[i].Collisions = uint64(i)
-				}
-			}
-			enc, err := AppendPartialSession(nil, p, 0, tc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotTC, _ := decodeFrame(t, enc)
-			if gotTC != tc {
-				t.Fatalf("tc %+v, want %+v", gotTC, tc)
-			}
-			pv, ok := got.(*PartialVerdict)
-			if !ok || !reflect.DeepEqual(pv, p) {
-				t.Fatalf("round trip: got %#v, want %#v", got, p)
-			}
-			// Canonical bytes: re-encoding the decoded frame is identical.
-			if re := AppendSession(nil, pv, 0, tc); !bytes.Equal(re, enc) {
-				t.Fatalf("re-encode mismatch:\n%x\n%x", re, enc)
-			}
+		p := samplePartial()
+		enc, err := AppendPartialSession(nil, p, 0, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotTC, _ := decodeFrame(t, enc)
+		if gotTC != tc {
+			t.Fatalf("tc %+v, want %+v", gotTC, tc)
+		}
+		pv, ok := got.(*PartialVerdict)
+		if !ok || !reflect.DeepEqual(pv, p) {
+			t.Fatalf("round trip: got %#v, want %#v", got, p)
+		}
+		// Canonical bytes: re-encoding the decoded frame is identical.
+		if re := AppendSession(nil, pv, 0, tc); !bytes.Equal(re, enc) {
+			t.Fatalf("re-encode mismatch:\n%x\n%x", re, enc)
 		}
 	}
 }
@@ -75,10 +66,10 @@ func TestAggHelloRoundTrip(t *testing.T) {
 
 func TestPartialVerdictValidation(t *testing.T) {
 	enc := func(f Frame) []byte { return AppendSession(nil, f, 0, TraceContext{})[4:] }
-	// partialBody frames an unbound vote-mode payload of agg 1 from the
-	// bytes after its flags byte.
+	// partialBody frames an unbound payload of agg 1 from its flags byte
+	// on.
 	partialBody := func(rest ...byte) []byte {
-		body := append([]byte{Version, TypePartialVerdict, 0, 0, 0, 1, 0}, rest...)
+		body := append([]byte{Version, TypePartialVerdict, 0, 0, 0, 1}, rest...)
 		return append(body, 0, 0, 0, 0)
 	}
 	cases := []struct {
@@ -86,16 +77,19 @@ func TestPartialVerdictValidation(t *testing.T) {
 		body []byte
 		want error
 	}{
-		{"empty entries", partialBody(0), ErrFrameSize},
-		{"entries over MaxPartialEntries", partialBody(0x81, 0x10 /* 2049 */), ErrOversize},
+		{"empty entries", partialBody(0, 0), ErrFrameSize},
+		{"entries over MaxPartialEntries", partialBody(0, 0x81, 0x10 /* 2049 */), ErrOversize},
+		// The retired flag bit 0, on an entry laid out as its trial, votes
+		// and rejects and two more columns.
+		{"retired flag 0x01", partialBody(1, 1, 0, 1, 0, 5, 3), ErrFrameSize},
 		{"zero votes", enc(&PartialVerdict{Agg: 1, Entries: []PartialEntry{{Trial: 0, Votes: 0}}}), ErrFrameSize},
 		{"rejects over votes", enc(&PartialVerdict{Agg: 1, Entries: []PartialEntry{{Trial: 0, Votes: 2, Rejects: 3}}}), ErrFrameSize},
 		// Hand-built payloads: agg, flags, count, then the trial, votes and
 		// rejects columns.
-		{"non-minimal column value", partialBody(1, 0x80, 0x00, 1, 0), ErrFrameSize},
-		{"delta below 0", partialBody(2, 5, 11 /* -6 */, 1, 0, 0, 0), ErrFrameSize},
-		{"delta above MaxUint32", partialBody(2, 0xff, 0xff, 0xff, 0xff, 0x0f, 2 /* +1 */, 1, 0, 0, 0), ErrFrameSize},
-		{"column cut inside a varint", partialBody(1, 5, 0x80), ErrFrameSize},
+		{"non-minimal column value", partialBody(0, 1, 0x80, 0x00, 1, 0), ErrFrameSize},
+		{"delta below 0", partialBody(0, 2, 5, 11 /* -6 */, 1, 0, 0, 0), ErrFrameSize},
+		{"delta above MaxUint32", partialBody(0, 2, 0xff, 0xff, 0xff, 0xff, 0x0f, 2 /* +1 */, 1, 0, 0, 0), ErrFrameSize},
+		{"column cut inside a varint", partialBody(0, 1, 5, 0x80), ErrFrameSize},
 		{"inverted window", enc(&AggHello{Agg: 1, K: 10, Trials: 2, Lo: 5, Hi: 5}), ErrFrameSize},
 	}
 	for _, c := range cases {
@@ -120,13 +114,9 @@ func TestPartialVerdictWorstCaseFitsCap(t *testing.T) {
 		if i%2 == 0 {
 			v = uint32(i)
 		}
-		s := uint64(math.MaxUint64) - uint64(i)
-		if i%2 == 0 {
-			s = uint64(i)
-		}
-		es[i] = PartialEntry{Trial: v, Votes: v | 1, Rejects: v | 1, Samples: s, Collisions: s}
+		es[i] = PartialEntry{Trial: v, Votes: v | 1, Rejects: v | 1}
 	}
-	p := &PartialVerdict{Agg: math.MaxUint32, Sketch: true, Entries: es}
+	p := &PartialVerdict{Agg: math.MaxUint32, Entries: es}
 	enc, err := AppendPartialSession(nil, p, math.MaxUint32, TraceContext{Trace: 1, Span: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -141,14 +131,13 @@ func TestPartialVerdictWorstCaseFitsCap(t *testing.T) {
 }
 
 func TestPartialScratchReuse(t *testing.T) {
-	// A sketch-mode decode followed by a vote-mode decode through the same
-	// scratch must not leak sums.
+	// Partials of different lengths through the same scratch must decode
+	// exactly their own entries.
 	var sc DecodeScratch
-	sk := &PartialVerdict{Agg: 1, Sketch: true,
-		Entries: []PartialEntry{{Trial: 0, Votes: 2, Rejects: 1, Samples: 7, Collisions: 3}}}
-	plain := &PartialVerdict{Agg: 1,
+	long := samplePartial()
+	short := &PartialVerdict{Agg: 1,
 		Entries: []PartialEntry{{Trial: 0, Votes: 2, Rejects: 1}}}
-	for _, p := range []*PartialVerdict{sk, plain} {
+	for _, p := range []*PartialVerdict{long, short, long} {
 		enc := AppendSession(nil, p, 0, TraceContext{})
 		got, _, _, err := DecodeBodySession(enc[4:], &sc)
 		if err != nil {

@@ -12,7 +12,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // MaxReportTrials caps the per-trial entries one SessionReport may carry.
@@ -79,9 +78,6 @@ type SessionOpen struct {
 	Rule byte
 	// Thresh is the threshold rule's T; zero for rules without one.
 	Thresh uint32
-	// Sketch marks a sketch-mode session (nodes submit raw collision
-	// statistics; the referee derives votes server-side).
-	Sketch bool
 	// EarlyClose lets the referee hang up as soon as every trial is
 	// decided.
 	EarlyClose bool
@@ -133,13 +129,9 @@ func (SessionOpen) payloadSize() int   { return 26 }
 func (SessionAccept) payloadSize() int { return 8 }
 func (SessionReject) payloadSize() int { return 5 }
 
-// SessionOpen flag bits. Bit 1 is retired: like every other spare bit,
-// a SessionOpen that sets it fails to decode.
-const (
-	openFlagSketch     = 1 << 0
-	openFlagEarlyClose = 1 << 2
-	openFlagMask       = openFlagSketch | openFlagEarlyClose
-)
+// openFlagEarlyClose is the one SessionOpen flag bit: a SessionOpen that
+// sets any other bit fails to decode.
+const openFlagEarlyClose = 1 << 2
 
 func (o SessionOpen) appendPayload(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, o.Tenant)
@@ -149,11 +141,8 @@ func (o SessionOpen) appendPayload(dst []byte) []byte {
 	dst = append(dst, o.Rule)
 	dst = binary.BigEndian.AppendUint32(dst, o.Thresh)
 	flags := byte(0)
-	if o.Sketch {
-		flags |= openFlagSketch
-	}
 	if o.EarlyClose {
-		flags |= openFlagEarlyClose
+		flags = openFlagEarlyClose
 	}
 	return append(dst, flags)
 }
@@ -166,11 +155,10 @@ func (o *SessionOpen) decodePayload(p []byte) error {
 	o.Rule = p[20]
 	o.Thresh = binary.BigEndian.Uint32(p[21:25])
 	flags := p[25]
-	if flags&^byte(openFlagMask) != 0 {
+	if flags&^openFlagEarlyClose != 0 {
 		return fmt.Errorf("%w: sessionopen flags %#x", ErrFrameSize, flags)
 	}
-	o.Sketch = flags&openFlagSketch != 0
-	o.EarlyClose = flags&openFlagEarlyClose != 0
+	o.EarlyClose = flags != 0
 	return nil
 }
 
@@ -278,7 +266,7 @@ func (r *SessionReport) decodePayload(p []byte) error {
 	}
 	off += nb
 	for _, col := range [][]uint32{r.Rejects, r.Votes, r.Missing} {
-		if off, err = decodeColumn(p, off, col, math.MaxUint32); err != nil {
+		if off, err = decodeColumn(p, off, col); err != nil {
 			return err
 		}
 	}

@@ -14,7 +14,6 @@ func sessionTestFrames() []Frame {
 	return []Frame{
 		&Hello{Node: 3, K: 100, Trials: 7},
 		&Vote{Trial: 2, Node: 3, Reject: true},
-		&Sketch{Trial: 1, Node: 4, Samples: 48, Collisions: 2},
 		&Done{Node: 3},
 		&Verdict{Trials: 7, Accepts: 5, Missing: 1},
 		&VoteBatch{Votes: []BatchVote{{Trial: 0, Node: 3}, {Trial: 1, Node: 3, Reject: true}}},
@@ -55,7 +54,7 @@ func TestSessionSuffixRoundTrip(t *testing.T) {
 // frames, traced and untraced.
 func TestSessionControlRoundTrip(t *testing.T) {
 	frames := []Frame{
-		&SessionOpen{Tenant: 5, K: 100, Trials: 7, Seed: 99, Rule: RuleThreshold, Thresh: 11, Sketch: true, EarlyClose: true},
+		&SessionOpen{Tenant: 5, K: 100, Trials: 7, Seed: 99, Rule: RuleThreshold, Thresh: 11, EarlyClose: true},
 		&SessionOpen{Tenant: 1, K: 10, Trials: 2, Seed: 3, Rule: RuleAND},
 		&SessionAccept{Session: 12, Tenant: 5},
 		&SessionReject{Tenant: 5, Reason: RejectBudget},
@@ -95,9 +94,9 @@ func TestSessionControlRoundTrip(t *testing.T) {
 
 // TestSessionControlValidation pins the typed decode errors of the control
 // frames — out-of-range reject reasons (the retired default reason 5
-// included), zero accept sessions, spare open flags (the retired default
-// flag 0x02 included) — and that an established type without its session
-// field fails.
+// included), zero accept sessions, spare open flags (the retired flags
+// 0x01 and 0x02 included) — and that an established type without its
+// session field fails.
 func TestSessionControlValidation(t *testing.T) {
 	for _, reason := range []byte{0, 5, 99} {
 		if _, _, _, err := DecodeBodySession(AppendSession(nil, &SessionReject{Tenant: 1, Reason: reason}, 0, TraceContext{})[4:], nil); !errors.Is(err, ErrFrameSize) {
@@ -108,7 +107,7 @@ func TestSessionControlValidation(t *testing.T) {
 		t.Errorf("accept session 0: err = %v, want ErrSession", err)
 	}
 	open := AppendSession(nil, &SessionOpen{Tenant: 1, K: 2, Trials: 3, Rule: RuleAND}, 0, TraceContext{})
-	for _, bit := range []byte{0x02, 0x80} {
+	for _, bit := range []byte{0x01, 0x02, 0x80} {
 		body := append([]byte(nil), open[4:]...)
 		body[len(body)-1] |= bit // a spare flag bit
 		if _, _, _, err := DecodeBodySession(body, nil); !errors.Is(err, ErrFrameSize) {
@@ -216,12 +215,11 @@ func FuzzSessionFrameRoundTrip(f *testing.F) {
 		established := []Frame{
 			&Hello{Node: a, K: a + 1, Trials: uint32(count)},
 			&Vote{Trial: a, Node: sess, Reject: flag},
-			&Sketch{Trial: a, Node: sess, Samples: uint32(seed), Collisions: uint32(seed >> 32)},
 			&Done{Node: a},
 			&Verdict{Trials: uint32(count), Accepts: a, Missing: sess},
-			&VoteBatch{Sketch: flag, Votes: advVotes(seed, int(count)%MaxBatchVotes+1, flag)},
+			&VoteBatch{Votes: advVotes(seed, int(count)%MaxBatchVotes+1)},
 			&AggHello{Agg: a, K: sess + 1, Trials: uint32(count), Lo: a >> 1, Hi: a>>1 + 1},
-			&PartialVerdict{Agg: a, Sketch: flag, Entries: advPartialEntries(seed, int(count)%MaxPartialEntries+1, flag)},
+			&PartialVerdict{Agg: a, Entries: advPartialEntries(seed, int(count)%MaxPartialEntries+1)},
 		}
 		for _, fr := range established {
 			for _, ctx := range []TraceContext{{}, tc} {
@@ -244,7 +242,7 @@ func FuzzSessionFrameRoundTrip(f *testing.F) {
 		report := fuzzReport(sess|1, 1<<31|a, seed, int(count)%MaxReportTrials+1)
 		control := []Frame{
 			&SessionOpen{Tenant: a, K: sess, Trials: uint32(count), Seed: seed,
-				Rule: byte(seed), Thresh: a, Sketch: flag, EarlyClose: seed%3 == 0},
+				Rule: byte(seed), Thresh: a, EarlyClose: seed%3 == 0},
 			&SessionAccept{Session: sess | 1, Tenant: a},
 			&SessionReject{Tenant: a, Reason: byte(seed)%rejectReasonMax + 1},
 			report,

@@ -1,7 +1,7 @@
 // Package wire is the cluster runtime's binary codec: a length-prefixed
 // framing for the messages the 0-round protocols exchange over real
-// connections — a node's Hello, its per-trial Vote (or collision Sketch),
-// the Done marker closing its vote stream and the referee's Verdict, plus
+// connections — a node's Hello, its per-trial Vote, the Done marker
+// closing its vote stream and the referee's Verdict, plus
 // the batched and aggregated forms of those votes (batch.go, partial.go)
 // and the session service's control frames (session.go).
 //
@@ -18,10 +18,10 @@
 // telemetry plane's distributed trace. So every (frame, session, trace)
 // triple has exactly one byte representation, with no exception: every
 // body the decoder accepts re-encodes to exactly its bytes. The decoder
-// rejects any other version byte with ErrVersion. Type byte 7, which once
-// carried a block-compressed batch, is retired and stays reserved: the
-// decoder rejects it with ErrUnknownType. Trace context is observability
-// metadata only: the referee's verdicts never depend on it.
+// rejects any other version byte with ErrVersion. Type bytes 3 and 7 are
+// retired and stay reserved: the decoder rejects them with
+// ErrUnknownType. Trace context is observability metadata only: the
+// referee's verdicts never depend on it.
 //
 // Single-vote frames are tiny and fixed-size per type; the decoder
 // enforces both the per-type payload size and the MaxFrameBytes cap before
@@ -53,16 +53,16 @@ const Version = 5
 
 // MaxFrameBytes caps the on-wire frame length (version + type + payload +
 // session field + optional trace context) of every fixed-size frame type.
-// The largest single-vote frame, a traced session-bound Sketch, is 38
-// bytes; the cap leaves headroom while keeping the referee's
+// The single-vote frame, a traced session-bound Vote, is 31 bytes; the
+// cap leaves headroom while keeping the referee's
 // per-connection buffer trivially bounded — the cluster analogue of the
 // CONGEST per-edge bandwidth limit. The columnar types have their own cap
 // (MaxBatchFrameBytes); FrameCap resolves the bound per type.
 const MaxFrameBytes = 64
 
 // MaxBatchFrameBytes caps the on-wire length of a batch frame. It bounds
-// MaxBatchVotes worst-case-encoded tuples (≤ 21 bytes each in sketch mode)
-// with room for the trace suffix, while still keeping per-connection
+// MaxBatchVotes worst-case-encoded tuples (≤ 11 bytes each) with room for
+// the trace suffix, while still keeping per-connection
 // buffering small enough that 10⁴+ concurrent peers fit in memory.
 const MaxBatchFrameBytes = 1 << 17
 
@@ -102,21 +102,21 @@ const (
 	TypeHello = byte(iota + 1)
 	// TypeVote carries one node's accept/reject for one trial.
 	TypeVote
-	// TypeSketch carries one node's raw collision statistic for one trial,
-	// letting the referee derive the vote server-side (single-collision
-	// testers: reject iff Collisions > 0).
-	TypeSketch
+	// typeRetiredSketch (3) once carried a node's collision count. Like
+	// typeRetiredBatch it stays reserved so the type bytes after it keep
+	// their values, and the decoder rejects it with ErrUnknownType.
+	typeRetiredSketch
 	// TypeDone marks the end of a node's vote stream.
 	TypeDone
 	// TypeVerdict is the referee's closing summary to each node.
 	TypeVerdict
-	// TypeVoteBatch packs many (trial, node, vote) tuples — or sketch
-	// tuples — into one delta/bit-packed frame (batch.go).
+	// TypeVoteBatch packs many (trial, node, vote) tuples into one
+	// delta/bit-packed frame (batch.go).
 	TypeVoteBatch
-	// typeRetired (7) once marked a block-compressed VoteBatch. It stays
-	// reserved so the type bytes after it keep their values, and the
+	// typeRetiredBatch (7) once marked a block-compressed VoteBatch. It
+	// stays reserved so the type bytes after it keep their values, and the
 	// decoder rejects it with ErrUnknownType.
-	typeRetired
+	typeRetiredBatch
 	// TypeAggHello opens an aggregator's upstream session, announcing the
 	// node-ID window it terminates (partial.go).
 	TypeAggHello
@@ -154,8 +154,6 @@ func TypeName(t byte) string {
 		return "hello"
 	case TypeVote:
 		return "vote"
-	case TypeSketch:
-		return "sketch"
 	case TypeDone:
 		return "done"
 	case TypeVerdict:
@@ -246,19 +244,6 @@ type Vote struct {
 	Reject bool
 }
 
-// Sketch is the raw statistic behind a vote: the node's sample count and
-// collision count for one trial. For single-collision testers the referee
-// derives Reject = Collisions > 0, so Vote and Sketch submissions yield
-// identical verdicts.
-type Sketch struct {
-	Trial uint32
-	Node  uint32
-	// Samples is the number of samples the node drew this trial.
-	Samples uint32
-	// Collisions is the number of colliding pairs among them.
-	Collisions uint32
-}
-
 // Done closes a node's vote stream; the referee treats the node as
 // complete even if some of its votes were lost in transit.
 type Done struct {
@@ -278,13 +263,11 @@ type Verdict struct {
 
 func (Hello) Type() byte   { return TypeHello }
 func (Vote) Type() byte    { return TypeVote }
-func (Sketch) Type() byte  { return TypeSketch }
 func (Done) Type() byte    { return TypeDone }
 func (Verdict) Type() byte { return TypeVerdict }
 
 func (Hello) payloadSize() int   { return 12 }
 func (Vote) payloadSize() int    { return 9 }
-func (Sketch) payloadSize() int  { return 16 }
 func (Done) payloadSize() int    { return 4 }
 func (Verdict) payloadSize() int { return 12 }
 
@@ -322,21 +305,6 @@ func (v *Vote) decodePayload(p []byte) error {
 	default:
 		return fmt.Errorf("%w: vote flag %d", ErrFrameSize, p[8])
 	}
-	return nil
-}
-
-func (s Sketch) appendPayload(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, s.Trial)
-	dst = binary.BigEndian.AppendUint32(dst, s.Node)
-	dst = binary.BigEndian.AppendUint32(dst, s.Samples)
-	return binary.BigEndian.AppendUint32(dst, s.Collisions)
-}
-
-func (s *Sketch) decodePayload(p []byte) error {
-	s.Trial = binary.BigEndian.Uint32(p[0:4])
-	s.Node = binary.BigEndian.Uint32(p[4:8])
-	s.Samples = binary.BigEndian.Uint32(p[8:12])
-	s.Collisions = binary.BigEndian.Uint32(p[12:16])
 	return nil
 }
 
@@ -427,7 +395,6 @@ func WriteFrame(w io.Writer, f Frame) error {
 type DecodeScratch struct {
 	hello   Hello
 	vote    Vote
-	sketch  Sketch
 	done    Done
 	verdict Verdict
 	batch   VoteBatch
@@ -441,13 +408,13 @@ type DecodeScratch struct {
 	report SessionReport
 	// cols holds the decoded delta columns of a VoteBatch or
 	// PartialVerdict before they are scattered into its rows.
-	cols []uint64
+	cols []uint32
 }
 
 // columns returns n scratch column values, reusing sc's buffer.
-func (sc *DecodeScratch) columns(n int) []uint64 {
+func (sc *DecodeScratch) columns(n int) []uint32 {
 	if cap(sc.cols) < n {
-		sc.cols = make([]uint64, n)
+		sc.cols = make([]uint32, n)
 	}
 	return sc.cols[:n]
 }
@@ -467,7 +434,7 @@ func DecodeBodySession(body []byte, sc *DecodeScratch) (Frame, TraceContext, uin
 		return nil, TraceContext{}, 0, fmt.Errorf("%w: got %d, want %d", ErrVersion, body[0], Version)
 	}
 	base := body[1] &^ traceFlag
-	if base < TypeHello || base > TypeSessionReport || base == typeRetired {
+	if base < TypeHello || base > TypeSessionReport || base == typeRetiredSketch || base == typeRetiredBatch {
 		return nil, TraceContext{}, 0, fmt.Errorf("%w: type %d", ErrUnknownType, base)
 	}
 	if len(body) > FrameCap(base) {
@@ -516,8 +483,6 @@ func (sc *DecodeScratch) decode(t byte, p []byte) (Frame, error) {
 		f = &sc.hello
 	case TypeVote:
 		f = &sc.vote
-	case TypeSketch:
-		f = &sc.sketch
 	case TypeDone:
 		f = &sc.done
 	case TypeVerdict:

@@ -18,7 +18,6 @@ func everyFrame() []Frame {
 		&Hello{Node: 7, K: 2000, Trials: 60},
 		&Vote{Trial: 3, Node: 1999, Reject: true},
 		&Vote{Trial: 0, Node: 0, Reject: false},
-		&Sketch{Trial: 12, Node: 5, Samples: 48, Collisions: 2},
 		&Done{Node: 42},
 		&Verdict{Trials: 60, Accepts: 59, Missing: 3},
 	}
@@ -87,7 +86,7 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 }
 
 func TestReaderRejectsMidFrameEOF(t *testing.T) {
-	full := AppendSession(nil, &Sketch{Trial: 1, Node: 2, Samples: 3, Collisions: 1}, 0, TraceContext{})
+	full := AppendSession(nil, &Hello{Node: 1, K: 2, Trials: 3}, 0, TraceContext{})
 	for cut := 1; cut < len(full); cut++ {
 		r := NewReader(bytes.NewReader(full[:cut]))
 		if _, err := r.ReadFrame(); !errors.Is(err, ErrTruncated) {
@@ -122,22 +121,30 @@ func TestDecodeRejectsBadVersion(t *testing.T) {
 }
 
 // TestDecodeRejectsUnknownType pins that an unassigned type byte never
-// decodes — including the retired byte 7, traced or not, under an
-// established (Done) and a control (SessionReport) body.
+// decodes — including the retired bytes 3 and 7, traced or not, under an
+// established (Done) and a control (SessionReport) body, and byte 3 under
+// a body laid out as its retired frame was: a 16-byte payload and the
+// session field, then, traced, the trace suffix.
 func TestDecodeRejectsUnknownType(t *testing.T) {
 	done := AppendSession(nil, &Done{Node: 1}, 0, TraceContext{})[headerBytes:]
 	report := AppendSession(nil, &SessionReport{Session: 3, K: 4, Verdicts: []bool{true},
 		Rejects: []uint32{0}, Votes: []uint32{4}, Missing: []uint32{0}}, 0, TraceContext{})[headerBytes:]
+	retired3 := append([]byte{Version, 0}, make([]byte, 16+sessionBytes)...)
+	traced3 := append(append([]byte(nil), retired3...), 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1)
 	for _, c := range []struct {
 		name string
 		body []byte
 		typ  byte
 	}{
 		{"done as 0xee", done, 0xEE},
-		{"done as 7", done, typeRetired},
-		{"done as traced 7", done, typeRetired | traceFlag},
-		{"report as 7", report, typeRetired},
-		{"report as traced 7", report, typeRetired | traceFlag},
+		{"done as 3", done, typeRetiredSketch},
+		{"done as traced 3", done, typeRetiredSketch | traceFlag},
+		{"16-byte payload as 3", retired3, typeRetiredSketch},
+		{"16-byte payload as traced 3", traced3, typeRetiredSketch | traceFlag},
+		{"done as 7", done, typeRetiredBatch},
+		{"done as traced 7", done, typeRetiredBatch | traceFlag},
+		{"report as 7", report, typeRetiredBatch},
+		{"report as traced 7", report, typeRetiredBatch | traceFlag},
 	} {
 		b := append([]byte(nil), c.body...)
 		b[1] = c.typ
@@ -213,7 +220,7 @@ func TestTracedReaderStream(t *testing.T) {
 	}
 }
 
-// TestFrameLayout pins the one frame layout on all 12 types × session
+// TestFrameLayout pins the one frame layout on all 11 types × session
 // {0, 7} × trace {off, on}: every frame round-trips byte-identically; the
 // routing peeks BodyType and SessionOf agree with the full decode; the
 // session field is fixed (established types carry it even at session 0,
@@ -222,7 +229,7 @@ func TestTracedReaderStream(t *testing.T) {
 // fixed-size frame whose trace flag disagrees with its suffix fails with
 // ErrFrameSize; an established-type body too short for its session field
 // fails with ErrFrameSize; and every frame fits its FrameCap — the
-// largest single-vote frame, a traced session-bound Sketch, included.
+// single-vote frame, a traced session-bound Vote, at 31 bytes.
 func TestFrameLayout(t *testing.T) {
 	cases := []struct {
 		typ byte // the type byte on the wire, trace flag clear
@@ -230,13 +237,12 @@ func TestFrameLayout(t *testing.T) {
 	}{
 		{TypeHello, &Hello{Node: 3, K: 100, Trials: 7}},
 		{TypeVote, &Vote{Trial: 2, Node: 3, Reject: true}},
-		{TypeSketch, &Sketch{Trial: 1, Node: 4, Samples: 48, Collisions: 2}},
 		{TypeDone, &Done{Node: 3}},
 		{TypeVerdict, &Verdict{Trials: 7, Accepts: 5, Missing: 1}},
-		{TypeVoteBatch, &VoteBatch{Votes: seqVotes(3, 2, false)}},
+		{TypeVoteBatch, &VoteBatch{Votes: seqVotes(3, 2)}},
 		{TypeAggHello, &AggHello{Agg: 2, K: 100, Trials: 7, Lo: 10, Hi: 20}},
 		{TypePartialVerdict, &PartialVerdict{Agg: 2, Entries: []PartialEntry{{Trial: 0, Votes: 10, Rejects: 4}}}},
-		{TypeSessionOpen, &SessionOpen{Tenant: 5, K: 100, Trials: 7, Seed: 99, Rule: RuleThreshold, Thresh: 11, Sketch: true}},
+		{TypeSessionOpen, &SessionOpen{Tenant: 5, K: 100, Trials: 7, Seed: 99, Rule: RuleThreshold, Thresh: 11, EarlyClose: true}},
 		{TypeSessionAccept, &SessionAccept{Session: 12, Tenant: 5}},
 		{TypeSessionReject, &SessionReject{Tenant: 5, Reason: RejectBudget}},
 		{TypeSessionReport, &SessionReport{Session: 12, K: 10, Verdicts: []bool{true, false, true},
@@ -315,9 +321,9 @@ func TestFrameLayout(t *testing.T) {
 			}
 		}
 	}
-	sketch := AppendSession(nil, &Sketch{Trial: 1, Node: 2, Samples: 3, Collisions: 4}, 7, TraceContext{Trace: 1, Span: 1})
-	if n := len(sketch) - headerBytes; n != 38 || n > MaxFrameBytes {
-		t.Errorf("traced session-bound sketch body %d bytes, want 38 ≤ MaxFrameBytes", n)
+	vote := AppendSession(nil, &Vote{Trial: 1, Node: 2, Reject: true}, 7, TraceContext{Trace: 1, Span: 1})
+	if n := len(vote) - headerBytes; n != 31 || n > MaxFrameBytes {
+		t.Errorf("traced session-bound vote body %d bytes, want 31 ≤ MaxFrameBytes", n)
 	}
 }
 
@@ -363,14 +369,12 @@ func goldenBatch() *VoteBatch {
 	return b
 }
 
-// goldenPartial is a 2048-entry sketch-mode partial whose samples column
-// takes wrapping uint64 deltas.
+// goldenPartial is a 2048-entry partial over every other trial.
 func goldenPartial() *PartialVerdict {
-	p := &PartialVerdict{Agg: 3, Sketch: true, Entries: make([]PartialEntry, MaxPartialEntries)}
+	p := &PartialVerdict{Agg: 3, Entries: make([]PartialEntry, MaxPartialEntries)}
 	for i := range p.Entries {
 		votes := uint32(32 - i%5)
-		p.Entries[i] = PartialEntry{Trial: uint32(2 * i), Votes: votes, Rejects: uint32(i%7) % (votes + 1),
-			Samples: uint64(i) * 0x9e3779b97f4a7c15, Collisions: uint64(i % 4)}
+		p.Entries[i] = PartialEntry{Trial: uint32(2 * i), Votes: votes, Rejects: uint32(i%7) % (votes + 1)}
 	}
 	return p
 }
@@ -391,8 +395,8 @@ func goldenReport() *SessionReport {
 
 // TestEncodersMatchGoldenBytes pins the columnar encoders to bytes
 // recorded before they wrote frames in one pass: a session-bound traced
-// batch, a session-bound traced sketch-mode partial, and a full-size
-// report, each compared by length and SHA-256.
+// batch, a session-bound traced partial, and a full-size report, each
+// compared by length and SHA-256.
 func TestEncodersMatchGoldenBytes(t *testing.T) {
 	tc := TraceContext{Trace: 0xfeed, Span: 0xbead}
 	var e BatchEncoder
@@ -415,7 +419,7 @@ func TestEncodersMatchGoldenBytes(t *testing.T) {
 		hash string
 	}{
 		{"batch", batch, 2246, "eefe6f90047068f8bd32c2f9f94e1e6fa8052f4e42cf2461eb433c07e5f416e6"},
-		{"partial", partial, 28696, "9e71c9f17a95dd7ae4a14ce1c674137781aad45874f75b4626e64423fb08e224"},
+		{"partial", partial, 6177, "25186d58b1569e6912b5bec1524efa9142430be2c9f9a83c54c7a4fc5badde5d"},
 		{"report", report, 25616, "34f34a87dbe9c058da971155ee1a6b80aa83f7990afe787dc158c27722cea0b2"},
 	} {
 		sum := sha256.Sum256(c.enc)
