@@ -83,10 +83,7 @@ func (a *Aggregator) Serve(l net.Listener) error {
 		l.Close()
 		return fmt.Errorf("cluster: aggregator %d: window [%d, %d) outside [0, %d)", a.ID, a.Lo, a.Hi, a.K)
 	}
-	a.voteSink.init(a.K, a.Lo, a.Hi, a.Config, "agg", "agg")
-	a.aggregator = a
-	a.emitted = make([]bool, a.cfg.Trials)
-	a.cond = sync.NewCond(&a.mu)
+	a.initSession()
 
 	deadline := a.cfg.deadline()
 	sess := a.cfg.Trace.Start("agg.session", trace.Context{},
@@ -146,14 +143,29 @@ func (a *Aggregator) Serve(l net.Listener) error {
 	return nil
 }
 
-// onComplete is what the sink's fold calls after each fold into trial:
-// when the window's every node has voted on a trial, the trial's sums are
-// final and the fold loop can flush them. Called under the sink mutex;
-// cond.Signal never blocks, so no I/O happens under the lock.
-func (a *Aggregator) onComplete(trial int) {
-	if a.votes[trial] == a.span && !a.emitted[trial] {
-		a.emitted[trial] = true
-		a.pending = append(a.pending, trial)
+// initSession prepares the aggregator's sink and fold state for one session.
+func (a *Aggregator) initSession() {
+	a.voteSink.init(a.K, a.Lo, a.Hi, a.Config, "agg", "agg")
+	a.aggregator = a
+	a.emitted = make([]bool, a.cfg.Trials)
+	a.cond = sync.NewCond(&a.mu)
+}
+
+// onComplete is what the sink's fold calls on the trials t0 … t0+n−1 it
+// just folded into: a trial whose every window node has voted has final
+// sums, so it joins pending, in trial order, and the fold loop is
+// signalled once. Called under the sink mutex; cond.Signal never blocks,
+// so no I/O happens under the lock.
+func (a *Aggregator) onComplete(t0, n int) {
+	queued := len(a.pending)
+	votes, emitted := a.votes[t0:t0+n], a.emitted[t0:t0+n]
+	for i := range votes {
+		if votes[i] == a.span && !emitted[i] {
+			emitted[i] = true
+			a.pending = append(a.pending, t0+i)
+		}
+	}
+	if len(a.pending) > queued {
 		a.cond.Signal()
 	}
 }

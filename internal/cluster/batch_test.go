@@ -103,67 +103,119 @@ func TestBatchedFaultPlanMatchesUnbatched(t *testing.T) {
 	}
 }
 
-// TestBatchedFoldMatchesPerVoteFold feeds the same votes into two
-// referees with telemetry on, once as VoteBatch frames and once as single
-// Vote frames. The batches hold a duplicate inside one batch,
-// a duplicate across two batches and a trial past Trials. Stats,
-// per-trial outcomes and the final votes, votes_dup, bad_frames and
-// dedup_occupancy metrics must agree.
+// TestBatchedFoldMatchesPerVoteFold feeds the same votes into two sinks
+// with telemetry on, once as VoteBatch frames and once as single Vote
+// frames, the reference, on a Referee and on an Aggregator. Every node
+// sends the same batches, in order. The first case holds a duplicate
+// inside one batch, a duplicate across two batches and a trial past
+// Trials. The others, at k = 3 and 200 trials, put runs across the
+// 64-bit words of the node-major dedup bitset: one clean, one replayed
+// so every bit is already set, one over an earlier single vote and one
+// past Trials, and a batch that is not a run. Stats, the votes,
+// votes_dup and bad_frames counters, dedup_occupancy, the per-trial
+// votes, rejects and verdicts, and the aggregator's pending sequence
+// must agree.
 func TestBatchedFoldMatchesPerVoteFold(t *testing.T) {
-	const k, trials = 3, 6
-	batches := [][]uint32{{0, 1, 1, 2}, {2, 3, 9}, {4, 5}}
-	run := func(batched bool) (*Report, *obs.Registry) {
-		reg := obs.NewRegistry()
-		rf := NewReferee(k, zeroround.ThresholdRule{T: 2}, Config{Trials: trials, Obs: reg})
-		for node := uint32(0); node < k; node++ {
-			peer, err := rf.Handshake(&wire.Hello{Node: node, K: k, Trials: trials})
-			if err != nil {
-				t.Fatal(err)
-			}
-			apply := func(f wire.Frame) {
-				if _, err := peer.Apply(f, wire.TraceContext{}, 0); err != nil {
+	seq := func(lo, n int) []uint32 {
+		trs := make([]uint32, n)
+		for i := range trs {
+			trs[i] = uint32(lo + i)
+		}
+		return trs
+	}
+	for _, c := range []struct {
+		name             string
+		trials           int
+		batches          [][]uint32
+		votes, dups, bad int // per node
+	}{
+		{"duplicates and a trial past Trials", 6, [][]uint32{{0, 1, 1, 2}, {2, 3, 9}, {4, 5}}, 6, 2, 1},
+		{"clean run", 200, [][]uint32{seq(0, 130)}, 130, 0, 0},
+		{"replayed run", 200, [][]uint32{seq(0, 130), seq(0, 130)}, 130, 130, 0},
+		{"run over a single vote", 200, [][]uint32{{140}, seq(130, 40)}, 40, 1, 0},
+		{"run past Trials", 200, [][]uint32{seq(150, 80)}, 50, 0, 30},
+		{"not a run", 200, [][]uint32{{3, 4, 6, 7, 129, 128, 64, 63}}, 8, 0, 0},
+	} {
+		const k = 3
+		// fold sends every node's batches to s, as VoteBatch frames or one
+		// Vote frame per row, then the node's Done.
+		fold := func(s *voteSink, batched bool) {
+			for node := uint32(s.lo); node < uint32(s.hi); node++ {
+				peer, err := s.handshake(&wire.Hello{Node: node, K: uint32(s.k), Trials: uint32(c.trials)})
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			for _, trs := range batches {
-				vb := &wire.VoteBatch{}
-				for _, tr := range trs {
-					v := wire.BatchVote{Trial: tr, Node: node, Reject: (tr+node)%3 == 0}
-					vb.Votes = append(vb.Votes, v)
-					if !batched {
-						apply(&wire.Vote{Trial: v.Trial, Node: node, Reject: v.Reject})
+				apply := func(f wire.Frame) {
+					if _, err := peer.Apply(f, wire.TraceContext{}, 0); err != nil {
+						t.Fatal(err)
 					}
 				}
-				if batched {
-					apply(vb)
+				for _, trs := range c.batches {
+					vb := &wire.VoteBatch{}
+					for _, tr := range trs {
+						v := wire.BatchVote{Trial: tr, Node: node, Reject: (tr+node)%3 == 0}
+						vb.Votes = append(vb.Votes, v)
+						if !batched {
+							apply(&wire.Vote{Trial: v.Trial, Node: node, Reject: v.Reject})
+						}
+					}
+					if batched {
+						apply(vb)
+					}
+				}
+				apply(&wire.Done{Node: node})
+			}
+		}
+		// Each sink reports its stats, its registry and what it decided per
+		// trial: the referee's report sans stats, the aggregator's votes,
+		// rejects and pending sequence.
+		sinks := []struct {
+			prefix string // metric namespace
+			run    func(batched bool) (RefereeStats, *obs.Registry, any)
+		}{
+			{"cluster", func(batched bool) (RefereeStats, *obs.Registry, any) {
+				reg := obs.NewRegistry()
+				rf := NewReferee(k, zeroround.ThresholdRule{T: 2}, Config{Trials: c.trials, Obs: reg})
+				fold(&rf.voteSink, batched)
+				rep, _, _ := rf.Finalize()
+				out := *rep
+				out.Stats = RefereeStats{}
+				return rep.Stats, reg, out
+			}},
+			{"agg", func(batched bool) (RefereeStats, *obs.Registry, any) {
+				reg := obs.NewRegistry()
+				a := newShardSink(k+2, 1, 1+k, Config{Trials: c.trials, Obs: reg})
+				fold(&a.voteSink, batched)
+				return a.stats, reg, [][]int{a.votes, a.rejects, a.pending}
+			}},
+		}
+		for _, sk := range sinks {
+			bstats, breg, btrials := sk.run(true)
+			sstats, sreg, strials := sk.run(false)
+			name := c.name + "/" + sk.prefix
+			if sstats.Votes != k*c.votes || sstats.DuplicateVotes != k*c.dups || sstats.BadFrames != k*c.bad {
+				t.Fatalf("%s: per-vote stats %+v, want %d votes, %d duplicates, %d bad",
+					name, sstats, k*c.votes, k*c.dups, k*c.bad)
+			}
+			if bstats.Votes != sstats.Votes || bstats.DuplicateVotes != sstats.DuplicateVotes ||
+				bstats.BadFrames != sstats.BadFrames {
+				t.Errorf("%s: batched stats %+v, per-vote %+v", name, bstats, sstats)
+			}
+			if !reflect.DeepEqual(btrials, strials) {
+				t.Errorf("%s: batched trials %v, per-vote %v", name, btrials, strials)
+			}
+			for m, want := range map[string]int{"votes": c.votes, "votes_dup": c.dups, "bad_frames": c.bad} {
+				m = sk.prefix + "." + m
+				if b, s := breg.Counter(m).Value(), sreg.Counter(m).Value(); b != s || s != int64(k*want) {
+					t.Errorf("%s: %s batched %d, per-vote %d, want %d", name, m, b, s, k*want)
 				}
 			}
-			apply(&wire.Done{Node: node})
+			m := sk.prefix + ".dedup_occupancy"
+			want := float64(k*c.votes) / float64(k*c.trials)
+			if b, s := breg.Gauge(m).Value(), sreg.Gauge(m).Value(); b != s || b != want {
+				t.Errorf("%s: %s batched %v, per-vote %v, want %v", name, m, b, s, want)
+			}
 		}
-		rep, _, _ := rf.Finalize()
-		return rep, reg
-	}
-	batched, breg := run(true)
-	single, sreg := run(false)
-	if batched.Stats.Votes != k*trials || batched.Stats.DuplicateVotes != 2*k || batched.Stats.BadFrames != k {
-		t.Fatalf("batched stats %+v, want %d votes, %d duplicates, %d bad", batched.Stats, k*trials, 2*k, k)
-	}
-	if batched.Stats.Votes != single.Stats.Votes || batched.Stats.DuplicateVotes != single.Stats.DuplicateVotes ||
-		batched.Stats.BadFrames != single.Stats.BadFrames {
-		t.Errorf("batched stats %+v, per-vote %+v", batched.Stats, single.Stats)
-	}
-	if !reflect.DeepEqual(batched.Verdicts, single.Verdicts) || !reflect.DeepEqual(batched.Rejects, single.Rejects) ||
-		!reflect.DeepEqual(batched.Votes, single.Votes) {
-		t.Errorf("batched trials %v/%v/%v, per-vote %v/%v/%v",
-			batched.Verdicts, batched.Rejects, batched.Votes, single.Verdicts, single.Rejects, single.Votes)
-	}
-	for _, name := range []string{"cluster.votes", "cluster.votes_dup", "cluster.bad_frames"} {
-		if b, s := breg.Counter(name).Value(), sreg.Counter(name).Value(); b != s || b == 0 {
-			t.Errorf("%s batched %d, per-vote %d", name, b, s)
-		}
-	}
-	if b, s := breg.Gauge("cluster.dedup_occupancy").Value(), sreg.Gauge("cluster.dedup_occupancy").Value(); b != s || b != 1 {
-		t.Errorf("dedup_occupancy batched %v, per-vote %v, want 1", b, s)
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -348,10 +349,10 @@ func BenchmarkRefereeTCP(b *testing.B) {
 	}
 }
 
-// streamFolder folds precomputed node streams into a referee: read from
-// memory, decoded and applied through Referee.Handshake and Peer.Apply as
-// perfbench's replay does — no connection, no ingest queue. Its reader
-// and decode scratch are reused across sessions.
+// streamFolder folds precomputed node streams into a sink: read from
+// memory, decoded and applied through the sink's handshake and
+// Peer.Apply as perfbench's replay does — no connection, no ingest queue.
+// Its reader and decode scratch are reused across sessions.
 type streamFolder struct {
 	rd bytes.Reader
 	r  *wire.Reader
@@ -364,11 +365,11 @@ func newStreamFolder() *streamFolder {
 	return sf
 }
 
-// fold folds streams, one per node, into rf and returns the frames and
+// fold folds streams, one per node, into s and returns the frames and
 // on-wire bytes it read.
-func (sf *streamFolder) fold(rf *Referee, streams [][]byte) (frames int, n int64, err error) {
-	for _, s := range streams {
-		sf.rd.Reset(s)
+func (sf *streamFolder) fold(s *voteSink, streams [][]byte) (frames int, n int64, err error) {
+	for _, st := range streams {
+		sf.rd.Reset(st)
 		var peer *Peer
 		for {
 			body, err := sf.r.ReadBody()
@@ -385,7 +386,7 @@ func (sf *streamFolder) fold(rf *Referee, streams [][]byte) (frames int, n int64
 				return 0, 0, err
 			}
 			if peer == nil {
-				if peer, err = rf.Handshake(f); err != nil {
+				if peer, err = s.handshake(f); err != nil {
 					return 0, 0, err
 				}
 			} else if _, err := peer.Apply(f, tc, len(body)+4); err != nil {
@@ -396,31 +397,78 @@ func (sf *streamFolder) fold(rf *Referee, streams [][]byte) (frames int, n int64
 	return frames, n, nil
 }
 
-// BenchmarkBatchFold isolates batch decode and fold, the referee-side
-// work of a batched session: a 64-node × 8192-trial session of
-// 1024-vote VoteBatch frames folded by a streamFolder, reporting ns per
-// folded vote.
+// newShardSink returns an aggregator of the node window [lo, hi) of a
+// k-node network with its sink prepared as Serve prepares it, but with no
+// listener, upstream link or fold goroutine: the trials its folds
+// complete collect in pending.
+func newShardSink(k, lo, hi int, cfg Config) *Aggregator {
+	a := &Aggregator{Lo: lo, Hi: hi, K: k, Config: cfg}
+	a.initSession()
+	return a
+}
+
+// pendingInOrder checks that every trial of a's session reached pending
+// exactly once, in trial order.
+func pendingInOrder(a *Aggregator) error {
+	if len(a.pending) != a.cfg.Trials {
+		return fmt.Errorf("%d trials pending, want %d", len(a.pending), a.cfg.Trials)
+	}
+	for i, t := range a.pending {
+		if t != i {
+			return fmt.Errorf("pending[%d] is trial %d", i, t)
+		}
+	}
+	return nil
+}
+
+// BenchmarkBatchFold isolates batch decode and fold, the sink-side work
+// of a batched session, reporting ns per folded vote: a 64-node ×
+// 8192-trial session of 1024-vote VoteBatch frames folded by a Referee,
+// and the shard of its nodes 0–31 folded by an Aggregator.
 func BenchmarkBatchFold(b *testing.B) {
 	const k, trials, batch = 64, 8192, 1024
 	streams := make([][]byte, k)
 	for n := range streams {
 		streams[n] = benchPayload(n, k, trials, batch)
 	}
+	b.Run("referee", func(b *testing.B) {
+		benchFold(b, streams, trials, func() (*voteSink, func() error) {
+			rf := NewReferee(k, benchRule{thr: k}, Config{Trials: trials})
+			return &rf.voteSink, func() error {
+				if rep, _, _ := rf.Finalize(); rep.MissingVotes != 0 || rep.Stats.Votes != k*trials {
+					return fmt.Errorf("folded %d votes with %d missing, want %d and none", rep.Stats.Votes, rep.MissingVotes, k*trials)
+				}
+				return nil
+			}
+		})
+	})
+	b.Run("aggregator", func(b *testing.B) {
+		benchFold(b, streams[:k/2], trials, func() (*voteSink, func() error) {
+			a := newShardSink(k, 0, k/2, Config{Trials: trials})
+			return &a.voteSink, func() error { return pendingInOrder(a) }
+		})
+	})
+}
+
+// benchFold times b.N folds of streams, each on trials trials, into the
+// sink a fresh session returns, and checks each with the session's check;
+// building and checking a session are untimed.
+func benchFold(b *testing.B, streams [][]byte, trials int, session func() (*voteSink, func() error)) {
 	sf := newStreamFolder()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		rf := NewReferee(k, benchRule{thr: k}, Config{Trials: trials})
+		s, check := session()
 		b.StartTimer()
-		if _, _, err := sf.fold(rf, streams); err != nil {
+		if _, _, err := sf.fold(s, streams); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if rep, _, _ := rf.Finalize(); rep.MissingVotes != 0 || rep.Stats.Votes != k*trials {
-			b.Fatalf("folded %d votes with %d missing, want %d and none", rep.Stats.Votes, rep.MissingVotes, k*trials)
+		if err := check(); err != nil {
+			b.Fatal(err)
 		}
 		b.StartTimer()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(k*trials), "ns/vote")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(streams)*trials), "ns/vote")
 }

@@ -202,13 +202,13 @@ func (nc *NodeClient) deliver(out *frameWriter, bt *batcher, ov *outVote, copies
 		return nil
 	}
 	v := &ov.vote
-	f := &wire.Vote{Trial: v.Trial, Node: v.Node, Reject: v.Reject}
+	out.vote = wire.Vote{Trial: v.Trial, Node: v.Node, Reject: v.Reject}
 	sp := nc.Config.Trace.Start("node.send", ov.parent, trace.A("attempt", attempt))
 	ctx := sp.Context()
 	tc := wire.TraceContext{Trace: uint64(ctx.Trace), Span: uint64(ctx.Span)}
 	var err error
 	for ; copies > 0 && err == nil; copies-- {
-		err = out.frame(f, tc)
+		err = out.frame(&out.vote, tc)
 	}
 	sp.End()
 	return err
@@ -216,11 +216,13 @@ func (nc *NodeClient) deliver(out *frameWriter, bt *batcher, ov *outVote, copies
 
 // frameWriter writes one connection attempt's frames: each is encoded
 // bound to the session into one reused buffer, written at once, and
-// counted in cluster.peer.<id>.sent.
+// counted in cluster.peer.<id>.sent. A per-frame node's Vote frames reuse
+// its one vote, so sending a vote allocates nothing.
 type frameWriter struct {
 	w       io.Writer
 	session uint32
 	buf     []byte
+	vote    wire.Vote
 	sent    *obs.Counter
 }
 

@@ -88,20 +88,26 @@ func (rf *Referee) Serve(l net.Listener) (*Report, error) {
 	return rep, nil
 }
 
-// advance runs the incremental decision for one trial; the sink invokes
-// it under its mutex after every fold — a direct vote or a partial-sum
-// entry — so EarlyDecider short-circuiting fires from partial counts
-// exactly as it does from raw votes.
-func (rf *Referee) advance(trial int) {
-	if rf.decided[trial] {
-		return
-	}
-	switch {
-	case rf.votes[trial] == rf.k:
-		rf.settle(trial, rf.rule.Accept(rf.rejects[trial], rf.k), false)
-	case rf.early != nil:
-		if accept, done := rf.early.Decided(rf.rejects[trial], rf.k-rf.votes[trial]); done {
-			rf.settle(trial, accept, true)
+// advance runs the incremental decision for trials t0 … t0+n−1; the
+// sink invokes it under its mutex on the trials every fold touched — a
+// run batch, a direct vote or a partial-sum entry — so EarlyDecider
+// short-circuiting fires from partial counts exactly as it does from raw
+// votes. Each trial of a range gained exactly one vote, so deciding them
+// in one pass decides each as a call per vote would.
+func (rf *Referee) advance(t0, n int) {
+	decided, votes := rf.decided[t0:t0+n], rf.votes[t0:t0+n]
+	for i := range decided {
+		if decided[i] {
+			continue
+		}
+		t := t0 + i
+		switch {
+		case votes[i] == rf.k:
+			rf.settle(t, rf.rule.Accept(rf.rejects[t], rf.k), false)
+		case rf.early != nil:
+			if accept, done := rf.early.Decided(rf.rejects[t], rf.k-votes[i]); done {
+				rf.settle(t, accept, true)
+			}
 		}
 	}
 }

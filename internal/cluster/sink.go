@@ -19,8 +19,9 @@ import (
 // happens when a trial's tally advances is the owner's business — the
 // referee runs its incremental decision rule (Referee.advance), an
 // aggregator watches for window completion (Aggregator.onComplete) — and
-// the fold calls that method directly under the sink mutex after every
-// vote or partial entry it folds.
+// the fold calls that method directly under the sink mutex on the range
+// of trials it folded: once per run batch, once per other vote or
+// partial entry.
 //
 // A sink terminates the contiguous node-ID window [lo, hi) of a k-node
 // network; the root referee's window is the whole network, an
@@ -46,7 +47,7 @@ type voteSink struct {
 	aggregator *Aggregator
 
 	mu        sync.Mutex
-	voted     []uint64 // (trial, local node) dedup bitset, span*trials bits
+	voted     []uint64 // (local node, trial) dedup bitset, bit local*trials + trial
 	votes     []int    // per-trial votes folded (direct + partial)
 	rejects   []int
 	direct    []bool // local node claimed by a direct leaf Hello
@@ -343,12 +344,23 @@ func (s *voteSink) applyFrame(f wire.Frame, tc wire.TraceContext, node int, agg 
 		if node < 0 {
 			return false, s.violation(wireBytes, "vote batch on aggregator peer")
 		}
+		// One pass checks every row's node and whether the rows are a run:
+		// node's votes on trials t0 … t0+n−1, which the 64-bit difference
+		// keeps from wrapping past MaxUint32.
+		var smuggled uint32
+		var gap uint64
 		for i := range m.Votes {
-			if int(m.Votes[i].Node) != node {
-				return false, s.violation(wireBytes, "batch smuggles node %d on peer %d", m.Votes[i].Node, node)
+			smuggled |= m.Votes[i].Node ^ uint32(node)
+			gap |= uint64(m.Votes[i].Trial) - uint64(m.Votes[0].Trial) - uint64(i)
+		}
+		if smuggled != 0 {
+			for i := range m.Votes {
+				if int(m.Votes[i].Node) != node {
+					return false, s.violation(wireBytes, "batch smuggles node %d on peer %d", m.Votes[i].Node, node)
+				}
 			}
 		}
-		s.applyBatch(m, node, tc, wireBytes)
+		s.applyBatch(m, node, len(m.Votes) > 0 && gap == 0, tc, wireBytes)
 	case *wire.PartialVerdict:
 		if agg == nil || m.Agg != agg.id {
 			return false, s.violation(wireBytes, "partial from agg %d on peer", m.Agg)
@@ -445,11 +457,13 @@ func (s *voteSink) apply(v wire.BatchVote, node int, tc wire.TraceContext, wireB
 	}
 }
 
-// applyBatch folds a whole VoteBatch under one mutex acquisition. When
-// tracing is on, the batch gets an apply span parented on the frame's
-// wire context, and each vote a derived child span — so a batched trace
-// keeps per-vote granularity.
-func (s *voteSink) applyBatch(b *wire.VoteBatch, node int, tc wire.TraceContext, wireBytes int) {
+// applyBatch folds a whole VoteBatch under one mutex acquisition:
+// through foldRunLocked when its rows are a run (see applyFrame), vote by
+// vote when they are not or foldRunLocked declines. When tracing is on,
+// the batch gets an apply span parented on the frame's wire context, and
+// each vote a derived child span — so a batched trace keeps per-vote
+// granularity.
+func (s *voteSink) applyBatch(b *wire.VoteBatch, node int, run bool, tc wire.TraceContext, wireBytes int) {
 	var sp *trace.Span
 	ctx := trace.Context{Trace: trace.ID(tc.Trace), Span: trace.ID(tc.Span)}
 	if s.cfg.Trace.Enabled() {
@@ -462,7 +476,9 @@ func (s *voteSink) applyBatch(b *wire.VoteBatch, node int, tc wire.TraceContext,
 	if !s.closed {
 		s.stats.BatchFrames++
 		s.stats.BatchedVotes += len(b.Votes)
-		s.foldLocked(b.Votes, node)
+		if !run || !s.foldRunLocked(b.Votes, node) {
+			s.foldLocked(b.Votes, node)
+		}
 	}
 	s.mu.Unlock()
 	s.m.batchFill.Observe(int64(len(b.Votes)))
@@ -479,12 +495,11 @@ func (s *voteSink) applyBatch(b *wire.VoteBatch, node int, tc wire.TraceContext,
 }
 
 // foldLocked folds one frame's votes from node in a single loop: per vote
-// the trial range check, the (trial, node) dedup bit, the per-trial sums
-// and the owner's method. Callers hold s.mu and have checked s.closed.
+// the trial range check, the (node, trial) dedup bit, the per-trial sums
+// and the owner's hook. Callers hold s.mu and have checked s.closed.
 func (s *voteSink) foldLocked(votes []wire.BatchVote, node int) {
-	local, span, trials := uint(node-s.lo), uint(s.span), uint(s.cfg.Trials)
+	base, trials := uint(node-s.lo)*uint(s.cfg.Trials), uint(s.cfg.Trials)
 	voted, counts, rejects := s.voted, s.votes, s.rejects
-	rf, agg := s.referee, s.aggregator
 	folded, dups, bad := 0, 0, 0
 	for i := range votes {
 		v := &votes[i]
@@ -493,7 +508,7 @@ func (s *voteSink) foldLocked(votes []wire.BatchVote, node int) {
 			bad++
 			continue
 		}
-		idx := trial*span + local
+		idx := base + trial
 		if voted[idx/64]&(1<<(idx%64)) != 0 {
 			dups++
 			continue
@@ -504,20 +519,87 @@ func (s *voteSink) foldLocked(votes []wire.BatchVote, node int) {
 			rejects[trial]++
 		}
 		folded++
-		if rf != nil {
-			rf.advance(int(trial))
-		} else {
-			agg.onComplete(int(trial))
-		}
+		s.advanceLocked(int(trial), 1)
 	}
 	s.stats.DuplicateVotes += dups
 	s.m.votesDup.Add(int64(dups))
 	s.tallyLocked(folded, bad)
 }
 
+// foldRunLocked folds a run, node's votes on trials t0 … t0+n−1, as one
+// range when it lies inside [0, Trials) and none of its dedup bits is
+// set: it claims the bits a 64-bit word at a time, adds to the per-trial
+// sums in one branch-free loop and calls the owner's hook once.
+// It reports whether it folded; on false it changed nothing, and the
+// caller folds the run vote by vote, which counts its duplicates and
+// out-of-range trials exactly. Callers hold s.mu and have checked
+// s.closed.
+func (s *voteSink) foldRunLocked(votes []wire.BatchVote, node int) bool {
+	t0, n := int(votes[0].Trial), len(votes)
+	if t0+n > s.cfg.Trials {
+		return false
+	}
+	lo := (node-s.lo)*s.cfg.Trials + t0
+	if !claimBits(s.voted, lo, lo+n) {
+		return false
+	}
+	counts, rejects := s.votes[t0:t0+n], s.rejects[t0:t0+n]
+	for i := range votes {
+		counts[i]++
+		rejects[i] += b2i(votes[i].Reject)
+	}
+	s.tallyLocked(n, 0)
+	s.advanceLocked(t0, n)
+	return true
+}
+
+// advanceLocked hands trials t0 … t0+n−1, just folded into, to the
+// owner. Callers hold s.mu.
+func (s *voteSink) advanceLocked(t0, n int) {
+	if s.referee != nil {
+		s.referee.advance(t0, n)
+	} else {
+		s.aggregator.onComplete(t0, n)
+	}
+}
+
+// b2i is 1 for true and 0 for false. It compiles to a zero-extending byte
+// load, which keeps foldRunLocked's sum loop free of branches.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// claimBits sets bits [lo, hi) of a bitset, lo < hi, if none of them is
+// set, and reports whether it did. It tests and then sets them a 64-bit
+// word at a time.
+func claimBits(bits []uint64, lo, hi int) bool {
+	first, last := lo/64, (hi-1)/64
+	head, tail := ^uint64(0)<<(lo%64), ^uint64(0)>>(63-(hi-1)%64)
+	if first == last {
+		head &= tail
+		tail = head
+	}
+	acc := bits[first]&head | bits[last]&tail
+	for i := first + 1; i < last; i++ {
+		acc |= bits[i]
+	}
+	if acc != 0 {
+		return false
+	}
+	bits[first] |= head
+	for i := first + 1; i < last; i++ {
+		bits[i] = ^uint64(0)
+	}
+	bits[last] |= tail
+	return true
+}
+
 // tallyLocked adds one frame's folded votes and out-of-range entries to
 // the stats and counters, and refreshes the dedup_occupancy gauge — the
-// set fraction of the (trial, node) dedup bitset, a live progress probe
+// set fraction of the (node, trial) dedup bitset, a live progress probe
 // for the export server — once per frame. Callers hold s.mu.
 func (s *voteSink) tallyLocked(folded, bad int) {
 	s.stats.Votes += folded
@@ -565,11 +647,7 @@ func (s *voteSink) applyPartial(pv *wire.PartialVerdict, peer *aggPeer, tc wire.
 			s.votes[trial] += int(e.Votes)
 			s.rejects[trial] += int(e.Rejects)
 			folded += int(e.Votes)
-			if s.referee != nil {
-				s.referee.advance(trial)
-			} else {
-				s.aggregator.onComplete(trial)
-			}
+			s.advanceLocked(trial, 1)
 		}
 		s.stats.PartialVotes += folded
 		s.stats.DuplicatePartials += dups

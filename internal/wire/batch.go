@@ -61,14 +61,9 @@ type VoteBatch struct {
 
 func (VoteBatch) Type() byte { return TypeVoteBatch }
 
-// colVal returns column c of a batch tuple, in payload order: trial, then
-// node.
-func colVal(v *BatchVote, c int) uint32 {
-	if c == 0 {
-		return v.Trial
-	}
-	return v.Node
-}
+// voteTrial and voteNode are a batch's columns, in payload order.
+func voteTrial(v *BatchVote) uint32 { return v.Trial }
+func voteNode(v *BatchVote) uint32  { return v.Node }
 
 // zigzag maps a signed delta to an unsigned varint-friendly value
 // (0,-1,1,-2,... → 0,1,2,3,...); unzigzag inverts it. Both are bijections,
@@ -99,11 +94,14 @@ func readUvarint(p []byte, off int) (uint64, int, error) {
 	return v, off + n, nil
 }
 
-func appendColumn(dst []byte, votes []BatchVote, c int) []byte {
-	prev := int64(colVal(&votes[0], c))
+// appendColumn appends the column val(&rows[0]), val(&rows[1]), … in
+// the delta encoding decodeColumn reads; it is the one column encoder of
+// VoteBatch, PartialVerdict and SessionReport.
+func appendColumn[R any](dst []byte, rows []R, val func(*R) uint32) []byte {
+	prev := int64(val(&rows[0]))
 	dst = binary.AppendUvarint(dst, uint64(prev))
-	for i := 1; i < len(votes); i++ {
-		v := int64(colVal(&votes[i], c))
+	for i := 1; i < len(rows); i++ {
+		v := int64(val(&rows[i]))
 		dst = binary.AppendUvarint(dst, zigzag(v-prev))
 		prev = v
 	}
@@ -153,7 +151,7 @@ func (b VoteBatch) appendPayload(dst []byte) []byte {
 		dst = append(binary.AppendUvarint(dst, uint64(b.Votes[0].Trial)), runTrialDeltas[:n-1]...)
 		dst = append(binary.AppendUvarint(dst, uint64(b.Votes[0].Node)), runNodeDeltas[:n-1]...)
 	} else {
-		dst = appendColumn(appendColumn(dst, b.Votes, 0), b.Votes, 1)
+		dst = appendColumn(appendColumn(dst, b.Votes, voteTrial), b.Votes, voteNode)
 	}
 	var bits byte
 	for i := range b.Votes {

@@ -249,7 +249,7 @@ func TestVoteBatchRunEncoding(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("run payload %x, want %x", got, want)
 	}
-	cols := appendColumn(appendColumn([]byte{0x00, 10}, run, 0), run, 1)
+	cols := appendColumn(appendColumn([]byte{0x00, 10}, run, voteTrial), run, voteNode)
 	if !bytes.Equal(cols, want[:len(want)-2]) {
 		t.Fatalf("column encoder writes %x, run form %x", cols, want[:len(want)-2])
 	}

@@ -98,39 +98,12 @@ func (h *AggHello) decodePayload(p []byte) error {
 	return nil
 }
 
-// partialVal returns column c of a partial entry, in payload order:
-// trial, votes, rejects.
-func partialVal(e *PartialEntry, c int) uint32 {
-	switch c {
-	case 0:
-		return e.Trial
-	case 1:
-		return e.Votes
-	default:
-		return e.Rejects
-	}
-}
-
-// appendPartialColumn writes column c in the shared delta encoding (see
-// decodeColumn).
-func appendPartialColumn(dst []byte, es []PartialEntry, c int) []byte {
-	prev := int64(partialVal(&es[0], c))
-	dst = binary.AppendUvarint(dst, uint64(prev))
-	for i := 1; i < len(es); i++ {
-		v := int64(partialVal(&es[i], c))
-		dst = binary.AppendUvarint(dst, zigzag(v-prev))
-		prev = v
-	}
-	return dst
-}
-
 func (p PartialVerdict) appendPayload(dst []byte) []byte {
 	dst = append(binary.BigEndian.AppendUint32(dst, p.Agg), 0)
 	dst = binary.AppendUvarint(dst, uint64(len(p.Entries)))
-	for c := 0; c < 3; c++ {
-		dst = appendPartialColumn(dst, p.Entries, c)
-	}
-	return dst
+	dst = appendColumn(dst, p.Entries, func(e *PartialEntry) uint32 { return e.Trial })
+	dst = appendColumn(dst, p.Entries, func(e *PartialEntry) uint32 { return e.Votes })
+	return appendColumn(dst, p.Entries, func(e *PartialEntry) uint32 { return e.Rejects })
 }
 
 // decodePayload parses a partial payload, decoding its delta columns into

@@ -190,19 +190,6 @@ func (r *SessionReject) decodePayload(p []byte) error {
 	return nil
 }
 
-// appendReportColumn writes one report column in the shared delta
-// encoding (see decodeColumn).
-func appendReportColumn(dst []byte, vals []uint32) []byte {
-	prev := int64(vals[0])
-	dst = binary.AppendUvarint(dst, uint64(prev))
-	for i := 1; i < len(vals); i++ {
-		v := int64(vals[i])
-		dst = binary.AppendUvarint(dst, zigzag(v-prev))
-		prev = v
-	}
-	return dst
-}
-
 func (r SessionReport) appendPayload(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, r.Session)
 	dst = binary.BigEndian.AppendUint32(dst, r.K)
@@ -217,9 +204,10 @@ func (r SessionReport) appendPayload(dst []byte) []byte {
 			dst[base+i>>3] |= 1 << (i & 7)
 		}
 	}
-	dst = appendReportColumn(dst, r.Rejects)
-	dst = appendReportColumn(dst, r.Votes)
-	return appendReportColumn(dst, r.Missing)
+	for _, col := range [][]uint32{r.Rejects, r.Votes, r.Missing} {
+		dst = appendColumn(dst, col, func(v *uint32) uint32 { return *v })
+	}
+	return dst
 }
 
 func (r *SessionReport) decodePayload(p []byte) error {
