@@ -116,37 +116,32 @@ func run(args []string, stdout io.Writer) error {
 	// default table-rendering path stays zero-overhead.
 	prov := obs.CollectProvenance("unifbench", mode.String(), *seedFlag, args)
 	prov.Workers = *workersFlag
-	rec := &obs.Recorder{}
-	if *jsonFlag {
-		rec.Registry = obs.NewRegistry()
+	var (
+		reg     *obs.Registry
+		journal *obs.Journal
+	)
+	if *jsonFlag || *journalFlag != "" || *obsAddr != "" {
+		reg = obs.NewRegistry()
 	}
 	if *journalFlag != "" {
-		journal, err := obs.OpenJournal(*journalFlag)
-		if err != nil {
+		var err error
+		if journal, err = obs.OpenJournal(*journalFlag); err != nil {
 			return err
 		}
 		defer journal.Close()
-		rec.Journal = journal
-		if rec.Reg() == nil {
-			rec.Registry = obs.NewRegistry()
-		}
 		journal.Write(struct {
 			Kind       string         `json:"kind"`
 			Provenance obs.Provenance `json:"provenance"`
 		}{Kind: "run_start", Provenance: prov})
 	}
 	if *obsAddr != "" {
-		if rec.Reg() == nil {
-			rec.Registry = obs.NewRegistry()
-		}
 		// Copy the provenance by value: the run loop fills in WallMS later
 		// while /runz handlers may be reading.
 		provCopy := prov
-		obsReg := rec.Reg()
-		srv := export.New(obsReg, export.WithRunz(func() any {
+		srv := export.New(reg, export.WithRunz(func() any {
 			return map[string]any{
 				"provenance": provCopy,
-				"metrics":    obsReg.Snapshot(),
+				"metrics":    reg.Snapshot(),
 			}
 		}))
 		bound, err := srv.Start(*obsAddr)
@@ -157,14 +152,11 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(os.Stderr, "unifbench: obs server listening on http://%s\n", bound)
 		obsReady(bound)
 	}
-	if !rec.Enabled() {
-		rec = nil
-	}
 
 	start := time.Now()
 	var results []experimentResult
 	for _, e := range selected {
-		ctx := &experiment.RunContext{Mode: mode, Seed: *seedFlag, Workers: *workersFlag, Obs: rec}
+		ctx := &experiment.RunContext{Mode: mode, Seed: *seedFlag, Workers: *workersFlag, Obs: reg, Journal: journal}
 		res, err := e.Execute(ctx)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
@@ -202,14 +194,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 	prov.WallMS = float64(time.Since(start).Microseconds()) / 1e3
 
-	if j := rec.Jour(); j != nil {
-		j.Write(struct {
-			Kind   string  `json:"kind"`
-			WallMS float64 `json:"wall_ms"`
-		}{Kind: "run_end", WallMS: prov.WallMS})
-		if err := j.Err(); err != nil {
-			return err
-		}
+	journal.Write(struct {
+		Kind   string  `json:"kind"`
+		WallMS float64 `json:"wall_ms"`
+	}{Kind: "run_end", WallMS: prov.WallMS})
+	if err := journal.Err(); err != nil {
+		return err
 	}
 
 	if *jsonFlag {
@@ -217,10 +207,8 @@ func run(args []string, stdout io.Writer) error {
 			Provenance: prov,
 			Results:    map[string]any{"experiments": results},
 		}
-		if rec != nil {
-			snap := rec.Reg().Snapshot()
-			doc.Metrics = &snap
-		}
+		snap := reg.Snapshot()
+		doc.Metrics = &snap
 		if err := doc.WriteJSON(stdout); err != nil {
 			return err
 		}

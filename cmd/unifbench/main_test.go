@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/unifdist/unifdist/internal/experiment"
+	"github.com/unifdist/unifdist/internal/obs"
 )
 
 func TestRunList(t *testing.T) {
@@ -134,6 +137,92 @@ func TestRunJSONDocument(t *testing.T) {
 	if kinds["sim_round"] == 0 || kinds["sim_run_end"] == 0 {
 		t.Errorf("no per-round simnet events: %v", kinds)
 	}
+}
+
+// TestEachSinkAlone attaches one telemetry sink at a time to E6, whose
+// simulations take the SimTracer path, and E10, which sets Network.Obs:
+// -json alone (a registry, no journal), -journal alone and -obs-addr
+// alone. Each run's tables must be the plain run's, timing lines and
+// telemetry notes aside, and what the sink wrote must parse.
+func TestEachSinkAlone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	runWith := func(t *testing.T, flags ...string) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := run(append(flags, "-run", "E6,E10", "-seed", "3"), &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	want := tableText(runWith(t))
+
+	t.Run("json", func(t *testing.T) {
+		var doc struct {
+			Results struct {
+				Experiments []experiment.Table `json:"experiments"`
+			} `json:"results"`
+			Metrics *obs.Snapshot `json:"metrics"`
+		}
+		if err := json.Unmarshal([]byte(runWith(t, "-json")), &doc); err != nil {
+			t.Fatalf("document not parseable: %v", err)
+		}
+		if doc.Metrics == nil || doc.Metrics.Counters["experiment.runs"] != 2 {
+			t.Errorf("run-level metrics = %+v", doc.Metrics)
+		}
+		var text strings.Builder
+		for _, tbl := range doc.Results.Experiments {
+			if err := tbl.Render(&text); err != nil {
+				t.Fatal(err)
+			}
+			text.WriteString("\n")
+		}
+		if got := tableText(text.String()); got != want {
+			t.Errorf("document tables differ from the plain run:\n%s\nwant:\n%s", got, want)
+		}
+	})
+	t.Run("journal", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		if got := tableText(runWith(t, "-journal", path)); got != want {
+			t.Errorf("tables differ from the plain run:\n%s\nwant:\n%s", got, want)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := map[string]int{}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			var ev struct {
+				Kind string `json:"kind"`
+			}
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("bad journal line %q: %v", line, err)
+			}
+			kinds[ev.Kind]++
+		}
+		if kinds["run_end"] != 1 || kinds["experiment_end"] != 2 || kinds["sim_round"] == 0 {
+			t.Errorf("journal kinds = %v", kinds)
+		}
+	})
+	t.Run("obs-addr", func(t *testing.T) {
+		if got := tableText(runWith(t, "-obs-addr", "127.0.0.1:0")); got != want {
+			t.Errorf("tables differ from the plain run:\n%s\nwant:\n%s", got, want)
+		}
+	})
+}
+
+// tableText drops the lines of rendered output that vary with timing or
+// with the attached telemetry: "completed in" lines and telemetry notes.
+func tableText(out string) string {
+	var kept []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, " completed in ") || strings.HasPrefix(line, "note: telemetry: ") {
+			continue
+		}
+		kept = append(kept, line)
+	}
+	return strings.Join(kept, "\n")
 }
 
 func TestRunProfiles(t *testing.T) {

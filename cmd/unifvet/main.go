@@ -3,10 +3,9 @@
 //
 //	go run ./cmd/unifvet ./...
 //	go run ./cmd/unifvet -json ./... > vet.json
-//	go run ./cmd/unifvet -fix ./...
 //	go run ./cmd/unifvet -sarif unifvet.sarif ./...
 //
-// The nine analyzers — detrand, wallclock, maporder, sharedrng, obsnil,
+// The eight analyzers — detrand, wallclock, maporder, sharedrng,
 // framecap, votepure, lockio, qlifecycle — enforce the invariants the
 // benchmark harness's byte-for-byte reproducibility and the cluster
 // runtime's wire-protocol/concurrency contracts rest on; see DESIGN.md
@@ -14,21 +13,17 @@
 // `//unifvet:allow <analyzer>[,<analyzer>…] <reason>` on the offending
 // line or the line above; the reason is mandatory.
 //
-// -fix applies the suggested fixes analyzers attach to mechanical findings
-// (currently obsnil's field-read → accessor rewrite) and reports what it
-// changed; findings without a fix are printed and still fail the run. The
-// rewrite is idempotent: a second -fix run on the result changes nothing.
-//
 // -sarif writes the findings as a SARIF 2.1.0 log to the given path ("-"
 // for stdout) for GitHub code scanning upload, alongside the normal output.
 //
 // Exit status: 0 when clean, 1 when any finding (or malformed directive)
-// is reported, 2 when packages fail to load. With -json the findings are
-// embedded in the shared obs run-document envelope (the same schema
-// emitted by unifbench/congestsim/gaptest -json) together with a "counts"
-// map carrying an explicit — possibly zero — entry per analyzer, so CI
-// tooling parses one format for experiments, benchmarks, and lint results
-// alike and can chart per-analyzer trends without guessing at absent keys.
+// is reported, 2 when a flag is undefined or packages fail to load. With
+// -json the findings are embedded in the shared obs run-document envelope
+// (the same schema emitted by unifbench/congestsim/gaptest -json) together
+// with a "counts" map carrying an explicit — possibly zero — entry per
+// analyzer, so CI tooling parses one format for experiments, benchmarks,
+// and lint results alike and can chart per-analyzer trends without
+// guessing at absent keys.
 package main
 
 import (
@@ -57,7 +52,6 @@ func run(args []string, dir string, stdout io.Writer) (int, error) {
 	fs := flag.NewFlagSet("unifvet", flag.ContinueOnError)
 	jsonFlag := fs.Bool("json", false, "emit findings as an obs run-document JSON")
 	listFlag := fs.Bool("analyzers", false, "list the analyzer suite and exit")
-	fixFlag := fs.Bool("fix", false, "apply suggested fixes to the source tree")
 	sarifFlag := fs.String("sarif", "", "write findings as SARIF 2.1.0 to this path (\"-\" for stdout)")
 	if err := fs.Parse(args); err != nil {
 		return 2, err
@@ -81,23 +75,6 @@ func run(args []string, dir string, stdout io.Writer) (int, error) {
 	diags, err := analysis.RunAnalyzers(pkgs, analyzers)
 	if err != nil {
 		return 2, err
-	}
-
-	if *fixFlag {
-		res, err := analysis.ApplyFixes(diags)
-		if err != nil {
-			return 2, err
-		}
-		for _, f := range res.Files {
-			fmt.Fprintf(stdout, "fixed %s\n", f)
-		}
-		for _, d := range res.Remaining {
-			fmt.Fprintln(stdout, d.String())
-		}
-		if len(res.Remaining) > 0 {
-			return 1, nil
-		}
-		return 0, nil
 	}
 
 	if *sarifFlag != "" {

@@ -169,7 +169,7 @@ func TestAnalyzersFlag(t *testing.T) {
 		t.Fatalf("run: code=%d err=%v", code, err)
 	}
 	for _, name := range []string{
-		"detrand", "wallclock", "maporder", "sharedrng", "obsnil",
+		"detrand", "wallclock", "maporder", "sharedrng",
 		"framecap", "votepure", "lockio", "qlifecycle",
 	} {
 		if !strings.Contains(buf.String(), name) {
@@ -178,110 +178,17 @@ func TestAnalyzersFlag(t *testing.T) {
 	}
 }
 
-// writeTempModuleFiles lays down a module from a path→contents map.
-func writeTempModuleFiles(t *testing.T, files map[string]string) string {
-	t.Helper()
-	dir := t.TempDir()
-	files["go.mod"] = "module tmpvet\n\ngo 1.22\n"
-	for name, src := range files {
-		path := filepath.Join(dir, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
-}
-
-const fixObsStub = `package obs
-
-type Journal struct{}
-
-func (j *Journal) Write(e any) {}
-
-type Recorder struct{ Journal *Journal }
-
-func (r *Recorder) Jour() *Journal {
-	if r == nil {
-		return nil
-	}
-	return r.Journal
-}
-`
-
-// TestFixMode golden-tests -fix end to end: an obsnil field read is
-// rewritten to the nil-safe accessor, the run exits 0 because every
-// finding carried a fix, and a second run is a no-op (idempotent).
-func TestFixMode(t *testing.T) {
-	dir := writeTempModuleFiles(t, map[string]string{
-		"obs/obs.go": fixObsStub,
-		"main.go": `package main
-
-import "tmpvet/obs"
-
-func main() {
-	rec := &obs.Recorder{}
-	rec.Journal.Write("event")
-}
-`,
-	})
-	var buf bytes.Buffer
-	code, err := run([]string{"-fix", "./..."}, dir, &buf)
-	if err != nil {
-		t.Fatalf("unifvet -fix: %v", err)
-	}
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0 (all findings fixable); output:\n%s", code, buf.String())
-	}
-	got, err := os.ReadFile(filepath.Join(dir, "main.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := `package main
-
-import "tmpvet/obs"
-
-func main() {
-	rec := &obs.Recorder{}
-	rec.Jour().Write("event")
-}
-`
-	if string(got) != golden {
-		t.Fatalf("-fix result:\n%s\nwant:\n%s", got, golden)
-	}
-	// Idempotency: the fixed tree is clean, so a second -fix changes nothing.
-	buf.Reset()
-	code, err = run([]string{"-fix", "./..."}, dir, &buf)
-	if err != nil || code != 0 {
-		t.Fatalf("second -fix: code=%d err=%v\n%s", code, err, buf.String())
-	}
-	again, _ := os.ReadFile(filepath.Join(dir, "main.go"))
-	if string(again) != golden {
-		t.Fatalf("-fix is not idempotent:\n%s", again)
-	}
-}
-
-// TestFixModeUnfixable verifies findings without a suggested fix survive
-// -fix and keep the exit code at 1.
-func TestFixModeUnfixable(t *testing.T) {
+// TestRetiredFixFlag checks that -fix is refused as an undefined flag:
+// no analyzer attaches a rewrite, so there is nothing for it to apply.
+func TestRetiredFixFlag(t *testing.T) {
 	dir := writeTempModule(t, `package main
 
-import "math/rand"
-
-func main() { _ = rand.Intn(6) }
+func main() {}
 `)
 	var buf bytes.Buffer
 	code, err := run([]string{"-fix", "./..."}, dir, &buf)
-	if err != nil {
-		t.Fatalf("unifvet -fix: %v", err)
-	}
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1 (unfixable finding remains)", code)
-	}
-	if !strings.Contains(buf.String(), "[detrand]") {
-		t.Fatalf("remaining finding not printed:\n%s", buf.String())
+	if code != 2 || err == nil || err.Error() != "flag provided but not defined: -fix" {
+		t.Fatalf("unifvet -fix: code=%d err=%v, want 2 and an undefined-flag error", code, err)
 	}
 }
 
@@ -367,7 +274,7 @@ func main() { _ = rand.Intn(6) }
 		t.Fatalf("decode run document: %v", err)
 	}
 	want := []string{
-		"detrand", "wallclock", "maporder", "sharedrng", "obsnil",
+		"detrand", "wallclock", "maporder", "sharedrng",
 		"framecap", "votepure", "lockio", "qlifecycle", "directive",
 	}
 	if len(doc.Results.Counts) != len(want) {

@@ -10,10 +10,9 @@
 // — byte-identical experiment tables at any worker count — rests on
 // invariants no compiler checks: all randomness flows through internal/rng,
 // trial paths never read the wall clock, map iteration order never reaches
-// a table or JSON document, generators are never shared across goroutines,
-// and telemetry always goes through the nil-safe obs accessors. Each
-// invariant has a dedicated analyzer; see DESIGN.md §3.8 for the rules
-// table.
+// a table or JSON document, and generators are never shared across
+// goroutines. Each invariant has a dedicated analyzer; see DESIGN.md §3.8
+// for the rules table.
 package analysis
 
 import (
@@ -54,14 +53,6 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportfFix(pos, nil, format, args...)
-}
-
-// ReportfFix records a diagnostic at pos carrying a suggested fix. Fixes
-// must be mechanical and semantics-preserving: `cmd/unifvet -fix` applies
-// them verbatim, so an analyzer only attaches one when the rewrite is
-// provably equivalent (e.g. obsnil's field-read → nil-safe-accessor swap).
-func (p *Pass) ReportfFix(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	p.diags = append(p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
@@ -70,7 +61,6 @@ func (p *Pass) ReportfFix(pos token.Pos, fix *SuggestedFix, format string, args 
 		Col:      position.Column,
 		Message:  fmt.Sprintf(format, args...),
 		Package:  p.Path,
-		Fix:      fix,
 	})
 }
 
@@ -83,34 +73,6 @@ type Diagnostic struct {
 	Col      int    `json:"col"`
 	Message  string `json:"message"`
 	Package  string `json:"package,omitempty"`
-	// Fix, when non-nil, is a mechanical rewrite that resolves the finding;
-	// cmd/unifvet -fix applies it.
-	Fix *SuggestedFix `json:"suggested_fix,omitempty"`
-}
-
-// A TextEdit replaces the bytes [Start, End) of File with New. Offsets are
-// byte offsets into the file as parsed (token.Position.Offset).
-type TextEdit struct {
-	File  string `json:"file"`
-	Start int    `json:"start"`
-	End   int    `json:"end"`
-	New   string `json:"new"`
-}
-
-// A SuggestedFix is one mechanical rewrite resolving a finding.
-type SuggestedFix struct {
-	Message string     `json:"message"`
-	Edits   []TextEdit `json:"edits"`
-}
-
-// Edit builds the single-edit fix replacing [pos, end) with new text.
-func (p *Pass) Edit(pos, end token.Pos, msg, new string) *SuggestedFix {
-	start := p.Fset.Position(pos)
-	stop := p.Fset.Position(end)
-	return &SuggestedFix{
-		Message: msg,
-		Edits:   []TextEdit{{File: start.Filename, Start: start.Offset, End: stop.Offset, New: new}},
-	}
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -119,15 +81,14 @@ func (d Diagnostic) String() string {
 }
 
 // All returns the full unifvet analyzer suite in reporting order. The
-// first five guard the simulation/trial invariants (PR 3); the last four
-// guard the cluster runtime's wire-protocol and concurrency contracts.
+// first four guard the simulation/trial invariants; the last four guard
+// the cluster runtime's wire-protocol and concurrency contracts.
 func All() []*Analyzer {
 	return []*Analyzer{
 		DetRand,
 		WallClock,
 		MapOrder,
 		SharedRNG,
-		ObsNil,
 		FrameCap,
 		VotePure,
 		LockIO,
@@ -204,7 +165,7 @@ func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 // NamedFrom reports whether t is the named type `name` declared in a
 // package whose import path ends with the segment pkgSeg, unwrapping one
 // level of pointer. This is how analyzers recognize rng.RNG and
-// obs.Recorder across the real tree and fixture stubs.
+// wire.Reader across the real tree and fixture stubs.
 func NamedFrom(t types.Type, pkgSeg, name string) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()

@@ -11,7 +11,7 @@
 // suppressed-case fixtures verify the directive machinery end to end.
 //
 // Fixture imports resolve in two steps: a path with a directory under
-// testdata/src (e.g. "rng", "obs") loads that fixture package recursively;
+// testdata/src (e.g. "rng", "wire") loads that fixture package recursively;
 // anything else is treated as a standard-library import and satisfied from
 // gc export data via one `go list -export -deps -json` call per run.
 package analysistest

@@ -18,14 +18,6 @@ import (
 // finding, so `unifvet` output stays the audit trail for every exemption.
 const DirectivePrefix = "//unifvet:allow"
 
-// An Allow is one parsed suppression directive.
-type Allow struct {
-	File     string
-	Line     int
-	Analyzer string
-	Reason   string
-}
-
 // Allows indexes suppression directives by file and line for filtering.
 type Allows struct {
 	byLine map[string]map[int]map[string]bool // file → line → analyzer

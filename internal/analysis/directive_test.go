@@ -180,7 +180,7 @@ func TestHasPathSegment(t *testing.T) {
 func TestSortDiagnosticsDeterministic(t *testing.T) {
 	diags := []Diagnostic{
 		{File: "b.go", Line: 1, Col: 1, Analyzer: "maporder"},
-		{File: "a.go", Line: 9, Col: 2, Analyzer: "obsnil"},
+		{File: "a.go", Line: 9, Col: 2, Analyzer: "sharedrng"},
 		{File: "a.go", Line: 9, Col: 2, Analyzer: "detrand"},
 		{File: "a.go", Line: 2, Col: 5, Analyzer: "wallclock"},
 	}
@@ -189,7 +189,7 @@ func TestSortDiagnosticsDeterministic(t *testing.T) {
 	for i, d := range diags {
 		order[i] = d.File + "/" + d.Analyzer
 	}
-	want := []string{"a.go/wallclock", "a.go/detrand", "a.go/obsnil", "b.go/maporder"}
+	want := []string{"a.go/wallclock", "a.go/detrand", "a.go/sharedrng", "b.go/maporder"}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)

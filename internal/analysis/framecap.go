@@ -2,26 +2,29 @@ package analysis
 
 import (
 	"go/ast"
-	"go/types"
 	"strings"
 )
 
 // FrameCap enforces the wire-protocol encoding discipline in the cluster
-// runtime: every []byte that reaches a connection — a Write on a
-// net.Conn/io.Writer, or a send/Enqueue into a send queue — must have been
-// produced by a wire-package constructor (wire.AppendSession,
-// AppendPartialSession, AppendSessionReport, BatchEncoder.AppendSession).
-// Those constructors are where the typed per-frame-type size caps
-// (wire.FrameCap, the cluster analogue of the CONGEST per-edge bandwidth
-// limit) are enforced; a hand-rolled byte slice pushed at the transport
-// bypasses the cap and the canonical encoding both. Packages with a
-// "wire" path segment are exempt — they implement the constructors — as
-// are _test.go files.
+// runtime: every []byte written to a connection (a Write on a
+// net.Conn/io.Writer) must have been produced by a wire-package constructor
+// (wire.AppendSession, AppendPartialSession, AppendSessionReport,
+// BatchEncoder.AppendSession). Those constructors are where the typed
+// per-frame-type size caps (wire.FrameCap, the cluster analogue of the
+// CONGEST per-edge bandwidth limit) are enforced; a hand-rolled byte slice
+// pushed at the transport bypasses the cap and the canonical encoding
+// both. Packages with a "wire" path segment are exempt — they implement
+// the constructors — as are _test.go files.
 var FrameCap = &Analyzer{
 	Name: "framecap",
-	Doc:  "require bytes written to conns/send queues in cluster packages to come from wire.Append* constructors",
+	Doc:  "require bytes written to conns in cluster packages to come from wire.Append* constructors",
 	Run:  runFrameCap,
 }
+
+const (
+	frameHandRolled = "hand-rolled frame bytes reach the connection write: build frames with wire.AppendSession/AppendPartialSession/BatchEncoder.AppendSession so the per-type frame cap (wire.FrameCap) applies"
+	frameUnknown    = "byte slice of unknown origin reaches the connection write: frames must flow through wire.AppendSession/AppendPartialSession/BatchEncoder.AppendSession so the per-type frame cap (wire.FrameCap) applies"
+)
 
 func runFrameCap(pass *Pass) error {
 	if !HasPathSegment(pass.Path, "cluster") || HasPathSegment(pass.Path, "wire") {
@@ -48,8 +51,8 @@ func runFrameCap(pass *Pass) error {
 	return nil
 }
 
-// checkFrameCapFunc scans one function body for transport sinks and traces
-// each sink's byte-slice argument back to its producing expression.
+// checkFrameCapFunc scans one function body for connection writes and
+// traces each write's byte-slice argument back to its producing expression.
 func checkFrameCapFunc(pass *Pass, body *ast.BlockStmt) {
 	o := trackOrigins(pass.TypesInfo, body)
 	walkSameFunc(body, func(n ast.Node) {
@@ -57,13 +60,13 @@ func checkFrameCapFunc(pass *Pass, body *ast.BlockStmt) {
 		if !ok {
 			return
 		}
-		arg, sink := frameSinkArg(pass, call)
+		arg := frameSinkArg(pass, call)
 		if arg == nil {
 			return
 		}
 		resolved := o.resolve(arg)
 		if len(resolved) == 0 {
-			pass.Reportf(arg.Pos(), "byte slice of unknown origin reaches %s: frames must flow through wire.AppendSession/AppendPartialSession/BatchEncoder.AppendSession so the per-type frame cap (wire.FrameCap) applies", sink)
+			pass.Reportf(arg.Pos(), frameUnknown)
 			return
 		}
 		for _, origin := range resolved {
@@ -71,56 +74,32 @@ func checkFrameCapFunc(pass *Pass, body *ast.BlockStmt) {
 			switch x := origin.(type) {
 			case *ast.CallExpr:
 				if !frameConstructor(pass, x) {
-					pass.Reportf(origin.Pos(), "hand-rolled frame bytes reach %s: build frames with wire.AppendSession/AppendPartialSession/BatchEncoder.AppendSession so the per-type frame cap (wire.FrameCap) applies", sink)
+					pass.Reportf(origin.Pos(), frameHandRolled)
 				}
 			case *ast.CompositeLit, *ast.BasicLit:
-				pass.Reportf(origin.Pos(), "hand-rolled frame bytes reach %s: build frames with wire.AppendSession/AppendPartialSession/BatchEncoder.AppendSession so the per-type frame cap (wire.FrameCap) applies", sink)
+				pass.Reportf(origin.Pos(), frameHandRolled)
 			default:
-				pass.Reportf(origin.Pos(), "byte slice of unknown origin reaches %s: frames must flow through wire.AppendSession/AppendPartialSession/BatchEncoder.AppendSession so the per-type frame cap (wire.FrameCap) applies", sink)
+				pass.Reportf(origin.Pos(), frameUnknown)
 			}
 		}
 	})
 }
 
-// frameSinkArg classifies call as a transport sink and returns its
-// byte-slice argument: Write on a net.Conn/io.Writer receiver, or a
-// send/Enqueue method taking []byte (the send-queue surface). Returns
-// (nil, "") for anything else.
-func frameSinkArg(pass *Pass, call *ast.CallExpr) (ast.Expr, string) {
+// frameSinkArg returns call's byte-slice argument when call is a Write on
+// a net.Conn, *net.TCPConn or io.Writer receiver, and nil otherwise.
+func frameSinkArg(pass *Pass, call *ast.CallExpr) ast.Expr {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil, ""
+	if !ok || sel.Sel.Name != "Write" || len(call.Args) != 1 {
+		return nil
 	}
-	recvType := func() types.Type {
-		tv, ok := pass.TypesInfo.Types[sel.X]
-		if !ok {
-			return nil
-		}
-		return tv.Type
+	tv, ok := pass.TypesInfo.Types[sel.X]
+	if !ok || !(NamedFrom(tv.Type, "net", "Conn") || NamedFrom(tv.Type, "io", "Writer") || NamedFrom(tv.Type, "net", "TCPConn")) {
+		return nil
 	}
-	switch sel.Sel.Name {
-	case "Write":
-		t := recvType()
-		if t == nil || !(NamedFrom(t, "net", "Conn") || NamedFrom(t, "io", "Writer") || NamedFrom(t, "net", "TCPConn")) {
-			return nil, ""
-		}
-		if len(call.Args) != 1 || !byteSliceType(pass.TypesInfo.Types[call.Args[0]].Type) {
-			return nil, ""
-		}
-		return call.Args[0], "the connection write"
-	case "send", "Enqueue":
-		// Same-package queue surface: a method taking a []byte first arg.
-		obj := pass.TypesInfo.Uses[sel.Sel]
-		if obj == nil || obj.Pkg() == nil || obj.Pkg() != pass.Pkg {
-			return nil, ""
-		}
-		for _, a := range call.Args {
-			if tv, ok := pass.TypesInfo.Types[a]; ok && byteSliceType(tv.Type) {
-				return a, "the send queue"
-			}
-		}
+	if !byteSliceType(pass.TypesInfo.Types[call.Args[0]].Type) {
+		return nil
 	}
-	return nil, ""
+	return call.Args[0]
 }
 
 // frameConstructor reports whether call targets a wire-segment package

@@ -7,12 +7,11 @@ import (
 // LockIO forbids blocking I/O while holding a sync.Mutex/RWMutex in
 // cluster-segment packages: connection reads/writes (net.Conn, io.Writer,
 // wire.WriteFrame/ReadFrame*/ReadBody), channel sends (except under a
-// select with a default clause, which cannot block), send-queue
-// send/Flush/Enqueue calls (QueueBlock applies backpressure while the
-// caller holds the lock), and time.Sleep. The referee's hot path is the
-// motivating perimeter: recordLocked does pure bookkeeping under rf.mu
-// while decode and transport writes stay outside the critical section — a
-// blocking call under that mutex stalls every connection handler at once.
+// select with a default clause, which cannot block), and time.Sleep. The
+// referee's hot path is the motivating perimeter: recordLocked does pure
+// bookkeeping under rf.mu while decode and transport writes stay outside
+// the critical section — a blocking call under that mutex stalls every
+// connection handler at once.
 // The analyzer tracks lock regions linearly per statement list: a region
 // opens at mu.Lock()/mu.RLock(), closes at the matching Unlock in the same
 // list, and `defer mu.Unlock()` holds to the end of the function. Nested
@@ -20,7 +19,7 @@ import (
 // unlock-and-return inside an if releases the region for that branch only.
 var LockIO = &Analyzer{
 	Name: "lockio",
-	Doc:  "forbid blocking I/O (conn writes, channel sends, queue enqueues, sleeps) while holding a sync mutex in cluster packages",
+	Doc:  "forbid blocking I/O (conn writes, channel sends, sleeps) while holding a sync mutex in cluster packages",
 	Run:  runLockIO,
 }
 
@@ -204,7 +203,7 @@ func checkSelect(pass *Pass, sel *ast.SelectStmt, held map[string]bool) {
 }
 
 // blockingCall classifies call as blocking I/O: conn/writer reads+writes,
-// wire codec stream calls, queue send/Flush/Enqueue, time.Sleep.
+// wire codec stream calls, time.Sleep.
 func blockingCall(pass *Pass, call *ast.CallExpr) string {
 	if CalleeIn(call, pass.TypesInfo, "time") == "Sleep" {
 		return "time.Sleep"
@@ -232,12 +231,6 @@ func blockingCall(pass *Pass, call *ast.CallExpr) string {
 	case "ReadFrame", "ReadBody":
 		if NamedFrom(t, "wire", "Reader") {
 			return "wire.Reader." + name
-		}
-	case "send", "Flush", "Enqueue":
-		// Same-package queue surface: QueueBlock backpressure can park the
-		// caller indefinitely.
-		if obj := pass.TypesInfo.Uses[sel.Sel]; obj != nil && obj.Pkg() == pass.Pkg {
-			return "queue " + name
 		}
 	}
 	return ""

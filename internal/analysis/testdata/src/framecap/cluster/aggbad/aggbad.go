@@ -1,28 +1,20 @@
 // Package aggbad exercises framecap on the aggregator's upstream forward
-// path: partial-verdict frames that reach the upstream send queue or
-// connection without passing through a wire constructor bypass the
-// per-type frame cap.
+// path: partial-verdict frames that reach the upstream connection without
+// passing through a wire constructor bypass the per-type frame cap.
 package aggbad
 
 import "net"
 
-type sendQueue struct{ pending [][]byte }
-
-func (q *sendQueue) send(frame []byte) {
-	q.pending = append(q.pending, frame)
-}
-
 type aggregator struct {
-	q        *sendQueue
-	upstream net.Conn
+	upstream *net.TCPConn
 }
 
 // flushHandRolled builds the partial frame by hand instead of via
 // wire.AppendPartialSession, so the cap and canonical encoding are both
 // skipped.
 func (a *aggregator) flushHandRolled(trial int, votes, rejects uint64) {
-	frame := []byte{0x07, byte(trial), byte(votes), byte(rejects)} // want "hand-rolled frame bytes reach the send queue"
-	a.q.send(frame)
+	frame := []byte{0x07, byte(trial), byte(votes), byte(rejects)} // want "hand-rolled frame bytes reach the connection write"
+	a.upstream.Write(frame)
 }
 
 // forwardRaw relays a child's frame bytes upstream verbatim; the origin is

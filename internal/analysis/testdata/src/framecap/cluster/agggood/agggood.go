@@ -1,7 +1,7 @@
 // Package agggood holds the framecap-clean aggregator upstream forward
 // path: every partial-verdict frame is built by wire.AppendPartialSession — and
 // rebuilt by it on replay, rather than retained as raw bytes — before it
-// reaches the send queue or the upstream connection.
+// reaches the upstream connection.
 package agggood
 
 import (
@@ -10,24 +10,17 @@ import (
 	"wire"
 )
 
-type sendQueue struct{ pending [][]byte }
-
-func (q *sendQueue) send(frame []byte) {
-	q.pending = append(q.pending, frame)
-}
-
 type entry struct{ trial, votes, rejects byte }
 
 type aggregator struct {
-	q        *sendQueue
 	upstream net.Conn
 	flushed  []entry
 }
 
-// flush encodes the folded batch with the wire constructor and enqueues it.
+// flush encodes the folded batch with the wire constructor and writes it.
 func (a *aggregator) flush(batch []entry) {
 	frame := wire.AppendPartialSession(nil, byte(len(batch)), 0)
-	a.q.send(frame)
+	a.upstream.Write(frame)
 	a.flushed = append(a.flushed, batch...)
 }
 

@@ -1,15 +1,11 @@
 // Package bad exercises framecap's violation cases: hand-rolled frame
-// bytes and untraceable byte slices reaching connection writes and the
-// send-queue surface.
+// bytes and untraceable byte slices reaching connection writes.
 package bad
 
-import "net"
-
-type sendQueue struct{ pending [][]byte }
-
-func (q *sendQueue) send(frame []byte) {
-	q.pending = append(q.pending, frame)
-}
+import (
+	"io"
+	"net"
+)
 
 func handRolled(c net.Conn) {
 	buf := []byte{0x01, 0x02, 0x03} // want "hand-rolled frame bytes reach the connection write"
@@ -25,7 +21,11 @@ func unknownOrigin(c net.Conn, payload []byte) {
 	c.Write(payload) // want "byte slice of unknown origin reaches the connection write"
 }
 
-func queueHandRolled(q *sendQueue, vote byte) {
-	raw := []byte{0xff, vote} // want "hand-rolled frame bytes reach the send queue"
-	q.send(raw)
+func writerHandRolled(w io.Writer, vote byte) {
+	raw := []byte{0xff, vote} // want "hand-rolled frame bytes reach the connection write"
+	w.Write(raw)
+}
+
+func slicedRaw(c net.Conn, body []byte) {
+	c.Write(body[4:]) // want "byte slice of unknown origin reaches the connection write"
 }

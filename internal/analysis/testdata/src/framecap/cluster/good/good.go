@@ -1,18 +1,13 @@
 // Package good holds framecap-clean transport code: every byte slice
-// reaching a conn or the send queue comes from a wire constructor.
+// reaching a conn comes from a wire constructor.
 package good
 
 import (
+	"io"
 	"net"
 
 	"wire"
 )
-
-type sendQueue struct{ pending [][]byte }
-
-func (q *sendQueue) send(frame []byte) {
-	q.pending = append(q.pending, frame)
-}
 
 func unbound(c net.Conn, vote byte) {
 	buf := wire.AppendSession(nil, vote, 0)
@@ -24,11 +19,11 @@ func bound(c net.Conn, vote byte, session uint64) {
 	c.Write(frame)
 }
 
-func viaEncoder(q *sendQueue, votes []byte) {
+func viaEncoder(w io.Writer, votes []byte) {
 	var enc wire.BatchEncoder
 	for _, v := range votes {
 		frame := enc.AppendSession(nil, v, 0)
-		q.send(frame)
+		w.Write(frame)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"wire"
 )
 
 type referee struct {
@@ -24,6 +26,18 @@ func (r *referee) connReadHeld(c net.Conn, b []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c.Read(b) // want "conn Read while holding r.mu"
+}
+
+func (r *referee) wireWriteHeld(c net.Conn, b []byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	wire.WriteFrame(c, b) // want "wire.WriteFrame while holding r.mu"
+}
+
+func (r *referee) wireReadHeld(rd *wire.Reader) {
+	r.mu.Lock()
+	rd.ReadFrame() // want "wire.Reader.ReadFrame while holding r.mu"
+	r.mu.Unlock()
 }
 
 func (r *referee) sendHeld(v int) {

@@ -1,7 +1,10 @@
-// Package wire is a minimal stand-in for internal/wire in framecap
-// fixtures: the analyzer recognizes frame constructors by the "wire" path
-// segment plus an Append name prefix, and the Reader type by name.
+// Package wire is a minimal stand-in for internal/wire in framecap and
+// lockio fixtures: the analyzers recognize frame constructors by the
+// "wire" path segment plus an Append name prefix, and WriteFrame and the
+// Reader type by name.
 package wire
+
+import "io"
 
 // AppendSession appends one cap-checked, session-stamped frame to buf.
 func AppendSession(buf []byte, payload byte, session uint64) []byte {
@@ -21,6 +24,12 @@ type BatchEncoder struct{ votes []byte }
 func (e *BatchEncoder) AppendSession(dst []byte, vote byte, session uint64) []byte {
 	e.votes = append(e.votes, vote)
 	return append(append(dst, 2, byte(len(e.votes)), byte(session)), e.votes...)
+}
+
+// WriteFrame writes one frame to w (stub).
+func WriteFrame(w io.Writer, frame []byte) error {
+	_, err := w.Write(frame)
+	return err
 }
 
 // Reader decodes frames from a stream (stub).

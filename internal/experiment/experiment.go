@@ -183,8 +183,8 @@ func (t *Table) RenderCSV(w io.Writer) error {
 }
 
 // RunContext carries one experiment invocation's parameters and telemetry
-// sinks. Obs may be nil (telemetry disabled); the helpers below are
-// nil-safe so experiment code never branches on it.
+// sinks. Either sink may be nil (that sink disabled); both are nil-safe, as
+// are the helpers below, so experiment code never branches on them.
 type RunContext struct {
 	// Mode is the experiment scale, Seed the root random seed.
 	Mode Mode
@@ -194,8 +194,9 @@ type RunContext struct {
 	// goroutines of the parallel trial engine. 0 means GOMAXPROCS. Tables
 	// are bit-for-bit identical at any value.
 	Workers int
-	// Obs receives the run's metrics and journal events when attached.
-	Obs *obs.Recorder
+	// Obs receives the run's metrics and Journal its events when attached.
+	Obs     *obs.Registry
+	Journal *obs.Journal
 }
 
 // NewRunContext builds a context with telemetry disabled.
@@ -269,13 +270,13 @@ func (c *RunContext) Registry() *obs.Registry {
 	if c == nil {
 		return nil
 	}
-	return c.Obs.Reg()
+	return c.Obs
 }
 
 // Log writes one event to the run's journal (no-op when disabled).
 func (c *RunContext) Log(event any) {
 	if c != nil {
-		c.Obs.Log(event)
+		c.Journal.Write(event)
 	}
 }
 
@@ -285,15 +286,15 @@ func (c *RunContext) Log(event any) {
 // telemetry is disabled, so callers can assign it to simnet configs (or
 // pass it to the congest drivers' Traced variants) unconditionally.
 func (c *RunContext) SimTracer(id string, budget int) simnet.Tracer {
-	if c == nil || !c.Obs.Enabled() {
+	if c == nil {
 		return nil
 	}
 	var tracers []simnet.Tracer
-	if reg := c.Obs.Reg(); reg != nil {
-		tracers = append(tracers, simnet.NewMetricsTracer(reg, budget))
+	if c.Obs != nil {
+		tracers = append(tracers, simnet.NewMetricsTracer(c.Obs, budget))
 	}
-	if j := c.Obs.Jour(); j != nil {
-		tracers = append(tracers, simnet.NewJSONLTracer(j, id, budget))
+	if c.Journal != nil {
+		tracers = append(tracers, simnet.NewJSONLTracer(c.Journal, id, budget))
 	}
 	return simnet.MultiTracer(tracers...)
 }

@@ -135,12 +135,10 @@ func TestExecuteRecordsTelemetry(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	ctx := &RunContext{
-		Mode: Quick,
-		Seed: 1,
-		Obs: &obs.Recorder{
-			Registry: obs.NewRegistry(),
-			Journal:  obs.NewJournal(&buf),
-		},
+		Mode:    Quick,
+		Seed:    1,
+		Obs:     obs.NewRegistry(),
+		Journal: obs.NewJournal(&buf),
 	}
 	res, err := e.Execute(ctx)
 	if err != nil {
@@ -189,6 +187,32 @@ func TestExecuteRecordsTelemetry(t *testing.T) {
 	}
 }
 
+// TestExecuteJournalAlone attaches a journal and no registry, a pairing
+// the unifbench flags never build: the simulations still journal their
+// rounds, and the table gains no telemetry notes.
+func TestExecuteJournalAlone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	e, _ := Lookup("E6")
+	var buf bytes.Buffer
+	res, err := e.Execute(&RunContext{Mode: Quick, Seed: 1, Journal: obs.NewJournal(&buf)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Metrics.Empty() {
+		t.Errorf("metrics without a registry: %+v", res.Metrics)
+	}
+	for _, note := range res.Table.Notes {
+		if strings.Contains(note, "telemetry:") {
+			t.Errorf("telemetry note without a registry: %s", note)
+		}
+	}
+	if !strings.Contains(buf.String(), `"kind":"sim_round"`) {
+		t.Error("no per-round simnet events in the journal")
+	}
+}
+
 // TestZeroRoundTableReportsTrials runs E15 quick through Execute with a
 // registry attached: every estimated trial must reach zeroround.trials
 // (5 placements × 2 error cells × 120 trials) and the latency histogram.
@@ -197,7 +221,7 @@ func TestZeroRoundTableReportsTrials(t *testing.T) {
 		t.Skip("short mode")
 	}
 	e, _ := Lookup("E15")
-	res, err := e.Execute(&RunContext{Mode: Quick, Seed: 1, Obs: &obs.Recorder{Registry: obs.NewRegistry()}})
+	res, err := e.Execute(&RunContext{Mode: Quick, Seed: 1, Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,42 +81,3 @@ func (j *Journal) Close() error {
 	}
 	return j.err
 }
-
-// Recorder bundles the telemetry sinks threaded through a run: a metrics
-// registry and an event journal, either of which may be nil (disabled). A
-// nil *Recorder disables both.
-type Recorder struct {
-	Registry *Registry
-	Journal  *Journal
-}
-
-// Reg returns the recorder's registry (nil when disabled).
-func (r *Recorder) Reg() *Registry {
-	if r == nil {
-		return nil
-	}
-	return r.Registry
-}
-
-// Jour returns the recorder's journal (nil when disabled). Like Reg, it is
-// safe on a nil receiver — callers must use it instead of reading the
-// Journal field directly (enforced by the obsnil analyzer).
-func (r *Recorder) Jour() *Journal {
-	if r == nil {
-		return nil
-	}
-	return r.Journal
-}
-
-// Log writes one event to the recorder's journal (no-op when disabled).
-func (r *Recorder) Log(event any) {
-	if r == nil {
-		return
-	}
-	r.Journal.Write(event)
-}
-
-// Enabled reports whether any sink is attached.
-func (r *Recorder) Enabled() bool {
-	return r != nil && (r.Registry != nil || r.Journal != nil)
-}

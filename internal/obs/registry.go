@@ -1,10 +1,11 @@
 // Package obs is the repository's zero-dependency telemetry layer: a
 // concurrency-safe metrics registry (counters, gauges, bucketed
 // histograms), a structured JSONL run journal, and run-provenance
-// collection. Every entry point is nil-safe — a nil *Registry, *Journal or
-// *Recorder turns the corresponding instrumentation into a no-op — so hot
-// paths (the zeroround trial pool, the simnet coordinator) can stay
-// instrumented unconditionally and pay nothing when telemetry is disabled.
+// collection. Every entry point is nil-safe — a nil *Registry or *Journal
+// turns the corresponding instrumentation into a no-op, so "telemetry off"
+// is the nil value of each sink — and hot paths (the zeroround trial pool,
+// the simnet coordinator) can stay instrumented unconditionally and pay
+// nothing when telemetry is disabled.
 package obs
 
 import (
