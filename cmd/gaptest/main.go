@@ -71,7 +71,7 @@ func run(args []string, stdout io.Writer) error {
 	)
 	switch *testerName {
 	case "single":
-		var sc *tester.SingleCollision
+		var sc *tester.BlockCollision
 		sc, err = tester.NewSingleCollision(*n, *delta, *eps)
 		if err == nil {
 			p := sc.Params()
@@ -81,7 +81,7 @@ func run(args []string, stdout io.Writer) error {
 			tst = sc
 		}
 	case "amplified":
-		var am *tester.Amplified
+		var am *tester.BlockCollision
 		am, err = tester.NewAmplified(*n, *delta, *eps, *m)
 		if err == nil {
 			fmt.Fprintf(out, "amplified tester: m=%d, samples=%d, completeness error=%.4g, gap=%.4g\n",
@@ -195,7 +195,7 @@ func runOnStdin(tst tester.Tester, n int, out io.Writer) (windows, rejects int, 
 	}
 	for i := 0; i+s <= len(samples); i += s {
 		windows++
-		if !tst.Test(samples[i : i+s]) {
+		if !tst.Test(samples[i:i+s], nil) {
 			rejects++
 		}
 	}

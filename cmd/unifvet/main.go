@@ -13,8 +13,10 @@
 // `//unifvet:allow <analyzer>[,<analyzer>…] <reason>` on the offending
 // line or the line above; the reason is mandatory.
 //
-// -sarif writes the findings as a SARIF 2.1.0 log to the given path ("-"
-// for stdout) for GitHub code scanning upload, alongside the normal output.
+// -sarif writes the findings as a SARIF 2.1.0 log to the given path for
+// GitHub code scanning upload, alongside the normal output. With "-" the
+// log goes to stdout in place of the findings, so -sarif - together with
+// -json, which would put two documents on stdout, is a usage error.
 //
 // Exit status: 0 when clean, 1 when any finding (or malformed directive)
 // is reported, 2 when a flag is undefined or packages fail to load. With
@@ -55,6 +57,9 @@ func run(args []string, dir string, stdout io.Writer) (int, error) {
 	sarifFlag := fs.String("sarif", "", "write findings as SARIF 2.1.0 to this path (\"-\" for stdout)")
 	if err := fs.Parse(args); err != nil {
 		return 2, err
+	}
+	if *sarifFlag == "-" && *jsonFlag {
+		return 2, fmt.Errorf("-sarif - and -json both write to stdout; give -sarif a file path")
 	}
 	analyzers := analysis.All()
 	if *listFlag {

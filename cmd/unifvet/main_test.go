@@ -247,6 +247,47 @@ func main() { _ = rand.Intn(6) }
 	}
 }
 
+// TestSARIFStdoutWithJSON checks that -sarif - with -json, which would
+// write two JSON documents to stdout, is a usage error that writes
+// nothing, while -sarif to a file with -json writes one document to each.
+func TestSARIFStdoutWithJSON(t *testing.T) {
+	dir := writeTempModule(t, `package main
+
+import "math/rand"
+
+func main() { _ = rand.Intn(6) }
+`)
+	var buf bytes.Buffer
+	code, err := run([]string{"-sarif", "-", "-json", "./..."}, dir, &buf)
+	if code != 2 || err == nil || buf.Len() != 0 {
+		t.Fatalf("unifvet -sarif - -json: code=%d err=%v stdout=%d bytes, want 2, an error and no output", code, err, buf.Len())
+	}
+
+	sarifPath := filepath.Join(t.TempDir(), "unifvet.sarif")
+	code, err = run([]string{"-sarif", sarifPath, "-json", "./..."}, dir, &buf)
+	if code != 1 || err != nil {
+		t.Fatalf("unifvet -sarif <file> -json: code=%d err=%v, want 1 and no error", code, err)
+	}
+	var doc struct {
+		Results struct {
+			Clean bool `json:"clean"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("stdout is not one run document: %v", err)
+	}
+	data, err := os.ReadFile(sarifPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log struct {
+		Version string `json:"version"`
+	}
+	if err := json.Unmarshal(data, &log); err != nil || log.Version != "2.1.0" {
+		t.Fatalf("SARIF file: version %q, err %v", log.Version, err)
+	}
+}
+
 // TestJSONCounts verifies the run document carries an explicit count per
 // analyzer — zero included — so dashboards never have to guess whether a
 // missing key means clean or not-run.

@@ -319,7 +319,7 @@ func TestPartialExceedingWindowRejected(t *testing.T) {
 	}
 }
 
-func TestQuorumPolicyOnSilentSubtree(t *testing.T) {
+func TestQuorumFallbackOnSilentSubtree(t *testing.T) {
 	// A subtree that disconnects mid-trial leaves its unreported votes
 	// missing: the quorum fallback decides from the votes that arrived
 	// (missing vote = accept) and accounts for the loss.
@@ -335,7 +335,7 @@ func TestQuorumPolicyOnSilentSubtree(t *testing.T) {
 		&wire.AggHello{Agg: 1, K: uint32(k), Trials: 2, Lo: 0, Hi: uint32(k)},
 		[]wire.Frame{&wire.PartialVerdict{Agg: 1, Entries: entries}, &wire.Done{Node: 1}})
 	if err != nil {
-		t.Fatalf("observed quorum rejected a lossy subtree: %v", err)
+		t.Fatalf("quorum fallback rejected a lossy subtree: %v", err)
 	}
 	for tr := 0; tr < 2; tr++ {
 		if rep.Votes[tr] != k-1 || rep.Missing[tr] != 1 {

@@ -329,12 +329,12 @@ func TestExplicitCloseReclaimsSlot(t *testing.T) {
 	c2.Close()
 }
 
-// TestReaperEvictsStalledSession pins stalled-session eviction: a session
+// TestDeadlineExpiresStalledSession pins stalled-session expiry: a session
 // whose nodes never show up is expired at the deadline and finalized
 // through the quorum fallback, without disturbing a live session that is
 // still making progress; each finishes under its own reason, and its slot
 // is reusable afterwards.
-func TestReaperEvictsStalledSession(t *testing.T) {
+func TestDeadlineExpiresStalledSession(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, dial := startService(t, service.Config{
 		MaxSessions: 2,

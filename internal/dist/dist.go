@@ -101,9 +101,6 @@ func NewTwoBump(n int, eps float64, seed uint64) *TwoBump {
 // N returns the domain size.
 func (t *TwoBump) N() int { return t.n }
 
-// Epsilon returns the construction's distance parameter.
-func (t *TwoBump) Epsilon() float64 { return t.eps }
-
 // Prob returns (1±ε)/n depending on the pair's sign.
 func (t *TwoBump) Prob(i int) float64 {
 	checkIndex(i, t.n)

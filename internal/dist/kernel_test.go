@@ -2,6 +2,7 @@ package dist
 
 import (
 	"testing"
+	"testing/quick"
 
 	"github.com/unifdist/unifdist/internal/rng"
 )
@@ -97,5 +98,24 @@ func BenchmarkSampleScalarUniform(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SampleInto(oneByOne{d}, buf, r)
+	}
+}
+
+func TestSampleIntoMatchesSampleN(t *testing.T) {
+	f := func(seed uint64, sRaw uint8) bool {
+		s := int(sRaw%20) + 1
+		d := NewUniform(50)
+		a := SampleN(d, s, rng.New(seed))
+		b := make([]int, s)
+		SampleInto(d, b, rng.New(seed))
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }

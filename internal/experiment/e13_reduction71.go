@@ -52,7 +52,7 @@ func runE13(ctx *RunContext) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		inner, err := build(e.Domain())
+		inner, err := tester.NewSingleCollision(e.Domain(), delta, 1.0/6)
 		if err != nil {
 			return nil, err
 		}
@@ -78,17 +78,12 @@ func runE13(ctx *RunContext) (*Table, error) {
 		if rej := 1 - accEq; rej > 0 {
 			measGap = (1 - accNeq) / rej
 		}
-		sc, ok := inner.(*tester.SingleCollision)
-		guar := 0.0
-		if ok {
-			guar = sc.Params().Alpha
-		}
 		t.AddRow(
 			fmtFloat(float64(c.nBits)), fmtFloat(c.delta),
 			fmtFloat(float64(e.Domain())), fmtFloat(float64(inner.SampleSize())),
 			fmtFloat(float64(bits)),
 			fmtProb(accEq), fmtProb(accNeq),
-			fmtFloat(measGap), fmtFloat(guar),
+			fmtFloat(measGap), fmtFloat(inner.Params().Alpha),
 		)
 	}
 	t.AddNote("paper (Thm 7.1): a q-sample tester with error (δ₀,δ₁) gives SMP_{δ₀,δ₁}(EQ) ≤ q·log n")

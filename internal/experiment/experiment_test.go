@@ -104,20 +104,8 @@ func TestCheapExperimentsRun(t *testing.T) {
 		t.Skip("short mode")
 	}
 	for _, id := range []string{"E1", "E6", "E9", "E11"} {
-		e, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("%s missing", id)
-		}
-		tbl, err := e.Run(NewRunContext(Quick, 1))
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(tbl.Rows) == 0 {
+		if tbl, _ := quickTable(t, id); len(tbl.Rows) == 0 {
 			t.Fatalf("%s produced no rows", id)
-		}
-		var buf bytes.Buffer
-		if err := tbl.Render(&buf); err != nil {
-			t.Fatalf("%s render: %v", id, err)
 		}
 	}
 }

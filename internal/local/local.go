@@ -198,7 +198,7 @@ func virtualVote(n, m int, samples []uint64) bool {
 	for i, v := range samples {
 		block[i] = int(v)
 	}
-	return tester.NewBlockCollision(n, len(samples), m).Test(block)
+	return tester.NewBlockCollision(n, len(samples), m).Test(block, nil)
 }
 
 // Schedule is what the Section 6 protocol fixes at one MIS seed. Luby's

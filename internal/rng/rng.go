@@ -120,11 +120,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Int63 returns a uniformly distributed non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Uint64n returns a uniformly distributed integer in [0, n) using Lemire's
 // nearly-divisionless method. It panics if n == 0.
 func (r *RNG) Uint64n(n uint64) uint64 {
@@ -224,14 +219,6 @@ func (r *RNG) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using the provided swap
-// function, as in math/rand.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
 }
 
 // gamma is the splitmix64 increment γ: the generator's i-th output is

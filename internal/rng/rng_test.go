@@ -152,23 +152,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(23)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed multiset: sum %d != %d", got, sum)
-	}
-}
-
 func TestBoolBalance(t *testing.T) {
 	r := New(29)
 	const trials = 100000
@@ -180,15 +163,6 @@ func TestBoolBalance(t *testing.T) {
 	}
 	if math.Abs(float64(heads)-trials/2) > 5*math.Sqrt(trials/4) {
 		t.Fatalf("Bool: %d heads of %d", heads, trials)
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	r := New(31)
-	for i := 0; i < 1000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned negative value")
-		}
 	}
 }
 

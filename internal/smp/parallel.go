@@ -4,7 +4,6 @@ import (
 	"github.com/unifdist/unifdist/internal/dist"
 	"github.com/unifdist/unifdist/internal/ecc"
 	"github.com/unifdist/unifdist/internal/rng"
-	"github.com/unifdist/unifdist/internal/tester"
 	"github.com/unifdist/unifdist/internal/trialpool"
 )
 
@@ -135,7 +134,7 @@ func (s *SingleCellEquality) EstimateRejectProb(x, y []byte, trials, workers int
 // input pair over trials Run executions on the shared trial pool, with the
 // codewords and the tester hoisted out of the trial loop: inputs are
 // encoded once per call and each worker builds the tester once and reuses
-// one sample buffer and, for a tester.ScratchTester, one collision scratch.
+// one sample buffer and one collision scratch.
 func (e *EqualityFromTester) EstimateAcceptProb(x, y []byte, trials, workers int, r *rng.RNG) (float64, error) {
 	if trials <= 0 {
 		return 0, nil
@@ -151,14 +150,10 @@ func (e *EqualityFromTester) EstimateAcceptProb(x, y []byte, trials, workers int
 			return func(*rng.RNG) (bool, error) { return false, initErr }
 		}
 		samples := make([]int, t.SampleSize())
-		st, _ := t.(tester.ScratchTester)
 		sc := dist.NewCollisionScratch()
 		return func(gen *rng.RNG) (bool, error) {
 			e.fillStream(samples, cx, cy, gen)
-			if st != nil {
-				return st.TestScratch(samples, sc), nil
-			}
-			return t.Test(samples), nil
+			return t.Test(samples, sc), nil
 		}
 	})
 	if err != nil {

@@ -103,7 +103,7 @@ func (e *EqualityFromTester) Run(x, y []byte, r *rng.RNG) (bool, error) {
 	}
 	samples := make([]int, t.SampleSize())
 	e.fillStream(samples, cx, cy, r)
-	return t.Test(samples), nil
+	return t.Test(samples, nil), nil
 }
 
 // fillStream fills samples with the referee's stream for codewords cx and

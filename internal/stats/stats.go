@@ -1,15 +1,13 @@
 // Package stats provides the small statistics toolkit the uniformity-testing
 // library builds on: KL divergence and the asymmetric-error information bound
-// of Lemma 2.1, Chernoff tail bounds in the multiplicative form used by the
-// threshold tester (Theorem 1.2), Wilson confidence intervals for the
-// empirical error rates reported by the experiment harness, Lp norms of cost
-// vectors (Section 4), and collision entropy (Section 7).
+// of Lemma 2.1, Wilson confidence intervals for the empirical error rates
+// reported by the experiment harness, Lp norms of cost vectors (Section 4),
+// and exact binomial tails.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrInvalidProbability is returned when a probability argument lies outside
@@ -53,32 +51,6 @@ func KLGapLowerBound(delta, tau float64) float64 {
 // τ = 1 and strictly increasing for τ > 1.
 func GapF(tau float64) float64 {
 	return tau - 1 - math.Log(tau)
-}
-
-// ChernoffUpper bounds Pr[X ≥ (1+β)µ] for a sum X of independent 0/1
-// variables with mean µ, using the multiplicative form exp(−β²µ/3) valid for
-// β ∈ (0, 1] (and a weaker but valid exponent β/3 for β > 1). This is the
-// form used in the proof of Theorem 1.2.
-func ChernoffUpper(mu, beta float64) float64 {
-	if mu <= 0 || beta <= 0 {
-		return 1
-	}
-	if beta > 1 {
-		return math.Exp(-beta * mu / 3)
-	}
-	return math.Exp(-beta * beta * mu / 3)
-}
-
-// ChernoffLower bounds Pr[X ≤ (1−β)µ] using exp(−β²µ/2), valid for
-// β ∈ (0, 1). This is the lower-tail form used in the proof of Theorem 1.2.
-func ChernoffLower(mu, beta float64) float64 {
-	if mu <= 0 || beta <= 0 {
-		return 1
-	}
-	if beta >= 1 {
-		beta = 1
-	}
-	return math.Exp(-beta * beta * mu / 2)
 }
 
 // WilsonInterval returns the Wilson score interval for an observed
@@ -141,67 +113,8 @@ func LpNorm(x []float64, p float64) float64 {
 	return max * math.Pow(sum, 1/p)
 }
 
-// CollisionEntropy returns H₂(µ) = −log₂ Σ µ(x)², the collision (Rényi-2)
-// entropy of a distribution given as a probability vector. Section 7 uses
-// collision entropy to control Pr[X = Y] for independent X, Y ~ µ.
-func CollisionEntropy(p []float64) float64 {
-	s := 0.0
-	for _, v := range p {
-		s += v * v
-	}
-	if s == 0 {
-		return math.Inf(1)
-	}
-	return -math.Log2(s)
-}
-
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range xs {
-		s += v
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs (0 for fewer than two
-// values).
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, v := range xs {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(n-1))
-}
-
-// Median returns the median of xs (0 for an empty slice). xs is not
-// modified.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	cp := make([]float64, n)
-	copy(cp, xs)
-	sort.Float64s(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
 // BinomialTail returns Pr[Bin(n, p) ≥ k] computed by direct summation in
-// log space. It is exact up to floating-point rounding and is used by the
-// solvers to validate threshold choices for moderate n.
+// log space. It is exact up to floating-point rounding.
 func BinomialTail(n int, p float64, k int) float64 {
 	if k <= 0 {
 		return 1

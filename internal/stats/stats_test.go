@@ -114,37 +114,6 @@ func TestGapF(t *testing.T) {
 	}
 }
 
-func TestChernoffBoundsAgainstBinomial(t *testing.T) {
-	// The Chernoff expressions must upper-bound the exact binomial tails.
-	const n = 400
-	p := 0.1
-	mu := float64(n) * p
-	for _, beta := range []float64{0.2, 0.5, 0.9} {
-		upperCut := int(math.Ceil((1 + beta) * mu))
-		exactUpper := BinomialTail(n, p, upperCut)
-		if bound := ChernoffUpper(mu, beta); exactUpper > bound+1e-12 {
-			t.Errorf("upper tail β=%v: exact %v > bound %v", beta, exactUpper, bound)
-		}
-		lowerCut := int(math.Floor((1 - beta) * mu))
-		exactLower := 1 - BinomialTail(n, p, lowerCut+1)
-		if bound := ChernoffLower(mu, beta); exactLower > bound+1e-12 {
-			t.Errorf("lower tail β=%v: exact %v > bound %v", beta, exactLower, bound)
-		}
-	}
-}
-
-func TestChernoffDegenerate(t *testing.T) {
-	if ChernoffUpper(0, 0.5) != 1 {
-		t.Error("ChernoffUpper with µ=0 should be the trivial bound 1")
-	}
-	if ChernoffLower(10, 0) != 1 {
-		t.Error("ChernoffLower with β=0 should be the trivial bound 1")
-	}
-	if ChernoffUpper(10, 2) >= 1 {
-		t.Error("ChernoffUpper with β>1 should still be nontrivial")
-	}
-}
-
 func TestWilsonInterval(t *testing.T) {
 	lo, hi := WilsonInterval(50, 100, 1.96)
 	if lo >= 0.5 || hi <= 0.5 {
@@ -246,44 +215,6 @@ func TestLpNormLargePNoOverflow(t *testing.T) {
 	}
 	if got < 1e300 {
 		t.Fatalf("‖x‖₆₄ = %v, want ≥ max element", got)
-	}
-}
-
-func TestCollisionEntropy(t *testing.T) {
-	uniform := []float64{0.25, 0.25, 0.25, 0.25}
-	if got := CollisionEntropy(uniform); math.Abs(got-2) > 1e-12 {
-		t.Errorf("H₂(U₄) = %v, want 2", got)
-	}
-	point := []float64{1, 0, 0}
-	if got := CollisionEntropy(point); math.Abs(got) > 1e-12 {
-		t.Errorf("H₂(point mass) = %v, want 0", got)
-	}
-}
-
-func TestMeanStdDevMedian(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := Mean(xs); math.Abs(got-3) > 1e-12 {
-		t.Errorf("mean = %v, want 3", got)
-	}
-	if got := StdDev(xs); math.Abs(got-math.Sqrt(2.5)) > 1e-12 {
-		t.Errorf("stddev = %v, want %v", got, math.Sqrt(2.5))
-	}
-	if got := Median(xs); got != 3 {
-		t.Errorf("median = %v, want 3", got)
-	}
-	if got := Median([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("even median = %v, want 2.5", got)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || Median(nil) != 0 {
-		t.Error("empty-slice statistics should be 0")
-	}
-}
-
-func TestMedianDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Median(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Median mutated its argument")
 	}
 }
 

@@ -56,12 +56,7 @@ func NewDistinctCount(n int, eps float64, s int) (*DistinctCount, error) {
 func (t *DistinctCount) SampleSize() int { return t.s }
 
 // Test accepts iff the repeat count s − distinct is at most the threshold.
-func (t *DistinctCount) Test(samples []int) bool {
-	return t.TestScratch(samples, nil)
-}
-
-// TestScratch implements ScratchTester.
-func (t *DistinctCount) TestScratch(samples []int, sc *dist.CollisionScratch) bool {
+func (t *DistinctCount) Test(samples []int, sc *dist.CollisionScratch) bool {
 	if len(samples) != t.s {
 		panic(fmt.Sprintf("tester: got %d samples, want %d", len(samples), t.s))
 	}
@@ -132,8 +127,9 @@ func expectedPluginTV(n, s int) float64 {
 // SampleSize implements Tester.
 func (t *EmpiricalTV) SampleSize() int { return t.s }
 
-// Test computes the plug-in TV distance and compares to the cutoff.
-func (t *EmpiricalTV) Test(samples []int) bool {
+// Test computes the plug-in TV distance and compares to the cutoff; it
+// needs no collision scratch.
+func (t *EmpiricalTV) Test(samples []int, _ *dist.CollisionScratch) bool {
 	if len(samples) != t.s {
 		panic(fmt.Sprintf("tester: got %d samples, want %d", len(samples), t.s))
 	}

@@ -51,7 +51,7 @@ func TestDistinctCountPanicsOnWrongSize(t *testing.T) {
 			t.Fatal("wrong size did not panic")
 		}
 	}()
-	dc.Test([]int{1, 2})
+	dc.Test([]int{1, 2}, nil)
 }
 
 func TestCountDistinct(t *testing.T) {
@@ -187,6 +187,6 @@ func BenchmarkDistinctCountTest(b *testing.B) {
 	samples := dist.SampleN(dist.NewUniform(n), dc.SampleSize(), r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = dc.Test(samples)
+		_ = dc.Test(samples, nil)
 	}
 }

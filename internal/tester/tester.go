@@ -1,8 +1,8 @@
 // Package tester implements the centralized uniformity testers of the
-// paper: the single-collision (δ, 1+γε²)-gap tester A_δ of Section 3.1, its
-// m-repetition gap amplification of Section 3.2.1, and the classical
-// collision-counting baseline (Paninski-style, Θ(√n/ε²) samples) used for
-// comparison in experiment E10.
+// paper: the single-collision (δ, 1+γε²)-gap tester A_δ of Section 3.1 and
+// its m-repetition gap amplification of Section 3.2.1, both one
+// BlockCollision, and the classical collision-counting baseline
+// (Paninski-style, Θ(√n/ε²) samples) used for comparison in experiment E10.
 //
 // A tester consumes a slice of samples from the unknown distribution and
 // outputs accept ("looks uniform") or reject. Parameter solvers translate
@@ -24,26 +24,17 @@ import (
 type Tester interface {
 	// SampleSize returns the number of samples Test expects.
 	SampleSize() int
-	// Test returns true to accept ("uniform") and false to reject. It
-	// panics if len(samples) != SampleSize().
-	Test(samples []int) bool
+	// Test returns true to accept ("uniform") and false to reject, using
+	// sc's reusable buffers for the collision statistics; a nil sc
+	// allocates. It panics if len(samples) != SampleSize().
+	Test(samples []int, sc *dist.CollisionScratch) bool
 	// Name returns a short description for tables and logs.
 	Name() string
 }
 
-// ScratchTester is implemented by testers whose statistic can be computed
-// against a reusable dist.CollisionScratch, making repeated Test calls
-// allocation-free. TestScratch(samples, nil) must equal Test(samples); the
-// zeroround trial engines thread one scratch per worker through this path.
-type ScratchTester interface {
-	Tester
-	// TestScratch is Test using sc's reusable buffers.
-	TestScratch(samples []int, sc *dist.CollisionScratch) bool
-}
-
 // Run draws the tester's required samples from d and returns its verdict.
 func Run(t Tester, d dist.Distribution, r *rng.RNG) bool {
-	return t.Test(dist.SampleN(d, t.SampleSize(), r))
+	return t.Test(dist.SampleN(d, t.SampleSize(), r), nil)
 }
 
 // GapParams holds the resolved parameters of a single-collision gap tester.
@@ -148,130 +139,45 @@ func FarRejectPoisson(n, s int, eps float64) float64 {
 	return 1 - math.Exp(-pairs*(1+eps*eps)/float64(n))
 }
 
-// SingleCollision is the tester A_δ of Section 3.1: draw s samples and
-// accept iff they are pairwise distinct. With s(s−1) = 2δn it accepts the
-// uniform distribution with probability ≥ 1−δ and accepts any ε-far
-// distribution with probability ≤ 1−(1+γε²)δ (Lemma 3.4).
-type SingleCollision struct {
-	params GapParams
+// BlockCollision is the statistic every tester of the paper votes with:
+// it splits its s samples into m blocks of ⌊s/m⌋ (a remainder is unused)
+// and rejects iff every block holds a repeat. A block of fewer than two
+// samples cannot collide, so such a tester accepts.
+//
+// NewSingleCollision builds A_δ of Section 3.1 (m = 1) and NewAmplified its
+// m-repetition amplification of Section 3.2.1; both solve the block size
+// from δ. NewBlockCollision builds the virtual node whose sample count a
+// protocol run fixes: the CONGEST tester's package of τ tokens (m = 1,
+// Theorem 1.4) and the LOCAL tester's MIS node with the samples it
+// gathered (Section 6).
+type BlockCollision struct {
+	n, s, m int
+	// gap is the solved parameters of one block; it is zero for
+	// NewBlockCollision's protocol-fixed nodes.
+	gap GapParams
 }
 
 // NewSingleCollision builds A_δ for domain size n, completeness error delta
-// and distance parameter eps.
-func NewSingleCollision(n int, delta, eps float64) (*SingleCollision, error) {
-	p, err := SolveGap(n, delta, eps)
-	if err != nil {
-		return nil, err
-	}
-	return &SingleCollision{params: p}, nil
+// and distance parameter eps: draw s samples with s(s−1) = 2δn and accept
+// iff they are pairwise distinct. It accepts the uniform distribution with
+// probability ≥ 1−δ and any ε-far distribution with probability
+// ≤ 1−(1+γε²)δ (Lemma 3.4).
+func NewSingleCollision(n int, delta, eps float64) (*BlockCollision, error) {
+	return NewAmplified(n, delta, eps, 1)
 }
 
-// Params returns the resolved tester parameters.
-func (t *SingleCollision) Params() GapParams { return t.params }
-
-// SampleSize implements Tester.
-func (t *SingleCollision) SampleSize() int { return t.params.S }
-
-// Test accepts iff the samples are pairwise distinct.
-func (t *SingleCollision) Test(samples []int) bool {
-	return t.TestScratch(samples, nil)
-}
-
-// TestScratch implements ScratchTester.
-func (t *SingleCollision) TestScratch(samples []int, sc *dist.CollisionScratch) bool {
-	if len(samples) != t.params.S {
-		panic(fmt.Sprintf("tester: got %d samples, want %d", len(samples), t.params.S))
-	}
-	return !sc.HasCollision(t.params.N, samples)
-}
-
-// Name implements Tester.
-func (t *SingleCollision) Name() string {
-	return fmt.Sprintf("single-collision(s=%d,δ=%.3g)", t.params.S, t.params.Delta)
-}
-
-// Amplified runs m independent copies of A_δ′ and rejects iff all m copies
-// reject (Section 3.2.1). If each copy is a (δ′, α)-gap tester, the result
-// is a (δ′^m, α^m)-gap tester: the gap amplifies geometrically while the
-// completeness error shrinks to δ′^m.
-type Amplified struct {
-	inner *SingleCollision
-	m     int
-}
-
-// NewAmplified builds the m-repetition amplification of A_deltaPrime.
-func NewAmplified(n int, deltaPrime, eps float64, m int) (*Amplified, error) {
+// NewAmplified builds the m-repetition amplification of A_deltaPrime: m
+// independent copies, rejecting iff all m reject. If each copy is a
+// (δ′, α)-gap tester, the result is a (δ′^m, α^m)-gap tester.
+func NewAmplified(n int, deltaPrime, eps float64, m int) (*BlockCollision, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("tester: repetitions m=%d < 1", m)
 	}
-	inner, err := NewSingleCollision(n, deltaPrime, eps)
+	p, err := SolveGap(n, deltaPrime, eps)
 	if err != nil {
 		return nil, err
 	}
-	return &Amplified{inner: inner, m: m}, nil
-}
-
-// Inner returns the repeated single-collision tester.
-func (t *Amplified) Inner() *SingleCollision { return t.inner }
-
-// Repetitions returns m.
-func (t *Amplified) Repetitions() int { return t.m }
-
-// CompletenessError returns δ′^m, the probability that the uniform
-// distribution is rejected.
-func (t *Amplified) CompletenessError() float64 {
-	return math.Pow(t.inner.params.Delta, float64(t.m))
-}
-
-// Gap returns α^m = (1+γε²)^m, the amplified soundness gap.
-func (t *Amplified) Gap() float64 {
-	return math.Pow(t.inner.params.Alpha, float64(t.m))
-}
-
-// SampleSize implements Tester.
-func (t *Amplified) SampleSize() int { return t.m * t.inner.params.S }
-
-// Test partitions the samples into m blocks and rejects iff every block
-// contains a collision.
-func (t *Amplified) Test(samples []int) bool {
-	return t.TestScratch(samples, nil)
-}
-
-// TestScratch implements ScratchTester.
-func (t *Amplified) TestScratch(samples []int, sc *dist.CollisionScratch) bool {
-	if len(samples) != t.SampleSize() {
-		panic(fmt.Sprintf("tester: got %d samples, want %d", len(samples), t.SampleSize()))
-	}
-	return !allBlocksCollide(t.inner.params.N, t.inner.params.S, t.m, samples, sc)
-}
-
-// Name implements Tester.
-func (t *Amplified) Name() string {
-	return fmt.Sprintf("amplified(m=%d,%s)", t.m, t.inner.Name())
-}
-
-// allBlocksCollide reports whether each of the first m consecutive blocks
-// of size block in samples (drawn from a domain of size n) holds a repeat:
-// the amplified rejection rule, shared by Amplified and BlockCollision.
-func allBlocksCollide(n, block, m int, samples []int, sc *dist.CollisionScratch) bool {
-	for i := 0; i < m; i++ {
-		if !sc.HasCollision(n, samples[i*block:(i+1)*block]) {
-			return false // some block saw no collision ⇒ accept
-		}
-	}
-	return true
-}
-
-// BlockCollision is the vote of a node whose sample count a protocol run
-// fixes rather than a solver: it splits its s samples into m blocks of
-// ⌊s/m⌋ (a remainder is unused) and rejects iff every block holds a
-// repeat, Amplified's rule at whatever block size s allows. A block of
-// fewer than two samples cannot collide, so such a node accepts. It is the
-// virtual node of the multi-round testers: the CONGEST tester's package of
-// τ tokens (m = 1, Theorem 1.4) and the LOCAL tester's MIS node with the
-// samples it gathered (Section 6).
-type BlockCollision struct {
-	n, s, m int
+	return &BlockCollision{n: n, s: m * p.S, m: m, gap: p}, nil
 }
 
 // NewBlockCollision returns the m-block vote over s samples from a domain
@@ -280,21 +186,43 @@ func NewBlockCollision(n, s, m int) *BlockCollision {
 	return &BlockCollision{n: n, s: s, m: max(m, 1)}
 }
 
+// Params returns the solved parameters of one block. They are zero for
+// NewBlockCollision, and so are CompletenessError and Gap, which derive
+// from them.
+func (t *BlockCollision) Params() GapParams { return t.gap }
+
+// Repetitions returns m.
+func (t *BlockCollision) Repetitions() int { return t.m }
+
+// CompletenessError returns δ′^m, the probability bound on rejecting the
+// uniform distribution.
+func (t *BlockCollision) CompletenessError() float64 {
+	return math.Pow(t.gap.Delta, float64(t.m))
+}
+
+// Gap returns α^m = (1+γε²)^m, the amplified soundness gap.
+func (t *BlockCollision) Gap() float64 {
+	return math.Pow(t.gap.Alpha, float64(t.m))
+}
+
 // SampleSize implements Tester.
 func (t *BlockCollision) SampleSize() int { return t.s }
 
 // Test rejects iff every block of ⌊s/m⌋ ≥ 2 samples contains a collision.
-func (t *BlockCollision) Test(samples []int) bool {
-	return t.TestScratch(samples, nil)
-}
-
-// TestScratch implements ScratchTester.
-func (t *BlockCollision) TestScratch(samples []int, sc *dist.CollisionScratch) bool {
+func (t *BlockCollision) Test(samples []int, sc *dist.CollisionScratch) bool {
 	if len(samples) != t.s {
 		panic(fmt.Sprintf("tester: got %d samples, want %d", len(samples), t.s))
 	}
 	block := t.s / t.m
-	return block < 2 || !allBlocksCollide(t.n, block, t.m, samples, sc)
+	if block < 2 {
+		return true
+	}
+	for i := 0; i < t.m; i++ {
+		if !sc.HasCollision(t.n, samples[i*block:(i+1)*block]) {
+			return true // some block saw no collision ⇒ accept
+		}
+	}
+	return false
 }
 
 // Name implements Tester.
@@ -351,12 +279,7 @@ func (t *CollisionCounting) SampleSize() int { return t.s }
 
 // Test counts colliding pairs and accepts iff the count is at most the
 // threshold.
-func (t *CollisionCounting) Test(samples []int) bool {
-	return t.TestScratch(samples, nil)
-}
-
-// TestScratch implements ScratchTester.
-func (t *CollisionCounting) TestScratch(samples []int, sc *dist.CollisionScratch) bool {
+func (t *CollisionCounting) Test(samples []int, sc *dist.CollisionScratch) bool {
 	if len(samples) != t.s {
 		panic(fmt.Sprintf("tester: got %d samples, want %d", len(samples), t.s))
 	}
@@ -370,25 +293,14 @@ func (t *CollisionCounting) Name() string {
 
 // EstimateRejectProb runs t on trials independent sample sets from d and
 // returns the empirical rejection probability. Sampling goes through the
-// batch kernels and, for ScratchTesters, the statistic reuses one
-// allocation-free scratch across all trials.
+// batch kernels and the statistic reuses one scratch across all trials.
 func EstimateRejectProb(t Tester, d dist.Distribution, trials int, r *rng.RNG) float64 {
 	rejects := 0
 	buf := make([]int, t.SampleSize())
-	st, scratchable := t.(ScratchTester)
-	var sc *dist.CollisionScratch
-	if scratchable {
-		sc = dist.NewCollisionScratch()
-	}
+	sc := dist.NewCollisionScratch()
 	for i := 0; i < trials; i++ {
 		dist.SampleInto(d, buf, r)
-		accept := false
-		if scratchable {
-			accept = st.TestScratch(buf, sc)
-		} else {
-			accept = t.Test(buf)
-		}
-		if !accept {
+		if !t.Test(buf, sc) {
 			rejects++
 		}
 	}

@@ -163,7 +163,7 @@ func TestSingleCollisionTestPanicsOnWrongSize(t *testing.T) {
 			t.Fatal("wrong sample count did not panic")
 		}
 	}()
-	sc.Test([]int{1, 2, 3})
+	sc.Test([]int{1, 2, 3}, nil)
 }
 
 func TestAmplifiedGapAlgebra(t *testing.T) {
@@ -172,7 +172,7 @@ func TestAmplifiedGapAlgebra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := am.Inner().Params()
+	inner := am.Params()
 	if got, want := am.CompletenessError(), math.Pow(inner.Delta, 3); math.Abs(got-want) > 1e-15 {
 		t.Errorf("completeness error %v, want %v", got, want)
 	}
@@ -189,7 +189,7 @@ func TestAmplifiedRejectsIffAllBlocksCollide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := am.Inner().SampleSize()
+	s := am.Params().S
 	mk := func(blockHasCollision ...bool) []int {
 		var out []int
 		next := 0
@@ -206,13 +206,13 @@ func TestAmplifiedRejectsIffAllBlocksCollide(t *testing.T) {
 		}
 		return out
 	}
-	if am.Test(mk(true, true)) {
+	if am.Test(mk(true, true), nil) {
 		t.Error("all blocks collide: should reject")
 	}
-	if !am.Test(mk(true, false)) {
+	if !am.Test(mk(true, false), nil) {
 		t.Error("one clean block: should accept")
 	}
-	if !am.Test(mk(false, false)) {
+	if !am.Test(mk(false, false), nil) {
 		t.Error("all clean: should accept")
 	}
 }
@@ -233,11 +233,11 @@ func TestBlockCollision(t *testing.T) {
 		{"blocks under two samples accept", 4, []int{3, 3, 3}, true},
 	} {
 		bc := NewBlockCollision(10, len(tt.samples), tt.m)
-		if got := bc.Test(tt.samples); got != tt.accept {
-			t.Errorf("%s: Test(%v) = %v, want %v", tt.name, tt.samples, got, tt.accept)
+		if got := bc.Test(tt.samples, nil); got != tt.accept {
+			t.Errorf("%s: Test(%v, nil) = %v, want %v", tt.name, tt.samples, got, tt.accept)
 		}
-		if got := bc.TestScratch(tt.samples, dist.NewCollisionScratch()); got != tt.accept {
-			t.Errorf("%s: TestScratch(%v) = %v, want %v", tt.name, tt.samples, got, tt.accept)
+		if got := bc.Test(tt.samples, dist.NewCollisionScratch()); got != tt.accept {
+			t.Errorf("%s: Test(%v, scratch) = %v, want %v", tt.name, tt.samples, got, tt.accept)
 		}
 	}
 	defer func() {
@@ -245,11 +245,11 @@ func TestBlockCollision(t *testing.T) {
 			t.Error("wrong sample count accepted")
 		}
 	}()
-	NewBlockCollision(10, 3, 1).Test([]int{1, 2})
+	NewBlockCollision(10, 3, 1).Test([]int{1, 2}, nil)
 }
 
-// TestBlockCollisionMatchesAmplified: at s = m·S, the block vote is the
-// m-repetition amplified tester's verdict on every input.
+// TestBlockCollisionMatchesAmplified: at s = m·S, NewBlockCollision's
+// protocol-fixed vote is NewAmplified's verdict on every input.
 func TestBlockCollisionMatchesAmplified(t *testing.T) {
 	const n = 64
 	am, err := NewAmplified(n, 0.2, 1, 3)
@@ -262,7 +262,7 @@ func TestBlockCollisionMatchesAmplified(t *testing.T) {
 	samples := make([]int, am.SampleSize())
 	for i := 0; i < 2000; i++ {
 		dist.SampleInto(dist.NewUniform(n), samples, r)
-		if got, want := bc.TestScratch(samples, sc), am.Test(samples); got != want {
+		if got, want := bc.Test(samples, sc), am.Test(samples, nil); got != want {
 			t.Fatalf("samples %v: block vote %v, amplified %v", samples, got, want)
 		}
 	}
@@ -294,7 +294,7 @@ func TestAmplifiedEmpiricalGap(t *testing.T) {
 		t.Skip("uniform rejection too rare to measure at this trial count")
 	}
 	ratio := rejFar / rejUnif
-	inner := am.Inner().Params()
+	inner := am.Params()
 	// Expected ratio ≈ α², but α here is the *guaranteed lower bound*; the
 	// realized ratio should be at least α²'s guarantee minus noise. Use a
 	// lenient floor: the amplified ratio must exceed the single-copy ratio.
@@ -347,8 +347,8 @@ func TestBaselineSampleSizeScaling(t *testing.T) {
 }
 
 func TestScratchTestMatchesTest(t *testing.T) {
-	// TestScratch(samples, sc) must agree with Test(samples) for every
-	// scratch-aware tester, across repeated scratch reuse.
+	// Test(samples, sc) must agree with Test(samples, nil) for every
+	// tester, across repeated scratch reuse.
 	n := 1 << 10
 	sc1, err := NewSingleCollision(n, 0.3, 1)
 	if err != nil {
@@ -366,14 +366,18 @@ func TestScratchTestMatchesTest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tv, err := NewEmpiricalTV(n, 1, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rng.New(17)
 	scratch := dist.NewCollisionScratch()
-	for _, tc := range []ScratchTester{sc1, am, cc, dc} {
+	for _, tc := range []Tester{sc1, am, NewBlockCollision(n, 50, 2), cc, dc, tv} {
 		d := dist.NewTwoBump(n, 1, 5)
 		for trial := 0; trial < 50; trial++ {
 			samples := dist.SampleN(d, tc.SampleSize(), r)
-			if got, want := tc.TestScratch(samples, scratch), tc.Test(samples); got != want {
-				t.Fatalf("%s trial %d: TestScratch=%v Test=%v", tc.Name(), trial, got, want)
+			if got, want := tc.Test(samples, scratch), tc.Test(samples, nil); got != want {
+				t.Fatalf("%s trial %d: Test(scratch)=%v Test(nil)=%v", tc.Name(), trial, got, want)
 			}
 		}
 	}
@@ -433,7 +437,7 @@ func BenchmarkSingleCollisionTest(b *testing.B) {
 	samples := dist.SampleN(dist.NewUniform(n), sc.SampleSize(), r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = sc.Test(samples)
+		_ = sc.Test(samples, nil)
 	}
 }
 
@@ -447,6 +451,6 @@ func BenchmarkCollisionCountingTest(b *testing.B) {
 	samples := dist.SampleN(dist.NewUniform(n), cc.SampleSize(), r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cc.Test(samples)
+		_ = cc.Test(samples, nil)
 	}
 }

@@ -9,14 +9,13 @@ import (
 // network node turns its sample stream into a verdict. NewVoter resolves
 // the tester's shape once, so a vote pays no type assertion.
 //
-// The block-collision testers (SingleCollision, Amplified and
-// BlockCollision) reject iff each of m consecutive blocks holds a repeat,
-// so a vote draws block i only after blocks 0…i−1 all collided and stops
-// at the first block without one. Under the uniform input a block collides
-// with probability δ′ ≪ 1, so nearly every node accepts after one block. A
-// BlockCollision whose blocks hold fewer than two samples accepts without
-// drawing. Every other tester draws its full sample set and runs
-// TestScratch (or Test).
+// A BlockCollision rejects iff each of its m consecutive blocks holds a
+// repeat, so its vote draws block i only after blocks 0…i−1 all collided
+// and stops at the first block without one. Under the uniform input a
+// block collides with probability δ′ ≪ 1, so nearly every node accepts
+// after one block. One whose blocks hold fewer than two samples accepts
+// without drawing. Every other tester draws its full sample set and runs
+// Test.
 //
 // The blocks are consecutive prefixes of the stream, and dist.SampleInto
 // draws exactly as that many scalar Sample calls would, so a vote always
@@ -25,26 +24,18 @@ import (
 // differs: it is unspecified, and callers that vote on indexed streams
 // (zeroround.VoteStream) reseed before every vote.
 type Voter struct {
-	st ScratchTester
-	// n, block and m are a block-collision tester's shape: m blocks of
-	// block samples from a domain of size n. m is 0 for other testers.
+	t Tester
+	// n, block and m are a BlockCollision's shape: m blocks of block
+	// samples from a domain of size n. m is 0 for other testers.
 	n, block, m int
 }
 
 // NewVoter resolves t's vote.
 func NewVoter(t Tester) Voter {
-	switch t := t.(type) {
-	case *SingleCollision:
-		return Voter{st: t, n: t.params.N, block: t.params.S, m: 1}
-	case *Amplified:
-		return Voter{st: t, n: t.inner.params.N, block: t.inner.params.S, m: t.m}
-	case *BlockCollision:
-		return Voter{st: t, n: t.n, block: t.s / t.m, m: t.m}
-	case ScratchTester:
-		return Voter{st: t}
-	default:
-		return Voter{st: plainTester{t}}
+	if b, ok := t.(*BlockCollision); ok {
+		return Voter{t: t, n: b.n, block: b.s / b.m, m: b.m}
 	}
+	return Voter{t: t}
 }
 
 // Vote draws from d with r into buf, which must hold the tester's
@@ -53,9 +44,9 @@ func NewVoter(t Tester) Voter {
 // vote are unspecified.
 func (v *Voter) Vote(d dist.Distribution, r *rng.RNG, buf []int, sc *dist.CollisionScratch) (reject bool) {
 	if v.m == 0 {
-		samples := buf[:v.st.SampleSize()]
+		samples := buf[:v.t.SampleSize()]
 		dist.SampleInto(d, samples, r)
-		return !v.st.TestScratch(samples, sc)
+		return !v.t.Test(samples, sc)
 	}
 	if v.block < 2 {
 		return false // a block this small cannot collide
@@ -68,12 +59,4 @@ func (v *Voter) Vote(d dist.Distribution, r *rng.RNG, buf []int, sc *dist.Collis
 		}
 	}
 	return true
-}
-
-// plainTester gives a tester without TestScratch the ScratchTester shape.
-type plainTester struct{ Tester }
-
-// TestScratch implements ScratchTester by ignoring the scratch.
-func (t plainTester) TestScratch(samples []int, _ *dist.CollisionScratch) bool {
-	return t.Test(samples)
 }

@@ -19,12 +19,13 @@ func (s scalarOnly) Sample(r *rng.RNG) int {
 	return s.Distribution.Sample(r)
 }
 
-// testOnly hides a tester's TestScratch.
+// testOnly hides a tester's concrete type, so NewVoter takes the
+// full-draw path.
 type testOnly struct{ Tester }
 
-// voteTester builds the fuzzed tester: choice picks SingleCollision,
-// Amplified (m = 1…4), BlockCollision (any s, including ⌊s/m⌋ < 2 and
-// s mod m ≠ 0), CollisionCounting, or a tester without TestScratch.
+// voteTester builds the fuzzed tester: choice picks NewSingleCollision,
+// NewAmplified (m = 1…4), NewBlockCollision (any s, including ⌊s/m⌋ < 2 and
+// s mod m ≠ 0), CollisionCounting, or a tester NewVoter does not know.
 func voteTester(t *testing.T, choice uint8, n int, delta float64, s, m int) Tester {
 	t.Helper()
 	var (
@@ -41,7 +42,7 @@ func voteTester(t *testing.T, choice uint8, n int, delta float64, s, m int) Test
 	case 3:
 		tt, err = NewCollisionCounting(n, 1, s+2)
 	default:
-		var sc *SingleCollision
+		var sc *BlockCollision
 		sc, err = NewSingleCollision(n, delta, 1)
 		tt = testOnly{sc}
 	}
@@ -97,7 +98,7 @@ func FuzzVoteMatchesFullDraw(f *testing.F) {
 				col = sc
 			}
 			got := v.Vote(d, rng.New(seed+round), buf, col)
-			want := !tt.Test(dist.SampleN(d, tt.SampleSize(), rng.New(seed+round)))
+			want := !tt.Test(dist.SampleN(d, tt.SampleSize(), rng.New(seed+round)), nil)
 			if got != want {
 				t.Fatalf("%s on %s, seed %d: vote rejects = %v, full draw rejects = %v",
 					tt.Name(), d.Name(), seed+round, got, want)
@@ -120,7 +121,7 @@ func TestVoteStopsAtDecidingBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	block := am.Inner().SampleSize()
+	block := am.Params().S
 	draws := 0
 	d := scalarOnly{dist.NewUniform(n), &draws}
 	for _, tc := range []struct {

@@ -622,19 +622,11 @@ func BuildAsymmetric(cfg AsymmetricConfig) (*Network, error) {
 		if deltaPrime >= 1 {
 			return nil, fmt.Errorf("zeroround: node %d per-repetition delta %v ≥ 1", i, deltaPrime)
 		}
-		if cfg.M == 1 {
-			sc, err := tester.NewSingleCollision(cfg.N, deltaPrime, cfg.Eps)
-			if err != nil {
-				return nil, fmt.Errorf("zeroround: node %d: %w", i, err)
-			}
-			nodes[i] = sc
-			continue
-		}
-		am, err := tester.NewAmplified(cfg.N, deltaPrime, cfg.Eps, cfg.M)
+		node, err := tester.NewAmplified(cfg.N, deltaPrime, cfg.Eps, cfg.M)
 		if err != nil {
 			return nil, fmt.Errorf("zeroround: node %d: %w", i, err)
 		}
-		nodes[i] = am
+		nodes[i] = node
 	}
 	var rule Rule = ANDRule{}
 	if cfg.T > 0 {

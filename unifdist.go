@@ -67,10 +67,10 @@ type (
 	Tester = tester.Tester
 	// GapParams are the resolved single-collision tester parameters.
 	GapParams = tester.GapParams
-	// SingleCollision is the (δ, 1+γε²)-gap tester A_δ.
-	SingleCollision = tester.SingleCollision
-	// Amplified is the m-repetition gap amplification of A_δ.
-	Amplified = tester.Amplified
+	// BlockCollision is the collision tester: m blocks, reject iff every
+	// block holds a repeat. NewSingleCollision builds the (δ, 1+γε²)-gap
+	// tester A_δ (m = 1) and NewAmplified its m-repetition amplification.
+	BlockCollision = tester.BlockCollision
 	// CollisionCounting is the classical Θ(√n/ε²) baseline.
 	CollisionCounting = tester.CollisionCounting
 )

@@ -120,7 +120,7 @@ func ExampleNewSingleCollision() {
 	}
 	r := unifdist.NewRNG(7)
 	samples := unifdist.SampleN(unifdist.NewUniform(1<<16), sc.SampleSize(), r)
-	fmt.Println("accepts distinct uniform samples:", sc.Test(samples))
+	fmt.Println("accepts distinct uniform samples:", sc.Test(samples, nil))
 	// Output:
 	// accepts distinct uniform samples: true
 }
