@@ -8,10 +8,9 @@
 //	unifcluster [-rule threshold|and] [-k 60] [-n 64] [-eps 1.0]
 //	            [-dist uniform|twobump|zipf|halfsupport] [-trials 10]
 //	            [-seed 1] [-transport pipe|tcp] [-policy observed|strict]
-//	            [-early] [-drop 0] [-dup 0] [-disconnect 0]
+//	            [-drop 0] [-dup 0] [-disconnect 0]
 //	            [-delay 0] [-fault-seed 1] [-retries 0] [-backoff 5ms]
-//	            [-deadline 10s] [-batch 0] [-flush-bytes 8192]
-//	            [-agg 0] [-agg-depth 1]
+//	            [-deadline 10s] [-batch 0] [-agg 0] [-agg-depth 1]
 //	            [-json] [-journal run.jsonl] [-obs-addr :9090]
 //
 //	unifcluster serve  [-addr 127.0.0.1:4600] [-max-sessions 16]
@@ -20,7 +19,7 @@
 //	                   [-obs-addr :9090]
 //	unifcluster submit [-addr 127.0.0.1:4600] [-tenant 1]
 //	                   [run flags: -rule -k -n -eps -dist -trials -seed
-//	                   -early -batch -drop -dup -disconnect -delay
+//	                   -batch -drop -dup -disconnect -delay
 //	                   -fault-seed -retries -backoff -json]
 //
 // serve runs the long-lived multi-tenant session service: one listener
@@ -35,10 +34,9 @@
 // fails a run that lost any vote, after the journal is flushed.
 //
 // -batch enables the high-throughput transport: votes coalesce into
-// VoteBatch frames, each written to the node's connection as soon as a
-// watermark trips, and -flush-bytes sets the byte watermark. Neither
-// changes any verdict — batched runs are trial-for-trial identical to
-// unbatched ones.
+// VoteBatch frames of up to -batch votes, each written to the node's
+// connection as soon as it is full. Batching changes no verdict —
+// batched runs are trial-for-trial identical to unbatched ones.
 //
 // -agg shards the referee behind a hierarchical aggregation tree: the
 // node-ID space splits into contiguous windows of at most -agg children
@@ -105,13 +103,11 @@ func run(args []string, stdout io.Writer) error {
 		seed      = fs.Uint64("seed", 1, "base seed of the indexed sample streams")
 		transport = fs.String("transport", "pipe", "pipe (in-memory) or tcp (loopback)")
 		policy    = fs.String("policy", "observed", "missing-vote policy: observed or strict")
-		early     = fs.Bool("early", false, "close the session as soon as every verdict is fixed")
 		faultPlan = faultFlags(fs)
 		retries   = fs.Int("retries", 0, "node redial attempts after transport errors")
 		backoff   = fs.Duration("backoff", 5*time.Millisecond, "initial retry backoff (doubles per attempt)")
 		deadline  = fs.Duration("deadline", cluster.DefaultDeadline, "session safety-net deadline")
 		batch     = fs.Int("batch", 0, "coalesce up to this many votes per VoteBatch frame (0 = one frame per vote)")
-		flushB    = fs.Int("flush-bytes", 0, "flush a pending batch at this encoded size (default 8KiB)")
 		aggFanout = fs.Int("agg", 0, "shard the referee behind an aggregator tree of this fanout (0 = flat star, ≥ 2 = tree)")
 		aggDepth  = fs.Int("agg-depth", 1, "aggregator tiers between the leaves and the root (requires -agg)")
 		jsonFlag  = fs.Bool("json", false, "emit a machine-readable run document instead of text")
@@ -143,14 +139,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	cfg := cluster.Config{
-		Trials:     *trials,
-		BaseSeed:   *seed,
-		EarlyClose: *early,
-		Deadline:   *deadline,
-		Retries:    *retries,
-		Backoff:    *backoff,
-		Batch:      *batch,
-		FlushBytes: *flushB,
+		Trials:   *trials,
+		BaseSeed: *seed,
+		Deadline: *deadline,
+		Retries:  *retries,
+		Backoff:  *backoff,
+		Batch:    *batch,
 	}
 	plan := faultPlan()
 
@@ -166,9 +160,6 @@ func run(args []string, stdout io.Writer) error {
 		// The transport shape changes the wire traffic, never the verdicts;
 		// record it so the run document explains its own byte counts.
 		prov.Extra = map[string]string{"batch": fmt.Sprint(*batch)}
-		if *flushB > 0 {
-			prov.Extra["flush_bytes"] = fmt.Sprint(*flushB)
-		}
 	}
 	if *aggFanout >= 2 {
 		// Like batching, the tree topology reshapes the wire traffic — the
@@ -269,9 +260,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// Flush the journal before surfacing any run error: a strict-quorum
-	// failure (or an EarlyDecider short-circuit severing node connections)
-	// still carries a fully decided report, and returning first would
-	// truncate the journal after run_start — losing every trial line.
+	// failure (or a failed node) still carries a fully decided report, and
+	// returning first would truncate the journal after run_start — losing
+	// every trial line.
 	if journal != nil && rep != nil {
 		rep.WriteTrials(journal)
 		end := struct {
@@ -303,9 +294,6 @@ func run(args []string, stdout io.Writer) error {
 		printf(out, "aggregation: %d votes folded from %d partial frames (%d duplicate entries)\n",
 			rep.Stats.PartialVotes, rep.Stats.PartialFrames, rep.Stats.DuplicatePartials)
 	}
-	if rep.Stats.EarlyClosed {
-		printf(out, "session closed early: every verdict was fixed\n")
-	}
 	if rep.Stats.DeadlineExpired {
 		printf(out, "WARNING: safety-net deadline expired before the protocol finished\n")
 	}
@@ -320,7 +308,6 @@ func run(args []string, stdout io.Writer) error {
 				"input":   map[string]any{"dist": d.Name(), "n": *n, "l1_from_uniform": dist.L1FromUniform(d)},
 				"faults":  plan,
 				"policy":  *policy,
-				"early":   *early,
 				"retries": *retries,
 			},
 		}

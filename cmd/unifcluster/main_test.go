@@ -21,7 +21,7 @@ func TestRunPipeSmoke(t *testing.T) {
 }
 
 func TestRunANDSmoke(t *testing.T) {
-	if err := run([]string{"-rule", "and", "-k", "16", "-n", "1024", "-trials", "4", "-dist", "twobump", "-early"}, io.Discard); err != nil {
+	if err := run([]string{"-rule", "and", "-k", "16", "-n", "1024", "-trials", "4", "-dist", "twobump"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -421,6 +421,11 @@ func TestRunErrors(t *testing.T) {
 		{name: "retired serve -queue", args: []string{"serve", "-queue", "64"}, want: "not defined: -queue"},
 		{name: "retired -queue", args: []string{"-queue", "16"}, want: "not defined: -queue"},
 		{name: "retired serve -reap", args: []string{"serve", "-reap", "250ms"}, want: "not defined: -reap"},
+		// Early close and the byte flush watermark are retired: a session
+		// ends when every node is done, a batch flushes when full.
+		{name: "retired -early", args: []string{"-rule", "and", "-early"}, want: "^flag provided but not defined: -early$"},
+		{name: "retired -flush-bytes", args: []string{"-batch", "16", "-flush-bytes", "4096"}, want: "^flag provided but not defined: -flush-bytes$"},
+		{name: "retired submit -early", args: []string{"submit", "-early"}, want: "^flag provided but not defined: -early$"},
 		// Every node fails; the run reports the lowest node's error exactly
 		// as the node client wrote it.
 		{name: "node error", args: []string{"-k", "8", "-n", "64", "-trials", "2", "-disconnect", "1", "-deadline", "300ms"},

@@ -110,7 +110,6 @@ func runSubmit(args []string, stdout io.Writer) error {
 		distName  = fs.String("dist", "uniform", "uniform, twobump, zipf or halfsupport")
 		trials    = fs.Int("trials", 10, "Monte-Carlo trials for this session")
 		seed      = fs.Uint64("seed", 1, "base seed of the indexed sample streams")
-		early     = fs.Bool("early", false, "let the service close the session as soon as every verdict is fixed")
 		faultPlan = faultFlags(fs)
 		retries   = fs.Int("retries", 0, "node redial attempts after transport errors")
 		backoff   = fs.Duration("backoff", 5*time.Millisecond, "initial retry backoff (doubles per attempt)")
@@ -130,12 +129,11 @@ func runSubmit(args []string, stdout io.Writer) error {
 		return err
 	}
 	cfg := cluster.Config{
-		Trials:     *trials,
-		BaseSeed:   *seed,
-		EarlyClose: *early,
-		Retries:    *retries,
-		Backoff:    *backoff,
-		Batch:      *batch,
+		Trials:   *trials,
+		BaseSeed: *seed,
+		Retries:  *retries,
+		Backoff:  *backoff,
+		Batch:    *batch,
 	}
 	plan := faultPlan()
 

@@ -181,26 +181,29 @@ func TestTreeMixedBatchedLeavesMatchReference(t *testing.T) {
 	}
 }
 
-func TestTreeEarlyCloseKeepsVerdicts(t *testing.T) {
-	// Far-from-uniform input under AND: partial sums alone must feed the
-	// root's early decider, and the early-closed tree must relay the
-	// verdict down without erroring any tier.
+// TestRunTreeReportsLowestNodeError pins runTree's error: when every node
+// fails, the flat star and the tree both return the lowest-numbered
+// failing node's error, exactly as the node client wrote it, beside the
+// report the referee decided from the votes that arrived.
+func TestRunTreeReportsLowestNodeError(t *testing.T) {
 	nw := andNetwork(t, 1<<10, 16)
 	d := dist.NewTwoBump(1<<10, 1.0, 8)
-	full, err := RunPipe(Config{Trials: 8, BaseSeed: 21}, nw, d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	early, err := RunTreePipe(Config{Trials: 8, BaseSeed: 21, EarlyClose: true}, nw, d, nil, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !early.Stats.EarlyClosed {
-		t.Fatal("far input under AND did not early-close the tree session")
-	}
-	for tr := range full.Verdicts {
-		if full.Verdicts[tr] != early.Verdicts[tr] {
-			t.Fatalf("trial %d: early tree verdict %v, full flat run %v", tr, early.Verdicts[tr], full.Verdicts[tr])
+	cfg := Config{Trials: 4, BaseSeed: 21, Deadline: 300 * time.Millisecond}
+	plan := &FaultPlan{Seed: 1, Disconnect: 1}
+	const want = "cluster: node 0: vote: link disconnected by fault plan"
+	for _, c := range []struct {
+		name string
+		run  func() (*Report, error)
+	}{
+		{"star", func() (*Report, error) { return RunPipe(cfg, nw, d, plan) }},
+		{"tree", func() (*Report, error) { return RunTreePipe(cfg, nw, d, plan, 4, 2) }},
+	} {
+		rep, err := c.run()
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", c.name, err, want)
+		}
+		if rep == nil || rep.MissingVotes != nw.K()*cfg.Trials {
+			t.Errorf("%s: report %+v, want every vote missing", c.name, rep)
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 // over (votes, rejects), so the root referee merging the partials decides
 // trial-for-trial exactly as the flat star would.
 //
-// Flushes happen on count/byte watermarks and at the session drain only
+// Flushes happen on the count watermark and at the session drain only
 // — never on a wall-clock timer — so a tree run stays deterministic.
 // Every flushed entry is also kept in a replay log: if the upstream link
 // fails, the aggregator redials and replays the log; the parent's
@@ -41,7 +41,7 @@ type Aggregator struct {
 	Dial func() (net.Conn, error)
 	// Config carries the session shape: the referee-relevant fields
 	// (Trials, Deadline, Obs, Trace) plus Retries/Backoff for the
-	// upstream link and Batch/FlushBytes for the partial flush watermarks.
+	// upstream link and Batch for the partial flush watermark.
 	Config Config
 
 	voteSink
@@ -72,8 +72,8 @@ type Aggregator struct {
 // Serve runs one aggregation session on l: accept leaves, fold, forward
 // partials, relay the final verdict back down. It always closes l. The
 // returned error reports an upstream or strict-protocol failure; a
-// session cut short by the root's early close is not an error when the
-// verdict still arrived.
+// session the root finalized first (its deadline fired) is not an error
+// when the verdict still arrived.
 func (a *Aggregator) Serve(l net.Listener) error {
 	if a.Config.Trials <= 0 {
 		l.Close()
@@ -101,9 +101,9 @@ func (a *Aggregator) Serve(l net.Listener) error {
 	foldDone := make(chan struct{})
 	go a.fold(sess.Context(), foldDone)
 
-	// The session ends on the first of: every node in the window done, an
-	// early verdict from upstream (root early close), an upstream failure,
-	// or the safety-net deadline.
+	// The session ends on the first of: every node in the window done, a
+	// verdict from upstream (the root finalized first), an upstream
+	// failure, or the safety-net deadline.
 	ing := a.host(l)
 
 	// Fresh upstream I/O budget for the drain-and-finish phase: on the
@@ -187,16 +187,14 @@ func (a *Aggregator) partialWatermark() int {
 
 // fold is the flush goroutine: it waits for completed trials, snapshots
 // their sums under the sink mutex, and encodes/sends PartialVerdict
-// frames outside it on the count/byte watermarks. It exits when the
-// session drain hands it the final trials (reachable return via
-// stopFold) or on an unrecoverable upstream failure.
+// frames outside it on the count watermark, which alone keeps every frame
+// under wire.MaxBatchFrameBytes (wire.MaxPartialEntries entries of at
+// most 15 bytes each). It exits when the session drain hands it the
+// final trials (reachable return via stopFold) or on an unrecoverable
+// upstream failure.
 func (a *Aggregator) fold(sess trace.Context, done chan struct{}) {
 	defer close(done)
 	watermark := a.partialWatermark()
-	maxBytes := a.cfg.flushBytes()
-	// Conservative per-entry wire estimate for the byte watermark: three
-	// delta varints.
-	const perEntry = 15
 	var batch []wire.PartialEntry
 	for {
 		a.mu.Lock()
@@ -210,7 +208,7 @@ func (a *Aggregator) fold(sess trace.Context, done chan struct{}) {
 			batch = append(batch, wire.PartialEntry{Trial: uint32(t), Votes: uint32(a.votes[t]), Rejects: uint32(a.rejects[t])})
 		}
 		a.mu.Unlock()
-		for len(batch) >= watermark || len(batch)*perEntry >= maxBytes || (stop && len(batch) > 0) {
+		for len(batch) >= watermark || (stop && len(batch) > 0) {
 			n := len(batch)
 			if n > wire.MaxPartialEntries {
 				n = wire.MaxPartialEntries
@@ -307,9 +305,9 @@ func (a *Aggregator) dialUpstream(sess trace.Context, deadline time.Duration) er
 
 // readUpstream watches the upstream connection for the session verdict.
 // The root broadcasts it to every connected peer — child aggregators
-// included — either at the normal session end or on early close, so the
-// reader both completes the normal handshake and cuts the session short
-// when the root already decided everything.
+// included — when its session ends, so the reader both completes the
+// normal handshake and cuts the session short when the root finalized
+// first.
 func (a *Aggregator) readUpstream(conn net.Conn, done chan struct{}) {
 	defer close(done)
 	r := wire.NewReader(conn)
@@ -372,9 +370,9 @@ func (a *Aggregator) replay(sess trace.Context) error {
 // finishUpstream completes the upstream protocol after the fold loop
 // exited: write Done — after a failed write, on the link retryUpstream
 // redials — and wait for the verdict the link's reader goroutine
-// collects. A session whose verdict already arrived (early close)
-// succeeds regardless of trailing fold errors — the decision is fixed,
-// trailing partials are moot.
+// collects. A session whose verdict already arrived (the root finalized
+// first) succeeds regardless of trailing fold errors — the decision is
+// fixed, trailing partials are moot.
 func (a *Aggregator) finishUpstream(sess trace.Context) (wire.Verdict, error) {
 	a.mu.Lock()
 	ferr := a.foldErr

@@ -48,15 +48,14 @@ func TestBatchedMatchesUnbatchedExactly(t *testing.T) {
 	for _, cfg := range []Config{
 		{Trials: 40, BaseSeed: 31, Batch: 16},
 		{Trials: 40, BaseSeed: 31, Batch: 256},
-		{Trials: 40, BaseSeed: 31, Batch: 256, FlushBytes: 128},
 	} {
 		got, err := RunPipe(cfg, nw, d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(sansStats(got), sansStats(want)) {
-			t.Fatalf("batch=%d flush=%d: report diverged from unbatched:\n got %+v\nwant %+v",
-				cfg.Batch, cfg.FlushBytes, sansStats(got), sansStats(want))
+			t.Fatalf("batch=%d: report diverged from unbatched:\n got %+v\nwant %+v",
+				cfg.Batch, sansStats(got), sansStats(want))
 		}
 		if got.Stats.BatchFrames == 0 || got.Stats.BatchedVotes != nw.K()*cfg.Trials {
 			t.Fatalf("batch=%d: stats claim %d batch frames / %d batched votes",
@@ -305,14 +304,33 @@ func TestMixedBatchedAndPerVotePeers(t *testing.T) {
 	}
 }
 
+// TestBatchFillCountsEachFrameOnce pins cluster.batch_fill to the
+// referee's own accounting: the sink observes each VoteBatch frame once,
+// on arrival, with the votes it carried, and no other writer shares the
+// name.
+func TestBatchFillCountsEachFrameOnce(t *testing.T) {
+	nw := thresholdNetwork(t, 64, 8)
+	reg := obs.NewRegistry()
+	rep, err := RunPipe(Config{Trials: 32, BaseSeed: 1, Batch: 16, Obs: reg}, nw, dist.NewUniform(64), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := reg.Histogram("cluster.batch_fill", nil).Snapshot()
+	if rep.Stats.BatchFrames == 0 || fill.Count != int64(rep.Stats.BatchFrames) || fill.Sum != int64(rep.Stats.BatchedVotes) {
+		t.Fatalf("cluster.batch_fill count %d sum %d; the referee received %d batch frames carrying %d votes",
+			fill.Count, fill.Sum, rep.Stats.BatchFrames, rep.Stats.BatchedVotes)
+	}
+}
+
 // TestBatcherRespectsFrameCaps drives the batcher with adversarially wide
-// votes and checks no emitted frame ever exceeds the wire caps.
+// votes at the largest batch size and checks that the count cap alone
+// keeps every emitted frame within the wire cap.
 func TestBatcherRespectsFrameCaps(t *testing.T) {
 	var w frameRecorder
-	cfg := Config{Trials: 1, Batch: 4096, FlushBytes: 4096}
+	cfg := Config{Trials: 1, Batch: wire.MaxBatchVotes}
 	bt := newBatcher(&frameWriter{w: &w}, cfg, trace.Context{})
 	// Wide deltas defeat the delta encoding: every column entry costs ~5
-	// bytes, so the byte watermark must flush long before MaxBatchVotes.
+	// bytes, the worst case the frame cap is sized for.
 	for i := 0; i < 20000; i++ {
 		v := wire.BatchVote{Trial: uint32(i * 2654435761), Node: uint32(i * 40503), Reject: i%3 == 0}
 		if err := bt.add(v); err != nil {
@@ -322,8 +340,9 @@ func TestBatcherRespectsFrameCaps(t *testing.T) {
 	if err := bt.flush(); err != nil {
 		t.Fatal(err)
 	}
-	if len(w.frames) < 2 {
-		t.Fatalf("watermark never flushed: %d writes", len(w.frames))
+	// 20000 votes are four full batches of 4096 and a remainder.
+	if len(w.frames) != 5 {
+		t.Fatalf("%d writes, want 5", len(w.frames))
 	}
 	for i, f := range w.frames {
 		if len(f)-4 > wire.FrameCap(wire.TypeVoteBatch) {

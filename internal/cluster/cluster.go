@@ -42,10 +42,6 @@ import (
 // DefaultDeadline bounds a session when peers stall; see Config.Deadline.
 const DefaultDeadline = 10 * time.Second
 
-// DefaultFlushBytes is the byte watermark at which a partially-filled
-// batch is written to the connection.
-const DefaultFlushBytes = 8 << 10
-
 // Config holds the session parameters shared by the referee and every
 // node client.
 type Config struct {
@@ -54,13 +50,6 @@ type Config struct {
 	// BaseSeed fixes the indexed randomness of every (trial, node) sample
 	// stream (zeroround.VoteStream) and thereby the entire run.
 	BaseSeed uint64
-	// EarlyClose lets the referee shut the session down as soon as every
-	// trial's verdict is fixed (EarlyDecider rules can fix a verdict
-	// before all votes arrive). Verdicts are unchanged; only trailing
-	// traffic is saved. Nodes still mid-submission observe their
-	// connection closing, which is expected, so loopback harnesses ignore
-	// node-side errors once the referee closed early.
-	EarlyClose bool
 	// Deadline bounds the whole session at the referee and each node
 	// client I/O attempt; 0 means DefaultDeadline. It is a safety net
 	// against stalled peers — fault-free runs finish on protocol events
@@ -77,14 +66,15 @@ type Config struct {
 	// Batch, when ≥ 2, switches node clients to the high-throughput path:
 	// up to Batch votes are coalesced into each wire.VoteBatch frame
 	// (clamped to wire.MaxBatchVotes). 0 or 1 keeps one frame per vote.
-	// Batching never changes verdicts: the referee applies batched votes
-	// through the same dedup/rule/quorum pipeline, and differential tests
-	// pin batched runs trial-for-trial identical to unbatched ones.
+	// A batch is written when it is full and at the protocol points
+	// (disconnect, Done) — never on a wall-clock timer — so the batched
+	// path stays deterministic. Batching never changes verdicts: the
+	// referee applies batched votes through the same dedup/rule/quorum
+	// pipeline, and differential tests pin batched runs trial-for-trial
+	// identical to unbatched ones.
 	Batch int
-	// FlushBytes is the byte watermark flushing a partially-filled batch
-	// (0 = DefaultFlushBytes). Flushes happen on watermarks and explicit
-	// protocol points only — never on a wall-clock timer — so the batched
-	// path stays deterministic.
+	// FlushBytes is ignored; it remains so existing callers keep
+	// compiling.
 	FlushBytes int
 	// Session binds every frame this configuration sends — and every frame
 	// its referee accepts — to a session ID, carried in each frame's
@@ -129,14 +119,6 @@ func (c Config) batchSize() int {
 		return wire.MaxBatchVotes
 	}
 	return c.Batch
-}
-
-// flushBytes resolves the batch flush watermark.
-func (c Config) flushBytes() int {
-	if c.FlushBytes <= 0 {
-		return DefaultFlushBytes
-	}
-	return c.FlushBytes
 }
 
 // Report is the referee's account of one session.
@@ -227,18 +209,16 @@ type RefereeStats struct {
 	// were idling on the verdict when the session finalized — protocol
 	// state, not wall-clock idleness.
 	IdlePeers int `json:"idle_peers,omitempty"`
-	// EarlyClosed reports the session ended because every verdict was
-	// fixed; DeadlineExpired that the safety-net deadline fired.
-	EarlyClosed     bool `json:"early_closed,omitempty"`
+	// DeadlineExpired reports the safety-net deadline fired before every
+	// node was done.
 	DeadlineExpired bool `json:"deadline_expired,omitempty"`
 }
 
 // RunPipe executes one full session in-process over net.Pipe transports:
 // a referee for nw's rule plus one node client per network node, faults
 // injected per plan (nil plan = clean links) — the depth-0 aggregation
-// tree. It returns the referee's report; node-side errors fail the run
-// only when the referee did not close the session early (see
-// Config.EarlyClose).
+// tree. It returns the referee's report and, when a node failed, the
+// lowest-numbered failing node's error.
 func RunPipe(cfg Config, nw *zeroround.Network, d dist.Distribution, plan *FaultPlan) (*Report, error) {
 	return runTree(cfg, nw, d, plan, 0, 0, listenPipe)
 }

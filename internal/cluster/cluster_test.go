@@ -131,27 +131,6 @@ func TestPipeClusterDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestEarlyCloseKeepsVerdicts(t *testing.T) {
-	// Far-from-uniform input under the AND rule: one rejecting vote decides
-	// a trial, so early close fires constantly. Verdicts must not change.
-	nw := andNetwork(t, 1<<10, 16)
-	d := dist.NewTwoBump(1<<10, 1.0, 8)
-	cfg := Config{Trials: 10, BaseSeed: 21}
-	rep, err := RunPipe(cfg, nw, d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	early, err := RunPipe(Config{Trials: 10, BaseSeed: 21, EarlyClose: true}, nw, d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tr := range rep.Verdicts {
-		if rep.Verdicts[tr] != early.Verdicts[tr] {
-			t.Fatalf("trial %d: early-close verdict %v, full run %v", tr, early.Verdicts[tr], rep.Verdicts[tr])
-		}
-	}
-}
-
 func TestFaultInjectionDropWithinErrorBound(t *testing.T) {
 	// Theorem 1.2 shape with 10% of votes dropped: the quorum fallback
 	// (missing vote = accept) must keep both error sides within the paper's

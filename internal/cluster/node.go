@@ -40,8 +40,7 @@ type NodeClient struct {
 // returning the referee's verdict broadcast. Votes are computed once, up
 // front — retries resubmit identical frames, so transport faults can
 // lose or duplicate votes but never change them. A session the referee
-// closed before sending a verdict returns an error; callers running
-// under Config.EarlyClose treat that as expected.
+// closed before sending a verdict returns an error.
 func (nc *NodeClient) Run(d dist.Distribution) (wire.Verdict, error) {
 	cfg := nc.Config
 	if cfg.Trials <= 0 {
@@ -235,20 +234,19 @@ func (out *frameWriter) frame(f wire.Frame, tc wire.TraceContext) error {
 	return err
 }
 
-// batcher coalesces a node's votes into VoteBatch frames, writing each on
-// a count watermark (maxVotes), a byte watermark (maxBytes), or an
-// explicit flush at a protocol point (disconnect, Done). There is no
-// time-based flush: the deterministic path never consults a clock.
+// batcher coalesces a node's votes into VoteBatch frames, writing each
+// when it holds maxVotes votes or at a protocol point (disconnect, Done).
+// There is no time-based flush: the deterministic path never consults a
+// clock. The count cap alone keeps every frame under
+// wire.MaxBatchFrameBytes: at most wire.MaxBatchVotes votes of at most
+// 11 bytes each.
 type batcher struct {
 	out      *frameWriter
 	batch    wire.VoteBatch
 	maxVotes int
-	maxBytes int
-	bytes    int
 
 	tr   *trace.Tracer
 	sess trace.Context
-	fill *obs.Histogram // cluster.batch_fill
 }
 
 // newBatcher sizes a batcher from the session config. Its send spans
@@ -257,28 +255,15 @@ func newBatcher(out *frameWriter, cfg Config, sess trace.Context) *batcher {
 	return &batcher{
 		out:      out,
 		maxVotes: cfg.batchSize(),
-		maxBytes: cfg.flushBytes(),
 		tr:       cfg.Trace,
 		sess:     sess,
-		fill:     cfg.Obs.Histogram("cluster.batch_fill", obs.BytesBuckets()),
 	}
 }
 
-// add appends one vote, flushing when a watermark trips.
+// add appends one vote, flushing when the batch is full.
 func (b *batcher) add(v wire.BatchVote) error {
-	var prev *wire.BatchVote
-	if n := len(b.batch.Votes); n > 0 {
-		prev = &b.batch.Votes[n-1]
-	} else {
-		// Fixed overhead slack: flags, count varint, bitset rounding.
-		b.bytes = 16
-	}
-	b.bytes += wire.BatchVoteSize(prev, &v)
-	if len(b.batch.Votes)%8 == 0 {
-		b.bytes++ // a fresh reject-bitset byte
-	}
 	b.batch.Votes = append(b.batch.Votes, v)
-	if len(b.batch.Votes) >= b.maxVotes || b.bytes >= b.maxBytes {
+	if len(b.batch.Votes) >= b.maxVotes {
 		return b.flush()
 	}
 	return nil
@@ -302,9 +287,7 @@ func (b *batcher) flush() error {
 		_, err = b.out.w.Write(buf)
 	}
 	sp.End()
-	b.fill.Observe(int64(n))
 	b.batch.Votes = b.batch.Votes[:0]
-	b.bytes = 0
 	if err != nil {
 		return fmt.Errorf("batch flush: %w", err)
 	}

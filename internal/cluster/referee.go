@@ -26,10 +26,9 @@ import (
 // tallies — both decision rules are commutative monoids over (votes,
 // rejects), so the merged sums decide exactly as the flat star would.
 //
-// A session ends on the first of: every node sent Done; every trial's
-// verdict is fixed (Config.EarlyClose); or the safety-net deadline
-// expired. At that point the referee broadcasts a wire.Verdict summary to
-// every connected node and closes the transport.
+// A session ends on the first of: every node sent Done, or the
+// safety-net deadline expired. At that point the referee broadcasts a
+// wire.Verdict summary to every connected node and closes the transport.
 type Referee struct {
 	voteSink
 	rule zeroround.Rule
@@ -37,22 +36,20 @@ type Referee struct {
 	early zeroround.EarlyDecider
 
 	// Decision state, guarded by the sink mutex (advance runs under it).
-	missing   []int
-	decided   []bool
-	verdict   []bool
-	early_    []bool // trial fixed by EarlyDecider before all votes
-	undecided int
+	missing []int
+	decided []bool
+	verdict []bool
+	early_  []bool // trial fixed by EarlyDecider before all votes
 }
 
 // NewReferee builds a referee for a k-node network deciding with rule.
 func NewReferee(k int, rule zeroround.Rule, cfg Config) *Referee {
 	rf := &Referee{
-		rule:      rule,
-		missing:   make([]int, cfg.Trials),
-		decided:   make([]bool, cfg.Trials),
-		verdict:   make([]bool, cfg.Trials),
-		early_:    make([]bool, cfg.Trials),
-		undecided: cfg.Trials,
+		rule:    rule,
+		missing: make([]int, cfg.Trials),
+		decided: make([]bool, cfg.Trials),
+		verdict: make([]bool, cfg.Trials),
+		early_:  make([]bool, cfg.Trials),
 	}
 	rf.voteSink.init(k, 0, k, cfg, "cluster", "referee")
 	rf.referee = rf
@@ -117,11 +114,6 @@ func (rf *Referee) settle(trial int, accept, early bool) {
 	rf.decided[trial] = true
 	rf.verdict[trial] = accept
 	rf.early_[trial] = early
-	rf.undecided--
-	if rf.undecided == 0 && rf.cfg.EarlyClose {
-		rf.stats.EarlyClosed = true
-		rf.fire()
-	}
 }
 
 // finalize decides the remaining trials via the quorum fallback and

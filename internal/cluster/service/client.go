@@ -104,11 +104,10 @@ func (c *Client) Close() error { return c.ctrl.Close() }
 // so existing callers keep compiling.
 func OpenFrame(cfg cluster.Config, nw *zeroround.Network, tenant uint32, _ bool) (*wire.SessionOpen, error) {
 	open := &wire.SessionOpen{
-		Tenant:     tenant,
-		K:          uint32(nw.K()),
-		Trials:     uint32(cfg.Trials),
-		Seed:       cfg.BaseSeed,
-		EarlyClose: cfg.EarlyClose,
+		Tenant: tenant,
+		K:      uint32(nw.K()),
+		Trials: uint32(cfg.Trials),
+		Seed:   cfg.BaseSeed,
 	}
 	switch r := nw.Rule().(type) {
 	case zeroround.ANDRule:
@@ -127,7 +126,8 @@ func OpenFrame(cfg cluster.Config, nw *zeroround.Network, tenant uint32, _ bool)
 // granted session), and wait for the report. It is the service-transport
 // analogue of cluster.RunPipe/RunTCP — same cfg, same network, same
 // deterministic vote streams — which is what the differential tests
-// compare against.
+// compare against. When a node failed, Submit returns the report with the
+// lowest-numbered failing node's error, as cluster.StartNodes reports it.
 func Submit(dial func() (net.Conn, error), cfg cluster.Config, nw *zeroround.Network, d dist.Distribution, plan *cluster.FaultPlan, tenant uint32) (*cluster.Report, error) {
 	open, err := OpenFrame(cfg, nw, tenant, false)
 	if err != nil {
@@ -144,11 +144,6 @@ func Submit(dial func() (net.Conn, error), cfg cluster.Config, nw *zeroround.Net
 	nodeErr := wait()
 	if werr != nil {
 		return nil, werr
-	}
-	if cfg.EarlyClose {
-		// Early close severs node connections whose verdicts were no longer
-		// needed; their errors are expected, exactly as in cluster.RunPipe.
-		return rep, nil
 	}
 	return rep, nodeErr
 }

@@ -299,7 +299,6 @@ func (s *Service) admit(conn net.Conn, r *wire.Reader, open *wire.SessionOpen) {
 	ccfg := cluster.Config{
 		Trials:       trials,
 		BaseSeed:     open.Seed,
-		EarlyClose:   open.EarlyClose,
 		Deadline:     s.cfg.deadline(),
 		Obs:          s.reg,
 		Session:      id,

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -388,6 +389,49 @@ func TestDeadlineExpiresStalledSession(t *testing.T) {
 	defer c2.Close()
 	if got := reg.Gauge("svc.sessions_active").Value(); got != 2 {
 		t.Errorf("sessions_active = %v after reopen, want 2", got)
+	}
+}
+
+// TestSubmitReportsLowestNodeError pins Submit's error: when every node
+// fails — under a fault plan or on a dead dial — it returns the
+// lowest-numbered failing node's error, as cluster.StartNodes reports it,
+// beside the report of the session the service expired.
+func TestSubmitReportsLowestNodeError(t *testing.T) {
+	_, dial := startService(t, service.Config{Deadline: 300 * time.Millisecond})
+	nw := andNetwork(t, 1<<10, 16)
+	d := dist.NewUniform(1 << 10)
+	cfg := cluster.Config{Trials: 4, BaseSeed: 3}
+	cases := []struct {
+		name string
+		dial func() (net.Conn, error)
+		plan *cluster.FaultPlan
+		want string
+	}{
+		{"fault plan", dial, &cluster.FaultPlan{Seed: 1, Disconnect: 1},
+			"cluster: node 0: vote: link disconnected by fault plan"},
+		{"dead dial", deadAfterFirst(dial), nil, "cluster: node 0: dial: no route"},
+	}
+	for _, c := range cases {
+		rep, err := service.Submit(c.dial, cfg, nw, d, c.plan, 1)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+		if rep == nil || rep.MissingVotes != nw.K()*cfg.Trials {
+			t.Errorf("%s: report %+v, want every vote missing", c.name, rep)
+		}
+	}
+}
+
+// deadAfterFirst passes its first dial — Submit's control connection —
+// through to dial and fails every later one, as a node would see a
+// service that went unreachable.
+func deadAfterFirst(dial func() (net.Conn, error)) func() (net.Conn, error) {
+	var dialed atomic.Bool
+	return func() (net.Conn, error) {
+		if !dialed.Swap(true) {
+			return dial()
+		}
+		return nil, errors.New("no route")
 	}
 }
 

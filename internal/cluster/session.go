@@ -26,9 +26,8 @@ func (rf *Referee) Handshake(f wire.Frame) (*Peer, error) {
 	return rf.handshake(f)
 }
 
-// Decided returns the channel closed when the session's outcome is
-// fixed: every node done, or every verdict early-decided under
-// Config.EarlyClose. Finalize closes it too, so a waiter always returns.
+// Decided returns the channel closed when every node of the session is
+// done. Finalize closes it too, so a waiter always returns.
 func (rf *Referee) Decided() <-chan struct{} {
 	return rf.trigger
 }

@@ -111,12 +111,6 @@ func runTree(cfg Config, nw *zeroround.Network, d dist.Distribution, plan *Fault
 	if err != nil {
 		return rep, err
 	}
-	// Early close severs connections of peers whose verdicts were no
-	// longer needed — leaves and aggregators alike; their errors are
-	// expected, not failures.
-	if rep.Stats.EarlyClosed {
-		return rep, nil
-	}
 	if nodeErr != nil {
 		return rep, nodeErr
 	}
@@ -129,8 +123,7 @@ func runTree(cfg Config, nw *zeroround.Network, d dist.Distribution, plan *Fault
 // StartNodes starts one NodeClient per node of nw, node i dialing
 // dial(i), and returns the function that waits for all of them. wait
 // returns the error of the lowest-numbered node that failed, exactly as
-// NodeClient.Run wrote it, or nil; each caller decides which node errors
-// an early close excuses.
+// NodeClient.Run wrote it, or nil.
 func StartNodes(cfg Config, nw *zeroround.Network, d dist.Distribution, plan *FaultPlan,
 	dial func(node int) func() (net.Conn, error)) (wait func() error) {
 	k := nw.K()

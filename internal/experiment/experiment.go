@@ -12,14 +12,13 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/unifdist/unifdist/internal/obs"
 	"github.com/unifdist/unifdist/internal/rng"
 	"github.com/unifdist/unifdist/internal/simnet"
 	"github.com/unifdist/unifdist/internal/stats"
+	"github.com/unifdist/unifdist/internal/trialpool"
 )
 
 // Mode selects the experiment scale.
@@ -212,12 +211,13 @@ func (c *RunContext) WorkerCount() int {
 	return c.Workers
 }
 
-// RunRows executes count independent sweep-row builders, concurrently up to
-// WorkerCount, and returns the rows in index order. Each builder gets its
-// own generator split deterministically from r before any goroutine starts
-// — row i always receives the i-th split — so the table is identical
-// whether rows run serially or interleaved. The first error (by row index)
-// wins. Builders must not touch shared mutable state; telemetry through the
+// RunRows executes count independent sweep-row builders on the shared
+// trial pool (internal/trialpool), concurrently up to WorkerCount, and
+// returns the rows in index order. Each builder gets its own generator
+// split deterministically from r before any goroutine starts — row i
+// always receives the i-th split — so the table is identical whether rows
+// run serially or interleaved. The first error (by row index) wins.
+// Builders must not touch shared mutable state; telemetry through the
 // registry is safe (its metrics are atomic).
 func (c *RunContext) RunRows(r *rng.RNG, count int, fn func(row int, rr *rng.RNG) ([]string, error)) ([][]string, error) {
 	gens := make([]*rng.RNG, count)
@@ -225,37 +225,15 @@ func (c *RunContext) RunRows(r *rng.RNG, count int, fn func(row int, rr *rng.RNG
 		gens[i] = r.Split()
 	}
 	rows := make([][]string, count)
-	errs := make([]error, count)
-	workers := c.WorkerCount()
-	if workers > count {
-		workers = count
-	}
-	if workers <= 1 {
-		for i := range gens {
-			rows[i], errs[i] = fn(i, gens[i])
+	_, err := trialpool.Count(count, c.WorkerCount(), func() func(int) (bool, error) {
+		return func(i int) (bool, error) {
+			var err error
+			rows[i], err = fn(i, gens[i])
+			return false, err
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= count {
-						return
-					}
-					rows[i], errs[i] = fn(i, gens[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

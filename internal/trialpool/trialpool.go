@@ -1,6 +1,7 @@
 // Package trialpool is the one worker pool every Monte-Carlo estimator in
 // the library runs its trials on: the 0-round network's EstimateErrorAt,
-// the CONGEST estimator and the SMP estimators.
+// the CONGEST estimator and the SMP estimators. The experiment harness
+// runs its sweep rows on it too (experiment.RunContext.RunRows).
 //
 // A trial is named by its index alone. Each estimator derives the trial's
 // randomness from (base, index) — rng.SeedAt or zeroround.VoteStream — so

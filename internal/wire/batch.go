@@ -250,18 +250,6 @@ func (b *VoteBatch) decodeRun(p []byte) bool {
 	return true
 }
 
-// BatchVoteSize returns the payload bytes appending v to a batch adds:
-// the per-column varint costs given the previous entry (nil when v is
-// first). It excludes the flags/count/bitset overhead — a watermark
-// estimate for flush decisions, not an exact encoder.
-func BatchVoteSize(prev, v *BatchVote) int {
-	if prev == nil {
-		return uvarintLen(uint64(v.Trial)) + uvarintLen(uint64(v.Node))
-	}
-	return uvarintLen(zigzag(int64(v.Trial)-int64(prev.Trial))) +
-		uvarintLen(zigzag(int64(v.Node)-int64(prev.Node)))
-}
-
 // BatchEncoder encodes VoteBatch frames, enforcing the vote-count and
 // frame-size caps the decoder will apply. The zero value is ready to use.
 type BatchEncoder struct{}

@@ -53,7 +53,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			&AggHello{Agg: a, K: b, Trials: uint32(count), Lo: a >> 1, Hi: a>>1 + 1},
 			&PartialVerdict{Agg: a, Entries: advPartialEntries(seed, int(count)%MaxPartialEntries+1)},
 			&SessionOpen{Tenant: a, K: b, Trials: uint32(count), Seed: seed,
-				Rule: byte(seed), Thresh: a, EarlyClose: seed%3 == 0},
+				Rule: byte(seed), Thresh: a},
 			&SessionAccept{Session: sess | 1, Tenant: a},
 			&SessionReject{Tenant: a, Reason: byte(seed)%rejectReasonMax + 1},
 			report,

@@ -78,9 +78,6 @@ type SessionOpen struct {
 	Rule byte
 	// Thresh is the threshold rule's T; zero for rules without one.
 	Thresh uint32
-	// EarlyClose lets the referee hang up as soon as every trial is
-	// decided.
-	EarlyClose bool
 }
 
 // SessionAccept is the service's admission grant: the session ID every
@@ -129,10 +126,6 @@ func (SessionOpen) payloadSize() int   { return 26 }
 func (SessionAccept) payloadSize() int { return 8 }
 func (SessionReject) payloadSize() int { return 5 }
 
-// openFlagEarlyClose is the one SessionOpen flag bit: a SessionOpen that
-// sets any other bit fails to decode.
-const openFlagEarlyClose = 1 << 2
-
 func (o SessionOpen) appendPayload(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, o.Tenant)
 	dst = binary.BigEndian.AppendUint32(dst, o.K)
@@ -140,11 +133,7 @@ func (o SessionOpen) appendPayload(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, o.Seed)
 	dst = append(dst, o.Rule)
 	dst = binary.BigEndian.AppendUint32(dst, o.Thresh)
-	flags := byte(0)
-	if o.EarlyClose {
-		flags = openFlagEarlyClose
-	}
-	return append(dst, flags)
+	return append(dst, 0) // flags: zero (reserved)
 }
 
 func (o *SessionOpen) decodePayload(p []byte) error {
@@ -154,11 +143,9 @@ func (o *SessionOpen) decodePayload(p []byte) error {
 	o.Seed = binary.BigEndian.Uint64(p[12:20])
 	o.Rule = p[20]
 	o.Thresh = binary.BigEndian.Uint32(p[21:25])
-	flags := p[25]
-	if flags&^openFlagEarlyClose != 0 {
-		return fmt.Errorf("%w: sessionopen flags %#x", ErrFrameSize, flags)
+	if p[25] != 0 {
+		return fmt.Errorf("%w: sessionopen flags %#x", ErrFrameSize, p[25])
 	}
-	o.EarlyClose = flags != 0
 	return nil
 }
 

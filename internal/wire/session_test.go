@@ -54,7 +54,7 @@ func TestSessionSuffixRoundTrip(t *testing.T) {
 // frames, traced and untraced.
 func TestSessionControlRoundTrip(t *testing.T) {
 	frames := []Frame{
-		&SessionOpen{Tenant: 5, K: 100, Trials: 7, Seed: 99, Rule: RuleThreshold, Thresh: 11, EarlyClose: true},
+		&SessionOpen{Tenant: 5, K: 100, Trials: 7, Seed: 99, Rule: RuleThreshold, Thresh: 11},
 		&SessionOpen{Tenant: 1, K: 10, Trials: 2, Seed: 3, Rule: RuleAND},
 		&SessionAccept{Session: 12, Tenant: 5},
 		&SessionReject{Tenant: 5, Reason: RejectBudget},
@@ -94,9 +94,9 @@ func TestSessionControlRoundTrip(t *testing.T) {
 
 // TestSessionControlValidation pins the typed decode errors of the control
 // frames — out-of-range reject reasons (the retired default reason 5
-// included), zero accept sessions, spare open flags (the retired flags
-// 0x01 and 0x02 included) — and that an established type without its
-// session field fails.
+// included), zero accept sessions, any open flag bit (the retired flags
+// 0x01, 0x02 and 0x04 included) — and that an established type without
+// its session field fails.
 func TestSessionControlValidation(t *testing.T) {
 	for _, reason := range []byte{0, 5, 99} {
 		if _, _, _, err := DecodeBodySession(AppendSession(nil, &SessionReject{Tenant: 1, Reason: reason}, 0, TraceContext{})[4:], nil); !errors.Is(err, ErrFrameSize) {
@@ -107,7 +107,7 @@ func TestSessionControlValidation(t *testing.T) {
 		t.Errorf("accept session 0: err = %v, want ErrSession", err)
 	}
 	open := AppendSession(nil, &SessionOpen{Tenant: 1, K: 2, Trials: 3, Rule: RuleAND}, 0, TraceContext{})
-	for _, bit := range []byte{0x01, 0x02, 0x80} {
+	for _, bit := range []byte{0x01, 0x02, 0x04, 0x80} {
 		body := append([]byte(nil), open[4:]...)
 		body[len(body)-1] |= bit // a spare flag bit
 		if _, _, _, err := DecodeBodySession(body, nil); !errors.Is(err, ErrFrameSize) {
@@ -242,7 +242,7 @@ func FuzzSessionFrameRoundTrip(f *testing.F) {
 		report := fuzzReport(sess|1, 1<<31|a, seed, int(count)%MaxReportTrials+1)
 		control := []Frame{
 			&SessionOpen{Tenant: a, K: sess, Trials: uint32(count), Seed: seed,
-				Rule: byte(seed), Thresh: a, EarlyClose: seed%3 == 0},
+				Rule: byte(seed), Thresh: a},
 			&SessionAccept{Session: sess | 1, Tenant: a},
 			&SessionReject{Tenant: a, Reason: byte(seed)%rejectReasonMax + 1},
 			report,

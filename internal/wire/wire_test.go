@@ -242,7 +242,7 @@ func TestFrameLayout(t *testing.T) {
 		{TypeVoteBatch, &VoteBatch{Votes: seqVotes(3, 2)}},
 		{TypeAggHello, &AggHello{Agg: 2, K: 100, Trials: 7, Lo: 10, Hi: 20}},
 		{TypePartialVerdict, &PartialVerdict{Agg: 2, Entries: []PartialEntry{{Trial: 0, Votes: 10, Rejects: 4}}}},
-		{TypeSessionOpen, &SessionOpen{Tenant: 5, K: 100, Trials: 7, Seed: 99, Rule: RuleThreshold, Thresh: 11, EarlyClose: true}},
+		{TypeSessionOpen, &SessionOpen{Tenant: 5, K: 100, Trials: 7, Seed: 99, Rule: RuleThreshold, Thresh: 11}},
 		{TypeSessionAccept, &SessionAccept{Session: 12, Tenant: 5}},
 		{TypeSessionReject, &SessionReject{Tenant: 5, Reason: RejectBudget}},
 		{TypeSessionReport, &SessionReport{Session: 12, K: 10, Verdicts: []bool{true, false, true},
