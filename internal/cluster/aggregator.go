@@ -1,9 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,8 +48,9 @@ type Aggregator struct {
 	voteSink
 
 	// Fold state, guarded by the sink mutex. onComplete appends completed
-	// trials to pending and signals cond; the fold goroutine snapshots
-	// sums under the mutex and encodes/sends outside it.
+	// trials to pending and signals cond; the fold goroutine moves them,
+	// with their sums, from pending to the replay log under the mutex and
+	// encodes/sends outside it.
 	pending  []int
 	emitted  []bool // trial already handed to the fold loop
 	stopFold bool
@@ -61,10 +63,14 @@ type Aggregator struct {
 	// conn comes from its owner and needs no extra lock. upDone and the
 	// verdict fields are shared with the reader goroutine and guarded by
 	// the sink mutex.
-	conn        net.Conn
-	buf         []byte              // reused frame encode buffer
-	flushed     []wire.PartialEntry // every entry flushed, for replay
-	upDone      chan struct{}
+	conn   net.Conn
+	buf    []byte // reused frame encode buffer
+	upDone chan struct{}
+	// log holds every entry the fold loop took from pending, in flush
+	// order, at most one per trial; the first sent of them were flushed,
+	// and a redialed link replays those.
+	log         []wire.PartialEntry
+	sent        int
 	haveVerdict bool
 	verdictMsg  wire.Verdict
 }
@@ -148,6 +154,7 @@ func (a *Aggregator) initSession() {
 	a.voteSink.init(a.K, a.Lo, a.Hi, a.Config, "agg", "agg")
 	a.aggregator = a
 	a.emitted = make([]bool, a.cfg.Trials)
+	a.log = make([]wire.PartialEntry, 0, a.cfg.Trials)
 	a.cond = sync.NewCond(&a.mu)
 }
 
@@ -185,41 +192,32 @@ func (a *Aggregator) partialWatermark() int {
 	return w
 }
 
-// fold is the flush goroutine: it waits for completed trials, snapshots
-// their sums under the sink mutex, and encodes/sends PartialVerdict
-// frames outside it on the count watermark, which alone keeps every frame
-// under wire.MaxBatchFrameBytes (wire.MaxPartialEntries entries of at
-// most 15 bytes each). It exits when the session drain hands it the
-// final trials (reachable return via stopFold) or on an unrecoverable
-// upstream failure.
+// fold is the flush goroutine: it waits for completed trials, moves them
+// from pending to the replay log with their sums under the sink mutex,
+// and encodes/sends the log's unsent entries as PartialVerdict frames
+// outside it on the count watermark, which alone keeps every frame under
+// wire.MaxBatchFrameBytes (wire.MaxPartialEntries entries of at most 15
+// bytes each). It exits when the session drain hands it the final trials
+// (reachable return via stopFold) or on an unrecoverable upstream
+// failure.
 func (a *Aggregator) fold(sess trace.Context, done chan struct{}) {
 	defer close(done)
 	watermark := a.partialWatermark()
-	var batch []wire.PartialEntry
 	for {
 		a.mu.Lock()
 		for len(a.pending) == 0 && !a.stopFold {
 			a.cond.Wait()
 		}
 		stop := a.stopFold
-		trials := a.pending
-		a.pending = nil
-		for _, t := range trials {
-			batch = append(batch, wire.PartialEntry{Trial: uint32(t), Votes: uint32(a.votes[t]), Rejects: uint32(a.rejects[t])})
+		for _, t := range a.pending {
+			a.log = append(a.log, wire.PartialEntry{Trial: uint32(t), Votes: uint32(a.votes[t]), Rejects: uint32(a.rejects[t])})
 		}
+		a.pending = a.pending[:0]
 		a.mu.Unlock()
-		for len(batch) >= watermark || (stop && len(batch) > 0) {
-			n := len(batch)
-			if n > wire.MaxPartialEntries {
-				n = wire.MaxPartialEntries
-			}
-			if err := a.flushPartial(sess, batch[:n]); err != nil {
+		for n := len(a.log) - a.sent; n >= watermark || (stop && n > 0); n = len(a.log) - a.sent {
+			if err := a.flushPartial(sess, min(n, wire.MaxPartialEntries)); err != nil {
 				a.failFold(err)
 				return
-			}
-			batch = append(batch[:0], batch[n:]...)
-			if len(batch) == 0 {
-				break
 			}
 		}
 		if stop {
@@ -228,18 +226,25 @@ func (a *Aggregator) fold(sess trace.Context, done chan struct{}) {
 	}
 }
 
-// flushPartial writes one PartialVerdict frame upstream and keeps its
-// entries for replay, retrying with a full replay on a dead link.
-func (a *Aggregator) flushPartial(sess trace.Context, entries []wire.PartialEntry) error {
-	// Trial completion order depends on connection scheduling; sorting
-	// keeps the frame content canonical for a given completion set.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Trial < entries[j].Trial })
-	a.flushed = append(a.flushed, entries...)
+// flushPartial writes the log's next n unsent entries upstream as one
+// PartialVerdict frame, retrying with a full replay on a dead link.
+func (a *Aggregator) flushPartial(sess trace.Context, n int) error {
+	entries := a.log[a.sent : a.sent+n]
+	a.sent += n
+	// Sorting keeps the frame content canonical for a given completion
+	// set. Every peer sends in trial order, so only a faulty stream
+	// completes trials out of order and needs it.
+	if !slices.IsSortedFunc(entries, byTrial) {
+		slices.SortFunc(entries, byTrial)
+	}
 	if err := a.writePartial(sess, entries, false); err != nil {
 		return a.retryUpstream(sess, err)
 	}
 	return nil
 }
+
+// byTrial orders partial entries by trial.
+func byTrial(x, y wire.PartialEntry) int { return cmp.Compare(x.Trial, y.Trial) }
 
 // writePartial encodes entries as one PartialVerdict frame under an
 // agg.fold span — whose context rides the frame, parenting the parent
@@ -357,7 +362,7 @@ func (a *Aggregator) retryUpstream(sess trace.Context, lastErr error) error {
 
 // replay resends every flushed entry on the fresh upstream link.
 func (a *Aggregator) replay(sess trace.Context) error {
-	for log := a.flushed; len(log) > 0; {
+	for log := a.log[:a.sent]; len(log) > 0; {
 		n := min(len(log), wire.MaxPartialEntries)
 		if err := a.writePartial(sess, log[:n], true); err != nil {
 			return err

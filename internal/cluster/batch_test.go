@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"net"
 	"reflect"
 	"testing"
@@ -218,6 +219,96 @@ func TestBatchedFoldMatchesPerVoteFold(t *testing.T) {
 	}
 }
 
+// TestRunFoldMatchesRowFold pins the run fold to the vote-by-vote fold.
+// Each node sends the same runs to two sinks with telemetry on, on a
+// Referee and on an Aggregator: once decoded from their frames, so that
+// every run arrives as a wire.VoteRun and folds from its bitset, and once
+// as VoteBatch rows, which fold vote by vote. At k = 3 and 200 trials the
+// runs cross the 64-bit words of the dedup bitset: one clean, one
+// replayed so every bit is already set, one over an earlier single vote,
+// one past Trials and one ending at trial MaxUint32. Stats, every metric,
+// the per-trial sums and the aggregator's pending sequence must agree.
+func TestRunFoldMatchesRowFold(t *testing.T) {
+	const k, trials = 3, 200
+	seq := func(lo uint32, n int) []uint32 {
+		trs := make([]uint32, n)
+		for i := range trs {
+			trs[i] = lo + uint32(i)
+		}
+		return trs
+	}
+	for _, c := range []struct {
+		name string
+		runs [][]uint32
+	}{
+		{"clean run", [][]uint32{seq(0, 130)}},
+		{"replayed run", [][]uint32{seq(0, 130), seq(0, 130)}},
+		{"run over a single vote", [][]uint32{{140}, seq(130, 40)}},
+		{"run past Trials", [][]uint32{seq(150, 80)}},
+		{"run to MaxUint32", [][]uint32{seq(math.MaxUint32-9, 10)}},
+	} {
+		// fold sends every node's runs to s, decoded or as rows, then the
+		// node's Done.
+		fold := func(s *voteSink, decoded bool) {
+			var sc wire.DecodeScratch
+			for node := uint32(s.lo); node < uint32(s.hi); node++ {
+				peer, err := s.handshake(&wire.Hello{Node: node, K: uint32(s.k), Trials: trials})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, trs := range c.runs {
+					vb := &wire.VoteBatch{}
+					for _, tr := range trs {
+						vb.Votes = append(vb.Votes, wire.BatchVote{Trial: tr, Node: node, Reject: (tr+node)%3 == 0})
+					}
+					var f wire.Frame = vb
+					if decoded {
+						f, _, _, err = wire.DecodeBodySession(wire.AppendSession(nil, vb, 0, wire.TraceContext{})[4:], &sc)
+						if _, ok := f.(*wire.VoteRun); !ok || err != nil {
+							t.Fatalf("%s: run decoded as %T, %v", c.name, f, err)
+						}
+					}
+					if _, err := peer.Apply(f, wire.TraceContext{}, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := peer.Apply(&wire.Done{Node: node}, wire.TraceContext{}, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// Each sink reports its stats, its metrics and its per-trial state.
+		for prefix, run := range map[string]func(decoded bool) (RefereeStats, obs.Snapshot, any){
+			"cluster": func(decoded bool) (RefereeStats, obs.Snapshot, any) {
+				reg := obs.NewRegistry()
+				rf := NewReferee(k, zeroround.ThresholdRule{T: 2}, Config{Trials: trials, Obs: reg})
+				fold(&rf.voteSink, decoded)
+				rep, _, _ := rf.Finalize()
+				return rep.Stats, reg.Snapshot(), [][]int{rep.Votes, rep.Rejects, rep.Missing}
+			},
+			"agg": func(decoded bool) (RefereeStats, obs.Snapshot, any) {
+				reg := obs.NewRegistry()
+				a := newShardSink(k+2, 1, 1+k, Config{Trials: trials, Obs: reg})
+				fold(&a.voteSink, decoded)
+				return a.stats, reg.Snapshot(), [][]int{a.votes, a.rejects, a.pending}
+			},
+		} {
+			rstats, rmetrics, rtrials := run(true)
+			vstats, vmetrics, vtrials := run(false)
+			name := c.name + "/" + prefix
+			if rstats != vstats {
+				t.Errorf("%s: run fold stats %+v, vote-by-vote %+v", name, rstats, vstats)
+			}
+			if !reflect.DeepEqual(rmetrics, vmetrics) {
+				t.Errorf("%s: run fold metrics %+v, vote-by-vote %+v", name, rmetrics, vmetrics)
+			}
+			if !reflect.DeepEqual(rtrials, vtrials) {
+				t.Errorf("%s: run fold trials %v, vote-by-vote %v", name, rtrials, vtrials)
+			}
+		}
+	}
+}
+
 // TestBatchedDisconnectDrainsPendingVotes checks the graceful-drain
 // contract: when the fault plan kills a batched link, votes batched
 // before the disconnect still reach the referee — matching the per-frame
@@ -361,8 +452,8 @@ func (r *frameRecorder) Write(p []byte) (int, error) {
 
 // TestBatcherWritesRuns records what the nodes of a clean batched session
 // write and checks that every VoteBatch frame is in run form — one node's
-// votes on consecutive trials, the shape the codec's run path decodes —
-// so that path serves the real traffic. The codec is bijective, so rows
+// votes on consecutive trials, which the codec decodes as a VoteRun — so
+// the run path serves the real traffic. The codec is bijective, so rows
 // in run shape mean run-form bytes.
 func TestBatcherWritesRuns(t *testing.T) {
 	nw := thresholdNetwork(t, 64, 12)
@@ -402,16 +493,24 @@ func TestBatcherWritesRuns(t *testing.T) {
 			if err != nil {
 				t.Fatalf("node %d wrote an undecodable frame: %v", n, err)
 			}
-			vb, ok := f.(*wire.VoteBatch)
-			if !ok {
+			var votes []wire.BatchVote
+			switch b := f.(type) {
+			case *wire.VoteRun:
+				votes = b.AppendVotes(nil)
+			case *wire.VoteBatch:
+				votes = b.Votes
+			default:
 				continue
 			}
 			batches++
-			for i, v := range vb.Votes {
-				if v.Node != uint32(n) || v.Trial != vb.Votes[0].Trial+uint32(i) {
+			for i, v := range votes {
+				if v.Node != uint32(n) || v.Trial != votes[0].Trial+uint32(i) {
 					t.Fatalf("node %d batch %d is not a run: vote %d is (trial %d, node %d) after trial %d",
-						n, batches, i, v.Trial, v.Node, vb.Votes[0].Trial)
+						n, batches, i, v.Trial, v.Node, votes[0].Trial)
 				}
+			}
+			if _, ok := f.(*wire.VoteRun); !ok {
+				t.Fatalf("node %d batch %d decoded as %T, off the run path", n, batches, f)
 			}
 		}
 		if want := (cfg.Trials + cfg.Batch - 1) / cfg.Batch; batches != want {

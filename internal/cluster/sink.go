@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"net"
 	"sync"
 	"time"
@@ -56,6 +57,7 @@ type voteSink struct {
 	aggs      []*aggPeer
 	conns     []net.Conn
 	closed    bool
+	rows      []wire.BatchVote // a VoteRun's rows when it folds vote by vote
 	stats     RefereeStats
 	ing       *Ingest // the ingest its connections are hosted on
 
@@ -340,27 +342,21 @@ func (s *voteSink) applyFrame(f wire.Frame, tc wire.TraceContext, node int, agg 
 			return false, s.violation(wireBytes, "vote from node %d on peer %d", m.Node, node)
 		}
 		s.apply(wire.BatchVote{Trial: m.Trial, Node: m.Node, Reject: m.Reject}, node, tc, wireBytes)
+	case *wire.VoteRun:
+		if node < 0 || int(m.Node) != node {
+			return false, s.violation(wireBytes, "run of node %d on peer %d", m.Node, node)
+		}
+		s.applyRun(m, node, tc, wireBytes)
 	case *wire.VoteBatch:
 		if node < 0 {
 			return false, s.violation(wireBytes, "vote batch on aggregator peer")
 		}
-		// One pass checks every row's node and whether the rows are a run:
-		// node's votes on trials t0 … t0+n−1, which the 64-bit difference
-		// keeps from wrapping past MaxUint32.
-		var smuggled uint32
-		var gap uint64
 		for i := range m.Votes {
-			smuggled |= m.Votes[i].Node ^ uint32(node)
-			gap |= uint64(m.Votes[i].Trial) - uint64(m.Votes[0].Trial) - uint64(i)
-		}
-		if smuggled != 0 {
-			for i := range m.Votes {
-				if int(m.Votes[i].Node) != node {
-					return false, s.violation(wireBytes, "batch smuggles node %d on peer %d", m.Votes[i].Node, node)
-				}
+			if int(m.Votes[i].Node) != node {
+				return false, s.violation(wireBytes, "batch smuggles node %d on peer %d", m.Votes[i].Node, node)
 			}
 		}
-		s.applyBatch(m, node, len(m.Votes) > 0 && gap == 0, tc, wireBytes)
+		s.applyBatch(m, node, tc, wireBytes)
 	case *wire.PartialVerdict:
 		if agg == nil || m.Agg != agg.id {
 			return false, s.violation(wireBytes, "partial from agg %d on peer", m.Agg)
@@ -457,41 +453,96 @@ func (s *voteSink) apply(v wire.BatchVote, node int, tc wire.TraceContext, wireB
 	}
 }
 
-// applyBatch folds a whole VoteBatch under one mutex acquisition:
-// through foldRunLocked when its rows are a run (see applyFrame), vote by
-// vote when they are not or foldRunLocked declines. When tracing is on,
-// the batch gets an apply span parented on the frame's wire context, and
-// each vote a derived child span — so a batched trace keeps per-vote
-// granularity.
-func (s *voteSink) applyBatch(b *wire.VoteBatch, node int, run bool, tc wire.TraceContext, wireBytes int) {
-	var sp *trace.Span
-	ctx := trace.Context{Trace: trace.ID(tc.Trace), Span: trace.ID(tc.Span)}
-	if s.cfg.Trace.Enabled() {
-		sp = s.cfg.Trace.Start(s.spanNS+".applybatch", ctx,
-			trace.A("node", node), trace.A("votes", len(b.Votes)))
-		ctx = sp.Context()
-	}
+// applyBatch folds a whole VoteBatch under one mutex acquisition, vote
+// by vote. When tracing is on, the batch gets an apply span parented on
+// the frame's wire context, and each vote a derived child span — so a
+// batched trace keeps per-vote granularity.
+func (s *voteSink) applyBatch(b *wire.VoteBatch, node int, tc wire.TraceContext, wireBytes int) {
+	sp := s.startBatchSpan(node, len(b.Votes), tc)
 	s.mu.Lock()
-	s.countFrameLocked(wireBytes)
-	if !s.closed {
-		s.stats.BatchFrames++
-		s.stats.BatchedVotes += len(b.Votes)
-		if !run || !s.foldRunLocked(b.Votes, node) {
-			s.foldLocked(b.Votes, node)
-		}
+	if s.countBatchLocked(len(b.Votes), wireBytes) {
+		s.foldLocked(b.Votes, node)
 	}
 	s.mu.Unlock()
-	s.m.batchFill.Observe(int64(len(b.Votes)))
 	if sp != nil {
 		for i := range b.Votes {
-			v := &b.Votes[i]
-			vsp := s.cfg.Trace.StartID(s.spanNS+".apply",
-				trace.Derive(s.spanNS+".apply", uint64(ctx.Trace), uint64(v.Trial), uint64(node)),
-				ctx, trace.A("trial", int(v.Trial)), trace.A("node", node))
-			vsp.End()
+			s.voteSpan(sp, b.Votes[i].Trial, node)
 		}
 		sp.End()
 	}
+}
+
+// applyRun folds a VoteRun, node's votes on trials t0 … t0+n−1, under one
+// mutex acquisition, with the spans of applyBatch. When the run lies
+// inside [0, Trials) and none of its dedup bits is set, it claims the
+// bits a 64-bit word at a time, adds each trial's vote and reject bit
+// straight from the bitset and calls the owner's hook once. Otherwise it
+// folds the run's rows vote by vote, which counts their duplicates and
+// out-of-range trials exactly.
+func (s *voteSink) applyRun(r *wire.VoteRun, node int, tc wire.TraceContext, wireBytes int) {
+	sp := s.startBatchSpan(node, r.N, tc)
+	t0, n := int(r.Trial), r.N
+	lo := (node-s.lo)*s.cfg.Trials + t0
+	s.mu.Lock()
+	if s.countBatchLocked(n, wireBytes) {
+		if t0+n <= s.cfg.Trials && claimBits(s.voted, lo, lo+n) {
+			counts, rejects := s.votes[t0:t0+n], s.rejects[t0:t0+n]
+			for i := range counts {
+				counts[i]++
+			}
+			for j, b := range r.Rejects {
+				for ; b != 0; b &= b - 1 {
+					rejects[8*j+bits.TrailingZeros8(b)]++
+				}
+			}
+			s.tallyLocked(n, 0)
+			s.advanceLocked(t0, n)
+		} else {
+			s.rows = r.AppendVotes(s.rows[:0])
+			s.foldLocked(s.rows, node)
+		}
+	}
+	s.mu.Unlock()
+	if sp != nil {
+		for i := 0; i < n; i++ {
+			s.voteSpan(sp, r.Trial+uint32(i), node)
+		}
+		sp.End()
+	}
+}
+
+// startBatchSpan starts the <spanNS>.applybatch span of an n-vote batch
+// frame from node, parented on the frame's wire trace context; it returns
+// nil when tracing is off.
+func (s *voteSink) startBatchSpan(node, n int, tc wire.TraceContext) *trace.Span {
+	if !s.cfg.Trace.Enabled() {
+		return nil
+	}
+	return s.cfg.Trace.Start(s.spanNS+".applybatch", trace.Context{Trace: trace.ID(tc.Trace), Span: trace.ID(tc.Span)},
+		trace.A("node", node), trace.A("votes", n))
+}
+
+// voteSpan emits the <spanNS>.apply span of node's vote on trial, a
+// derived child of its batch's span sp.
+func (s *voteSink) voteSpan(sp *trace.Span, trial uint32, node int) {
+	ctx := sp.Context()
+	s.cfg.Trace.StartID(s.spanNS+".apply",
+		trace.Derive(s.spanNS+".apply", uint64(ctx.Trace), uint64(trial), uint64(node)),
+		ctx, trace.A("trial", int(trial)), trace.A("node", node)).End()
+}
+
+// countBatchLocked accounts one batch frame of n votes and wireBytes
+// on-wire bytes and reports whether its votes should fold: false once the
+// session closed. Callers hold s.mu.
+func (s *voteSink) countBatchLocked(n, wireBytes int) bool {
+	s.countFrameLocked(wireBytes)
+	s.m.batchFill.Observe(int64(n))
+	if s.closed {
+		return false
+	}
+	s.stats.BatchFrames++
+	s.stats.BatchedVotes += n
+	return true
 }
 
 // foldLocked folds one frame's votes from node in a single loop: per vote
@@ -526,33 +577,6 @@ func (s *voteSink) foldLocked(votes []wire.BatchVote, node int) {
 	s.tallyLocked(folded, bad)
 }
 
-// foldRunLocked folds a run, node's votes on trials t0 … t0+n−1, as one
-// range when it lies inside [0, Trials) and none of its dedup bits is
-// set: it claims the bits a 64-bit word at a time, adds to the per-trial
-// sums in one branch-free loop and calls the owner's hook once.
-// It reports whether it folded; on false it changed nothing, and the
-// caller folds the run vote by vote, which counts its duplicates and
-// out-of-range trials exactly. Callers hold s.mu and have checked
-// s.closed.
-func (s *voteSink) foldRunLocked(votes []wire.BatchVote, node int) bool {
-	t0, n := int(votes[0].Trial), len(votes)
-	if t0+n > s.cfg.Trials {
-		return false
-	}
-	lo := (node-s.lo)*s.cfg.Trials + t0
-	if !claimBits(s.voted, lo, lo+n) {
-		return false
-	}
-	counts, rejects := s.votes[t0:t0+n], s.rejects[t0:t0+n]
-	for i := range votes {
-		counts[i]++
-		rejects[i] += b2i(votes[i].Reject)
-	}
-	s.tallyLocked(n, 0)
-	s.advanceLocked(t0, n)
-	return true
-}
-
 // advanceLocked hands trials t0 … t0+n−1, just folded into, to the
 // owner. Callers hold s.mu.
 func (s *voteSink) advanceLocked(t0, n int) {
@@ -561,15 +585,6 @@ func (s *voteSink) advanceLocked(t0, n int) {
 	} else {
 		s.aggregator.onComplete(t0, n)
 	}
-}
-
-// b2i is 1 for true and 0 for false. It compiles to a zero-extending byte
-// load, which keeps foldRunLocked's sum loop free of branches.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // claimBits sets bits [lo, hi) of a bitset, lo < hi, if none of them is

@@ -29,7 +29,7 @@ func TestFoldWorkCounts(t *testing.T) {
 	}{
 		{"64x8192 in 1024-vote run batches", 8192, 1024, false, 640, 1_123_520, 93},
 		{"64x128 one frame per vote", 128, 0, false, 8320, 157_952, 93},
-		{"shard 0-31 of 64x8192 in 1024-vote run batches", 8192, 1024, true, 320, 561_760, 72},
+		{"shard 0-31 of 64x8192 in 1024-vote run batches", 8192, 1024, true, 320, 561_760, 73},
 	} {
 		nodes := k
 		if c.shard {

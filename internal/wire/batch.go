@@ -23,12 +23,15 @@
 //
 // Run form. One node's votes on trials t0 … t0+n−1, every clean cluster
 // batch, have the columns uvarint(t0), n−1 bytes 0x02 (zigzag +1),
-// uvarint(node), n−1 bytes 0x00. The encoder appends these constant runs
-// instead of 2n varints; the decoder matches them as whole byte runs and
-// fills the rows from (t0, node, bitset), but only on bytes the
-// column decoder accepts with the same rows, falling through to it on any
-// other. So bytes, rows, errors and bijectivity are unchanged, as
-// FuzzVoteBatchRunMatchesColumns checks.
+// uvarint(node), n−1 bytes 0x00. VoteRun is that batch as (t0, node, n,
+// reject bitset), and the one encoder of those bytes: it appends the
+// constant runs instead of 2n varints. The decoder matches them as whole
+// byte runs and returns a VoteRun whose bitset aliases the payload,
+// writing no rows, but only on bytes the column decoder accepts with the
+// same rows; it falls through to the column decoder on any other. So
+// bytes, rows, errors and bijectivity are those of the column form, as
+// FuzzVoteBatchRunMatchesColumns checks; only the decoded Go type says
+// which path a payload took.
 package wire
 
 import (
@@ -53,7 +56,8 @@ type BatchVote struct {
 	Reject bool
 }
 
-// VoteBatch is a batch of votes from one node.
+// VoteBatch is a batch of votes from one node. The decoder returns a
+// batch in run form as a VoteRun instead.
 type VoteBatch struct {
 	// Votes are the batched tuples, at most MaxBatchVotes.
 	Votes []BatchVote
@@ -61,9 +65,34 @@ type VoteBatch struct {
 
 func (VoteBatch) Type() byte { return TypeVoteBatch }
 
-// voteTrial and voteNode are a batch's columns, in payload order.
-func voteTrial(v *BatchVote) uint32 { return v.Trial }
-func voteNode(v *BatchVote) uint32  { return v.Node }
+// VoteRun is a VoteBatch in run form (see the file comment), a VoteBatch
+// frame on the wire: node Node's N votes, 1 … MaxBatchVotes, on trials
+// Trial … Trial+N−1, vote i rejecting when bit i of the ⌈N/8⌉-byte
+// bitset Rejects, LSB-first, is set; trailing bits are zero. A decoded
+// VoteRun's Rejects aliases the frame body, so it is valid only until the
+// next decode with the same scratch, and only while the body is.
+type VoteRun struct {
+	Trial, Node uint32
+	N           int
+	Rejects     []byte
+}
+
+func (VoteRun) Type() byte { return TypeVoteBatch }
+
+func (r VoteRun) appendPayload(dst []byte) []byte {
+	dst = binary.AppendUvarint(append(dst, 0), uint64(r.N))
+	dst = append(binary.AppendUvarint(dst, uint64(r.Trial)), runTrialDeltas[:r.N-1]...)
+	dst = append(binary.AppendUvarint(dst, uint64(r.Node)), runNodeDeltas[:r.N-1]...)
+	return append(dst, r.Rejects...)
+}
+
+// AppendVotes appends the run's N rows to dst, returning the result.
+func (r *VoteRun) AppendVotes(dst []BatchVote) []BatchVote {
+	for i := 0; i < r.N; i++ {
+		dst = append(dst, BatchVote{Trial: r.Trial + uint32(i), Node: r.Node, Reject: r.Rejects[i>>3]>>(i&7)&1 == 1})
+	}
+	return dst
+}
 
 // zigzag maps a signed delta to an unsigned varint-friendly value
 // (0,-1,1,-2,... → 0,1,2,3,...); unzigzag inverts it. Both are bijections,
@@ -94,18 +123,12 @@ func readUvarint(p []byte, off int) (uint64, int, error) {
 	return v, off + n, nil
 }
 
-// appendColumn appends the column val(&rows[0]), val(&rows[1]), … in
-// the delta encoding decodeColumn reads; it is the one column encoder of
-// VoteBatch, PartialVerdict and SessionReport.
-func appendColumn[R any](dst []byte, rows []R, val func(*R) uint32) []byte {
-	prev := int64(val(&rows[0]))
-	dst = binary.AppendUvarint(dst, uint64(prev))
-	for i := 1; i < len(rows); i++ {
-		v := int64(val(&rows[i]))
-		dst = binary.AppendUvarint(dst, zigzag(v-prev))
-		prev = v
-	}
-	return dst
+// appendDelta appends v, the value after prev in a delta column as
+// decodeColumn reads it; a column's first value goes out as a plain
+// uvarint. VoteBatch, PartialVerdict and SessionReport encode every
+// column by looping over their rows with it, and it inlines there.
+func appendDelta(dst []byte, prev, v uint32) []byte {
+	return binary.AppendUvarint(dst, zigzag(int64(v)-int64(prev)))
 }
 
 // decodeColumn decodes one delta column at p[off:] into col. It is the
@@ -142,23 +165,31 @@ func decodeColumn(p []byte, off int, col []uint32) (int, error) {
 }
 
 func (b VoteBatch) appendPayload(dst []byte) []byte {
-	n := len(b.Votes)
-	dst = binary.AppendUvarint(append(dst, 0), uint64(n))
-	if n == 0 {
-		return dst
-	}
-	if isRun(b.Votes) {
-		dst = append(binary.AppendUvarint(dst, uint64(b.Votes[0].Trial)), runTrialDeltas[:n-1]...)
-		dst = append(binary.AppendUvarint(dst, uint64(b.Votes[0].Node)), runNodeDeltas[:n-1]...)
-	} else {
-		dst = appendColumn(appendColumn(dst, b.Votes, voteTrial), b.Votes, voteNode)
+	v := b.Votes
+	n := len(v)
+	switch {
+	case n == 0:
+		return binary.AppendUvarint(append(dst, 0), 0)
+	case isRun(v):
+		// The run's payload up to its bitset, which the loop below appends.
+		dst = VoteRun{Trial: v[0].Trial, Node: v[0].Node, N: n}.appendPayload(dst)
+	default:
+		dst = binary.AppendUvarint(append(dst, 0), uint64(n))
+		dst = binary.AppendUvarint(dst, uint64(v[0].Trial))
+		for i := 1; i < n; i++ {
+			dst = appendDelta(dst, v[i-1].Trial, v[i].Trial)
+		}
+		dst = binary.AppendUvarint(dst, uint64(v[0].Node))
+		for i := 1; i < n; i++ {
+			dst = appendDelta(dst, v[i-1].Node, v[i].Node)
+		}
 	}
 	var bits byte
-	for i := range b.Votes {
-		if b.Votes[i].Reject {
+	for i := range v {
+		if v[i].Reject {
 			bits |= 1 << (i & 7)
 		}
-		if i&7 == 7 || i == len(b.Votes)-1 {
+		if i&7 == 7 || i == n-1 {
 			dst = append(dst, bits)
 			bits = 0
 		}
@@ -166,52 +197,53 @@ func (b VoteBatch) appendPayload(dst []byte) []byte {
 	return dst
 }
 
-// decodePayload parses a batch payload: a run through decodeRun, anything
-// else by decoding its delta columns into sc's column scratch and then
-// every row in one pass.
-func (b *VoteBatch) decodePayload(p []byte, sc *DecodeScratch) error {
+// decodeBatch parses a VoteBatch payload: a run into sc.run, whose
+// Rejects aliases p, anything else by decoding its delta columns into
+// sc's column scratch and then every row of sc.batch in one pass.
+func (sc *DecodeScratch) decodeBatch(p []byte) (Frame, error) {
 	if len(p) < 2 {
-		return fmt.Errorf("%w: %d-byte batch payload", ErrFrameSize, len(p))
+		return nil, fmt.Errorf("%w: %d-byte batch payload", ErrFrameSize, len(p))
 	}
 	if p[0] != 0 {
-		return fmt.Errorf("%w: batch flags %#x", ErrFrameSize, p[0])
+		return nil, fmt.Errorf("%w: batch flags %#x", ErrFrameSize, p[0])
 	}
 	cnt, off, err := readUvarint(p, 1)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if cnt == 0 {
-		return fmt.Errorf("%w: empty batch", ErrFrameSize)
+		return nil, fmt.Errorf("%w: empty batch", ErrFrameSize)
 	}
 	if cnt > MaxBatchVotes {
-		return fmt.Errorf("%w: batch of %d votes (limit %d)", ErrOversize, cnt, MaxBatchVotes)
+		return nil, fmt.Errorf("%w: batch of %d votes (limit %d)", ErrOversize, cnt, MaxBatchVotes)
 	}
 	n := int(cnt)
-	if cap(b.Votes) < n {
-		b.Votes = make([]BatchVote, n)
-	}
-	b.Votes = b.Votes[:n]
-	if b.decodeRun(p[off:]) {
-		return nil
+	if sc.run.decode(p[off:], n) {
+		return &sc.run, nil
 	}
 	cols := sc.columns(2 * n)
 	for c := 0; c < 2; c++ {
 		if off, err = decodeColumn(p, off, cols[c*n:(c+1)*n]); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	nb := (n + 7) / 8
 	if len(p)-off != nb {
-		return fmt.Errorf("%w: batch bitset of %d bytes, want %d", ErrFrameSize, len(p)-off, nb)
+		return nil, fmt.Errorf("%w: batch bitset of %d bytes, want %d", ErrFrameSize, len(p)-off, nb)
 	}
 	bits := p[off:]
 	if r := n & 7; r != 0 && bits[nb-1]>>r != 0 {
-		return fmt.Errorf("%w: nonzero trailing bitset bits", ErrFrameSize)
+		return nil, fmt.Errorf("%w: nonzero trailing bitset bits", ErrFrameSize)
 	}
+	b := &sc.batch
+	if cap(b.Votes) < n {
+		b.Votes = make([]BatchVote, n)
+	}
+	b.Votes = b.Votes[:n]
 	for i := range b.Votes {
 		b.Votes[i] = BatchVote{Trial: cols[i], Node: cols[n+i], Reject: bits[i>>3]>>(i&7)&1 == 1}
 	}
-	return nil
+	return b, nil
 }
 
 // isRun reports whether votes are a run: one node's votes on trials
@@ -226,11 +258,10 @@ func isRun(votes []BatchVote) bool {
 	return true
 }
 
-// decodeRun fills the rows of b.Votes from p, the columns and bitset of
-// a payload of len(b.Votes) votes, if p is a run the column decoder
-// accepts, and reports whether it was; on false it writes nothing.
-func (b *VoteBatch) decodeRun(p []byte) bool {
-	n := len(b.Votes)
+// decode sets r from p, the columns and bitset of an n-vote batch
+// payload, if p is a run the column decoder accepts, and reports whether
+// it was; on false it leaves r unchanged.
+func (r *VoteRun) decode(p []byte, n int) bool {
 	t0, off, err := readUvarint(p, 0)
 	if err != nil || t0 > math.MaxUint32-uint64(n-1) || !bytes.HasPrefix(p[off:], runTrialDeltas[:n-1]) {
 		return false
@@ -243,10 +274,7 @@ func (b *VoteBatch) decodeRun(p []byte) bool {
 	if len(bits) != (n+7)/8 || n&7 != 0 && bits[len(bits)-1]>>(n&7) != 0 {
 		return false
 	}
-	rows := b.Votes
-	for i := range rows {
-		rows[i] = BatchVote{Trial: uint32(t0) + uint32(i), Node: uint32(node), Reject: bits[i>>3]>>(i&7)&1 == 1}
-	}
+	*r = VoteRun{Trial: uint32(t0), Node: uint32(node), N: n, Rejects: bits}
 	return true
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -37,6 +38,18 @@ func advVotes(seed uint64, n int) []BatchVote {
 	return votes
 }
 
+// batchRows returns the rows of a decoded batch frame, a VoteBatch or a
+// VoteRun, and whether f was one.
+func batchRows(f Frame) ([]BatchVote, bool) {
+	switch b := f.(type) {
+	case *VoteBatch:
+		return b.Votes, true
+	case *VoteRun:
+		return b.AppendVotes(nil), true
+	}
+	return nil, false
+}
+
 func TestVoteBatchRoundTrip(t *testing.T) {
 	tc := TraceContext{Trace: 0xfeed, Span: 0xbead}
 	cases := []struct {
@@ -64,15 +77,16 @@ func TestVoteBatchRoundTrip(t *testing.T) {
 			if gotTC != ctx {
 				t.Errorf("%s: tc %+v want %+v", c.name, gotTC, ctx)
 			}
-			vb, ok := got.(*VoteBatch)
-			if !ok {
+			// A run decodes to a VoteRun, any other batch to its rows.
+			votes, ok := batchRows(got)
+			if _, run := got.(*VoteRun); !ok || run != isRun(c.batch.Votes) {
 				t.Fatalf("%s: decoded %T", c.name, got)
 			}
-			if !reflect.DeepEqual(vb.Votes, c.batch.Votes) {
+			if !reflect.DeepEqual(votes, c.batch.Votes) {
 				t.Errorf("%s: round trip mismatch", c.name)
 			}
 			// Bijectivity: re-encoding the decoded batch reproduces the bytes.
-			if !bytes.Equal(AppendSession(nil, vb, 0, ctx), buf) {
+			if !bytes.Equal(AppendSession(nil, got, 0, ctx), buf) {
 				t.Errorf("%s: re-encode is not byte-identical", c.name)
 			}
 		}
@@ -181,8 +195,7 @@ func TestDecodeScratchReuse(t *testing.T) {
 		}
 		switch want := s.want.(type) {
 		case *VoteBatch:
-			got := f.(*VoteBatch)
-			if !reflect.DeepEqual(got.Votes, want.Votes) {
+			if got, _ := batchRows(f); !reflect.DeepEqual(got, want.Votes) {
 				t.Fatalf("step %d: batch state leaked across scratch reuse", i)
 			}
 		default:
@@ -190,6 +203,45 @@ func TestDecodeScratchReuse(t *testing.T) {
 				t.Fatalf("step %d: got %#v", i, f)
 			}
 		}
+	}
+}
+
+// TestRunDecodeWritesNoRows pins the run path's contract: with a warm
+// scratch, decoding a traced, session-bound 1024-vote run frame allocates
+// nothing and returns a VoteRun holding the run, whose Rejects aliases
+// the body's bitset, and leaves the rows an earlier off-run batch left in
+// the scratch as they were.
+func TestRunDecodeWritesNoRows(t *testing.T) {
+	var sc DecodeScratch
+	adv := AppendSession(nil, &VoteBatch{Votes: advVotes(4, 40)}, 0, TraceContext{})
+	if _, _, _, err := DecodeBodySession(adv[headerBytes:], &sc); err != nil {
+		t.Fatal(err)
+	}
+	rows := append([]BatchVote(nil), sc.batch.Votes...)
+	run := seqVotes(7, 1024)
+	body := AppendSession(nil, &VoteBatch{Votes: run}, 3, TraceContext{Trace: 1, Span: 2})[headerBytes:]
+	var f Frame
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		f, _, _, err = DecodeBodySession(body, &sc)
+	})
+	r, ok := f.(*VoteRun)
+	if err != nil || !ok {
+		t.Fatalf("decoded %T, %v; want *VoteRun", f, err)
+	}
+	if allocs != 0 {
+		t.Errorf("run decode allocates %v per frame, want 0", allocs)
+	}
+	if r.Trial != 0 || r.Node != 7 || r.N != 1024 || !reflect.DeepEqual(r.AppendVotes(nil), run) {
+		t.Errorf("decoded run (trial %d, node %d, %d votes) does not hold the batch", r.Trial, r.Node, r.N)
+	}
+	// The bitset is the 128 bytes before the session field and trace suffix.
+	end := len(body) - sessionBytes - traceContextBytes
+	if len(r.Rejects) != 128 || &r.Rejects[0] != &body[end-128] {
+		t.Errorf("Rejects (%d bytes) does not alias the body's bitset", len(r.Rejects))
+	}
+	if !reflect.DeepEqual(sc.batch.Votes, rows) {
+		t.Error("run decode wrote the scratch's batch rows")
 	}
 }
 
@@ -249,7 +301,14 @@ func TestVoteBatchRunEncoding(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("run payload %x, want %x", got, want)
 	}
-	cols := appendColumn(appendColumn([]byte{0x00, 10}, run, voteTrial), run, voteNode)
+	cols := binary.AppendUvarint([]byte{0x00, 10}, uint64(run[0].Trial))
+	for i := 1; i < len(run); i++ {
+		cols = appendDelta(cols, run[i-1].Trial, run[i].Trial)
+	}
+	cols = binary.AppendUvarint(cols, uint64(run[0].Node))
+	for i := 1; i < len(run); i++ {
+		cols = appendDelta(cols, run[i-1].Node, run[i].Node)
+	}
 	if !bytes.Equal(cols, want[:len(want)-2]) {
 		t.Fatalf("column encoder writes %x, run form %x", cols, want[:len(want)-2])
 	}
@@ -269,9 +328,9 @@ func TestVoteBatchRunEncoding(t *testing.T) {
 		if _, ok := runPath(p); ok != c.run {
 			t.Errorf("%s: run path taken = %v, want %v", c.name, ok, c.run)
 		}
-		var dec VoteBatch
-		if err := dec.decodePayload(p, new(DecodeScratch)); err != nil || !reflect.DeepEqual(dec.Votes, c.votes) {
-			t.Errorf("%s: decoded %v, %v; want %v", c.name, dec.Votes, err, c.votes)
+		dec, err := new(DecodeScratch).decodeBatch(p)
+		if votes, _ := batchRows(dec); err != nil || !reflect.DeepEqual(votes, c.votes) {
+			t.Errorf("%s: decoded %v, %v; want %v", c.name, votes, err, c.votes)
 		}
 		if re := dec.appendPayload(nil); !bytes.Equal(re, p) {
 			t.Errorf("%s: re-encode %x, want %x", c.name, re, p)

@@ -82,7 +82,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 					if !hasSessionField(fr.Type()) {
 						session = 0 // control frames carry no session field
 					}
-					if gotSess != session || gotTC != ctx || !reflect.DeepEqual(got, fr) {
+					if gotSess != session || gotTC != ctx || !sameFrame(got, fr) {
 						t.Fatalf("%T: round trip mismatch (session %d→%d)", fr, session, gotSess)
 					}
 					if SessionOf(body) != gotSess || BodyType(body) != got.Type() {
@@ -103,7 +103,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatalf("stream frame %d: %v", i, err)
 			}
 			got, gotTC, gotSess, err := DecodeBodySession(body, &sc)
-			if err != nil || gotSess != w.session || gotTC != w.tc || !reflect.DeepEqual(got, w.f) {
+			if err != nil || gotSess != w.session || gotTC != w.tc || !sameFrame(got, w.f) {
 				t.Fatalf("stream frame %d (%T): got (%#v, %+v, session %d, %v)", i, w.f, got, gotTC, gotSess, err)
 			}
 		}
@@ -141,6 +141,15 @@ func FuzzWireRoundTrip(f *testing.F) {
 			adversarial(body)
 		}
 	})
+}
+
+// sameFrame reports whether the decoded frame got carries want, a
+// VoteRun counting as the VoteBatch of its rows.
+func sameFrame(got, want Frame) bool {
+	if r, ok := got.(*VoteRun); ok {
+		got = &VoteBatch{Votes: r.AppendVotes(nil)}
+	}
+	return reflect.DeepEqual(got, want)
 }
 
 // fuzzReport builds a valid n-trial report for session and k from a
@@ -184,6 +193,10 @@ func checkCanonical(t *testing.T, body []byte, f Frame, tc TraceContext, session
 		if len(v.Votes) == 0 || len(v.Votes) > MaxBatchVotes {
 			t.Fatalf("decoded batch with %d votes", len(v.Votes))
 		}
+	case *VoteRun:
+		if v.N == 0 || v.N > MaxBatchVotes {
+			t.Fatalf("decoded run of %d votes", v.N)
+		}
 	case *PartialVerdict:
 		if len(v.Entries) == 0 || len(v.Entries) > MaxPartialEntries {
 			t.Fatalf("decoded partial verdict with %d entries", len(v.Entries))
@@ -225,12 +238,11 @@ func FuzzVoteBatchRoundTrip(f *testing.F) {
 				t.Fatalf("batch frame body %d bytes exceeds cap", len(enc)-4)
 			}
 			got, gotTC, _ := decodeFrame(t, enc)
-			vb := got.(*VoteBatch)
-			if gotTC != ctx || !reflect.DeepEqual(vb.Votes, b.Votes) {
+			if votes, _ := batchRows(got); gotTC != ctx || !reflect.DeepEqual(votes, b.Votes) {
 				t.Fatal("batch round trip mismatch")
 			}
 			// Batches are bijective: decode→re-encode is identity.
-			if re := AppendSession(nil, vb, 0, ctx); !bytes.Equal(re, enc) {
+			if re := AppendSession(nil, got, 0, ctx); !bytes.Equal(re, enc) {
 				t.Fatalf("batch re-encode mismatch: %x vs %x", re, enc)
 			}
 		}
@@ -260,22 +272,20 @@ func runPayload(n int, t0, node, rejects uint64) []byte {
 	return p
 }
 
-// runPath decodes a batch payload through its header and decodeRun
-// alone, reporting whether the run path took it.
+// runPath decodes a batch payload, returning its rows and whether the
+// decoder took the run path.
 func runPath(p []byte) ([]BatchVote, bool) {
-	if len(p) < 2 || p[0] != 0 {
+	f, err := new(DecodeScratch).decodeBatch(p)
+	if err != nil {
 		return nil, false
 	}
-	cnt, off, err := readUvarint(p, 1)
-	if err != nil || cnt == 0 || cnt > MaxBatchVotes {
-		return nil, false
-	}
-	b := VoteBatch{Votes: make([]BatchVote, cnt)}
-	return b.Votes, b.decodeRun(p[off:])
+	votes, _ := batchRows(f)
+	_, run := f.(*VoteRun)
+	return votes, run
 }
 
 // columnsOnly decodes a batch payload with the column decoder alone —
-// decodePayload's checks and column path, without the run path — as the
+// decodeBatch's checks and column path, without the run path — as the
 // reference the run path must match.
 func columnsOnly(p []byte) ([]BatchVote, error) {
 	if len(p) < 2 || p[0] != 0 {
@@ -311,10 +321,11 @@ func columnsOnly(p []byte) ([]BatchVote, error) {
 // FuzzVoteBatchRunMatchesColumns pins the VoteBatch run path to the
 // column decoder: every payload — arbitrary bytes, or a
 // hand-built run with one byte replaced, one byte cut or one byte added —
-// decodes through decodePayload as through the column decoder alone
-// (columnsOnly): both fail, or both give the same rows. And a payload
-// whose rows are a run must take the run path, so the pin cannot hold
-// vacuously.
+// decodes through decodeBatch as through the column decoder alone
+// (columnsOnly): both fail, or both give the same rows, a VoteRun's
+// expanded. A payload takes the run path exactly when its rows are a
+// run, so the pin cannot hold vacuously, and every VoteRun it returns
+// re-encodes to the payload's own bytes.
 func FuzzVoteBatchRunMatchesColumns(f *testing.F) {
 	const max32 = math.MaxUint32
 	// edit: 0 none, 1 set byte at%len to val, 2 cut the last byte, 3
@@ -354,20 +365,23 @@ func FuzzVoteBatchRunMatchesColumns(f *testing.F) {
 				p = append(p, val)
 			}
 		}
-		var b VoteBatch
-		err := b.decodePayload(p, new(DecodeScratch))
+		f, err := new(DecodeScratch).decodeBatch(p)
 		want, errCols := columnsOnly(p)
 		if (err == nil) != (errCols == nil) {
-			t.Fatalf("%d-byte payload %.24x…: decodePayload error %v, column decoder %v", len(p), p, err, errCols)
+			t.Fatalf("%d-byte payload %.24x…: decodeBatch error %v, column decoder %v", len(p), p, err, errCols)
 		}
 		if errCols != nil {
 			return
 		}
-		if !reflect.DeepEqual(b.Votes, want) {
-			t.Fatalf("%d-byte payload %.24x…: decodePayload rows differ from the column decoder's", len(p), p)
+		if got, _ := batchRows(f); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d-byte payload %.24x…: decodeBatch rows differ from the column decoder's", len(p), p)
 		}
-		if _, ok := runPath(p); isRun(want) && !ok {
-			t.Fatalf("%d-byte payload %.24x…: run-shaped rows missed the run path", len(p), p)
+		r, run := f.(*VoteRun)
+		if run != isRun(want) {
+			t.Fatalf("%d-byte payload %.24x…: run path taken = %v, rows are a run = %v", len(p), p, run, isRun(want))
+		}
+		if run && !bytes.Equal(r.appendPayload(nil), p) {
+			t.Fatalf("%d-byte payload %.24x…: run re-encodes to %.24x…", len(p), p, r.appendPayload(nil))
 		}
 	})
 }

@@ -101,9 +101,20 @@ func (h *AggHello) decodePayload(p []byte) error {
 func (p PartialVerdict) appendPayload(dst []byte) []byte {
 	dst = append(binary.BigEndian.AppendUint32(dst, p.Agg), 0)
 	dst = binary.AppendUvarint(dst, uint64(len(p.Entries)))
-	dst = appendColumn(dst, p.Entries, func(e *PartialEntry) uint32 { return e.Trial })
-	dst = appendColumn(dst, p.Entries, func(e *PartialEntry) uint32 { return e.Votes })
-	return appendColumn(dst, p.Entries, func(e *PartialEntry) uint32 { return e.Rejects })
+	e := p.Entries
+	dst = binary.AppendUvarint(dst, uint64(e[0].Trial))
+	for i := 1; i < len(e); i++ {
+		dst = appendDelta(dst, e[i-1].Trial, e[i].Trial)
+	}
+	dst = binary.AppendUvarint(dst, uint64(e[0].Votes))
+	for i := 1; i < len(e); i++ {
+		dst = appendDelta(dst, e[i-1].Votes, e[i].Votes)
+	}
+	dst = binary.AppendUvarint(dst, uint64(e[0].Rejects))
+	for i := 1; i < len(e); i++ {
+		dst = appendDelta(dst, e[i-1].Rejects, e[i].Rejects)
+	}
+	return dst
 }
 
 // decodePayload parses a partial payload, decoding its delta columns into

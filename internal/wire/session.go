@@ -192,7 +192,10 @@ func (r SessionReport) appendPayload(dst []byte) []byte {
 		}
 	}
 	for _, col := range [][]uint32{r.Rejects, r.Votes, r.Missing} {
-		dst = appendColumn(dst, col, func(v *uint32) uint32 { return *v })
+		dst = binary.AppendUvarint(dst, uint64(col[0]))
+		for i := 1; i < len(col); i++ {
+			dst = appendDelta(dst, col[i-1], col[i])
+		}
 	}
 	return dst
 }

@@ -39,7 +39,7 @@ func TestSessionSuffixRoundTrip(t *testing.T) {
 				if gotSess != sess || gotTC != tc {
 					t.Fatalf("%T: got (session %d, %+v), want (%d, %+v)", fr, gotSess, gotTC, sess, tc)
 				}
-				if !reflect.DeepEqual(got, fr) {
+				if !sameFrame(got, fr) {
 					t.Fatalf("%T: session round trip: got %#v", fr, got)
 				}
 				if re := AppendSession(nil, got, gotSess, gotTC); !bytes.Equal(re, enc) {

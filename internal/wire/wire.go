@@ -397,7 +397,9 @@ type DecodeScratch struct {
 	vote    Vote
 	done    Done
 	verdict Verdict
-	batch   VoteBatch
+	// batch and run back a VoteBatch frame, as rows or in run form.
+	batch VoteBatch
+	run   VoteRun
 	// aggHello and partial back the aggregation-tier frame types.
 	aggHello AggHello
 	partial  PartialVerdict
@@ -496,7 +498,7 @@ func (sc *DecodeScratch) decode(t byte, p []byte) (Frame, error) {
 	case TypeSessionReject:
 		f = &sc.reject
 	case TypeVoteBatch:
-		return &sc.batch, sc.batch.decodePayload(p, sc)
+		return sc.decodeBatch(p)
 	case TypePartialVerdict:
 		return &sc.partial, sc.partial.decodePayload(p, sc)
 	default: // TypeSessionReport, the last type DecodeBodySession admits

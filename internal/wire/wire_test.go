@@ -274,7 +274,7 @@ func TestFrameLayout(t *testing.T) {
 				if !hasSessionField(c.typ) {
 					wantSess = 0
 				}
-				if gotSess != wantSess || gotTC != tc || !reflect.DeepEqual(got, c.f) {
+				if gotSess != wantSess || gotTC != tc || !sameFrame(got, c.f) {
 					t.Fatalf("%s: decoded (%#v, %+v, session %d)", name, got, gotTC, gotSess)
 				}
 				if re := AppendSession(nil, got, gotSess, gotTC); !bytes.Equal(re, enc) {
